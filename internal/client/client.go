@@ -349,19 +349,8 @@ func (c *Client) Begin(ctx context.Context) (kv.Txn, error) {
 	c.mu.Unlock()
 	// Transaction ids are globally unique: client id in the high bits.
 	id := uint64(uint32(c.cfg.ID))<<32 | uint64(sq)
-	tx := &DTxn{
-		client:      c,
-		id:          id,
-		routes:      map[int]txnRoute{},
-		partOf:      map[string]int{},
-		readLocked:  map[string]timestamp.Set{},
-		writeLocked: map[string]timestamp.Set{},
-		readVers:    map[string]timestamp.Timestamp{},
-		writes:      map[string][]byte{},
-		touched:     map[string]bool{},
-	}
+	tx := newDTxn(c, id)
 	now := c.clk.Now()
-	tx.start = now
 	switch c.cfg.Mode {
 	case ModeTILEarly, ModeTILLate:
 		lo := timestamp.New(now.Time, -1<<30)

@@ -2,9 +2,11 @@ package client
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/history"
@@ -19,9 +21,48 @@ import (
 // this epoch, even if a failover happens mid-flight (the stale pin is
 // fenced server-side; the transaction aborts and the retry re-routes).
 type txnRoute struct {
+	part  int32
 	addr  string
 	epoch uint64
 }
+
+// routeBatch is a pinned route plus its partition's share of the
+// per-server batch in flight: keys tx.keys[lo:hi], the staged request
+// msg (nil when the partition has no share), and the settled exchange
+// fb/err. read backs msg on the read path, so a read-lock request is
+// encoded from memory the transaction owns instead of boxed per call.
+type routeBatch struct {
+	txnRoute
+	lo, hi int
+	msg    wire.Message
+	fb     *wire.FrameBuf
+	err    error
+	read   wire.ReadLockBatchReq
+}
+
+// footEntry is everything the coordinator knows about one key of the
+// footprint. read: a server granted read locks readLocked, and readVer
+// is the version the (last) read returned. written: value is the
+// buffered write, under write locks writeLocked (which timestamp
+// ordering acquires only at commit).
+type footEntry struct {
+	key           string
+	part          int32
+	read, written bool
+	readVer       timestamp.Timestamp
+	readLocked    timestamp.Set
+	value         []byte
+	writeLocked   timestamp.Set
+}
+
+// A transaction within the inline capacities keeps all its bookkeeping
+// in its one allocation; a larger one (the 100-key preload) spills to
+// the heap and, past footIndexAt keys, finds keys through an index.
+const (
+	footInline  = 8
+	routeInline = 3
+	footIndexAt = 32
+)
 
 // errStaleRoute marks a request rejected by the epoch fence before it
 // reached any decision point: provably not acted on, so the coordinator
@@ -33,30 +74,50 @@ var errStaleRoute = errors.New("stale route: wrong epoch")
 type DTxn struct {
 	client *Client
 	id     uint64
-	start  timestamp.Timestamp
-
-	// routes pins each partition's (head, epoch) at first use; partOf
-	// maps a pinned head back to its partition for epoch lookups and
-	// route-failure reporting.
-	routes map[int]txnRoute
-	partOf map[string]int
 
 	// interval is MVTIL's shrinking set I.
 	interval timestamp.Set
 	// ts is the fixed timestamp in TO mode.
 	ts timestamp.Timestamp
 
-	readLocked  map[string]timestamp.Set
-	writeLocked map[string]timestamp.Set
-	readVers    map[string]timestamp.Timestamp
-	readOrder   []string
-	writes      map[string][]byte
-	writeOrder  []string
-	touched     map[string]bool
+	// foot is the footprint: one entry per key, in order of first use.
+	// writeOrder lists the written entries in order of first write;
+	// index finds a key's entry once foot outgrows a linear scan.
+	foot       []footEntry
+	writeOrder []int32
+	index      map[string]int32
 
-	decisionSrv string
-	done        bool
-	committed   bool
+	// routes pins each partition's (head, epoch) at first use, sorted by
+	// partition — the order every per-server fan-out (lock batches,
+	// freeze and release casts) goes out in. decision is the decision
+	// server's route (§H.1); its addr is "" until a write establishes it.
+	routes   []routeBatch
+	decision txnRoute
+
+	// Scratch shared by the per-server batches (see stage): the entries
+	// of the batch in hand, their keys, the read path's results between
+	// fan-out and settle, and a freeze batch's read ranges.
+	staged  []int32
+	keys    []string
+	results []wire.ReadLockResult
+	reads   []wire.FreezeReadItem
+	// req backs the requests the calling goroutine sends one at a time,
+	// so they too are encoded in place rather than boxed.
+	req struct {
+		write   wire.WriteLockReq
+		decide  wire.DecideReq
+		freeze  wire.FreezeBatchReq
+		release wire.ReleaseBatchReq
+	}
+
+	footBuf   [footInline]footEntry
+	orderBuf  [footInline]int32
+	stagedBuf [footInline]int32
+	keyBuf    [footInline]string
+	routeBuf  [routeInline]routeBatch
+
+	done      bool
+	committed bool
 
 	// CommitTS is the serialization timestamp after a successful commit.
 	CommitTS timestamp.Timestamp
@@ -67,42 +128,72 @@ type DTxn struct {
 
 var _ kv.Txn = (*DTxn)(nil)
 
+// newDTxn returns a transaction whose slices start on its inline arrays.
+func newDTxn(c *Client, id uint64) *DTxn {
+	tx := &DTxn{client: c, id: id}
+	tx.foot = tx.footBuf[:0]
+	tx.writeOrder = tx.orderBuf[:0]
+	tx.staged = tx.stagedBuf[:0]
+	tx.keys = tx.keyBuf[:0]
+	tx.routes = tx.routeBuf[:0]
+	return tx
+}
+
 // ID implements kv.Txn.
 func (tx *DTxn) ID() uint64 { return tx.id }
 
-// route returns the transaction's pinned route for key's partition,
-// pinning the client's current route on first use.
-func (tx *DTxn) route(key string) txnRoute {
-	p := tx.client.partitionFor(key)
-	if r, ok := tx.routes[p]; ok {
-		return r
+// entry returns the position of key's footprint entry, adding a blank
+// one at the end on first mention.
+func (tx *DTxn) entry(key string) int {
+	if tx.index != nil {
+		if i, ok := tx.index[key]; ok {
+			return int(i)
+		}
+	} else {
+		for i := range tx.foot {
+			if tx.foot[i].key == key {
+				return i
+			}
+		}
 	}
-	addr, epoch := tx.client.routeFor(p)
-	r := txnRoute{addr: addr, epoch: epoch}
-	tx.routes[p] = r
-	tx.partOf[addr] = p
-	return r
+	tx.foot = append(tx.foot, footEntry{key: key, part: int32(tx.client.partitionFor(key))})
+	switch {
+	case tx.index != nil:
+		tx.index[key] = int32(len(tx.foot) - 1)
+	case len(tx.foot) > footIndexAt:
+		tx.index = make(map[string]int32, 2*len(tx.foot))
+		for i := range tx.foot {
+			tx.index[tx.foot[i].key] = int32(i)
+		}
+	}
+	return len(tx.foot) - 1
 }
 
-// epochFor returns the epoch pinned with addr (0 when addr was never
-// pinned — the unreplicated paths).
-func (tx *DTxn) epochFor(addr string) uint64 {
-	if p, ok := tx.partOf[addr]; ok {
-		return tx.routes[p].epoch
+// pin returns the position in tx.routes of partition p's route, pinning
+// the client's current route on first use. A new pin shifts the routes
+// after it: positions and pointers are good only until the next one.
+func (tx *DTxn) pin(p int32) int {
+	i := 0
+	for ; i < len(tx.routes) && tx.routes[i].part <= p; i++ {
+		if tx.routes[i].part == p {
+			return i
+		}
 	}
-	return 0
+	addr, epoch := tx.client.routeFor(int(p))
+	tx.routes = append(tx.routes, routeBatch{})
+	copy(tx.routes[i+1:], tx.routes[i:])
+	tx.routes[i] = routeBatch{txnRoute: txnRoute{part: p, addr: addr, epoch: epoch}}
+	return i
 }
 
-// routeFail reports a pinned route gone stale — the server at addr is
+// routeFail reports a pinned route gone stale — its server is
 // unreachable or fenced this transaction's epoch — so the router
 // re-resolves the partition. The pin itself is kept: a transaction
 // never switches servers mid-flight; it aborts, and the retry pins
 // fresh routes.
-func (tx *DTxn) routeFail(addr string) {
+func (tx *DTxn) routeFail(rt txnRoute) {
 	if r := tx.client.cfg.Router; r != nil {
-		if p, ok := tx.partOf[addr]; ok {
-			r.Refresh(p)
-		}
+		r.Refresh(int(rt.part))
 	}
 }
 
@@ -118,6 +209,27 @@ func (tx *DTxn) abortErr(ctx context.Context, cause error) error {
 	return fmt.Errorf("%w (%w)", kv.ErrAborted, cause)
 }
 
+// record hands the transaction's footprint to the history recorder,
+// when there is one: as a commit at commitTS, or as a "maybe" the
+// checker resolves from observation.
+func (tx *DTxn) record(commitTS timestamp.Timestamp, maybe bool) {
+	rec := tx.client.cfg.Recorder
+	if rec == nil {
+		return
+	}
+	reads := make([]history.Read, 0, len(tx.foot))
+	for i := range tx.foot {
+		if e := &tx.foot[i]; e.read {
+			reads = append(reads, history.Read{Key: e.key, VersionTS: e.readVer})
+		}
+	}
+	writeKeys := make([]string, len(tx.writeOrder))
+	for i, fi := range tx.writeOrder {
+		writeKeys[i] = tx.foot[fi].key
+	}
+	rec.Record(history.Commit{ID: tx.id, CommitTS: commitTS, Reads: reads, WriteKeys: writeKeys, Maybe: maybe})
+}
+
 // uncertainErr finishes the transaction in the unknown state: the
 // commit proposal departed but its outcome never came back, so the
 // commitment object may have decided commit — reporting an abort here
@@ -130,31 +242,28 @@ func (tx *DTxn) abortErr(ctx context.Context, cause error) error {
 func (tx *DTxn) uncertainErr(commitTS timestamp.Timestamp, cause error) error {
 	tx.done = true
 	tx.CommitTS = commitTS
-	if rec := tx.client.cfg.Recorder; rec != nil {
-		reads := make([]history.Read, 0, len(tx.readOrder))
-		for _, key := range tx.readOrder {
-			reads = append(reads, history.Read{Key: key, VersionTS: tx.readVers[key]})
-		}
-		rec.Record(history.Commit{
-			ID:        tx.id,
-			CommitTS:  commitTS,
-			Reads:     reads,
-			WriteKeys: append([]string(nil), tx.writeOrder...),
-			Maybe:     true,
-		})
-	}
+	tx.record(commitTS, true)
 	return fmt.Errorf("%w (%w)", kv.ErrUncertain, cause)
 }
 
 // Read implements kv.Txn (Alg. 11 lines 10-14): a batch of one key
-// through GetMulti, exactly as the server's single-key read handler is
-// a batch of one server-side — one read path, two entry points.
+// through the read path GetMulti uses, exactly as the server's
+// single-key read handler is a batch of one server-side — one read
+// path, two entry points.
 func (tx *DTxn) Read(ctx context.Context, key string) ([]byte, error) {
-	out, err := tx.GetMulti(ctx, []string{key})
-	if err != nil {
+	if tx.done {
+		return nil, kv.ErrTxnDone
+	}
+	fi := tx.entry(key)
+	if e := &tx.foot[fi]; e.written {
+		return e.value, nil
+	}
+	tx.staged = append(tx.staged[:0], int32(fi))
+	var val [1][]byte
+	if err := tx.readStaged(ctx, val[:]); err != nil {
 		return nil, err
 	}
-	return out[key], nil
+	return val[0], nil
 }
 
 // GetMulti implements kv.MultiGetter: it reads a static set of keys,
@@ -176,31 +285,46 @@ func (tx *DTxn) GetMulti(ctx context.Context, keys []string) (map[string][]byte,
 		return nil, kv.ErrTxnDone
 	}
 	out := make(map[string][]byte, len(keys))
-	remote := make([]string, 0, len(keys))
-	seen := make(map[string]bool, len(keys))
+	tx.staged = tx.staged[:0]
 	for _, k := range keys {
-		if seen[k] {
+		if _, dup := out[k]; dup {
 			continue
 		}
-		seen[k] = true
-		if v, ok := tx.writes[k]; ok {
-			out[k] = v
+		fi := tx.entry(k)
+		if e := &tx.foot[fi]; e.written {
+			out[k] = e.value
 			continue
 		}
-		remote = append(remote, k)
+		out[k] = nil // claims the key; filled below
+		tx.staged = append(tx.staged, int32(fi))
 	}
-	if len(remote) == 0 {
+	if len(tx.staged) == 0 {
 		return out, nil
 	}
+	vals := make([][]byte, len(tx.staged))
+	if err := tx.readStaged(ctx, vals); err != nil {
+		return nil, err
+	}
+	for i, fi := range tx.staged {
+		out[tx.foot[fi].key] = vals[i]
+	}
+	return out, nil
+}
 
+// readStaged is the read path shared by Read and GetMulti: it
+// read-locks the staged entries' keys, one batch per server, and
+// stores each key's value (an owned copy; nil means ⊥) in vals, which
+// is aligned with tx.staged.
+func (tx *DTxn) readStaged(ctx context.Context, vals [][]byte) error {
 	mode := tx.client.cfg.Mode
+	til := mode == ModeTILEarly || mode == ModeTILLate
 	var upper timestamp.Timestamp
 	wait := false
 	switch mode {
 	case ModeTILEarly, ModeTILLate:
 		m, ok := tx.interval.Max()
 		if !ok {
-			return nil, tx.abortErr(ctx, fmt.Errorf("mvtil: interval exhausted"))
+			return tx.abortErr(ctx, fmt.Errorf("mvtil: interval exhausted"))
 		}
 		upper = m
 	case ModeTO:
@@ -209,96 +333,91 @@ func (tx *DTxn) GetMulti(ctx context.Context, keys []string) (map[string][]byte,
 		upper, wait = timestamp.Infinity, true
 	}
 
-	batches := tx.fanOutBatches(ctx, tx.serverGroups(remote), wire.TReadLockBatchReq, wait, func(addr string, keys []string) wire.Message {
-		return wire.ReadLockBatchReq{Txn: tx.id, Epoch: tx.epochFor(addr), Upper: upper, Wait: wait, Keys: keys}
-	})
+	// stage orders tx.staged by server; keys, results and vals are all
+	// aligned with it from here on.
+	tx.stage(tx.staged)
+	if n := len(tx.staged); cap(tx.results) < n {
+		tx.results = make([]wire.ReadLockResult, n)
+	}
+	results := tx.results[:len(tx.staged)]
+	for i := range tx.routes {
+		if r := &tx.routes[i]; r.hi > r.lo {
+			r.read = wire.ReadLockBatchReq{Txn: tx.id, Epoch: r.epoch, Upper: upper, Wait: wait, Keys: tx.keys[r.lo:r.hi]}
+			r.msg = &r.read
+		}
+	}
+	tx.fanOut(ctx, wire.TReadLockBatchReq, wait)
 	// Decoded read results borrow their Value views from the response
 	// frames, so the pooled buffers stay alive until the folds below
 	// have copied every escaping value out.
-	defer func() {
-		for _, r := range batches {
-			r.fb.Release()
-		}
-	}()
-	byKey := make(map[string]wire.ReadLockResult, len(remote))
+	defer tx.settle()
+
 	var firstErr error
-	// One response struct for the whole fan-in: DecodeInto reuses its
-	// Results capacity across batches (byKey copies the per-key result
-	// values, so overwriting between iterations is safe).
 	var resp wire.ReadLockBatchResp
-	for _, r := range batches {
+	for i := range tx.routes {
+		r := &tx.routes[i]
+		if r.msg == nil {
+			continue
+		}
 		if r.err == nil {
+			// Decode straight into the server's share of results: the
+			// appends of DecodeInto land in the zero-length, capped slice
+			// (too many results outgrow it and fail checkBatch instead).
+			resp.Results = results[r.lo:r.lo:r.hi]
 			r.err = resp.DecodeInto(r.fb.Body())
 		}
-		if det := tx.client.det; det != nil && r.err == nil {
-			det.observe(r.addr, resp.Edges)
-		}
-		switch {
-		case r.err != nil:
-			// transport/codec error: the head may be gone
-			tx.routeFail(r.addr)
-		case resp.Status == wire.StatusWrongEpoch:
-			tx.routeFail(r.addr)
-			r.err = fmt.Errorf("read batch via %s: %s: %w", r.addr, resp.Err, errStaleRoute)
-		case resp.Status != wire.StatusOK:
-			r.err = fmt.Errorf("read batch via %s: %s", r.addr, resp.Err)
-		case len(resp.Results) != len(r.keys):
-			r.err = fmt.Errorf("read batch via %s: %d results for %d keys", r.addr, len(resp.Results), len(r.keys))
-		}
+		tx.checkBatch(r, "read", resp.Status, resp.Err, len(resp.Results), resp.Edges)
 		if r.err != nil {
 			if firstErr == nil {
 				firstErr = r.err
 			}
-			continue
-		}
-		for i, k := range r.keys {
-			byKey[k] = resp.Results[i]
+			clear(results[r.lo:r.hi]) // no status: nothing was granted
 		}
 	}
 	// Record every acquired lock before acting on any failure: the
-	// abort path releases what tx.touched names, so a key locked on a
-	// healthy server must be tracked even when a sibling batch failed
-	// or an earlier key in the fold below aborts the transaction —
-	// otherwise its read locks would linger server-side until purge.
-	for k, res := range byKey {
-		if res.Status == wire.StatusOK {
-			tx.touched[k] = true
-			tx.readLocked[k] = tx.readLocked[k].Union(setOf(res.Got))
+	// abort path releases what the footprint says is locked, so a key
+	// locked on a healthy server must be marked even when a sibling
+	// batch failed or an earlier key in the fold below aborts the
+	// transaction — otherwise its read locks would linger server-side
+	// until purge.
+	for i, fi := range tx.staged {
+		if res := &results[i]; res.Status == wire.StatusOK {
+			e := &tx.foot[fi]
+			e.read = true
+			e.readLocked = e.readLocked.Add(res.Got)
 		}
 	}
 	if firstErr != nil {
-		return nil, tx.abortErr(ctx, firstErr)
+		return tx.abortErr(ctx, firstErr)
 	}
 
-	// Fold per-key results in the caller's key order, so interval
-	// narrowing and the reported abort cause are deterministic.
-	for _, k := range remote {
-		res := byKey[k]
+	// Fold per-key results in staged order (by server, then the caller's
+	// key order), so interval narrowing and the reported abort cause are
+	// deterministic.
+	for i, fi := range tx.staged {
+		res, e := &results[i], &tx.foot[fi]
 		if res.Status != wire.StatusOK {
 			if res.Status == wire.StatusDeadlock {
-				return nil, tx.abortErr(ctx, fmt.Errorf("read %q: %w: %s", k, kv.ErrDeadlock, res.Err))
+				return tx.abortErr(ctx, fmt.Errorf("read %q: %w: %s", e.key, kv.ErrDeadlock, res.Err))
 			}
-			return nil, tx.abortErr(ctx, fmt.Errorf("read %q: %s", k, res.Err))
+			return tx.abortErr(ctx, fmt.Errorf("read %q: %s", e.key, res.Err))
 		}
-		if _, read := tx.readVers[k]; !read {
-			tx.readOrder = append(tx.readOrder, k)
-		}
-		tx.readVers[k] = res.VersionTS
+		e.readVer = res.VersionTS
 		// res.Value is a borrowed view of a pooled response frame; the
-		// result map outlives it (bytes.Clone keeps nil nil, so ⊥
+		// caller's copy outlives it (bytes.Clone keeps nil nil, so ⊥
 		// round-trips).
-		out[k] = bytes.Clone(res.Value)
-		if mode == ModeTILEarly || mode == ModeTILLate {
+		vals[i] = bytes.Clone(res.Value)
+		if til {
 			if res.Got.IsEmpty() {
-				return nil, tx.abortErr(ctx, fmt.Errorf("mvtil: read of %q locked nothing", k))
+				return tx.abortErr(ctx, fmt.Errorf("mvtil: read of %q locked nothing", e.key))
 			}
 			tx.interval = tx.interval.IntersectInterval(timestamp.Span(res.VersionTS.Next(), res.Got.Hi))
 			if tx.interval.IsEmpty() {
-				return nil, tx.abortErr(ctx, fmt.Errorf("mvtil: read of %q emptied the interval", k))
+				return tx.abortErr(ctx, fmt.Errorf("mvtil: read of %q emptied the interval", e.key))
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Write implements kv.Txn (Alg. 11 lines 3-9).
@@ -307,9 +426,10 @@ func (tx *DTxn) Write(ctx context.Context, key string, value []byte) error {
 		return kv.ErrTxnDone
 	}
 	mode := tx.client.cfg.Mode
+	fi := tx.entry(key)
 	if mode == ModeTO {
 		// Timestamp ordering locks the write set only at commit.
-		tx.bufferWrite(key, value)
+		tx.bufferWrite(fi, value)
 		return nil
 	}
 
@@ -325,12 +445,13 @@ func (tx *DTxn) Write(ctx context.Context, key string, value []byte) error {
 		req = timestamp.NewSet(timestamp.Span(timestamp.Zero.Next(), timestamp.Infinity))
 		wait = true
 	}
-	resp, err := tx.writeLock(ctx, key, req, wait, value)
+	resp, err := tx.writeLock(ctx, key, tx.foot[fi].part, req, wait, value)
 	if err != nil {
 		return tx.abortErr(ctx, err)
 	}
-	tx.bufferWrite(key, value)
-	tx.writeLocked[key] = tx.writeLocked[key].Union(resp.Got)
+	tx.bufferWrite(fi, value)
+	e := &tx.foot[fi]
+	e.writeLocked = e.writeLocked.Union(resp.Got)
 	if mode == ModeTILEarly || mode == ModeTILLate {
 		if max, ok := resp.Denied.Max(); ok && max.Time > tx.RestartHint {
 			tx.RestartHint = max.Time
@@ -343,25 +464,26 @@ func (tx *DTxn) Write(ctx context.Context, key string, value []byte) error {
 	return nil
 }
 
-// writeLock sends one write-lock request, establishing the decision
-// server on first use (§H.1: the first server reached by a write).
-func (tx *DTxn) writeLock(ctx context.Context, key string, req timestamp.Set, wait bool, value []byte) (wire.WriteLockResp, error) {
-	rt := tx.route(key)
-	addr := rt.addr
-	if tx.decisionSrv == "" {
-		tx.decisionSrv = addr
+// writeLock sends one write-lock request for key to its partition,
+// establishing the decision server on first use (§H.1: the first server
+// reached by a write).
+func (tx *DTxn) writeLock(ctx context.Context, key string, part int32, req timestamp.Set, wait bool, value []byte) (wire.WriteLockResp, error) {
+	rt := tx.routes[tx.pin(part)].txnRoute
+	if tx.decision.addr == "" {
+		tx.decision = rt
 	}
-	f, err := tx.client.callWaitable(ctx, addr, tx.id, wire.TWriteLockReq, wire.WriteLockReq{
+	tx.req.write = wire.WriteLockReq{
 		Txn:         tx.id,
 		Epoch:       rt.epoch,
 		Key:         key,
-		DecisionSrv: tx.decisionSrv,
+		DecisionSrv: tx.decision.addr,
 		Set:         req,
 		Wait:        wait,
 		Value:       value,
-	}, wait)
+	}
+	f, err := tx.client.callWaitable(ctx, rt.addr, tx.id, wire.TWriteLockReq, &tx.req.write, wait)
 	if err != nil {
-		tx.routeFail(addr)
+		tx.routeFail(rt)
 		return wire.WriteLockResp{}, err
 	}
 	resp, err := wire.DecodeWriteLockResp(f.Body())
@@ -374,122 +496,182 @@ func (tx *DTxn) writeLock(ctx context.Context, key string, req timestamp.Set, wa
 			return resp, fmt.Errorf("write-lock %q: %w: %s", key, kv.ErrDeadlock, resp.Err)
 		}
 		if resp.Status == wire.StatusWrongEpoch {
-			tx.routeFail(addr)
+			tx.routeFail(rt)
 			return resp, fmt.Errorf("write-lock %q: %s: %w", key, resp.Err, errStaleRoute)
 		}
 		return resp, fmt.Errorf("write-lock %q: %s", key, resp.Err)
 	}
-	tx.touched[key] = true
 	return resp, nil
 }
 
-func (tx *DTxn) bufferWrite(key string, value []byte) {
-	if _, dup := tx.writes[key]; !dup {
-		tx.writeOrder = append(tx.writeOrder, key)
+// bufferWrite makes value the buffered write of footprint entry fi.
+func (tx *DTxn) bufferWrite(fi int, value []byte) {
+	e := &tx.foot[fi]
+	if !e.written {
+		e.written = true
+		tx.writeOrder = append(tx.writeOrder, int32(fi))
 	}
-	tx.writes[key] = value
-	tx.touched[key] = true
+	e.value = value
 }
 
-// serverGroups partitions keys by their owning server, preserving the
-// given key order within each group.
-func (tx *DTxn) serverGroups(keys []string) map[string][]string {
-	groups := make(map[string][]string)
-	for _, k := range keys {
-		addr := tx.route(k).addr
-		groups[addr] = append(groups[addr], k)
+// stage prepares a per-server batch over the footprint entries idx: it
+// sorts idx by partition (stably, so each server's share keeps the
+// caller's order), pins their routes, and lays their keys out in
+// tx.keys, aligned with idx — partition r's share is [r.lo, r.hi) of
+// both.
+func (tx *DTxn) stage(idx []int32) {
+	slices.SortStableFunc(idx, func(a, b int32) int { return cmp.Compare(tx.foot[a].part, tx.foot[b].part) })
+	tx.keys = tx.keys[:0]
+	for _, fi := range idx {
+		tx.pin(tx.foot[fi].part)
+		tx.keys = append(tx.keys, tx.foot[fi].key)
 	}
-	return groups
+	k := 0
+	for i := range tx.routes {
+		r := &tx.routes[i]
+		r.lo = k
+		for k < len(idx) && tx.foot[idx[k]].part == r.part {
+			k++
+		}
+		r.hi = k
+	}
 }
 
-// serverBatch is one settled per-server batch request: the group's keys
-// and either the pooled response frame (owned by the caller, who must
-// Release it after folding) or the transport error.
-type serverBatch struct {
-	addr string
-	keys []string
-	fb   *wire.FrameBuf
-	err  error
+// exchange performs one staged route's request and parks the settled
+// result — the pooled response frame, owned by the route until settle,
+// or the transport error — on the route.
+func (tx *DTxn) exchange(ctx context.Context, r *routeBatch, t wire.MsgType, wait bool) {
+	f, err := tx.client.callWaitable(ctx, r.addr, tx.id, t, r.msg, wait)
+	r.fb, r.err = f, err
 }
 
-// fanOutBatches issues one request per server group in parallel —
-// build constructs a group's request message from its keys, encoded
-// straight into a pooled frame by the RPC layer — and returns once
-// every batch has settled. It is the shared scaffold of the batched
-// read and write paths; decoding, per-key folding and releasing the
-// response frames stay with the caller.
-func (tx *DTxn) fanOutBatches(ctx context.Context, groups map[string][]string, t wire.MsgType, wait bool, build func(addr string, keys []string) wire.Message) []serverBatch {
-	results := make(chan serverBatch, len(groups))
-	join := clock.NewJoin(tx.client.timers, len(groups))
-	for addr, keys := range groups {
-		addr, keys := addr, keys
-		tx.client.timers.Go(func() {
-			f, err := tx.client.callWaitable(ctx, addr, tx.id, t, build(addr, keys), wait)
-			results <- serverBatch{addr: addr, keys: keys, fb: f, err: err}
-			join.Done() // while this child is still a registered actor
-		})
+// fanOut exchanges every staged route's request (r.msg, encoded
+// straight into a pooled frame by the RPC layer) in parallel and
+// returns once all have settled. The last staged route runs on the
+// calling goroutine, so a batch that involves one server — every
+// single-key Read — costs no goroutine, join or closure, and one over N
+// servers costs N-1. Decoding, folding and settle stay with the caller.
+func (tx *DTxn) fanOut(ctx context.Context, t wire.MsgType, wait bool) {
+	var last *routeBatch
+	var join *clock.Join
+	for i := range tx.routes {
+		r := &tx.routes[i]
+		if r.msg == nil {
+			continue
+		}
+		if last != nil {
+			if join == nil {
+				join = clock.NewJoin(tx.client.timers, 0)
+			}
+			join.Add(1)
+			// Copies for the closure: capturing join itself would move it
+			// to the heap on the one-server path too.
+			child, j := last, join
+			tx.client.timers.Go(func() {
+				tx.exchange(ctx, child, t, wait)
+				j.Done() // while this child is still a registered actor
+			})
+		}
+		last = r
 	}
-	// Credited join, not an Idle-bracketed channel drain: the last
-	// child's Done wakes this goroutine with a runnability credit, so
-	// the virtual timeline cannot slip timer fires into the handoff.
-	join.Wait()
-	out := make([]serverBatch, 0, len(groups))
-	for range groups {
-		out = append(out, <-results)
+	if last == nil {
+		return
 	}
-	return out
+	tx.exchange(ctx, last, t, wait)
+	if join != nil {
+		// Credited join, not an Idle-bracketed channel drain: the last
+		// child's Done wakes this goroutine with a runnability credit, so
+		// the virtual timeline cannot slip timer fires into the handoff.
+		join.Wait()
+	}
+}
+
+// checkBatch turns one route's decoded batch response into r.err (left
+// alone when the exchange or the decode already failed): the request
+// must have been accepted, under the pinned epoch, with one result per
+// key. A route that failed at the transport or the fence is reported
+// stale; piggybacked wait-for edges go to the deadlock detector.
+func (tx *DTxn) checkBatch(r *routeBatch, what string, status wire.Status, errStr string, results int, edges []wire.WaitEdge) {
+	switch {
+	case r.err != nil:
+		tx.routeFail(r.txnRoute) // transport/codec error: the head may be gone
+		return
+	case status == wire.StatusWrongEpoch:
+		tx.routeFail(r.txnRoute)
+		r.err = fmt.Errorf("%s batch via %s: %s: %w", what, r.addr, errStr, errStaleRoute)
+	case status != wire.StatusOK:
+		r.err = fmt.Errorf("%s batch via %s: %s", what, r.addr, errStr)
+	case results != r.hi-r.lo:
+		r.err = fmt.Errorf("%s batch via %s: %d results for %d keys", what, r.addr, results, r.hi-r.lo)
+	}
+	if det := tx.client.det; det != nil {
+		det.observe(r.addr, edges)
+	}
+}
+
+// settle ends a fan-out: it releases every response frame still parked
+// on a route, unstages the routes, and drops the read results, whose
+// values were views into those frames.
+func (tx *DTxn) settle() {
+	clear(tx.results)
+	for i := range tx.routes {
+		r := &tx.routes[i]
+		if r.fb != nil {
+			r.fb.Release()
+		}
+		r.msg, r.fb, r.err = nil, nil, nil
+	}
 }
 
 // writeLockBatches write-locks the transaction's whole write set at ts
 // with one batch request per server, fanning out across servers in
 // parallel: a W-write commit costs O(servers) round trips instead of
-// O(W). Acquired sets are folded into writeLocked; the first per-key
+// O(W). Acquired sets are folded into the footprint; the first per-key
 // denial or transport failure is returned after all batches settle.
 func (tx *DTxn) writeLockBatches(ctx context.Context, ts timestamp.Timestamp) error {
-	batches := tx.fanOutBatches(ctx, tx.serverGroups(tx.writeOrder), wire.TWriteLockBatchReq, false, func(addr string, keys []string) wire.Message {
-		items := make([]wire.WriteLockItem, len(keys))
-		for i, k := range keys {
-			items[i] = wire.WriteLockItem{Key: k, Set: setOf(timestamp.Point(ts)), Value: tx.writes[k]}
+	tx.staged = append(tx.staged[:0], tx.writeOrder...)
+	tx.stage(tx.staged)
+	at := timestamp.NewSet(timestamp.Point(ts))
+	items := make([]wire.WriteLockItem, len(tx.staged))
+	for i, fi := range tx.staged {
+		e := &tx.foot[fi]
+		items[i] = wire.WriteLockItem{Key: e.key, Set: at, Value: e.value}
+	}
+	for i := range tx.routes {
+		if r := &tx.routes[i]; r.hi > r.lo {
+			r.msg = wire.WriteLockBatchReq{Txn: tx.id, Epoch: r.epoch, DecisionSrv: tx.decision.addr, Items: items[r.lo:r.hi]}
 		}
-		return wire.WriteLockBatchReq{Txn: tx.id, Epoch: tx.epochFor(addr), DecisionSrv: tx.decisionSrv, Items: items}
-	})
+	}
+	tx.fanOut(ctx, wire.TWriteLockBatchReq, false)
+	defer tx.settle()
+
 	var firstErr error
-	for _, r := range batches {
+	for i := range tx.routes {
+		r := &tx.routes[i]
+		if r.msg == nil {
+			continue
+		}
 		var resp wire.WriteLockBatchResp
 		if r.err == nil {
+			// nothing borrowed: Sets and strings are owned
 			resp, r.err = wire.DecodeWriteLockBatchResp(r.fb.Body())
-			r.fb.Release() // nothing borrowed: Sets and strings are owned
 		}
-		if det := tx.client.det; det != nil && r.err == nil {
-			det.observe(r.addr, resp.Edges)
-		}
-		switch {
-		case r.err != nil:
-			// transport/codec error: the head may be gone
-			tx.routeFail(r.addr)
-		case resp.Status == wire.StatusWrongEpoch:
-			tx.routeFail(r.addr)
-			r.err = fmt.Errorf("write-lock batch via %s: %s: %w", r.addr, resp.Err, errStaleRoute)
-		case resp.Status != wire.StatusOK:
-			r.err = fmt.Errorf("write-lock batch: %s", resp.Err)
-		case len(resp.Results) != len(r.keys):
-			r.err = fmt.Errorf("write-lock batch: %d results for %d keys", len(resp.Results), len(r.keys))
-		}
+		tx.checkBatch(r, "write-lock", resp.Status, resp.Err, len(resp.Results), resp.Edges)
 		if r.err != nil {
 			if firstErr == nil {
 				firstErr = r.err
 			}
 			continue
 		}
-		for i, k := range r.keys {
-			res := resp.Results[i]
+		for i, res := range resp.Results {
+			e := &tx.foot[tx.staged[r.lo+i]]
 			if res.Status != wire.StatusOK || !res.Got.Contains(ts) {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("write-lock %q at %v denied: %s", k, ts, res.Err)
+					firstErr = fmt.Errorf("write-lock %q at %v denied: %s", e.key, ts, res.Err)
 				}
 				continue
 			}
-			tx.writeLocked[k] = tx.writeLocked[k].Union(res.Got)
+			e.writeLocked = e.writeLocked.Union(res.Got)
 		}
 	}
 	return firstErr
@@ -506,24 +688,25 @@ func (tx *DTxn) Commit(ctx context.Context) error {
 	// written key, without waiting (Alg. 8 via the wire protocol),
 	// batched per server.
 	if mode == ModeTO && len(tx.writeOrder) > 0 {
-		if tx.decisionSrv == "" {
-			tx.decisionSrv = tx.route(tx.writeOrder[0]).addr
+		if tx.decision.addr == "" {
+			tx.decision = tx.routes[tx.pin(tx.foot[tx.writeOrder[0]].part)].txnRoute
 		}
 		if err := tx.writeLockBatches(ctx, tx.ts); err != nil {
 			return tx.abortErr(ctx, err)
 		}
 	}
 
-	// Find a commonly locked timestamp (Alg. 11 line 17).
+	// Find a commonly locked timestamp (Alg. 11 line 17): read keys
+	// contribute their read locks, written keys — read first or not —
+	// their write locks.
 	candidates := timestamp.NewSet(timestamp.Full)
-	for key := range tx.readVers {
-		if _, alsoWritten := tx.writes[key]; alsoWritten {
-			continue
+	for i := range tx.foot {
+		switch e := &tx.foot[i]; {
+		case e.written:
+			candidates = candidates.Intersect(e.writeLocked)
+		case e.read:
+			candidates = candidates.Intersect(e.readLocked)
 		}
-		candidates = candidates.Intersect(tx.readLocked[key].Union(tx.writeLocked[key]))
-	}
-	for _, key := range tx.writeOrder {
-		candidates = candidates.Intersect(tx.writeLocked[key])
 	}
 	if candidates.IsEmpty() {
 		return tx.abortErr(ctx, fmt.Errorf("no commonly locked timestamp"))
@@ -576,57 +759,46 @@ func (tx *DTxn) Commit(ctx context.Context) error {
 	tx.CommitTS = commitTS
 	tx.committed = true
 	tx.done = true
+	tx.record(commitTS, false)
 
-	if rec := tx.client.cfg.Recorder; rec != nil {
-		reads := make([]history.Read, 0, len(tx.readOrder))
-		for _, key := range tx.readOrder {
-			reads = append(reads, history.Read{Key: key, VersionTS: tx.readVers[key]})
-		}
-		rec.Record(history.Commit{
-			ID:        tx.id,
-			CommitTS:  commitTS,
-			Reads:     reads,
-			WriteKeys: append([]string(nil), tx.writeOrder...),
-		})
+	// Inform the footprint's servers, one freeze batch per server (in
+	// partition order) and without waiting for replies (Alg. 11 lines
+	// 27-34; the decision is already durable at the commitment object,
+	// and servers left waiting freeze through the timeout path): freeze
+	// the write locks at the commit timestamp and expose the values, and
+	// — except under timestamp ordering, which leaves its read locks
+	// behind like MVTO+ read timestamps — freeze the read locks between
+	// version read and commit timestamp. A release batch per server then
+	// drops the remaining unfrozen locks (garbage collection).
+	if mode != ModeTO && tx.reads == nil {
+		tx.reads = make([]wire.FreezeReadItem, 0, len(tx.foot))
 	}
-
-	// Inform the footprint's servers, one freeze batch per server and
-	// without waiting for replies (Alg. 11 lines 27-34; the decision is
-	// already durable at the commitment object, and servers left waiting
-	// freeze through the timeout path): freeze the write locks at the
-	// commit timestamp and expose the values, and — except under
-	// timestamp ordering, which leaves its read locks behind like MVTO+
-	// read timestamps — freeze the read locks between version read and
-	// commit timestamp. A release batch per server then drops the
-	// remaining unfrozen locks (garbage collection).
-	freeze := make(map[string]*wire.FreezeBatchReq)
-	batchFor := func(key string) *wire.FreezeBatchReq {
-		addr := tx.route(key).addr
-		fb, ok := freeze[addr]
-		if !ok {
-			fb = &wire.FreezeBatchReq{Txn: tx.id, Epoch: tx.epochFor(addr), TS: commitTS}
-			freeze[addr] = fb
-		}
-		return fb
-	}
-	for _, key := range tx.writeOrder {
-		fb := batchFor(key)
-		fb.WriteKeys = append(fb.WriteKeys, key)
-	}
-	if mode != ModeTO {
-		for _, key := range tx.readOrder {
-			lo := tx.readVers[key].Next()
-			if lo.After(commitTS) {
-				continue
+	for i := range tx.routes {
+		r := &tx.routes[i]
+		tx.keys, tx.reads = tx.keys[:0], tx.reads[:0]
+		for _, fi := range tx.writeOrder {
+			if e := &tx.foot[fi]; e.part == r.part {
+				tx.keys = append(tx.keys, e.key)
 			}
-			fb := batchFor(key)
-			fb.Reads = append(fb.Reads, wire.FreezeReadItem{Key: key, Lo: lo, Hi: commitTS})
 		}
-	}
-	for addr, fb := range freeze {
-		if err := tx.client.cast(addr, tx.id, wire.TFreezeBatchReq, fb); err != nil {
-			tx.routeFail(addr)
-			return fmt.Errorf("client: freeze batch via %s: %w", addr, err)
+		if mode != ModeTO {
+			for j := range tx.foot {
+				e := &tx.foot[j]
+				if !e.read || e.part != r.part {
+					continue
+				}
+				if lo := e.readVer.Next(); !lo.After(commitTS) {
+					tx.reads = append(tx.reads, wire.FreezeReadItem{Key: e.key, Lo: lo, Hi: commitTS})
+				}
+			}
+		}
+		if len(tx.keys) == 0 && len(tx.reads) == 0 {
+			continue
+		}
+		tx.req.freeze = wire.FreezeBatchReq{Txn: tx.id, Epoch: r.epoch, TS: commitTS, WriteKeys: tx.keys, Reads: tx.reads}
+		if err := tx.client.cast(r.addr, tx.id, wire.TFreezeBatchReq, &tx.req.freeze); err != nil {
+			tx.routeFail(r.txnRoute)
+			return fmt.Errorf("client: freeze batch via %s: %w", r.addr, err)
 		}
 	}
 	if mode != ModeTO {
@@ -651,7 +823,7 @@ func (tx *DTxn) abort(ctx context.Context) {
 		return
 	}
 	tx.done = true
-	if tx.decisionSrv != "" {
+	if tx.decision.addr != "" {
 		// Ignore failures: servers will suspect us and clean up on
 		// their own (Lemma 4).
 		_, _ = tx.decide(ctx, wire.DecideAbort, timestamp.Timestamp{})
@@ -659,13 +831,15 @@ func (tx *DTxn) abort(ctx context.Context) {
 	tx.releaseAll(tx.client.cfg.Mode == ModeTO)
 }
 
-// releaseAll drops the transaction's unfrozen locks on every touched
-// key, one release batch per server, fire-and-forget (Alg. 11 line 34).
-// Safe on the abort path even when the decide call failed: only the
-// coordinator proposes commit, so an aborting coordinator's outcome can
-// only be abort and dropping pending writes is correct.
+// releaseAll drops the transaction's unfrozen locks on every key it
+// locked or buffered a write for, one release batch per server,
+// fire-and-forget (Alg. 11 line 34). Safe on the abort path even when
+// the decide call failed: only the coordinator proposes commit, so an
+// aborting coordinator's outcome can only be abort and dropping pending
+// writes is correct.
 func (tx *DTxn) releaseAll(writesOnly bool) {
-	tx.release(wire.ReleaseBatchReq{Txn: tx.id, WritesOnly: writesOnly})
+	tx.req.release = wire.ReleaseBatchReq{Txn: tx.id, WritesOnly: writesOnly}
+	tx.release()
 }
 
 // releaseCommitted is releaseAll for a decided-commit transaction: the
@@ -673,19 +847,29 @@ func (tx *DTxn) releaseAll(writesOnly bool) {
 // lost installs the pending write instead of discarding it (the release
 // subsumes the freeze — see wire.ReleaseBatchReq.Committed).
 func (tx *DTxn) releaseCommitted(commitTS timestamp.Timestamp) {
-	tx.release(wire.ReleaseBatchReq{Txn: tx.id, Committed: true, TS: commitTS})
+	tx.req.release = wire.ReleaseBatchReq{Txn: tx.id, Committed: true, TS: commitTS}
+	tx.release()
 }
 
-func (tx *DTxn) release(req wire.ReleaseBatchReq) {
-	touched := make([]string, 0, len(tx.touched))
-	for key := range tx.touched {
-		touched = append(touched, key)
+// release casts tx.req.release to every server holding a read or
+// written key of the footprint, in partition order, each with its
+// share of those keys.
+func (tx *DTxn) release() {
+	tx.staged = tx.staged[:0]
+	for i := range tx.foot {
+		if e := &tx.foot[i]; e.read || e.written {
+			tx.staged = append(tx.staged, int32(i))
+		}
 	}
-	for addr, keys := range tx.serverGroups(touched) {
-		req.Epoch = tx.epochFor(addr)
-		req.Keys = keys
-		if err := tx.client.cast(addr, tx.id, wire.TReleaseBatchReq, req); err != nil {
-			tx.routeFail(addr)
+	tx.stage(tx.staged)
+	for i := range tx.routes {
+		r := &tx.routes[i]
+		if r.hi == r.lo {
+			continue
+		}
+		tx.req.release.Epoch, tx.req.release.Keys = r.epoch, tx.keys[r.lo:r.hi]
+		if err := tx.client.cast(r.addr, tx.id, wire.TReleaseBatchReq, &tx.req.release); err != nil {
+			tx.routeFail(r.txnRoute)
 		}
 	}
 }
@@ -694,13 +878,14 @@ func (tx *DTxn) release(req wire.ReleaseBatchReq) {
 // read-only transaction has no decision server; its outcome is decided
 // locally (nothing is pending anywhere).
 func (tx *DTxn) decide(ctx context.Context, kind wire.DecisionKind, ts timestamp.Timestamp) (wire.DecideResp, error) {
-	if tx.decisionSrv == "" {
+	srv := tx.decision.addr
+	if srv == "" {
 		return wire.DecideResp{Status: wire.StatusOK, Kind: kind, TS: ts}, nil
 	}
-	f, err := tx.client.call(ctx, tx.decisionSrv, tx.id, wire.TDecideReq,
-		wire.DecideReq{Txn: tx.id, Epoch: tx.epochFor(tx.decisionSrv), Proposal: kind, TS: ts})
+	tx.req.decide = wire.DecideReq{Txn: tx.id, Epoch: tx.decision.epoch, Proposal: kind, TS: ts}
+	f, err := tx.client.call(ctx, srv, tx.id, wire.TDecideReq, &tx.req.decide)
 	if err != nil {
-		tx.routeFail(tx.decisionSrv)
+		tx.routeFail(tx.decision)
 		return wire.DecideResp{}, err
 	}
 	resp, err := wire.DecodeDecideResp(f.Body())
@@ -711,16 +896,13 @@ func (tx *DTxn) decide(ctx context.Context, kind wire.DecisionKind, ts timestamp
 	if resp.Status == wire.StatusWrongEpoch {
 		// The fence turned the proposal away before the commitment
 		// object saw it: provably undecided.
-		tx.routeFail(tx.decisionSrv)
-		return wire.DecideResp{}, fmt.Errorf("decide %q: %s: %w", tx.decisionSrv, resp.Err, errStaleRoute)
+		tx.routeFail(tx.decision)
+		return wire.DecideResp{}, fmt.Errorf("decide %q: %s: %w", srv, resp.Err, errStaleRoute)
 	}
 	if resp.Status != wire.StatusOK {
 		// A request-level failure is not a decision; treating it as one
 		// would report "decided abort" for what was e.g. a codec error.
-		return wire.DecideResp{}, fmt.Errorf("decide %q: %s", tx.decisionSrv, resp.Err)
+		return wire.DecideResp{}, fmt.Errorf("decide %q: %s", srv, resp.Err)
 	}
 	return resp, nil
 }
-
-// setOf wraps one interval in a set.
-func setOf(iv timestamp.Interval) timestamp.Set { return timestamp.NewSet(iv) }

@@ -51,9 +51,10 @@
 // response's pooled buffer: the caller decodes in place and MUST
 // Release it once done with the response and everything borrowed from
 // its body (see package wire for the borrow rules). On the server half,
-// ServeConn releases each request frame after its handler returns, and
-// Reply encodes the response message into a fresh pooled buffer that
-// the transport consumes.
+// ServeConn releases each request frame after its handler — and, for a
+// request that left the read loop, the handler's parked remainder (see
+// Handler) — returns, and Reply encodes the response message into a
+// fresh pooled buffer that the transport consumes.
 //
 // # Pool semantics and ordering
 //
@@ -698,36 +699,60 @@ func sendReply(out *replyFlusher, onSendErr func(error), id uint64, t wire.MsgTy
 	}
 }
 
+// Handler serves one request frame on the connection's read loop. Most
+// requests are answered right there: the handler calls reply and
+// returns nil, and the next frame is not read until it has — which is
+// what makes a connection's requests take effect in arrival order. A
+// request whose service may park (a lock acquisition that waits on a
+// conflict, a call to a peer) must not hold the loop up, so its handler
+// returns the rest of its work instead; that function runs on its own
+// goroutine with a Reply bound to the request's correlation id, and may
+// finish in any order relative to later frames. Either way the frame,
+// and every view decoded from it, stays valid until the last of the two
+// functions has returned, and reply must not be called after that.
+type Handler func(f *wire.FrameBuf, reply Reply) (parked func(reply Reply))
+
 // ServeConn is the server half of the mux: it reads frames from conn
 // and dispatches each to handle with a Reply bound to the frame's
 // correlation id. Responses are enqueued on the connection's reply
 // flusher — consecutive replies coalesce into vectored writes, never
 // interleave bytes, and never block the handler that sent them. Frames
-// whose type spawn reports true (handlers that may block, e.g. on lock
-// waits) run in their own goroutine; all others run inline on the read
-// loop, in arrival order — preserving the per-flow FIFO semantics
-// coordinators rely on when they fire-and-forget a freeze and then
-// issue the next request on the same flow — and share one pre-allocated
-// Reply, so the inline request/reply path allocates nothing beyond the
-// pooled frames. Each request frame is released back to the pool after
-// its handler returns: handlers may decode in place, but anything that
-// outlives the handler must be copied out, and reply must not be called
-// after the handler has returned. ServeConn returns when Recv fails
-// (connection closed), after every spawned handler finished. Failed
-// response writes are reported to onSendErr (nil discards them) — a
-// client waiting on a correlation id whose response was never written
-// is otherwise invisible on the server side.
+// whose type spawn reports true (handlers that may block) run in their
+// own goroutine; all others run inline on the read loop, in arrival
+// order — preserving the per-flow FIFO semantics coordinators rely on
+// when they fire-and-forget a freeze and then issue the next request on
+// the same flow — and share one pre-allocated Reply, so the inline
+// request/reply path allocates nothing beyond the pooled frames. Each
+// request frame is released back to the pool after its handler returns:
+// handlers may decode in place, but anything that outlives the handler
+// must be copied out, and reply must not be called after the handler
+// has returned. ServeConn returns when Recv fails (connection closed),
+// after every spawned handler finished. Failed response writes are
+// reported to onSendErr (nil discards them) — a client waiting on a
+// correlation id whose response was never written is otherwise
+// invisible on the server side.
+//
+// ServeConn chooses by message type alone; a server that must look
+// inside the request to know whether it can park (the storage server:
+// a lock request parks only when its Wait flag is set) passes a Handler
+// to ServeConnTimers instead.
 func ServeConn(conn transport.Conn, spawn func(wire.MsgType) bool, handle func(f *wire.FrameBuf, reply Reply), onSendErr func(error)) {
-	ServeConnTimers(conn, spawn, handle, onSendErr, nil)
+	ServeConnTimers(conn, func(f *wire.FrameBuf, reply Reply) func(Reply) {
+		if spawn != nil && spawn(f.Type()) {
+			return func(reply Reply) { handle(f, reply) }
+		}
+		handle(f, reply)
+		return nil
+	}, onSendErr, nil)
 }
 
-// ServeConnTimers is ServeConn on an explicit timeline: spawned
-// handlers register as actors and the teardown wait is a credited
-// clock.Join, so parked handlers can still be expired by virtual
-// lock-wait deadlines while the connection drains without opening a
-// free-running-advance window at the final handoff. A nil t means
-// SystemTimers.
-func ServeConnTimers(conn transport.Conn, spawn func(wire.MsgType) bool, handle func(f *wire.FrameBuf, reply Reply), onSendErr func(error), t clock.Timers) {
+// ServeConnTimers serves conn through handle (see Handler for the
+// inline/parked contract) on an explicit timeline: parked handlers
+// register as actors and the teardown wait is a credited clock.Join, so
+// they can still be expired by virtual lock-wait deadlines while the
+// connection drains without opening a free-running-advance window at
+// the final handoff. A nil t means SystemTimers.
+func ServeConnTimers(conn transport.Conn, handle Handler, onSendErr func(error), t clock.Timers) {
 	timers := clock.OrSystem(t)
 	out := newReplyFlusher(conn, onSendErr, timers)
 	inline := &replyState{out: out, onSendErr: onSendErr}
@@ -742,20 +767,20 @@ func ServeConnTimers(conn transport.Conn, spawn func(wire.MsgType) bool, handle 
 		if err != nil {
 			return
 		}
-		if spawn != nil && spawn(f.Type()) {
-			handlers.Add(1)
-			id := f.ID()
-			timers.Go(func() {
-				defer handlers.Done()
-				defer f.Release()
-				handle(f, func(t wire.MsgType, m wire.Message) {
-					sendReply(out, onSendErr, id, t, m)
-				})
-			})
-		} else {
-			inline.id = f.ID()
-			handle(f, inlineReply)
+		inline.id = f.ID()
+		parked := handle(f, inlineReply)
+		if parked == nil {
 			f.Release()
+			continue
 		}
+		handlers.Add(1)
+		id := f.ID()
+		timers.Go(func() {
+			defer handlers.Done()
+			defer f.Release()
+			parked(func(t wire.MsgType, m wire.Message) {
+				sendReply(out, onSendErr, id, t, m)
+			})
+		})
 	}
 }

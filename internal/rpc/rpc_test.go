@@ -321,3 +321,64 @@ func TestServeConnInlineOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestServeConnTimersParkedHandler checks the Handler contract: a
+// request whose handler returns its work as the parked function leaves
+// the read loop — later frames are served while it is still parked —
+// and its frame stays valid, and its Reply bound to its own correlation
+// id, until that function returns.
+func TestServeConnTimersParkedHandler(t *testing.T) {
+	n := transport.NewMem(transport.LatencyModel{})
+	l, err := n.Listen("parked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	gate := make(chan struct{})
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		ServeConnTimers(conn, func(f *wire.FrameBuf, reply Reply) func(Reply) {
+			if string(f.Body()) != "park" {
+				reply(f.Type(), wire.Raw(f.Body()))
+				return nil
+			}
+			return func(reply Reply) {
+				<-gate
+				reply(f.Type(), wire.Raw(f.Body()))
+			}
+		}, nil, nil)
+	}()
+
+	conn, err := n.Dial("parked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	for id, body := range []string{"park", "inline-1", "inline-2"} {
+		fb := wire.GetFrameBuf()
+		if err := fb.SetFrame(uint64(id+1), wire.TReleaseReq, wire.Raw(body)); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(fb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(id uint64, body string) {
+		t.Helper()
+		f, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Release()
+		if f.ID() != id || string(f.Body()) != body {
+			t.Fatalf("got reply %d %q, want %d %q", f.ID(), f.Body(), id, body)
+		}
+	}
+	expect(2, "inline-1") // served while frame 1's handler is parked
+	expect(3, "inline-2")
+	close(gate)
+	expect(1, "park")
+}

@@ -131,20 +131,61 @@ type keyStripe struct {
 	keys map[string]*keyState
 }
 
+// pendingWrite is one key a transaction write-locked here, with the
+// value buffered for it (Alg. 13 line 3).
+type pendingWrite struct {
+	key   string
+	value []byte
+}
+
 // txnState tracks what this server knows about one transaction. Its
 // fields are guarded by the owning txnStripe's mutex.
 type txnState struct {
 	decisionSrv string
-	// pending holds buffered write values per key (Alg. 13 line 3).
-	pending map[string][]byte
-	// writeKeys are keys where the txn holds (possibly unfrozen) write
-	// locks. Read locks need no record at all: releases and freezes
-	// name their keys explicitly, straight off the lock tables.
-	writeKeys map[string]bool
+	// writes are the keys where the txn holds (possibly unfrozen) write
+	// locks, each with its buffered value. Read locks need no record at
+	// all: releases and freezes name their keys explicitly, straight off
+	// the lock tables. A slice searched linearly, not a map: one
+	// transaction's share of writes on one server is a handful of keys,
+	// and the inline backing array makes the common record one
+	// allocation.
+	writes []pendingWrite
+	inline [2]pendingWrite
 	// firstWriteLock is when the txn first write-locked here.
 	firstWriteLock time.Time
 	// finished marks that a decision was applied locally.
 	finished bool
+}
+
+// find returns the position of key in t.writes, or -1.
+func (t *txnState) find(key string) int {
+	for i := range t.writes {
+		if t.writes[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// put records value as key's buffered write.
+func (t *txnState) put(key string, value []byte) {
+	if i := t.find(key); i >= 0 {
+		t.writes[i].value = value
+		return
+	}
+	t.writes = append(t.writes, pendingWrite{key: key, value: value})
+}
+
+// drop forgets key's write lock and buffered value, if recorded.
+func (t *txnState) drop(key string) {
+	i := t.find(key)
+	if i < 0 {
+		return
+	}
+	last := len(t.writes) - 1
+	t.writes[i] = t.writes[last]
+	t.writes[last] = pendingWrite{}
+	t.writes = t.writes[:last]
 }
 
 // txnStripe is one shard of the transaction map.
@@ -337,7 +378,8 @@ func (s *Server) withTxn(id uint64, fn func(*txnState)) {
 	st.mu.Lock()
 	t, ok := st.txns[id]
 	if !ok {
-		t = &txnState{pending: map[string][]byte{}, writeKeys: map[string]bool{}}
+		t = &txnState{}
+		t.writes = t.inline[:0]
 		st.txns[id] = t
 	}
 	fn(t)
@@ -362,11 +404,11 @@ func (s *Server) withTxnIfPresent(id uint64, fn func(*txnState)) bool {
 }
 
 // gcTxnLocked deletes the transaction's record once it is finished and
-// holds no pending values or write-lock bookkeeping (read-lock state
+// holds no write-lock bookkeeping (read-lock state
 // needs no record: releases and freezes name their keys explicitly).
 // Callers hold st.mu.
 func (s *Server) gcTxnLocked(st *txnStripe, id uint64, t *txnState) {
-	if !t.finished || len(t.pending) != 0 || len(t.writeKeys) != 0 {
+	if !t.finished || len(t.writes) != 0 {
 		return
 	}
 	delete(st.txns, id)
@@ -420,9 +462,10 @@ func (s *Server) acceptLoop() {
 }
 
 // serveConn demultiplexes one coordinator connection through
-// rpc.ServeConn: blocking requests run in their own goroutines and may
-// reply out of order (responses are tagged with the request's
-// correlation id); everything else is handled inline in arrival order.
+// rpc.ServeConnTimers: requests that may park run in their own
+// goroutines and may reply out of order (responses are tagged with the
+// request's correlation id); everything else is handled inline in
+// arrival order (see dispatch).
 func (s *Server) serveConn(conn transport.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -431,68 +474,83 @@ func (s *Server) serveConn(conn transport.Conn) {
 		delete(s.accepted, conn)
 		s.acceptedMu.Unlock()
 	}()
-	rpc.ServeConnTimers(conn, blocking, s.dispatch, func(err error) {
+	rpc.ServeConnTimers(conn, s.dispatch, func(err error) {
 		s.logf("server %s: send: %v", s.cfg.Addr, err)
 	}, s.timers)
 }
 
-// blocking reports the message types whose handlers may park — lock
-// acquisitions wait on conflicts, and victim aborts may call the
-// decision server (a peer RPC) — and must therefore run off the read
-// loop. Everything else (freeze, release, decide, purge, stats) is
-// non-blocking and handled inline, in arrival order: that preserves the
-// FIFO semantics coordinators rely on when they fire-and-forget a
-// freeze and then issue the next request on the same flow.
-func blocking(t wire.MsgType) bool {
-	switch t {
-	case wire.TReadLockReq, wire.TReadLockBatchReq, wire.TWriteLockReq, wire.TWriteLockBatchReq, wire.TVictimAbortReq:
-		return true
-	}
-	return false
-}
-
-func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
+// dispatch is the connection's rpc.Handler. Only two kinds of request
+// can park and therefore leave the read loop (their service is returned
+// as the parked function): a lock request with its Wait flag set, which
+// waits out conflicting locks, and a victim abort, which may call the
+// decision server (a peer RPC). Everything else — freeze, release,
+// decide, purge, stats, and every no-wait lock request, which is all of
+// them under MVTIL and timestamp ordering — is served right here, in
+// arrival order. That order is what a coordinator's flow relies on: its
+// fire-and-forget freeze has taken effect before the next request on the
+// flow is looked at, whether that request is a release or another
+// transaction's read. Serving no-wait lock requests inline is FIFO-safe
+// because they never block the loop — a conflict is answered with a
+// partial or denied grant, not waited for — and a waiting request must
+// stay off the loop precisely because the release that unparks it may
+// arrive behind it on the same connection.
+func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc.Reply)) {
 	switch f.Type() {
 	case wire.TReadLockReq:
 		req, err := wire.DecodeReadLockReq(f.Body())
 		if err != nil {
 			reply(wire.TReadLockResp, wire.ReadLockResp{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
+		}
+		if req.Wait {
+			return func(reply rpc.Reply) { reply(wire.TReadLockResp, s.handleReadLock(req)) }
 		}
 		reply(wire.TReadLockResp, s.handleReadLock(req))
 	case wire.TReadLockBatchReq:
 		req, err := wire.DecodeReadLockBatchReq(f.Body())
 		if err != nil {
 			reply(wire.TReadLockBatchResp, wire.ReadLockBatchResp{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
+		}
+		if req.Wait {
+			return func(reply rpc.Reply) { reply(wire.TReadLockBatchResp, s.handleReadLockBatch(req)) }
 		}
 		reply(wire.TReadLockBatchResp, s.handleReadLockBatch(req))
 	case wire.TWriteLockReq:
 		req, err := wire.DecodeWriteLockReq(f.Body())
 		if err != nil {
 			reply(wire.TWriteLockResp, wire.WriteLockResp{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
+		}
+		if req.Wait {
+			// A copy declared in this branch: capturing req itself would
+			// move it to the heap on the inline path too.
+			parkedReq := req
+			return func(reply rpc.Reply) { reply(wire.TWriteLockResp, s.handleWriteLock(parkedReq)) }
 		}
 		reply(wire.TWriteLockResp, s.handleWriteLock(req))
 	case wire.TWriteLockBatchReq:
 		req, err := wire.DecodeWriteLockBatchReq(f.Body())
 		if err != nil {
 			reply(wire.TWriteLockBatchResp, wire.WriteLockBatchResp{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
+		}
+		if req.Wait {
+			return func(reply rpc.Reply) { reply(wire.TWriteLockBatchResp, s.handleWriteLockBatch(req)) }
 		}
 		reply(wire.TWriteLockBatchResp, s.handleWriteLockBatch(req))
 	case wire.TFreezeWriteReq:
 		req, err := wire.DecodeFreezeWriteReq(f.Body())
 		if err != nil {
 			reply(wire.TFreezeWriteResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
 		}
 		reply(wire.TFreezeWriteResp, s.handleFreezeWrite(req))
 	case wire.TFreezeReadReq:
 		req, err := wire.DecodeFreezeReadReq(f.Body())
 		if err != nil {
 			reply(wire.TFreezeReadResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
 		}
 		// Not fenced, like the freeze/release batch handlers: it only
 		// freezes read locks their owner was granted, a no-op elsewhere.
@@ -502,21 +560,21 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 		req, err := wire.DecodeFreezeBatchReq(f.Body())
 		if err != nil {
 			reply(wire.TFreezeBatchResp, wire.FreezeBatchResp{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
 		}
 		reply(wire.TFreezeBatchResp, s.handleFreezeBatch(req))
 	case wire.TReleaseReq:
 		req, err := wire.DecodeReleaseReq(f.Body())
 		if err != nil {
 			reply(wire.TReleaseResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
 		}
 		reply(wire.TReleaseResp, s.handleRelease(req))
 	case wire.TReleaseBatchReq:
 		req, err := wire.DecodeReleaseBatchReq(f.Body())
 		if err != nil {
 			reply(wire.TReleaseBatchResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
 		}
 		reply(wire.TReleaseBatchResp, s.handleReleaseBatch(req))
 	case wire.TDecideReq:
@@ -526,7 +584,7 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 			// would be indistinguishable from the commitment object
 			// really deciding abort.
 			reply(wire.TDecideResp, wire.DecideResp{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
 		}
 		// Epoch 0 bypasses the fence: server-to-server abort proposals
 		// (the suspicion scanner, victim aborts) do not track
@@ -534,7 +592,7 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 		// abort is the default outcome.
 		if req.Epoch != 0 && !s.fence(req.Epoch) {
 			reply(wire.TDecideResp, wire.DecideResp{Status: wire.StatusWrongEpoch, Err: "wrong epoch"})
-			return
+			return nil
 		}
 		d := s.handleDecide(req)
 		reply(wire.TDecideResp, wire.DecideResp{Status: wire.StatusOK, Kind: d.Kind, TS: d.TS})
@@ -544,7 +602,7 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 			// An explicit error status: an empty PurgeResp would read
 			// as "purged 0, OK".
 			reply(wire.TPurgeResp, wire.PurgeResp{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
 		}
 		v, l := s.purgeBelow(req.Bound)
 		reply(wire.TPurgeResp, wire.PurgeResp{Status: wire.StatusOK, Versions: int64(v), Locks: int64(l)})
@@ -556,26 +614,27 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 		req, err := wire.DecodeVictimAbortReq(f.Body())
 		if err != nil {
 			reply(wire.TVictimAbortResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
 		}
-		reply(wire.TVictimAbortResp, s.handleVictimAbort(req))
+		return func(reply rpc.Reply) { reply(wire.TVictimAbortResp, s.handleVictimAbort(req)) }
 	case wire.TSnapshotChunkReq:
 		req, err := wire.DecodeSnapshotChunkReq(f.Body())
 		if err != nil {
 			reply(wire.TSnapshotChunkResp, wire.SnapshotChunkResp{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
 		}
 		reply(wire.TSnapshotChunkResp, s.handleSnapshotChunk(req))
 	case wire.TLogTailReq:
 		req, err := wire.DecodeLogTailReq(f.Body())
 		if err != nil {
 			reply(wire.TLogTailResp, wire.LogTailResp{Status: wire.StatusError, Err: err.Error()})
-			return
+			return nil
 		}
 		reply(wire.TLogTailResp, s.handleLogTail(req))
 	default:
 		s.logf("server %s: unknown message type %d", s.cfg.Addr, f.Type())
 	}
+	return nil
 }
 
 // --- handlers ----------------------------------------------------------------
@@ -616,11 +675,7 @@ func (s *Server) handleReadLockBatch(req wire.ReadLockBatchReq) wire.ReadLockBat
 		// Each key gets its own lock-wait budget, exactly as n
 		// sequential single-key reads would: one blocked key must not
 		// starve its siblings' waits or poison their results.
-		results[i] = func() wire.ReadLockResult {
-			ctx, cancel := s.timers.WithTimeout(context.Background(), s.cfg.LockWaitTimeout)
-			defer cancel()
-			return s.readLockKey(ctx, k, owner, req.Upper, wait)
-		}()
+		results[i] = s.readLockKey(k, owner, req.Upper, wait)
 		if results[i].Status != wire.StatusOK {
 			anyDenied = true
 			// The coordinator aborts on any per-key failure, so once one
@@ -649,9 +704,22 @@ func (s *Server) handleReadLockBatch(req wire.ReadLockBatchReq) wire.ReadLockBat
 // readLockKey is the per-key read step: pick the latest version below
 // upper, read-lock the interval above it (waiting on unfrozen write
 // locks when requested), retrying while newer frozen versions appear.
-func (s *Server) readLockKey(ctx context.Context, key string, owner lock.Owner, upper timestamp.Timestamp, wait bool) wire.ReadLockResult {
+// The lock-wait budget is armed only where it can be spent: up front for
+// a waiting request, which may park inside the acquisition, and on the
+// first retry for a no-wait one — which never parks, so the common
+// single pass arms no timer at all.
+func (s *Server) readLockKey(key string, owner lock.Owner, upper timestamp.Timestamp, wait bool) wire.ReadLockResult {
 	ks := s.key(key)
-	for {
+	ctx, cancel := context.Background(), context.CancelFunc(nil)
+	defer func() {
+		if cancel != nil {
+			cancel()
+		}
+	}()
+	for try := 0; ; try++ {
+		if cancel == nil && (wait || try > 0) {
+			ctx, cancel = s.timers.WithTimeout(context.Background(), s.cfg.LockWaitTimeout)
+		}
 		if ctx.Err() != nil {
 			return wire.ReadLockResult{Status: wire.StatusConflict, Err: "lock wait timeout"}
 		}
@@ -741,10 +809,20 @@ func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLock
 	}
 
 	owner := lock.Owner(req.Txn)
-	ctx, cancel := s.timers.WithTimeout(context.Background(), s.cfg.LockWaitTimeout)
-	defer cancel()
+	// Only a waiting batch can park, so only it needs the lock-wait
+	// deadline; no-wait acquisitions never consult the context.
+	ctx := context.Background()
+	if req.Wait {
+		var cancel context.CancelFunc
+		ctx, cancel = s.timers.WithTimeout(ctx, s.cfg.LockWaitTimeout)
+		defer cancel()
+	}
 	results := make([]wire.WriteLockResult, len(req.Items))
-	acquired := make([]bool, len(req.Items))
+	var acquiredBuf [8]bool
+	acquired := acquiredBuf[:]
+	if len(req.Items) > len(acquiredBuf) {
+		acquired = make([]bool, len(req.Items))
+	}
 	any, anyDenied := false, false
 	for i, it := range req.Items {
 		ks := s.key(it.Key)
@@ -792,7 +870,7 @@ func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLock
 				// Don't record; and if this batch just created the
 				// record, finish it so it garbage-collects right here
 				// instead of waiting out the suspicion scanner.
-				if len(t.pending) == 0 && len(t.writeKeys) == 0 {
+				if len(t.writes) == 0 {
 					t.finished = true
 				}
 				return
@@ -804,8 +882,7 @@ func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLock
 				// The decoded value is a borrowed view of the request
 				// frame, which is recycled when this handler returns;
 				// the pending write outlives it, so copy out.
-				t.pending[it.Key] = bytes.Clone(it.Value)
-				t.writeKeys[it.Key] = true
+				t.put(it.Key, bytes.Clone(it.Value))
 			}
 		})
 		if finishedLate || fencedLate {
@@ -860,19 +937,29 @@ func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp
 	// reach the replication log before the old head is crash-stopped.
 	owner := lock.Owner(req.Txn)
 	resp := wire.FreezeBatchResp{Status: wire.StatusOK}
-	if len(req.WriteKeys) > 0 {
-		resp.WriteAcks = make([]wire.Ack, len(req.WriteKeys))
-		vals := make([][]byte, len(req.WriteKeys))
-		has := make([]bool, len(req.WriteKeys))
+	if n := len(req.WriteKeys); n > 0 {
+		resp.WriteAcks = make([]wire.Ack, n)
+		// Per write key: its buffered value, whether one was found, and
+		// whether this call froze it.
+		type slot struct {
+			val         []byte
+			has, frozen bool
+		}
+		var slotBuf [4]slot
+		slots := slotBuf[:]
+		if n > len(slotBuf) {
+			slots = make([]slot, n)
+		}
 		s.withTxnIfPresent(req.Txn, func(t *txnState) {
 			for i, k := range req.WriteKeys {
-				vals[i], has[i] = t.pending[k]
+				if j := t.find(k); j >= 0 {
+					slots[i].val, slots[i].has = t.writes[j].value, true
+				}
 			}
 		})
-		frozen := make([]bool, len(req.WriteKeys))
 		anyFrozen := false
 		for i, k := range req.WriteKeys {
-			if !has[i] {
+			if !slots[i].has {
 				// No buffered value: either the decide path already
 				// installed and froze this key (its record was then
 				// garbage-collected, making this freeze redundant), or
@@ -887,7 +974,7 @@ func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp
 				continue
 			}
 			ks := s.key(k)
-			if err := s.install(ks, k, req.TS, vals[i]); err != nil {
+			if err := s.install(ks, k, req.TS, slots[i].val); err != nil {
 				resp.WriteAcks[i] = wire.Ack{Status: wire.StatusError, Err: err.Error()}
 				continue
 			}
@@ -896,14 +983,13 @@ func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp
 				continue
 			}
 			resp.WriteAcks[i] = wire.Ack{Status: wire.StatusOK}
-			frozen[i] = true
+			slots[i].frozen = true
 			anyFrozen = true
 		}
 		if anyFrozen {
 			s.withTxnIfPresent(req.Txn, func(t *txnState) {
 				for i, k := range req.WriteKeys {
-					if frozen[i] {
-						delete(t.pending, k)
+					if slots[i].frozen {
 						// The lock at this key is frozen; any unfrozen
 						// remainder is dropped by the coordinator's
 						// release batch straight off the lock table, so
@@ -912,10 +998,10 @@ func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp
 						// never release (timestamp ordering freezes
 						// exactly what it locked) would pin their
 						// records forever.
-						delete(t.writeKeys, k)
+						t.drop(k)
 					}
 				}
-				if len(t.pending) == 0 {
+				if len(t.writes) == 0 {
 					// every buffered write on this server is exposed;
 					// stop suspecting the coordinator
 					t.finished = true
@@ -953,7 +1039,7 @@ func (s *Server) handleReleaseBatch(req wire.ReleaseBatchReq) wire.Ack {
 		var lost []string
 		s.withTxnIfPresent(req.Txn, func(t *txnState) {
 			for _, k := range req.Keys {
-				if _, ok := t.pending[k]; ok {
+				if t.find(k) >= 0 {
 					lost = append(lost, k)
 				}
 			}
@@ -975,10 +1061,9 @@ func (s *Server) handleReleaseBatch(req wire.ReleaseBatchReq) wire.Ack {
 	// were still cleaned — they do not need the record).
 	s.withTxnIfPresent(req.Txn, func(t *txnState) {
 		for _, k := range req.Keys {
-			delete(t.pending, k)
-			delete(t.writeKeys, k)
+			t.drop(k)
 		}
-		if len(t.writeKeys) == 0 {
+		if len(t.writes) == 0 {
 			t.firstWriteLock = time.Time{}
 		}
 		// Release batches are only sent when the coordinator is done
@@ -988,7 +1073,7 @@ func (s *Server) handleReleaseBatch(req wire.ReleaseBatchReq) wire.Ack {
 		// decision server — would leave participant servers' records
 		// unfinished with a zeroed suspicion clock: invisible to both
 		// the GC and the scanner, leaking one record per abort.
-		if len(t.pending) == 0 && len(t.writeKeys) == 0 {
+		if len(t.writes) == 0 {
 			t.finished = true
 		}
 	})
@@ -1066,8 +1151,12 @@ func (s *Server) handleVictimAbort(req wire.VictimAbortReq) wire.Ack {
 // and write-key state is cleared afterwards, so the touch-point GC in
 // withTxn purges the finished record.
 func (s *Server) applyDecision(txn uint64, d commitment.Decision) {
-	var writeKeys []string
-	var pending map[string][]byte
+	// A snapshot, not the record's own slice: the record keeps its
+	// writes until the locks below are dealt with (a write-lock batch
+	// racing this decision must still find the record finished, not
+	// gone), and handlers on other connections may edit it meanwhile.
+	var writesBuf [4]pendingWrite
+	writes := writesBuf[:0]
 	alreadyDone := false
 	s.withTxn(txn, func(t *txnState) {
 		if t.finished {
@@ -1075,37 +1164,28 @@ func (s *Server) applyDecision(txn uint64, d commitment.Decision) {
 			return
 		}
 		t.finished = true
-		writeKeys = make([]string, 0, len(t.writeKeys))
-		for k := range t.writeKeys {
-			writeKeys = append(writeKeys, k)
-		}
-		pending = make(map[string][]byte, len(t.pending))
-		for k, v := range t.pending {
-			pending[k] = v
-		}
+		writes = append(writes, t.writes...)
 	})
 	if alreadyDone {
 		return
 	}
 
 	owner := lock.Owner(txn)
-	if d.Kind == wire.DecideAbort {
-		for _, k := range writeKeys {
-			s.key(k).locks.ReleaseWrites(owner)
+	for _, w := range writes {
+		ks := s.key(w.key)
+		if d.Kind == wire.DecideAbort {
+			ks.locks.ReleaseWrites(owner)
+			continue
 		}
-	} else {
-		for k, val := range pending {
-			ks := s.key(k)
-			if err := s.install(ks, k, d.TS, val); err != nil {
-				s.logf("server %s: install %q at %v: %v", s.cfg.Addr, k, d.TS, err)
-				continue
-			}
-			ks.locks.FreezeWriteAt(owner, d.TS)
+		if err := s.install(ks, w.key, d.TS, w.value); err != nil {
+			s.logf("server %s: install %q at %v: %v", s.cfg.Addr, w.key, d.TS, err)
+			continue
 		}
+		ks.locks.FreezeWriteAt(owner, d.TS)
 	}
 	s.withTxnIfPresent(txn, func(t *txnState) {
-		t.pending = map[string][]byte{}
-		t.writeKeys = map[string]bool{}
+		clear(t.writes)
+		t.writes = t.writes[:0]
 	})
 }
 

@@ -33,6 +33,18 @@ func dialRaw(t *testing.T, n transport.Network, addr string) *rawClient {
 // decoded views in the tests stay valid for the test's lifetime.
 func (c *rawClient) call(mt wire.MsgType, m wire.Message) *wire.FrameBuf {
 	c.t.Helper()
+	id := c.send(mt, m)
+	f := c.recv()
+	if f.ID() != id {
+		c.t.Fatalf("response id %d for request %d", f.ID(), id)
+	}
+	return f
+}
+
+// send enqueues m as one frame without waiting for its response, so
+// tests can pipeline requests on the connection.
+func (c *rawClient) send(mt wire.MsgType, m wire.Message) uint64 {
+	c.t.Helper()
 	id := c.next
 	c.next++
 	fb := wire.GetFrameBuf()
@@ -42,12 +54,15 @@ func (c *rawClient) call(mt wire.MsgType, m wire.Message) *wire.FrameBuf {
 	if err := c.conn.Send(fb); err != nil {
 		c.t.Fatal(err)
 	}
+	return id
+}
+
+// recv returns the next response frame on the connection.
+func (c *rawClient) recv() *wire.FrameBuf {
+	c.t.Helper()
 	f, err := c.conn.Recv()
 	if err != nil {
 		c.t.Fatal(err)
-	}
-	if f.ID() != id {
-		c.t.Fatalf("response id %d for request %d", f.ID(), id)
 	}
 	return f
 }

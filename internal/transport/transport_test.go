@@ -264,14 +264,20 @@ func TestTCPReadTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	// The accepted side shares the listener's ReadTimeout, so a Recv
+	// there could time out first and its Close would hand the dialer an
+	// EOF instead of the timeout under test: keep the conn open and
+	// silent until the dialer has seen its own deadline.
+	observed := make(chan struct{})
+	accepted := make(chan struct{})
 	go func() {
+		defer close(accepted)
 		c, err := l.Accept()
 		if err != nil {
 			return
 		}
 		defer c.Close()
-		// Never send: the dialer's Recv must time out.
-		_, _ = c.Recv()
+		<-observed
 	}()
 	c, err := n.Dial(l.Addr())
 	if err != nil {
@@ -280,6 +286,8 @@ func TestTCPReadTimeout(t *testing.T) {
 	defer c.Close()
 	start := time.Now()
 	_, err = c.Recv()
+	close(observed)
+	<-accepted
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}
