@@ -116,6 +116,8 @@ func (db *DB) Begin(ctx context.Context) (*Txn, error) {
 		writes:  make(map[string][]byte),
 		touched: make(map[string]*KeyState),
 	}
+	tx.readset = tx.readsetBuf[:0]
+	tx.writeOrder = tx.writeOrderBuf[:0]
 	db.policy.Begin(tx)
 	return tx, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/history"
@@ -53,6 +52,10 @@ type Txn struct {
 	readset    []ReadRecord
 	writes     map[string][]byte
 	writeOrder []string
+	// The first reads and writes live in the transaction record itself;
+	// only a footprint beyond eight of either moves to the heap.
+	readsetBuf    [8]ReadRecord
+	writeOrderBuf [8]string
 
 	touched map[string]*KeyState
 
@@ -231,23 +234,15 @@ func (tx *Txn) Abort(context.Context) error {
 func (tx *Txn) candidateSet() timestamp.Set {
 	candidates := timestamp.NewSet(timestamp.Full)
 
-	readKeys := make(map[string]struct{}, len(tx.readset))
-	for _, r := range tx.readset {
-		readKeys[r.Key] = struct{}{}
-	}
-	// Deterministic iteration order aids debugging.
-	orderedReads := make([]string, 0, len(readKeys))
-	for k := range readKeys {
-		orderedReads = append(orderedReads, k)
-	}
-	sort.Strings(orderedReads)
-
 	var readOrWrite, writeOnly timestamp.Set
-	for _, k := range orderedReads {
-		if _, alsoWritten := tx.writes[k]; alsoWritten {
+	for i, r := range tx.readset {
+		if _, alsoWritten := tx.writes[r.Key]; alsoWritten {
 			continue // the write-lock requirement below subsumes this key
 		}
-		tx.touched[k].Locks.OwnedInto(tx.Owner(), &readOrWrite, &writeOnly)
+		if i < dedupeReads && tx.readBefore(i) {
+			continue
+		}
+		tx.touched[r.Key].Locks.OwnedInto(tx.Owner(), &readOrWrite, &writeOnly)
 		candidates.IntersectInto(readOrWrite)
 		if candidates.IsEmpty() {
 			return candidates
@@ -261,6 +256,23 @@ func (tx *Txn) candidateSet() timestamp.Set {
 		}
 	}
 	return candidates
+}
+
+// dedupeReads bounds the duplicate check of candidateSet. Intersecting
+// one key's locks twice changes nothing, so skipping a repeated key only
+// saves work — and past this many reads the quadratic scan would cost
+// more than it saves.
+const dedupeReads = 64
+
+// readBefore reports whether the key of readset[i] was already read by an
+// earlier entry.
+func (tx *Txn) readBefore(i int) bool {
+	for _, r := range tx.readset[:i] {
+		if r.Key == tx.readset[i].Key {
+			return true
+		}
+	}
+	return false
 }
 
 // abort marks the transaction aborted and cleans up its locks. Policies

@@ -5,6 +5,7 @@ package ok
 
 import (
 	"bytes"
+	"strings"
 
 	"github.com/lpd-epfl/mvtl/internal/wire"
 )
@@ -57,5 +58,76 @@ func decodedClone(cache map[string][]byte, body []byte) error {
 		return err
 	}
 	cache["k"] = bytes.Clone(resp.Value)
+	return nil
+}
+
+// --- string views: the keys of a request decoded in place ---------------------
+
+type keyState struct {
+	name string
+}
+
+type keyEntry struct {
+	name string
+}
+
+// cloneKeyThenStore is the fix for a kept key: strings.Clone sanitizes
+// the view.
+func cloneKeyThenStore(e *keyEntry, body []byte) error {
+	var req wire.ReadLockReq
+	if err := req.DecodeInto(body); err != nil {
+		return err
+	}
+	e.name = strings.Clone(req.Key)
+	return nil
+}
+
+// canonicalName looks a key up by its view — a map read keeps nothing —
+// enters a new one under its own copy, and records the canonical name.
+func canonicalName(keys map[string]*keyState, e *keyEntry, body []byte) error {
+	var req wire.ReadLockBatchReq
+	if err := req.DecodeInto(body); err != nil {
+		return err
+	}
+	for _, k := range req.Keys {
+		ks, ok := keys[k]
+		if !ok {
+			name := strings.Clone(k)
+			ks = &keyState{name: name}
+			keys[name] = ks
+		}
+		e.name = ks.name
+	}
+	return nil
+}
+
+// owningDecode keeps a key the owning decoder already copied.
+func owningDecode(e *keyEntry, body []byte) error {
+	req, err := wire.DecodeReadLockReq(body)
+	if err != nil {
+		return err
+	}
+	e.name = req.Key
+	return nil
+}
+
+// responseString keeps a response's error text: responses materialize
+// their strings even when decoded in place.
+func responseString(e *keyEntry, body []byte) error {
+	var resp wire.ReadLockBatchResp
+	if err := resp.DecodeInto(body); err != nil {
+		return err
+	}
+	e.name = resp.Err
+	return nil
+}
+
+// byteCopyOfKey converts the view to []byte, which copies.
+func byteCopyOfKey(e *cacheEntry, body []byte) error {
+	var req wire.ReleaseReq
+	if err := req.DecodeInto(body); err != nil {
+		return err
+	}
+	e.key = []byte(req.Key)
 	return nil
 }

@@ -106,11 +106,13 @@ type ReadResult struct {
 	// Got is the contiguous interval of read locks acquired, starting
 	// at the requested lower bound. It may be empty.
 	Got timestamp.Interval
-	// FrozenAt is the first conflicting frozen write interval met while
-	// scanning upward, if any: it signals that a committed version
+	// Frozen reports that the scan upward met a conflicting frozen write
+	// interval, and FrozenAt is the first one met: a committed version
 	// exists inside the requested range, so MVTO-style policies should
-	// re-pick the version to read.
-	FrozenAt *timestamp.Interval
+	// re-pick the version to read. FrozenAt means nothing unless Frozen
+	// is set.
+	Frozen   bool
+	FrozenAt timestamp.Interval
 }
 
 // WriteResult reports the outcome of AcquireWrite.
@@ -252,8 +254,7 @@ func (t *Table) AcquireRead(ctx context.Context, owner Owner, iv timestamp.Inter
 			return ReadResult{Got: iv}, nil
 		}
 		if conf.frozen {
-			frozenIv := conf.iv
-			res := ReadResult{FrozenAt: &frozenIv}
+			res := ReadResult{Frozen: true, FrozenAt: conf.iv}
 			if !opts.Partial {
 				return res, fmt.Errorf("read %v blocked at %v: %w", iv, conf.iv, ErrFrozen)
 			}
@@ -344,12 +345,11 @@ func (t *Table) FreezeWriteAt(owner Owner, ts timestamp.Timestamp) bool {
 		if e.frozen {
 			return true
 		}
-		rest := e.iv.Subtract(point)
+		below, above := e.iv.Subtract(point)
 		t.removeAtLocked(i)
 		t.insertLocked(entry{iv: point, owner: owner, mode: ModeWrite, frozen: true})
-		for _, r := range rest {
-			t.insertLocked(entry{iv: r, owner: owner, mode: ModeWrite})
-		}
+		t.insertLocked(entry{iv: below, owner: owner, mode: ModeWrite})
+		t.insertLocked(entry{iv: above, owner: owner, mode: ModeWrite})
 		// Only the frozen point changed state; waiters blocked on the
 		// unfrozen remainder stay blocked.
 		t.wakeOverlappingLocked(point)
@@ -366,22 +366,16 @@ func (t *Table) FreezeReadIn(owner Owner, iv timestamp.Interval) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	lo, hi := t.overlapRangeLocked(iv)
-	var matched []entry
-	for i := hi - 1; i >= lo; i-- {
-		e := t.entries[i]
-		if e.owner != owner || e.mode != ModeRead || e.frozen || !e.iv.Overlaps(iv) {
-			continue
+	for {
+		held, ok := t.takeLastReadInLocked(owner, iv)
+		if !ok {
+			return
 		}
-		matched = append(matched, e)
-		t.removeAtLocked(i)
-	}
-	for _, e := range matched {
-		frozenPart := e.iv.Intersect(iv)
+		frozenPart := held.Intersect(iv)
+		below, above := held.Subtract(frozenPart)
 		t.insertLocked(entry{iv: frozenPart, owner: owner, mode: ModeRead, frozen: true})
-		for _, r := range e.iv.Subtract(frozenPart) {
-			t.insertLocked(entry{iv: r, owner: owner, mode: ModeRead})
-		}
+		t.insertLocked(entry{iv: below, owner: owner, mode: ModeRead})
+		t.insertLocked(entry{iv: above, owner: owner, mode: ModeRead})
 		// Writers parked on the now-frozen range must observe the
 		// permanent denial.
 		t.wakeOverlappingLocked(frozenPart)
@@ -393,9 +387,7 @@ func (t *Table) FreezeReadIn(owner Owner, iv timestamp.Interval) {
 func (t *Table) ReleaseUnfrozen(owner Owner) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.releaseWhereLocked(func(e entry) bool {
-		return e.owner == owner && !e.frozen
-	})
+	t.releaseWhereLocked(owner, false)
 }
 
 // ReleaseWrites releases the owner's unfrozen write locks, used when a
@@ -404,9 +396,7 @@ func (t *Table) ReleaseUnfrozen(owner Owner) {
 func (t *Table) ReleaseWrites(owner Owner) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.releaseWhereLocked(func(e entry) bool {
-		return e.owner == owner && e.mode == ModeWrite && !e.frozen
-	})
+	t.releaseWhereLocked(owner, true)
 }
 
 // ReleaseReadIn releases the portions of the owner's unfrozen read locks
@@ -418,21 +408,15 @@ func (t *Table) ReleaseReadIn(owner Owner, iv timestamp.Interval) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	lo, hi := t.overlapRangeLocked(iv)
-	var matched []entry
-	for i := hi - 1; i >= lo; i-- {
-		e := t.entries[i]
-		if e.owner != owner || e.mode != ModeRead || e.frozen || !e.iv.Overlaps(iv) {
-			continue
+	for {
+		held, ok := t.takeLastReadInLocked(owner, iv)
+		if !ok {
+			return
 		}
-		matched = append(matched, e)
-		t.removeAtLocked(i)
-	}
-	for _, e := range matched {
-		for _, r := range e.iv.Subtract(iv) {
-			t.insertLocked(entry{iv: r, owner: owner, mode: ModeRead})
-		}
-		t.wakeOverlappingLocked(e.iv.Intersect(iv))
+		below, above := held.Subtract(iv)
+		t.insertLocked(entry{iv: below, owner: owner, mode: ModeRead})
+		t.insertLocked(entry{iv: above, owner: owner, mode: ModeRead})
+		t.wakeOverlappingLocked(held.Intersect(iv))
 	}
 }
 
@@ -911,23 +895,47 @@ func (t *Table) removeAtLocked(i int) {
 	t.fixMaxHiFrom(i)
 }
 
-// releaseWhereLocked removes every record matching the predicate and
-// wakes the waiters overlapping each removed interval.
-func (t *Table) releaseWhereLocked(match func(entry) bool) {
-	kept := t.entries[:0]
+// takeLastReadInLocked removes the owner's unfrozen read lock overlapping
+// iv that starts last, and returns the interval it held. The freeze and
+// release paths split the owner's read locks around iv one record at a
+// time, from the top down: what each split puts back is frozen or lies
+// outside iv, so it is never taken again.
+func (t *Table) takeLastReadInLocked(owner Owner, iv timestamp.Interval) (timestamp.Interval, bool) {
+	lo, hi := t.overlapRangeLocked(iv)
+	for i := hi - 1; i >= lo; i-- {
+		e := &t.entries[i]
+		if e.owner == owner && e.mode == ModeRead && !e.frozen && e.iv.Overlaps(iv) {
+			held := e.iv
+			t.removeAtLocked(i)
+			return held, true
+		}
+	}
+	return timestamp.Empty, false
+}
+
+// releaseWhereLocked removes the owner's unfrozen records — only the
+// write locks when writesOnly is set — and wakes the waiters overlapping
+// each removed interval. Records before the first removal stay where
+// they are; only the ones behind it are moved down.
+func (t *Table) releaseWhereLocked(owner Owner, writesOnly bool) {
 	removedAt := -1
-	for i, e := range t.entries {
-		if match(e) {
+	n := 0
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.owner == owner && !e.frozen && (!writesOnly || e.mode == ModeWrite) {
 			if removedAt < 0 {
 				removedAt = i
 			}
 			t.wakeOverlappingLocked(e.iv)
 			continue
 		}
-		kept = append(kept, e)
+		if removedAt >= 0 {
+			t.entries[n] = *e
+		}
+		n++
 	}
-	t.entries = kept
 	if removedAt >= 0 {
+		t.entries = t.entries[:n]
 		t.fixMaxHiFrom(removedAt)
 	}
 }

@@ -26,6 +26,28 @@ func BenchmarkReadAcquireRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkReadFreezeRelease measures the read path of a committing
+// transaction that garbage-collects: lock an interval, freeze the prefix
+// up to the commit timestamp (splitting the record), release the rest.
+func BenchmarkReadFreezeRelease(b *testing.B) {
+	tbl := NewTable()
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		owner := Owner(i + 1)
+		base := int64(i) * 10
+		if _, err := tbl.AcquireRead(ctx, owner, iv(base+1, base+100), Options{Partial: true}); err != nil {
+			b.Fatal(err)
+		}
+		tbl.FreezeReadIn(owner, iv(base+1, base+5))
+		tbl.ReleaseUnfrozen(owner)
+		if i%1024 == 1023 {
+			// keep the table from growing unboundedly
+			tbl.PurgeFrozenBelow(ts(base))
+		}
+	}
+}
+
 // BenchmarkWriteAcquireFreeze measures the write path a committing
 // transaction takes: lock a point, freeze it.
 func BenchmarkWriteAcquireFreeze(b *testing.B) {

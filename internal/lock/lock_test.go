@@ -116,7 +116,7 @@ func TestReadPartialPrefix(t *testing.T) {
 	if res.Got != timestamp.Span(ts(1), ts(6).Prev()) {
 		t.Fatalf("prefix = %v, want [1,5]", res.Got)
 	}
-	if res.FrozenAt != nil {
+	if res.Frozen {
 		t.Fatalf("conflict was unfrozen, FrozenAt = %v", res.FrozenAt)
 	}
 }
@@ -146,7 +146,7 @@ func TestReadReportsFrozenConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FrozenAt == nil || !res.FrozenAt.Contains(ts(6)) {
+	if !res.Frozen || !res.FrozenAt.Contains(ts(6)) {
 		t.Fatalf("FrozenAt = %v", res.FrozenAt)
 	}
 	if res.Got != timestamp.Span(ts(1), ts(6).Prev()) {
@@ -236,7 +236,7 @@ func TestWaitUnblocksOnFreeze(t *testing.T) {
 	tbl.FreezeWriteAt(1, ts(5))
 	select {
 	case res := <-done:
-		if res.FrozenAt == nil {
+		if !res.Frozen {
 			t.Fatalf("reader should report frozen conflict, got %+v", res)
 		}
 		if res.Got != timestamp.Span(ts(3), ts(5).Prev()) {
@@ -455,5 +455,51 @@ func TestModeString(t *testing.T) {
 	}
 	if Mode(9).String() == "" {
 		t.Fatal("unknown mode must still render")
+	}
+}
+
+// TestLockTableSteadyStateAllocs gates the two lock-table passes a
+// committing transaction makes over a key: read-lock, freeze the read
+// prefix, release the rest; and write-lock, freeze at the commit
+// timestamp, release the rest. Both split a record in two or three, and
+// neither may allocate once the table's entry storage has grown.
+func TestLockTableSteadyStateAllocs(t *testing.T) {
+	tbl := NewTable()
+	ctx := context.Background()
+	// Other transactions' frozen history, so the splits happen in the
+	// middle of a populated table.
+	for i := int64(0); i < 8; i++ {
+		if _, err := tbl.AcquireWrite(ctx, Owner(100+i), set(iv(10*i, 10*i)), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		tbl.FreezeWriteAt(Owner(100+i), ts(10*i))
+	}
+	readPass := func() {
+		if _, err := tbl.AcquireRead(ctx, 1, iv(71, 79), Options{Partial: true}); err != nil {
+			t.Fatal(err)
+		}
+		tbl.FreezeReadIn(1, iv(71, 74))
+		tbl.ReleaseUnfrozen(1)
+	}
+	writeSet := set(iv(81, 89))
+	writePass := func() {
+		if _, err := tbl.AcquireWrite(ctx, 2, writeSet, Options{Partial: true}); err != nil {
+			t.Fatal(err)
+		}
+		if !tbl.FreezeWriteAt(2, ts(85)) {
+			t.Fatal("write lock not held at the commit timestamp")
+		}
+		tbl.ReleaseUnfrozen(2)
+	}
+	readPass() // grows entries and maxHi to their working size
+	if avg := testing.AllocsPerRun(100, readPass); avg != 0 {
+		t.Errorf("read-acquire, freeze-read, release: %v allocs, want 0", avg)
+	}
+	writePass()
+	if avg := testing.AllocsPerRun(100, writePass); avg != 0 {
+		t.Errorf("write-acquire, freeze-at, release: %v allocs, want 0", avg)
+	}
+	if err := tbl.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

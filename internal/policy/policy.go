@@ -81,7 +81,7 @@ func readUpTo(ctx context.Context, tx *core.Txn, ks *core.KeyState, upper timest
 		if err != nil {
 			return version.Version{}, timestamp.Empty, err
 		}
-		if res.FrozenAt == nil {
+		if !res.Frozen {
 			return v, res.Got, nil
 		}
 		// A frozen write lock means a version committed inside

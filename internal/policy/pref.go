@@ -111,7 +111,7 @@ func (p *Pref) Read(ctx context.Context, tx *core.Txn, k string) (version.Versio
 		if err != nil {
 			return version.Version{}, err
 		}
-		if res.FrozenAt != nil && res.FrozenAt.Lo.Before(st.pref) {
+		if res.Frozen && res.FrozenAt.Lo.Before(st.pref) {
 			// A newer version committed strictly below the preferential
 			// timestamp: re-pick the version to read (repeat loop). A
 			// frozen point at or above pref cannot change what we read

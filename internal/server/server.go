@@ -26,7 +26,9 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,6 +123,12 @@ const stripeCount = 32
 
 // keyState is the per-key server state.
 type keyState struct {
+	// name is the server's own copy of the key, cloned when the key was
+	// first touched. Requests name keys by views of their frame (see
+	// wire.Decoder.StrView); whatever outlives the frame — a pending
+	// write's record, a replication-log record, the lock table's label in
+	// the wait-for graph — uses name instead.
+	name     string
 	locks    *lock.Table
 	versions *version.List
 }
@@ -132,7 +140,8 @@ type keyStripe struct {
 }
 
 // pendingWrite is one key a transaction write-locked here, with the
-// value buffered for it (Alg. 13 line 3).
+// value buffered for it (Alg. 13 line 3). key is the keyState's name,
+// never a view of the request that brought the write.
 type pendingWrite struct {
 	key   string
 	value []byte
@@ -343,7 +352,8 @@ func (s *Server) logf(format string, args ...any) {
 
 // key returns the state for k, creating it if needed. Only the owning
 // stripe is locked, and only for the map access — per-key lock tables
-// and version lists synchronize themselves.
+// and version lists synchronize themselves. k may be a borrowed view: a
+// lookup does not keep it, and a new key is entered under its own copy.
 func (s *Server) key(k string) *keyState {
 	st := &s.keyStripes[strhash.FNV1a(k)&(stripeCount-1)]
 	st.mu.RLock()
@@ -357,8 +367,9 @@ func (s *Server) key(k string) *keyState {
 	if ks, ok = st.keys[k]; ok {
 		return ks
 	}
-	ks = &keyState{locks: lock.NewTableKeyedTimers(s.waits, k, s.timers), versions: version.NewList()}
-	st.keys[k] = ks
+	name := strings.Clone(k)
+	ks = &keyState{name: name, locks: lock.NewTableKeyedTimers(s.waits, name, s.timers), versions: version.NewList()}
+	st.keys[name] = ks
 	return ks
 }
 
@@ -474,9 +485,120 @@ func (s *Server) serveConn(conn transport.Conn) {
 		delete(s.accepted, conn)
 		s.acceptedMu.Unlock()
 	}()
-	rpc.ServeConnTimers(conn, s.dispatch, func(err error) {
+	c := &connState{s: s}
+	rpc.ServeConnTimers(conn, c.dispatch, func(err error) {
 		s.logf("server %s: send: %v", s.cfg.Addr, err)
 	}, s.timers)
+}
+
+// connState is one connection's dispatch state. The read loop serves one
+// request at a time, so a single set of request structs and one reply
+// struct per response type serve every request of the connection: each
+// request is decoded in place over the previous one's storage
+// (DecodeInto), its keys stay borrowed views of the frame, and its reply
+// is filled in place and handed to rpc.Reply by pointer — which encodes
+// it before returning, so the struct is free again when the next frame
+// is read. The inline path therefore allocates nothing per request
+// beyond what the request creates in the server's state.
+//
+// A request that leaves the read loop (see dispatch) cannot keep using
+// this storage, which the next frame overwrites: parkReadLock and
+// parkWriteLock copy it into a connState of its own first. Its views
+// stay valid as they are — rpc keeps the frame until the parked function
+// has returned.
+type connState struct {
+	s *Server
+
+	readLock  wire.ReadLockBatchReq
+	writeLock wire.WriteLockBatchReq
+	freeze    wire.FreezeBatchReq
+	release   wire.ReleaseBatchReq
+
+	readLockResp     wire.ReadLockBatchResp
+	writeLockResp    wire.WriteLockBatchResp
+	freezeResp       wire.FreezeBatchResp
+	readLockOneResp  wire.ReadLockResp
+	writeLockOneResp wire.WriteLockResp
+	decideResp       wire.DecideResp
+	ack              wire.Ack
+
+	// addrs interns the decision-server addresses this connection's
+	// write-lock requests have named — a cluster has a handful — so that
+	// recording one in a transaction's state costs no copy per request.
+	addrs []string
+}
+
+// maxScratchItems bounds the per-connection scratch a single oversized
+// batch may leave behind; beyond it the slices are dropped, not reused.
+const maxScratchItems = 1024
+
+// trim drops request scratch that has outgrown maxScratchItems.
+func (c *connState) trim() {
+	if cap(c.readLock.Keys) > maxScratchItems {
+		c.readLock.Keys = nil
+	}
+	if cap(c.writeLock.Items) > maxScratchItems {
+		c.writeLock.Items = nil
+	}
+	if cap(c.freeze.WriteKeys) > maxScratchItems {
+		c.freeze.WriteKeys = nil
+	}
+	if cap(c.freeze.Reads) > maxScratchItems {
+		c.freeze.Reads = nil
+	}
+	if cap(c.release.Keys) > maxScratchItems {
+		c.release.Keys = nil
+	}
+}
+
+// maxInternedAddrs bounds connState.addrs against a peer that names a
+// fresh decision server in every request.
+const maxInternedAddrs = 64
+
+// resized returns s with length n and every element zeroed, reusing its
+// capacity when that suffices.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n || cap(s) > max(n, maxScratchItems) {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// internAddr returns an owned string equal to the view addr.
+func (c *connState) internAddr(addr string) string {
+	if addr == "" {
+		return ""
+	}
+	if addr == c.s.cfg.Addr {
+		return c.s.cfg.Addr
+	}
+	for _, a := range c.addrs {
+		if a == addr {
+			return a
+		}
+	}
+	owned := strings.Clone(addr)
+	if len(c.addrs) < maxInternedAddrs {
+		c.addrs = append(c.addrs, owned)
+	}
+	return owned
+}
+
+// parkReadLock returns a state of its own for the read-lock request in
+// c's scratch, for a request about to leave the read loop.
+func (c *connState) parkReadLock() *connState {
+	p := &connState{s: c.s, readLock: c.readLock}
+	p.readLock.Keys = slices.Clone(c.readLock.Keys)
+	return p
+}
+
+// parkWriteLock is parkReadLock for the write-lock request.
+func (c *connState) parkWriteLock() *connState {
+	p := &connState{s: c.s, writeLock: c.writeLock}
+	p.writeLock.Items = slices.Clone(c.writeLock.Items)
+	return p
 }
 
 // dispatch is the connection's rpc.Handler. Only two kinds of request
@@ -494,89 +616,135 @@ func (s *Server) serveConn(conn transport.Conn) {
 // partial or denied grant, not waited for — and a waiting request must
 // stay off the loop precisely because the release that unparks it may
 // arrive behind it on the same connection.
-func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc.Reply)) {
+//
+// A single-key lock, freeze or release request is served as a batch of
+// one over the same scratch. Single-key messages predate epochs; they
+// are stamped with the server's own, so the batch fence passes them
+// exactly on heads.
+func (c *connState) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc.Reply)) {
+	s := c.s
+	c.trim()
 	switch f.Type() {
 	case wire.TReadLockReq:
-		req, err := wire.DecodeReadLockReq(f.Body())
-		if err != nil {
+		var one wire.ReadLockReq
+		if err := one.DecodeInto(f.Body()); err != nil {
 			reply(wire.TReadLockResp, wire.ReadLockResp{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
-		if req.Wait {
-			return func(reply rpc.Reply) { reply(wire.TReadLockResp, s.handleReadLock(req)) }
+		c.readLock = wire.ReadLockBatchReq{
+			Txn: one.Txn, Epoch: s.epoch.Load(), Upper: one.Upper, Wait: one.Wait,
+			Keys: append(c.readLock.Keys[:0], one.Key),
 		}
-		reply(wire.TReadLockResp, s.handleReadLock(req))
+		if one.Wait {
+			p := c.parkReadLock()
+			return func(reply rpc.Reply) {
+				p.handleReadLockBatch()
+				reply(wire.TReadLockResp, p.readLockOne())
+			}
+		}
+		c.handleReadLockBatch()
+		reply(wire.TReadLockResp, c.readLockOne())
 	case wire.TReadLockBatchReq:
-		req, err := wire.DecodeReadLockBatchReq(f.Body())
-		if err != nil {
+		if err := c.readLock.DecodeInto(f.Body()); err != nil {
 			reply(wire.TReadLockBatchResp, wire.ReadLockBatchResp{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
-		if req.Wait {
-			return func(reply rpc.Reply) { reply(wire.TReadLockBatchResp, s.handleReadLockBatch(req)) }
+		if c.readLock.Wait {
+			p := c.parkReadLock()
+			return func(reply rpc.Reply) {
+				p.handleReadLockBatch()
+				reply(wire.TReadLockBatchResp, &p.readLockResp)
+			}
 		}
-		reply(wire.TReadLockBatchResp, s.handleReadLockBatch(req))
+		c.handleReadLockBatch()
+		reply(wire.TReadLockBatchResp, &c.readLockResp)
 	case wire.TWriteLockReq:
-		req, err := wire.DecodeWriteLockReq(f.Body())
-		if err != nil {
+		var one wire.WriteLockReq
+		if err := one.DecodeInto(f.Body()); err != nil {
 			reply(wire.TWriteLockResp, wire.WriteLockResp{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
-		if req.Wait {
-			// A copy declared in this branch: capturing req itself would
-			// move it to the heap on the inline path too.
-			parkedReq := req
-			return func(reply rpc.Reply) { reply(wire.TWriteLockResp, s.handleWriteLock(parkedReq)) }
+		c.writeLock = wire.WriteLockBatchReq{
+			Txn: one.Txn, Epoch: s.epoch.Load(), DecisionSrv: c.internAddr(one.DecisionSrv), Wait: one.Wait,
+			Items: append(c.writeLock.Items[:0], wire.WriteLockItem{Key: one.Key, Set: one.Set, Value: one.Value}),
 		}
-		reply(wire.TWriteLockResp, s.handleWriteLock(req))
+		if one.Wait {
+			p := c.parkWriteLock()
+			return func(reply rpc.Reply) {
+				p.handleWriteLockBatch()
+				reply(wire.TWriteLockResp, p.writeLockOne())
+			}
+		}
+		c.handleWriteLockBatch()
+		reply(wire.TWriteLockResp, c.writeLockOne())
 	case wire.TWriteLockBatchReq:
-		req, err := wire.DecodeWriteLockBatchReq(f.Body())
-		if err != nil {
+		if err := c.writeLock.DecodeInto(f.Body()); err != nil {
 			reply(wire.TWriteLockBatchResp, wire.WriteLockBatchResp{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
-		if req.Wait {
-			return func(reply rpc.Reply) { reply(wire.TWriteLockBatchResp, s.handleWriteLockBatch(req)) }
+		c.writeLock.DecisionSrv = c.internAddr(c.writeLock.DecisionSrv)
+		if c.writeLock.Wait {
+			p := c.parkWriteLock()
+			return func(reply rpc.Reply) {
+				p.handleWriteLockBatch()
+				reply(wire.TWriteLockBatchResp, &p.writeLockResp)
+			}
 		}
-		reply(wire.TWriteLockBatchResp, s.handleWriteLockBatch(req))
+		c.handleWriteLockBatch()
+		reply(wire.TWriteLockBatchResp, &c.writeLockResp)
 	case wire.TFreezeWriteReq:
-		req, err := wire.DecodeFreezeWriteReq(f.Body())
-		if err != nil {
+		var one wire.FreezeWriteReq
+		if err := one.DecodeInto(f.Body()); err != nil {
 			reply(wire.TFreezeWriteResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
-		reply(wire.TFreezeWriteResp, s.handleFreezeWrite(req))
+		c.freeze = wire.FreezeBatchReq{
+			Txn: one.Txn, Epoch: s.epoch.Load(), TS: one.TS,
+			WriteKeys: append(c.freeze.WriteKeys[:0], one.Key), Reads: c.freeze.Reads[:0],
+		}
+		c.handleFreezeBatch()
+		c.ack = wire.Ack{Status: c.freezeResp.Status, Err: c.freezeResp.Err}
+		if c.ack.Status == wire.StatusOK {
+			c.ack = c.freezeResp.WriteAcks[0]
+		}
+		reply(wire.TFreezeWriteResp, &c.ack)
 	case wire.TFreezeReadReq:
-		req, err := wire.DecodeFreezeReadReq(f.Body())
-		if err != nil {
+		var one wire.FreezeReadReq
+		if err := one.DecodeInto(f.Body()); err != nil {
 			reply(wire.TFreezeReadResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
 		// Not fenced, like the freeze/release batch handlers: it only
 		// freezes read locks their owner was granted, a no-op elsewhere.
-		s.key(req.Key).locks.FreezeReadIn(lock.Owner(req.Txn), timestamp.Span(req.Lo, req.Hi))
-		reply(wire.TFreezeReadResp, wire.Ack{Status: wire.StatusOK})
+		s.key(one.Key).locks.FreezeReadIn(lock.Owner(one.Txn), timestamp.Span(one.Lo, one.Hi))
+		c.ack = wire.Ack{Status: wire.StatusOK}
+		reply(wire.TFreezeReadResp, &c.ack)
 	case wire.TFreezeBatchReq:
-		req, err := wire.DecodeFreezeBatchReq(f.Body())
-		if err != nil {
+		if err := c.freeze.DecodeInto(f.Body()); err != nil {
 			reply(wire.TFreezeBatchResp, wire.FreezeBatchResp{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
-		reply(wire.TFreezeBatchResp, s.handleFreezeBatch(req))
+		c.handleFreezeBatch()
+		reply(wire.TFreezeBatchResp, &c.freezeResp)
 	case wire.TReleaseReq:
-		req, err := wire.DecodeReleaseReq(f.Body())
-		if err != nil {
+		var one wire.ReleaseReq
+		if err := one.DecodeInto(f.Body()); err != nil {
 			reply(wire.TReleaseResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
-		reply(wire.TReleaseResp, s.handleRelease(req))
+		c.release = wire.ReleaseBatchReq{
+			Txn: one.Txn, Epoch: s.epoch.Load(), WritesOnly: one.WritesOnly,
+			Keys: append(c.release.Keys[:0], one.Key),
+		}
+		c.handleReleaseBatch()
+		reply(wire.TReleaseResp, &c.ack)
 	case wire.TReleaseBatchReq:
-		req, err := wire.DecodeReleaseBatchReq(f.Body())
-		if err != nil {
+		if err := c.release.DecodeInto(f.Body()); err != nil {
 			reply(wire.TReleaseBatchResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
-		reply(wire.TReleaseBatchResp, s.handleReleaseBatch(req))
+		c.handleReleaseBatch()
+		reply(wire.TReleaseBatchResp, &c.ack)
 	case wire.TDecideReq:
 		req, err := wire.DecodeDecideReq(f.Body())
 		if err != nil {
@@ -595,7 +763,8 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc.Re
 			return nil
 		}
 		d := s.handleDecide(req)
-		reply(wire.TDecideResp, wire.DecideResp{Status: wire.StatusOK, Kind: d.Kind, TS: d.TS})
+		c.decideResp = wire.DecideResp{Status: wire.StatusOK, Kind: d.Kind, TS: d.TS}
+		reply(wire.TDecideResp, &c.decideResp)
 	case wire.TPurgeReq:
 		req, err := wire.DecodePurgeReq(f.Body())
 		if err != nil {
@@ -611,8 +780,8 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc.Re
 	case wire.TWaitGraphReq:
 		reply(wire.TWaitGraphResp, wire.WaitGraphResp{Edges: s.exportEdges()})
 	case wire.TVictimAbortReq:
-		req, err := wire.DecodeVictimAbortReq(f.Body())
-		if err != nil {
+		var req wire.VictimAbortReq
+		if err := req.DecodeInto(f.Body()); err != nil {
 			reply(wire.TVictimAbortResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
@@ -638,37 +807,40 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc.Re
 }
 
 // --- handlers ----------------------------------------------------------------
+//
+// The footprint handlers are methods of connState: each serves the
+// request sitting in its scratch and leaves the answer in the matching
+// reply struct.
 
-// handleReadLock runs the server-side read step for one key: a batch of
-// one (Alg. 13, receive-read-lock-message).
-func (s *Server) handleReadLock(req wire.ReadLockReq) wire.ReadLockResp {
-	// Single-key messages predate epochs; they are stamped with the
-	// server's own, so the batch fence passes them exactly on heads.
-	batch := s.handleReadLockBatch(wire.ReadLockBatchReq{
-		Txn: req.Txn, Epoch: s.epoch.Load(), Upper: req.Upper, Wait: req.Wait, Keys: []string{req.Key},
-	})
-	if batch.Status != wire.StatusOK {
-		return wire.ReadLockResp{Status: batch.Status, Err: batch.Err}
+// readLockOne renders the batch-of-one answer in c.readLockResp as the
+// single-key response.
+func (c *connState) readLockOne() *wire.ReadLockResp {
+	batch := &c.readLockResp
+	c.readLockOneResp = wire.ReadLockResp{Status: batch.Status, Err: batch.Err}
+	if batch.Status == wire.StatusOK {
+		r := batch.Results[0]
+		c.readLockOneResp = wire.ReadLockResp{
+			Status: r.Status, Err: r.Err, VersionTS: r.VersionTS, Value: r.Value, Got: r.Got,
+			Edges: batch.Edges,
+		}
 	}
-	r := batch.Results[0]
-	return wire.ReadLockResp{
-		Status: r.Status, Err: r.Err, VersionTS: r.VersionTS, Value: r.Value, Got: r.Got,
-		Edges: batch.Edges,
-	}
+	return &c.readLockOneResp
 }
 
 // handleReadLockBatch runs the read step for a transaction's whole
 // share of a static read set: per-key version pick and read-lock
-// acquisition (the batched form of handleReadLock). It touches no
-// transaction state at all — read-lock bookkeeping lives entirely in
+// acquisition (Alg. 13, receive-read-lock-message, batched). It touches
+// no transaction state at all — read-lock bookkeeping lives entirely in
 // the per-key lock tables, since releases and freezes name their keys
 // explicitly.
-func (s *Server) handleReadLockBatch(req wire.ReadLockBatchReq) wire.ReadLockBatchResp {
+func (c *connState) handleReadLockBatch() {
+	s, req, resp := c.s, &c.readLock, &c.readLockResp
 	if !s.fence(req.Epoch) {
-		return wire.ReadLockBatchResp{Status: wire.StatusWrongEpoch, Err: "wrong epoch or not the partition head"}
+		*resp = wire.ReadLockBatchResp{Status: wire.StatusWrongEpoch, Err: "wrong epoch or not the partition head", Results: resp.Results[:0]}
+		return
 	}
 	owner := lock.Owner(req.Txn)
-	results := make([]wire.ReadLockResult, len(req.Keys))
+	results := resized(resp.Results, len(req.Keys))
 	anyDenied := false
 	wait := req.Wait
 	for i, k := range req.Keys {
@@ -688,7 +860,7 @@ func (s *Server) handleReadLockBatch(req wire.ReadLockBatchReq) wire.ReadLockBat
 			wait = false
 		}
 	}
-	resp := wire.ReadLockBatchResp{Status: wire.StatusOK, Results: results}
+	*resp = wire.ReadLockBatchResp{Status: wire.StatusOK, Results: results}
 	if anyDenied && req.Wait {
 		// Denied sub-reads of a waiting batch mean someone held
 		// conflicting locks long enough to park us; export the local
@@ -698,7 +870,6 @@ func (s *Server) handleReadLockBatch(req wire.ReadLockBatchReq) wire.ReadLockBat
 		// cost).
 		resp.Edges = s.exportEdges()
 	}
-	return resp
 }
 
 // readLockKey is the per-key read step: pick the latest version below
@@ -742,7 +913,7 @@ func (s *Server) readLockKey(key string, owner lock.Owner, upper timestamp.Times
 			return wire.ReadLockResult{Status: status, Err: err.Error()}
 		}
 		switch {
-		case res.FrozenAt == nil:
+		case !res.Frozen:
 			return wire.ReadLockResult{Status: wire.StatusOK, VersionTS: v.TS, Value: v.Value, Got: res.Got}
 		case !res.FrozenAt.Lo.Before(upper), !wait && !res.Got.IsEmpty():
 			// Frozen at the top of the request, or no-wait with a
@@ -756,29 +927,33 @@ func (s *Server) readLockKey(key string, owner lock.Owner, upper timestamp.Times
 	}
 }
 
-// handleWriteLock acquires write locks and buffers the pending value.
-func (s *Server) handleWriteLock(req wire.WriteLockReq) wire.WriteLockResp {
-	batch := s.handleWriteLockBatch(wire.WriteLockBatchReq{
-		Txn:         req.Txn,
-		Epoch:       s.epoch.Load(),
-		DecisionSrv: req.DecisionSrv,
-		Wait:        req.Wait,
-		Items:       []wire.WriteLockItem{{Key: req.Key, Set: req.Set, Value: req.Value}},
-	})
-	if batch.Status != wire.StatusOK {
-		return wire.WriteLockResp{Status: batch.Status, Err: batch.Err}
+// writeLockOne renders the batch-of-one answer in c.writeLockResp as
+// the single-key response.
+func (c *connState) writeLockOne() *wire.WriteLockResp {
+	batch := &c.writeLockResp
+	c.writeLockOneResp = wire.WriteLockResp{Status: batch.Status, Err: batch.Err}
+	if batch.Status == wire.StatusOK {
+		r := batch.Results[0]
+		c.writeLockOneResp = wire.WriteLockResp{Status: r.Status, Err: r.Err, Got: r.Got, Denied: r.Denied}
 	}
-	r := batch.Results[0]
-	return wire.WriteLockResp{Status: r.Status, Err: r.Err, Got: r.Got, Denied: r.Denied}
+	return &c.writeLockOneResp
 }
 
 // handleWriteLockBatch acquires write locks and buffers pending values
 // for a transaction's whole share of the footprint: per-key lock
 // acquisition, then a single pass over the transaction state to record
 // everything acquired (Alg. 13, receive-write-lock-message, batched).
-func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLockBatchResp {
+// dispatch has already replaced the request's DecisionSrv view by an
+// owned string.
+func (c *connState) handleWriteLockBatch() {
+	s, req, resp := c.s, &c.writeLock, &c.writeLockResp
+	// fail answers the whole batch with a request-level status.
+	fail := func(st wire.Status, msg string) {
+		*resp = wire.WriteLockBatchResp{Status: st, Err: msg, Results: resp.Results[:0]}
+	}
 	if !s.fence(req.Epoch) {
-		return wire.WriteLockBatchResp{Status: wire.StatusWrongEpoch, Err: "wrong epoch or not the partition head"}
+		fail(wire.StatusWrongEpoch, "wrong epoch or not the partition head")
+		return
 	}
 	// withTxn (creating) is deliberate: this is the one message that
 	// legitimately brings a transaction into existence here. The cost is
@@ -805,7 +980,8 @@ func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLock
 		}
 	})
 	if finished {
-		return wire.WriteLockBatchResp{Status: wire.StatusAborted, Err: "transaction already decided"}
+		fail(wire.StatusAborted, "transaction already decided")
+		return
 	}
 
 	owner := lock.Owner(req.Txn)
@@ -817,14 +993,17 @@ func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLock
 		ctx, cancel = s.timers.WithTimeout(ctx, s.cfg.LockWaitTimeout)
 		defer cancel()
 	}
-	results := make([]wire.WriteLockResult, len(req.Items))
-	var acquiredBuf [8]bool
+	results := resized(resp.Results, len(req.Items))
+	// acquired[i] is the key state of item i if any of its set was
+	// locked, else nil.
+	var acquiredBuf [8]*keyState
 	acquired := acquiredBuf[:]
 	if len(req.Items) > len(acquiredBuf) {
-		acquired = make([]bool, len(req.Items))
+		acquired = make([]*keyState, len(req.Items))
 	}
 	any, anyDenied := false, false
-	for i, it := range req.Items {
+	for i := range req.Items {
+		it := &req.Items[i]
 		ks := s.key(it.Key)
 		res, err := ks.locks.AcquireWrite(ctx, owner, it.Set, lock.Options{Wait: req.Wait, Partial: true})
 		if err != nil {
@@ -844,7 +1023,7 @@ func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLock
 			anyDenied = true
 		}
 		if !res.Got.IsEmpty() {
-			acquired[i] = true
+			acquired[i] = ks
 			any = true
 		}
 	}
@@ -875,29 +1054,32 @@ func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLock
 				}
 				return
 			}
-			for i, it := range req.Items {
-				if !acquired[i] {
-					continue
+			for i := range req.Items {
+				if ks := acquired[i]; ks != nil {
+					// The request's key and value are borrowed views of
+					// its frame, which is recycled when this handler
+					// returns; the pending write outlives it, so it is
+					// recorded under the key's own name, with a copy of
+					// the value.
+					t.put(ks.name, bytes.Clone(req.Items[i].Value))
 				}
-				// The decoded value is a borrowed view of the request
-				// frame, which is recycled when this handler returns;
-				// the pending write outlives it, so copy out.
-				t.put(it.Key, bytes.Clone(it.Value))
 			}
 		})
 		if finishedLate || fencedLate {
-			for i, it := range req.Items {
-				if acquired[i] {
-					s.key(it.Key).locks.ReleaseWrites(owner)
+			for _, ks := range acquired[:len(req.Items)] {
+				if ks != nil {
+					ks.locks.ReleaseWrites(owner)
 				}
 			}
 			if fencedLate && !finishedLate {
-				return wire.WriteLockBatchResp{Status: wire.StatusWrongEpoch, Err: "demoted during acquisition"}
+				fail(wire.StatusWrongEpoch, "demoted during acquisition")
+				return
 			}
-			return wire.WriteLockBatchResp{Status: wire.StatusAborted, Err: "transaction already decided"}
+			fail(wire.StatusAborted, "transaction already decided")
+			return
 		}
 	}
-	resp := wire.WriteLockBatchResp{Status: wire.StatusOK, Results: results}
+	*resp = wire.WriteLockBatchResp{Status: wire.StatusOK, Results: results}
 	if anyDenied && req.Wait {
 		// Denied acquisitions of a waiting batch mean someone held
 		// conflicting locks long enough to park us; export the local
@@ -907,18 +1089,6 @@ func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLock
 		// skip the snapshot.
 		resp.Edges = s.exportEdges()
 	}
-	return resp
-}
-
-// handleFreezeWrite applies a commit at req.TS for one key: install the
-// pending value, then freeze the write lock (install-before-freeze keeps
-// the frozen-implies-present invariant readers rely on).
-func (s *Server) handleFreezeWrite(req wire.FreezeWriteReq) wire.Ack {
-	resp := s.handleFreezeBatch(wire.FreezeBatchReq{Txn: req.Txn, Epoch: s.epoch.Load(), TS: req.TS, WriteKeys: []string{req.Key}})
-	if resp.Status != wire.StatusOK {
-		return wire.Ack{Status: resp.Status, Err: resp.Err}
-	}
-	return resp.WriteAcks[0]
 }
 
 // handleFreezeBatch applies a commit at req.TS across the transaction's
@@ -926,7 +1096,8 @@ func (s *Server) handleFreezeWrite(req wire.FreezeWriteReq) wire.Ack {
 // lock (install-before-freeze keeps the frozen-implies-present invariant
 // readers rely on), then freeze the requested read-lock ranges (garbage
 // collection, Alg. 11 line 33).
-func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp {
+func (c *connState) handleFreezeBatch() {
+	s, req, resp := c.s, &c.freeze, &c.freezeResp
 	// Deliberately NOT fenced. A freeze only acts on pending state that a
 	// write-lock grant created, and grants are fenced — so on any server
 	// that never granted, this is a no-op (withTxnIfPresent finds
@@ -936,9 +1107,8 @@ func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp
 	// write — the failover drain waits for exactly these installs to
 	// reach the replication log before the old head is crash-stopped.
 	owner := lock.Owner(req.Txn)
-	resp := wire.FreezeBatchResp{Status: wire.StatusOK}
+	*resp = wire.FreezeBatchResp{Status: wire.StatusOK, WriteAcks: resized(resp.WriteAcks, len(req.WriteKeys))}
 	if n := len(req.WriteKeys); n > 0 {
-		resp.WriteAcks = make([]wire.Ack, n)
 		// Per write key: its buffered value, whether one was found, and
 		// whether this call froze it.
 		type slot struct {
@@ -959,6 +1129,7 @@ func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp
 		})
 		anyFrozen := false
 		for i, k := range req.WriteKeys {
+			ks := s.key(k)
 			if !slots[i].has {
 				// No buffered value: either the decide path already
 				// installed and froze this key (its record was then
@@ -966,15 +1137,14 @@ func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp
 				// the transaction timed out and aborted. A version
 				// sitting exactly at the commit timestamp identifies
 				// the redundant case.
-				if _, done := s.key(k).versions.At(req.TS); done {
+				if _, done := ks.versions.At(req.TS); done {
 					resp.WriteAcks[i] = wire.Ack{Status: wire.StatusOK}
 				} else {
 					resp.WriteAcks[i] = wire.Ack{Status: wire.StatusError, Err: "no pending value (timed out and aborted?)"}
 				}
 				continue
 			}
-			ks := s.key(k)
-			if err := s.install(ks, k, req.TS, slots[i].val); err != nil {
+			if err := s.install(ks, req.TS, slots[i].val); err != nil {
 				resp.WriteAcks[i] = wire.Ack{Status: wire.StatusError, Err: err.Error()}
 				continue
 			}
@@ -1012,17 +1182,13 @@ func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp
 	for _, r := range req.Reads {
 		s.key(r.Key).locks.FreezeReadIn(owner, timestamp.Span(r.Lo, r.Hi))
 	}
-	return resp
-}
-
-// handleRelease drops the transaction's unfrozen locks on a key.
-func (s *Server) handleRelease(req wire.ReleaseReq) wire.Ack {
-	return s.handleReleaseBatch(wire.ReleaseBatchReq{Txn: req.Txn, Epoch: s.epoch.Load(), WritesOnly: req.WritesOnly, Keys: []string{req.Key}})
 }
 
 // handleReleaseBatch drops the transaction's unfrozen locks on every
-// listed key, then updates the transaction state in one pass.
-func (s *Server) handleReleaseBatch(req wire.ReleaseBatchReq) wire.Ack {
+// listed key, then updates the transaction state in one pass. The
+// answer, always OK, is left in c.ack.
+func (c *connState) handleReleaseBatch() {
+	s, req := c.s, &c.release
 	// Not fenced, for the same reason as handleFreezeBatch: releases only
 	// drop locks their owner was granted (a no-op anywhere else), and a
 	// demoted head must accept them so aborted in-flight transactions
@@ -1035,8 +1201,10 @@ func (s *Server) handleReleaseBatch(req wire.ReleaseBatchReq) wire.Ack {
 		// installed it was lost in flight (both are fire-and-forget):
 		// releasing its unfrozen lock below would silently discard a
 		// durably committed write. Run the lost freeze first — the
-		// freshly frozen locks then survive ReleaseUnfrozen.
-		var lost []string
+		// freshly frozen locks then survive ReleaseUnfrozen. The freeze
+		// scratch is idle while a release is served, so the lost keys are
+		// collected straight into it.
+		lost := c.freeze.WriteKeys[:0]
 		s.withTxnIfPresent(req.Txn, func(t *txnState) {
 			for _, k := range req.Keys {
 				if t.find(k) >= 0 {
@@ -1045,7 +1213,8 @@ func (s *Server) handleReleaseBatch(req wire.ReleaseBatchReq) wire.Ack {
 			}
 		})
 		if len(lost) > 0 {
-			s.handleFreezeBatch(wire.FreezeBatchReq{Txn: req.Txn, Epoch: req.Epoch, TS: req.TS, WriteKeys: lost})
+			c.freeze = wire.FreezeBatchReq{Txn: req.Txn, Epoch: req.Epoch, TS: req.TS, WriteKeys: lost, Reads: c.freeze.Reads[:0]}
+			c.handleFreezeBatch()
 		}
 	}
 	for _, k := range req.Keys {
@@ -1077,7 +1246,7 @@ func (s *Server) handleReleaseBatch(req wire.ReleaseBatchReq) wire.Ack {
 			t.finished = true
 		}
 	})
-	return wire.Ack{Status: wire.StatusOK}
+	c.ack = wire.Ack{Status: wire.StatusOK}
 }
 
 // handleDecide runs the commitment object hosted on this server and
@@ -1177,7 +1346,7 @@ func (s *Server) applyDecision(txn uint64, d commitment.Decision) {
 			ks.locks.ReleaseWrites(owner)
 			continue
 		}
-		if err := s.install(ks, w.key, d.TS, w.value); err != nil {
+		if err := s.install(ks, d.TS, w.value); err != nil {
 			s.logf("server %s: install %q at %v: %v", s.cfg.Addr, w.key, d.TS, err)
 			continue
 		}
@@ -1360,7 +1529,7 @@ func (s *Server) stats() wire.StatsResp {
 // is logged exactly once, and install-then-append ordering holds: any
 // record with an LSN at or below the log's watermark is already visible
 // to version reads (the snapshot/tail inclusion property).
-func (s *Server) install(ks *keyState, key string, ts timestamp.Timestamp, value []byte) error {
+func (s *Server) install(ks *keyState, ts timestamp.Timestamp, value []byte) error {
 	if err := ks.versions.Install(ts, value); err != nil {
 		if errors.Is(err, version.ErrExists) {
 			return nil
@@ -1375,7 +1544,7 @@ func (s *Server) install(ks *keyState, key string, ts timestamp.Timestamp, value
 	// catch-up does not come through here; it replays pulled records via
 	// applyReplRecord at the upstream's LSNs.)
 	if s.replLog != nil {
-		s.replLog.Append(key, ts, value)
+		s.replLog.Append(ks.name, ts, value)
 	}
 	return nil
 }

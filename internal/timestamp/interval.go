@@ -74,22 +74,24 @@ func (iv Interval) Merge(o Interval) Interval {
 	return Interval{Lo: Min(iv.Lo, o.Lo), Hi: Max(iv.Hi, o.Hi)}
 }
 
-// Subtract returns the (0, 1 or 2) sub-intervals of iv not covered by o.
-func (iv Interval) Subtract(o Interval) []Interval {
+// Subtract returns the parts of iv not covered by o: the part below o and
+// the part above it. Either may be empty — both are when o covers iv, and
+// when o misses iv entirely the whole of iv comes back as one of them.
+func (iv Interval) Subtract(o Interval) (below, above Interval) {
 	if iv.IsEmpty() {
-		return nil
+		return Empty, Empty
 	}
-	if !iv.Overlaps(o) {
-		return []Interval{iv}
+	if o.IsEmpty() {
+		return iv, Empty
 	}
-	var out []Interval
+	below, above = Empty, Empty
 	if iv.Lo.Before(o.Lo) {
-		out = append(out, Interval{Lo: iv.Lo, Hi: o.Lo.Prev()})
+		below = Interval{Lo: iv.Lo, Hi: Min(iv.Hi, o.Lo.Prev())}
 	}
 	if o.Hi.Before(iv.Hi) {
-		out = append(out, Interval{Lo: o.Hi.Next(), Hi: iv.Hi})
+		above = Interval{Lo: Max(iv.Lo, o.Hi.Next()), Hi: iv.Hi}
 	}
-	return out
+	return below, above
 }
 
 // String renders the interval as "[lo,hi]", or "∅" when empty.

@@ -79,23 +79,30 @@ func TestIntervalAdjacent(t *testing.T) {
 
 func TestIntervalSubtract(t *testing.T) {
 	// carve the middle out
-	parts := iv(1, 10).Subtract(iv(4, 6))
-	if len(parts) != 2 {
-		t.Fatalf("want 2 parts, got %v", parts)
+	below, above := iv(1, 10).Subtract(iv(4, 6))
+	if below != Span(New(1, 0), New(4, 0).Prev()) {
+		t.Errorf("part below = %v", below)
 	}
-	if parts[0] != Span(New(1, 0), New(4, 0).Prev()) {
-		t.Errorf("left part = %v", parts[0])
+	if above != Span(New(6, 0).Next(), New(10, 0)) {
+		t.Errorf("part above = %v", above)
 	}
-	if parts[1] != Span(New(6, 0).Next(), New(10, 0)) {
-		t.Errorf("right part = %v", parts[1])
+	// cut one end off
+	if below, above := iv(1, 10).Subtract(iv(1, 6)); !below.IsEmpty() || above != Span(New(6, 0).Next(), New(10, 0)) {
+		t.Fatalf("prefix subtraction = %v, %v", below, above)
 	}
 	// subtract everything
-	if parts := iv(4, 6).Subtract(iv(1, 10)); len(parts) != 0 {
-		t.Fatalf("total subtraction should be empty, got %v", parts)
+	if below, above := iv(4, 6).Subtract(iv(1, 10)); !below.IsEmpty() || !above.IsEmpty() {
+		t.Fatalf("total subtraction should be empty, got %v, %v", below, above)
 	}
-	// no overlap
-	if parts := iv(1, 3).Subtract(iv(5, 9)); len(parts) != 1 || parts[0] != iv(1, 3) {
-		t.Fatalf("disjoint subtraction should be identity, got %v", parts)
+	// no overlap: the interval comes back whole, on the side it lies on
+	if below, above := iv(1, 3).Subtract(iv(5, 9)); below != iv(1, 3) || !above.IsEmpty() {
+		t.Fatalf("disjoint subtraction should be identity, got %v, %v", below, above)
+	}
+	if below, above := iv(5, 9).Subtract(iv(1, 3)); !below.IsEmpty() || above != iv(5, 9) {
+		t.Fatalf("disjoint subtraction should be identity, got %v, %v", below, above)
+	}
+	if below, above := iv(5, 9).Subtract(Empty); below != iv(5, 9) || !above.IsEmpty() {
+		t.Fatalf("subtracting nothing should be identity, got %v, %v", below, above)
 	}
 }
 

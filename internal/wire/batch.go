@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
@@ -50,15 +51,29 @@ func (m WriteLockBatchReq) AppendTo(buf []byte) []byte {
 	return e.buf
 }
 
+// DecodeInto deserializes into m, reusing m.Items' capacity. Every
+// field is overwritten; DecisionSrv and the items' keys and values are
+// borrowed views of b.
+func (m *WriteLockBatchReq) DecodeInto(b []byte) error {
+	d := NewDecoder(b)
+	m.Txn, m.Epoch, m.DecisionSrv, m.Wait = d.U64(), d.U64(), d.StrView(), d.Bool()
+	n := d.count()
+	m.Items = m.Items[:0]
+	for i := 0; i < n && d.err == nil; i++ {
+		m.Items = append(m.Items, WriteLockItem{Key: d.StrView(), Set: d.Set(), Value: d.Blob()})
+	}
+	return d.Err()
+}
+
 // DecodeWriteLockBatchReq deserializes a WriteLockBatchReq.
 func DecodeWriteLockBatchReq(b []byte) (WriteLockBatchReq, error) {
-	d := NewDecoder(b)
-	m := WriteLockBatchReq{Txn: d.U64(), Epoch: d.U64(), DecisionSrv: d.Str(), Wait: d.Bool()}
-	n := d.count()
-	for i := 0; i < n && d.err == nil; i++ {
-		m.Items = append(m.Items, WriteLockItem{Key: d.Str(), Set: d.Set(), Value: d.Blob()})
+	var m WriteLockBatchReq
+	err := m.DecodeInto(b)
+	m.DecisionSrv = strings.Clone(m.DecisionSrv)
+	for i := range m.Items {
+		m.Items[i].Key = strings.Clone(m.Items[i].Key)
 	}
-	return m, d.Err()
+	return m, err
 }
 
 // WriteLockResult is the per-key outcome of a batch write-lock, with the
@@ -147,15 +162,30 @@ func (m FreezeBatchReq) AppendTo(buf []byte) []byte {
 	return e.buf
 }
 
+// DecodeInto deserializes into m, reusing the capacity of m.WriteKeys
+// and m.Reads. Every field is overwritten; all keys are borrowed views
+// of b.
+func (m *FreezeBatchReq) DecodeInto(b []byte) error {
+	d := NewDecoder(b)
+	m.Txn, m.Epoch, m.TS = d.U64(), d.U64(), d.TS()
+	m.WriteKeys = d.strViewsInto(m.WriteKeys)
+	n := d.count()
+	m.Reads = m.Reads[:0]
+	for i := 0; i < n && d.err == nil; i++ {
+		m.Reads = append(m.Reads, FreezeReadItem{Key: d.StrView(), Lo: d.TS(), Hi: d.TS()})
+	}
+	return d.Err()
+}
+
 // DecodeFreezeBatchReq deserializes a FreezeBatchReq.
 func DecodeFreezeBatchReq(b []byte) (FreezeBatchReq, error) {
-	d := NewDecoder(b)
-	m := FreezeBatchReq{Txn: d.U64(), Epoch: d.U64(), TS: d.TS(), WriteKeys: d.StrSlice()}
-	n := d.count()
-	for i := 0; i < n && d.err == nil; i++ {
-		m.Reads = append(m.Reads, FreezeReadItem{Key: d.Str(), Lo: d.TS(), Hi: d.TS()})
+	var m FreezeBatchReq
+	err := m.DecodeInto(b)
+	ownStrings(m.WriteKeys)
+	for i := range m.Reads {
+		m.Reads[i].Key = strings.Clone(m.Reads[i].Key)
 	}
-	return m, d.Err()
+	return m, err
 }
 
 // FreezeBatchResp answers a FreezeBatchReq with one ack per write key
@@ -224,11 +254,21 @@ func (m ReleaseBatchReq) AppendTo(buf []byte) []byte {
 	return e.buf
 }
 
+// DecodeInto deserializes into m, reusing m.Keys' capacity. Every field
+// is overwritten; the keys are borrowed views of b.
+func (m *ReleaseBatchReq) DecodeInto(b []byte) error {
+	d := NewDecoder(b)
+	m.Txn, m.Epoch, m.WritesOnly, m.Committed, m.TS = d.U64(), d.U64(), d.Bool(), d.Bool(), d.TS()
+	m.Keys = d.strViewsInto(m.Keys)
+	return d.Err()
+}
+
 // DecodeReleaseBatchReq deserializes a ReleaseBatchReq.
 func DecodeReleaseBatchReq(b []byte) (ReleaseBatchReq, error) {
-	d := NewDecoder(b)
-	m := ReleaseBatchReq{Txn: d.U64(), Epoch: d.U64(), WritesOnly: d.Bool(), Committed: d.Bool(), TS: d.TS(), Keys: d.StrSlice()}
-	return m, d.Err()
+	var m ReleaseBatchReq
+	err := m.DecodeInto(b)
+	ownStrings(m.Keys)
+	return m, err
 }
 
 // ReadLockBatchReq asks the server to perform the read step for every
@@ -257,11 +297,21 @@ func (m ReadLockBatchReq) AppendTo(buf []byte) []byte {
 	return e.buf
 }
 
+// DecodeInto deserializes into m, reusing m.Keys' capacity. Every field
+// is overwritten; the keys are borrowed views of b.
+func (m *ReadLockBatchReq) DecodeInto(b []byte) error {
+	d := NewDecoder(b)
+	m.Txn, m.Epoch, m.Upper, m.Wait = d.U64(), d.U64(), d.TS(), d.Bool()
+	m.Keys = d.strViewsInto(m.Keys)
+	return d.Err()
+}
+
 // DecodeReadLockBatchReq deserializes a ReadLockBatchReq.
 func DecodeReadLockBatchReq(b []byte) (ReadLockBatchReq, error) {
-	d := NewDecoder(b)
-	m := ReadLockBatchReq{Txn: d.U64(), Epoch: d.U64(), Upper: d.TS(), Wait: d.Bool(), Keys: d.StrSlice()}
-	return m, d.Err()
+	var m ReadLockBatchReq
+	err := m.DecodeInto(b)
+	ownStrings(m.Keys)
+	return m, err
 }
 
 // ReadLockResult is the per-key outcome of a batch read, with the same

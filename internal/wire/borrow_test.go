@@ -1,0 +1,147 @@
+package wire
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"github.com/lpd-epfl/mvtl/internal/timestamp"
+)
+
+// intoTwin pairs a request's in-place decoder — DecodeInto over a scratch
+// message that is reused, dirty, from one input to the next, the way a
+// server connection reuses it — with the owning Decode*Req function.
+type intoTwin struct {
+	scratch interface {
+		Message
+		DecodeInto([]byte) error
+	}
+	owning func([]byte) (Message, error)
+}
+
+// newIntoTwins lists every request with a DecodeInto, keyed like
+// codecCases, each over a fresh scratch.
+func newIntoTwins() map[string]intoTwin {
+	return map[string]intoTwin{
+		"ReadLockReq":       {&ReadLockReq{}, asMsg(DecodeReadLockReq)},
+		"WriteLockReq":      {&WriteLockReq{}, asMsg(DecodeWriteLockReq)},
+		"FreezeWriteReq":    {&FreezeWriteReq{}, asMsg(DecodeFreezeWriteReq)},
+		"FreezeReadReq":     {&FreezeReadReq{}, asMsg(DecodeFreezeReadReq)},
+		"ReleaseReq":        {&ReleaseReq{}, asMsg(DecodeReleaseReq)},
+		"VictimAbortReq":    {&VictimAbortReq{}, asMsg(DecodeVictimAbortReq)},
+		"ReadLockBatchReq":  {&ReadLockBatchReq{}, asMsg(DecodeReadLockBatchReq)},
+		"WriteLockBatchReq": {&WriteLockBatchReq{}, asMsg(DecodeWriteLockBatchReq)},
+		"FreezeBatchReq":    {&FreezeBatchReq{}, asMsg(DecodeFreezeBatchReq)},
+		"ReleaseBatchReq":   {&ReleaseBatchReq{}, asMsg(DecodeReleaseBatchReq)},
+	}
+}
+
+// check decodes data both ways and requires the same verdict and, on
+// success, the same message: the two re-encode to the same bytes, and
+// the owning twin's still does once data — which the scratch's strings
+// borrow — has been scribbled over. It returns that re-encoding, or nil
+// if data was rejected.
+func (tw intoTwin) check(t *testing.T, name string, data []byte) []byte {
+	t.Helper()
+	own, errOwn := tw.owning(exactCopy(data))
+	buf := exactCopy(data)
+	errInto := tw.scratch.DecodeInto(buf)
+	if (errOwn == nil) != (errInto == nil) {
+		t.Fatalf("%s: Decode%s says %v, DecodeInto says %v", name, name, errOwn, errInto)
+	}
+	if errOwn != nil {
+		return nil
+	}
+	want := own.AppendTo(nil)
+	if got := tw.scratch.AppendTo(nil); !bytes.Equal(got, want) {
+		t.Fatalf("%s: DecodeInto over a used scratch re-encodes to %x, Decode%s to %x", name, got, name, want)
+	}
+	for i := range buf {
+		buf[i] ^= 0xff
+	}
+	if got := own.AppendTo(nil); !bytes.Equal(got, want) {
+		t.Fatalf("%s: the owning decoder's message changed with a buffer it does not own", name)
+	}
+	return want
+}
+
+// TestRequestDecodeIntoMatchesOwningTwin holds every request's in-place
+// decoder to its owning twin over valid encodings, every truncation of
+// them, and corrupt item counts — with one scratch per message type
+// reused throughout, so each decode lands on the leftovers of a message
+// of another shape.
+func TestRequestDecodeIntoMatchesOwningTwin(t *testing.T) {
+	for name, tw := range newIntoTwins() {
+		t.Run(name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(0xb0b + int64(len(name))))
+			for i := 0; i < 200; i++ {
+				c := codecCases[name](r)
+				if got := tw.check(t, name, c.enc); !bytes.Equal(got, c.enc) {
+					t.Fatalf("iteration %d: round trip gives %x, want %x", i, got, c.enc)
+				}
+				if i%10 != 0 {
+					continue
+				}
+				for cut := 0; cut < len(c.enc); cut++ {
+					if tw.check(t, name, c.enc[:cut]) != nil {
+						t.Fatalf("iteration %d: truncation at %d/%d not detected", i, cut, len(c.enc))
+					}
+				}
+				// Overwrite each 4-byte window with a huge and a
+				// negative count: whichever of them is an item count must
+				// be rejected before anything is sized by it.
+				for off := 0; off+4 <= len(c.enc); off++ {
+					for _, n := range [][4]byte{{0, 0, 0, 0x40}, {0xfe, 0xff, 0xff, 0xff}} {
+						bad := bytes.Clone(c.enc)
+						copy(bad[off:], n[:])
+						tw.check(t, name, bad)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRequestDecodeIntoZeroAlloc gates the server's request decode: over
+// a scratch that has grown to the request's size, DecodeInto allocates
+// nothing — keys are views, not copies.
+func TestRequestDecodeIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	keys := []string{"user:0001", "user:0002", "user:0003", "user:0004"}
+	set := timestamp.NewSet(timestamp.Span(timestamp.New(100, 1), timestamp.New(5100, 1)))
+	read := ReadLockBatchReq{Txn: 7, Upper: timestamp.New(5100, 1), Keys: keys}.AppendTo(nil)
+	write := WriteLockBatchReq{Txn: 7, DecisionSrv: "srv-0", Items: []WriteLockItem{
+		{Key: keys[0], Set: set, Value: make([]byte, 64)}, {Key: keys[1], Set: set, Value: make([]byte, 64)},
+	}}.AppendTo(nil)
+	freeze := FreezeBatchReq{Txn: 7, TS: timestamp.New(100, 1), WriteKeys: keys[:2], Reads: []FreezeReadItem{
+		{Key: keys[2], Lo: timestamp.New(1, 0), Hi: timestamp.New(100, 1)}, {Key: keys[3], Lo: timestamp.New(1, 0), Hi: timestamp.New(100, 1)},
+	}}.AppendTo(nil)
+	release := ReleaseBatchReq{Txn: 7, Committed: true, TS: timestamp.New(100, 1), Keys: keys}.AppendTo(nil)
+
+	var (
+		readReq    ReadLockBatchReq
+		writeReq   WriteLockBatchReq
+		freezeReq  FreezeBatchReq
+		releaseReq ReleaseBatchReq
+	)
+	decodeAll := func() {
+		if err := readReq.DecodeInto(read); err != nil || len(readReq.Keys) != 4 {
+			t.Fatalf("read-lock batch: %v %d", err, len(readReq.Keys))
+		}
+		if err := writeReq.DecodeInto(write); err != nil || len(writeReq.Items) != 2 || writeReq.DecisionSrv != "srv-0" {
+			t.Fatalf("write-lock batch: %v %+v", err, writeReq)
+		}
+		if err := freezeReq.DecodeInto(freeze); err != nil || len(freezeReq.WriteKeys) != 2 || len(freezeReq.Reads) != 2 {
+			t.Fatalf("freeze batch: %v %+v", err, freezeReq)
+		}
+		if err := releaseReq.DecodeInto(release); err != nil || releaseReq.Keys[3] != keys[3] {
+			t.Fatalf("release batch: %v %+v", err, releaseReq)
+		}
+	}
+	decodeAll()
+	if n := testing.AllocsPerRun(200, decodeAll); n != 0 {
+		t.Errorf("request DecodeInto over a warmed scratch: %v allocs/op, want 0", n)
+	}
+}

@@ -63,8 +63,10 @@ func exactCopy(data []byte) []byte {
 // FuzzDecodeMessages drives every message decoder with arbitrary bytes:
 // truncated or corrupt bodies must return an error — never panic, hang,
 // or read beyond the buffer (decoded pooled frames would leak another
-// frame's bytes otherwise). Successful decodes must survive re-encoding.
-// Seeds come from the codec property tests' generators, so every decoder
+// frame's bytes otherwise). Successful decodes must survive re-encoding,
+// and a request's in-place decoder (DecodeInto, over a scratch the
+// previous inputs left dirty) must agree with its owning twin on every
+// input. Seeds come from the codec property tests' generators, so every decoder
 // starts from valid encodings and the fuzzer mutates from there.
 func FuzzDecodeMessages(f *testing.F) {
 	names := make([]string, 0, len(codecCases))
@@ -84,8 +86,12 @@ func FuzzDecodeMessages(f *testing.F) {
 			}
 		}
 	}
+	twins := newIntoTwins()
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		dc := decoderCases[int(which)%len(decoderCases)]
+		if tw, ok := twins[dc.name]; ok {
+			tw.check(t, dc.name, data)
+		}
 		m, err := dc.decode(exactCopy(data))
 		if err != nil {
 			return

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
@@ -58,11 +59,21 @@ func (m ReadLockReq) AppendTo(buf []byte) []byte {
 	return e.buf
 }
 
+// DecodeInto deserializes into m. Key is a borrowed view of b (see
+// Decoder.StrView), as in every request's DecodeInto; the Decode*Req
+// functions return the same message with owned strings.
+func (m *ReadLockReq) DecodeInto(b []byte) error {
+	d := NewDecoder(b)
+	*m = ReadLockReq{Txn: d.U64(), Key: d.StrView(), Upper: d.TS(), Wait: d.Bool()}
+	return d.Err()
+}
+
 // DecodeReadLockReq deserializes a ReadLockReq.
 func DecodeReadLockReq(b []byte) (ReadLockReq, error) {
-	d := NewDecoder(b)
-	m := ReadLockReq{Txn: d.U64(), Key: d.Str(), Upper: d.TS(), Wait: d.Bool()}
-	return m, d.Err()
+	var m ReadLockReq
+	err := m.DecodeInto(b)
+	m.Key = strings.Clone(m.Key)
+	return m, err
 }
 
 // ReadLockResp answers a ReadLockReq.
@@ -137,19 +148,28 @@ func (m WriteLockReq) AppendTo(buf []byte) []byte {
 	return e.buf
 }
 
-// DecodeWriteLockReq deserializes a WriteLockReq.
-func DecodeWriteLockReq(b []byte) (WriteLockReq, error) {
+// DecodeInto deserializes into m. Key, DecisionSrv and Value are
+// borrowed views of b.
+func (m *WriteLockReq) DecodeInto(b []byte) error {
 	d := NewDecoder(b)
-	m := WriteLockReq{
+	*m = WriteLockReq{
 		Txn:         d.U64(),
 		Epoch:       d.U64(),
-		Key:         d.Str(),
-		DecisionSrv: d.Str(),
+		Key:         d.StrView(),
+		DecisionSrv: d.StrView(),
 		Set:         d.Set(),
 		Wait:        d.Bool(),
 		Value:       d.Blob(),
 	}
-	return m, d.Err()
+	return d.Err()
+}
+
+// DecodeWriteLockReq deserializes a WriteLockReq.
+func DecodeWriteLockReq(b []byte) (WriteLockReq, error) {
+	var m WriteLockReq
+	err := m.DecodeInto(b)
+	m.Key, m.DecisionSrv = strings.Clone(m.Key), strings.Clone(m.DecisionSrv)
+	return m, err
 }
 
 // WriteLockResp answers a WriteLockReq with the acquired and denied
@@ -203,11 +223,19 @@ func (m FreezeWriteReq) AppendTo(buf []byte) []byte {
 	return e.buf
 }
 
+// DecodeInto deserializes into m. Key is a borrowed view of b.
+func (m *FreezeWriteReq) DecodeInto(b []byte) error {
+	d := NewDecoder(b)
+	*m = FreezeWriteReq{Txn: d.U64(), Key: d.StrView(), TS: d.TS()}
+	return d.Err()
+}
+
 // DecodeFreezeWriteReq deserializes a FreezeWriteReq.
 func DecodeFreezeWriteReq(b []byte) (FreezeWriteReq, error) {
-	d := NewDecoder(b)
-	m := FreezeWriteReq{Txn: d.U64(), Key: d.Str(), TS: d.TS()}
-	return m, d.Err()
+	var m FreezeWriteReq
+	err := m.DecodeInto(b)
+	m.Key = strings.Clone(m.Key)
+	return m, err
 }
 
 // FreezeReadReq freezes the transaction's read locks on [Lo, Hi]
@@ -229,11 +257,19 @@ func (m FreezeReadReq) AppendTo(buf []byte) []byte {
 	return e.buf
 }
 
+// DecodeInto deserializes into m. Key is a borrowed view of b.
+func (m *FreezeReadReq) DecodeInto(b []byte) error {
+	d := NewDecoder(b)
+	*m = FreezeReadReq{Txn: d.U64(), Key: d.StrView(), Lo: d.TS(), Hi: d.TS()}
+	return d.Err()
+}
+
 // DecodeFreezeReadReq deserializes a FreezeReadReq.
 func DecodeFreezeReadReq(b []byte) (FreezeReadReq, error) {
-	d := NewDecoder(b)
-	m := FreezeReadReq{Txn: d.U64(), Key: d.Str(), Lo: d.TS(), Hi: d.TS()}
-	return m, d.Err()
+	var m FreezeReadReq
+	err := m.DecodeInto(b)
+	m.Key = strings.Clone(m.Key)
+	return m, err
 }
 
 // ReleaseReq releases the transaction's unfrozen locks on Key (all of
@@ -253,11 +289,19 @@ func (m ReleaseReq) AppendTo(buf []byte) []byte {
 	return e.buf
 }
 
+// DecodeInto deserializes into m. Key is a borrowed view of b.
+func (m *ReleaseReq) DecodeInto(b []byte) error {
+	d := NewDecoder(b)
+	*m = ReleaseReq{Txn: d.U64(), Key: d.StrView(), WritesOnly: d.Bool()}
+	return d.Err()
+}
+
 // DecodeReleaseReq deserializes a ReleaseReq.
 func DecodeReleaseReq(b []byte) (ReleaseReq, error) {
-	d := NewDecoder(b)
-	m := ReleaseReq{Txn: d.U64(), Key: d.Str(), WritesOnly: d.Bool()}
-	return m, d.Err()
+	var m ReleaseReq
+	err := m.DecodeInto(b)
+	m.Key = strings.Clone(m.Key)
+	return m, err
 }
 
 // Ack is the generic status-only response.
@@ -560,9 +604,17 @@ func (m VictimAbortReq) AppendTo(buf []byte) []byte {
 	return e.buf
 }
 
+// DecodeInto deserializes into m. Key is a borrowed view of b.
+func (m *VictimAbortReq) DecodeInto(b []byte) error {
+	d := NewDecoder(b)
+	*m = VictimAbortReq{Txn: d.U64(), Key: d.StrView()}
+	return d.Err()
+}
+
 // DecodeVictimAbortReq deserializes a VictimAbortReq.
 func DecodeVictimAbortReq(b []byte) (VictimAbortReq, error) {
-	d := NewDecoder(b)
-	m := VictimAbortReq{Txn: d.U64(), Key: d.Str()}
-	return m, d.Err()
+	var m VictimAbortReq
+	err := m.DecodeInto(b)
+	m.Key = strings.Clone(m.Key)
+	return m, err
 }

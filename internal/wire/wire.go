@@ -35,11 +35,14 @@
 //     Release it when done.
 //   - Decoded messages BORROW the frame body: every []byte field (a
 //     Decoder.Blob result) is a view into the buffer it was decoded
-//     from. A decoded value that outlives the buffer — a pending write
-//     recorded in server state, a read result returned to the
-//     application — must be copied out (bytes.Clone) before Release.
-//     Strings and timestamp sets are materialized by the decoder and
-//     are always safe to keep.
+//     from, and so is every string a request's DecodeInto fills in (a
+//     Decoder.StrView result: keys, the decision server's address). A
+//     decoded value that outlives the buffer — a pending write recorded
+//     in server state, a read result returned to the application, a key
+//     entered into a map — must be copied out (bytes.Clone,
+//     strings.Clone) before Release. The strings of responses and of
+//     the owning Decode*Req functions, and all timestamp sets, are
+//     materialized by the decoder and are always safe to keep.
 package wire
 
 import (
@@ -49,7 +52,9 @@ import (
 	"io"
 	"math"
 	"net"
+	"strings"
 	"sync"
+	"unsafe"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
@@ -434,20 +439,35 @@ func (d *Decoder) Blob() []byte {
 // owned copy (string conversion), safe to keep.
 func (d *Decoder) Str() string { return string(d.Blob()) }
 
-// StrSlice consumes a length-prefixed sequence of strings.
-func (d *Decoder) StrSlice() []string {
+// StrView consumes a length-prefixed string without copying it: like
+// Blob, the result is a BORROWED view into the decoded buffer and reads
+// as garbage once the buffer is reused. It serves the request decoders,
+// whose keys a server only looks up and compares; whatever outlives the
+// frame is cloned (strings.Clone) by the code that keeps it.
+func (d *Decoder) StrView() string {
+	b := d.Blob()
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+// strViewsInto consumes a length-prefixed sequence of strings as
+// borrowed views (see StrView), reusing dst's capacity.
+func (d *Decoder) strViewsInto(dst []string) []string {
 	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, 0, min(n, 1024))
+	dst = dst[:0]
 	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.Str())
+		dst = append(dst, d.StrView())
 	}
-	if d.err != nil {
-		return nil
+	return dst
+}
+
+// ownStrings replaces every borrowed view in ss with an owned copy.
+func ownStrings(ss []string) {
+	for i, s := range ss {
+		ss[i] = strings.Clone(s)
 	}
-	return out
 }
 
 // status consumes a status byte.
