@@ -2,6 +2,7 @@ package faultbed
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -65,14 +66,17 @@ type Result struct {
 	commits []history.Commit
 }
 
-// Summary renders the headline counts.
+// Summary renders the headline counts and ends with a digest of the
+// three H13-compared outputs, so "byte-identical" can be checked
+// between two commits by comparing eight hex digits.
 func (r Result) Summary() string {
 	verdict := "serializable"
 	if r.CheckErr != nil {
 		verdict = "VIOLATION: " + r.CheckErr.Error()
 	}
-	return fmt.Sprintf("%s: %d commits, %d aborts, %d uncertain (checked %d, dropped %d unobserved maybes) — %s",
-		r.Scenario.Name, r.Commits, r.Aborts, r.Uncertains, r.CheckedCommits, r.DroppedMaybes, verdict)
+	sum := sha256.Sum256([]byte(r.Transcript + "\x00" + r.Events + "\x00" + r.FaultLog))
+	return fmt.Sprintf("%s: %d commits, %d aborts, %d uncertain (checked %d, dropped %d unobserved maybes) — %s, digest %x",
+		r.Scenario.Name, r.Commits, r.Aborts, r.Uncertains, r.CheckedCommits, r.DroppedMaybes, verdict, sum[:4])
 }
 
 // runner holds one scenario run's moving parts.
