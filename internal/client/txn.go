@@ -247,9 +247,8 @@ func (tx *DTxn) uncertainErr(commitTS timestamp.Timestamp, cause error) error {
 }
 
 // Read implements kv.Txn (Alg. 11 lines 10-14): a batch of one key
-// through the read path GetMulti uses, exactly as the server's
-// single-key read handler is a batch of one server-side — one read
-// path, two entry points.
+// through the read path GetMulti uses — one read path, two entry
+// points.
 func (tx *DTxn) Read(ctx context.Context, key string) ([]byte, error) {
 	if tx.done {
 		return nil, kv.ErrTxnDone
@@ -579,9 +578,9 @@ func (tx *DTxn) fanOut(ctx context.Context, t wire.MsgType, wait bool) {
 	}
 	tx.exchange(ctx, last, t, wait)
 	if join != nil {
-		// Credited join, not an Idle-bracketed channel drain: the last
-		// child's Done wakes this goroutine with a runnability credit, so
-		// the virtual timeline cannot slip timer fires into the handoff.
+		// Credited join, not a bare channel drain: the last child's Done
+		// wakes this goroutine with a runnability credit, so the virtual
+		// timeline cannot slip timer fires into the handoff.
 		join.Wait()
 	}
 }

@@ -14,13 +14,13 @@ import (
 // timeouts, scanner periods, settle polls) cost no wall clock and
 // resolve in a deterministic order.
 //
-// The Go, NewWaiter and Idle members exist because a virtual timeline
-// can only advance when every participating goroutine is quiescent: the
+// The Go and NewWaiter members exist because a virtual timeline can
+// only advance when every participating goroutine is quiescent: the
 // scheduler has to know how many runnable actors exist (Go registers
-// spawned goroutines), where they park for non-timer wakeups (Waiter),
-// and when a registered goroutine is merely waiting for other
-// registered goroutines to finish (Idle). On SystemTimers all three
-// are pass-throughs with zero bookkeeping.
+// spawned goroutines) and where they park for non-timer wakeups
+// (Waiter; a wait for other registered goroutines to finish is a Join,
+// built on one). On SystemTimers both are pass-throughs with zero
+// bookkeeping.
 type Timers interface {
 	// Now returns the current time on this timeline.
 	Now() time.Time
@@ -42,11 +42,6 @@ type Timers interface {
 	Go(fn func())
 	// NewWaiter returns a parkable wake slot bound to this timeline.
 	NewWaiter() Waiter
-	// Idle brackets fn as a wait for other registered goroutines: the
-	// caller does not count as runnable while fn blocks (e.g. on a
-	// sync.WaitGroup or channel receive), so the timeline may advance
-	// to let those goroutines finish.
-	Idle(fn func())
 }
 
 // Waiter is a level-triggered, capacity-one wake slot — the Timers
@@ -120,9 +115,6 @@ func (SystemTimers) Go(fn func()) { go fn() }
 // NewWaiter implements Timers.
 func (SystemTimers) NewWaiter() Waiter { return &sysWaiter{ch: make(chan struct{}, 1)} }
 
-// Idle implements Timers.
-func (SystemTimers) Idle(fn func()) { fn() }
-
 var _ Timers = SystemTimers{}
 
 // sysWaiter is the classic buffered-channel wake slot.
@@ -161,15 +153,13 @@ func (w *sysWaiter) Drain() {
 }
 
 // Join is a credited fan-in barrier: the Timers counterpart of a
-// sync.WaitGroup join. Children spawned through Timers.Go call Done
-// while they are still registered actors, so on a virtual timeline the
-// wake that unblocks Wait carries a runnability credit — the timeline
-// cannot advance in the instant between the last child finishing and
-// the waiter resuming. An Idle-bracketed WaitGroup.Wait cannot give
-// that guarantee (the WaitGroup's internal wake is invisible to the
-// scheduler), which makes it a nondeterministic free-running-advance
-// window: every join on a path that produces observable output must
-// use Join instead.
+// sync.WaitGroup join, and the only way to wait for other goroutines of
+// a timeline. Children spawned through Timers.Go call Done while they
+// are still registered actors, so on a virtual timeline the wake that
+// unblocks Wait carries a runnability credit — the timeline cannot
+// advance in the instant between the last child finishing and the
+// waiter resuming. A sync.WaitGroup cannot give that guarantee: its
+// internal wake is invisible to the scheduler.
 type Join struct {
 	n atomic.Int64
 	w Waiter

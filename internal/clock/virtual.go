@@ -26,9 +26,8 @@ import (
 // can never fire ahead of the delivery that would have satisfied it.
 // Blocking on anything the scheduler cannot see (a bare channel, a
 // sync.WaitGroup) leaves the goroutine counted as runnable, which can
-// only delay advancement, never reorder it; Idle exists to bracket
-// such waits when the awaited goroutines themselves need the timeline
-// to move.
+// only delay advancement, never reorder it; when the awaited goroutines
+// themselves need the timeline to move, wait on a Join instead.
 type Virtual struct {
 	epoch time.Time
 
@@ -39,10 +38,6 @@ type Virtual struct {
 	registered, active int
 	// parked counts waiters currently parked (for deadlock reporting).
 	parked int
-	// idlers counts goroutines inside Idle: their fn may return without
-	// any timeline event (an empty WaitGroup, an already-closed
-	// channel), so quiescence with an idler in flight is not a deadlock.
-	idlers int
 	timers vtimerHeap
 	seq    uint64
 }
@@ -181,23 +176,6 @@ func (v *Virtual) goLocked(fn func()) {
 	}()
 }
 
-// Idle implements Timers: the caller stops counting as runnable while
-// fn blocks on other registered goroutines.
-func (v *Virtual) Idle(fn func()) {
-	v.mu.Lock()
-	v.idlers++
-	v.active--
-	v.tryAdvanceLocked()
-	v.mu.Unlock()
-	defer func() {
-		v.mu.Lock()
-		v.idlers--
-		v.active++
-		v.mu.Unlock()
-	}()
-	fn()
-}
-
 // NewWaiter implements Timers.
 func (v *Virtual) NewWaiter() Waiter {
 	return &vWaiter{v: v, ch: make(chan struct{}, 1)}
@@ -272,7 +250,7 @@ func (v *Virtual) removeLocked(t *vtimer) {
 func (v *Virtual) tryAdvanceLocked() {
 	for v.active == 0 {
 		if len(v.timers) == 0 {
-			if v.parked > 0 && v.registered > 0 && v.idlers == 0 {
+			if v.parked > 0 && v.registered > 0 {
 				msg := fmt.Sprintf(
 					"clock: virtual time deadlock at %v: %d registered actors all blocked, %d parked waiters, no pending timers",
 					time.Duration(v.now), v.registered, v.parked)

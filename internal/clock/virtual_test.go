@@ -63,19 +63,18 @@ func TestVirtualFiringOrder(t *testing.T) {
 	defer v.Unregister()
 	var mu sync.Mutex
 	var order []int
-	var wg sync.WaitGroup
+	join := NewJoin(v, 3)
 	for _, d := range []int{3, 2, 1} {
-		wg.Add(1)
 		d := d
 		v.Go(func() {
-			defer wg.Done()
+			defer join.Done()
 			v.Sleep(time.Duration(d) * time.Second)
 			mu.Lock()
 			order = append(order, d)
 			mu.Unlock()
 		})
 	}
-	v.Idle(wg.Wait)
+	join.Wait()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("wake order %v, want [1 2 3]", order)
 	}
@@ -127,13 +126,13 @@ func TestVirtualContextDeadline(t *testing.T) {
 	start := v.Now()
 	wall := time.Now()
 	var err error
-	doneCh := make(chan struct{})
+	join := NewJoin(v, 1)
 	v.Go(func() {
+		defer join.Done()
 		err = w.ParkCtx(ctx)
-		close(doneCh)
 	})
-	// Parent goes idle so the only way forward is the ctx deadline.
-	v.Idle(func() { <-doneCh })
+	// Parent parks so the only way forward is the ctx deadline.
+	join.Wait()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("ParkCtx returned %v, want DeadlineExceeded", err)
 	}
@@ -162,15 +161,14 @@ func TestVirtualContextDeadline(t *testing.T) {
 	defer cancel3()
 	w3 := v.NewWaiter()
 	got := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	join3 := NewJoin(v, 1)
 	v.Go(func() {
-		defer wg.Done()
+		defer join3.Done()
 		got <- w3.ParkCtx(ctx3)
 	})
 	time.Sleep(time.Millisecond)
 	w3.Wake()
-	v.Idle(wg.Wait)
+	join3.Wait()
 	if err := <-got; err != nil {
 		t.Fatalf("ParkCtx after Wake = %v, want nil", err)
 	}
@@ -197,7 +195,7 @@ func TestVirtualSleepStop(t *testing.T) {
 	})
 	time.Sleep(time.Millisecond)
 	close(stop)
-	// Plain (active) wait, not Idle: the closer staying runnable pins
+	// Plain (active) wait, not a Join: the closer staying runnable pins
 	// the timeline, so the sleeper must observe the stop, not a fire.
 	wg.Wait()
 	if !stopped {

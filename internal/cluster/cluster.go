@@ -115,8 +115,8 @@ type Cluster struct {
 	// replicating it is out of scope (see package repl).
 	director *repl.Director
 
-	mu           sync.Mutex
-	servers      []*server.Server // nil slots are stopped servers
+	mu      sync.Mutex
+	servers []*server.Server // nil slots are stopped servers
 	// procs maps every server address — heads and standbys — to its
 	// running instance (nil when stopped). servers above stays the
 	// index-addressed view of the original heads for the legacy

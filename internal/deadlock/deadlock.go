@@ -11,8 +11,8 @@
 //
 //   - Edge export. Every server labels its wait-for edges with the key
 //     of the blocking lock table and exports them two ways: piggybacked
-//     on lock responses that report conflicts (wire.ReadLockResp and
-//     wire.WriteLockBatchResp carry an Edges field), and on demand via
+//     on lock responses that report conflicts (wire.ReadLockBatchResp
+//     and wire.WriteLockBatchResp carry an Edges field), and on demand via
 //     the wire.TWaitGraphReq poll. Piggybacking is free but only helps
 //     the requests that come back; a coordinator whose request is
 //     parked inside a cycle gets no response at all, so while any of

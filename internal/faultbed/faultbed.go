@@ -44,8 +44,8 @@ import (
 	"sync"
 	"time"
 
-	"github.com/lpd-epfl/mvtl/internal/strhash"
 	"github.com/lpd-epfl/mvtl/internal/clock"
+	"github.com/lpd-epfl/mvtl/internal/strhash"
 	"github.com/lpd-epfl/mvtl/internal/transport"
 	"github.com/lpd-epfl/mvtl/internal/wire"
 )

@@ -84,8 +84,8 @@ type runner struct {
 	s      Scenario
 	timers clock.Timers
 	net    *Net
-	clus *cluster.Cluster
-	rec  *history.Recorder
+	clus   *cluster.Cluster
+	rec    *history.Recorder
 	// work is the chaos-facing workload coordinator (client-1); ctrl is
 	// the fault-free control-plane coordinator (client-2) used for
 	// settle barriers and recovery writes.

@@ -215,11 +215,11 @@ func Matrix() []Scenario {
 			AssertTranscript: true,
 		},
 		{
-			Name:     "monkey",
-			Note:     "shared keys under drop/dup/delay/reset: serializability-checked only",
-			Txns:     64,
-			Chaos:    Chaos{Drop: 0.04, Dup: 0.04, Delay: 0.04, Reset: 0.01},
-			Retry:    client.RetryPolicy{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Attempts: 3},
+			Name:             "monkey",
+			Note:             "shared keys under drop/dup/delay/reset: serializability-checked only",
+			Txns:             64,
+			Chaos:            Chaos{Drop: 0.04, Dup: 0.04, Delay: 0.04, Reset: 0.01},
+			Retry:            client.RetryPolicy{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Attempts: 3},
 			AssertTranscript: false,
 		},
 	}
@@ -232,13 +232,13 @@ func Matrix() []Scenario {
 func Extras() []Scenario {
 	return []Scenario{
 		{
-			Name:     "big-topology",
-			Note:     "256 servers under chaotic client links — a topology only virtual time can afford",
-			Servers:  256,
-			Txns:     64,
-			Disjoint: true,
-			Workload: workload.Config{OpsPerTxn: 8, Keys: 2048},
-			Chaos:    Chaos{Drop: 0.02, Dup: 0.04, Delay: 0.05},
+			Name:             "big-topology",
+			Note:             "256 servers under chaotic client links — a topology only virtual time can afford",
+			Servers:          256,
+			Txns:             64,
+			Disjoint:         true,
+			Workload:         workload.Config{OpsPerTxn: 8, Keys: 2048},
+			Chaos:            Chaos{Drop: 0.02, Dup: 0.04, Delay: 0.05},
 			AssertTranscript: true,
 		},
 	}

@@ -21,8 +21,8 @@ import (
 // strings.Clone (or a copying conversion like string(b) /
 // append(dst, b...)) is a use-after-release waiting for pool reuse.
 //
-// The strings of responses and of the owning wire.Decode*Req functions
-// are materialized by the decoder and are not tracked.
+// The strings of responses are materialized by the decoder and are not
+// tracked.
 //
 // The wire package itself is exempt: its decoders construct the views
 // by design.

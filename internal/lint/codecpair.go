@@ -12,18 +12,19 @@ import (
 // CodecPairAnalyzer keeps the wire message catalog closed under its
 // three registrations: every named struct type with an
 // AppendTo(buf []byte) []byte method (the wire.Message encoder half)
-// must have a matching decoder — a package-level Decode<Type> function
-// or a DecodeInto method — and an entry in the codecCases fuzz seed
-// corpus that FuzzDecodeMessages and the round-trip/truncation property
-// tests iterate. A message missing any leg ships encodes nobody can
-// decode, or a decoder the fuzzer never stresses.
+// must have exactly one decoder — a package-level Decode<Type> function
+// or a DecodeInto method, not both — and an entry in the codecCases
+// fuzz seed corpus that FuzzDecodeMessages and the round-trip/truncation
+// property tests iterate. A message missing a leg ships encodes nobody
+// can decode, or a decoder the fuzzer never stresses; a message with two
+// decoders has two spellings of one format to keep in step.
 //
 // The analyzer runs on the wire package and on packages marked with a
 // //mvtl:wire-codec comment (fixtures).
 var CodecPairAnalyzer = &analysis.Analyzer{
 	Name: "codecpair",
-	Doc: "check every wire message type has an AppendTo/Decode pair and a codecCases " +
-		"fuzz seed corpus entry",
+	Doc: "check every wire message type has AppendTo, exactly one decoder and a " +
+		"codecCases fuzz seed corpus entry",
 	Run: runCodecPair,
 }
 
@@ -53,8 +54,11 @@ func runCodecPair(pass *analysis.Pass) error {
 		if !hasAppendTo(named) {
 			continue
 		}
-		if !hasDecoder(scope, named) {
+		switch fn, into := decoders(scope, named); {
+		case !fn && !into:
 			pass.Reportf(tn.Pos(), "wire message %s has AppendTo but no Decode%s function or DecodeInto method: encodes would be undecodable", name, name)
+		case fn && into:
+			pass.Reportf(tn.Pos(), "wire message %s has two decoders, a Decode%s function and a DecodeInto method: keep one", name, name)
 		}
 		if !corpusFound {
 			if !reportedMissingCorpus {
@@ -99,19 +103,16 @@ func hasAppendTo(named *types.Named) bool {
 	return false
 }
 
-// hasDecoder reports a package-level Decode<T> function or a DecodeInto
-// method on T.
-func hasDecoder(scope *types.Scope, named *types.Named) bool {
-	name := named.Obj().Name()
-	if _, ok := scope.Lookup("Decode" + name).(*types.Func); ok {
-		return true
-	}
+// decoders reports whether T has a package-level Decode<T> function and
+// whether it has a DecodeInto method.
+func decoders(scope *types.Scope, named *types.Named) (fn, into bool) {
+	_, fn = scope.Lookup("Decode" + named.Obj().Name()).(*types.Func)
 	for i := 0; i < named.NumMethods(); i++ {
 		if named.Method(i).Name() == "DecodeInto" {
-			return true
+			into = true
 		}
 	}
-	return false
+	return fn, into
 }
 
 // fuzzCorpusKeys extracts the string keys of the codecCases map

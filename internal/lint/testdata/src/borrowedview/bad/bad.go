@@ -30,14 +30,14 @@ func mapStore(cache map[string][]byte, d *wire.Decoder) {
 	cache["k"] = v // want `borrowed frame view stored into map cache`
 }
 
-// decodedFieldStore stores the Value field of a decoded message — a
+// decodedFieldStore stores a Value field of a decoded message — a
 // view into the response frame, not a copy.
 func decodedFieldStore(e *cacheEntry, body []byte) error {
-	resp, err := wire.DecodeReadLockResp(body)
+	resp, err := wire.DecodeSnapshotChunkResp(body)
 	if err != nil {
 		return err
 	}
-	e.val = resp.Value // want `borrowed frame view stored into struct field e.val`
+	e.val = resp.Records[0].Value // want `borrowed frame view stored into struct field e.val`
 	return nil
 }
 
@@ -70,7 +70,7 @@ func strViewStore(e *keyEntry, d *wire.Decoder) {
 // keyFieldStore keeps the key of a request decoded in place: a view of
 // the request frame, not a copy.
 func keyFieldStore(e *keyEntry, body []byte) error {
-	var req wire.ReadLockReq
+	var req wire.WriteLockReq
 	if err := req.DecodeInto(body); err != nil {
 		return err
 	}

@@ -53,11 +53,11 @@ func localUse(d *wire.Decoder) int {
 
 // decodedClone clones a decoded message's blob field before caching it.
 func decodedClone(cache map[string][]byte, body []byte) error {
-	resp, err := wire.DecodeReadLockResp(body)
+	resp, err := wire.DecodeSnapshotChunkResp(body)
 	if err != nil {
 		return err
 	}
-	cache["k"] = bytes.Clone(resp.Value)
+	cache["k"] = bytes.Clone(resp.Records[0].Value)
 	return nil
 }
 
@@ -74,7 +74,7 @@ type keyEntry struct {
 // cloneKeyThenStore is the fix for a kept key: strings.Clone sanitizes
 // the view.
 func cloneKeyThenStore(e *keyEntry, body []byte) error {
-	var req wire.ReadLockReq
+	var req wire.WriteLockReq
 	if err := req.DecodeInto(body); err != nil {
 		return err
 	}
@@ -101,16 +101,6 @@ func canonicalName(keys map[string]*keyState, e *keyEntry, body []byte) error {
 	return nil
 }
 
-// owningDecode keeps a key the owning decoder already copied.
-func owningDecode(e *keyEntry, body []byte) error {
-	req, err := wire.DecodeReadLockReq(body)
-	if err != nil {
-		return err
-	}
-	e.name = req.Key
-	return nil
-}
-
 // responseString keeps a response's error text: responses materialize
 // their strings even when decoded in place.
 func responseString(e *keyEntry, body []byte) error {
@@ -124,7 +114,7 @@ func responseString(e *keyEntry, body []byte) error {
 
 // byteCopyOfKey converts the view to []byte, which copies.
 func byteCopyOfKey(e *cacheEntry, body []byte) error {
-	var req wire.ReleaseReq
+	var req wire.VictimAbortReq
 	if err := req.DecodeInto(body); err != nil {
 		return err
 	}

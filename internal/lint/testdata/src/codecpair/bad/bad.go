@@ -42,6 +42,39 @@ func DecodeRegistered(b []byte) (Registered, error) {
 	return Registered{C: binary.LittleEndian.Uint64(b)}, nil
 }
 
+// IntoOnly's one decoder is a DecodeInto method: also complete.
+type IntoOnly struct {
+	E uint64
+}
+
+func (m IntoOnly) AppendTo(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint64(buf, m.E)
+}
+
+func (m *IntoOnly) DecodeInto(b []byte) error {
+	m.E = binary.LittleEndian.Uint64(b)
+	return nil
+}
+
+// TwoDecoders spells its format twice on the decode side.
+type TwoDecoders struct { // want `TwoDecoders has two decoders`
+	F uint64
+}
+
+func (m TwoDecoders) AppendTo(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint64(buf, m.F)
+}
+
+func (m *TwoDecoders) DecodeInto(b []byte) error {
+	m.F = binary.LittleEndian.Uint64(b)
+	return nil
+}
+
+func DecodeTwoDecoders(b []byte) (TwoDecoders, error) {
+	var m TwoDecoders
+	return m, m.DecodeInto(b)
+}
+
 // plain is not a message: no AppendTo, no obligations.
 type plain struct {
 	D int

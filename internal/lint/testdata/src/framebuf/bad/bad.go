@@ -13,7 +13,7 @@ import (
 // early error return forgets it.
 func errPathLeak(conn transport.Conn, id uint64, m wire.Message) error {
 	fb := wire.GetFrameBuf()
-	if err := fb.SetFrame(id, wire.TReadLockReq, m); err != nil {
+	if err := fb.SetFrame(id, wire.TReadLockBatchReq, m); err != nil {
 		return err // want `pooled frame buffer fb leaks`
 	}
 	return conn.Send(fb)

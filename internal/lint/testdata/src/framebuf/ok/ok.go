@@ -14,7 +14,7 @@ import (
 // released on the other — every path consumes exactly once.
 func branchConsume(conn transport.Conn, really bool) error {
 	fb := wire.GetFrameBuf()
-	if err := fb.SetFrame(1, wire.TReadLockReq, wire.ReadLockReq{Txn: 1, Key: "k"}); err != nil {
+	if err := fb.SetFrame(1, wire.TReadLockBatchReq, wire.ReadLockBatchReq{Txn: 1, Keys: []string{"k"}}); err != nil {
 		fb.Release()
 		return err
 	}
@@ -36,7 +36,7 @@ func deferRelease() int {
 // transferReturn hands ownership to the caller.
 func transferReturn() (*wire.FrameBuf, error) {
 	fb := wire.GetFrameBuf()
-	if err := fb.SetFrame(2, wire.TReadLockReq, wire.ReadLockReq{Txn: 2, Key: "k"}); err != nil {
+	if err := fb.SetFrame(2, wire.TReadLockBatchReq, wire.ReadLockBatchReq{Txn: 2, Keys: []string{"k"}}); err != nil {
 		fb.Release()
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func selectConsume(conn transport.Conn, stop chan struct{}) {
 // callReleased releases the response the client handed over; the error
 // path legitimately skips it (the result is nil on error).
 func callReleased(cl *rpc.Client) (wire.MsgType, error) {
-	f, err := cl.Call(context.Background(), 1, wire.TReadLockReq, wire.ReadLockReq{Txn: 3, Key: "k"})
+	f, err := cl.Call(context.Background(), 1, wire.TReadLockBatchReq, wire.ReadLockBatchReq{Txn: 3, Keys: []string{"k"}})
 	if err != nil {
 		return 0, err
 	}

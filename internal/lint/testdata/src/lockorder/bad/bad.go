@@ -24,7 +24,7 @@ func (p *peer) callUnderLock(ctx context.Context) (*wire.FrameBuf, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.next++
-	return p.cl.Call(ctx, p.next, wire.TReadLockReq, wire.ReadLockReq{Txn: p.next, Key: "k"}) // want `rpc.Client.Call while holding p.mu`
+	return p.cl.Call(ctx, p.next, wire.TReadLockBatchReq, wire.ReadLockBatchReq{Txn: p.next, Keys: []string{"k"}}) // want `rpc.Client.Call while holding p.mu`
 }
 
 // sendUnderLock holds the mutex across the transport write path.

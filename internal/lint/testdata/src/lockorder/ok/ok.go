@@ -26,7 +26,7 @@ func (p *peer) unlockBeforeCall(ctx context.Context) (*wire.FrameBuf, error) {
 	p.next++
 	flow := p.next
 	p.mu.Unlock()
-	return p.cl.Call(ctx, flow, wire.TReadLockReq, wire.ReadLockReq{Txn: flow, Key: "k"})
+	return p.cl.Call(ctx, flow, wire.TReadLockBatchReq, wire.ReadLockBatchReq{Txn: flow, Keys: []string{"k"}})
 }
 
 // balancedBranch locks and unlocks inside the branch; the call after

@@ -21,7 +21,7 @@ func benchMux(b *testing.B, n transport.Network, addr string, conns, workers int
 	ctx := context.Background()
 	// Warm every pool slot off the clock.
 	for f := 0; f < conns; f++ {
-		fb, err := c.Call(ctx, uint64(f), wire.TReleaseReq, nil)
+		fb, err := c.Call(ctx, uint64(f), wire.TStatsReq, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func benchMux(b *testing.B, n transport.Network, addr string, conns, workers int
 		go func(w int) {
 			defer wg.Done()
 			for next.Add(1) <= int64(b.N) {
-				fb, err := c.Call(ctx, uint64(w), wire.TReleaseReq, nil)
+				fb, err := c.Call(ctx, uint64(w), wire.TStatsReq, nil)
 				if err != nil {
 					b.Error(err)
 					return

@@ -74,7 +74,7 @@ func TestCallMultiplexing(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			if _, err := c.Call(ctx, 0, wire.TReleaseReq, nil); err != nil {
+			if _, err := c.Call(ctx, 0, wire.TStatsReq, nil); err != nil {
 				errs <- err
 			}
 		}()
@@ -93,7 +93,7 @@ func TestCallTimeout(t *testing.T) {
 	defer func() { _ = c.Close() }()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := c.Call(ctx, 0, wire.TReleaseReq, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := c.Call(ctx, 0, wire.TStatsReq, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
 }
@@ -102,18 +102,18 @@ func TestCallAfterCloseFailsFast(t *testing.T) {
 	n := transport.NewMem(transport.LatencyModel{})
 	echoServer(t, n, "echo2", 0)
 	c := NewClient(n, "echo2", 2)
-	if _, err := c.Call(context.Background(), 0, wire.TReleaseReq, nil); err != nil {
+	if _, err := c.Call(context.Background(), 0, wire.TStatsReq, nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = c.Close()
-	_, err := c.Call(context.Background(), 0, wire.TReleaseReq, nil)
+	_, err := c.Call(context.Background(), 0, wire.TStatsReq, nil)
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "echo2") {
 		t.Fatalf("error must name the server address: %v", err)
 	}
-	if err := c.Cast(0, wire.TReleaseReq, nil); !errors.Is(err, ErrClosed) {
+	if err := c.Cast(0, wire.TStatsReq, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("cast after close: want ErrClosed, got %v", err)
 	}
 }
@@ -150,7 +150,7 @@ func TestCloseMidCallFailsFast(t *testing.T) {
 	c := NewClient(n, "sink", 1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), 0, wire.TReleaseReq, nil)
+		_, err := c.Call(context.Background(), 0, wire.TStatsReq, nil)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the call get in flight
@@ -187,7 +187,7 @@ func TestPeerDisappearsMidCall(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		_, err := c.Call(ctx, 0, wire.TReleaseReq, nil)
+		_, err := c.Call(ctx, 0, wire.TStatsReq, nil)
 		done <- err
 	}()
 	srvConn := <-accepted
@@ -209,7 +209,7 @@ func TestPoolShardsByFlow(t *testing.T) {
 	defer func() { _ = c.Close() }()
 	ctx := context.Background()
 	for flow := uint64(0); flow < 2*size; flow++ {
-		if _, err := c.Call(ctx, flow, wire.TReleaseReq, nil); err != nil {
+		if _, err := c.Call(ctx, flow, wire.TStatsReq, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func TestMuxStressNoCrossTalk(t *testing.T) {
 				binary.LittleEndian.PutUint64(body[8:], uint64(i))
 				// Spread flows so every goroutine exercises every
 				// pooled connection.
-				f, err := c.Call(ctx, uint64(g*calls+i), wire.TReleaseReq, wire.Raw(body[:]))
+				f, err := c.Call(ctx, uint64(g*calls+i), wire.TStatsReq, wire.Raw(body[:]))
 				if err != nil {
 					errs <- err
 					return
@@ -303,7 +303,7 @@ func TestServeConnInlineOrder(t *testing.T) {
 	const frames = 32
 	for i := 1; i <= frames; i++ {
 		fb := wire.GetFrameBuf()
-		if err := fb.SetFrame(uint64(i), wire.TReleaseReq, nil); err != nil {
+		if err := fb.SetFrame(uint64(i), wire.TStatsReq, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := conn.Send(fb); err != nil {
@@ -359,7 +359,7 @@ func TestServeConnTimersParkedHandler(t *testing.T) {
 	defer func() { _ = conn.Close() }()
 	for id, body := range []string{"park", "inline-1", "inline-2"} {
 		fb := wire.GetFrameBuf()
-		if err := fb.SetFrame(uint64(id+1), wire.TReleaseReq, wire.Raw(body)); err != nil {
+		if err := fb.SetFrame(uint64(id+1), wire.TStatsReq, wire.Raw(body)); err != nil {
 			t.Fatal(err)
 		}
 		if err := conn.Send(fb); err != nil {

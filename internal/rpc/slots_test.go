@@ -44,7 +44,7 @@ func TestCancelledCallReleasesLateResponse(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := c.Call(ctx, 0, wire.TReleaseReq, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := c.Call(ctx, 0, wire.TStatsReq, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
 	cn := poolConn(t, c)
@@ -66,7 +66,7 @@ func TestCancelledCallReleasesLateResponse(t *testing.T) {
 	// the cancelled call's response, which the demux already dropped.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel2()
-	f, err := c.Call(ctx2, 0, wire.TReleaseReq, nil)
+	f, err := c.Call(ctx2, 0, wire.TStatsReq, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRouteGenerationChecks(t *testing.T) {
 	}
 	frame := func(id uint64) *wire.FrameBuf {
 		fb := wire.GetFrameBuf()
-		if err := fb.SetFrame(id, wire.TReleaseResp, nil); err != nil {
+		if err := fb.SetFrame(id, wire.TStatsResp, nil); err != nil {
 			t.Fatal(err)
 		}
 		return fb
@@ -158,7 +158,7 @@ func TestSlotGenerationWraparound(t *testing.T) {
 	defer func() { _ = c.Close() }()
 	ctx := context.Background()
 
-	if f, err := c.Call(ctx, 0, wire.TReleaseReq, nil); err != nil {
+	if f, err := c.Call(ctx, 0, wire.TStatsReq, nil); err != nil {
 		t.Fatal(err)
 	} else {
 		f.Release()
@@ -169,7 +169,7 @@ func TestSlotGenerationWraparound(t *testing.T) {
 	cn.mu.Unlock()
 
 	for i := 0; i < 3; i++ { // gens MaxUint32, 0, 1
-		f, err := c.Call(ctx, 0, wire.TReleaseReq, nil)
+		f, err := c.Call(ctx, 0, wire.TStatsReq, nil)
 		if err != nil {
 			t.Fatalf("call %d across generation wrap: %v", i, err)
 		}
@@ -203,7 +203,7 @@ func TestFreelistGrowthUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			f, err := c.Call(ctx, 0, wire.TReleaseReq, nil)
+			f, err := c.Call(ctx, 0, wire.TStatsReq, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -261,7 +261,7 @@ func TestCloseMidCallStress(t *testing.T) {
 	results := make(chan error, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
-			_, err := c.Call(context.Background(), 0, wire.TReleaseReq, nil)
+			_, err := c.Call(context.Background(), 0, wire.TStatsReq, nil)
 			results <- err
 		}()
 	}
@@ -304,7 +304,7 @@ func TestCallCastZeroAllocSteadyState(t *testing.T) {
 	ctx := context.Background()
 
 	call := func() {
-		f, err := c.Call(ctx, 0, wire.TReleaseReq, nil)
+		f, err := c.Call(ctx, 0, wire.TStatsReq, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestCallCastZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("steady-state Call: %v allocs/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(400, func() {
-		if err := c.Cast(0, wire.TReleaseReq, nil); err != nil {
+		if err := c.Cast(0, wire.TStatsReq, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); avg >= 1 {

@@ -94,8 +94,8 @@ func TestParkedBatchKeepsItsRequest(t *testing.T) {
 			t.Fatalf("unexpected reply id %d", f.ID())
 		}
 	}
-	resp, err := wire.DecodeReadLockBatchResp(parked.Body())
-	if err != nil || resp.Status != wire.StatusOK || len(resp.Results) != 3 {
+	var resp wire.ReadLockBatchResp
+	if err := resp.DecodeInto(parked.Body()); err != nil || resp.Status != wire.StatusOK || len(resp.Results) != 3 {
 		t.Fatalf("parked batch: %+v %v", resp, err)
 	}
 	if r := resp.Results[0]; r.Status != wire.StatusOK || r.Value != nil || r.Got.IsEmpty() {
@@ -136,7 +136,8 @@ func TestServerStateOutlivesRequestFrame(t *testing.T) {
 	}
 	churn(t, c, 1, 100)
 
-	tail, err := wire.DecodeLogTailResp(c.call(wire.TLogTailReq, wire.LogTailReq{Epoch: 1, From: 1, MaxRecords: 8}).Body())
+	var tail wire.LogTailResp
+	err = tail.DecodeInto(c.call(wire.TLogTailReq, wire.LogTailReq{Epoch: 1, From: 1, MaxRecords: 8}).Body())
 	if err != nil || tail.Status != wire.StatusOK || len(tail.Records) != 1 {
 		t.Fatalf("log tail: %+v %v", tail, err)
 	}
@@ -144,7 +145,8 @@ func TestServerStateOutlivesRequestFrame(t *testing.T) {
 		t.Fatalf("replicated record: key %q value %q at %v", r.Key, r.Value, r.TS)
 	}
 	f = c.call(wire.TReadLockBatchReq, wire.ReadLockBatchReq{Txn: 2, Epoch: 1, Upper: ts(100), Keys: []string{key}})
-	if resp, err := wire.DecodeReadLockBatchResp(f.Body()); err != nil || string(resp.Results[0].Value) != value {
-		t.Fatalf("read back: %+v %v", resp, err)
+	var read wire.ReadLockBatchResp
+	if err := read.DecodeInto(f.Body()); err != nil || string(read.Results[0].Value) != value {
+		t.Fatalf("read back: %+v %v", read, err)
 	}
 }

@@ -43,7 +43,8 @@ func TestNoWaitLockRequestsKeepConnectionOrder(t *testing.T) {
 	if f.ID() != readID {
 		t.Fatalf("second reply has id %d, want the read-lock's %d", f.ID(), readID)
 	}
-	read, err := wire.DecodeReadLockBatchResp(f.Body())
+	var read wire.ReadLockBatchResp
+	err := read.DecodeInto(f.Body())
 	if err != nil || read.Status != wire.StatusOK || len(read.Results) != 1 {
 		t.Fatalf("read-lock: %+v %v", read, err)
 	}
@@ -90,7 +91,8 @@ func TestWaitingLockRequestLeavesReadLoop(t *testing.T) {
 	if f.ID() != readID {
 		t.Fatalf("second reply has id %d, want the read-lock's %d", f.ID(), readID)
 	}
-	read, err := wire.DecodeReadLockBatchResp(f.Body())
+	var read wire.ReadLockBatchResp
+	err := read.DecodeInto(f.Body())
 	if err != nil || read.Status != wire.StatusOK || len(read.Results) != 1 {
 		t.Fatalf("read-lock: %+v %v", read, err)
 	}

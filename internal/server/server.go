@@ -2,10 +2,10 @@
 // algorithm (§7/§H, Algorithm 13). A server owns a partition of the key
 // space and holds, per key, the freezable interval lock table and the
 // version history. Coordinators (package client) drive it through the
-// wire protocol: read-lock, write-lock, freeze, release, decide, purge —
-// either key-at-a-time or, preferably, as per-server footprint batches
-// (wire.WriteLockBatchReq and friends) that make one pass over the
-// transaction's keys per request.
+// wire protocol: read-lock, write-lock, freeze, release, decide, purge.
+// The footprint requests are per-server batches (wire.WriteLockBatchReq
+// and friends) that make one pass over the transaction's keys; a single
+// key is a batch of one.
 //
 // Shared state is striped: the key map and the transaction map are both
 // split over a fixed power-of-two number of shards, each behind its own
@@ -267,7 +267,7 @@ type Server struct {
 	// the sweep would otherwise never be closed, and on a virtual
 	// timeline its parked goroutine would pin wg.Wait forever.
 	closing atomic.Bool
-	wg      sync.WaitGroup
+	wg      *clock.Join
 	timers  clock.Timers
 }
 
@@ -285,10 +285,12 @@ func New(cfg Config) (*Server, error) {
 	// it in DecisionSrv fields, and proposeAbort compares against it.
 	// Over TCP a requested ":0" resolves to the real bound address here.
 	cfg.Addr = l.Addr()
+	timers := clock.OrSystem(cfg.Timers)
 	s := &Server{
 		cfg:      cfg,
 		listener: l,
-		timers:   clock.OrSystem(cfg.Timers),
+		timers:   timers,
+		wg:       clock.NewJoin(timers, 0),
 		registry: commitment.NewRegistry(),
 		waits:    lock.NewWaitGraph(),
 		peers:    make(map[string]*rpc.Client),
@@ -340,7 +342,7 @@ func (s *Server) Close() error {
 	}
 	s.acceptedMu.Unlock()
 	s.stopPull()
-	s.timers.Idle(s.wg.Wait)
+	s.wg.Wait()
 	return err
 }
 
@@ -517,7 +519,6 @@ type connState struct {
 	readLockResp     wire.ReadLockBatchResp
 	writeLockResp    wire.WriteLockBatchResp
 	freezeResp       wire.FreezeBatchResp
-	readLockOneResp  wire.ReadLockResp
 	writeLockOneResp wire.WriteLockResp
 	decideResp       wire.DecideResp
 	ack              wire.Ack
@@ -617,33 +618,12 @@ func (c *connState) parkWriteLock() *connState {
 // stay off the loop precisely because the release that unparks it may
 // arrive behind it on the same connection.
 //
-// A single-key lock, freeze or release request is served as a batch of
-// one over the same scratch. Single-key messages predate epochs; they
-// are stamped with the server's own, so the batch fence passes them
-// exactly on heads.
+// The one single-key message left, WriteLockReq, is served as a batch of
+// one over the same scratch, under the epoch its sender stamped it with.
 func (c *connState) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc.Reply)) {
 	s := c.s
 	c.trim()
 	switch f.Type() {
-	case wire.TReadLockReq:
-		var one wire.ReadLockReq
-		if err := one.DecodeInto(f.Body()); err != nil {
-			reply(wire.TReadLockResp, wire.ReadLockResp{Status: wire.StatusError, Err: err.Error()})
-			return nil
-		}
-		c.readLock = wire.ReadLockBatchReq{
-			Txn: one.Txn, Epoch: s.epoch.Load(), Upper: one.Upper, Wait: one.Wait,
-			Keys: append(c.readLock.Keys[:0], one.Key),
-		}
-		if one.Wait {
-			p := c.parkReadLock()
-			return func(reply rpc.Reply) {
-				p.handleReadLockBatch()
-				reply(wire.TReadLockResp, p.readLockOne())
-			}
-		}
-		c.handleReadLockBatch()
-		reply(wire.TReadLockResp, c.readLockOne())
 	case wire.TReadLockBatchReq:
 		if err := c.readLock.DecodeInto(f.Body()); err != nil {
 			reply(wire.TReadLockBatchResp, wire.ReadLockBatchResp{Status: wire.StatusError, Err: err.Error()})
@@ -665,7 +645,7 @@ func (c *connState) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc
 			return nil
 		}
 		c.writeLock = wire.WriteLockBatchReq{
-			Txn: one.Txn, Epoch: s.epoch.Load(), DecisionSrv: c.internAddr(one.DecisionSrv), Wait: one.Wait,
+			Txn: one.Txn, Epoch: one.Epoch, DecisionSrv: c.internAddr(one.DecisionSrv), Wait: one.Wait,
 			Items: append(c.writeLock.Items[:0], wire.WriteLockItem{Key: one.Key, Set: one.Set, Value: one.Value}),
 		}
 		if one.Wait {
@@ -692,33 +672,6 @@ func (c *connState) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc
 		}
 		c.handleWriteLockBatch()
 		reply(wire.TWriteLockBatchResp, &c.writeLockResp)
-	case wire.TFreezeWriteReq:
-		var one wire.FreezeWriteReq
-		if err := one.DecodeInto(f.Body()); err != nil {
-			reply(wire.TFreezeWriteResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
-			return nil
-		}
-		c.freeze = wire.FreezeBatchReq{
-			Txn: one.Txn, Epoch: s.epoch.Load(), TS: one.TS,
-			WriteKeys: append(c.freeze.WriteKeys[:0], one.Key), Reads: c.freeze.Reads[:0],
-		}
-		c.handleFreezeBatch()
-		c.ack = wire.Ack{Status: c.freezeResp.Status, Err: c.freezeResp.Err}
-		if c.ack.Status == wire.StatusOK {
-			c.ack = c.freezeResp.WriteAcks[0]
-		}
-		reply(wire.TFreezeWriteResp, &c.ack)
-	case wire.TFreezeReadReq:
-		var one wire.FreezeReadReq
-		if err := one.DecodeInto(f.Body()); err != nil {
-			reply(wire.TFreezeReadResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
-			return nil
-		}
-		// Not fenced, like the freeze/release batch handlers: it only
-		// freezes read locks their owner was granted, a no-op elsewhere.
-		s.key(one.Key).locks.FreezeReadIn(lock.Owner(one.Txn), timestamp.Span(one.Lo, one.Hi))
-		c.ack = wire.Ack{Status: wire.StatusOK}
-		reply(wire.TFreezeReadResp, &c.ack)
 	case wire.TFreezeBatchReq:
 		if err := c.freeze.DecodeInto(f.Body()); err != nil {
 			reply(wire.TFreezeBatchResp, wire.FreezeBatchResp{Status: wire.StatusError, Err: err.Error()})
@@ -726,18 +679,6 @@ func (c *connState) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc
 		}
 		c.handleFreezeBatch()
 		reply(wire.TFreezeBatchResp, &c.freezeResp)
-	case wire.TReleaseReq:
-		var one wire.ReleaseReq
-		if err := one.DecodeInto(f.Body()); err != nil {
-			reply(wire.TReleaseResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
-			return nil
-		}
-		c.release = wire.ReleaseBatchReq{
-			Txn: one.Txn, Epoch: s.epoch.Load(), WritesOnly: one.WritesOnly,
-			Keys: append(c.release.Keys[:0], one.Key),
-		}
-		c.handleReleaseBatch()
-		reply(wire.TReleaseResp, &c.ack)
 	case wire.TReleaseBatchReq:
 		if err := c.release.DecodeInto(f.Body()); err != nil {
 			reply(wire.TReleaseBatchResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
@@ -811,21 +752,6 @@ func (c *connState) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc
 // The footprint handlers are methods of connState: each serves the
 // request sitting in its scratch and leaves the answer in the matching
 // reply struct.
-
-// readLockOne renders the batch-of-one answer in c.readLockResp as the
-// single-key response.
-func (c *connState) readLockOne() *wire.ReadLockResp {
-	batch := &c.readLockResp
-	c.readLockOneResp = wire.ReadLockResp{Status: batch.Status, Err: batch.Err}
-	if batch.Status == wire.StatusOK {
-		r := batch.Results[0]
-		c.readLockOneResp = wire.ReadLockResp{
-			Status: r.Status, Err: r.Err, VersionTS: r.VersionTS, Value: r.Value, Got: r.Got,
-			Edges: batch.Edges,
-		}
-	}
-	return &c.readLockOneResp
-}
 
 // handleReadLockBatch runs the read step for a transaction's whole
 // share of a static read set: per-key version pick and read-lock

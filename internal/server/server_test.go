@@ -67,6 +67,36 @@ func (c *rawClient) recv() *wire.FrameBuf {
 	return f
 }
 
+// readLock runs the read step for one key — a read-lock batch of one —
+// and returns the key's result.
+func (c *rawClient) readLock(txn uint64, key string, upper timestamp.Timestamp) wire.ReadLockResult {
+	c.t.Helper()
+	f := c.call(wire.TReadLockBatchReq, wire.ReadLockBatchReq{Txn: txn, Upper: upper, Keys: []string{key}})
+	var resp wire.ReadLockBatchResp
+	if err := resp.DecodeInto(f.Body()); err != nil || resp.Status != wire.StatusOK || len(resp.Results) != 1 {
+		c.t.Fatalf("read-lock batch of one: %+v %v", resp, err)
+	}
+	return resp.Results[0]
+}
+
+// freezeWrite freezes txn's write lock on key at ts — a freeze batch of
+// one — and returns the key's ack.
+func (c *rawClient) freezeWrite(txn uint64, key string, at timestamp.Timestamp) wire.Ack {
+	c.t.Helper()
+	f := c.call(wire.TFreezeBatchReq, wire.FreezeBatchReq{Txn: txn, TS: at, WriteKeys: []string{key}})
+	resp, err := wire.DecodeFreezeBatchResp(f.Body())
+	if err != nil || resp.Status != wire.StatusOK || len(resp.WriteAcks) != 1 {
+		c.t.Fatalf("freeze batch of one: %+v %v", resp, err)
+	}
+	return resp.WriteAcks[0]
+}
+
+// release drops txn's unfrozen locks on key: a release batch of one.
+func (c *rawClient) release(txn uint64, key string) {
+	c.t.Helper()
+	c.call(wire.TReleaseBatchReq, wire.ReleaseBatchReq{Txn: txn, Keys: []string{key}})
+}
+
 func startServer(t *testing.T, wlTimeout time.Duration) (*server.Server, *transport.Mem) {
 	t.Helper()
 	n := transport.NewMem(transport.LatencyModel{})
@@ -89,11 +119,7 @@ func ts(v int64) timestamp.Timestamp { return timestamp.New(v, 0) }
 func TestServerReadFreshKey(t *testing.T) {
 	_, n := startServer(t, time.Minute)
 	c := dialRaw(t, n, "srv")
-	f := c.call(wire.TReadLockReq, wire.ReadLockReq{Txn: 1, Key: "x", Upper: ts(100), Wait: false})
-	resp, err := wire.DecodeReadLockResp(f.Body())
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := c.readLock(1, "x", ts(100))
 	if resp.Status != wire.StatusOK || resp.Value != nil || resp.VersionTS != timestamp.Zero {
 		t.Fatalf("%+v", resp)
 	}
@@ -121,18 +147,16 @@ func TestServerWriteLockFreezeReadBack(t *testing.T) {
 	if err != nil || dresp.Kind != wire.DecideCommit {
 		t.Fatalf("%+v %v", dresp, err)
 	}
-	f = c.call(wire.TFreezeWriteReq, wire.FreezeWriteReq{Txn: 1, Key: "x", TS: ts(15)})
-	if ack, err := wire.DecodeAck(f.Body()); err != nil || ack.Status != wire.StatusOK {
-		t.Fatalf("%+v %v", ack, err)
+	if ack := c.freezeWrite(1, "x", ts(15)); ack.Status != wire.StatusOK {
+		t.Fatalf("%+v", ack)
 	}
 	// Release leftover locks.
-	c.call(wire.TReleaseReq, wire.ReleaseReq{Txn: 1, Key: "x"})
+	c.release(1, "x")
 
 	// A later reader sees the committed value.
-	f = c.call(wire.TReadLockReq, wire.ReadLockReq{Txn: 2, Key: "x", Upper: ts(100)})
-	rresp, err := wire.DecodeReadLockResp(f.Body())
-	if err != nil || rresp.Status != wire.StatusOK {
-		t.Fatalf("%+v %v", rresp, err)
+	rresp := c.readLock(2, "x", ts(100))
+	if rresp.Status != wire.StatusOK {
+		t.Fatalf("%+v", rresp)
 	}
 	if string(rresp.Value) != "v1" || rresp.VersionTS != ts(15) {
 		t.Fatalf("value %q at %v", rresp.Value, rresp.VersionTS)
@@ -142,12 +166,7 @@ func TestServerWriteLockFreezeReadBack(t *testing.T) {
 func TestServerFreezeWithoutPendingFails(t *testing.T) {
 	_, n := startServer(t, time.Minute)
 	c := dialRaw(t, n, "srv")
-	f := c.call(wire.TFreezeWriteReq, wire.FreezeWriteReq{Txn: 9, Key: "x", TS: ts(5)})
-	ack, err := wire.DecodeAck(f.Body())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Status == wire.StatusOK {
+	if ack := c.freezeWrite(9, "x", ts(5)); ack.Status == wire.StatusOK {
 		t.Fatal("freeze without a pending write must fail")
 	}
 }
@@ -218,7 +237,7 @@ func TestServerPurgeAndStats(t *testing.T) {
 		set := timestamp.NewSet(timestamp.Point(ts(v)))
 		c.call(wire.TWriteLockReq, wire.WriteLockReq{Txn: txn, Key: "x", DecisionSrv: "srv", Set: set, Value: []byte{byte(v)}})
 		c.call(wire.TDecideReq, wire.DecideReq{Txn: txn, Proposal: wire.DecideCommit, TS: ts(v)})
-		c.call(wire.TFreezeWriteReq, wire.FreezeWriteReq{Txn: txn, Key: "x", TS: ts(v)})
+		c.freezeWrite(txn, "x", ts(v))
 	}
 	f := c.call(wire.TStatsReq, nil)
 	st, err := wire.DecodeStatsResp(f.Body())
@@ -241,13 +260,34 @@ func TestServerPurgeAndStats(t *testing.T) {
 func TestServerMalformedFrame(t *testing.T) {
 	_, n := startServer(t, time.Minute)
 	c := dialRaw(t, n, "srv")
-	f := c.call(wire.TReadLockReq, wire.Raw{1, 2, 3})
-	resp, err := wire.DecodeReadLockResp(f.Body())
-	if err != nil {
+	f := c.call(wire.TReadLockBatchReq, wire.Raw{1, 2, 3})
+	var resp wire.ReadLockBatchResp
+	if err := resp.DecodeInto(f.Body()); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != wire.StatusError {
 		t.Fatalf("malformed request must yield StatusError, got %+v", resp)
+	}
+}
+
+// TestServerIgnoresRetiredMessageTypes sends a frame of each retired
+// single-key type number: the server must not read it as some other
+// message. It answers nothing — the next reply on the connection belongs
+// to the request behind it — and keeps serving.
+func TestServerIgnoresRetiredMessageTypes(t *testing.T) {
+	_, n := startServer(t, time.Minute)
+	c := dialRaw(t, n, "srv")
+	var old wire.Encoder // a single-key read-lock request, as it used to be encoded
+	old.U64(1)
+	old.Str("x")
+	old.TS(ts(100))
+	old.Bool(false)
+	for _, retired := range []wire.MsgType{1, 2, 5, 6, 7, 8, 9, 10} {
+		c.send(retired, wire.Raw(old.Bytes()))
+		st, err := wire.DecodeStatsResp(c.call(wire.TStatsReq, nil).Body())
+		if err != nil || st.Keys != 0 || st.LockEntries != 0 {
+			t.Fatalf("a frame of retired type %d touched server state: %+v %v", retired, st, err)
+		}
 	}
 }
 
@@ -261,9 +301,9 @@ func TestServerConcurrentRequestsOneConn(t *testing.T) {
 	// Issue 20 interleaved reads without waiting for responses, then
 	// collect: the per-request goroutines must answer all of them.
 	for i := uint64(1); i <= 20; i++ {
-		req := wire.ReadLockReq{Txn: i, Key: "k", Upper: ts(int64(100 + i))}
+		req := wire.ReadLockBatchReq{Txn: i, Upper: ts(int64(100 + i)), Keys: []string{"k"}}
 		fb := wire.GetFrameBuf()
-		if err := fb.SetFrame(i, wire.TReadLockReq, req); err != nil {
+		if err := fb.SetFrame(i, wire.TReadLockBatchReq, req); err != nil {
 			t.Fatal(err)
 		}
 		if err := conn.Send(fb); err != nil {
@@ -315,10 +355,9 @@ func TestServerCommittedReleaseInstallsLostFreeze(t *testing.T) {
 		t.Fatalf("%+v %v", ack, err)
 	}
 	// The committed value must be readable, not dropped.
-	f = c.call(wire.TReadLockReq, wire.ReadLockReq{Txn: 2, Key: "x", Upper: ts(100)})
-	rresp, err := wire.DecodeReadLockResp(f.Body())
-	if err != nil || rresp.Status != wire.StatusOK {
-		t.Fatalf("%+v %v", rresp, err)
+	rresp := c.readLock(2, "x", ts(100))
+	if rresp.Status != wire.StatusOK {
+		t.Fatalf("%+v", rresp)
 	}
 	if string(rresp.Value) != "v1" || rresp.VersionTS != ts(15) {
 		t.Fatalf("committed write lost: value %q at %v, want \"v1\" at %v", rresp.Value, rresp.VersionTS, ts(15))
@@ -327,10 +366,9 @@ func TestServerCommittedReleaseInstallsLostFreeze(t *testing.T) {
 	set2 := timestamp.NewSet(timestamp.Span(ts(30), ts(40)))
 	c.call(wire.TWriteLockReq, wire.WriteLockReq{Txn: 3, Key: "y", DecisionSrv: "srv", Set: set2, Value: []byte("v2")})
 	c.call(wire.TReleaseBatchReq, wire.ReleaseBatchReq{Txn: 3, Keys: []string{"y"}})
-	f = c.call(wire.TReadLockReq, wire.ReadLockReq{Txn: 4, Key: "y", Upper: ts(100)})
-	rresp, err = wire.DecodeReadLockResp(f.Body())
-	if err != nil || rresp.Status != wire.StatusOK {
-		t.Fatalf("%+v %v", rresp, err)
+	rresp = c.readLock(4, "y", ts(100))
+	if rresp.Status != wire.StatusOK {
+		t.Fatalf("%+v", rresp)
 	}
 	if len(rresp.Value) != 0 || rresp.VersionTS != timestamp.Zero {
 		t.Fatalf("aborted write leaked: value %q at %v", rresp.Value, rresp.VersionTS)

@@ -172,10 +172,9 @@ func TestServerWriteLockBatch(t *testing.T) {
 
 	// A later reader observes the batched commit on every key.
 	for _, k := range []string{"a", "c"} {
-		f = c.call(wire.TReadLockReq, wire.ReadLockReq{Txn: 9, Key: k, Upper: ts(100)})
-		rresp, err := wire.DecodeReadLockResp(f.Body())
-		if err != nil || rresp.Status != wire.StatusOK {
-			t.Fatalf("%+v %v", rresp, err)
+		rresp := c.readLock(9, k, ts(100))
+		if rresp.Status != wire.StatusOK {
+			t.Fatalf("%+v", rresp)
 		}
 		if rresp.VersionTS != ts(7) || string(rresp.Value) != "v"+k {
 			t.Fatalf("read %q: value %q at %v", k, rresp.Value, rresp.VersionTS)
@@ -224,6 +223,39 @@ func TestServerBatchOfOneMatchesSingleKey(t *testing.T) {
 	}
 }
 
+// TestSingleKeyWriteIsEpochFenced checks that the single-key write is
+// fenced by the epoch its sender stamped it with, exactly like the
+// one-item batch it is served as: a head at epoch 3 turns a request
+// from epoch 1 away either way, and grants one from epoch 3.
+func TestSingleKeyWriteIsEpochFenced(t *testing.T) {
+	n := transport.NewMem(transport.LatencyModel{})
+	srv, err := server.New(server.Config{Addr: "srv", Network: n, WriteLockTimeout: time.Minute, Repl: &server.ReplConfig{Epoch: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	c := dialRaw(t, n, "srv")
+	set := timestamp.NewSet(timestamp.Span(ts(10), ts(20)))
+
+	for i, tc := range []struct {
+		epoch uint64
+		want  wire.Status
+	}{{1, wire.StatusWrongEpoch}, {3, wire.StatusOK}} {
+		txn := uint64(2*i + 1)
+		f := c.call(wire.TWriteLockReq, wire.WriteLockReq{Txn: txn, Epoch: tc.epoch, Key: "single", DecisionSrv: "srv", Set: set, Value: []byte("v")})
+		one, err := wire.DecodeWriteLockResp(f.Body())
+		if err != nil || one.Status != tc.want || one.Got.Equal(set) != (tc.want == wire.StatusOK) {
+			t.Errorf("WriteLockReq at epoch %d: %+v %v, want status %d", tc.epoch, one, err, tc.want)
+		}
+		f = c.call(wire.TWriteLockBatchReq, wire.WriteLockBatchReq{Txn: txn + 1, Epoch: tc.epoch, DecisionSrv: "srv",
+			Items: []wire.WriteLockItem{{Key: "batch", Set: set, Value: []byte("v")}}})
+		batch, err := wire.DecodeWriteLockBatchResp(f.Body())
+		if err != nil || batch.Status != tc.want || (len(batch.Results) == 1 && batch.Results[0].Got.Equal(set)) != (tc.want == wire.StatusOK) {
+			t.Errorf("one-item WriteLockBatchReq at epoch %d: %+v %v, want status %d", tc.epoch, batch, err, tc.want)
+		}
+	}
+}
+
 // TestServerReadLockBatch drives the batched read handler directly: one
 // frame fetches several keys, each with its own version/value/interval
 // sub-result, fresh keys come back as ⊥ at timestamp zero, and one
@@ -247,7 +279,8 @@ func TestServerReadLockBatch(t *testing.T) {
 	f := c.call(wire.TReadLockBatchReq, wire.ReadLockBatchReq{
 		Txn: 9, Upper: ts(100), Keys: []string{"a", "fresh", "b"},
 	})
-	resp, err := wire.DecodeReadLockBatchResp(f.Body())
+	var resp wire.ReadLockBatchResp
+	err := resp.DecodeInto(f.Body())
 	if err != nil || resp.Status != wire.StatusOK || len(resp.Results) != 3 {
 		t.Fatalf("%+v %v", resp, err)
 	}
@@ -272,7 +305,7 @@ func TestServerReadLockBatch(t *testing.T) {
 	f = c.call(wire.TReadLockBatchReq, wire.ReadLockBatchReq{
 		Txn: 9, Upper: ts(8), Wait: true, Keys: []string{"hot", "a"},
 	})
-	resp, err = wire.DecodeReadLockBatchResp(f.Body())
+	err = resp.DecodeInto(f.Body())
 	if err != nil || resp.Status != wire.StatusOK || len(resp.Results) != 2 {
 		t.Fatalf("%+v %v", resp, err)
 	}

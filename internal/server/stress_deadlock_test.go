@@ -419,8 +419,8 @@ func TestTxnStateGC(t *testing.T) {
 		set := timestamp.NewSet(timestamp.Span(ts(int64(10*i)), ts(int64(10*i+5))))
 		c.call(wire.TWriteLockReq, wire.WriteLockReq{Txn: txn, Key: "x", DecisionSrv: "srv", Set: set, Value: []byte{byte(i)}})
 		c.call(wire.TDecideReq, wire.DecideReq{Txn: txn, Proposal: wire.DecideCommit, TS: ts(int64(10 * i))})
-		c.call(wire.TFreezeWriteReq, wire.FreezeWriteReq{Txn: txn, Key: "x", TS: ts(int64(10 * i))})
-		c.call(wire.TReleaseReq, wire.ReleaseReq{Txn: txn, Key: "x"})
+		c.freezeWrite(txn, "x", ts(int64(10*i)))
+		c.release(txn, "x")
 	}
 	st := stats()
 	if st.LiveTxns != 0 {
@@ -443,9 +443,8 @@ func TestTxnStateGC(t *testing.T) {
 	}
 	// A late redundant freeze (the decide already installed the value)
 	// must ack OK, not "no pending value".
-	f = c.call(wire.TFreezeWriteReq, wire.FreezeWriteReq{Txn: 1, Key: "x", TS: ts(10)})
-	if ack, err := wire.DecodeAck(f.Body()); err != nil || ack.Status != wire.StatusOK {
-		t.Fatalf("late freeze after GC: %+v %v", ack, err)
+	if ack := c.freezeWrite(1, "x", ts(10)); ack.Status != wire.StatusOK {
+		t.Fatalf("late freeze after GC: %+v", ack)
 	}
 	if st := stats(); st.LiveTxns != 0 {
 		t.Fatalf("late messages resurrected %d records", st.LiveTxns)
@@ -453,7 +452,7 @@ func TestTxnStateGC(t *testing.T) {
 
 	// Reads alone must not create transaction state either (a read
 	// racing a decide used to resurrect finished records).
-	c.call(wire.TReadLockReq, wire.ReadLockReq{Txn: 99, Key: "x", Upper: ts(1000)})
+	c.readLock(99, "x", ts(1000))
 	if st := stats(); st.LiveTxns != 0 {
 		t.Fatalf("a read created transaction state: %d live", st.LiveTxns)
 	}

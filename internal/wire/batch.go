@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
@@ -11,8 +10,7 @@ import (
 // frame, so that a commit or abort costs O(servers) round trips instead
 // of O(keys) (§7: the coordinator groups Alg. 11's per-key messages by
 // the server owning each key). Servers answer with per-key sub-results;
-// a batch of size one is exactly equivalent to the corresponding
-// single-key message, which remains supported.
+// a single key travels as a batch of one.
 
 // WriteLockItem is one key of a WriteLockBatchReq: the requested lock
 // set and the pending value to buffer.
@@ -63,17 +61,6 @@ func (m *WriteLockBatchReq) DecodeInto(b []byte) error {
 		m.Items = append(m.Items, WriteLockItem{Key: d.StrView(), Set: d.Set(), Value: d.Blob()})
 	}
 	return d.Err()
-}
-
-// DecodeWriteLockBatchReq deserializes a WriteLockBatchReq.
-func DecodeWriteLockBatchReq(b []byte) (WriteLockBatchReq, error) {
-	var m WriteLockBatchReq
-	err := m.DecodeInto(b)
-	m.DecisionSrv = strings.Clone(m.DecisionSrv)
-	for i := range m.Items {
-		m.Items[i].Key = strings.Clone(m.Items[i].Key)
-	}
-	return m, err
 }
 
 // WriteLockResult is the per-key outcome of a batch write-lock, with the
@@ -128,16 +115,18 @@ func DecodeWriteLockBatchResp(b []byte) (WriteLockBatchResp, error) {
 	return m, d.Err()
 }
 
-// FreezeReadItem is one read-lock range to freeze, as in FreezeReadReq.
+// FreezeReadItem is one read-lock range to freeze: the transaction's
+// read locks on Key within [Lo, Hi] (garbage collection, Alg. 11 line
+// 33).
 type FreezeReadItem struct {
 	Key    string
 	Lo, Hi timestamp.Timestamp
 }
 
 // FreezeBatchReq applies a commit decision to this server's share of the
-// footprint in one pass: freeze the write locks of WriteKeys at TS
-// (installing the pending values first), and freeze the read-lock ranges
-// of Reads (the batched form of FreezeWriteReq plus FreezeReadReq).
+// footprint in one pass: freeze the write locks of WriteKeys at TS,
+// exposing the pending values (Alg. 13, receive-freeze-write-lock-
+// message), and freeze the read-lock ranges of Reads.
 type FreezeBatchReq struct {
 	Txn       uint64
 	Epoch     uint64
@@ -177,17 +166,6 @@ func (m *FreezeBatchReq) DecodeInto(b []byte) error {
 	return d.Err()
 }
 
-// DecodeFreezeBatchReq deserializes a FreezeBatchReq.
-func DecodeFreezeBatchReq(b []byte) (FreezeBatchReq, error) {
-	var m FreezeBatchReq
-	err := m.DecodeInto(b)
-	ownStrings(m.WriteKeys)
-	for i := range m.Reads {
-		m.Reads[i].Key = strings.Clone(m.Reads[i].Key)
-	}
-	return m, err
-}
-
 // FreezeBatchResp answers a FreezeBatchReq with one ack per write key
 // (read freezes cannot fail). Coordinators fire-and-forget freezes, but
 // the acks make the handler testable and keep the protocol symmetric.
@@ -223,7 +201,7 @@ func DecodeFreezeBatchResp(b []byte) (FreezeBatchResp, error) {
 }
 
 // ReleaseBatchReq releases the transaction's unfrozen locks on every
-// listed key in one pass (the batched form of ReleaseReq). When
+// listed key in one pass (all of them, or only write locks). When
 // Committed is set, the sender is a coordinator whose transaction
 // decided commit at TS: freezes and releases are both casts, so a
 // dropped freeze followed by a delivered release would otherwise make
@@ -263,16 +241,8 @@ func (m *ReleaseBatchReq) DecodeInto(b []byte) error {
 	return d.Err()
 }
 
-// DecodeReleaseBatchReq deserializes a ReleaseBatchReq.
-func DecodeReleaseBatchReq(b []byte) (ReleaseBatchReq, error) {
-	var m ReleaseBatchReq
-	err := m.DecodeInto(b)
-	ownStrings(m.Keys)
-	return m, err
-}
-
 // ReadLockBatchReq asks the server to perform the read step for every
-// listed key in one pass (the batched form of ReadLockReq): per key,
+// listed key in one pass (Alg. 13, receive-read-lock-message): per key,
 // pick the latest committed version below Upper, read-lock from just
 // above it toward Upper (waiting on unfrozen write locks if Wait), and
 // return the version and the locked interval. Upper and Wait are shared
@@ -306,23 +276,15 @@ func (m *ReadLockBatchReq) DecodeInto(b []byte) error {
 	return d.Err()
 }
 
-// DecodeReadLockBatchReq deserializes a ReadLockBatchReq.
-func DecodeReadLockBatchReq(b []byte) (ReadLockBatchReq, error) {
-	var m ReadLockBatchReq
-	err := m.DecodeInto(b)
-	ownStrings(m.Keys)
-	return m, err
-}
-
-// ReadLockResult is the per-key outcome of a batch read, with the same
-// fields as ReadLockResp (minus the piggybacked edges, which are
-// batch-level).
+// ReadLockResult is the per-key outcome of a batch read. The wait-for
+// edges a conflicted read piggybacks are batch-level.
 type ReadLockResult struct {
 	Status    Status
 	Err       string
 	VersionTS timestamp.Timestamp
 	Value     []byte
-	Got       timestamp.Interval
+	// Got is the read-locked interval [VersionTS+1, ...]; may be empty.
+	Got timestamp.Interval
 }
 
 // ReadLockBatchResp answers a ReadLockBatchReq. Results is parallel to
@@ -372,13 +334,6 @@ func (m *ReadLockBatchResp) DecodeInto(b []byte) error {
 	}
 	m.Edges = d.Edges()
 	return d.Err()
-}
-
-// DecodeReadLockBatchResp deserializes a ReadLockBatchResp.
-func DecodeReadLockBatchResp(b []byte) (ReadLockBatchResp, error) {
-	var m ReadLockBatchResp
-	err := m.DecodeInto(b)
-	return m, err
 }
 
 // count consumes a batch item count, validating its range: every item

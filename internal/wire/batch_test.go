@@ -67,27 +67,10 @@ type codecCase struct {
 }
 
 var codecCases = map[string]func(r *rand.Rand) codecCase{
-	"ReadLockReq": func(r *rand.Rand) codecCase {
-		in := ReadLockReq{Txn: r.Uint64(), Key: randWord(r), Upper: randTS(r), Wait: r.Intn(2) == 0}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeReadLockReq(b)
-			return out == in, err
-		}}
-	},
-	"ReadLockResp": func(r *rand.Rand) codecCase {
-		in := ReadLockResp{Status: randStatus(r), Err: randWord(r), VersionTS: randTS(r), Value: randBlob(r), Got: randIv(r), Edges: randEdges(r)}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeReadLockResp(b)
-			ok := out.Status == in.Status && out.Err == in.Err && out.VersionTS == in.VersionTS &&
-				bytes.Equal(out.Value, in.Value) && (out.Value == nil) == (in.Value == nil) && out.Got == in.Got &&
-				slices.Equal(out.Edges, in.Edges)
-			return ok, err
-		}}
-	},
 	"WriteLockReq": func(r *rand.Rand) codecCase {
 		in := WriteLockReq{Txn: r.Uint64(), Epoch: r.Uint64(), Key: randWord(r), DecisionSrv: randWord(r), Set: randTSSet(r), Wait: r.Intn(2) == 0, Value: randBlob(r)}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeWriteLockReq(b)
+			out, err := fresh[WriteLockReq](b)
 			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.Key == in.Key && out.DecisionSrv == in.DecisionSrv &&
 				out.Set.Equal(in.Set) && out.Wait == in.Wait && bytes.Equal(out.Value, in.Value)
 			return ok, err
@@ -99,27 +82,6 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 			out, err := DecodeWriteLockResp(b)
 			ok := out.Status == in.Status && out.Err == in.Err && out.Got.Equal(in.Got) && out.Denied.Equal(in.Denied)
 			return ok, err
-		}}
-	},
-	"FreezeWriteReq": func(r *rand.Rand) codecCase {
-		in := FreezeWriteReq{Txn: r.Uint64(), Key: randWord(r), TS: randTS(r)}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeFreezeWriteReq(b)
-			return out == in, err
-		}}
-	},
-	"FreezeReadReq": func(r *rand.Rand) codecCase {
-		in := FreezeReadReq{Txn: r.Uint64(), Key: randWord(r), Lo: randTS(r), Hi: randTS(r)}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeFreezeReadReq(b)
-			return out == in, err
-		}}
-	},
-	"ReleaseReq": func(r *rand.Rand) codecCase {
-		in := ReleaseReq{Txn: r.Uint64(), Key: randWord(r), WritesOnly: r.Intn(2) == 0}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeReleaseReq(b)
-			return out == in, err
 		}}
 	},
 	"Ack": func(r *rand.Rand) codecCase {
@@ -179,8 +141,8 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 	"VictimAbortReq": func(r *rand.Rand) codecCase {
 		in := VictimAbortReq{Txn: r.Uint64(), Key: randWord(r)}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeVictimAbortReq(b)
-			return out == in, err
+			out, err := fresh[VictimAbortReq](b)
+			return *out == in, err
 		}}
 	},
 	"WriteLockBatchReq": func(r *rand.Rand) codecCase {
@@ -189,7 +151,7 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 			in.Items = append(in.Items, WriteLockItem{Key: randWord(r), Set: randTSSet(r), Value: randBlob(r)})
 		}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeWriteLockBatchReq(b)
+			out, err := fresh[WriteLockBatchReq](b)
 			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.DecisionSrv == in.DecisionSrv && out.Wait == in.Wait &&
 				len(out.Items) == len(in.Items)
 			if ok {
@@ -231,7 +193,7 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 			in.Reads = append(in.Reads, FreezeReadItem{Key: randWord(r), Lo: randTS(r), Hi: randTS(r)})
 		}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeFreezeBatchReq(b)
+			out, err := fresh[FreezeBatchReq](b)
 			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.TS == in.TS &&
 				slices.Equal(out.WriteKeys, in.WriteKeys) && slices.Equal(out.Reads, in.Reads)
 			return ok, err
@@ -254,7 +216,7 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 			in.Keys = append(in.Keys, randWord(r))
 		}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeReadLockBatchReq(b)
+			out, err := fresh[ReadLockBatchReq](b)
 			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.Upper == in.Upper && out.Wait == in.Wait &&
 				slices.Equal(out.Keys, in.Keys)
 			return ok, err
@@ -268,7 +230,7 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 			})
 		}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeReadLockBatchResp(b)
+			out, err := fresh[ReadLockBatchResp](b)
 			ok := out.Status == in.Status && out.Err == in.Err && len(out.Results) == len(in.Results) &&
 				slices.Equal(out.Edges, in.Edges)
 			if ok {
@@ -290,7 +252,7 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 			in.Keys = append(in.Keys, randWord(r))
 		}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeReleaseBatchReq(b)
+			out, err := fresh[ReleaseBatchReq](b)
 			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.WritesOnly == in.WritesOnly &&
 				out.Committed == in.Committed && out.TS == in.TS && slices.Equal(out.Keys, in.Keys)
 			return ok, err
@@ -329,7 +291,7 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 			NextLSN: r.Uint64(), SnapshotNeeded: r.Intn(2) == 0, Records: randReplRecords(r),
 		}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeLogTailResp(b)
+			out, err := fresh[LogTailResp](b)
 			ok := out.Status == in.Status && out.Err == in.Err && out.Epoch == in.Epoch &&
 				out.NextLSN == in.NextLSN && out.SnapshotNeeded == in.SnapshotNeeded &&
 				replRecordsEqual(out.Records, in.Records)
@@ -406,7 +368,7 @@ func TestBatchDecodersRejectHugeCounts(t *testing.T) {
 	e.Str("")      // decision server
 	e.Bool(false)  // wait
 	e.I32(1 << 30) // absurd item count
-	if _, err := DecodeWriteLockBatchReq(e.Bytes()); err == nil {
+	if _, err := fresh[WriteLockBatchReq](e.Bytes()); err == nil {
 		t.Fatal("huge item count not rejected")
 	}
 	var e2 Encoder
@@ -414,7 +376,7 @@ func TestBatchDecodersRejectHugeCounts(t *testing.T) {
 	e2.U64(0)
 	e2.Bool(false)
 	e2.I32(-1)
-	if _, err := DecodeReleaseBatchReq(e2.Bytes()); err == nil {
+	if _, err := fresh[ReleaseBatchReq](e2.Bytes()); err == nil {
 		t.Fatal("negative key count not rejected")
 	}
 	var e3 Encoder
@@ -424,7 +386,7 @@ func TestBatchDecodersRejectHugeCounts(t *testing.T) {
 	e3.U64(1)      // next lsn
 	e3.Bool(false) // snapshot needed
 	e3.I32(1 << 30)
-	if _, err := DecodeLogTailResp(e3.Bytes()); err == nil {
+	if _, err := fresh[LogTailResp](e3.Bytes()); err == nil {
 		t.Fatal("huge record count not rejected")
 	}
 }

@@ -8,68 +8,79 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
 
-// intoTwin pairs a request's in-place decoder — DecodeInto over a scratch
-// message that is reused, dirty, from one input to the next, the way a
-// server connection reuses it — with the owning Decode*Req function.
-type intoTwin struct {
-	scratch interface {
-		Message
-		DecodeInto([]byte) error
-	}
-	owning func([]byte) (Message, error)
+// inPlace is a message whose one decoder is a DecodeInto method, and
+// intoMsg the same as a constraint on the pointer to its struct type M.
+type inPlace interface {
+	Message
+	DecodeInto([]byte) error
 }
 
-// newIntoTwins lists every request with a DecodeInto, keyed like
-// codecCases, each over a fresh scratch.
+type intoMsg[M any] interface {
+	*M
+	inPlace
+}
+
+// fresh decodes b into a new zero M: the test-only adapter that gives a
+// DecodeInto message the shape of a Decode<T> function.
+func fresh[M any, P intoMsg[M]](b []byte) (P, error) {
+	m := P(new(M))
+	return m, m.DecodeInto(b)
+}
+
+// intoTwin pairs a message's DecodeInto over a scratch that is reused,
+// dirty, from one input to the next — the way a server connection or a
+// pull loop reuses it — with its twin: the same method over a fresh zero
+// value, which owns everything but its views.
+type intoTwin struct {
+	scratch inPlace
+	fresh   func([]byte) (Message, error)
+}
+
+func twinOf[M any, P intoMsg[M]]() intoTwin {
+	return intoTwin{scratch: P(new(M)), fresh: asMsg(fresh[M, P])}
+}
+
+// newIntoTwins lists every message with a DecodeInto, keyed like
+// codecCases, each over a scratch of its own.
 func newIntoTwins() map[string]intoTwin {
 	return map[string]intoTwin{
-		"ReadLockReq":       {&ReadLockReq{}, asMsg(DecodeReadLockReq)},
-		"WriteLockReq":      {&WriteLockReq{}, asMsg(DecodeWriteLockReq)},
-		"FreezeWriteReq":    {&FreezeWriteReq{}, asMsg(DecodeFreezeWriteReq)},
-		"FreezeReadReq":     {&FreezeReadReq{}, asMsg(DecodeFreezeReadReq)},
-		"ReleaseReq":        {&ReleaseReq{}, asMsg(DecodeReleaseReq)},
-		"VictimAbortReq":    {&VictimAbortReq{}, asMsg(DecodeVictimAbortReq)},
-		"ReadLockBatchReq":  {&ReadLockBatchReq{}, asMsg(DecodeReadLockBatchReq)},
-		"WriteLockBatchReq": {&WriteLockBatchReq{}, asMsg(DecodeWriteLockBatchReq)},
-		"FreezeBatchReq":    {&FreezeBatchReq{}, asMsg(DecodeFreezeBatchReq)},
-		"ReleaseBatchReq":   {&ReleaseBatchReq{}, asMsg(DecodeReleaseBatchReq)},
+		"WriteLockReq":      twinOf[WriteLockReq](),
+		"VictimAbortReq":    twinOf[VictimAbortReq](),
+		"ReadLockBatchReq":  twinOf[ReadLockBatchReq](),
+		"ReadLockBatchResp": twinOf[ReadLockBatchResp](),
+		"WriteLockBatchReq": twinOf[WriteLockBatchReq](),
+		"FreezeBatchReq":    twinOf[FreezeBatchReq](),
+		"ReleaseBatchReq":   twinOf[ReleaseBatchReq](),
+		"LogTailResp":       twinOf[LogTailResp](),
 	}
 }
 
 // check decodes data both ways and requires the same verdict and, on
-// success, the same message: the two re-encode to the same bytes, and
-// the owning twin's still does once data — which the scratch's strings
-// borrow — has been scribbled over. It returns that re-encoding, or nil
-// if data was rejected.
+// success, the same message: whatever the scratch held before, the two
+// re-encode to the same bytes. It returns that re-encoding, or nil if
+// data was rejected.
 func (tw intoTwin) check(t *testing.T, name string, data []byte) []byte {
 	t.Helper()
-	own, errOwn := tw.owning(exactCopy(data))
-	buf := exactCopy(data)
-	errInto := tw.scratch.DecodeInto(buf)
-	if (errOwn == nil) != (errInto == nil) {
-		t.Fatalf("%s: Decode%s says %v, DecodeInto says %v", name, name, errOwn, errInto)
+	clean, errFresh := tw.fresh(exactCopy(data))
+	errDirty := tw.scratch.DecodeInto(exactCopy(data))
+	if (errFresh == nil) != (errDirty == nil) {
+		t.Fatalf("%s: DecodeInto says %v over a fresh value, %v over a used scratch", name, errFresh, errDirty)
 	}
-	if errOwn != nil {
+	if errFresh != nil {
 		return nil
 	}
-	want := own.AppendTo(nil)
+	want := clean.AppendTo(nil)
 	if got := tw.scratch.AppendTo(nil); !bytes.Equal(got, want) {
-		t.Fatalf("%s: DecodeInto over a used scratch re-encodes to %x, Decode%s to %x", name, got, name, want)
-	}
-	for i := range buf {
-		buf[i] ^= 0xff
-	}
-	if got := own.AppendTo(nil); !bytes.Equal(got, want) {
-		t.Fatalf("%s: the owning decoder's message changed with a buffer it does not own", name)
+		t.Fatalf("%s: DecodeInto over a used scratch re-encodes to %x, over a fresh value to %x", name, got, want)
 	}
 	return want
 }
 
-// TestRequestDecodeIntoMatchesOwningTwin holds every request's in-place
-// decoder to its owning twin over valid encodings, every truncation of
-// them, and corrupt item counts — with one scratch per message type
-// reused throughout, so each decode lands on the leftovers of a message
-// of another shape.
+// TestRequestDecodeIntoMatchesOwningTwin holds every DecodeInto to "all
+// fields are overwritten": over valid encodings, every truncation of
+// them, and corrupt item counts, one scratch per message type reused
+// throughout — so each decode lands on the leftovers of a message of
+// another shape — gives the verdict and the message of its twin.
 func TestRequestDecodeIntoMatchesOwningTwin(t *testing.T) {
 	for name, tw := range newIntoTwins() {
 		t.Run(name, func(t *testing.T) {

@@ -20,16 +20,12 @@ func asMsg[M Message](f func([]byte) (M, error)) func([]byte) (Message, error) {
 	return func(b []byte) (Message, error) { return f(b) }
 }
 
-// decoderCases lists every message decoder, in a fixed order so a fuzz
-// input's selector byte keeps meaning across runs.
+// decoderCases lists every message decoder — a DecodeInto through the
+// fresh adapter — in a fixed order so a fuzz input's selector byte keeps
+// meaning across runs.
 var decoderCases = []decoderCase{
-	{"ReadLockReq", asMsg(DecodeReadLockReq)},
-	{"ReadLockResp", asMsg(DecodeReadLockResp)},
-	{"WriteLockReq", asMsg(DecodeWriteLockReq)},
+	{"WriteLockReq", asMsg(fresh[WriteLockReq])},
 	{"WriteLockResp", asMsg(DecodeWriteLockResp)},
-	{"FreezeWriteReq", asMsg(DecodeFreezeWriteReq)},
-	{"FreezeReadReq", asMsg(DecodeFreezeReadReq)},
-	{"ReleaseReq", asMsg(DecodeReleaseReq)},
 	{"Ack", asMsg(DecodeAck)},
 	{"DecideReq", asMsg(DecodeDecideReq)},
 	{"DecideResp", asMsg(DecodeDecideResp)},
@@ -37,18 +33,18 @@ var decoderCases = []decoderCase{
 	{"PurgeResp", asMsg(DecodePurgeResp)},
 	{"StatsResp", asMsg(DecodeStatsResp)},
 	{"WaitGraphResp", asMsg(DecodeWaitGraphResp)},
-	{"VictimAbortReq", asMsg(DecodeVictimAbortReq)},
-	{"WriteLockBatchReq", asMsg(DecodeWriteLockBatchReq)},
+	{"VictimAbortReq", asMsg(fresh[VictimAbortReq])},
+	{"WriteLockBatchReq", asMsg(fresh[WriteLockBatchReq])},
 	{"WriteLockBatchResp", asMsg(DecodeWriteLockBatchResp)},
-	{"FreezeBatchReq", asMsg(DecodeFreezeBatchReq)},
+	{"FreezeBatchReq", asMsg(fresh[FreezeBatchReq])},
 	{"FreezeBatchResp", asMsg(DecodeFreezeBatchResp)},
-	{"ReleaseBatchReq", asMsg(DecodeReleaseBatchReq)},
-	{"ReadLockBatchReq", asMsg(DecodeReadLockBatchReq)},
-	{"ReadLockBatchResp", asMsg(DecodeReadLockBatchResp)},
+	{"ReleaseBatchReq", asMsg(fresh[ReleaseBatchReq])},
+	{"ReadLockBatchReq", asMsg(fresh[ReadLockBatchReq])},
+	{"ReadLockBatchResp", asMsg(fresh[ReadLockBatchResp])},
 	{"SnapshotChunkReq", asMsg(DecodeSnapshotChunkReq)},
 	{"SnapshotChunkResp", asMsg(DecodeSnapshotChunkResp)},
 	{"LogTailReq", asMsg(DecodeLogTailReq)},
-	{"LogTailResp", asMsg(DecodeLogTailResp)},
+	{"LogTailResp", asMsg(fresh[LogTailResp])},
 }
 
 // exactCopy returns the input in a freshly sized allocation, so any
@@ -64,10 +60,10 @@ func exactCopy(data []byte) []byte {
 // truncated or corrupt bodies must return an error — never panic, hang,
 // or read beyond the buffer (decoded pooled frames would leak another
 // frame's bytes otherwise). Successful decodes must survive re-encoding,
-// and a request's in-place decoder (DecodeInto, over a scratch the
-// previous inputs left dirty) must agree with its owning twin on every
-// input. Seeds come from the codec property tests' generators, so every decoder
-// starts from valid encodings and the fuzzer mutates from there.
+// and a DecodeInto over a scratch the previous inputs left dirty must
+// agree with itself over a fresh value on every input. Seeds come from
+// the codec property tests' generators, so every decoder starts from
+// valid encodings and the fuzzer mutates from there.
 func FuzzDecodeMessages(f *testing.F) {
 	names := make([]string, 0, len(codecCases))
 	for name := range codecCases {
@@ -75,16 +71,29 @@ func FuzzDecodeMessages(f *testing.F) {
 	}
 	sort.Strings(names)
 	r := rand.New(rand.NewSource(0x5eed))
-	for _, name := range names {
-		gen := codecCases[name]
-		for i := 0; i < 4; i++ {
-			c := gen(r)
-			for which := range decoderCases {
-				if decoderCases[which].name == name {
-					f.Add(uint8(which), c.enc)
-				}
+	add := func(name string, m Message) {
+		for which := range decoderCases {
+			if decoderCases[which].name == name {
+				f.Add(uint8(which), m.AppendTo(nil))
 			}
 		}
+	}
+	for _, name := range names {
+		for i := 0; i < 4; i++ {
+			add(name, Raw(codecCases[name](r).enc))
+		}
+	}
+	// A single key travels as a batch of one; the generators above draw
+	// that size only now and then, so seed it for each footprint batch.
+	for i := 0; i < 4; i++ {
+		k := []string{randWord(r)}
+		add("ReadLockBatchReq", ReadLockBatchReq{Txn: r.Uint64(), Upper: randTS(r), Keys: k})
+		add("ReadLockBatchResp", ReadLockBatchResp{Status: StatusOK, Results: []ReadLockResult{
+			{Status: StatusOK, VersionTS: randTS(r), Value: randBlob(r), Got: randIv(r)},
+		}})
+		add("FreezeBatchReq", FreezeBatchReq{Txn: r.Uint64(), TS: randTS(r), WriteKeys: k})
+		add("FreezeBatchReq", FreezeBatchReq{Txn: r.Uint64(), Reads: []FreezeReadItem{{Key: k[0], Lo: randTS(r), Hi: randTS(r)}}})
+		add("ReleaseBatchReq", ReleaseBatchReq{Txn: r.Uint64(), Keys: k})
 	}
 	twins := newIntoTwins()
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
@@ -37,86 +36,6 @@ const (
 	// authority and restarts the transaction against the new head.
 	StatusWrongEpoch
 )
-
-// ReadLockReq asks the server to perform the read step for a key: pick
-// the latest committed version below Upper, read-lock from just above it
-// toward Upper (waiting on unfrozen write locks if Wait), and return the
-// version and the locked interval (Alg. 13, receive-read-lock-message).
-type ReadLockReq struct {
-	Txn   uint64
-	Key   string
-	Upper timestamp.Timestamp
-	Wait  bool
-}
-
-// AppendTo implements Message.
-func (m ReadLockReq) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.U64(m.Txn)
-	e.Str(m.Key)
-	e.TS(m.Upper)
-	e.Bool(m.Wait)
-	return e.buf
-}
-
-// DecodeInto deserializes into m. Key is a borrowed view of b (see
-// Decoder.StrView), as in every request's DecodeInto; the Decode*Req
-// functions return the same message with owned strings.
-func (m *ReadLockReq) DecodeInto(b []byte) error {
-	d := NewDecoder(b)
-	*m = ReadLockReq{Txn: d.U64(), Key: d.StrView(), Upper: d.TS(), Wait: d.Bool()}
-	return d.Err()
-}
-
-// DecodeReadLockReq deserializes a ReadLockReq.
-func DecodeReadLockReq(b []byte) (ReadLockReq, error) {
-	var m ReadLockReq
-	err := m.DecodeInto(b)
-	m.Key = strings.Clone(m.Key)
-	return m, err
-}
-
-// ReadLockResp answers a ReadLockReq.
-type ReadLockResp struct {
-	Status    Status
-	Err       string
-	VersionTS timestamp.Timestamp
-	Value     []byte
-	// Got is the read-locked interval [VersionTS+1, ...]; may be empty.
-	Got timestamp.Interval
-	// Edges piggybacks the server's local wait-for edges on blocked or
-	// conflicted reads, feeding the coordinator's cross-server deadlock
-	// detector without an extra round trip.
-	Edges []WaitEdge
-}
-
-// AppendTo implements Message.
-func (m ReadLockResp) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.buf = append(e.buf, byte(m.Status))
-	e.Str(m.Err)
-	e.TS(m.VersionTS)
-	e.Blob(m.Value)
-	e.Interval(m.Got)
-	e.Edges(m.Edges)
-	return e.buf
-}
-
-// DecodeReadLockResp deserializes a ReadLockResp.
-func DecodeReadLockResp(b []byte) (ReadLockResp, error) {
-	d := NewDecoder(b)
-	var m ReadLockResp
-	st := d.take(1)
-	if st != nil {
-		m.Status = Status(st[0])
-	}
-	m.Err = d.Str()
-	m.VersionTS = d.TS()
-	m.Value = d.Blob()
-	m.Got = d.Interval()
-	m.Edges = d.Edges()
-	return m, d.Err()
-}
 
 // WriteLockReq asks the server to write-lock a subset of Set for the
 // transaction and buffer Value as the pending write (Alg. 13,
@@ -164,14 +83,6 @@ func (m *WriteLockReq) DecodeInto(b []byte) error {
 	return d.Err()
 }
 
-// DecodeWriteLockReq deserializes a WriteLockReq.
-func DecodeWriteLockReq(b []byte) (WriteLockReq, error) {
-	var m WriteLockReq
-	err := m.DecodeInto(b)
-	m.Key, m.DecisionSrv = strings.Clone(m.Key), strings.Clone(m.DecisionSrv)
-	return m, err
-}
-
 // WriteLockResp answers a WriteLockReq with the acquired and denied
 // subsets.
 type WriteLockResp struct {
@@ -203,105 +114,6 @@ func DecodeWriteLockResp(b []byte) (WriteLockResp, error) {
 	m.Got = d.Set()
 	m.Denied = d.Set()
 	return m, d.Err()
-}
-
-// FreezeWriteReq tells the server the transaction committed at TS: the
-// server freezes the write lock there and exposes the pending value
-// (Alg. 13, receive-freeze-write-lock-message).
-type FreezeWriteReq struct {
-	Txn uint64
-	Key string
-	TS  timestamp.Timestamp
-}
-
-// AppendTo implements Message.
-func (m FreezeWriteReq) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.U64(m.Txn)
-	e.Str(m.Key)
-	e.TS(m.TS)
-	return e.buf
-}
-
-// DecodeInto deserializes into m. Key is a borrowed view of b.
-func (m *FreezeWriteReq) DecodeInto(b []byte) error {
-	d := NewDecoder(b)
-	*m = FreezeWriteReq{Txn: d.U64(), Key: d.StrView(), TS: d.TS()}
-	return d.Err()
-}
-
-// DecodeFreezeWriteReq deserializes a FreezeWriteReq.
-func DecodeFreezeWriteReq(b []byte) (FreezeWriteReq, error) {
-	var m FreezeWriteReq
-	err := m.DecodeInto(b)
-	m.Key = strings.Clone(m.Key)
-	return m, err
-}
-
-// FreezeReadReq freezes the transaction's read locks on [Lo, Hi]
-// (garbage collection, Alg. 11 line 33).
-type FreezeReadReq struct {
-	Txn uint64
-	Key string
-	Lo  timestamp.Timestamp
-	Hi  timestamp.Timestamp
-}
-
-// AppendTo implements Message.
-func (m FreezeReadReq) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.U64(m.Txn)
-	e.Str(m.Key)
-	e.TS(m.Lo)
-	e.TS(m.Hi)
-	return e.buf
-}
-
-// DecodeInto deserializes into m. Key is a borrowed view of b.
-func (m *FreezeReadReq) DecodeInto(b []byte) error {
-	d := NewDecoder(b)
-	*m = FreezeReadReq{Txn: d.U64(), Key: d.StrView(), Lo: d.TS(), Hi: d.TS()}
-	return d.Err()
-}
-
-// DecodeFreezeReadReq deserializes a FreezeReadReq.
-func DecodeFreezeReadReq(b []byte) (FreezeReadReq, error) {
-	var m FreezeReadReq
-	err := m.DecodeInto(b)
-	m.Key = strings.Clone(m.Key)
-	return m, err
-}
-
-// ReleaseReq releases the transaction's unfrozen locks on Key (all of
-// them, or only write locks).
-type ReleaseReq struct {
-	Txn        uint64
-	Key        string
-	WritesOnly bool
-}
-
-// AppendTo implements Message.
-func (m ReleaseReq) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.U64(m.Txn)
-	e.Str(m.Key)
-	e.Bool(m.WritesOnly)
-	return e.buf
-}
-
-// DecodeInto deserializes into m. Key is a borrowed view of b.
-func (m *ReleaseReq) DecodeInto(b []byte) error {
-	d := NewDecoder(b)
-	*m = ReleaseReq{Txn: d.U64(), Key: d.StrView(), WritesOnly: d.Bool()}
-	return d.Err()
-}
-
-// DecodeReleaseReq deserializes a ReleaseReq.
-func DecodeReleaseReq(b []byte) (ReleaseReq, error) {
-	var m ReleaseReq
-	err := m.DecodeInto(b)
-	m.Key = strings.Clone(m.Key)
-	return m, err
 }
 
 // Ack is the generic status-only response.
@@ -609,12 +421,4 @@ func (m *VictimAbortReq) DecodeInto(b []byte) error {
 	d := NewDecoder(b)
 	*m = VictimAbortReq{Txn: d.U64(), Key: d.StrView()}
 	return d.Err()
-}
-
-// DecodeVictimAbortReq deserializes a VictimAbortReq.
-func DecodeVictimAbortReq(b []byte) (VictimAbortReq, error) {
-	var m VictimAbortReq
-	err := m.DecodeInto(b)
-	m.Key = strings.Clone(m.Key)
-	return m, err
 }

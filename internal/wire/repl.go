@@ -183,11 +183,3 @@ func (m *LogTailResp) DecodeInto(b []byte) error {
 	m.Records = d.replRecordsInto(m.Records)
 	return d.Err()
 }
-
-// DecodeLogTailResp deserializes a LogTailResp. Record keys and values
-// are borrowed views into b.
-func DecodeLogTailResp(b []byte) (LogTailResp, error) {
-	var m LogTailResp
-	err := m.DecodeInto(b)
-	return m, err
-}

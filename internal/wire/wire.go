@@ -40,9 +40,18 @@
 //     decoded value that outlives the buffer — a pending write recorded
 //     in server state, a read result returned to the application, a key
 //     entered into a map — must be copied out (bytes.Clone,
-//     strings.Clone) before Release. The strings of responses and of
-//     the owning Decode*Req functions, and all timestamp sets, are
-//     materialized by the decoder and are always safe to keep.
+//     strings.Clone) before Release. The strings of responses and all
+//     timestamp sets are materialized by the decoder and are always safe
+//     to keep.
+//
+// # One decoder per message
+//
+// A message type has exactly one decoder. The requests a server decodes
+// on its hot path, and the two responses whose slices a caller reuses
+// (ReadLockBatchResp, LogTailResp), have a DecodeInto method that
+// overwrites every field of its receiver; everything else has a
+// Decode<T> function returning a fresh value. The codecpair analyzer
+// rejects a type that has both.
 package wire
 
 import (
@@ -52,7 +61,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"strings"
 	"sync"
 	"unsafe"
 
@@ -64,16 +72,25 @@ type MsgType uint8
 
 // Request and response message types.
 const (
+	// The single-key read-lock, freeze and release messages (types 1-2
+	// and 5-10) are retired in favour of the batch family below. Their
+	// numbers stay reserved so that a frame from an old peer is rejected
+	// as unknown instead of being decoded as something else. Type 1
+	// keeps its name for such a frame; no message is defined for it.
 	TReadLockReq MsgType = iota + 1
-	TReadLockResp
+	_
+	// TWriteLockReq is the last single-key footprint message: a TIL
+	// coordinator sends one per written key at write time (see
+	// WriteLockReq). It goes when writes are buffered and locked in one
+	// batch at commit.
 	TWriteLockReq
 	TWriteLockResp
-	TFreezeWriteReq
-	TFreezeWriteResp
-	TFreezeReadReq
-	TFreezeReadResp
-	TReleaseReq
-	TReleaseResp
+	_
+	_
+	_
+	_
+	_
+	_
 	TDecideReq
 	TDecideResp
 	TPurgeReq
@@ -461,13 +478,6 @@ func (d *Decoder) strViewsInto(dst []string) []string {
 		dst = append(dst, d.StrView())
 	}
 	return dst
-}
-
-// ownStrings replaces every borrowed view in ss with an owned copy.
-func ownStrings(ss []string) {
-	for i, s := range ss {
-		ss[i] = strings.Clone(s)
-	}
 }
 
 // status consumes a status byte.

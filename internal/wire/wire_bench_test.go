@@ -113,25 +113,33 @@ func BenchmarkFramePathReadDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkFramePathReadDecodeSingle is the single-key variant: one
-// ReadLockResp with a 1KB value per frame, decoded with the plain
-// wrapper (no reuse struct needed — the value is a borrowed view and
-// nothing else allocates). Steady state must be 0 allocs/op.
+// benchSingleReadResp is the answer to a single-key read: a batch of
+// one result with a 1KB value.
+func benchSingleReadResp() ReadLockBatchResp {
+	return ReadLockBatchResp{Status: StatusOK, Results: []ReadLockResult{{
+		Status:    StatusOK,
+		VersionTS: timestamp.New(100, 1),
+		Value:     make([]byte, 1024),
+		Got:       timestamp.Span(timestamp.New(101, 1), timestamp.New(5000, 0)),
+	}}}
+}
+
+// BenchmarkFramePathReadDecodeSingle is the single-key variant: a
+// one-result ReadLockBatchResp with a 1KB value per frame, decoded in
+// place. Steady state must be 0 allocs/op.
 func BenchmarkFramePathReadDecodeSingle(b *testing.B) {
-	val := make([]byte, 1024)
-	resp := ReadLockResp{Status: StatusOK, VersionTS: timestamp.New(100, 1), Value: val, Got: timestamp.Span(timestamp.New(101, 1), timestamp.New(5000, 0))}
-	r := &loopReader{data: encodeBenchFrame(b, TReadLockResp, resp)}
+	r := &loopReader{data: encodeBenchFrame(b, TReadLockBatchResp, benchSingleReadResp())}
 	fb := GetFrameBuf()
 	defer fb.Release()
+	var out ReadLockBatchResp
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ReadFrame(r, fb); err != nil {
 			b.Fatal(err)
 		}
-		out, err := DecodeReadLockResp(fb.Body())
-		if err != nil || len(out.Value) != 1024 {
-			b.Fatalf("%v %d", err, len(out.Value))
+		if err := out.DecodeInto(fb.Body()); err != nil || len(out.Results) != 1 || len(out.Results[0].Value) != 1024 {
+			b.Fatalf("%v %d", err, len(out.Results))
 		}
 	}
 }

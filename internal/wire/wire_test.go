@@ -14,7 +14,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := GetFrameBuf()
 	defer in.Release()
-	if err := in.SetFrame(42, TReadLockReq, Raw("hello")); err != nil {
+	if err := in.SetFrame(42, TStatsReq, Raw("hello")); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFrame(&buf, in); err != nil {
@@ -25,7 +25,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := ReadFrame(&buf, out); err != nil {
 		t.Fatal(err)
 	}
-	if out.ID() != 42 || out.Type() != TReadLockReq || !bytes.Equal(out.Body(), []byte("hello")) {
+	if out.ID() != 42 || out.Type() != TStatsReq || !bytes.Equal(out.Body(), []byte("hello")) {
 		t.Fatalf("round trip mismatch: %d %d %q", out.ID(), out.Type(), out.Body())
 	}
 }
@@ -64,7 +64,7 @@ func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	in := GetFrameBuf()
 	defer in.Release()
-	_ = in.SetFrame(7, TReadLockReq, Raw("xyz"))
+	_ = in.SetFrame(7, TStatsReq, Raw("xyz"))
 	_ = WriteFrame(&buf, in)
 	b := buf.Bytes()[:buf.Len()-2]
 	fb := GetFrameBuf()
@@ -140,39 +140,16 @@ func TestFrameHeaderRejectTruncation(t *testing.T) {
 
 func ts(a int64, b int32) timestamp.Timestamp { return timestamp.New(a, b) }
 
-func TestReadLockReqRoundTrip(t *testing.T) {
-	in := ReadLockReq{Txn: 9, Key: "alpha", Upper: ts(55, 3), Wait: true}
-	out, err := DecodeReadLockReq(in.AppendTo(nil))
-	if err != nil || out != in {
-		t.Fatalf("%+v %v", out, err)
-	}
-}
-
-func TestReadLockRespRoundTrip(t *testing.T) {
-	in := ReadLockResp{
-		Status:    StatusOK,
-		VersionTS: ts(10, 1),
-		Value:     []byte("val"),
-		Got:       timestamp.Span(ts(11, 0), ts(20, 5)),
-	}
-	out, err := DecodeReadLockResp(in.AppendTo(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Status != in.Status || out.VersionTS != in.VersionTS ||
-		!bytes.Equal(out.Value, in.Value) || out.Got != in.Got {
-		t.Fatalf("%+v", out)
-	}
-}
-
 func TestReadLockRespNilValue(t *testing.T) {
-	in := ReadLockResp{Status: StatusOK, VersionTS: timestamp.Zero, Value: nil, Got: timestamp.Empty}
-	out, err := DecodeReadLockResp(in.AppendTo(nil))
-	if err != nil {
+	in := ReadLockBatchResp{Status: StatusOK, Results: []ReadLockResult{
+		{Status: StatusOK, VersionTS: timestamp.Zero, Value: nil, Got: timestamp.Empty},
+	}}
+	var out ReadLockBatchResp
+	if err := out.DecodeInto(in.AppendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if out.Value != nil {
-		t.Fatalf("⊥ must round-trip as nil, got %v", out.Value)
+	if len(out.Results) != 1 || out.Results[0].Value != nil {
+		t.Fatalf("⊥ must round-trip as nil, got %+v", out.Results)
 	}
 }
 
@@ -182,8 +159,8 @@ func TestWriteLockReqRoundTrip(t *testing.T) {
 		timestamp.Span(ts(9, 0), ts(12, 0)),
 	)
 	in := WriteLockReq{Txn: 3, Key: "k", DecisionSrv: "server-2", Set: set, Wait: true, Value: []byte("v")}
-	out, err := DecodeWriteLockReq(in.AppendTo(nil))
-	if err != nil {
+	var out WriteLockReq
+	if err := out.DecodeInto(in.AppendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if out.Txn != in.Txn || out.Key != in.Key || out.DecisionSrv != in.DecisionSrv ||
@@ -209,18 +186,6 @@ func TestWriteLockRespRoundTrip(t *testing.T) {
 }
 
 func TestSmallMessagesRoundTrip(t *testing.T) {
-	fw := FreezeWriteReq{Txn: 1, Key: "a", TS: ts(9, 9)}
-	if out, err := DecodeFreezeWriteReq(fw.AppendTo(nil)); err != nil || out != fw {
-		t.Fatalf("%+v %v", out, err)
-	}
-	fr := FreezeReadReq{Txn: 2, Key: "b", Lo: ts(1, 0), Hi: ts(5, 0)}
-	if out, err := DecodeFreezeReadReq(fr.AppendTo(nil)); err != nil || out != fr {
-		t.Fatalf("%+v %v", out, err)
-	}
-	rl := ReleaseReq{Txn: 3, Key: "c", WritesOnly: true}
-	if out, err := DecodeReleaseReq(rl.AppendTo(nil)); err != nil || out != rl {
-		t.Fatalf("%+v %v", out, err)
-	}
 	ack := Ack{Status: StatusAborted, Err: "gone"}
 	if out, err := DecodeAck(ack.AppendTo(nil)); err != nil || out != ack {
 		t.Fatalf("%+v %v", out, err)
@@ -250,7 +215,7 @@ func TestSmallMessagesRoundTrip(t *testing.T) {
 func TestDecodersRejectTruncation(t *testing.T) {
 	full := WriteLockReq{Txn: 3, Key: "key", Set: timestamp.NewSet(timestamp.Point(ts(1, 1))), Value: []byte("v")}.AppendTo(nil)
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeWriteLockReq(full[:cut]); err == nil {
+		if err := new(WriteLockReq).DecodeInto(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}

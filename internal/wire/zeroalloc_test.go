@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"testing"
-
-	"github.com/lpd-epfl/mvtl/internal/timestamp"
-)
+import "testing"
 
 // TestFramePathZeroAlloc is the deterministic alloc-regression gate
 // behind the FramePath benchmarks: the steady-state frame paths —
@@ -16,12 +12,7 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	resp := benchReadResp(1024)
-	single := ReadLockResp{
-		Status:    StatusOK,
-		VersionTS: timestamp.New(100, 1),
-		Value:     make([]byte, 1024),
-		Got:       timestamp.Span(timestamp.New(101, 1), timestamp.New(5000, 0)),
-	}
+	single := benchSingleReadResp()
 
 	fb := GetFrameBuf()
 	defer fb.Release()
@@ -50,14 +41,13 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		t.Errorf("read+decode (batch): %v allocs/op, want 0", n)
 	}
 
-	r2 := &loopReader{data: encodeRawFrame(t, TReadLockResp, single)}
+	r2 := &loopReader{data: encodeRawFrame(t, TReadLockBatchResp, &single)}
 	if n := testing.AllocsPerRun(200, func() {
 		if err := ReadFrame(r2, fb); err != nil {
 			t.Fatal(err)
 		}
-		m, err := DecodeReadLockResp(fb.Body())
-		if err != nil || len(m.Value) != 1024 {
-			t.Fatalf("%v %d", err, len(m.Value))
+		if err := out.DecodeInto(fb.Body()); err != nil || len(out.Results) != 1 || len(out.Results[0].Value) != 1024 {
+			t.Fatalf("%v %d", err, len(out.Results))
 		}
 	}); n != 0 {
 		t.Errorf("read+decode (single): %v allocs/op, want 0", n)
