@@ -61,11 +61,15 @@ type DB struct {
 	// mutex-guarded so Begin never serializes transactions behind a
 	// store-wide lock.
 	nextID atomic.Uint64
+
+	// scratch pools the transactions' working storage (*Scratch).
+	scratch sync.Pool
 }
 
 // New returns an empty store governed by the given policy.
 func New(policy Policy, opts Options) *DB {
 	db := &DB{policy: policy, opts: opts, waits: lock.NewWaitGraph()}
+	db.scratch.New = func() any { return new(Scratch) }
 	for i := range db.shards {
 		db.shards[i].keys = make(map[string]*KeyState)
 	}
@@ -109,13 +113,8 @@ func (db *DB) Begin(ctx context.Context) (*Txn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	id := db.nextID.Add(1)
-	tx := &Txn{
-		id:      id,
-		db:      db,
-		writes:  make(map[string][]byte),
-		touched: make(map[string]*KeyState),
-	}
+	tx := &Txn{id: db.nextID.Add(1), db: db}
+	tx.foot = tx.footBuf[:0]
 	tx.readset = tx.readsetBuf[:0]
 	tx.writeOrder = tx.writeOrderBuf[:0]
 	db.policy.Begin(tx)

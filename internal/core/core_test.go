@@ -309,3 +309,108 @@ func TestBlindWritesDoNotConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFinishedTxnHoldsNoScratch checks the pool's rule: once a
+// transaction has committed or aborted it can reach nothing that is
+// pooled, so whatever is done to it afterwards cannot disturb the
+// transaction its scratch went to — and what it still reports is its
+// own. (The server-side twin is TestServerStateOutlivesRequestFrame.)
+func TestFinishedTxnHoldsNoScratch(t *testing.T) {
+	for _, outcome := range []string{"committed", "aborted"} {
+		t.Run(outcome, func(t *testing.T) {
+			var ticks clock.Manual
+			ticks.Set(1000)
+			db := core.New(policy.NewTIL(clock.NewProcess(&ticks, 1), 100, policy.CommitEarly, true), core.Options{})
+			ctx := context.Background()
+
+			a, _ := db.Begin(ctx)
+			if _, err := a.Read(ctx, "x"); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Write(ctx, "y", []byte("from a")); err != nil {
+				t.Fatal(err)
+			}
+			aScratch := core.ScratchOf(a)
+			if aScratch == nil || a.PolicyState == nil {
+				t.Fatal("a running MVTIL transaction holds a scratch and its interval")
+			}
+			var aCommitTS timestamp.Timestamp
+			if outcome == "committed" {
+				if err := a.Commit(ctx); err != nil {
+					t.Fatal(err)
+				}
+				aCommitTS = a.CommitTS
+			} else if err := a.Abort(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if core.ScratchOf(a) != nil || a.PolicyState != nil {
+				t.Fatalf("the %s transaction still holds scratch %p, policy state %v", outcome, core.ScratchOf(a), a.PolicyState)
+			}
+
+			// b takes over a's scratch (the pool may hand out another
+			// under the race detector, which changes nothing below).
+			ticks.Advance(10_000)
+			b, _ := db.Begin(ctx)
+			if _, err := b.Read(ctx, "x"); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Write(ctx, "z", []byte("from b")); err != nil {
+				t.Fatal(err)
+			}
+			if got := core.ScratchOf(b); got != aScratch {
+				t.Logf("b runs on scratch %p, a ran on %p", got, aScratch)
+			}
+			bInterval := *b.PolicyState.(*timestamp.ShrinkingSet)
+
+			// Every method of the finished a: refused, or answered from
+			// a's own memory.
+			if _, err := a.Read(ctx, "x"); !errors.Is(err, kv.ErrTxnDone) {
+				t.Fatalf("Read on the %s transaction: %v", outcome, err)
+			}
+			if err := a.Write(ctx, "z", nil); !errors.Is(err, kv.ErrTxnDone) {
+				t.Fatalf("Write on the %s transaction: %v", outcome, err)
+			}
+			if err := a.Commit(ctx); !errors.Is(err, kv.ErrTxnDone) {
+				t.Fatalf("Commit on the %s transaction: %v", outcome, err)
+			}
+			if err := a.Abort(ctx); err != nil {
+				t.Fatalf("Abort on the %s transaction: %v", outcome, err)
+			}
+			if a.Committed() != (outcome == "committed") || a.Aborted() != (outcome == "aborted") {
+				t.Fatalf("the %s transaction reports committed=%v aborted=%v", outcome, a.Committed(), a.Aborted())
+			}
+			if a.CommitTS != aCommitTS {
+				t.Fatalf("CommitTS moved from %v to %v", aCommitTS, a.CommitTS)
+			}
+			if rs := a.ReadSet(); len(rs) != 1 || rs[0].Key != "x" {
+				t.Fatalf("ReadSet = %v", rs)
+			}
+			if wk := a.WriteKeys(); len(wk) != 1 || wk[0] != "y" {
+				t.Fatalf("WriteKeys = %v", wk)
+			}
+			if v, ok := a.PendingWrite("y"); !ok || string(v) != "from a" {
+				t.Fatalf("PendingWrite(y) = %q, %v", v, ok)
+			}
+			if _, ok := a.PendingWrite("z"); ok {
+				t.Fatal("PendingWrite(z) answers for b's write")
+			}
+			if !a.RestartHint.IsZero() {
+				t.Fatalf("RestartHint = %v", a.RestartHint)
+			}
+			if core.ScratchOf(a) != nil || a.PolicyState != nil {
+				t.Fatal("the finished transaction took a scratch again")
+			}
+
+			// None of which b noticed.
+			if got := b.PolicyState.(*timestamp.ShrinkingSet).Set(); !got.Equal(bInterval.Set()) || got.IsEmpty() {
+				t.Fatalf("b's interval went from %v to %v", bInterval.Set(), got)
+			}
+			if err := b.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if min, _ := bInterval.Set().Min(); b.CommitTS != min {
+				t.Fatalf("b committed at %v, want the bottom %v of its interval", b.CommitTS, min)
+			}
+		})
+	}
+}

@@ -12,16 +12,51 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
 
-// abortedErr wraps a policy failure as a kv.ErrAborted, keeping
+// abortError reports a policy failure as a kv.ErrAborted, keeping
 // lock.ErrDeadlock victims distinguishable via kv.ErrDeadlock so
 // callers can retry them immediately instead of backing off — the same
 // classification the distributed client derives from
-// wire.StatusDeadlock.
-func abortedErr(op string, err error) error {
-	if errors.Is(err, lock.ErrDeadlock) {
-		return fmt.Errorf("%s: %w (%w: %v)", op, kv.ErrAborted, kv.ErrDeadlock, err)
+// wire.StatusDeadlock. It is one value formatted on demand: an abort is
+// the contended path's common outcome, and most callers only classify
+// it. The cause is rendered, not wrapped.
+type abortError struct {
+	op       abortOp
+	key      string // of a read or write
+	cause    error
+	deadlock bool
+}
+
+// abortOp is the step of the transaction the policy failed in.
+type abortOp uint8
+
+const (
+	abortRead abortOp = iota
+	abortWrite
+	abortCommitLocks
+)
+
+func abortedErr(op abortOp, key string, cause error) error {
+	return &abortError{op: op, key: key, cause: cause, deadlock: errors.Is(cause, lock.ErrDeadlock)}
+}
+
+func (e *abortError) Error() string {
+	op := "commit locks"
+	switch e.op {
+	case abortRead:
+		op = fmt.Sprintf("read %q", e.key)
+	case abortWrite:
+		op = fmt.Sprintf("write %q", e.key)
 	}
-	return fmt.Errorf("%s: %w (%v)", op, kv.ErrAborted, err)
+	if e.deadlock {
+		return fmt.Sprintf("%s: %v (%v: %v)", op, kv.ErrAborted, kv.ErrDeadlock, e.cause)
+	}
+	return fmt.Sprintf("%s: %v (%v)", op, kv.ErrAborted, e.cause)
+}
+
+// Is makes the error match kv.ErrAborted, and kv.ErrDeadlock when a
+// deadlock caused the abort.
+func (e *abortError) Is(target error) bool {
+	return target == kv.ErrAborted || e.deadlock && target == kv.ErrDeadlock
 }
 
 // txnState tracks the lifecycle of a transaction.
@@ -42,6 +77,26 @@ type ReadRecord struct {
 	VersionTS timestamp.Timestamp
 }
 
+// footEntry is what the transaction knows about one key of its
+// footprint. ks is resolved when a policy first asks for the key's state
+// (Txn.Key) and nil until then: a write that locks nothing before commit
+// leaves it so. read: the policy served a Read of the key. written:
+// value is the buffered write.
+type footEntry struct {
+	key           string
+	ks            *KeyState
+	read, written bool
+	value         []byte
+}
+
+// A transaction within the inline capacities keeps all its bookkeeping
+// in its one allocation; a larger one spills to the heap and, past
+// footIndexAt keys, finds keys through an index.
+const (
+	footInline  = 8
+	footIndexAt = 32
+)
+
 // Txn is an MVTL transaction. It is not safe for concurrent use by
 // multiple goroutines.
 type Txn struct {
@@ -49,21 +104,30 @@ type Txn struct {
 	db    *DB
 	state txnState
 
+	// foot is the footprint: one entry per key, in order of first use —
+	// the order locks are cleaned up in. index finds a key's entry once
+	// foot outgrows a linear scan. writeOrder lists the written keys in
+	// order of first write.
+	foot       []footEntry
+	index      map[string]int32
 	readset    []ReadRecord
-	writes     map[string][]byte
 	writeOrder []string
-	// The first reads and writes live in the transaction record itself;
-	// only a footprint beyond eight of either moves to the heap.
+
+	footBuf       [footInline]footEntry
 	readsetBuf    [8]ReadRecord
 	writeOrderBuf [8]string
 
-	touched map[string]*KeyState
+	// scratch is the pooled working storage, nil before the first use
+	// and again once the transaction has finished.
+	scratch *Scratch
 
 	// CommitTS is the serialization timestamp, set on successful commit.
 	CommitTS timestamp.Timestamp
 
 	// PolicyState carries per-transaction policy data (timestamps,
-	// timestamp sets, priority flags, ...), owned by the policy.
+	// timestamp sets, priority flags, ...), owned by the policy. It may
+	// point into the Scratch, so it is cleared when the transaction
+	// finishes.
 	PolicyState any
 
 	// Priority marks the transaction as critical for priority-aware
@@ -90,16 +154,61 @@ func (tx *Txn) ID() uint64 { return tx.id }
 // Owner returns the transaction's lock-owner identity.
 func (tx *Txn) Owner() lock.Owner { return lock.Owner(tx.id) }
 
+// find returns the position of k's footprint entry, or -1.
+func (tx *Txn) find(k string) int {
+	if tx.index != nil {
+		if i, ok := tx.index[k]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i := range tx.foot {
+		if tx.foot[i].key == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// entry returns the position of k's footprint entry, adding a blank one
+// at the end on first mention.
+func (tx *Txn) entry(k string) int {
+	if i := tx.find(k); i >= 0 {
+		return i
+	}
+	tx.foot = append(tx.foot, footEntry{key: k})
+	switch {
+	case tx.index != nil:
+		tx.index[k] = int32(len(tx.foot) - 1)
+	case len(tx.foot) > footIndexAt:
+		tx.index = make(map[string]int32, 2*len(tx.foot))
+		for i := range tx.foot {
+			tx.index[tx.foot[i].key] = int32(i)
+		}
+	}
+	return len(tx.foot) - 1
+}
+
 // Key returns the lock/version state for k, registering it as touched so
 // that lock cleanup can find it. Policies must access keys only through
 // this method.
 func (tx *Txn) Key(k string) *KeyState {
-	ks, ok := tx.touched[k]
-	if !ok {
-		ks = tx.db.keyState(k)
-		tx.touched[k] = ks
+	e := &tx.foot[tx.entry(k)]
+	if e.ks == nil {
+		e.ks = tx.db.keyState(k)
 	}
-	return ks
+	return e.ks
+}
+
+// Scratch returns the transaction's working storage, taken from the
+// store's pool at first use. It goes back to the pool when the
+// transaction finishes: policies use it inside the operation they were
+// called for and keep nothing that points into it, bar Txn.PolicyState.
+func (tx *Txn) Scratch() *Scratch {
+	if tx.scratch == nil {
+		tx.scratch = tx.db.scratch.Get().(*Scratch)
+	}
+	return tx.scratch
 }
 
 // ReadSet returns the recorded reads.
@@ -111,8 +220,10 @@ func (tx *Txn) WriteKeys() []string { return tx.writeOrder }
 // PendingWrite returns the buffered value for k, if the transaction
 // wrote it.
 func (tx *Txn) PendingWrite(k string) ([]byte, bool) {
-	v, ok := tx.writes[k]
-	return v, ok
+	if i := tx.find(k); i >= 0 && tx.foot[i].written {
+		return tx.foot[i].value, true
+	}
+	return nil, false
 }
 
 // Aborted reports whether the transaction has aborted.
@@ -129,12 +240,14 @@ func (tx *Txn) Write(ctx context.Context, k string, value []byte) error {
 	}
 	if err := tx.db.policy.WriteLocks(ctx, tx, k); err != nil {
 		tx.abort()
-		return abortedErr(fmt.Sprintf("write %q", k), err)
+		return abortedErr(abortWrite, k, err)
 	}
-	if _, dup := tx.writes[k]; !dup {
+	e := &tx.foot[tx.entry(k)]
+	if !e.written {
+		e.written = true
 		tx.writeOrder = append(tx.writeOrder, k)
 	}
-	tx.writes[k] = value
+	e.value = value
 	return nil
 }
 
@@ -145,14 +258,16 @@ func (tx *Txn) Read(ctx context.Context, k string) ([]byte, error) {
 	if tx.state != stateActive {
 		return nil, kv.ErrTxnDone
 	}
-	if v, ok := tx.writes[k]; ok {
-		return v, nil
+	i := tx.entry(k)
+	if e := &tx.foot[i]; e.written {
+		return e.value, nil
 	}
 	ver, err := tx.db.policy.Read(ctx, tx, k)
 	if err != nil {
 		tx.abort()
-		return nil, abortedErr(fmt.Sprintf("read %q", k), err)
+		return nil, abortedErr(abortRead, k, err)
 	}
+	tx.foot[i].read = true
 	tx.readset = append(tx.readset, ReadRecord{Key: k, VersionTS: ver.TS})
 	return ver.Value, nil
 }
@@ -167,7 +282,7 @@ func (tx *Txn) Commit(ctx context.Context) error {
 	}
 	if err := tx.db.policy.CommitLocks(ctx, tx); err != nil {
 		tx.abort()
-		return abortedErr("commit locks", err)
+		return abortedErr(abortCommitLocks, "", err)
 	}
 
 	candidates := tx.candidateSet()
@@ -177,8 +292,10 @@ func (tx *Txn) Commit(ctx context.Context) error {
 	}
 	chosen, ok := tx.db.policy.CommitTS(tx, candidates)
 	if !ok || !candidates.Contains(chosen) {
+		// Rendered first: abort returns the candidates' storage.
+		err := fmt.Errorf("policy declined candidates %v: %w", candidates, kv.ErrAborted)
 		tx.abort()
-		return fmt.Errorf("policy declined candidates %v: %w", candidates, kv.ErrAborted)
+		return err
 	}
 	tx.CommitTS = chosen
 
@@ -188,15 +305,15 @@ func (tx *Txn) Commit(ctx context.Context) error {
 	// version (the Go-idiomatic counterpart of the §6 special-value
 	// construction that removes the atomic block of Alg. 1).
 	for _, k := range tx.writeOrder {
-		ks := tx.touched[k]
-		if err := ks.Versions.Install(chosen, tx.writes[k]); err != nil {
+		e := &tx.foot[tx.find(k)]
+		if err := e.ks.Versions.Install(chosen, e.value); err != nil {
 			// Unreachable while the write lock at the chosen timestamp
 			// is held and the purge bound trails active transactions;
 			// abort defensively.
 			tx.abort()
 			return fmt.Errorf("install %q at %v: %w (%v)", k, chosen, kv.ErrAborted, err)
 		}
-		ks.Locks.FreezeWriteAt(tx.Owner(), chosen)
+		e.ks.Locks.FreezeWriteAt(tx.Owner(), chosen)
 	}
 	tx.state = stateCommitted
 
@@ -212,6 +329,7 @@ func (tx *Txn) Commit(ctx context.Context) error {
 	if tx.db.policy.CommitGC(tx) {
 		tx.gc()
 	}
+	tx.finish()
 	return nil
 }
 
@@ -227,52 +345,30 @@ func (tx *Txn) Abort(context.Context) error {
 }
 
 // candidateSet computes T (Alg. 1 line 13): the timestamps read- or
-// write-locked on every key read, and write-locked on every key written.
-// One scratch pair of Owned snapshots is threaded through the whole
-// footprint, so per-key snapshot storage is reused instead of
-// reallocated key by key.
+// write-locked on every key read, and write-locked on every key written
+// (on a key both read and written the second requirement subsumes the
+// first). T and the Owned snapshots it is cut from are the transaction's
+// scratch, so neither is reallocated key by key, or transaction by
+// transaction. The result is good until the transaction finishes.
 func (tx *Txn) candidateSet() timestamp.Set {
-	candidates := timestamp.NewSet(timestamp.Full)
-
-	var readOrWrite, writeOnly timestamp.Set
-	for i, r := range tx.readset {
-		if _, alsoWritten := tx.writes[r.Key]; alsoWritten {
-			continue // the write-lock requirement below subsumes this key
-		}
-		if i < dedupeReads && tx.readBefore(i) {
+	sc := tx.Scratch()
+	sc.candidates.Reset(timestamp.Full)
+	for i := range tx.foot {
+		e := &tx.foot[i]
+		if !e.read && !e.written {
 			continue
 		}
-		tx.touched[r.Key].Locks.OwnedInto(tx.Owner(), &readOrWrite, &writeOnly)
-		candidates.IntersectInto(readOrWrite)
-		if candidates.IsEmpty() {
-			return candidates
+		e.ks.Locks.OwnedInto(tx.Owner(), &sc.readOrWrite, &sc.writeOnly)
+		if e.written {
+			sc.candidates.Intersect(sc.writeOnly)
+		} else {
+			sc.candidates.Intersect(sc.readOrWrite)
+		}
+		if sc.candidates.IsEmpty() {
+			break
 		}
 	}
-	for _, k := range tx.writeOrder {
-		tx.touched[k].Locks.OwnedInto(tx.Owner(), &readOrWrite, &writeOnly)
-		candidates.IntersectInto(writeOnly)
-		if candidates.IsEmpty() {
-			return candidates
-		}
-	}
-	return candidates
-}
-
-// dedupeReads bounds the duplicate check of candidateSet. Intersecting
-// one key's locks twice changes nothing, so skipping a repeated key only
-// saves work — and past this many reads the quadratic scan would cost
-// more than it saves.
-const dedupeReads = 64
-
-// readBefore reports whether the key of readset[i] was already read by an
-// earlier entry.
-func (tx *Txn) readBefore(i int) bool {
-	for _, r := range tx.readset[:i] {
-		if r.Key == tx.readset[i].Key {
-			return true
-		}
-	}
-	return false
+	return sc.candidates.Set()
 }
 
 // abort marks the transaction aborted and cleans up its locks. Policies
@@ -281,15 +377,19 @@ func (tx *Txn) readBefore(i int) bool {
 // not leave write intentions behind.
 func (tx *Txn) abort() {
 	tx.state = stateAborted
-	if tx.db.policy.CommitGC(tx) {
-		for _, ks := range tx.touched {
-			ks.Locks.ReleaseUnfrozen(tx.Owner())
+	all := tx.db.policy.CommitGC(tx)
+	for i := range tx.foot {
+		ks := tx.foot[i].ks
+		if ks == nil {
+			continue
 		}
-		return
+		if all {
+			ks.Locks.ReleaseUnfrozen(tx.Owner())
+		} else {
+			ks.Locks.ReleaseWrites(tx.Owner())
+		}
 	}
-	for _, ks := range tx.touched {
-		ks.Locks.ReleaseWrites(tx.Owner())
-	}
+	tx.finish()
 }
 
 // gc implements Alg. 1 lines 22-26 for a committed transaction: freeze
@@ -298,10 +398,25 @@ func (tx *Txn) abort() {
 func (tx *Txn) gc() {
 	for _, r := range tx.readset {
 		iv := timestamp.Span(r.VersionTS.Next(), tx.CommitTS)
-		tx.touched[r.Key].Locks.FreezeReadIn(tx.Owner(), iv)
+		tx.foot[tx.find(r.Key)].ks.Locks.FreezeReadIn(tx.Owner(), iv)
 	}
-	for _, ks := range tx.touched {
-		ks.Locks.ReleaseUnfrozen(tx.Owner())
+	for i := range tx.foot {
+		if ks := tx.foot[i].ks; ks != nil {
+			ks.Locks.ReleaseUnfrozen(tx.Owner())
+		}
+	}
+}
+
+// finish ends the transaction's use of pooled storage once it has
+// committed or aborted and cleaned up: the scratch goes back to the
+// store, and the policy state, which may point into it, goes with it.
+// Everything a finished transaction still answers (CommitTS, ReadSet,
+// WriteKeys, PendingWrite, RestartHint) is in the Txn's own memory.
+func (tx *Txn) finish() {
+	tx.PolicyState = nil
+	if sc := tx.scratch; sc != nil {
+		tx.scratch = nil
+		tx.db.scratch.Put(sc)
 	}
 }
 

@@ -22,17 +22,42 @@
 //
 // # Performance model
 //
-// The entries slice is kept sorted by interval start and augmented with a
-// running prefix maximum of interval ends (maxHi, which is monotone, so
-// it can be binary searched). Every conflict scan — first conflict,
-// conflict partitioning, blocker collection, freeze and targeted release
-// — narrows the slice to the candidate index window [first entry whose
-// prefix-max end reaches the query, first entry starting past the query)
-// in O(log n) and walks only that window: O(log n + k) per scan for k
-// candidates, where the previous implementation walked all n entries.
-// Structural updates (insert, remove) were already O(n) from the slice
-// copy; maintaining maxHi adds a second O(n) pass, leaving their
-// complexity unchanged.
+// A table keeps two lists of records, each sorted by interval start:
+// live holds the unfrozen records (running transactions, and the read
+// locks MVTO-style policies leave behind), frozen holds history. A
+// record's frozen bit is the list that holds it, so an operation pays
+// for the list it concerns, not for both:
+//
+//   - releasing, taking or splitting an owner's unfrozen locks, the
+//     blocker scans that feed the wait-for graph, and every unfrozen
+//     insert touch only live — O(live), however long the key's history;
+//   - PurgeFrozenBelow and the frozen half of a conflict scan touch only
+//     frozen, and Stats reads two lengths;
+//   - a conflict scan (AcquireRead's first conflict, AcquireWrite's
+//     conflict sets) looks at both, live first;
+//   - OwnedInto walks live, and merges history in only when the owner
+//     filter below lets it.
+//
+// Past indexLen records a list also carries a running prefix maximum of
+// interval ends (maxHi, monotone, so it can be binary searched): a scan
+// narrows to the window [first record whose prefix-max end reaches the
+// query, first record starting past the query) in O(log n) and walks only
+// that, O(log n + k) for k candidates. A list of at most indexLen records
+// has no index and is scanned whole, which is faster than two binary
+// searches and spares every cold key the index's allocation; a list's
+// record slice starts at capacity initialCap, so that a cold key's one
+// or two records cost one allocation per list. Structural updates
+// (insert, remove) are O(n) in the list they change, from the slice copy
+// and the index repair behind it.
+//
+// The table knows the smallest and the largest owner id in its frozen
+// list (widened by every freeze, recomputed by every purge). An owner
+// outside those bounds has no frozen record — as a filter the bounds
+// are exact — and OwnedInto then never reads history. Transaction ids
+// grow with time, so a transaction that has not frozen anything on the
+// key yet is usually above the bounds; one that falls inside them
+// without a record (a younger transaction froze first) pays one
+// O(frozen) merge walk.
 //
 // Blocked acquisitions park on a per-waiter channel tagged with the
 // intervals the waiter is blocked on. A release, freeze or purge wakes
@@ -48,6 +73,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -115,24 +141,50 @@ type ReadResult struct {
 	FrozenAt timestamp.Interval
 }
 
-// WriteResult reports the outcome of AcquireWrite.
+// WriteResult reports the outcome of a write acquisition. A caller that
+// keeps one WriteResult and hands it to AcquireWriteInto again and again
+// stops allocating once its sets have grown: besides the two results it
+// holds the conflict scan's working sets, which cannot live in the Table
+// (an acquisition that parks drops the table mutex).
 type WriteResult struct {
 	// Got is the set of write-locked timestamps acquired (it may have
-	// holes when Partial is set). When nothing was denied it may share
-	// storage with the request set, so callers must not mutate it in
-	// place.
+	// holes when Partial is set).
 	Got timestamp.Set
 	// Denied is the subset of the request that conflicts prevented,
 	// intersected with the request.
 	Denied timestamp.Set
+
+	// frozenConf and liveConf are the request's timestamps that conflict
+	// with other owners' frozen and unfrozen records.
+	frozenConf, liveConf timestamp.Set
 }
 
-// entry is one interval-compressed lock record.
+// entry is one interval-compressed lock record. It has no frozen bit:
+// the list that holds it says whether it is frozen.
 type entry struct {
-	iv     timestamp.Interval
-	owner  Owner
-	mode   Mode
-	frozen bool
+	iv    timestamp.Interval
+	owner Owner
+	mode  Mode
+}
+
+const (
+	// indexLen is the list length past which the prefix-max index is
+	// kept; a list this short or shorter is scanned whole.
+	indexLen = 8
+	// initialCap is the capacity a list's record slice starts with.
+	initialCap = 2
+)
+
+// list is a sequence of lock records sorted by interval start, with the
+// prefix-max index over interval ends while it is long enough to need
+// one (see "Performance model" in the package comment). Table guards it.
+type list struct {
+	entries []entry // sorted by iv.Lo
+	// maxHi[i] is the maximum iv.Hi over entries[0..i] while
+	// len(entries) > indexLen, and empty otherwise. It is monotone
+	// non-decreasing, so binary search finds the first index whose
+	// prefix can still overlap a query interval.
+	maxHi []timestamp.Timestamp
 }
 
 // waiter is one parked acquisition: spans are the intervals it is
@@ -171,12 +223,12 @@ func (w *waiter) overlaps(iv timestamp.Interval) bool {
 // Table is the freezable interval lock table for one key. The zero value
 // is not ready for use; call NewTable.
 type Table struct {
-	mu      sync.Mutex
-	entries []entry // sorted by iv.Lo
-	// maxHi[i] is the maximum iv.Hi over entries[0..i]. It is monotone
-	// non-decreasing, so binary search finds the first index whose
-	// prefix can still overlap a query interval.
-	maxHi []timestamp.Timestamp
+	mu sync.Mutex
+	// live holds the unfrozen records, frozen the frozen ones.
+	live, frozen list
+	// frozenMinOwner and frozenMaxOwner are the smallest and the largest
+	// owner of the records in frozen; they say nothing while it is empty.
+	frozenMinOwner, frozenMaxOwner Owner
 	// waiters are the currently parked acquisitions, in no particular
 	// order. waitLo/waitHi bound the union of their spans (they may
 	// overshoot after waiters leave; they are tightened whenever the
@@ -248,20 +300,18 @@ func (t *Table) AcquireRead(ctx context.Context, owner Owner, iv timestamp.Inter
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		conf, ok := t.firstConflictLocked(owner, iv, ModeRead)
+		conf, frozen, ok := t.firstWriteOverLocked(owner, iv)
 		if !ok {
-			t.insertLocked(entry{iv: iv, owner: owner, mode: ModeRead})
+			t.insertLiveLocked(entry{iv: iv, owner: owner, mode: ModeRead})
 			return ReadResult{Got: iv}, nil
 		}
-		if conf.frozen {
-			res := ReadResult{Frozen: true, FrozenAt: conf.iv}
+		if frozen {
+			res := ReadResult{Frozen: true, FrozenAt: conf}
 			if !opts.Partial {
-				return res, fmt.Errorf("read %v blocked at %v: %w", iv, conf.iv, ErrFrozen)
+				return res, fmt.Errorf("read %v blocked at %v: %w", iv, conf, ErrFrozen)
 			}
-			res.Got = prefixBefore(iv, conf.iv)
-			if !res.Got.IsEmpty() {
-				t.insertLocked(entry{iv: res.Got, owner: owner, mode: ModeRead})
-			}
+			res.Got = prefixBefore(iv, conf)
+			t.insertLiveLocked(entry{iv: res.Got, owner: owner, mode: ModeRead})
 			return res, nil
 		}
 		// Unfrozen conflict.
@@ -270,20 +320,18 @@ func (t *Table) AcquireRead(ctx context.Context, owner Owner, iv timestamp.Inter
 				spanBuf[0] = iv
 				spans = spanBuf[:]
 			}
-			t.blockerScratch = t.blockersForReadLocked(owner, iv, t.blockerScratch[:0])
+			t.blockerScratch = t.live.blockersForRead(owner, iv, t.blockerScratch[:0])
 			if err := t.blockLocked(ctx, owner, ModeRead, t.blockerScratch, spans); err != nil {
 				return ReadResult{}, err
 			}
 			continue
 		}
 		if opts.Partial {
-			res := ReadResult{Got: prefixBefore(iv, conf.iv)}
-			if !res.Got.IsEmpty() {
-				t.insertLocked(entry{iv: res.Got, owner: owner, mode: ModeRead})
-			}
+			res := ReadResult{Got: prefixBefore(iv, conf)}
+			t.insertLiveLocked(entry{iv: res.Got, owner: owner, mode: ModeRead})
 			return res, nil
 		}
-		return ReadResult{}, fmt.Errorf("read %v blocked at %v: %w", iv, conf.iv, ErrConflict)
+		return ReadResult{}, fmt.Errorf("read %v blocked at %v: %w", iv, conf, ErrConflict)
 	}
 }
 
@@ -291,40 +339,58 @@ func (t *Table) AcquireRead(ctx context.Context, owner Owner, iv timestamp.Inter
 // Unlike reads, writes have no contiguity requirement (§3): with Partial
 // set, every requested timestamp not blocked by a conflict is acquired.
 func (t *Table) AcquireWrite(ctx context.Context, owner Owner, req timestamp.Set, opts Options) (WriteResult, error) {
+	var res WriteResult
+	err := t.AcquireWriteInto(ctx, owner, req, opts, &res)
+	return res, err
+}
+
+// AcquireWriteInto is AcquireWrite reporting into a caller-provided
+// result, whose previous contents are discarded and whose storage is
+// reused. req must not share storage with any set of res — a caller that
+// adopts res.Got as its next request swaps the two sets instead of
+// assigning one to the other.
+func (t *Table) AcquireWriteInto(ctx context.Context, owner Owner, req timestamp.Set, opts Options, res *WriteResult) error {
+	res.Got.Reset()
+	res.Denied.Reset()
 	if req.IsEmpty() {
-		return WriteResult{}, nil
+		return nil
 	}
 	var spanBuf [4]timestamp.Interval
 	var spans []timestamp.Interval
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		frozenConf, unfrozenConf := t.conflictSetsLocked(owner, req, ModeWrite)
-		if !unfrozenConf.IsEmpty() && opts.Wait {
+		res.frozenConf.Reset()
+		if len(t.frozen.entries) > 0 {
+			t.frozen.conflictsInto(owner, req, &res.frozenConf)
+		}
+		res.liveConf.Reset()
+		if len(t.live.entries) > 0 {
+			t.live.conflictsInto(owner, req, &res.liveConf)
+		}
+		if !res.liveConf.IsEmpty() && opts.Wait {
 			if spans == nil {
 				spans = req.AppendIntervals(spanBuf[:0])
 			}
-			t.blockerScratch = t.blockersForWriteLocked(owner, req, t.blockerScratch[:0])
+			t.blockerScratch = t.live.blockersForWrite(owner, req, t.blockerScratch[:0])
 			if err := t.blockLocked(ctx, owner, ModeWrite, t.blockerScratch, spans); err != nil {
-				return WriteResult{}, err
+				return err
 			}
 			continue
 		}
-		denied := frozenConf
-		denied.UnionInPlace(unfrozenConf)
-		if !denied.IsEmpty() && !opts.Partial {
+		res.Denied.SetUnion(res.frozenConf, res.liveConf)
+		if !res.Denied.IsEmpty() && !opts.Partial {
 			err := ErrConflict
-			if !frozenConf.IsEmpty() {
+			if !res.frozenConf.IsEmpty() {
 				err = ErrFrozen
 			}
-			return WriteResult{Denied: denied}, fmt.Errorf("write %v blocked by %v: %w", req, denied, err)
+			return fmt.Errorf("write %v blocked by %v: %w", req, res.Denied, err)
 		}
-		got := req
-		got.SubtractInto(denied)
-		for i := 0; i < got.NumIntervals(); i++ {
-			t.insertLocked(entry{iv: got.At(i), owner: owner, mode: ModeWrite})
+		res.Got.SetSubtract(req, res.Denied)
+		for i := 0; i < res.Got.NumIntervals(); i++ {
+			t.insertLiveLocked(entry{iv: res.Got.At(i), owner: owner, mode: ModeWrite})
 		}
-		return WriteResult{Got: got, Denied: denied}, nil
+		return nil
 	}
 }
 
@@ -335,27 +401,20 @@ func (t *Table) AcquireWrite(ctx context.Context, owner Owner, req timestamp.Set
 func (t *Table) FreezeWriteAt(owner Owner, ts timestamp.Timestamp) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	point := timestamp.Point(ts)
-	lo, hi := t.overlapRangeLocked(point)
-	for i := lo; i < hi; i++ {
-		e := t.entries[i]
-		if e.owner != owner || e.mode != ModeWrite || !e.iv.Contains(ts) {
-			continue
-		}
-		if e.frozen {
-			return true
-		}
-		below, above := e.iv.Subtract(point)
-		t.removeAtLocked(i)
-		t.insertLocked(entry{iv: point, owner: owner, mode: ModeWrite, frozen: true})
-		t.insertLocked(entry{iv: below, owner: owner, mode: ModeWrite})
-		t.insertLocked(entry{iv: above, owner: owner, mode: ModeWrite})
-		// Only the frozen point changed state; waiters blocked on the
-		// unfrozen remainder stay blocked.
-		t.wakeOverlappingLocked(point)
-		return true
+	i := t.live.writeAt(owner, ts)
+	if i < 0 {
+		return t.frozen.writeAt(owner, ts) >= 0
 	}
-	return false
+	point := timestamp.Point(ts)
+	below, above := t.live.entries[i].iv.Subtract(point)
+	t.live.removeAt(i)
+	t.insertFrozenLocked(entry{iv: point, owner: owner, mode: ModeWrite})
+	t.insertLiveLocked(entry{iv: below, owner: owner, mode: ModeWrite})
+	t.insertLiveLocked(entry{iv: above, owner: owner, mode: ModeWrite})
+	// Only the frozen point changed state; waiters blocked on the
+	// unfrozen remainder stay blocked.
+	t.wakeOverlappingLocked(point)
+	return true
 }
 
 // FreezeReadIn freezes the portions of the owner's read locks inside iv,
@@ -367,15 +426,15 @@ func (t *Table) FreezeReadIn(owner Owner, iv timestamp.Interval) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		held, ok := t.takeLastReadInLocked(owner, iv)
+		held, ok := t.live.takeLastReadIn(owner, iv)
 		if !ok {
 			return
 		}
 		frozenPart := held.Intersect(iv)
 		below, above := held.Subtract(frozenPart)
-		t.insertLocked(entry{iv: frozenPart, owner: owner, mode: ModeRead, frozen: true})
-		t.insertLocked(entry{iv: below, owner: owner, mode: ModeRead})
-		t.insertLocked(entry{iv: above, owner: owner, mode: ModeRead})
+		t.insertFrozenLocked(entry{iv: frozenPart, owner: owner, mode: ModeRead})
+		t.insertLiveLocked(entry{iv: below, owner: owner, mode: ModeRead})
+		t.insertLiveLocked(entry{iv: above, owner: owner, mode: ModeRead})
 		// Writers parked on the now-frozen range must observe the
 		// permanent denial.
 		t.wakeOverlappingLocked(frozenPart)
@@ -409,13 +468,13 @@ func (t *Table) ReleaseReadIn(owner Owner, iv timestamp.Interval) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		held, ok := t.takeLastReadInLocked(owner, iv)
+		held, ok := t.live.takeLastReadIn(owner, iv)
 		if !ok {
 			return
 		}
 		below, above := held.Subtract(iv)
-		t.insertLocked(entry{iv: below, owner: owner, mode: ModeRead})
-		t.insertLocked(entry{iv: above, owner: owner, mode: ModeRead})
+		t.insertLiveLocked(entry{iv: below, owner: owner, mode: ModeRead})
+		t.insertLiveLocked(entry{iv: above, owner: owner, mode: ModeRead})
 		t.wakeOverlappingLocked(held.Intersect(iv))
 	}
 }
@@ -437,10 +496,22 @@ func (t *Table) OwnedInto(owner Owner, readOrWrite, writeOnly *timestamp.Set) {
 	writeOnly.Reset()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Entries are sorted by start, so the in-place adds stay on the
-	// cheap append/extend path.
-	for i := range t.entries {
-		e := &t.entries[i]
+	live, frozen := t.live.entries, t.frozen.entries
+	if owner < t.frozenMinOwner || owner > t.frozenMaxOwner {
+		frozen = nil
+	}
+	// Records are taken in start order — across both lists when the
+	// owner may have history — so the in-place adds stay on the cheap
+	// append/extend path.
+	for i, j := 0, 0; i < len(live) || j < len(frozen); {
+		var e *entry
+		if j == len(frozen) || i < len(live) && live[i].iv.Lo.AtOrBefore(frozen[j].iv.Lo) {
+			e = &live[i]
+			i++
+		} else {
+			e = &frozen[j]
+			j++
+		}
 		if e.owner != owner {
 			continue
 		}
@@ -462,24 +533,37 @@ func (t *Table) OwnedInto(owner Owner, readOrWrite, writeOnly *timestamp.Set) {
 func (t *Table) PurgeFrozenBelow(ts timestamp.Timestamp) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	kept := t.entries[:0]
-	removed := 0
+	l := &t.frozen
+	kept := l.entries[:0]
 	removedAt := -1
-	for i, e := range t.entries {
-		if e.frozen && e.iv.Hi.Before(ts) {
+	t.frozenMinOwner, t.frozenMaxOwner = 0, 0
+	for i, e := range l.entries {
+		if e.iv.Hi.Before(ts) {
 			if removedAt < 0 {
 				removedAt = i
 			}
-			removed++
 			continue
 		}
+		t.noteFrozenOwnerLocked(e.owner, len(kept) == 0)
 		kept = append(kept, e)
 	}
-	t.entries = kept
+	removed := len(l.entries) - len(kept)
+	l.entries = kept
 	if removedAt >= 0 {
-		t.fixMaxHiFrom(removedAt)
+		l.reindex(removedAt)
 	}
 	return removed
+}
+
+// noteFrozenOwnerLocked widens the frozen list's owner bounds to cover
+// owner; first says the list holds no other record.
+func (t *Table) noteFrozenOwnerLocked(owner Owner, first bool) {
+	if first || owner < t.frozenMinOwner {
+		t.frozenMinOwner = owner
+	}
+	if first || owner > t.frozenMaxOwner {
+		t.frozenMaxOwner = owner
+	}
 }
 
 // Stats summarizes the table's lock state size.
@@ -494,13 +578,7 @@ type Stats struct {
 func (t *Table) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := Stats{Entries: len(t.entries)}
-	for _, e := range t.entries {
-		if e.frozen {
-			s.Frozen++
-		}
-	}
-	return s
+	return Stats{Entries: len(t.live.entries) + len(t.frozen.entries), Frozen: len(t.frozen.entries)}
 }
 
 // EntryInfo is an exported view of one lock record, for tests and
@@ -512,40 +590,48 @@ type EntryInfo struct {
 	Frozen   bool
 }
 
-// Snapshot returns a copy of the lock records, sorted by interval start.
+// Snapshot returns a copy of the lock records, sorted by interval start:
+// the merge of the unfrozen and the frozen list.
 func (t *Table) Snapshot() []EntryInfo {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]EntryInfo, len(t.entries))
-	for i, e := range t.entries {
-		out[i] = EntryInfo{Interval: e.iv, Owner: e.owner, Mode: e.mode, Frozen: e.frozen}
+	live, frozen := t.live.entries, t.frozen.entries
+	out := make([]EntryInfo, 0, len(live)+len(frozen))
+	for i, j := 0, 0; i < len(live) || j < len(frozen); {
+		if j == len(frozen) || i < len(live) && live[i].iv.Lo.AtOrBefore(frozen[j].iv.Lo) {
+			out = append(out, EntryInfo{Interval: live[i].iv, Owner: live[i].owner, Mode: live[i].mode})
+			i++
+		} else {
+			out = append(out, EntryInfo{Interval: frozen[j].iv, Owner: frozen[j].owner, Mode: frozen[j].mode, Frozen: true})
+			j++
+		}
 	}
 	return out
 }
 
-// Validate checks the table's core invariants — write locks are exclusive
-// against locks of other owners, entries are sorted, and the prefix-max
-// index matches the entries — and returns an error describing the first
-// violation. It is intended for tests.
+// Validate checks the table's core invariants — each list is sorted and
+// carries its prefix-max index exactly when it is long enough to, the
+// owner bounds cover every frozen record, and write locks are exclusive
+// against locks of other owners within and across the lists — and
+// returns an error describing the first violation. It is intended for
+// tests.
 func (t *Table) Validate() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var max timestamp.Timestamp
-	for i, a := range t.entries {
-		if a.iv.IsEmpty() {
-			return fmt.Errorf("entry %d has empty interval", i)
+	if err := t.live.validate(); err != nil {
+		return fmt.Errorf("live list: %w", err)
+	}
+	if err := t.frozen.validate(); err != nil {
+		return fmt.Errorf("frozen list: %w", err)
+	}
+	for i, e := range t.frozen.entries {
+		if e.owner < t.frozenMinOwner || e.owner > t.frozenMaxOwner {
+			return fmt.Errorf("frozen entry %d: owner %d outside the bounds [%d,%d]", i, e.owner, t.frozenMinOwner, t.frozenMaxOwner)
 		}
-		if i > 0 && a.iv.Lo.Before(t.entries[i-1].iv.Lo) {
-			return fmt.Errorf("entry %d starts before entry %d", i, i-1)
-		}
-		max = timestamp.Max(max, a.iv.Hi)
-		if len(t.maxHi) != len(t.entries) {
-			return fmt.Errorf("maxHi length %d != entries length %d", len(t.maxHi), len(t.entries))
-		}
-		if t.maxHi[i] != max {
-			return fmt.Errorf("maxHi[%d] = %v, want %v", i, t.maxHi[i], max)
-		}
-		for _, b := range t.entries[i+1:] {
+	}
+	all := append(append([]entry(nil), t.live.entries...), t.frozen.entries...)
+	for i, a := range all {
+		for _, b := range all[i+1:] {
 			if a.owner == b.owner {
 				continue
 			}
@@ -556,6 +642,31 @@ func (t *Table) Validate() error {
 				return fmt.Errorf("conflict between %v/%v(owner %d) and %v/%v(owner %d)",
 					a.iv, a.mode, a.owner, b.iv, b.mode, b.owner)
 			}
+		}
+	}
+	return nil
+}
+
+// validate checks one list's order and index.
+func (l *list) validate() error {
+	wantIndex := 0
+	if len(l.entries) > indexLen {
+		wantIndex = len(l.entries)
+	}
+	if len(l.maxHi) != wantIndex {
+		return fmt.Errorf("%d entries with an index of length %d, want %d", len(l.entries), len(l.maxHi), wantIndex)
+	}
+	var max timestamp.Timestamp
+	for i, e := range l.entries {
+		if e.iv.IsEmpty() {
+			return fmt.Errorf("entry %d has empty interval", i)
+		}
+		if i > 0 && e.iv.Lo.Before(l.entries[i-1].iv.Lo) {
+			return fmt.Errorf("entry %d starts before entry %d", i, i-1)
+		}
+		max = timestamp.Max(max, e.iv.Hi)
+		if wantIndex > 0 && l.maxHi[i] != max {
+			return fmt.Errorf("maxHi[%d] = %v, want %v", i, l.maxHi[i], max)
 		}
 	}
 	return nil
@@ -696,30 +807,29 @@ func (t *Table) blockLocked(ctx context.Context, owner Owner, mode Mode, holders
 	return nil
 }
 
-// blockersForReadLocked appends the owners of unfrozen write locks
-// conflicting with a read of iv to dst. Callers hold t.mu.
-func (t *Table) blockersForReadLocked(owner Owner, iv timestamp.Interval, dst []Owner) []Owner {
-	lo, hi := t.overlapRangeLocked(iv)
+// blockersForRead appends the owners of the list's write locks
+// conflicting with a read of iv to dst.
+func (l *list) blockersForRead(owner Owner, iv timestamp.Interval, dst []Owner) []Owner {
+	lo, hi := l.window(iv)
 	for i := lo; i < hi; i++ {
-		e := &t.entries[i]
-		if e.owner != owner && e.mode == ModeWrite && !e.frozen && e.iv.Overlaps(iv) {
+		e := &l.entries[i]
+		if e.owner != owner && e.mode == ModeWrite && e.iv.Overlaps(iv) {
 			dst = append(dst, e.owner)
 		}
 	}
 	return dst
 }
 
-// blockersForWriteLocked appends the owners of unfrozen locks
-// conflicting with a write of req to dst. Callers hold t.mu. Owners
-// holding several conflicting records may appear more than once; the
-// wait-for graph deduplicates.
-func (t *Table) blockersForWriteLocked(owner Owner, req timestamp.Set, dst []Owner) []Owner {
+// blockersForWrite appends the owners of the list's locks conflicting
+// with a write of req to dst. Owners holding several conflicting records
+// may appear more than once; the wait-for graph deduplicates.
+func (l *list) blockersForWrite(owner Owner, req timestamp.Set, dst []Owner) []Owner {
 	for r := 0; r < req.NumIntervals(); r++ {
 		riv := req.At(r)
-		lo, hi := t.overlapRangeLocked(riv)
+		lo, hi := l.window(riv)
 		for i := lo; i < hi; i++ {
-			e := &t.entries[i]
-			if e.owner != owner && !e.frozen && e.iv.Overlaps(riv) {
+			e := &l.entries[i]
+			if e.owner != owner && e.iv.Overlaps(riv) {
 				dst = append(dst, e.owner)
 			}
 		}
@@ -727,52 +837,65 @@ func (t *Table) blockersForWriteLocked(owner Owner, req timestamp.Set, dst []Own
 	return dst
 }
 
-// firstConflictLocked returns the conflicting entry with the smallest
-// start that overlaps iv, from the perspective of an acquisition in the
-// given mode by the given owner. Entries are sorted by start, so the
-// first overlapping entry in index order is the answer.
-func (t *Table) firstConflictLocked(owner Owner, iv timestamp.Interval, mode Mode) (entry, bool) {
-	lo, hi := t.overlapRangeLocked(iv)
-	for i := lo; i < hi; i++ {
-		e := &t.entries[i]
-		if e.owner == owner || !e.iv.Overlaps(iv) {
-			continue
-		}
-		if mode == ModeRead && e.mode == ModeRead {
-			continue
-		}
-		return *e, true
+// firstWriteOverLocked returns the interval of the write lock of another
+// owner that overlaps iv and starts first — what a read of iv conflicts
+// with first — and whether it is frozen. When an unfrozen and a frozen
+// one start together, the unfrozen one is reported. Callers hold t.mu.
+func (t *Table) firstWriteOverLocked(owner Owner, iv timestamp.Interval) (conf timestamp.Interval, frozen, ok bool) {
+	if len(t.live.entries) > 0 {
+		conf, ok = t.live.firstWriteOver(owner, iv)
 	}
-	return entry{}, false
+	if len(t.frozen.entries) > 0 {
+		if f, fok := t.frozen.firstWriteOver(owner, iv); fok && (!ok || f.Lo.Before(conf.Lo)) {
+			return f, true, true
+		}
+	}
+	return conf, false, ok
 }
 
-// conflictSetsLocked partitions the timestamps of req that conflict with
-// other owners' locks into frozen and unfrozen sets, for a write-mode
-// acquisition.
-func (t *Table) conflictSetsLocked(owner Owner, req timestamp.Set, mode Mode) (frozen, unfrozen timestamp.Set) {
+// firstWriteOver is the list's part of firstWriteOverLocked. Entries are
+// sorted by start, so the first match in index order is the answer.
+func (l *list) firstWriteOver(owner Owner, iv timestamp.Interval) (timestamp.Interval, bool) {
+	lo, hi := l.window(iv)
+	for i := lo; i < hi; i++ {
+		e := &l.entries[i]
+		if e.owner != owner && e.mode == ModeWrite && e.iv.Overlaps(iv) {
+			return e.iv, true
+		}
+	}
+	return timestamp.Empty, false
+}
+
+// conflictsInto adds to dst the timestamps of req covered by the list's
+// records of other owners: what a write of req conflicts with. Within a
+// request interval the overlaps come in start order, so the in-place
+// adds stay on the cheap append/extend path.
+func (l *list) conflictsInto(owner Owner, req timestamp.Set, dst *timestamp.Set) {
 	for r := 0; r < req.NumIntervals(); r++ {
 		riv := req.At(r)
-		lo, hi := t.overlapRangeLocked(riv)
+		lo, hi := l.window(riv)
 		for i := lo; i < hi; i++ {
-			e := &t.entries[i]
+			e := &l.entries[i]
 			if e.owner == owner {
 				continue
 			}
-			if mode == ModeRead && e.mode == ModeRead {
-				continue
-			}
-			x := riv.Intersect(e.iv)
-			if x.IsEmpty() {
-				continue
-			}
-			if e.frozen {
-				frozen.AddInPlace(x)
-			} else {
-				unfrozen.AddInPlace(x)
+			if x := riv.Intersect(e.iv); !x.IsEmpty() {
+				dst.AddInPlace(x)
 			}
 		}
 	}
-	return frozen, unfrozen
+}
+
+// writeAt returns the index of the owner's write lock covering ts, or -1.
+func (l *list) writeAt(owner Owner, ts timestamp.Timestamp) int {
+	lo, hi := l.window(timestamp.Point(ts))
+	for i := lo; i < hi; i++ {
+		e := &l.entries[i]
+		if e.owner == owner && e.mode == ModeWrite && e.iv.Contains(ts) {
+			return i
+		}
+	}
+	return -1
 }
 
 // prefixBefore returns the part of iv strictly before the conflicting
@@ -784,91 +907,142 @@ func prefixBefore(iv, conf timestamp.Interval) timestamp.Interval {
 	return timestamp.Interval{Lo: iv.Lo, Hi: timestamp.Min(iv.Hi, conf.Lo.Prev())}
 }
 
-// overlapRangeLocked returns the half-open index window [lo, hi) of
-// entries that may overlap q: entries before lo all end below q.Lo
-// (their prefix max end is too small) and entries from hi on all start
-// above q.Hi. Entries inside the window still need an Overlaps check.
-// Callers hold t.mu.
-func (t *Table) overlapRangeLocked(q timestamp.Interval) (int, int) {
-	n := len(t.entries)
-	if n == 0 || q.IsEmpty() {
-		return 0, 0
+// window returns the half-open index window [lo, hi) of entries that may
+// overlap q; entries inside it still need an Overlaps check. A list too
+// short to carry the index is its own window.
+func (l *list) window(q timestamp.Interval) (lo, hi int) {
+	if hi = len(l.entries); hi > indexLen {
+		lo, hi = l.indexedWindow(q)
 	}
-	lo := sort.Search(n, func(i int) bool { return t.maxHi[i].AtOrAfter(q.Lo) })
-	hi := sort.Search(n, func(i int) bool { return t.entries[i].iv.Lo.After(q.Hi) })
+	return lo, hi
+}
+
+// indexedWindow is window over the index: entries before lo all end
+// below q.Lo (their prefix max end is too small) and entries from hi on
+// all start above q.Hi. It is apart so that window's short-list case
+// inlines into the scans.
+func (l *list) indexedWindow(q timestamp.Interval) (int, int) {
+	n := len(l.entries)
+	lo := sort.Search(n, func(i int) bool { return l.maxHi[i].AtOrAfter(q.Lo) })
+	hi := sort.Search(n, func(i int) bool { return l.entries[i].iv.Lo.After(q.Hi) })
 	if hi < lo {
 		hi = lo
 	}
 	return lo, hi
 }
 
-// fixMaxHiFrom recomputes the prefix-max index from position pos to the
-// end, resizing it to match the entries slice. Callers hold t.mu.
-func (t *Table) fixMaxHiFrom(pos int) {
-	n := len(t.entries)
-	if cap(t.maxHi) < n {
-		grown := make([]timestamp.Timestamp, n, 2*n+4)
-		copy(grown, t.maxHi)
-		t.maxHi = grown
-	} else {
-		t.maxHi = t.maxHi[:n]
+// reindex repairs the prefix-max index after the entries from position
+// pos on changed: recomputed from there while the list is long enough to
+// carry one (from the start when it had none), dropped when it is not.
+func (l *list) reindex(pos int) {
+	n := len(l.entries)
+	if n <= indexLen {
+		l.maxHi = l.maxHi[:0]
+		return
 	}
-	if pos < 0 {
+	if len(l.maxHi) == 0 {
 		pos = 0
 	}
+	if cap(l.maxHi) < n {
+		l.maxHi = slices.Grow(l.maxHi, n-len(l.maxHi))
+	}
+	l.maxHi = l.maxHi[:n]
 	for i := pos; i < n; i++ {
-		h := t.entries[i].iv.Hi
-		if i > 0 && t.maxHi[i-1].After(h) {
-			h = t.maxHi[i-1]
+		h := l.entries[i].iv.Hi
+		if i > 0 && l.maxHi[i-1].After(h) {
+			h = l.maxHi[i-1]
 		}
-		t.maxHi[i] = h
+		l.maxHi[i] = h
 	}
 }
 
-// insertLocked adds a record, merging it with the owner's adjacent or
-// overlapping records of the same mode and frozen state (interval
-// compression, §6). The entries slice stays sorted by interval start.
-func (t *Table) insertLocked(e entry) {
+// insert adds a record, merging it with the owner's adjacent or
+// overlapping records of the same mode in the list (interval
+// compression, §6), and returns the interval of the merged record. The
+// list stays sorted by interval start.
+func (l *list) insert(e entry) timestamp.Interval {
+	// Merge with compatible neighbours. The candidate window is widened
+	// by one tick on each side to catch adjacency; records of the same
+	// (owner, mode) class are mutually non-adjacent by this very
+	// invariant, so merged growth cannot reach entries outside the
+	// window.
+	lo, hi := l.window(timestamp.Span(e.iv.Lo.Prev(), e.iv.Hi.Next()))
+	for i := hi - 1; i >= lo; i-- {
+		o := &l.entries[i]
+		if o.owner == e.owner && o.mode == e.mode && (o.iv.Overlaps(e.iv) || o.iv.Adjacent(e.iv)) {
+			e.iv = e.iv.Merge(o.iv)
+			l.removeAt(i)
+		}
+	}
+	pos := sort.Search(len(l.entries), func(i int) bool {
+		return l.entries[i].iv.Lo.AtOrAfter(e.iv.Lo)
+	})
+	if l.entries == nil {
+		l.entries = make([]entry, 0, initialCap)
+	}
+	l.entries = append(l.entries, entry{})
+	copy(l.entries[pos+1:], l.entries[pos:])
+	l.entries[pos] = e
+	l.reindex(pos)
+	return e.iv
+}
+
+// removeAt deletes the record at index i, preserving order.
+func (l *list) removeAt(i int) {
+	copy(l.entries[i:], l.entries[i+1:])
+	l.entries = l.entries[:len(l.entries)-1]
+	l.reindex(i)
+}
+
+// takeLastReadIn removes the owner's read lock overlapping iv that
+// starts last, and returns the interval it held. The freeze and release
+// paths split the owner's unfrozen read locks around iv one record at a
+// time, from the top down: what each split puts back into the list lies
+// outside iv, so it is never taken again.
+func (l *list) takeLastReadIn(owner Owner, iv timestamp.Interval) (timestamp.Interval, bool) {
+	lo, hi := l.window(iv)
+	for i := hi - 1; i >= lo; i-- {
+		e := &l.entries[i]
+		if e.owner == owner && e.mode == ModeRead && e.iv.Overlaps(iv) {
+			held := e.iv
+			l.removeAt(i)
+			return held, true
+		}
+	}
+	return timestamp.Empty, false
+}
+
+// insertLiveLocked adds an unfrozen record (an empty one is ignored) and
+// extends the wait-for edges of the waiters it blocks. Callers hold t.mu.
+func (t *Table) insertLiveLocked(e entry) {
 	if e.iv.IsEmpty() {
 		return
 	}
-	// Merge with compatible neighbours. The candidate window is widened
-	// by one tick on each side to catch adjacency; records of the same
-	// (owner, mode, frozen) class are mutually non-adjacent by this very
-	// invariant, so merged growth cannot reach entries outside the
-	// window.
-	q := timestamp.Span(e.iv.Lo.Prev(), e.iv.Hi.Next())
-	lo, hi := t.overlapRangeLocked(q)
-	for i := hi - 1; i >= lo; i-- {
-		o := t.entries[i]
-		if o.owner == e.owner && o.mode == e.mode && o.frozen == e.frozen &&
-			(o.iv.Overlaps(e.iv) || o.iv.Adjacent(e.iv)) {
-			e.iv = e.iv.Merge(o.iv)
-			t.removeAtLocked(i)
-		}
-	}
-	pos := sort.Search(len(t.entries), func(i int) bool {
-		return t.entries[i].iv.Lo.AtOrAfter(e.iv.Lo)
-	})
-	t.entries = append(t.entries, entry{})
-	copy(t.entries[pos+1:], t.entries[pos:])
-	t.entries[pos] = e
-	t.fixMaxHiFrom(pos)
+	e.iv = t.live.insert(e)
 	t.extendWaiterEdgesLocked(e)
 }
 
+// insertFrozenLocked adds a frozen record (an empty one is ignored).
+// Waiters are not told: the freeze paths wake the overlapping ones
+// themselves. Callers hold t.mu.
+func (t *Table) insertFrozenLocked(e entry) {
+	if e.iv.IsEmpty() {
+		return
+	}
+	t.noteFrozenOwnerLocked(e.owner, len(t.frozen.entries) == 0)
+	t.frozen.insert(e)
+}
+
 // extendWaiterEdgesLocked keeps deadlock detection current under
-// targeted wakeups: a newly inserted lock that conflicts with a *parked*
-// waiter's request adds a wait-for edge the waiter could not have
-// registered when it parked (under the old broadcast scheme the waiter
-// was woken by every table change and re-registered its blockers
+// targeted wakeups: a newly inserted unfrozen lock that conflicts with a
+// *parked* waiter's request adds a wait-for edge the waiter could not
+// have registered when it parked (under the old broadcast scheme the
+// waiter was woken by every table change and re-registered its blockers
 // itself). The edge is registered on the waiter's behalf without waking
 // it; if the new edge closes a cycle, the waiter is woken so it re-runs
-// its blocked acquisition and observes ErrDeadlock. Frozen inserts are
-// skipped — the freeze paths wake overlapping waiters anyway. Callers
-// hold t.mu.
+// its blocked acquisition and observes ErrDeadlock. Callers hold t.mu.
 func (t *Table) extendWaiterEdgesLocked(e entry) {
-	if t.graph == nil || e.frozen || len(t.waiters) == 0 ||
+	if t.graph == nil || len(t.waiters) == 0 ||
 		!e.iv.Overlaps(timestamp.Span(t.waitLo, t.waitHi)) {
 		return
 	}
@@ -888,41 +1062,17 @@ func (t *Table) extendWaiterEdgesLocked(e entry) {
 	}
 }
 
-// removeAtLocked deletes the record at index i, preserving order.
-func (t *Table) removeAtLocked(i int) {
-	copy(t.entries[i:], t.entries[i+1:])
-	t.entries = t.entries[:len(t.entries)-1]
-	t.fixMaxHiFrom(i)
-}
-
-// takeLastReadInLocked removes the owner's unfrozen read lock overlapping
-// iv that starts last, and returns the interval it held. The freeze and
-// release paths split the owner's read locks around iv one record at a
-// time, from the top down: what each split puts back is frozen or lies
-// outside iv, so it is never taken again.
-func (t *Table) takeLastReadInLocked(owner Owner, iv timestamp.Interval) (timestamp.Interval, bool) {
-	lo, hi := t.overlapRangeLocked(iv)
-	for i := hi - 1; i >= lo; i-- {
-		e := &t.entries[i]
-		if e.owner == owner && e.mode == ModeRead && !e.frozen && e.iv.Overlaps(iv) {
-			held := e.iv
-			t.removeAtLocked(i)
-			return held, true
-		}
-	}
-	return timestamp.Empty, false
-}
-
 // releaseWhereLocked removes the owner's unfrozen records — only the
 // write locks when writesOnly is set — and wakes the waiters overlapping
 // each removed interval. Records before the first removal stay where
-// they are; only the ones behind it are moved down.
+// they are; only the ones behind it are moved down. Callers hold t.mu.
 func (t *Table) releaseWhereLocked(owner Owner, writesOnly bool) {
+	l := &t.live
 	removedAt := -1
 	n := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.owner == owner && !e.frozen && (!writesOnly || e.mode == ModeWrite) {
+	for i := range l.entries {
+		e := &l.entries[i]
+		if e.owner == owner && (!writesOnly || e.mode == ModeWrite) {
 			if removedAt < 0 {
 				removedAt = i
 			}
@@ -930,12 +1080,12 @@ func (t *Table) releaseWhereLocked(owner Owner, writesOnly bool) {
 			continue
 		}
 		if removedAt >= 0 {
-			t.entries[n] = *e
+			l.entries[n] = *e
 		}
 		n++
 	}
 	if removedAt >= 0 {
-		t.entries = t.entries[:n]
-		t.fixMaxHiFrom(removedAt)
+		l.entries = l.entries[:n]
+		l.reindex(removedAt)
 	}
 }

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -214,5 +215,65 @@ func BenchmarkContendedPartialWrite(b *testing.B) {
 			b.Fatalf("%v %v", res, err)
 		}
 		tbl.ReleaseUnfrozen(owner)
+	}
+}
+
+// longHistoryTable returns a table holding n frozen read records of n
+// other owners: a hot key's history between purges.
+func longHistoryTable(b *testing.B, n int) *Table {
+	tbl := NewTable()
+	ctx := context.Background()
+	for i := int64(0); i < int64(n); i++ {
+		owner := Owner(1000 + i)
+		if _, err := tbl.AcquireRead(ctx, owner, iv(10*i, 10*i+5), Options{}); err != nil {
+			b.Fatal(err)
+		}
+		tbl.FreezeReadIn(owner, iv(10*i, 10*i+5))
+	}
+	return tbl
+}
+
+// BenchmarkReleaseLongHistory measures what a transaction pays to take
+// and drop one read lock above a history of 16 and of 1024 records it
+// does not own: it should not depend on the history's length.
+func BenchmarkReleaseLongHistory(b *testing.B) {
+	for _, n := range []int{16, 1024} {
+		b.Run(fmt.Sprintf("frozen=%d", n), func(b *testing.B) {
+			tbl := longHistoryTable(b, n)
+			ctx := context.Background()
+			req := iv(20_000, 20_100)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				owner := Owner(5000 + i)
+				if _, err := tbl.AcquireRead(ctx, owner, req, Options{}); err != nil {
+					b.Fatal(err)
+				}
+				tbl.ReleaseUnfrozen(owner)
+			}
+		})
+	}
+}
+
+// BenchmarkOwnedIntoLongHistory measures the commit step's snapshot for
+// a transaction that has frozen nothing yet, above the same histories.
+func BenchmarkOwnedIntoLongHistory(b *testing.B) {
+	for _, n := range []int{16, 1024} {
+		b.Run(fmt.Sprintf("frozen=%d", n), func(b *testing.B) {
+			tbl := longHistoryTable(b, n)
+			const owner = Owner(5000)
+			if _, err := tbl.AcquireRead(context.Background(), owner, iv(20_000, 20_100), Options{}); err != nil {
+				b.Fatal(err)
+			}
+			var readOrWrite, writeOnly timestamp.Set
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tbl.OwnedInto(owner, &readOrWrite, &writeOnly)
+				if readOrWrite.IsEmpty() {
+					b.Fatal("owned must not be empty")
+				}
+			}
+		})
 	}
 }

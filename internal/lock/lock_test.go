@@ -502,4 +502,37 @@ func TestLockTableSteadyStateAllocs(t *testing.T) {
 	if err := tbl.Validate(); err != nil {
 		t.Fatal(err)
 	}
+
+	// A hot key: a thousand frozen points of other owners, and a write
+	// request the last seven of them cut into pieces. With the result
+	// reused, neither the grant's eight intervals nor the conflict scan
+	// behind it allocate, and the pass stays clear of the history.
+	hot := NewTable()
+	for i := int64(0); i < 1000; i++ {
+		if _, err := hot.AcquireWrite(ctx, Owner(100+i), set(iv(10*i, 10*i)), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		hot.FreezeWriteAt(Owner(100+i), ts(10*i))
+	}
+	hotReq := set(iv(9925, 10_050))
+	var res WriteResult
+	hotPass := func() {
+		if err := hot.AcquireWriteInto(ctx, 3, hotReq, Options{Partial: true}, &res); err != nil {
+			t.Fatal(err)
+		}
+		if !hot.FreezeWriteAt(3, ts(10_001)) {
+			t.Fatal("write lock not held at the commit timestamp")
+		}
+		hot.ReleaseUnfrozen(3)
+	}
+	hotPass()
+	if got, denied := res.Got.NumIntervals(), res.Denied.NumIntervals(); got < 6 || denied < 6 {
+		t.Fatalf("the hot pass was granted %d intervals and denied %d, want at least 6 of each", got, denied)
+	}
+	if avg := testing.AllocsPerRun(100, hotPass); avg != 0 {
+		t.Errorf("write-acquire into a reused result over 1000 frozen records, freeze-at, release: %v allocs, want 0", avg)
+	}
+	if err := hot.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }

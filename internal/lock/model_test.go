@@ -19,9 +19,23 @@ import (
 // table must be indistinguishable from, however its records were split
 // and merged on the way.
 
-const (
-	modelPoints = 64 // timestamps mp(0)..mp(63)
-	modelOwners = 4
+// modelConfig sizes one run of the differential test: timestamps
+// mp(0)..mp(points-1) and owners 1..owners. When acquireSpan is nonzero
+// acquisitions ask for at most that many points, which keeps records
+// apart so that the lists grow long; when drainEvery is nonzero every
+// other stretch of that many steps acquires nothing, so that they shrink
+// again.
+type modelConfig struct {
+	points, owners, acquireSpan, drainEvery int
+}
+
+var (
+	// modelSmall is dense: long spans over few points, so records split
+	// and merge all the time and both lists stay short.
+	modelSmall = modelConfig{points: 64, owners: 4}
+	// modelLong is sparse: both lists grow past indexLen and shrink back
+	// below it, several times a run.
+	modelLong = modelConfig{points: 160, owners: 8, acquireSpan: 4, drainEvery: 60}
 )
 
 // mp is the i-th point of the model's domain. The points differ in the
@@ -38,31 +52,23 @@ type class struct {
 }
 
 type lockModel struct {
-	held map[class]*[modelPoints]bool
+	cfg  modelConfig
+	held map[class][]bool
 }
 
-func newLockModel() *lockModel {
-	m := &lockModel{held: map[class]*[modelPoints]bool{}}
-	for o := Owner(1); o <= modelOwners; o++ {
+func newLockModel(cfg modelConfig) *lockModel {
+	m := &lockModel{cfg: cfg, held: map[class][]bool{}}
+	for o := Owner(1); o <= Owner(cfg.owners); o++ {
 		for _, mode := range []Mode{ModeRead, ModeWrite} {
 			for _, frozen := range []bool{false, true} {
-				m.held[class{o, mode, frozen}] = new([modelPoints]bool)
+				m.held[class{o, mode, frozen}] = make([]bool, cfg.points)
 			}
 		}
 	}
 	return m
 }
 
-func (m *lockModel) clone() *lockModel {
-	c := &lockModel{held: map[class]*[modelPoints]bool{}}
-	for k, v := range m.held {
-		cp := *v
-		c.held[k] = &cp
-	}
-	return c
-}
-
-func (m *lockModel) plane(o Owner, mode Mode, frozen bool) *[modelPoints]bool {
+func (m *lockModel) plane(o Owner, mode Mode, frozen bool) []bool {
 	return m.held[class{o, mode, frozen}]
 }
 
@@ -88,12 +94,12 @@ func (m *lockModel) conflictAt(owner Owner, mode Mode, p int) (unfrozen, frozen 
 func (m *lockModel) entries() []EntryInfo {
 	var out []EntryInfo
 	for c, plane := range m.held {
-		for p := 0; p < modelPoints; p++ {
+		for p := 0; p < len(plane); p++ {
 			if !plane[p] {
 				continue
 			}
 			lo := p
-			for p+1 < modelPoints && plane[p+1] {
+			for p+1 < len(plane) && plane[p+1] {
 				p++
 			}
 			out = append(out, EntryInfo{Interval: mspan(lo, p), Owner: c.owner, Mode: c.mode, Frozen: c.frozen})
@@ -129,7 +135,7 @@ func (m *lockModel) owned(owner Owner) (readOrWrite, writeOnly timestamp.Set) {
 		if c.owner != owner {
 			continue
 		}
-		for p := 0; p < modelPoints; p++ {
+		for p := range plane {
 			if plane[p] {
 				readOrWrite.AddInPlace(timestamp.Point(mp(p)))
 				if c.mode == ModeWrite {
@@ -144,12 +150,17 @@ func (m *lockModel) owned(owner Owner) (readOrWrite, writeOnly timestamp.Set) {
 // matches reports how the table differs from the model, or "".
 func (m *lockModel) matches(tbl *Table) string {
 	got := tbl.Snapshot()
+	for i := 1; i < len(got); i++ {
+		if got[i].Interval.Lo.Before(got[i-1].Interval.Lo) {
+			return fmt.Sprintf("snapshot not in start order at %d: %v", i, got)
+		}
+	}
 	normalise(got)
 	want := m.entries()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		return fmt.Sprintf("snapshot\n got  %v\n want %v", got, want)
 	}
-	for o := Owner(1); o <= modelOwners; o++ {
+	for o := Owner(1); o <= Owner(m.cfg.owners); o++ {
 		gotRW, gotW := tbl.Owned(o)
 		wantRW, wantW := m.owned(o)
 		if !gotRW.Equal(wantRW) || !gotW.Equal(wantW) {
@@ -165,33 +176,80 @@ func TestTableMatchesPerTimestampModel(t *testing.T) {
 		seeds = 8
 	}
 	for seed := 1; seed <= seeds; seed++ {
-		runModelSeed(t, int64(seed), 600)
+		runModelSeed(t, modelSmall, int64(seed), 600)
+	}
+	// The sparse configuration is there for the index: its runs must
+	// take each list past indexLen and back, or they test nothing new.
+	var total indexCrossings
+	for seed := 1; seed <= seeds; seed++ {
+		c := runModelSeed(t, modelLong, int64(seed), 600)
+		total.liveUp += c.liveUp
+		total.liveDown += c.liveDown
+		total.frozenUp += c.frozenUp
+		total.frozenDown += c.frozenDown
+	}
+	if min(total.liveUp, total.liveDown, total.frozenUp, total.frozenDown) < seeds/2 {
+		t.Errorf("over %d seeds the lists crossed the index length %+v times, want each count at least %d", seeds, total, seeds/2)
 	}
 }
 
-func runModelSeed(t *testing.T, seed int64, steps int) {
+// indexCrossings counts how often each list of a table grew past
+// indexLen (Up) and shrank back to it (Down) between two steps.
+type indexCrossings struct {
+	liveUp, liveDown, frozenUp, frozenDown int
+	liveLong, frozenLong                   bool
+}
+
+func (c *indexCrossings) observe(tbl *Table) {
+	step := func(long *bool, up, down *int, n int) {
+		switch now := n > indexLen; {
+		case now && !*long:
+			*up++
+		case !now && *long:
+			*down++
+		}
+		*long = n > indexLen
+	}
+	step(&c.liveLong, &c.liveUp, &c.liveDown, len(tbl.live.entries))
+	step(&c.frozenLong, &c.frozenUp, &c.frozenDown, len(tbl.frozen.entries))
+}
+
+func runModelSeed(t *testing.T, cfg modelConfig, seed int64, steps int) indexCrossings {
 	rng := rand.New(rand.NewSource(seed))
 	ctx := context.Background()
 	tbl := NewTable()
-	m := newLockModel()
+	m := newLockModel(cfg)
+	points := cfg.points
 	randSpan := func() (lo, hi int) {
-		lo = rng.Intn(modelPoints)
-		hi = lo + rng.Intn(modelPoints-lo)
+		lo = rng.Intn(points)
+		hi = lo + rng.Intn(points-lo)
 		if rng.Intn(4) == 0 {
-			hi = lo + rng.Intn(min(3, modelPoints-lo))
+			hi = lo + rng.Intn(min(3, points-lo))
 		}
 		return lo, hi
 	}
+	acquireSpan := randSpan
+	if cfg.acquireSpan > 0 {
+		acquireSpan = func() (lo, hi int) {
+			lo = rng.Intn(points)
+			return lo, lo + rng.Intn(min(cfg.acquireSpan, points-lo))
+		}
+	}
+	// Every write acquisition reports into this one result, left as the
+	// previous step made it: what a reused result says must not depend
+	// on what it held.
+	var dirty WriteResult
+	var crossings indexCrossings
 	for step := 0; step < steps; step++ {
-		owner := Owner(1 + rng.Intn(modelOwners))
-		// alt is the second state an operation may legally leave behind,
-		// where the table's answer depends on how it ordered two records
-		// starting at one timestamp; nil when the outcome is determined.
-		var alt *lockModel
+		owner := Owner(1 + rng.Intn(cfg.owners))
 		var desc string
-		switch op := rng.Intn(16); {
+		op := rng.Intn(16)
+		if cfg.drainEvery > 0 && step/cfg.drainEvery%2 == 1 && op < 8 {
+			op = 8 + op%7 // a freeze or release in the acquisition's place
+		}
+		switch {
 		case op < 4:
-			lo, hi := randSpan()
+			lo, hi := acquireSpan()
 			partial := rng.Intn(3) > 0
 			desc = fmt.Sprintf("AcquireRead(%d, [%d,%d], partial=%v)", owner, lo, hi, partial)
 			got, err := tbl.AcquireRead(ctx, owner, mspan(lo, hi), Options{Partial: partial})
@@ -235,14 +293,14 @@ func runModelSeed(t *testing.T, seed int64, steps int) {
 		case op < 8:
 			var req timestamp.Set
 			for n := 1 + rng.Intn(3); n > 0; n-- {
-				lo, hi := randSpan()
+				lo, hi := acquireSpan()
 				req.AddInPlace(mspan(lo, hi))
 			}
 			partial := rng.Intn(3) > 0
 			desc = fmt.Sprintf("AcquireWrite(%d, %v, partial=%v)", owner, req, partial)
 			var wantGot, wantDenied timestamp.Set
 			anyFrozen := false
-			for p := 0; p < modelPoints; p++ {
+			for p := 0; p < points; p++ {
 				if !req.Contains(mp(p)) {
 					continue
 				}
@@ -253,38 +311,55 @@ func runModelSeed(t *testing.T, seed int64, steps int) {
 					wantGot.AddInPlace(timestamp.Point(mp(p)))
 				}
 			}
-			got, err := tbl.AcquireWrite(ctx, owner, req, Options{Partial: partial})
+			got := &dirty
+			err := tbl.AcquireWriteInto(ctx, owner, req, Options{Partial: partial}, got)
+			// An owner's locks never conflict with its own, so asking
+			// again changes nothing and must say the same — this time
+			// into a fresh result.
+			fresh, freshErr := tbl.AcquireWrite(ctx, owner, req, Options{Partial: partial})
+			if !fresh.Got.Equal(got.Got) || !fresh.Denied.Equal(got.Denied) || (err == nil) != (freshErr == nil) {
+				t.Fatalf("seed %d step %d %s: reused result {%v %v} %v, fresh result {%v %v} %v",
+					seed, step, desc, got.Got, got.Denied, err, fresh.Got, fresh.Denied, freshErr)
+			}
 			if !wantDenied.IsEmpty() && !partial {
 				wantErr := ErrConflict
 				if anyFrozen {
 					wantErr = ErrFrozen
 				}
-				if !errors.Is(err, wantErr) || !got.Denied.Equal(wantDenied) {
-					t.Fatalf("seed %d step %d %s: got %+v %v, want %v denying %v", seed, step, desc, got, err, wantErr, wantDenied)
+				if !errors.Is(err, wantErr) || !got.Got.IsEmpty() || !got.Denied.Equal(wantDenied) {
+					t.Fatalf("seed %d step %d %s: got {%v %v} %v, want %v denying %v", seed, step, desc, got.Got, got.Denied, err, wantErr, wantDenied)
 				}
 				break
 			}
 			if err != nil || !got.Got.Equal(wantGot) || !got.Denied.Equal(wantDenied) {
-				t.Fatalf("seed %d step %d %s: got %+v %v, want got %v denied %v", seed, step, desc, got, err, wantGot, wantDenied)
+				t.Fatalf("seed %d step %d %s: got {%v %v} %v, want got %v denied %v", seed, step, desc, got.Got, got.Denied, err, wantGot, wantDenied)
 			}
-			for p := 0; p < modelPoints; p++ {
+			for p := 0; p < points; p++ {
 				if wantGot.Contains(mp(p)) {
 					m.plane(owner, ModeWrite, false)[p] = true
 				}
 			}
 		case op < 10:
-			p := rng.Intn(modelPoints)
-			desc = fmt.Sprintf("FreezeWriteAt(%d, %d)", owner, p)
 			unfrozen, frozen := m.plane(owner, ModeWrite, false), m.plane(owner, ModeWrite, true)
+			p := rng.Intn(points)
+			if rng.Intn(2) == 0 {
+				// Aim at the next point the owner holds, if there is
+				// one: over a sparse table a blind shot mostly misses.
+				for q := p; q < points; q++ {
+					if unfrozen[q] {
+						p = q
+						break
+					}
+				}
+			}
+			desc = fmt.Sprintf("FreezeWriteAt(%d, %d)", owner, p)
 			want := unfrozen[p] || frozen[p]
 			if got := tbl.FreezeWriteAt(owner, mp(p)); got != want {
 				t.Fatalf("seed %d step %d %s = %v, want %v", seed, step, desc, got, want)
 			}
-			if unfrozen[p] && frozen[p] {
-				// The owner re-locked over its own frozen point: the
-				// table answers from whichever record it meets first.
-				alt = m.clone()
-			}
+			// An owner that re-locked over its own frozen point holds
+			// both; the table looks at the unfrozen list first, so the
+			// unfrozen lock is the one it finds and freezes.
 			if unfrozen[p] {
 				unfrozen[p], frozen[p] = false, true
 			}
@@ -308,14 +383,14 @@ func runModelSeed(t *testing.T, seed int64, steps int) {
 		case op < 14:
 			desc = fmt.Sprintf("ReleaseUnfrozen(%d)", owner)
 			tbl.ReleaseUnfrozen(owner)
-			*m.plane(owner, ModeRead, false) = [modelPoints]bool{}
-			*m.plane(owner, ModeWrite, false) = [modelPoints]bool{}
+			clear(m.plane(owner, ModeRead, false))
+			clear(m.plane(owner, ModeWrite, false))
 		case op < 15:
 			desc = fmt.Sprintf("ReleaseWrites(%d)", owner)
 			tbl.ReleaseWrites(owner)
-			*m.plane(owner, ModeWrite, false) = [modelPoints]bool{}
+			clear(m.plane(owner, ModeWrite, false))
 		default:
-			bound := rng.Intn(modelPoints)
+			bound := rng.Intn(points)
 			desc = fmt.Sprintf("PurgeFrozenBelow(%d)", bound)
 			want := 0
 			for _, e := range m.entries() {
@@ -336,12 +411,10 @@ func runModelSeed(t *testing.T, seed int64, steps int) {
 		if err := tbl.Validate(); err != nil {
 			t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
 		}
-		diff := m.matches(tbl)
-		if diff != "" && alt != nil && alt.matches(tbl) == "" {
-			m, diff = alt, ""
-		}
-		if diff != "" {
+		if diff := m.matches(tbl); diff != "" {
 			t.Fatalf("seed %d step %d %s: %s", seed, step, desc, diff)
 		}
+		crossings.observe(tbl)
 	}
+	return crossings
 }

@@ -3,7 +3,6 @@ package policy
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/core"
@@ -32,69 +31,70 @@ func NewEpsilonClock(clk *clock.Process, eps int64) *EpsilonClock {
 	return &EpsilonClock{clk: clk, eps: eps}
 }
 
-// epsState is the per-transaction state: the shrinking set of
-// timestamps the transaction may still commit at.
-type epsState struct {
-	ts  timestamp.Set
-	set bool
-}
+// Why an ε-clock operation fails; the engine wraps them into the abort.
+var (
+	errEpsExhausted     = errors.New("mvtl-eps-clock: no lockable timestamps left")
+	errEpsWritesEmptied = errors.New("mvtl-eps-clock: write locks exhausted the timestamp interval")
+	errEpsReadsUnlocked = errors.New("mvtl-eps-clock: no timestamps read-lockable")
+	errEpsReadEmptiedTS = errors.New("mvtl-eps-clock: read shrank the timestamp interval to nothing")
+)
 
 // Name implements core.Policy.
 func (p *EpsilonClock) Name() string { return "mvtl-eps-clock" }
 
-// Begin implements core.Policy.
-func (p *EpsilonClock) Begin(tx *core.Txn) { tx.PolicyState = &epsState{} }
+// Begin implements core.Policy: the timestamp set is fixed at the first
+// operation, when the transaction's clock is known.
+func (p *EpsilonClock) Begin(*core.Txn) {}
 
-func (p *EpsilonClock) state(tx *core.Txn) *epsState {
-	st := tx.PolicyState.(*epsState)
-	if !st.set {
+// state returns tx.TS, the shrinking set of timestamps the transaction
+// may still commit at.
+func (p *EpsilonClock) state(tx *core.Txn) *timestamp.ShrinkingSet {
+	ts, first := shrinkingState(tx)
+	if first {
 		now := txnClock(tx, p.clk).Now()
 		lo := now.Time - p.eps
 		if lo < 0 {
 			lo = 0
 		}
-		st.ts = timestamp.NewSet(timeInterval(lo, now.Time+p.eps))
-		st.set = true
+		ts.Reset(timeInterval(lo, now.Time+p.eps))
 	}
-	return st
+	return ts
 }
 
 // WriteLocks implements core.Policy (Alg. 7 lines 4-6): write-lock as
 // much of tx.TS as possible, waiting on unfrozen conflicts, and shrink
 // tx.TS to what was acquired.
 func (p *EpsilonClock) WriteLocks(ctx context.Context, tx *core.Txn, k string) error {
-	st := p.state(tx)
-	if st.ts.IsEmpty() {
-		return errors.New("mvtl-eps-clock: no lockable timestamps left")
+	ts := p.state(tx)
+	if ts.IsEmpty() {
+		return errEpsExhausted
 	}
-	res, err := tx.Key(k).Locks.AcquireWrite(ctx, tx.Owner(), st.ts, lock.Options{Wait: true, Partial: true})
-	if err != nil {
-		return fmt.Errorf("write-lock %q: %w", k, err)
+	if _, err := shrinkToWriteLocks(ctx, tx, k, ts, lock.Options{Wait: true, Partial: true}); err != nil {
+		return err
 	}
-	st.ts = res.Got
-	if st.ts.IsEmpty() {
-		return errors.New("mvtl-eps-clock: write locks exhausted the timestamp interval")
+	if ts.IsEmpty() {
+		return errEpsWritesEmptied
 	}
 	return nil
 }
 
 // Read implements core.Policy (Alg. 7 lines 7-17).
 func (p *EpsilonClock) Read(ctx context.Context, tx *core.Txn, k string) (version.Version, error) {
-	st := p.state(tx)
-	if st.ts.IsEmpty() {
-		return version.Version{}, errors.New("mvtl-eps-clock: no lockable timestamps left")
+	ts := p.state(tx)
+	if ts.IsEmpty() {
+		return version.Version{}, errEpsExhausted
 	}
-	m, _ := st.ts.Max()
+	m, _ := ts.Set().Max()
 	v, got, err := readUpTo(ctx, tx, tx.Key(k), m, true)
 	if err != nil {
 		return version.Version{}, err
 	}
 	if got.IsEmpty() {
-		return version.Version{}, errors.New("mvtl-eps-clock: no timestamps read-lockable")
+		return version.Version{}, errEpsReadsUnlocked
 	}
-	st.ts = st.ts.IntersectInterval(timestamp.Span(v.TS.Next(), got.Hi))
-	if st.ts.IsEmpty() {
-		return version.Version{}, errors.New("mvtl-eps-clock: read shrank the timestamp interval to nothing")
+	ts.IntersectInterval(timestamp.Span(v.TS.Next(), got.Hi))
+	if ts.IsEmpty() {
+		return version.Version{}, errEpsReadEmptiedTS
 	}
 	return v, nil
 }

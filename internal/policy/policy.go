@@ -22,6 +22,7 @@ package policy
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
@@ -108,6 +109,38 @@ func readUpTo(ctx context.Context, tx *core.Txn, ks *core.KeyState, upper timest
 			ks.Locks.ReleaseReadIn(owner, res.Got)
 		}
 	}
+}
+
+// shrinkingState returns the shrinking timestamp set of an interval
+// policy's transaction (TIL's I, ε-clock's TS), and whether this is the
+// transaction's first use of it — when the caller must Reset it to the
+// transaction's interval. The set is part of the transaction's pooled
+// scratch, so the storage it spills into under contention is reused from
+// transaction to transaction.
+func shrinkingState(tx *core.Txn) (set *timestamp.ShrinkingSet, first bool) {
+	if set, ok := tx.PolicyState.(*timestamp.ShrinkingSet); ok {
+		return set, false
+	}
+	sc := tx.Scratch()
+	set, ok := sc.Policy.(*timestamp.ShrinkingSet)
+	if !ok {
+		set = new(timestamp.ShrinkingSet)
+		sc.Policy = set
+	}
+	tx.PolicyState = set
+	return set, true
+}
+
+// shrinkToWriteLocks write-locks as much of set on k as opts allow and
+// shrinks set to what was acquired. The result, good until the
+// transaction's next write, says what was denied.
+func shrinkToWriteLocks(ctx context.Context, tx *core.Txn, k string, set *timestamp.ShrinkingSet, opts lock.Options) (*lock.WriteResult, error) {
+	res := &tx.Scratch().Write
+	if err := tx.Key(k).Locks.AcquireWriteInto(ctx, tx.Owner(), set.Set(), opts, res); err != nil {
+		return nil, fmt.Errorf("write-lock %q: %w", k, err)
+	}
+	set.Swap(&res.Got)
+	return res, nil
 }
 
 // pointSet returns the one-timestamp set {t}.

@@ -59,45 +59,47 @@ func NewTIL(clk *clock.Process, delta int64, choice CommitChoice, gcOnCommit boo
 	return &TIL{clk: clk, delta: delta, choice: choice, gc: gcOnCommit}
 }
 
-// tilState is the per-transaction state: the shrinking interval I.
-type tilState struct {
-	i   timestamp.Set
-	set bool
-}
+// Why a TIL operation fails; the engine wraps them into the abort.
+var (
+	errTILExhausted      = errors.New("mvtil: interval exhausted")
+	errTILWritesEmptied  = errors.New("mvtil: write locks exhausted the interval")
+	errTILReadsUnlocked  = errors.New("mvtil: read locks unavailable")
+	errTILReadEmptiedIvl = errors.New("mvtil: read shrank the interval to nothing")
+)
 
 // Name implements core.Policy.
 func (p *TIL) Name() string { return "mvtil-" + p.choice.String() }
 
-// Begin implements core.Policy.
-func (p *TIL) Begin(tx *core.Txn) { tx.PolicyState = &tilState{} }
+// Begin implements core.Policy: the interval is set at the first
+// operation, when the transaction's clock is known.
+func (p *TIL) Begin(*core.Txn) {}
 
-func (p *TIL) state(tx *core.Txn) *tilState {
-	st := tx.PolicyState.(*tilState)
-	if !st.set {
+// state returns the transaction's shrinking interval I.
+func (p *TIL) state(tx *core.Txn) *timestamp.ShrinkingSet {
+	i, first := shrinkingState(tx)
+	if first {
 		now := txnClock(tx, p.clk).Now()
-		st.i = timestamp.NewSet(timeInterval(now.Time, now.Time+p.delta))
-		st.set = true
+		i.Reset(timeInterval(now.Time, now.Time+p.delta))
 	}
-	return st
+	return i
 }
 
 // WriteLocks implements core.Policy: write-lock as much of I as
 // possible without waiting, then shrink I to the acquired subset.
 func (p *TIL) WriteLocks(ctx context.Context, tx *core.Txn, k string) error {
-	st := p.state(tx)
-	if st.i.IsEmpty() {
-		return errors.New("mvtil: interval exhausted")
+	i := p.state(tx)
+	if i.IsEmpty() {
+		return errTILExhausted
 	}
-	res, err := tx.Key(k).Locks.AcquireWrite(ctx, tx.Owner(), st.i, lock.Options{Partial: true})
+	res, err := shrinkToWriteLocks(ctx, tx, k, i, lock.Options{Partial: true})
 	if err != nil {
-		return fmt.Errorf("write-lock %q: %w", k, err)
+		return err
 	}
 	if max, ok := res.Denied.Max(); ok && max.After(tx.RestartHint) {
 		tx.RestartHint = max
 	}
-	st.i = res.Got
-	if st.i.IsEmpty() {
-		return errors.New("mvtil: write locks exhausted the interval")
+	if i.IsEmpty() {
+		return errTILWritesEmptied
 	}
 	return nil
 }
@@ -106,11 +108,11 @@ func (p *TIL) WriteLocks(ctx context.Context, tx *core.Txn, k string) error {
 // I and read-lock the contiguous prefix available without waiting, then
 // shrink I accordingly.
 func (p *TIL) Read(ctx context.Context, tx *core.Txn, k string) (version.Version, error) {
-	st := p.state(tx)
-	if st.i.IsEmpty() {
-		return version.Version{}, errors.New("mvtil: interval exhausted")
+	i := p.state(tx)
+	if i.IsEmpty() {
+		return version.Version{}, errTILExhausted
 	}
-	m, _ := st.i.Max()
+	m, _ := i.Set().Max()
 	v, got, err := readUpTo(ctx, tx, tx.Key(k), m, false)
 	if err != nil {
 		return version.Version{}, err
@@ -118,11 +120,11 @@ func (p *TIL) Read(ctx context.Context, tx *core.Txn, k string) (version.Version
 	if got.IsEmpty() {
 		// An unfrozen conflict sits right above the version: the read
 		// cannot be protected anywhere inside I.
-		return version.Version{}, errors.New("mvtil: read locks unavailable")
+		return version.Version{}, errTILReadsUnlocked
 	}
-	st.i = st.i.IntersectInterval(timestamp.Span(v.TS.Next(), got.Hi))
-	if st.i.IsEmpty() {
-		return version.Version{}, errors.New("mvtil: read shrank the interval to nothing")
+	i.IntersectInterval(timestamp.Span(v.TS.Next(), got.Hi))
+	if i.IsEmpty() {
+		return version.Version{}, errTILReadEmptiedIvl
 	}
 	return v, nil
 }

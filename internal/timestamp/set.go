@@ -30,14 +30,28 @@ const spilledSet = -1
 // sets never allocate and copying a small set by value copies its storage.
 // Larger sets spill to a heap slice.
 //
-// Two kinds of methods are provided. Value-receiver methods (Add, Union,
-// Intersect, Subtract, ...) are persistent: they leave the receiver
-// untouched and return a new set. Pointer-receiver methods (AddInPlace,
-// UnionInPlace, IntersectInto, SubtractInto) update the receiver without
-// allocating in the common case; they must only be called on a set this
-// code path uniquely owns (one it built locally or received as the sole
-// copy), because a spilled receiver shares its backing slice with any
-// value copies made of it.
+// Three families of methods are provided; they differ in what they cost
+// once a set has outgrown its inline storage.
+//
+// Value-receiver methods (Add, Union, Intersect, Subtract, ...) are
+// persistent: they leave the receiver untouched and build a new set from
+// nothing — free while the result fits inline, one heap slice (grown by
+// doubling) when it spills.
+//
+// AddInPlace and IntersectInto update the receiver. AddInPlace costs
+// nothing when it appends to or extends the top of the set within its
+// capacity, and rebuilds like Add otherwise. IntersectInto drops the
+// receiver's spilled storage before rebuilding (the storage may be shared
+// with value copies), so past two intervals it allocates like Intersect.
+//
+// The three-operand methods (SetUnion, SetIntersect, SetSubtract,
+// SetIntersectInterval) and Reset rebuild the receiver over whatever
+// spilled storage it retains and allocate only to grow it: a destination
+// that is kept and reused stops allocating once it has held its largest
+// result. They are the family for a hot path. The destination must be
+// uniquely owned — value copies of a spilled set share its backing slice,
+// which the rebuild overwrites — and, for the same reason, must not share
+// storage with an operand.
 type Set struct {
 	// n is the number of intervals in inline, or spilledSet when the
 	// intervals live in ivs.
@@ -84,13 +98,6 @@ func (s *Set) setLast(iv Interval) {
 		return
 	}
 	s.ivs[len(s.ivs)-1] = iv
-}
-
-// clear empties the set, dropping any spilled storage (it may be aliased
-// by the caller's input view, so it is never reused).
-func (s *Set) clear() {
-	s.n = 0
-	s.ivs = nil
 }
 
 // Reset empties the set but keeps any spilled storage for reuse, so a
@@ -278,14 +285,11 @@ func (s Set) Union(o Set) Set {
 	return out
 }
 
-// UnionInPlace replaces s with s ∪ o.
-func (s *Set) UnionInPlace(o Set) {
-	if o.IsEmpty() {
-		return
-	}
-	snap := *s // keeps the input view alive while s is rebuilt
-	s.clear()
-	unionAppend(s, snap.view(), o.view())
+// SetUnion rebuilds s as a ∪ b over the storage s retains. s must not
+// share storage with a or b.
+func (s *Set) SetUnion(a, b Set) {
+	s.Reset()
+	unionAppend(s, a.view(), b.view())
 }
 
 // intersectAppend appends the intersection of the normalized sequences a
@@ -307,11 +311,7 @@ func intersectAppend(dst *Set, a, b []Interval) {
 // IntersectInterval returns the subset of s inside iv.
 func (s Set) IntersectInterval(iv Interval) Set {
 	var out Set
-	if iv.IsEmpty() {
-		return out
-	}
-	one := [1]Interval{iv}
-	intersectAppend(&out, s.view(), one[:])
+	out.SetIntersectInterval(s, iv)
 	return out
 }
 
@@ -323,13 +323,31 @@ func (s Set) Intersect(o Set) Set {
 	return out
 }
 
-// IntersectInto replaces s with s ∩ o. It is the allocation-free
-// workhorse of the commit step (Alg. 1 line 13), which intersects the
-// owned lock sets across the transaction's footprint.
+// IntersectInto replaces s with s ∩ o. The result is built from nothing
+// (s may share its spilled storage with value copies), so it is free only
+// while it fits inline; SetIntersect is the form that reuses storage.
 func (s *Set) IntersectInto(o Set) {
 	snap := *s
-	s.clear()
+	*s = Set{}
 	intersectAppend(s, snap.view(), o.view())
+}
+
+// SetIntersect rebuilds s as a ∩ b over the storage s retains. s must
+// not share storage with a or b.
+func (s *Set) SetIntersect(a, b Set) {
+	s.Reset()
+	intersectAppend(s, a.view(), b.view())
+}
+
+// SetIntersectInterval rebuilds s as the subset of a inside iv over the
+// storage s retains. s must not share storage with a.
+func (s *Set) SetIntersectInterval(a Set, iv Interval) {
+	s.Reset()
+	if iv.IsEmpty() {
+		return
+	}
+	one := [1]Interval{iv}
+	intersectAppend(s, a.view(), one[:])
 }
 
 // subtractAppend appends the difference a \ b of the normalized
@@ -378,14 +396,11 @@ func (s Set) Subtract(o Set) Set {
 	return out
 }
 
-// SubtractInto replaces s with s \ o.
-func (s *Set) SubtractInto(o Set) {
-	if o.IsEmpty() {
-		return
-	}
-	snap := *s
-	s.clear()
-	subtractAppend(s, snap.view(), o.view())
+// SetSubtract rebuilds s as a \ b over the storage s retains. s must not
+// share storage with a or b.
+func (s *Set) SetSubtract(a, b Set) {
+	s.Reset()
+	subtractAppend(s, a.view(), b.view())
 }
 
 // Equal reports whether two sets contain exactly the same timestamps.

@@ -31,19 +31,6 @@ func TestAddInPlaceMatchesAdd(t *testing.T) {
 	}
 }
 
-func TestUnionInPlaceMatchesUnion(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 2000; trial++ {
-		a, b := randSet(r, 5), randSet(r, 5)
-		want := a.Union(b)
-		got := a
-		got.UnionInPlace(b)
-		if !got.Equal(want) {
-			t.Fatalf("UnionInPlace(%v, %v) = %v, want %v", a, b, got, want)
-		}
-	}
-}
-
 func TestIntersectIntoMatchesIntersect(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {
@@ -57,16 +44,85 @@ func TestIntersectIntoMatchesIntersect(t *testing.T) {
 	}
 }
 
-func TestSubtractIntoMatchesSubtract(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 2000; trial++ {
-		a, b := randSet(r, 5), randSet(r, 5)
-		want := a.Subtract(b)
-		got := a
-		got.SubtractInto(b)
-		if !got.Equal(want) {
-			t.Fatalf("SubtractInto(%v, %v) = %v, want %v", a, b, got, want)
-		}
+// sharesStorage reports whether two sets could write into one backing
+// slice: the aliasing the three-operand operations rule out.
+func sharesStorage(a, b *Set) bool {
+	return cap(a.ivs) > 0 && cap(b.ivs) > 0 && &a.ivs[:1][0] == &b.ivs[:1][0]
+}
+
+// TestThreeOperandOpsMatchPersistentTwins holds every operation that
+// rebuilds a destination over its retained storage to the persistent
+// method of the same algebra, over random sets of 0–40 intervals and a
+// destination left dirty and spilled by the previous trial — and checks
+// that the operands come out as they went in.
+func TestThreeOperandOpsMatchPersistentTwins(t *testing.T) {
+	ops := []struct {
+		name  string
+		into  func(dst *Set, a, b Set, x Interval)
+		fresh func(a, b Set, x Interval) Set
+	}{
+		{"union", func(dst *Set, a, b Set, _ Interval) { dst.SetUnion(a, b) },
+			func(a, b Set, _ Interval) Set { return a.Union(b) }},
+		{"intersect", func(dst *Set, a, b Set, _ Interval) { dst.SetIntersect(a, b) },
+			func(a, b Set, _ Interval) Set { return a.Intersect(b) }},
+		{"subtract", func(dst *Set, a, b Set, _ Interval) { dst.SetSubtract(a, b) },
+			func(a, b Set, _ Interval) Set { return a.Subtract(b) }},
+		{"intersect-interval", func(dst *Set, a, _ Set, x Interval) { dst.SetIntersectInterval(a, x) },
+			func(a, _ Set, x Interval) Set { return a.IntersectInterval(x) }},
+	}
+	for seed, op := range ops {
+		op := op
+		r := rand.New(rand.NewSource(int64(10 + seed)))
+		t.Run(op.name, func(t *testing.T) {
+			dst := wideRandSet(r, 40) // dirty from the start
+			for trial := 0; trial < 2000; trial++ {
+				a, b := wideRandSet(r, 40), wideRandSet(r, 40)
+				lo := int64(r.Intn(900))
+				x := iv(lo, lo+int64(r.Intn(400))-50) // sometimes empty
+				if sharesStorage(&dst, &a) || sharesStorage(&dst, &b) {
+					t.Fatal("the destination shares storage with an operand")
+				}
+				keepA, keepB := a.Intervals(), b.Intervals()
+				want := op.fresh(a, b, x)
+				op.into(&dst, a, b, x)
+				if !dst.Equal(want) {
+					t.Fatalf("trial %d: a=%v b=%v x=%v: got %v, want %v", trial, a, b, x, dst, want)
+				}
+				assertNormalized(t, dst)
+				if !a.Equal(NewSet(keepA...)) || !b.Equal(NewSet(keepB...)) {
+					t.Fatalf("trial %d: an operand changed: a=%v b=%v", trial, a, b)
+				}
+			}
+		})
+	}
+}
+
+// wideRandSet returns a random normalized set of up to maxIvs intervals
+// over a domain wide enough that most of them stay apart.
+func wideRandSet(r *rand.Rand, maxIvs int) Set {
+	var s Set
+	for i, n := 0, r.Intn(maxIvs+1); i < n; i++ {
+		lo := int64(r.Intn(1000))
+		s.AddInPlace(iv(lo, lo+int64(r.Intn(12))))
+	}
+	return s
+}
+
+// TestThreeOperandOpsReuseStorage checks what the family is for: a
+// destination that has held a large result rebuilds without allocating.
+func TestThreeOperandOpsReuseStorage(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	a, b := wideRandSet(r, 40), wideRandSet(r, 40)
+	var dst Set
+	dst.SetUnion(a, b) // grows dst to the largest result below
+	allocs := testing.AllocsPerRun(100, func() {
+		dst.SetIntersect(a, b)
+		dst.SetSubtract(a, b)
+		dst.SetIntersectInterval(a, iv(100, 900))
+		dst.SetUnion(a, b)
+	})
+	if allocs != 0 {
+		t.Fatalf("rebuilding over retained storage allocated %.1f times per run", allocs)
 	}
 }
 
@@ -83,11 +139,11 @@ func TestInPlaceOpsPreserveNormalization(t *testing.T) {
 		case 0:
 			s.AddInPlace(x)
 		case 1:
-			s.UnionInPlace(NewSet(x))
+			s = s.Union(NewSet(x))
 		case 2:
 			s.IntersectInto(NewSet(x, iv(lo+40, lo+80)))
 		case 3:
-			s.SubtractInto(NewSet(iv(lo, lo+3)))
+			s = s.Subtract(NewSet(iv(lo, lo+3)))
 		}
 		assertNormalized(t, s)
 	}
@@ -109,28 +165,6 @@ func assertNormalized(t *testing.T, s Set) {
 	}
 }
 
-// TestSubtractIntoDoesNotCorruptAliasedSource checks the documented
-// safety property the lock table relies on: subtracting into a value
-// copy must leave the original intact even when the set has spilled.
-func TestSubtractIntoDoesNotCorruptAliasedSource(t *testing.T) {
-	orig := NewSet(iv(0, 10), iv(20, 30), iv(40, 50), iv(60, 70)) // spilled
-	snapshot := orig.Intervals()
-	cpy := orig
-	cpy.SubtractInto(NewSet(iv(5, 45)))
-	for i, want := range snapshot {
-		if orig.At(i) != want {
-			t.Fatalf("source set corrupted: interval %d = %v, want %v", i, orig.At(i), want)
-		}
-	}
-	want := NewSet(
-		Span(New(0, 0), New(5, 0).Prev()),
-		Span(New(45, 0).Next(), New(50, 0)),
-		iv(60, 70))
-	if !cpy.Equal(want) {
-		t.Fatalf("difference = %v, want %v", cpy, want)
-	}
-}
-
 // TestInlineSpillBoundary exercises the transition from inline to heap
 // storage in both directions.
 func TestInlineSpillBoundary(t *testing.T) {
@@ -146,7 +180,7 @@ func TestInlineSpillBoundary(t *testing.T) {
 	if want := NewSet(iv(0, 4), iv(10, 14)); !s.Equal(want) {
 		t.Fatalf("shrunk set = %v, want %v", s, want)
 	}
-	s.SubtractInto(NewSet(iv(10, 14)))
+	s.SetSubtract(NewSet(iv(0, 4), iv(10, 14)), NewSet(iv(10, 14)))
 	if want := NewSet(iv(0, 4)); !s.Equal(want) {
 		t.Fatalf("shrunk set = %v, want %v", s, want)
 	}

@@ -199,6 +199,10 @@ func (s *Store) Update(ctx context.Context, fn func(tx *Txn) error) error {
 		}
 		if err := fn(tx); err != nil {
 			_ = tx.Abort(ctx)
+			if IsAborted(err) {
+				lastErr = err
+				continue
+			}
 			return err
 		}
 		if err := tx.Commit(ctx); err == nil {

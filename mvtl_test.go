@@ -135,6 +135,42 @@ func TestUpdateRollsBackOnError(t *testing.T) {
 	})
 }
 
+// TestUpdateRetriesOperationAborts checks that Update retries an abort
+// raised by an operation inside fn, not only one raised by Commit: under
+// MVTIL that is where contention aborts come from.
+func TestUpdateRetriesOperationAborts(t *testing.T) {
+	s := mvtl.Open(mvtl.Options{})
+	ctx := context.Background()
+	attempts := 0
+	err := s.Update(ctx, func(tx *mvtl.Txn) error {
+		attempts++
+		if attempts > 1 {
+			_, err := tx.Get(ctx, "k")
+			return err
+		}
+		// A second transaction write-locks "k" over this one's whole
+		// interval, so the read has nothing left to lock and aborts.
+		other, err := s.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := other.Set(ctx, "k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		_, getErr := tx.Get(ctx, "k")
+		if !mvtl.IsAborted(getErr) {
+			t.Fatalf("Get under a conflicting write lock: %v, want an abort", getErr)
+		}
+		if err := other.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return getErr
+	})
+	if err != nil || attempts != 2 {
+		t.Fatalf("Update = %v after attempts=%d, want success on the second", err, attempts)
+	}
+}
+
 func TestIsAborted(t *testing.T) {
 	if mvtl.IsAborted(nil) {
 		t.Fatal("nil is not aborted")
