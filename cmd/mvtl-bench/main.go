@@ -7,17 +7,17 @@
 //
 //	mvtl-bench -exp fig1
 //	mvtl-bench -exp all -measure 3s -clients 8,16,32,64,128
-//	mvtl-bench -exp cell -mode mvtil-early -servers 4 -nclients 64
-//	mvtl-bench -exp cell -mode mvto+ -transport tcp -conns 4 -servers 4
-//	mvtl-bench -exp cell -json   # machine-readable results on stdout
-//	mvtl-bench -exp failover -replicas 2   # kill a partition head mid-run
+//	mvtl-bench -exp fig1 -json   # machine-readable results on stdout
+//	mvtl-bench -exp failover -replicas 2   # fail a partition head over mid-run
+//
+// Single-cell throughput, allocation and latency figures come from the
+// benchmark in benchmarks/ (see its README), not from this command.
 //
 // It also fronts the deterministic fault-injection bed (see TESTING.md):
 //
 //	mvtl-bench -faults partition-crash -fault-verify
 //	mvtl-bench -faults all -fault-seed 7
 //	mvtl-bench -faults all -fault-verify -vtime   # same matrix, virtual time
-//	mvtl-bench -exp vtime -json > BENCH_vtime.json
 package main
 
 import (
@@ -94,82 +94,6 @@ func runFaults(name string, seed int64, verify, vtime bool) error {
 	return nil
 }
 
-// vtimeReport is the BENCH_vtime.json row: the fault matrix timed in
-// both modes (the speedup virtual time buys), and the big-topology
-// scenario — a cluster size only a zero-wall-clock timeline can afford.
-type vtimeReport struct {
-	MatrixWallSeconds    float64 `json:"matrix_wall_seconds"`
-	MatrixVirtualSeconds float64 `json:"matrix_virtual_seconds"`
-	MatrixSpeedup        float64 `json:"matrix_speedup"`
-	BigTopologyServers   int     `json:"big_topology_servers"`
-	BigTopologyTxns      int     `json:"big_topology_txns"`
-	BigTopologySeconds   float64 `json:"big_topology_seconds"`
-}
-
-// runVtimeReport times the whole scenario matrix wall-clock and
-// virtual, requires byte-identical transcripts between the two modes of
-// every scenario, then runs big-topology (virtual only). Serializability
-// violations and cross-mode divergence both fail the experiment.
-func runVtimeReport(w io.Writer, quiet bool) (vtimeReport, error) {
-	var rep vtimeReport
-	out := w
-	if quiet {
-		out = io.Discard
-	}
-	wallRes := make(map[string]faultbed.Result)
-	start := time.Now()
-	for _, s := range faultbed.Matrix() {
-		res, err := faultbed.Run(s)
-		if err != nil {
-			return rep, fmt.Errorf("%s (wall): %w", s.Name, err)
-		}
-		if res.CheckErr != nil {
-			return rep, fmt.Errorf("%s (wall): %w", s.Name, res.CheckErr)
-		}
-		wallRes[s.Name] = res
-	}
-	rep.MatrixWallSeconds = time.Since(start).Seconds()
-	fmt.Fprintf(out, "matrix wall-clock mode: %.3fs\n", rep.MatrixWallSeconds)
-
-	start = time.Now()
-	for _, s := range faultbed.Matrix() {
-		res, err := faultbed.RunVirtual(s)
-		if err != nil {
-			return rep, fmt.Errorf("%s (virtual): %w", s.Name, err)
-		}
-		if res.CheckErr != nil {
-			return rep, fmt.Errorf("%s (virtual): %w", s.Name, res.CheckErr)
-		}
-		wall := wallRes[s.Name]
-		if res.Transcript != wall.Transcript || res.FaultLog != wall.FaultLog || res.Events != wall.Events {
-			return rep, fmt.Errorf("%s: virtual transcript diverges from wall-clock mode", s.Name)
-		}
-	}
-	rep.MatrixVirtualSeconds = time.Since(start).Seconds()
-	rep.MatrixSpeedup = rep.MatrixWallSeconds / rep.MatrixVirtualSeconds
-	fmt.Fprintf(out, "matrix virtual mode:    %.3fs (%.1fx speedup, transcripts byte-identical)\n",
-		rep.MatrixVirtualSeconds, rep.MatrixSpeedup)
-
-	big, err := faultbed.Find("big-topology")
-	if err != nil {
-		return rep, err
-	}
-	start = time.Now()
-	res, err := faultbed.RunVirtual(big)
-	if err != nil {
-		return rep, fmt.Errorf("big-topology: %w", err)
-	}
-	if res.CheckErr != nil {
-		return rep, fmt.Errorf("big-topology: %w", res.CheckErr)
-	}
-	rep.BigTopologySeconds = time.Since(start).Seconds()
-	rep.BigTopologyServers = res.Scenario.Servers
-	rep.BigTopologyTxns = res.Scenario.Txns
-	fmt.Fprintf(out, "big-topology: %d servers, %d txns in %.3fs — %s\n",
-		rep.BigTopologyServers, rep.BigTopologyTxns, rep.BigTopologySeconds, res.Summary())
-	return rep, nil
-}
-
 func parseClients(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))
@@ -202,23 +126,19 @@ func main() {
 	log.SetPrefix("mvtl-bench: ")
 	log.SetFlags(0)
 
-	exp := flag.String("exp", "all", "experiment: fig1..fig7, all, cell, or failover")
+	exp := flag.String("exp", "all", "experiment: fig1..fig7, all, or failover")
 	measure := flag.Duration("measure", 1500*time.Millisecond, "measurement window per cell")
 	warmup := flag.Duration("warmup", 400*time.Millisecond, "warm-up per cell")
 	clients := flag.String("clients", "4,8,16,32,64", "client sweep points (comma separated)")
 
-	// -exp cell flags.
-	modeFlag := flag.String("mode", "mvtil-early", "protocol for -exp cell")
-	servers := flag.Int("servers", 3, "servers for -exp cell")
-	nclients := flag.Int("nclients", 32, "clients for -exp cell")
-	ops := flag.Int("ops", 20, "operations per transaction for -exp cell")
-	writes := flag.Float64("writes", 0.25, "write fraction for -exp cell")
-	keys := flag.Int("keys", 10000, "keyspace for -exp cell")
-	cloud := flag.Bool("cloud", false, "use the cloud bed for -exp cell")
-	transportFlag := flag.String("transport", "mem", "network for -exp cell: mem (latency model) or tcp (real loopback sockets)")
-	conns := flag.Int("conns", 0, "RPC connections per server per coordinator for -exp cell (0 = default of 1)")
-	valueSize := flag.Int("valuesize", 0, "written value size in bytes for -exp cell (0 = the paper's 8-byte cells)")
-	getMulti := flag.Bool("getmulti", false, "batch each transaction's leading reads into one GetMulti per server for -exp cell")
+	// -exp failover flags.
+	modeFlag := flag.String("mode", "mvtil-early", "protocol for -exp failover")
+	servers := flag.Int("servers", 3, "servers for -exp failover")
+	nclients := flag.Int("nclients", 32, "clients for -exp failover")
+	ops := flag.Int("ops", 20, "operations per transaction for -exp failover")
+	writes := flag.Float64("writes", 0.25, "write fraction for -exp failover")
+	keys := flag.Int("keys", 10000, "keyspace for -exp failover")
+	cloud := flag.Bool("cloud", false, "use the cloud bed for -exp failover")
 	replicas := flag.Int("replicas", 2, "per-partition replication factor for -exp failover")
 
 	// Fault-injection bed flags.
@@ -272,12 +192,6 @@ func main() {
 	}
 
 	switch *exp {
-	case "vtime":
-		rep, err := runVtimeReport(os.Stdout, *jsonOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(rep)
 	case "all":
 		results := make(map[string]any)
 		for _, name := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"} {
@@ -289,36 +203,8 @@ func main() {
 			fmt.Fprintln(w)
 		}
 		emit(results)
-	case "cell":
-		mode, err := parseMode(*modeFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bed := cluster.BedLocal
-		if *cloud {
-			bed = cluster.BedCloud
-		}
-		var tcp bool
-		switch *transportFlag {
-		case "mem":
-		case "tcp":
-			tcp = true
-		default:
-			log.Fatalf("unknown transport %q (mem, tcp)", *transportFlag)
-		}
-		row, err := bench.RunCell(ctx, bench.Cell{
-			Mode: mode, Bed: bed, Servers: *servers, TCP: tcp, Conns: *conns,
-			Clients: *nclients, OpsPerTxn: *ops, WriteFrac: *writes, Keys: *keys,
-			ValueSize: *valueSize, BatchReads: *getMulti,
-			Delta: 5000, WarmUp: *warmup, Measure: *measure,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(w, row)
-		emit(row)
 	case "failover":
-		// Kill the partition-0 head mid-measurement on a replicated
+		// Fail the partition-0 head over mid-measurement on a replicated
 		// cluster and report the client-observed availability dip; the
 		// recorded history must stay serializable across the failover.
 		mode, err := parseMode(*modeFlag)

@@ -26,7 +26,6 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/kv"
 	"github.com/lpd-epfl/mvtl/internal/metrics"
 	"github.com/lpd-epfl/mvtl/internal/server"
-	"github.com/lpd-epfl/mvtl/internal/transport"
 	"github.com/lpd-epfl/mvtl/internal/workload"
 )
 
@@ -47,24 +46,10 @@ type Cell struct {
 	// Replicas is the per-partition replication factor for the failover
 	// experiment (RunFailoverCell); 0 keeps ordinary cells unreplicated.
 	Replicas int
-	// TCP runs the cell over real loopback sockets instead of the
-	// bed's in-memory latency model, so batching and pipelining wins
-	// are measured against actual per-frame syscalls.
-	TCP bool
-	// Conns sizes each coordinator's RPC connection pool per server
-	// (0 = the single-connection default).
-	Conns int
 	// Workload shape (§8.3).
 	OpsPerTxn int
 	WriteFrac float64
 	Keys      int
-	// ValueSize is the written value length in bytes (0 keeps the
-	// paper's 8-byte cells); larger values expose the frame path's
-	// copy costs.
-	ValueSize int
-	// BatchReads issues each transaction's leading reads as one
-	// GetMulti (see workload.Config.BatchReads).
-	BatchReads bool
 	// Delta is the MVTIL interval width (µs).
 	Delta int64
 	// Timing.
@@ -102,24 +87,12 @@ type Row struct {
 
 // String renders the row as a table line.
 func (r Row) String() string {
-	net := ""
-	if r.TCP {
-		net = " tcp"
-	}
-	if r.Conns > 1 {
-		net += fmt.Sprintf(" conns=%d", r.Conns)
-	}
-	if r.ValueSize > 0 {
-		net += fmt.Sprintf(" val=%dB", r.ValueSize)
-	}
-	if r.BatchReads {
-		net += " getmulti"
-	}
+	repl := ""
 	if r.Replicas > 1 {
-		net += fmt.Sprintf(" repl=%d", r.Replicas)
+		repl = fmt.Sprintf(" repl=%d", r.Replicas)
 	}
 	line := fmt.Sprintf("%-12s srv=%d cli=%-3d ops=%-2d wr=%3.0f%% keys=%-6d%s | %8.0f txs/s  commit=%.3f",
-		r.Mode, r.Servers, r.Clients, r.OpsPerTxn, r.WriteFrac*100, r.Keys, net, r.Throughput, r.CommitRate)
+		r.Mode, r.Servers, r.Clients, r.OpsPerTxn, r.WriteFrac*100, r.Keys, repl, r.Throughput, r.CommitRate)
 	if r.Replicas > 1 {
 		line += fmt.Sprintf("  dip=%.2fms recover=%.2fms lag=%d", r.AvailabilityDipMS, r.RecoveryMS, r.ReplicaLag)
 	}
@@ -164,23 +137,18 @@ func (r Row) MarshalJSON() ([]byte, error) {
 		Mode       string  `json:"mode"`
 		Servers    int     `json:"servers"`
 		Clients    int     `json:"clients"`
-		TCP        bool    `json:"tcp,omitempty"`
-		Conns      int     `json:"conns,omitempty"`
 		OpsPerTxn  int     `json:"ops_per_txn"`
 		WriteFrac  float64 `json:"write_frac"`
 		Keys       int     `json:"keys"`
-		ValueSize  int     `json:"value_size,omitempty"`
-		BatchReads bool    `json:"getmulti,omitempty"`
 		Throughput float64 `json:"txs_per_sec"`
 		CommitRate float64 `json:"commit_rate"`
 		Commits    int64   `json:"commits"`
 		Aborts     int64   `json:"aborts"`
 	}{
 		Mode: r.Mode.String(), Servers: r.Servers, Clients: r.Clients,
-		TCP: r.TCP, Conns: r.Conns, OpsPerTxn: r.OpsPerTxn,
-		WriteFrac: r.WriteFrac, Keys: r.Keys, ValueSize: r.ValueSize,
-		BatchReads: r.BatchReads, Throughput: r.Throughput,
-		CommitRate: r.CommitRate, Commits: r.Commits, Aborts: r.Aborts,
+		OpsPerTxn: r.OpsPerTxn, WriteFrac: r.WriteFrac, Keys: r.Keys,
+		Throughput: r.Throughput, CommitRate: r.CommitRate,
+		Commits: r.Commits, Aborts: r.Aborts,
 	})
 }
 
@@ -214,15 +182,9 @@ func coordinatorsFor(clients int) int {
 
 // RunCell measures one cell on a fresh cluster.
 func RunCell(ctx context.Context, cell Cell) (Row, error) {
-	var network transport.Network
-	if cell.TCP {
-		network = transport.TCP{}
-	}
 	c, err := cluster.Start(cluster.Config{
-		Servers:        cell.Servers,
-		Bed:            cell.Bed,
-		Network:        network,
-		ConnsPerServer: cell.Conns,
+		Servers: cell.Servers,
+		Bed:     cell.Bed,
 		ServerConfig: server.Config{
 			LockWaitTimeout:  500 * time.Millisecond,
 			WriteLockTimeout: 2 * time.Second,
@@ -257,8 +219,6 @@ func runOnClusterCounted(ctx context.Context, c *cluster.Cluster, cell Cell, sam
 		OpsPerTxn:     cell.OpsPerTxn,
 		WriteFraction: cell.WriteFrac,
 		Keys:          cell.Keys,
-		ValueSize:     cell.ValueSize,
-		BatchReads:    cell.BatchReads,
 		WarmUp:        cell.WarmUp,
 		Measure:       cell.Measure,
 		TxnTimeout:    2 * time.Second,

@@ -21,7 +21,7 @@ const probeInterval = 100 * time.Microsecond
 // RunFailoverCell measures what a partition-head failover costs the
 // clients. It runs the cell's workload on a replicated cluster and,
 // halfway through the measurement window, fails partition 0 over with
-// cluster.FailoverKill: routes flip, the old head is fenced and
+// cluster.Failover: routes flip, the old head is fenced and
 // drained into its standby, the standby starts serving, the old head is
 // crash-stopped. Throughout, a dedicated probe client runs read
 // transactions against a partition-0 key outside the workload keyspace
@@ -63,7 +63,7 @@ func RunFailoverCell(ctx context.Context, cell Cell) (Row, error) {
 	// A partition-0 probe key outside the workload keyspace.
 	probeKey := ""
 	for i := cell.Keys; ; i++ {
-		if strhash.FNV1a(workload.Key(i))%uint32(cell.Servers) == 0 {
+		if strhash.Partition(workload.Key(i), cell.Servers) == 0 {
 			probeKey = workload.Key(i)
 			break
 		}
@@ -137,7 +137,7 @@ func RunFailoverCell(ctx context.Context, cell Cell) (Row, error) {
 			return
 		}
 		lag = c.ReplicaLag(0)
-		_, failErr = c.FailoverKill(0)
+		_, failErr = c.Failover(0)
 	}()
 
 	row, err := runOnCluster(ctx, c, cell, nil)

@@ -242,14 +242,9 @@ func (c *Client) Close() error {
 // clients do not start transactions needing purged versions.
 func (c *Client) AdvanceClock(t int64) { c.clk.AdvanceTo(t) }
 
-// serverFor maps a key to its server address under static routing.
-func (c *Client) serverFor(key string) string {
-	return c.cfg.Servers[strhash.FNV1a(key)%uint32(len(c.cfg.Servers))]
-}
-
 // partitionFor maps a key to its partition index.
 func (c *Client) partitionFor(key string) int {
-	return int(strhash.FNV1a(key) % uint32(len(c.cfg.Servers)))
+	return strhash.Partition(key, len(c.cfg.Servers))
 }
 
 // routeFor resolves a partition to its current head and fencing epoch:

@@ -39,27 +39,6 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestServerForIsStable(t *testing.T) {
-	n := transport.NewMem(transport.LatencyModel{})
-	c, err := New(Config{ID: 1, Servers: []string{"s0", "s1", "s2"}, Network: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]string{}
-	for _, k := range []string{"alpha", "beta", "gamma", "delta"} {
-		first := c.serverFor(k)
-		for i := 0; i < 10; i++ {
-			if got := c.serverFor(k); got != first {
-				t.Fatalf("serverFor(%q) unstable: %q vs %q", k, first, got)
-			}
-		}
-		seen[first] = k
-	}
-	if len(seen) < 2 {
-		t.Log("all keys landed on one server (possible but unlikely); not fatal")
-	}
-}
-
 func TestTxnIDsEmbedClientID(t *testing.T) {
 	n := transport.NewMem(transport.LatencyModel{})
 	a, _ := New(Config{ID: 1, Servers: []string{"s"}, Network: n})

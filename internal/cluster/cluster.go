@@ -72,10 +72,6 @@ type Config struct {
 	// Recorder, when non-nil, is handed to every client for
 	// serializability checking.
 	Recorder *history.Recorder
-	// ConnsPerServer sizes every coordinator's RPC connection pool per
-	// server (see client.Config.ConnsPerServer); zero keeps the
-	// single-connection default.
-	ConnsPerServer int
 	// CallTimeout bounds every coordinator RPC (see
 	// client.Config.CallTimeout); zero disables per-call deadlines.
 	CallTimeout time.Duration
@@ -103,11 +99,10 @@ type Cluster struct {
 	cfg     Config
 	network transport.Network
 	timers  clock.Timers
-	addrs   []string
-	// serverCfgs are the resolved per-server configurations (address
-	// and network view filled in), kept so RestartServer can bring a
-	// crashed server back with the same identity.
-	serverCfgs []server.Config
+	// addrs[i] is slot i's resolved address: the original head of
+	// partition i, and the identity StopServer(i) and RestartServer(i)
+	// act on. Fixed at Start.
+	addrs []string
 
 	// director is the replication membership authority (nil when
 	// Replicas <= 1). It lives in the harness on purpose: the paper's
@@ -115,12 +110,10 @@ type Cluster struct {
 	// replicating it is out of scope (see package repl).
 	director *repl.Director
 
-	mu      sync.Mutex
-	servers []*server.Server // nil slots are stopped servers
-	// procs maps every server address — heads and standbys — to its
-	// running instance (nil when stopped). servers above stays the
-	// index-addressed view of the original heads for the legacy
-	// stop/restart API.
+	mu sync.Mutex
+	// procs is the membership table: every running server — slot
+	// servers and standbys alike — by address. A stopped server has no
+	// entry.
 	procs        map[string]*server.Server
 	clients      []*client.Client
 	nextClientID int32
@@ -166,80 +159,76 @@ func Start(cfg Config) (*Cluster, error) {
 		cfg.ServerConfig.Timers = cfg.Timers
 	}
 	c := &Cluster{cfg: cfg, network: network, timers: clock.OrSystem(cfg.Timers), nextClientID: 1, procs: make(map[string]*server.Server)}
-	replicated := cfg.Replicas > 1
 	var chains [][]string
 	for i := 0; i < cfg.Servers; i++ {
-		scfg := cfg.ServerConfig
-		scfg.Addr = fmt.Sprintf("server-%d", i)
-		if _, isTCP := network.(transport.TCP); isTCP {
-			// Real sockets: bind loopback ephemeral ports; the server's
-			// identity is the resolved srv.Addr().
-			scfg.Addr = "127.0.0.1:0"
-		} else {
-			scfg.Network = c.netFor(scfg.Addr)
-		}
-		if scfg.Network == nil {
-			scfg.Network = network
-		}
-		if replicated {
-			scfg.Repl = c.replConfigFrom(cfg.ServerConfig.Repl)
-		}
-		srv, err := server.New(scfg)
+		head, err := c.startServer(c.serverConfig(c.listenAddr(fmt.Sprintf("server-%d", i)), 1, ""))
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("cluster: start server %d: %w", i, err)
 		}
-		c.servers = append(c.servers, srv)
-		c.addrs = append(c.addrs, srv.Addr())
-		c.procs[srv.Addr()] = srv
-		// Remember the resolved identity so a restart rebinds the same
-		// address (for TCP, the ephemeral port that was allocated).
-		scfg.Addr = srv.Addr()
-		c.serverCfgs = append(c.serverCfgs, scfg)
-		if !replicated {
+		c.addrs = append(c.addrs, head)
+		if cfg.Replicas <= 1 {
 			continue
 		}
-		chain := []string{srv.Addr()}
+		chain := []string{head}
 		for r := 1; r < cfg.Replicas; r++ {
-			sscfg := cfg.ServerConfig
-			sscfg.Addr = fmt.Sprintf("server-%d.%d", i, r)
-			if _, isTCP := network.(transport.TCP); isTCP {
-				sscfg.Addr = "127.0.0.1:0"
-			} else {
-				sscfg.Network = c.netFor(sscfg.Addr)
-			}
-			if sscfg.Network == nil {
-				sscfg.Network = network
-			}
-			sscfg.Repl = c.replConfigFrom(cfg.ServerConfig.Repl)
-			sscfg.Repl.Standby = true
-			sscfg.Repl.Upstream = srv.Addr()
-			ssrv, err := server.New(sscfg)
+			standby, err := c.startServer(c.serverConfig(c.listenAddr(fmt.Sprintf("server-%d.%d", i, r)), 1, head))
 			if err != nil {
 				c.Close()
 				return nil, fmt.Errorf("cluster: start replica %d.%d: %w", i, r, err)
 			}
-			chain = append(chain, ssrv.Addr())
-			c.procs[ssrv.Addr()] = ssrv
+			chain = append(chain, standby)
 		}
 		chains = append(chains, chain)
 	}
-	if replicated {
+	if cfg.Replicas > 1 {
 		c.director = repl.NewDirector(chains)
 	}
 	return c, nil
 }
 
-// replConfigFrom builds one replica's server.ReplConfig at epoch 1,
-// inheriting tuning knobs (PullInterval, LogCap) from the base template
-// when the caller set one.
-func (c *Cluster) replConfigFrom(base *server.ReplConfig) *server.ReplConfig {
-	r := &server.ReplConfig{Epoch: 1}
-	if base != nil {
-		r.PullInterval = base.PullInterval
-		r.LogCap = base.LogCap
+// listenAddr is the address a new server named name binds: the name
+// itself, except over real sockets, where it is a loopback ephemeral
+// port and the server's identity is the address it resolves to.
+func (c *Cluster) listenAddr(name string) string {
+	if _, isTCP := c.network.(transport.TCP); isTCP {
+		return "127.0.0.1:0"
 	}
-	return r
+	return name
+}
+
+// serverConfig builds the configuration of the server at addr, for
+// Start and RestartServer alike: the base template bound to addr and to
+// that endpoint's view of the network. On a replicated cluster it
+// carries a ReplConfig at epoch, inheriting the tuning knobs
+// (PullInterval, LogCap) of the template's when the caller set one; a
+// non-empty upstream makes the server a standby pulling from there.
+func (c *Cluster) serverConfig(addr string, epoch uint64, upstream string) server.Config {
+	scfg := c.cfg.ServerConfig
+	scfg.Addr = addr
+	scfg.Network = c.netFor(addr)
+	if c.cfg.Replicas > 1 {
+		r := &server.ReplConfig{Epoch: epoch, Standby: upstream != "", Upstream: upstream}
+		if base := c.cfg.ServerConfig.Repl; base != nil {
+			r.PullInterval = base.PullInterval
+			r.LogCap = base.LogCap
+		}
+		scfg.Repl = r
+	}
+	return scfg
+}
+
+// startServer launches a server and enters it in the membership table
+// under the address it resolved.
+func (c *Cluster) startServer(scfg server.Config) (string, error) {
+	srv, err := server.New(scfg)
+	if err != nil {
+		return "", err
+	}
+	c.mu.Lock()
+	c.procs[srv.Addr()] = srv
+	c.mu.Unlock()
+	return srv.Addr(), nil
 }
 
 // StopServer crash-stops server i: its listener and connections close
@@ -247,14 +236,12 @@ func (c *Cluster) replConfigFrom(base *server.ReplConfig) *server.ReplConfig {
 // objects — is lost, as in the paper's crash failure model. In-flight
 // requests against it fail; it is an error to stop a stopped server.
 func (c *Cluster) StopServer(i int) error {
-	c.mu.Lock()
-	if i < 0 || i >= len(c.servers) {
-		c.mu.Unlock()
+	if i < 0 || i >= len(c.addrs) {
 		return fmt.Errorf("cluster: no server %d", i)
 	}
-	srv := c.servers[i]
-	c.servers[i] = nil
-	c.procs[c.addrs[i]] = nil
+	c.mu.Lock()
+	srv := c.procs[c.addrs[i]]
+	delete(c.procs, c.addrs[i])
 	c.mu.Unlock()
 	if srv == nil {
 		return fmt.Errorf("cluster: server %d already stopped", i)
@@ -262,70 +249,35 @@ func (c *Cluster) StopServer(i int) error {
 	return srv.Close()
 }
 
-// RestartServer brings a stopped server back empty on its original
-// address: the identity survives the crash, the state does not.
-// Coordinators reconnect on their next call (their broken connections
-// are evicted and redialed).
+// RestartServer brings stopped server i back on its original address.
+// What it comes back as follows from the cluster, never from the
+// caller. Unreplicated, it comes back empty: the identity survives the
+// crash, the state does not. Replicated, it rejoins as a catching-up
+// standby of partition i's current head — it snapshots and then tails
+// the head's log, and the director appends it to the chain so a later
+// Failover can promote it — which a server the director still lists as
+// that head cannot do. Coordinators reconnect on their next call (their
+// broken connections are evicted and redialed).
 func (c *Cluster) RestartServer(i int) error {
-	c.mu.Lock()
-	if i < 0 || i >= len(c.serverCfgs) {
-		c.mu.Unlock()
+	if i < 0 || i >= len(c.addrs) {
 		return fmt.Errorf("cluster: no server %d", i)
 	}
-	if c.servers[i] != nil {
-		c.mu.Unlock()
+	addr := c.addrs[i]
+	if c.ServerByAddr(addr) != nil {
 		return fmt.Errorf("cluster: server %d is already running", i)
 	}
-	scfg := c.serverCfgs[i]
-	c.mu.Unlock()
-	srv, err := server.New(scfg)
-	if err != nil {
+	var v repl.View
+	if c.director != nil {
+		if v = c.director.View(i); v.Head == addr {
+			return fmt.Errorf("cluster: server %d is still the head of partition %d: fail it over first", i, i)
+		}
+	}
+	if _, err := c.startServer(c.serverConfig(addr, v.Epoch, v.Head)); err != nil {
 		return fmt.Errorf("cluster: restart server %d: %w", i, err)
 	}
-	c.mu.Lock()
-	c.servers[i] = srv
-	c.procs[scfg.Addr] = srv
-	c.mu.Unlock()
-	return nil
-}
-
-// RestartServerAsReplica brings stopped server i back on its original
-// address as a catching-up standby of partition i's current head: it
-// snapshots and then tails the head's log, and the director appends it
-// to the chain so a later failover can promote it. This is the
-// replicated counterpart of RestartServer (which restarts empty and is
-// left untouched for unreplicated scenarios); it requires a replicated
-// cluster.
-func (c *Cluster) RestartServerAsReplica(i int) error {
-	if c.director == nil {
-		return fmt.Errorf("cluster: RestartServerAsReplica needs a replicated cluster (Replicas > 1)")
+	if c.director != nil {
+		c.director.AddStandby(i, addr)
 	}
-	c.mu.Lock()
-	if i < 0 || i >= len(c.serverCfgs) {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: no server %d", i)
-	}
-	if c.servers[i] != nil {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: server %d is already running", i)
-	}
-	scfg := c.serverCfgs[i]
-	c.mu.Unlock()
-	v := c.director.View(i)
-	r := c.replConfigFrom(c.cfg.ServerConfig.Repl)
-	r.Epoch = v.Epoch
-	r.Standby = true
-	r.Upstream = v.Head
-	scfg.Repl = r
-	srv, err := server.New(scfg)
-	if err != nil {
-		return fmt.Errorf("cluster: restart server %d as replica: %w", i, err)
-	}
-	c.mu.Lock()
-	c.servers[i] = srv
-	c.procs[scfg.Addr] = srv
-	c.mu.Unlock()
-	c.director.AddStandby(i, scfg.Addr)
 	return nil
 }
 
@@ -340,84 +292,35 @@ func (c *Cluster) ServerByAddr(addr string) *server.Server {
 	return c.procs[addr]
 }
 
-// KillHead crash-stops partition p's current head (per the director's
-// view) and returns its address. The partition is unavailable until
-// PromoteReplica installs the next epoch.
-func (c *Cluster) KillHead(p int) (string, error) {
-	if c.director == nil {
-		return "", fmt.Errorf("cluster: KillHead needs a replicated cluster (Replicas > 1)")
-	}
-	v := c.director.View(p)
-	c.mu.Lock()
-	srv := c.procs[v.Head]
-	c.procs[v.Head] = nil
-	// Keep the index-addressed view consistent when the head was an
-	// original slot server.
-	for i, a := range c.addrs {
-		if a == v.Head {
-			c.servers[i] = nil
-		}
-	}
-	c.mu.Unlock()
-	if srv == nil {
-		return v.Head, fmt.Errorf("cluster: head %s of partition %d already stopped", v.Head, p)
-	}
-	return v.Head, srv.Close()
-}
-
-// PromoteReplica fails partition p over to its first standby: the
-// director bumps the epoch, the standby stops pulling and becomes the
-// head, and — for planned handovers where the old head is still alive —
-// the old head is demoted so it fences everything that still routes to
-// it. Returns the new view.
-func (c *Cluster) PromoteReplica(p int) (repl.View, error) {
-	if c.director == nil {
-		return repl.View{}, fmt.Errorf("cluster: PromoteReplica needs a replicated cluster (Replicas > 1)")
-	}
-	old := c.director.View(p)
-	v, err := c.director.Promote(p)
-	if err != nil {
-		return repl.View{}, err
-	}
-	c.mu.Lock()
-	oldSrv := c.procs[old.Head]
-	newSrv := c.procs[v.Head]
-	c.mu.Unlock()
-	if oldSrv != nil {
-		oldSrv.Demote(v.Epoch)
-	}
-	if newSrv == nil {
-		return v, fmt.Errorf("cluster: standby %s of partition %d is not running", v.Head, p)
-	}
-	newSrv.Promote(v.Epoch)
-	return v, nil
-}
-
-// FailoverKill fails partition p over to its first standby under live
-// load and then crash-stops the old head. Unlike KillHead +
-// PromoteReplica (crash first, promote with whatever the standby had —
-// which the fault bed only uses behind a settle+drain barrier), the
-// sequence here is lossless under traffic: flip the routes, fence the
+// Failover fails partition p over to its first standby and crash-stops
+// the old head; it is lossless under live load. The elected standby is
+// looked up before the director is touched, so a failover that cannot
+// complete leaves the view as it was. Then: flip the routes, fence the
 // old head (it finishes in-flight freezes, logging them, and bounces
 // everything new with StatusWrongEpoch), drain its log tail into the
 // standby, and only then let the standby serve and kill the old head.
-// The unavailability window a client observes runs from the route flip
-// to the standby's promotion.
-func (c *Cluster) FailoverKill(p int) (repl.View, error) {
+// An old head that is already dead has nothing to fence or drain: the
+// standby is promoted with whatever it had applied. The unavailability
+// window a client observes runs from the route flip to the standby's
+// promotion. Returns the new view.
+func (c *Cluster) Failover(p int) (repl.View, error) {
 	if c.director == nil {
-		return repl.View{}, fmt.Errorf("cluster: FailoverKill needs a replicated cluster (Replicas > 1)")
+		return repl.View{}, fmt.Errorf("cluster: Failover needs a replicated cluster (Replicas > 1)")
+	}
+	if p < 0 || p >= len(c.addrs) {
+		return repl.View{}, fmt.Errorf("cluster: no partition %d", p)
 	}
 	old := c.director.View(p)
+	if len(old.Standbys) == 0 {
+		return repl.View{}, fmt.Errorf("cluster: partition %d has no standby to promote", p)
+	}
+	oldSrv, newSrv := c.ServerByAddr(old.Head), c.ServerByAddr(old.Standbys[0])
+	if newSrv == nil {
+		return repl.View{}, fmt.Errorf("cluster: standby %s of partition %d is not running", old.Standbys[0], p)
+	}
 	v, err := c.director.Promote(p)
 	if err != nil {
 		return repl.View{}, err
-	}
-	c.mu.Lock()
-	oldSrv := c.procs[old.Head]
-	newSrv := c.procs[v.Head]
-	c.mu.Unlock()
-	if newSrv == nil {
-		return v, fmt.Errorf("cluster: standby %s of partition %d is not running", v.Head, p)
 	}
 	if oldSrv != nil {
 		oldSrv.Demote(v.Epoch)
@@ -430,52 +333,41 @@ func (c *Cluster) FailoverKill(p int) (repl.View, error) {
 		// fenced (including a post-acquisition re-check), so once live
 		// transactions hit zero no further install can occur and the
 		// log watermark is fixed.
-		stable := 0
-		for i := 0; i < 5000 && stable < 2; i++ {
-			if oldSrv.LiveTxns() == 0 {
-				stable++
-			} else {
-				stable = 0
-			}
-			if stable < 2 {
-				c.timers.Sleep(time.Millisecond)
-			}
-		}
-		if stable < 2 {
+		if !c.holds(func() bool { return oldSrv.LiveTxns() == 0 }) {
 			return v, fmt.Errorf("cluster: old head %s of partition %d never resolved its in-flight transactions", old.Head, p)
 		}
 		// Drain: the standby keeps pulling from the fenced old head until
-		// it has applied that fixed watermark. Two consecutive caught-up
-		// observations guard against a watermark read racing the last
-		// in-flight freeze handler above.
-		stable = 0
-		for i := 0; i < 5000 && stable < 2; i++ {
-			if newSrv.AppliedLSN() >= oldSrv.LogWatermark() {
-				stable++
-			} else {
-				stable = 0
-			}
-			if stable < 2 {
-				c.timers.Sleep(time.Millisecond)
-			}
-		}
-		if stable < 2 {
+		// it has applied that fixed watermark.
+		if !c.holds(func() bool { return newSrv.AppliedLSN() >= oldSrv.LogWatermark() }) {
 			return v, fmt.Errorf("cluster: standby %s never drained old head %s", v.Head, old.Head)
 		}
 	}
 	newSrv.Promote(v.Epoch)
 	if oldSrv != nil {
 		c.mu.Lock()
-		c.procs[old.Head] = nil
-		for i, a := range c.addrs {
-			if a == old.Head {
-				c.servers[i] = nil
-			}
-		}
+		delete(c.procs, old.Head)
 		c.mu.Unlock()
-		_ = oldSrv.Close()
+		_ = oldSrv.Close() // crash-stop: the server's state is discarded either way
 	}
 	return v, nil
+}
+
+// holds polls cond every millisecond, for up to five seconds of the
+// cluster's timeline, until two consecutive observations hold — a
+// single one can race the last in-flight handler.
+func (c *Cluster) holds(cond func() bool) bool {
+	stable := 0
+	for i := 0; i < 5000 && stable < 2; i++ {
+		if cond() {
+			stable++
+		} else {
+			stable = 0
+		}
+		if stable < 2 {
+			c.timers.Sleep(time.Millisecond)
+		}
+	}
+	return stable == 2
 }
 
 // ReplicaLag returns the maximum catch-up lag among partition p's
@@ -514,26 +406,17 @@ func (c *Cluster) ReplicaLag(p int) int64 {
 
 // LiveAddrs returns the sorted addresses of every currently running
 // server — heads and standbys alike. Unlike Addrs (the fixed original
-// slots), this tracks replicated-membership changes: a promoted standby
-// is included, a killed head is not.
+// slots), this tracks membership changes: a promoted standby is
+// included, a stopped server is not.
 func (c *Cluster) LiveAddrs() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	addrs := make([]string, 0, len(c.procs))
-	for a, srv := range c.procs {
-		if srv != nil {
-			addrs = append(addrs, a)
-		}
+	for a := range c.procs {
+		addrs = append(addrs, a)
 	}
 	sort.Strings(addrs)
 	return addrs
-}
-
-// ServerRunning reports whether server i is currently up.
-func (c *Cluster) ServerRunning(i int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return i >= 0 && i < len(c.servers) && c.servers[i] != nil
 }
 
 // Addrs returns the server addresses.
@@ -554,18 +437,17 @@ func (c *Cluster) NewClient(mode client.Mode, delta int64, src clock.Source) (*c
 		router = directorRouter{c.director}
 	}
 	cl, err := client.New(client.Config{
-		ID:             id,
-		Servers:        c.addrs,
-		Router:         router,
-		Network:        c.netFor(fmt.Sprintf("client-%d", id)),
-		Mode:           mode,
-		Delta:          delta,
-		Clock:          src,
-		Recorder:       c.cfg.Recorder,
-		ConnsPerServer: c.cfg.ConnsPerServer,
-		CallTimeout:    c.cfg.CallTimeout,
-		DeadlockPoll:   c.cfg.DeadlockPoll,
-		Timers:         c.cfg.Timers,
+		ID:           id,
+		Servers:      c.addrs,
+		Router:       router,
+		Network:      c.netFor(fmt.Sprintf("client-%d", id)),
+		Mode:         mode,
+		Delta:        delta,
+		Clock:        src,
+		Recorder:     c.cfg.Recorder,
+		CallTimeout:  c.cfg.CallTimeout,
+		DeadlockPoll: c.cfg.DeadlockPoll,
+		Timers:       c.cfg.Timers,
 	})
 	if err != nil {
 		return nil, err
@@ -602,7 +484,7 @@ func (c *Cluster) StartTimestampService(interval, retention time.Duration) error
 	return nil
 }
 
-// Stats aggregates state-size statistics across all servers.
+// Stats aggregates state-size statistics across every running server.
 func (c *Cluster) Stats(ctx context.Context) (wire.StatsResp, error) {
 	cl, err := c.NewClient(client.ModeTILEarly, 0, nil)
 	if err != nil {
@@ -611,22 +493,8 @@ func (c *Cluster) Stats(ctx context.Context) (wire.StatsResp, error) {
 	defer func() {
 		_ = cl.Close()
 	}()
-	c.mu.Lock()
-	addrs := append([]string(nil), c.addrs...)
-	if c.director != nil {
-		// Replicated: every live replica reports (the original heads may
-		// be dead after a failover; standbys carry the repl counters).
-		addrs = addrs[:0]
-		for a, srv := range c.procs {
-			if srv != nil {
-				addrs = append(addrs, a)
-			}
-		}
-		sort.Strings(addrs)
-	}
-	c.mu.Unlock()
 	var total wire.StatsResp
-	for _, addr := range addrs {
+	for _, addr := range c.LiveAddrs() {
 		st, err := cl.ServerStats(ctx, addr)
 		if err != nil {
 			return total, err
@@ -657,7 +525,6 @@ func (c *Cluster) Close() {
 	c.mu.Lock()
 	clients := c.clients
 	c.clients = nil
-	c.servers = nil
 	procs := c.procs
 	c.procs = map[string]*server.Server{}
 	c.mu.Unlock()
@@ -665,8 +532,6 @@ func (c *Cluster) Close() {
 		_ = cl.Close()
 	}
 	for _, s := range procs {
-		if s != nil {
-			_ = s.Close()
-		}
+		_ = s.Close()
 	}
 }

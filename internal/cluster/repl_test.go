@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,9 +81,9 @@ func waitDrained(t *testing.T, c *cluster.Cluster, partitions int) {
 	t.Fatal("standbys never drained their upstream logs")
 }
 
-// TestFailoverServesCommittedData is the tentpole's end-to-end check:
-// commit through the heads, let the standbys catch up, kill a head,
-// promote, and read everything back through the new epoch.
+// TestFailoverServesCommittedData is the end-to-end check: commit
+// through the heads, let the standbys catch up, fail a live head over,
+// and read everything back through the new epoch.
 func TestFailoverServesCommittedData(t *testing.T) {
 	c := startReplicated(t, 2, 2)
 	cl, err := c.NewClient(client.ModeTILEarly, 5000, nil)
@@ -98,11 +99,8 @@ func TestFailoverServesCommittedData(t *testing.T) {
 	}
 	waitDrained(t, c, 2)
 
-	// Fail partition 0 over to its standby.
-	if _, err := c.KillHead(0); err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.PromoteReplica(0)
+	// Fail partition 0 over to its standby, the old head alive.
+	v, err := c.Failover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +138,11 @@ func TestFailoverServesCommittedData(t *testing.T) {
 	commitAll(t, cl, map[string]string{"omega": "9"})
 }
 
-// TestPlannedHandoverFencesOldHead demotes a still-running head and
-// checks that traffic pinned to the old epoch is turned away with the
-// wrong-epoch counter ticking, while fresh transactions (new routes)
-// proceed.
+// TestPlannedHandoverFencesOldHead fails a still-running head over and
+// checks that it is gone from the membership table, that exactly one
+// promotion happened, and that fresh transactions (new routes) proceed.
+// What a demoted head does to traffic still pinned to it is
+// TestDemotedHeadFencesLocksAndServesFreezes in internal/server.
 func TestPlannedHandoverFencesOldHead(t *testing.T) {
 	c := startReplicated(t, 1, 2)
 	cl, err := c.NewClient(client.ModeTILEarly, 5000, nil)
@@ -154,17 +153,11 @@ func TestPlannedHandoverFencesOldHead(t *testing.T) {
 	waitDrained(t, c, 1)
 
 	oldHead := c.Director().View(0).Head
-	if _, err := c.PromoteReplica(0); err != nil {
+	if _, err := c.Failover(0); err != nil {
 		t.Fatal(err)
 	}
-	// The old head is alive but demoted: direct traffic at the stale
-	// epoch must bounce.
-	srv := c.ServerByAddr(oldHead)
-	if srv == nil {
-		t.Fatalf("old head %s should still be running", oldHead)
-	}
-	if srv.IsHead() {
-		t.Fatal("old head still thinks it serves the partition")
+	if c.ServerByAddr(oldHead) != nil {
+		t.Fatalf("old head %s is still in the membership table after the failover", oldHead)
 	}
 
 	// Fresh transactions route to the new head and commit.
@@ -183,9 +176,68 @@ func TestPlannedHandoverFencesOldHead(t *testing.T) {
 	}
 }
 
-// TestRestartAsReplicaCatchesUp kills a head, promotes, restarts the
-// dead server as a standby of the new head, and checks it drains the
-// log — the satellite-1 path.
+// TestFailoverWithoutRunningStandbyLeavesViewIntact: a failover whose
+// elected standby is down must fail before it touches the director —
+// routes, epoch and the head's role stay as they were and the partition
+// keeps serving. The standby that is down is slot 0 itself, failed
+// over, rejoined behind the new head and stopped again.
+func TestFailoverWithoutRunningStandbyLeavesViewIntact(t *testing.T) {
+	c := startReplicated(t, 1, 2)
+	cl, err := c.NewClient(client.ModeTILEarly, 5000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitAll(t, cl, map[string]string{"pre": "1"})
+	if _, err := c.Failover(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartServer(0); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, c, 1)
+	if err := c.StopServer(0); err != nil {
+		t.Fatal(err)
+	}
+
+	before := c.Director().View(0)
+	if _, err := c.Failover(0); err == nil {
+		t.Fatal("Failover onto a stopped standby succeeded")
+	}
+	after := c.Director().View(0)
+	if after.Epoch != before.Epoch || after.Head != before.Head || len(after.Standbys) != len(before.Standbys) {
+		t.Fatalf("view moved on a failed failover: %+v -> %+v", before, after)
+	}
+	if head := c.ServerByAddr(before.Head); head == nil || !head.IsHead() {
+		t.Fatalf("head %s no longer serves the partition after a failed failover", before.Head)
+	}
+	commitAll(t, cl, map[string]string{"post": "2"})
+}
+
+// TestRestartRefusesCurrentHead: a stopped server the director still
+// lists as its partition's head cannot rejoin as a standby of itself;
+// RestartServer says so and starts nothing.
+func TestRestartRefusesCurrentHead(t *testing.T) {
+	c := startReplicated(t, 1, 2)
+	head := c.Director().View(0).Head
+	if err := c.StopServer(0); err != nil {
+		t.Fatal(err)
+	}
+	err := c.RestartServer(0)
+	if err == nil || !strings.Contains(err.Error(), "partition 0") {
+		t.Fatalf("RestartServer of the current head: err = %v, want one naming partition 0", err)
+	}
+	if c.ServerByAddr(head) != nil {
+		t.Fatal("the refused restart left a server running")
+	}
+	if v := c.Director().View(0); v.Head != head || len(v.Standbys) != 1 {
+		t.Fatalf("the refused restart changed the view: %+v", v)
+	}
+}
+
+// TestRestartAsReplicaCatchesUp fails over from a head that has already
+// crashed (nothing to fence or drain), restarts the dead server — which
+// rejoins as a standby of the new head — checks it drains the log, and
+// fails over onto it in turn, this time from a live head.
 func TestRestartAsReplicaCatchesUp(t *testing.T) {
 	c := startReplicated(t, 1, 2)
 	cl, err := c.NewClient(client.ModeTILEarly, 5000, nil)
@@ -195,18 +247,22 @@ func TestRestartAsReplicaCatchesUp(t *testing.T) {
 	commitAll(t, cl, map[string]string{"a": "1", "b": "2"})
 	waitDrained(t, c, 1)
 
-	if _, err := c.KillHead(0); err != nil {
+	if err := c.StopServer(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PromoteReplica(0); err != nil {
+	v, err := c.Failover(0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if v.Epoch != 2 {
+		t.Fatalf("epoch = %d, want 2", v.Epoch)
 	}
 	commitAll(t, cl, map[string]string{"c": "3"})
 
-	if err := c.RestartServerAsReplica(0); err != nil {
+	if err := c.RestartServer(0); err != nil {
 		t.Fatal(err)
 	}
-	v := c.Director().View(0)
+	v = c.Director().View(0)
 	if len(v.Standbys) != 1 {
 		t.Fatalf("standbys = %v, want the restarted server", v.Standbys)
 	}
@@ -214,10 +270,7 @@ func TestRestartAsReplicaCatchesUp(t *testing.T) {
 
 	// The caught-up replica can now be promoted in turn and serves all
 	// data, including what it missed while dead.
-	if _, err := c.KillHead(0); err != nil {
-		t.Fatal(err)
-	}
-	v, err = c.PromoteReplica(0)
+	v, err = c.Failover(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 	if err := c.StopServer(0); err != nil {
 		t.Fatal(err)
 	}
-	if c.ServerRunning(0) {
+	if c.ServerByAddr(c.Addrs()[0]) != nil {
 		t.Fatal("server reported running after StopServer")
 	}
 	// The dead server must surface as an abort, not a hang.

@@ -12,7 +12,7 @@
 //   - The underlying Mem network derives each connection's jitter
 //     stream from (seed, address, dial index) — dialing one link never
 //     perturbs another (see transport.NewMemSeeded).
-//   - Chaos decisions (drop, duplicate, delay, reorder, reset) are
+//   - Chaos decisions (drop, duplicate, delay, reset) are
 //     stateless hashes of (seed, link, dial index, direction, frame
 //     index, fault kind): no generator state, so the decision for frame
 //     k of a link is a pure function of the scenario seed and the
@@ -64,13 +64,6 @@ type Chaos struct {
 	// reorder. The spike length is derived from the same hash stream,
 	// uniform in [DelayMin, DelayMax].
 	Delay float64
-	// Reorder holds the frame back for ReorderDelay while later frames
-	// of the same connection pass it (send direction). NOTE: this
-	// breaks the per-connection FIFO contract that transport.Conn
-	// documents and the coordinator's cast protocol is entitled to
-	// (TCP never reorders within a connection), so checked scenarios
-	// leave it off; see TESTING.md.
-	Reorder float64
 	// Reset tears the connection down (send direction): the sender
 	// sees a closed-connection error, the peer's reads fail, and the
 	// next use redials.
@@ -78,8 +71,6 @@ type Chaos struct {
 
 	// DelayMin/DelayMax bound a delay spike. Defaults 1ms/5ms.
 	DelayMin, DelayMax time.Duration
-	// ReorderDelay is how long a reordered frame is held. Default 2ms.
-	ReorderDelay time.Duration
 
 	// Endpoints names the endpoints whose links are subject to the
 	// stochastic faults above (either direction of connections they
@@ -89,7 +80,7 @@ type Chaos struct {
 
 // enabled reports whether any stochastic fault is configured.
 func (c Chaos) enabled() bool {
-	return c.Drop > 0 || c.Dup > 0 || c.Delay > 0 || c.Reorder > 0 || c.Reset > 0
+	return c.Drop > 0 || c.Dup > 0 || c.Delay > 0 || c.Reset > 0
 }
 
 // appliesTo reports whether endpoint name is subject to chaos.
@@ -117,9 +108,9 @@ type Config struct {
 	// Chaos configures the stochastic per-frame faults.
 	Chaos Chaos
 	// Timers supplies the timeline for modeled delays (chaos delay
-	// spikes, reorder holds) and the inner Mem network's pacing. Nil
-	// means SystemTimers; virtual runs pass a clock.Virtual so fault
-	// windows cost no wall clock.
+	// spikes) and the inner Mem network's pacing. Nil means
+	// SystemTimers; virtual runs pass a clock.Virtual so fault windows
+	// cost no wall clock.
 	Timers clock.Timers
 }
 
@@ -157,9 +148,6 @@ func New(cfg Config) *Net {
 		if ch.DelayMax < ch.DelayMin {
 			ch.DelayMax = ch.DelayMin
 		}
-	}
-	if ch.ReorderDelay <= 0 {
-		ch.ReorderDelay = 2 * time.Millisecond
 	}
 	return &Net{
 		inner:  transport.NewMemSeededTimers(cfg.Model, cfg.Seed, cfg.Timers),
@@ -309,7 +297,6 @@ const (
 	kindDup
 	kindDelay
 	kindDelayLen
-	kindReorder
 )
 
 // chaosConn wraps the dialer side of one connection. Send carries the
@@ -337,10 +324,20 @@ func (c *chaosConn) roll(dir, idx, kind uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// Send implements transport.Conn: partition drop, then reset, drop,
-// duplicate, delay spike, reorder, in that order, each decided by the
-// frame's own coin.
-func (c *chaosConn) Send(fb *wire.FrameBuf) error {
+// chaosSend runs the next outbound frame through the per-frame ladder —
+// partition cut, then reset, drop, duplicate, delay spike, in that
+// order, each decided by the frame's own coin — and returns what is
+// left to forward: fb and, when it was duplicated, its copy. A lost
+// frame is released and comes back nil; a reset closes the inner
+// connection and comes back as the error. Send and SendBatch both go
+// through here, one send index and one set of coins per frame, so a
+// link's fault schedule depends only on its frame sequence, never on
+// how the sender grouped frames into flushes (H13). ahead forwards
+// whatever the caller has collected but not yet sent; it runs before a
+// reset closes the connection and before a delay spike sleeps, because
+// on the unbatched path those frames were already on the wire when the
+// fault hit.
+func (c *chaosConn) chaosSend(fb *wire.FrameBuf, ahead func()) (fwd, dup *wire.FrameBuf, err error) {
 	idx := c.sendIdx
 	c.sendIdx++
 	if c.net.isCut(c.from, c.to) {
@@ -348,25 +345,25 @@ func (c *chaosConn) Send(fb *wire.FrameBuf) error {
 		// exactly like a one-way loss on a real network. Not per-frame
 		// logged (see the package comment).
 		fb.Release()
-		return nil
+		return nil, nil, nil
 	}
 	if !c.chaos {
-		return c.in.Send(fb)
+		return fb, nil, nil
 	}
 	ch := c.net.chaos
 	stream := c.link + " send"
 	if ch.Reset > 0 && c.roll(0, idx, kindReset) < ch.Reset {
 		c.net.record(stream, fmt.Sprintf("%04d reset", idx))
 		fb.Release()
+		ahead()
 		_ = c.in.Close()
-		return fmt.Errorf("faultbed: %s: connection reset: %w", c.link, transport.ErrClosed)
+		return nil, nil, fmt.Errorf("faultbed: %s: connection reset: %w", c.link, transport.ErrClosed)
 	}
 	if ch.Drop > 0 && c.roll(0, idx, kindDrop) < ch.Drop {
 		c.net.record(stream, fmt.Sprintf("%04d drop", idx))
 		fb.Release()
-		return nil
+		return nil, nil, nil
 	}
-	var dup *wire.FrameBuf
 	if ch.Dup > 0 && c.roll(0, idx, kindDup) < ch.Dup {
 		d := wire.GetFrameBuf()
 		if err := d.SetFrame(fb.ID(), fb.Type(), wire.Raw(fb.Body())); err != nil {
@@ -383,38 +380,29 @@ func (c *chaosConn) Send(fb *wire.FrameBuf) error {
 			d += time.Duration(c.roll(0, idx, kindDelayLen) * float64(span))
 		}
 		c.net.record(stream, fmt.Sprintf("%04d delay %v", idx, d.Round(time.Microsecond)))
+		ahead()
 		c.net.timers.Sleep(d)
 	}
-	if ch.Reorder > 0 && c.roll(0, idx, kindReorder) < ch.Reorder {
-		c.net.record(stream, fmt.Sprintf("%04d reorder", idx))
-		// Hold the frame while later sends pass it; the inner Send
-		// consumes the buffer whenever it fires (a connection closed in
-		// the meantime releases it).
-		c.net.timers.AfterFunc(ch.ReorderDelay, func() {
-			_ = c.in.Send(fb)
-			if dup != nil {
-				_ = c.in.Send(dup)
-			}
-		})
-		return nil
+	return fb, dup, nil
+}
+
+// Send implements transport.Conn.
+func (c *chaosConn) Send(fb *wire.FrameBuf) error {
+	fb, dup, err := c.chaosSend(fb, func() {})
+	if fb == nil {
+		return err
 	}
-	err := c.in.Send(fb)
+	err = c.in.Send(fb)
 	if dup != nil {
 		_ = c.in.Send(dup)
 	}
 	return err
 }
 
-// SendBatch implements transport.Conn. Chaos stays per-frame: every
-// frame of the batch consumes its own send index and rolls its own
-// coins, exactly as len(fbs) unbatched Sends would, so the fault
-// schedule of a link depends only on the frame sequence — never on how
-// the sender happened to group frames into flushes (H13). Surviving
-// frames are re-grouped and forwarded as a batch. A delay spike flushes
-// the survivors collected so far before sleeping, and a reset before
-// closing the inner connection — on the unbatched path those frames
-// were already on the wire when the fault hit. Frames behind a reset
-// keep rolling their coins (on the unbatched path each would reach this
+// SendBatch implements transport.Conn: every frame takes the ladder on
+// its own, exactly as len(fbs) unbatched Sends would, and the survivors
+// are re-grouped and forwarded as a batch. Frames behind a reset keep
+// rolling their coins (on the unbatched path each would reach this
 // wrapper and roll before its doomed inner Send), so the recorded fault
 // schedule is byte-identical however the frames were grouped; their
 // forwarding then fails on the closed inner connection, which consumes
@@ -431,65 +419,13 @@ func (c *chaosConn) SendBatch(fbs []*wire.FrameBuf) error {
 		}
 		fwd = fwd[:0]
 	}
-	ch := c.net.chaos
-	stream := c.link + " send"
 	for i, fb := range fbs {
 		fbs[i] = nil
-		idx := c.sendIdx
-		c.sendIdx++
-		if c.net.isCut(c.from, c.to) {
-			fb.Release()
-			continue
+		fb, dup, err := c.chaosSend(fb, flush)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		if !c.chaos {
-			fwd = append(fwd, fb)
-			continue
-		}
-		if ch.Reset > 0 && c.roll(0, idx, kindReset) < ch.Reset {
-			c.net.record(stream, fmt.Sprintf("%04d reset", idx))
-			fb.Release()
-			flush() // frames ahead of the reset were already sent
-			_ = c.in.Close()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("faultbed: %s: connection reset: %w", c.link, transport.ErrClosed)
-			}
-			continue
-		}
-		if ch.Drop > 0 && c.roll(0, idx, kindDrop) < ch.Drop {
-			c.net.record(stream, fmt.Sprintf("%04d drop", idx))
-			fb.Release()
-			continue
-		}
-		var dup *wire.FrameBuf
-		if ch.Dup > 0 && c.roll(0, idx, kindDup) < ch.Dup {
-			d := wire.GetFrameBuf()
-			if err := d.SetFrame(fb.ID(), fb.Type(), wire.Raw(fb.Body())); err != nil {
-				d.Release()
-			} else {
-				c.net.record(stream, fmt.Sprintf("%04d dup", idx))
-				dup = d
-			}
-		}
-		if ch.Delay > 0 && c.roll(0, idx, kindDelay) < ch.Delay {
-			span := ch.DelayMax - ch.DelayMin
-			d := ch.DelayMin
-			if span > 0 {
-				d += time.Duration(c.roll(0, idx, kindDelayLen) * float64(span))
-			}
-			c.net.record(stream, fmt.Sprintf("%04d delay %v", idx, d.Round(time.Microsecond)))
-			flush()
-			c.net.timers.Sleep(d)
-		}
-		if ch.Reorder > 0 && c.roll(0, idx, kindReorder) < ch.Reorder {
-			c.net.record(stream, fmt.Sprintf("%04d reorder", idx))
-			fb := fb
-			dup := dup
-			c.net.timers.AfterFunc(ch.ReorderDelay, func() {
-				_ = c.in.Send(fb)
-				if dup != nil {
-					_ = c.in.Send(dup)
-				}
-			})
+		if fb == nil {
 			continue
 		}
 		fwd = append(fwd, fb)

@@ -60,10 +60,6 @@ type Result struct {
 	// CheckErr is the serializability verdict: nil, or the first
 	// violation found in the MVSG of the recorded history.
 	CheckErr error
-
-	// commits is the raw recorded history, kept for in-package
-	// diagnostics (the soak and probe tests dump it on violation).
-	commits []history.Commit
 }
 
 // Summary renders the headline counts and ends with a digest of the
@@ -230,7 +226,6 @@ func run(s Scenario, timers clock.Timers) (Result, error) {
 	res.Events = r.events.String()
 	res.FaultLog = net.FaultLog()
 	commits := r.rec.Commits()
-	res.commits = commits
 	included, dropped := history.ResolveMaybes(commits)
 	res.CheckedCommits = len(included)
 	res.DroppedMaybes = len(dropped)
@@ -277,26 +272,24 @@ func (r *runner) apply(ev Event) error {
 		}
 		r.eventf(ev, "restart server-%d + recover %d keys", ev.Server, n)
 	case ActKillHead:
-		// Settle, then drain: with zero live transactions the head's log
-		// watermark is fixed, so a drained standby holds exactly the
-		// committed state and the handover loses nothing.
+		// Settle only: the fence, the drain of the old head's log into
+		// the standby and the crash-stop are cluster.Failover's own, the
+		// same sequence that runs under live load.
 		if err := r.settle(); err != nil {
 			return err
 		}
-		if err := r.drain(); err != nil {
-			return err
+		d := r.clus.Director()
+		if d == nil {
+			return fmt.Errorf("faultbed: ActKillHead needs a replicated scenario (Replicas > 1)")
 		}
-		dead, err := r.clus.KillHead(ev.Server)
-		if err != nil {
-			return err
-		}
-		v, err := r.clus.PromoteReplica(ev.Server)
+		dead := d.View(ev.Server).Head
+		v, err := r.clus.Failover(ev.Server)
 		if err != nil {
 			return err
 		}
 		r.eventf(ev, "kill head %s of partition %d; promote %s at epoch %d", dead, ev.Server, v.Head, v.Epoch)
 	case ActRestartReplica:
-		if err := r.clus.RestartServerAsReplica(ev.Server); err != nil {
+		if err := r.clus.RestartServer(ev.Server); err != nil {
 			return err
 		}
 		if err := r.drain(); err != nil {
@@ -383,11 +376,9 @@ func (r *runner) drain() error {
 // recovery writes rather than impossible reads of versions that died
 // with the crash.
 func (r *runner) recoverServer(i int) (int, error) {
-	addrs := r.clus.Addrs()
-	addr := addrs[i]
 	keys := make([]string, 0, len(r.shadow))
 	for k := range r.shadow {
-		if addrs[strhash.FNV1a(k)%uint32(len(addrs))] == addr {
+		if strhash.Partition(k, r.s.Servers) == i {
 			keys = append(keys, k)
 		}
 	}
@@ -419,7 +410,7 @@ func (r *runner) recoverServer(i int) (int, error) {
 		}
 		r.timers.Sleep(20 * time.Millisecond)
 	}
-	return 0, fmt.Errorf("faultbed: recovery for %s kept aborting", addr)
+	return 0, fmt.Errorf("faultbed: recovery for server-%d kept aborting", i)
 }
 
 // runTxn drives one workload transaction to a final outcome, retrying

@@ -36,14 +36,15 @@ const (
 	// or initial versions of keys whose newer versions died with it,
 	// and the checker would report the resulting fractured reads.
 	ActRestart
-	// ActKillHead (replicated scenarios only) settles, waits for
-	// partition Server's standbys to drain the head's log, then
-	// crash-stops the head and promotes the first standby at the next
-	// epoch. The settle+drain barrier makes the handover lossless and
-	// schedule-deterministic: with no live transactions the head's log
-	// watermark is fixed, so drained standbys hold exactly the committed
-	// state and no recovery transaction is needed — replication, not
-	// restore-from-backup, carries the data across the crash.
+	// ActKillHead (replicated scenarios only) settles, then fails
+	// partition Server over with cluster.Failover: the head is fenced,
+	// its log drained into the first standby, the standby promoted at
+	// the next epoch and the old head crash-stopped. The barrier that
+	// makes the handover lossless is the product's own, the one that
+	// runs under live load; the settle in front of it only keeps the
+	// schedule deterministic. No recovery transaction is needed —
+	// replication, not restore-from-backup, carries the data across
+	// the crash.
 	ActKillHead
 	// ActRestartReplica (replicated scenarios only) restarts crashed
 	// server Server on its old address as a catching-up standby of

@@ -2,7 +2,6 @@ package faultbed
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -173,43 +172,5 @@ func TestSeedSweepVirtual(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSoakMatrix is the opt-in wall-clock soak: every scenario across
-// several seeds on the real clock, each transcript-asserted one run
-// twice and compared. TestSeedSweepVirtual gives far more breadth in
-// tier-1; this job remains the proof that the wall-clock path itself
-// stays deterministic across seeds. Enable with MVTL_SOAK=1.
-func TestSoakMatrix(t *testing.T) {
-	if os.Getenv("MVTL_SOAK") == "" {
-		t.Skip("set MVTL_SOAK=1 to run the long fault matrix")
-	}
-	for _, base := range Matrix() {
-		for seed := int64(1); seed <= 5; seed++ {
-			s := base
-			s.Seed = seed
-			t.Run(fmt.Sprintf("%s/seed=%d", s.Name, seed), func(t *testing.T) {
-				first, err := Run(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Log(first.Summary())
-				if first.CheckErr != nil {
-					t.Fatalf("serializability violation: %v\n%s", first.CheckErr, first.Transcript)
-				}
-				if !s.AssertTranscript {
-					return
-				}
-				second, err := Run(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if first.Transcript != second.Transcript || first.FaultLog != second.FaultLog {
-					t.Errorf("same seed, different runs:\n--- run 1\n%s--- run 2\n%s",
-						first.Transcript, second.Transcript)
-				}
-			})
-		}
 	}
 }

@@ -272,17 +272,12 @@ func NewTableDetected(g *WaitGraph) *Table {
 	return &Table{graph: g}
 }
 
-// NewTableKeyed returns a lock table participating in the shared
+// NewTableKeyedTimers returns a lock table participating in the shared
 // wait-for graph g whose edges are labelled with key, so graph
 // snapshots exported for cross-server deadlock detection name the key
-// each waiter blocks on.
-func NewTableKeyed(g *WaitGraph, key string) *Table {
-	return &Table{graph: g, key: key}
-}
-
-// NewTableKeyedTimers is NewTableKeyed on an explicit timeline: parked
-// waiters use the timeline's wake slots, so the fault bed can expire
-// lock waits by virtual-time jump. A nil t means SystemTimers.
+// each waiter blocks on. Parked waiters use the wake slots of timeline
+// t, so the fault bed can expire lock waits by virtual-time jump; a nil
+// t means SystemTimers.
 func NewTableKeyedTimers(g *WaitGraph, key string, t clock.Timers) *Table {
 	return &Table{graph: g, key: key, timers: t}
 }

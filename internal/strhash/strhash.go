@@ -18,6 +18,13 @@ func FNV1a(s string) uint32 {
 	return h
 }
 
+// Partition maps key to one of n partitions. Coordinators route by it,
+// and whatever has to agree with their routing — the fault bed's
+// recovery writes, the failover probe's choice of key — calls it too.
+func Partition(key string, n int) int {
+	return int(FNV1a(key) % uint32(n))
+}
+
 // FNV1a64 returns the 64-bit FNV-1a hash of s. The transport and fault
 // layers use it to derive per-link seeds from link names, so every link
 // gets an independent random stream regardless of dial order.
