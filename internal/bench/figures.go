@@ -11,7 +11,6 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/cluster"
 	"github.com/lpd-epfl/mvtl/internal/metrics"
 	"github.com/lpd-epfl/mvtl/internal/server"
-	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
 
 // delta is the MVTIL interval width used throughout the evaluation
@@ -244,15 +243,4 @@ func stateRun(ctx context.Context, mode client.Mode, purge bool, sc Scale) ([]St
 	mu.Lock()
 	defer mu.Unlock()
 	return append([]StatePoint(nil), series...), nil
-}
-
-// PurgeNow forces an immediate purge below now on all servers of a
-// cluster; exposed for the ablation benchmarks.
-func PurgeNow(ctx context.Context, c *cluster.Cluster) error {
-	cl, err := c.NewClient(client.ModeTILEarly, delta, nil)
-	if err != nil {
-		return err
-	}
-	_, _, err = cl.PurgeServers(ctx, timestamp.New(time.Now().UnixMicro(), 0))
-	return err
 }

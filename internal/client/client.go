@@ -64,14 +64,13 @@ func (m Mode) String() string {
 // Router resolves partitions to their serving heads in replicated
 // clusters. Route is consulted at most once per partition per
 // transaction — the transaction pins what it gets, so a failover never
-// moves a transaction's freeze or decide target mid-flight. Refresh is
-// called when a pinned route proved stale (the server is unreachable,
-// or it fenced the request's epoch with wire.StatusWrongEpoch) and
-// should consult the membership authority so the next Route returns
-// the new head. Implementations must be safe for concurrent use.
+// moves a transaction's freeze or decide target mid-flight: when a
+// pinned route proves stale (the server is unreachable, or it fenced
+// the request's epoch with wire.StatusWrongEpoch) the transaction
+// aborts, and the retry pins fresh routes. Implementations must be safe
+// for concurrent use.
 type Router interface {
 	Route(partition int) (addr string, epoch uint64)
-	Refresh(partition int)
 }
 
 // Config parameterizes a Client.
@@ -110,17 +109,6 @@ type Config struct {
 	// disables the detector, leaving cross-server cycles to the
 	// server-side lock-wait timeout.
 	DeadlockPoll time.Duration
-	// ConnsPerServer sizes the RPC connection pool per server (see
-	// package rpc). The default of one preserves strict FIFO ordering
-	// of this coordinator's frames to each server — and with it
-	// read-your-own-writes freshness across this coordinator's
-	// transactions after a fire-and-forget freeze. Larger pools lift
-	// per-connection throughput under many concurrent transactions;
-	// frames then stay FIFO only within one transaction, so another
-	// transaction's read may overtake an earlier commit's freeze and
-	// observe the previous version (still serializable, possibly
-	// stale).
-	ConnsPerServer int
 	// CallTimeout bounds each RPC: a partitioned or crashed server
 	// costs one timeout instead of hanging the transaction. It must
 	// exceed the servers' lock-wait timeout, or waiting lock requests
@@ -257,14 +245,17 @@ func (c *Client) routeFor(p int) (string, uint64) {
 	return c.cfg.Servers[p], 0
 }
 
-// conn returns the pooled RPC client for addr, creating it on first
-// use; dial errors surface lazily from the calls themselves.
+// conn returns the cached RPC client for addr, creating it on first
+// use; dial errors surface lazily from the calls themselves. It holds
+// one connection: this coordinator's frames to a server stay strictly
+// FIFO, and with them read-your-own-writes freshness across its
+// transactions after a fire-and-forget freeze.
 func (c *Client) conn(addr string) *rpc.Client {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rc, ok := c.conns[addr]
 	if !ok {
-		rc = rpc.NewClientTimers(c.cfg.Network, addr, c.cfg.ConnsPerServer, c.timers)
+		rc = rpc.NewClientTimers(c.cfg.Network, addr, 1, c.timers)
 		c.conns[addr] = rc
 	}
 	return rc

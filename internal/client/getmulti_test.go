@@ -188,7 +188,7 @@ func TestGetMultiAllModes(t *testing.T) {
 			t.Parallel()
 			n := transport.NewMem(transport.LatencyModel{})
 			addrs := startServers(t, n, 3)
-			cl, err := client.New(client.Config{ID: 1, Servers: addrs, Network: n, Mode: mode, ConnsPerServer: 2})
+			cl, err := client.New(client.Config{ID: 1, Servers: addrs, Network: n, Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}

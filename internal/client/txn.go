@@ -186,17 +186,6 @@ func (tx *DTxn) pin(p int32) int {
 	return i
 }
 
-// routeFail reports a pinned route gone stale — its server is
-// unreachable or fenced this transaction's epoch — so the router
-// re-resolves the partition. The pin itself is kept: a transaction
-// never switches servers mid-flight; it aborts, and the retry pins
-// fresh routes.
-func (tx *DTxn) routeFail(rt txnRoute) {
-	if r := tx.client.cfg.Router; r != nil {
-		r.Refresh(int(rt.part))
-	}
-}
-
 // Committed reports whether Commit succeeded.
 func (tx *DTxn) Committed() bool { return tx.committed }
 
@@ -482,7 +471,6 @@ func (tx *DTxn) writeLock(ctx context.Context, key string, part int32, req times
 	}
 	f, err := tx.client.callWaitable(ctx, rt.addr, tx.id, wire.TWriteLockReq, &tx.req.write, wait)
 	if err != nil {
-		tx.routeFail(rt)
 		return wire.WriteLockResp{}, err
 	}
 	resp, err := wire.DecodeWriteLockResp(f.Body())
@@ -495,7 +483,6 @@ func (tx *DTxn) writeLock(ctx context.Context, key string, part int32, req times
 			return resp, fmt.Errorf("write-lock %q: %w: %s", key, kv.ErrDeadlock, resp.Err)
 		}
 		if resp.Status == wire.StatusWrongEpoch {
-			tx.routeFail(rt)
 			return resp, fmt.Errorf("write-lock %q: %s: %w", key, resp.Err, errStaleRoute)
 		}
 		return resp, fmt.Errorf("write-lock %q: %s", key, resp.Err)
@@ -588,15 +575,12 @@ func (tx *DTxn) fanOut(ctx context.Context, t wire.MsgType, wait bool) {
 // checkBatch turns one route's decoded batch response into r.err (left
 // alone when the exchange or the decode already failed): the request
 // must have been accepted, under the pinned epoch, with one result per
-// key. A route that failed at the transport or the fence is reported
-// stale; piggybacked wait-for edges go to the deadlock detector.
+// key. Piggybacked wait-for edges go to the deadlock detector.
 func (tx *DTxn) checkBatch(r *routeBatch, what string, status wire.Status, errStr string, results int, edges []wire.WaitEdge) {
 	switch {
 	case r.err != nil:
-		tx.routeFail(r.txnRoute) // transport/codec error: the head may be gone
 		return
 	case status == wire.StatusWrongEpoch:
-		tx.routeFail(r.txnRoute)
 		r.err = fmt.Errorf("%s batch via %s: %s: %w", what, r.addr, errStr, errStaleRoute)
 	case status != wire.StatusOK:
 		r.err = fmt.Errorf("%s batch via %s: %s", what, r.addr, errStr)
@@ -796,7 +780,6 @@ func (tx *DTxn) Commit(ctx context.Context) error {
 		}
 		tx.req.freeze = wire.FreezeBatchReq{Txn: tx.id, Epoch: r.epoch, TS: commitTS, WriteKeys: tx.keys, Reads: tx.reads}
 		if err := tx.client.cast(r.addr, tx.id, wire.TFreezeBatchReq, &tx.req.freeze); err != nil {
-			tx.routeFail(r.txnRoute)
 			return fmt.Errorf("client: freeze batch via %s: %w", r.addr, err)
 		}
 	}
@@ -867,9 +850,9 @@ func (tx *DTxn) release() {
 			continue
 		}
 		tx.req.release.Epoch, tx.req.release.Keys = r.epoch, tx.keys[r.lo:r.hi]
-		if err := tx.client.cast(r.addr, tx.id, wire.TReleaseBatchReq, &tx.req.release); err != nil {
-			tx.routeFail(r.txnRoute)
-		}
+		// Nothing waits on a release, so a failed send has nobody to
+		// report to; cast has already evicted the broken connection.
+		_ = tx.client.cast(r.addr, tx.id, wire.TReleaseBatchReq, &tx.req.release)
 	}
 }
 
@@ -884,7 +867,6 @@ func (tx *DTxn) decide(ctx context.Context, kind wire.DecisionKind, ts timestamp
 	tx.req.decide = wire.DecideReq{Txn: tx.id, Epoch: tx.decision.epoch, Proposal: kind, TS: ts}
 	f, err := tx.client.call(ctx, srv, tx.id, wire.TDecideReq, &tx.req.decide)
 	if err != nil {
-		tx.routeFail(tx.decision)
 		return wire.DecideResp{}, err
 	}
 	resp, err := wire.DecodeDecideResp(f.Body())
@@ -895,7 +877,6 @@ func (tx *DTxn) decide(ctx context.Context, kind wire.DecisionKind, ts timestamp
 	if resp.Status == wire.StatusWrongEpoch {
 		// The fence turned the proposal away before the commitment
 		// object saw it: provably undecided.
-		tx.routeFail(tx.decision)
 		return wire.DecideResp{}, fmt.Errorf("decide %q: %s: %w", srv, resp.Err, errStaleRoute)
 	}
 	if resp.Status != wire.StatusOK {

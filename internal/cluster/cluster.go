@@ -121,18 +121,14 @@ type Cluster struct {
 	ts *tsservice.Service
 }
 
-// directorRouter adapts the embedded repl.Director to client.Router.
-// Route reads the live view; Refresh is a no-op because the local
-// director is always current (the hook exists for remote directories
-// that cache).
+// directorRouter adapts the embedded repl.Director to client.Router:
+// Route reads the live view.
 type directorRouter struct{ d *repl.Director }
 
 func (r directorRouter) Route(p int) (string, uint64) {
 	v := r.d.View(p)
 	return v.Head, v.Epoch
 }
-
-func (r directorRouter) Refresh(int) {}
 
 // netFor returns the network view for the named endpoint (pass-through
 // unless the transport partitions by endpoint).
@@ -421,9 +417,6 @@ func (c *Cluster) LiveAddrs() []string {
 
 // Addrs returns the server addresses.
 func (c *Cluster) Addrs() []string { return append([]string(nil), c.addrs...) }
-
-// Network returns the cluster's transport.
-func (c *Cluster) Network() transport.Network { return c.network }
 
 // NewClient creates a coordinator with a fresh client id. src may be nil
 // for the system clock.

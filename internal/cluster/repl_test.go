@@ -60,6 +60,29 @@ func commitAll(t *testing.T, cl *client.Client, kvs map[string]string) {
 	}
 }
 
+// readBack reads k in a transaction of its own, retrying aborts: the
+// first attempt after a failover may race the client's eviction of its
+// cached connection. It returns "" when no attempt commits.
+func readBack(t *testing.T, cl *client.Client, k string) string {
+	t.Helper()
+	ctx := context.Background()
+	for attempt := 0; attempt < 20; attempt++ {
+		tx, err := cl.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tx.Read(ctx, k)
+		if err != nil {
+			_ = tx.Abort(ctx)
+			continue
+		}
+		if tx.Commit(ctx) == nil {
+			return string(got)
+		}
+	}
+	return ""
+}
+
 // waitDrained polls until every partition's standbys report zero lag.
 // The poll is iteration-bounded, not wall-clock-bounded, so a wedged
 // pull loop fails the test instead of hanging it.
@@ -111,25 +134,8 @@ func TestFailoverServesCommittedData(t *testing.T) {
 	// A fresh transaction re-routes to the promoted head and must see
 	// every committed value; the first attempt may still abort if it
 	// raced the client's cached-connection eviction.
-	ctx := context.Background()
 	for k, want := range data {
-		var got []byte
-		for attempt := 0; attempt < 20; attempt++ {
-			tx, err := cl.Begin(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err = tx.Read(ctx, k)
-			if err == nil {
-				if err := tx.Commit(ctx); err == nil {
-					break
-				}
-			} else {
-				_ = tx.Abort(ctx)
-			}
-			got = nil
-		}
-		if string(got) != want {
+		if got := readBack(t, cl, k); got != want {
 			t.Fatalf("after failover, %q = %q, want %q", k, got, want)
 		}
 	}
@@ -277,26 +283,52 @@ func TestRestartAsReplicaCatchesUp(t *testing.T) {
 	if v.Epoch != 3 {
 		t.Fatalf("epoch = %d, want 3", v.Epoch)
 	}
-	ctx := context.Background()
 	for k, want := range map[string]string{"a": "1", "b": "2", "c": "3"} {
-		var got []byte
-		for attempt := 0; attempt < 20; attempt++ {
-			tx, err := cl.Begin(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err = tx.Read(ctx, k)
-			if err == nil {
-				if err := tx.Commit(ctx); err == nil {
-					break
-				}
-			} else {
-				_ = tx.Abort(ctx)
-			}
-			got = nil
-		}
-		if string(got) != want {
+		if got := readBack(t, cl, k); got != want {
 			t.Fatalf("after second failover, %q = %q, want %q", k, got, want)
 		}
+	}
+}
+
+// TestRestartedStandbyIsListedOnce: restarting a standby the director
+// already lists — it was stopped, which leaves it in the view — must not
+// list it again. Listed twice, the next failover promotes it with itself
+// as its own standby, and the one after fences, drains against and
+// crash-stops the very server it reports as head.
+func TestRestartedStandbyIsListedOnce(t *testing.T) {
+	c := startReplicated(t, 1, 2)
+	cl, err := c.NewClient(client.ModeTILEarly, 5000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitAll(t, cl, map[string]string{"pre": "1"})
+	slot := c.Addrs()[0]
+	if _, err := c.Failover(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []func(int) error{c.RestartServer, c.StopServer, c.RestartServer} {
+		if err := step(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := c.Director().View(0); len(v.Standbys) != 1 || v.Standbys[0] != slot {
+		t.Fatalf("view after the second restart = %+v, want %s listed once", v, slot)
+	}
+
+	v, err := c.Failover(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Head != slot || len(v.Standbys) != 0 {
+		t.Fatalf("view after failing over onto %s = %+v", slot, v)
+	}
+	if _, err := c.Failover(0); err == nil || !strings.Contains(err.Error(), "no standby to promote") {
+		t.Fatalf("Failover of a partition with no standby: err = %v", err)
+	}
+	if head := c.ServerByAddr(slot); head == nil || !head.IsHead() {
+		t.Fatalf("head %s is no longer running after the refused failover", slot)
+	}
+	if got := readBack(t, cl, "pre"); got != "1" {
+		t.Fatalf("after both failovers, \"pre\" = %q, want \"1\"", got)
 	}
 }

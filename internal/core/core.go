@@ -14,29 +14,11 @@ import (
 	"sync/atomic"
 
 	"github.com/lpd-epfl/mvtl/internal/history"
+	"github.com/lpd-epfl/mvtl/internal/keyspace"
 	"github.com/lpd-epfl/mvtl/internal/kv"
 	"github.com/lpd-epfl/mvtl/internal/lock"
-	"github.com/lpd-epfl/mvtl/internal/strhash"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
-	"github.com/lpd-epfl/mvtl/internal/version"
 )
-
-// shardCount is the number of key-map shards; a power of two.
-const shardCount = 64
-
-// KeyState bundles the per-key state: the freezable interval lock table
-// and the version history.
-type KeyState struct {
-	// Locks is the interval-compressed lock state of the key.
-	Locks *lock.Table
-	// Versions is the committed version history of the key.
-	Versions *version.List
-}
-
-type shard struct {
-	mu   sync.RWMutex
-	keys map[string]*KeyState
-}
 
 // Options configure a DB.
 type Options struct {
@@ -51,11 +33,11 @@ type DB struct {
 	policy Policy
 	opts   Options
 
-	shards [shardCount]shard
-	// waits is the store-wide wait-for graph: blocking policies fail
+	// keys holds every key's lock table and version history. Its lock
+	// tables share one store-wide wait-for graph: blocking policies fail
 	// fast with lock.ErrDeadlock on wait cycles instead of relying on
 	// context timeouts (§4.3).
-	waits *lock.WaitGraph
+	keys *keyspace.Space
 
 	// nextID is the transaction-id allocator. It is atomic rather than
 	// mutex-guarded so Begin never serializes transactions behind a
@@ -68,11 +50,8 @@ type DB struct {
 
 // New returns an empty store governed by the given policy.
 func New(policy Policy, opts Options) *DB {
-	db := &DB{policy: policy, opts: opts, waits: lock.NewWaitGraph()}
+	db := &DB{policy: policy, opts: opts, keys: keyspace.New(lock.NewWaitGraph(), nil)}
 	db.scratch.New = func() any { return new(Scratch) }
-	for i := range db.shards {
-		db.shards[i].keys = make(map[string]*KeyState)
-	}
 	return db
 }
 
@@ -89,25 +68,6 @@ func (a kvAdapter) Begin(ctx context.Context) (kv.Txn, error) { return a.db.Begi
 // all engines uniformly.
 func (db *DB) KV() kv.DB { return kvAdapter{db: db} }
 
-// keyState returns the state for k, creating it if needed.
-func (db *DB) keyState(k string) *KeyState {
-	sh := &db.shards[strhash.FNV1a(k)&(shardCount-1)]
-	sh.mu.RLock()
-	ks, ok := sh.keys[k]
-	sh.mu.RUnlock()
-	if ok {
-		return ks
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ks, ok = sh.keys[k]; ok {
-		return ks
-	}
-	ks = &KeyState{Locks: lock.NewTableDetected(db.waits), Versions: version.NewList()}
-	sh.keys[k] = ks
-	return ks
-}
-
 // Begin starts a transaction (Alg. 1 line 1).
 func (db *DB) Begin(ctx context.Context) (*Txn, error) {
 	if err := ctx.Err(); err != nil {
@@ -121,64 +81,16 @@ func (db *DB) Begin(ctx context.Context) (*Txn, error) {
 	return tx, nil
 }
 
-// StateStats summarizes the store's state size, used by the state-size
-// experiment (§8.4.5, Figure 6).
-type StateStats struct {
-	// Keys is the number of distinct keys materialized.
-	Keys int
-	// LockEntries is the total number of interval-compressed lock
-	// records across all keys.
-	LockEntries int
-	// FrozenLockEntries is how many of those records are frozen.
-	FrozenLockEntries int
-	// Versions is the total number of stored versions across all keys.
-	Versions int
-}
+// StateStats summarizes the store's state size.
+type StateStats = keyspace.Stats
 
-// StateStats scans the store and returns its current state size. Key
-// pointers are snapshotted per shard before the per-key statistics are
-// gathered, so the scan never holds a shard lock while taking per-key
-// locks and stats collection cannot stall writers.
-func (db *DB) StateStats() StateStats {
-	var st StateStats
-	var states []*KeyState
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		states = states[:0]
-		for _, ks := range sh.keys {
-			states = append(states, ks)
-		}
-		sh.mu.RUnlock()
-		st.Keys += len(states)
-		for _, ks := range states {
-			ls := ks.Locks.Stats()
-			st.LockEntries += ls.Entries
-			st.FrozenLockEntries += ls.Frozen
-			st.Versions += ks.Versions.Count()
-		}
-	}
-	return st
-}
+// StateStats scans the store and returns its current state size.
+func (db *DB) StateStats() StateStats { return db.keys.Stats() }
 
 // PurgeBelow discards versions and frozen lock state older than the
-// bound (§6): each key keeps the newest version below the bound, and
-// frozen lock records entirely below the bound are dropped. It returns
-// the number of versions and lock records removed. Transactions that
-// later need a purged version abort with version.ErrPurged.
+// bound (§6) and returns the number of versions and lock records
+// removed. Transactions that later need a purged version abort with
+// version.ErrPurged.
 func (db *DB) PurgeBelow(bound timestamp.Timestamp) (versionsRemoved, locksRemoved int) {
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		states := make([]*KeyState, 0, len(sh.keys))
-		for _, ks := range sh.keys {
-			states = append(states, ks)
-		}
-		sh.mu.RUnlock()
-		for _, ks := range states {
-			versionsRemoved += ks.Versions.PurgeBelow(bound)
-			locksRemoved += ks.Locks.PurgeFrozenBelow(bound)
-		}
-	}
-	return versionsRemoved, locksRemoved
+	return db.keys.PurgeBelow(bound)
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/history"
+	"github.com/lpd-epfl/mvtl/internal/keyspace"
 	"github.com/lpd-epfl/mvtl/internal/kv"
 	"github.com/lpd-epfl/mvtl/internal/lock"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
@@ -84,7 +85,7 @@ type ReadRecord struct {
 // value is the buffered write.
 type footEntry struct {
 	key           string
-	ks            *KeyState
+	ks            *keyspace.Key
 	read, written bool
 	value         []byte
 }
@@ -192,10 +193,10 @@ func (tx *Txn) entry(k string) int {
 // Key returns the lock/version state for k, registering it as touched so
 // that lock cleanup can find it. Policies must access keys only through
 // this method.
-func (tx *Txn) Key(k string) *KeyState {
+func (tx *Txn) Key(k string) *keyspace.Key {
 	e := &tx.foot[tx.entry(k)]
 	if e.ks == nil {
-		e.ks = tx.db.keyState(k)
+		e.ks = tx.db.keys.Key(k)
 	}
 	return e.ks
 }

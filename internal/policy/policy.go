@@ -27,6 +27,7 @@ import (
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/core"
+	"github.com/lpd-epfl/mvtl/internal/keyspace"
 	"github.com/lpd-epfl/mvtl/internal/lock"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 	"github.com/lpd-epfl/mvtl/internal/version"
@@ -53,60 +54,27 @@ func timeInterval(lo, hi int64) timestamp.Interval {
 	return timestamp.Span(l, timestamp.New(hi, math.MaxInt32))
 }
 
-// readUpTo implements the MVTO-style read loop shared by most policies
-// (Alg. 8 lines 4-11 and its variants): pick the latest committed
-// version below upper, read-lock the interval from just after that
-// version up to upper, and retry from scratch whenever a frozen write
-// lock reveals that a newer version committed in between. When wait is
-// set the loop blocks on unfrozen write locks (bounded by ctx);
-// otherwise it takes the contiguous prefix it can get.
+// readUpTo is the MVTO-style read shared by most policies (Alg. 8 lines
+// 4-11 and its variants): the kernel's read step below upper, repeated
+// while a frozen write lock reveals that a newer version committed in
+// between (the repeat loop of Alg. 8). When wait is set each pass blocks
+// on unfrozen write locks (bounded by ctx); otherwise it takes the
+// contiguous prefix it can get.
 //
 // It returns the version read and the read-locked interval (which may be
 // a strict prefix of [version.TS+1, upper] in no-wait mode, and may be
 // empty).
-func readUpTo(ctx context.Context, tx *core.Txn, ks *core.KeyState, upper timestamp.Timestamp, wait bool) (version.Version, timestamp.Interval, error) {
-	owner := tx.Owner()
+func readUpTo(ctx context.Context, tx *core.Txn, ks *keyspace.Key, upper timestamp.Timestamp, wait bool) (version.Version, timestamp.Interval, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return version.Version{}, timestamp.Empty, err
 		}
-		v, err := ks.Versions.LatestBefore(upper)
-		if err != nil {
-			return version.Version{}, timestamp.Empty, err
+		v, got, frozenAt, again, err := ks.ReadStep(ctx, tx.Owner(), upper, wait)
+		if frozenAt.After(tx.RestartHint) {
+			tx.RestartHint = frozenAt
 		}
-		req := timestamp.Span(v.TS.Next(), upper)
-		if req.IsEmpty() {
-			return v, timestamp.Empty, nil
-		}
-		res, err := ks.Locks.AcquireRead(ctx, owner, req, lock.Options{Wait: wait, Partial: true})
-		if err != nil {
-			return version.Version{}, timestamp.Empty, err
-		}
-		if !res.Frozen {
-			return v, res.Got, nil
-		}
-		// A frozen write lock means a version committed inside
-		// (v.TS, upper] (values are installed before freezing).
-		if res.FrozenAt.Lo.After(tx.RestartHint) {
-			tx.RestartHint = res.FrozenAt.Lo
-		}
-		if !res.FrozenAt.Lo.Before(upper) {
-			// The frozen point sits exactly at the top of the request:
-			// the newer version is not readable below upper, so
-			// re-picking cannot make progress. Settle for the prefix —
-			// the value read stays correct for every serialization
-			// point before the frozen version.
-			return v, res.Got, nil
-		}
-		if !wait && !res.Got.IsEmpty() {
-			// In no-wait mode a prefix below the frozen point is a
-			// perfectly good outcome.
-			return v, res.Got, nil
-		}
-		// Release what we grabbed and re-pick the version to read (the
-		// repeat loop of Alg. 8).
-		if !res.Got.IsEmpty() {
-			ks.Locks.ReleaseReadIn(owner, res.Got)
+		if !again {
+			return v, got, err
 		}
 	}
 }

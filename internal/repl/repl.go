@@ -17,6 +17,7 @@ package repl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
@@ -88,11 +89,16 @@ func (d *Director) Promote(p int) (View, error) {
 
 // AddStandby appends addr to partition p's chain (a freshly joined,
 // catching-up replica) and returns the updated view. Membership gains
-// do not fence coordinators, so the epoch is unchanged.
+// do not fence coordinators, so the epoch is unchanged. An address the
+// view already lists, as head or standby, is not listed again: a chain
+// naming a server twice would promote it with itself as its standby.
 func (d *Director) AddStandby(p int, addr string) View {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	v := d.views[p]
+	if v.Head == addr || slices.Contains(v.Standbys, addr) {
+		return v
+	}
 	next := View{Epoch: v.Epoch, Head: v.Head}
 	next.Standbys = append(next.Standbys, v.Standbys...)
 	next.Standbys = append(next.Standbys, addr)

@@ -31,6 +31,12 @@ func TestDirectorPromote(t *testing.T) {
 	if v.Epoch != 2 || v.Head != "a1" || len(v.Standbys) != 1 || v.Standbys[0] != "a" {
 		t.Fatalf("rejoined view = %+v", v)
 	}
+	// An address the view already lists, as standby or head, is not
+	// listed again.
+	d.AddStandby(0, "a")
+	if v = d.AddStandby(0, "a1"); v.Epoch != 2 || v.Head != "a1" || len(v.Standbys) != 1 || v.Standbys[0] != "a" {
+		t.Fatalf("view after re-adding listed addresses = %+v", v)
+	}
 
 	// Partition 1 is untouched.
 	if v := d.View(1); v.Epoch != 1 || v.Head != "b" {

@@ -80,9 +80,9 @@ func TestInlineDispatchAllocs(t *testing.T) {
 		// What the periodic purge does, so the tables keep their size.
 		bound := timestamp.New(int64(100*next), 0)
 		for _, k := range allKeys {
-			ks := s.key(k)
-			ks.locks.PurgeFrozenBelow(bound)
-			ks.versions.PurgeBelow(bound)
+			ks := s.keys.Key(k)
+			ks.Locks.PurgeFrozenBelow(bound)
+			ks.Versions.PurgeBelow(bound)
 		}
 		next++
 	}
@@ -92,10 +92,10 @@ func TestInlineDispatchAllocs(t *testing.T) {
 		if ack, err := wire.DecodeAck(sink.Body()); sent != wire.TReleaseBatchResp || err != nil || ack.Status != wire.StatusOK {
 			t.Fatalf("release: %v %+v %v", sent, ack, err)
 		}
-		if v, ok := s.key("w").versions.At(timestamp.New(int64(100*(i+1)+50), 1)); !ok || string(v.Value) != "8 bytes." {
+		if v, ok := s.keys.Key("w").Versions.At(timestamp.New(int64(100*(i+1)+50), 1)); !ok || string(v.Value) != "8 bytes." {
 			t.Fatalf("transaction %d did not install its write", i+1)
 		}
-		if st := s.key("r1").locks.Stats(); st.Frozen == 0 {
+		if st := s.keys.Key("r1").Locks.Stats(); st.Frozen == 0 {
 			t.Fatalf("transaction %d did not freeze its read lock", i+1)
 		}
 	}

@@ -1,16 +1,17 @@
 // Package server implements the MVTL storage server of the distributed
 // algorithm (§7/§H, Algorithm 13). A server owns a partition of the key
 // space and holds, per key, the freezable interval lock table and the
-// version history. Coordinators (package client) drive it through the
-// wire protocol: read-lock, write-lock, freeze, release, decide, purge.
-// The footprint requests are per-server batches (wire.WriteLockBatchReq
-// and friends) that make one pass over the transaction's keys; a single
-// key is a batch of one.
+// version history — in a keyspace.Space, the storage kernel it shares
+// with the in-process engine. Coordinators (package client) drive it
+// through the wire protocol: read-lock, write-lock, freeze, release,
+// decide, purge. The footprint requests are per-server batches
+// (wire.WriteLockBatchReq and friends) that make one pass over the
+// transaction's keys; a single key is a batch of one.
 //
-// Shared state is striped: the key map and the transaction map are both
-// split over a fixed power-of-two number of shards, each behind its own
-// mutex, so concurrent coordinators touch disjoint stripes instead of
-// funnelling through one server-wide lock.
+// Shared state is striped: the key map (inside the Space) and the
+// transaction map are each split over a fixed power-of-two number of
+// stripes, each behind its own mutex, so concurrent coordinators touch
+// disjoint stripes instead of funnelling through one server-wide lock.
 //
 // Fault tolerance follows §H.1: each update transaction names a decision
 // server hosting its commitment object. If a coordinator disappears
@@ -27,7 +28,6 @@ import (
 	"fmt"
 	"log"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,11 +35,11 @@ import (
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/commitment"
+	"github.com/lpd-epfl/mvtl/internal/keyspace"
 	"github.com/lpd-epfl/mvtl/internal/lock"
 	"github.com/lpd-epfl/mvtl/internal/metrics"
 	"github.com/lpd-epfl/mvtl/internal/repl"
 	"github.com/lpd-epfl/mvtl/internal/rpc"
-	"github.com/lpd-epfl/mvtl/internal/strhash"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 	"github.com/lpd-epfl/mvtl/internal/transport"
 	"github.com/lpd-epfl/mvtl/internal/version"
@@ -117,30 +117,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// stripeCount is the number of key-map and txn-map stripes; a power of
-// two so stripe selection is a mask.
+// stripeCount is the number of txn-map stripes; a power of two so stripe
+// selection is a mask.
 const stripeCount = 32
 
-// keyState is the per-key server state.
-type keyState struct {
-	// name is the server's own copy of the key, cloned when the key was
-	// first touched. Requests name keys by views of their frame (see
-	// wire.Decoder.StrView); whatever outlives the frame — a pending
-	// write's record, a replication-log record, the lock table's label in
-	// the wait-for graph — uses name instead.
-	name     string
-	locks    *lock.Table
-	versions *version.List
-}
-
-// keyStripe is one shard of the key map.
-type keyStripe struct {
-	mu   sync.RWMutex
-	keys map[string]*keyState
-}
-
 // pendingWrite is one key a transaction write-locked here, with the
-// value buffered for it (Alg. 13 line 3). key is the keyState's name,
+// value buffered for it (Alg. 13 line 3). key is the keyspace.Key's Name,
 // never a view of the request that brought the write.
 type pendingWrite struct {
 	key   string
@@ -243,7 +225,9 @@ type Server struct {
 	pullStop chan struct{}
 	pullOnce sync.Once
 
-	keyStripes [stripeCount]keyStripe
+	// keys holds every key's lock table and version history; the lock
+	// tables share waits and park their waiters on timers.
+	keys       *keyspace.Space
 	txnStripes [stripeCount]txnStripe
 
 	// peers caches server-to-server RPC clients (suspicion proposals
@@ -286,19 +270,18 @@ func New(cfg Config) (*Server, error) {
 	// Over TCP a requested ":0" resolves to the real bound address here.
 	cfg.Addr = l.Addr()
 	timers := clock.OrSystem(cfg.Timers)
+	waits := lock.NewWaitGraph()
 	s := &Server{
 		cfg:      cfg,
 		listener: l,
 		timers:   timers,
 		wg:       clock.NewJoin(timers, 0),
 		registry: commitment.NewRegistry(),
-		waits:    lock.NewWaitGraph(),
+		waits:    waits,
+		keys:     keyspace.New(waits, timers),
 		peers:    make(map[string]*rpc.Client),
 		accepted: make(map[transport.Conn]struct{}),
 		stop:     make(chan struct{}),
-	}
-	for i := range s.keyStripes {
-		s.keyStripes[i].keys = make(map[string]*keyState)
 	}
 	for i := range s.txnStripes {
 		s.txnStripes[i].txns = make(map[uint64]*txnState)
@@ -350,29 +333,6 @@ func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Printf(format, args...)
 	}
-}
-
-// key returns the state for k, creating it if needed. Only the owning
-// stripe is locked, and only for the map access — per-key lock tables
-// and version lists synchronize themselves. k may be a borrowed view: a
-// lookup does not keep it, and a new key is entered under its own copy.
-func (s *Server) key(k string) *keyState {
-	st := &s.keyStripes[strhash.FNV1a(k)&(stripeCount-1)]
-	st.mu.RLock()
-	ks, ok := st.keys[k]
-	st.mu.RUnlock()
-	if ok {
-		return ks
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if ks, ok = st.keys[k]; ok {
-		return ks
-	}
-	name := strings.Clone(k)
-	ks = &keyState{name: name, locks: lock.NewTableKeyedTimers(s.waits, name, s.timers), versions: version.NewList()}
-	st.keys[name] = ks
-	return ks
 }
 
 // txnStripeFor selects the stripe owning transaction id. The id layout
@@ -714,7 +674,7 @@ func (c *connState) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc
 			reply(wire.TPurgeResp, wire.PurgeResp{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
-		v, l := s.purgeBelow(req.Bound)
+		v, l := s.keys.PurgeBelow(req.Bound)
 		reply(wire.TPurgeResp, wire.PurgeResp{Status: wire.StatusOK, Versions: int64(v), Locks: int64(l)})
 	case wire.TStatsReq:
 		reply(wire.TStatsResp, s.stats())
@@ -798,15 +758,14 @@ func (c *connState) handleReadLockBatch() {
 	}
 }
 
-// readLockKey is the per-key read step: pick the latest version below
-// upper, read-lock the interval above it (waiting on unfrozen write
-// locks when requested), retrying while newer frozen versions appear.
-// The lock-wait budget is armed only where it can be spent: up front for
-// a waiting request, which may park inside the acquisition, and on the
+// readLockKey answers one key of a read-lock request: the kernel's read
+// step below upper, repeated while newer frozen versions appear. The
+// lock-wait budget is armed only where it can be spent: up front for a
+// waiting request, which may park inside the acquisition, and on the
 // first retry for a no-wait one — which never parks, so the common
 // single pass arms no timer at all.
 func (s *Server) readLockKey(key string, owner lock.Owner, upper timestamp.Timestamp, wait bool) wire.ReadLockResult {
-	ks := s.key(key)
+	ks := s.keys.Key(key)
 	ctx, cancel := context.Background(), context.CancelFunc(nil)
 	defer func() {
 		if cancel != nil {
@@ -820,35 +779,20 @@ func (s *Server) readLockKey(key string, owner lock.Owner, upper timestamp.Times
 		if ctx.Err() != nil {
 			return wire.ReadLockResult{Status: wire.StatusConflict, Err: "lock wait timeout"}
 		}
-		v, err := ks.versions.LatestBefore(upper)
-		if err != nil {
+		v, got, _, again, err := ks.ReadStep(ctx, owner, upper, wait)
+		switch {
+		case again:
+			// re-pick, while the budget lasts
+		case err == nil:
+			return wire.ReadLockResult{Status: wire.StatusOK, VersionTS: v.TS, Value: v.Value, Got: got}
+		case errors.Is(err, version.ErrPurged):
 			return wire.ReadLockResult{Status: wire.StatusPurged, Err: err.Error()}
-		}
-		span := timestamp.Span(v.TS.Next(), upper)
-		if span.IsEmpty() {
-			return wire.ReadLockResult{Status: wire.StatusOK, VersionTS: v.TS, Value: v.Value, Got: timestamp.Empty}
-		}
-		res, err := ks.locks.AcquireRead(ctx, owner, span, lock.Options{Wait: wait, Partial: true})
-		if err != nil {
+		case errors.Is(err, lock.ErrDeadlock):
 			// A deadlock victim gets its own status so coordinators
 			// retry it immediately instead of backing off.
-			status := wire.StatusConflict
-			if errors.Is(err, lock.ErrDeadlock) {
-				status = wire.StatusDeadlock
-			}
-			return wire.ReadLockResult{Status: status, Err: err.Error()}
-		}
-		switch {
-		case !res.Frozen:
-			return wire.ReadLockResult{Status: wire.StatusOK, VersionTS: v.TS, Value: v.Value, Got: res.Got}
-		case !res.FrozenAt.Lo.Before(upper), !wait && !res.Got.IsEmpty():
-			// Frozen at the top of the request, or no-wait with a
-			// usable prefix: settle.
-			return wire.ReadLockResult{Status: wire.StatusOK, VersionTS: v.TS, Value: v.Value, Got: res.Got}
+			return wire.ReadLockResult{Status: wire.StatusDeadlock, Err: err.Error()}
 		default:
-			if !res.Got.IsEmpty() {
-				ks.locks.ReleaseReadIn(owner, res.Got)
-			}
+			return wire.ReadLockResult{Status: wire.StatusConflict, Err: err.Error()}
 		}
 	}
 }
@@ -922,16 +866,16 @@ func (c *connState) handleWriteLockBatch() {
 	results := resized(resp.Results, len(req.Items))
 	// acquired[i] is the key state of item i if any of its set was
 	// locked, else nil.
-	var acquiredBuf [8]*keyState
+	var acquiredBuf [8]*keyspace.Key
 	acquired := acquiredBuf[:]
 	if len(req.Items) > len(acquiredBuf) {
-		acquired = make([]*keyState, len(req.Items))
+		acquired = make([]*keyspace.Key, len(req.Items))
 	}
 	any, anyDenied := false, false
 	for i := range req.Items {
 		it := &req.Items[i]
-		ks := s.key(it.Key)
-		res, err := ks.locks.AcquireWrite(ctx, owner, it.Set, lock.Options{Wait: req.Wait, Partial: true})
+		ks := s.keys.Key(it.Key)
+		res, err := ks.Locks.AcquireWrite(ctx, owner, it.Set, lock.Options{Wait: req.Wait, Partial: true})
 		if err != nil {
 			status := wire.StatusConflict
 			switch {
@@ -987,14 +931,14 @@ func (c *connState) handleWriteLockBatch() {
 					// returns; the pending write outlives it, so it is
 					// recorded under the key's own name, with a copy of
 					// the value.
-					t.put(ks.name, bytes.Clone(req.Items[i].Value))
+					t.put(ks.Name, bytes.Clone(req.Items[i].Value))
 				}
 			}
 		})
 		if finishedLate || fencedLate {
 			for _, ks := range acquired[:len(req.Items)] {
 				if ks != nil {
-					ks.locks.ReleaseWrites(owner)
+					ks.Locks.ReleaseWrites(owner)
 				}
 			}
 			if fencedLate && !finishedLate {
@@ -1055,7 +999,7 @@ func (c *connState) handleFreezeBatch() {
 		})
 		anyFrozen := false
 		for i, k := range req.WriteKeys {
-			ks := s.key(k)
+			ks := s.keys.Key(k)
 			if !slots[i].has {
 				// No buffered value: either the decide path already
 				// installed and froze this key (its record was then
@@ -1063,7 +1007,7 @@ func (c *connState) handleFreezeBatch() {
 				// the transaction timed out and aborted. A version
 				// sitting exactly at the commit timestamp identifies
 				// the redundant case.
-				if _, done := ks.versions.At(req.TS); done {
+				if _, done := ks.Versions.At(req.TS); done {
 					resp.WriteAcks[i] = wire.Ack{Status: wire.StatusOK}
 				} else {
 					resp.WriteAcks[i] = wire.Ack{Status: wire.StatusError, Err: "no pending value (timed out and aborted?)"}
@@ -1074,7 +1018,7 @@ func (c *connState) handleFreezeBatch() {
 				resp.WriteAcks[i] = wire.Ack{Status: wire.StatusError, Err: err.Error()}
 				continue
 			}
-			if !ks.locks.FreezeWriteAt(owner, req.TS) {
+			if !ks.Locks.FreezeWriteAt(owner, req.TS) {
 				resp.WriteAcks[i] = wire.Ack{Status: wire.StatusError, Err: "write lock not held at commit timestamp"}
 				continue
 			}
@@ -1106,7 +1050,7 @@ func (c *connState) handleFreezeBatch() {
 		}
 	}
 	for _, r := range req.Reads {
-		s.key(r.Key).locks.FreezeReadIn(owner, timestamp.Span(r.Lo, r.Hi))
+		s.keys.Key(r.Key).Locks.FreezeReadIn(owner, timestamp.Span(r.Lo, r.Hi))
 	}
 }
 
@@ -1144,11 +1088,11 @@ func (c *connState) handleReleaseBatch() {
 		}
 	}
 	for _, k := range req.Keys {
-		ks := s.key(k)
+		ks := s.keys.Key(k)
 		if req.WritesOnly {
-			ks.locks.ReleaseWrites(owner)
+			ks.Locks.ReleaseWrites(owner)
 		} else {
-			ks.locks.ReleaseUnfrozen(owner)
+			ks.Locks.ReleaseUnfrozen(owner)
 		}
 	}
 	// If-present: a release retried after the record was already
@@ -1267,16 +1211,16 @@ func (s *Server) applyDecision(txn uint64, d commitment.Decision) {
 
 	owner := lock.Owner(txn)
 	for _, w := range writes {
-		ks := s.key(w.key)
+		ks := s.keys.Key(w.key)
 		if d.Kind == wire.DecideAbort {
-			ks.locks.ReleaseWrites(owner)
+			ks.Locks.ReleaseWrites(owner)
 			continue
 		}
 		if err := s.install(ks, d.TS, w.value); err != nil {
 			s.logf("server %s: install %q at %v: %v", s.cfg.Addr, w.key, d.TS, err)
 			continue
 		}
-		ks.locks.FreezeWriteAt(owner, d.TS)
+		ks.Locks.FreezeWriteAt(owner, d.TS)
 	}
 	s.withTxnIfPresent(txn, func(t *txnState) {
 		clear(t.writes)
@@ -1392,42 +1336,14 @@ func (s *Server) callPeer(addr string, t wire.MsgType, m wire.Message) (*wire.Fr
 
 // --- maintenance ---------------------------------------------------------------
 
-// forEachKeyState calls fn on every key's state. Key pointers are
-// snapshotted per stripe before fn runs, so no stripe lock is held while
-// per-key locks are taken.
-func (s *Server) forEachKeyState(fn func(*keyState)) {
-	var states []*keyState
-	for i := range s.keyStripes {
-		st := &s.keyStripes[i]
-		st.mu.RLock()
-		states = states[:0]
-		for _, ks := range st.keys {
-			states = append(states, ks)
-		}
-		st.mu.RUnlock()
-		for _, ks := range states {
-			fn(ks)
-		}
-	}
-}
-
-func (s *Server) purgeBelow(bound timestamp.Timestamp) (versions, locks int) {
-	s.forEachKeyState(func(ks *keyState) {
-		versions += ks.versions.PurgeBelow(bound)
-		locks += ks.locks.PurgeFrozenBelow(bound)
-	})
-	return versions, locks
-}
-
 func (s *Server) stats() wire.StatsResp {
-	var st wire.StatsResp
-	s.forEachKeyState(func(ks *keyState) {
-		st.Keys++
-		ls := ks.locks.Stats()
-		st.LockEntries += int64(ls.Entries)
-		st.FrozenLocks += int64(ls.Frozen)
-		st.Versions += int64(ks.versions.Count())
-	})
+	size := s.keys.Stats()
+	st := wire.StatsResp{
+		Keys:        int64(size.Keys),
+		LockEntries: int64(size.LockEntries),
+		FrozenLocks: int64(size.FrozenLockEntries),
+		Versions:    int64(size.Versions),
+	}
 	for i := range s.txnStripes {
 		tst := &s.txnStripes[i]
 		tst.mu.Lock()
@@ -1455,8 +1371,8 @@ func (s *Server) stats() wire.StatsResp {
 // is logged exactly once, and install-then-append ordering holds: any
 // record with an LSN at or below the log's watermark is already visible
 // to version reads (the snapshot/tail inclusion property).
-func (s *Server) install(ks *keyState, ts timestamp.Timestamp, value []byte) error {
-	if err := ks.versions.Install(ts, value); err != nil {
+func (s *Server) install(ks *keyspace.Key, ts timestamp.Timestamp, value []byte) error {
+	if err := ks.Versions.Install(ts, value); err != nil {
 		if errors.Is(err, version.ErrExists) {
 			return nil
 		}
@@ -1470,27 +1386,9 @@ func (s *Server) install(ks *keyState, ts timestamp.Timestamp, value []byte) err
 	// catch-up does not come through here; it replays pulled records via
 	// applyReplRecord at the upstream's LSNs.)
 	if s.replLog != nil {
-		s.replLog.Append(ks.name, ts, value)
+		s.replLog.Append(ks.Name, ts, value)
 	}
 	return nil
-}
-
-// sortedKeys snapshots the names of every key this server holds, sorted.
-// Keys are created on demand and never deleted, so a cursor into the
-// sorted list can only be outrun by insertions — a chunked snapshot scan
-// may resend a key that slid past the cursor, never skip one.
-func (s *Server) sortedKeys() []string {
-	var keys []string
-	for i := range s.keyStripes {
-		st := &s.keyStripes[i]
-		st.mu.RLock()
-		for k := range st.keys {
-			keys = append(keys, k)
-		}
-		st.mu.RUnlock()
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // handleSnapshotChunk serves one chunk of a full-state transfer to a
@@ -1514,7 +1412,7 @@ func (s *Server) handleSnapshotChunk(req wire.SnapshotChunkReq) wire.SnapshotChu
 		maxKeys = 256
 	}
 	watermark := s.replLog.NextLSN() - 1
-	keys := s.sortedKeys()
+	keys := s.keys.Names()
 	start := int(req.Cursor)
 	if start > len(keys) {
 		start = len(keys)
@@ -1526,7 +1424,7 @@ func (s *Server) handleSnapshotChunk(req wire.SnapshotChunkReq) wire.SnapshotChu
 	resp := wire.SnapshotChunkResp{Status: wire.StatusOK, Epoch: e, LSN: watermark}
 	payload := 0
 	for _, k := range keys[start:end] {
-		for _, v := range s.key(k).versions.Snapshot() {
+		for _, v := range s.keys.Key(k).Versions.Snapshot() {
 			if v.TS == timestamp.Zero {
 				continue // the initial ⊥ every fresh version list already holds
 			}
@@ -1577,8 +1475,8 @@ func (s *Server) handleLogTail(req wire.LogTailReq) wire.LogTailResp {
 func (s *Server) applyReplRecord(r *wire.ReplRecord) error {
 	key := string(r.Key)
 	val := bytes.Clone(r.Value)
-	ks := s.key(key)
-	if err := ks.versions.Install(r.TS, val); err != nil && !errors.Is(err, version.ErrExists) {
+	ks := s.keys.Key(key)
+	if err := ks.Versions.Install(r.TS, val); err != nil && !errors.Is(err, version.ErrExists) {
 		s.logf("server %s: repl install %q at %v: %v", s.cfg.Addr, key, r.TS, err)
 	}
 	if r.LSN != 0 {

@@ -1,7 +1,7 @@
 // Package strhash provides the string hash shared by every component
-// that partitions keys: the coordinator's server selection, the
-// in-process engine's shard selection, and the storage server's stripe
-// selection. One definition keeps the three in agreement.
+// that partitions keys: the coordinator's server selection and the
+// stripe selection of the key map under both engines
+// (internal/keyspace). One definition keeps them in agreement.
 package strhash
 
 // FNV1a returns the 32-bit FNV-1a hash of s.

@@ -120,15 +120,6 @@ func NewSet(ivs ...Interval) Set {
 	return s
 }
 
-// SetOf returns the set containing exactly the given timestamps.
-func SetOf(ts ...Timestamp) Set {
-	var s Set
-	for _, t := range ts {
-		s.AddInPlace(Point(t))
-	}
-	return s
-}
-
 // IsEmpty reports whether the set contains no timestamps.
 func (s Set) IsEmpty() bool {
 	return s.n == 0 || (s.n == spilledSet && len(s.ivs) == 0)
