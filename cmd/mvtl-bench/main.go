@@ -13,11 +13,11 @@
 // Single-cell throughput, allocation and latency figures come from the
 // benchmark in benchmarks/ (see its README), not from this command.
 //
-// It also fronts the deterministic fault-injection bed (see TESTING.md):
+// It also fronts the deterministic fault-injection bed (see TESTING.md),
+// which runs on a virtual timeline:
 //
 //	mvtl-bench -faults partition-crash -fault-verify
 //	mvtl-bench -faults all -fault-seed 7
-//	mvtl-bench -faults all -fault-verify -vtime   # same matrix, virtual time
 package main
 
 import (
@@ -41,10 +41,10 @@ import (
 // runFaults executes fault-injection scenarios and reports violations:
 // every scenario is serializability-checked, and with verify the
 // transcript-asserted ones run twice so a determinism regression (H13)
-// fails the command, not just a test. With vtime every scenario runs on
-// a virtual timeline: modeled delays cost no wall clock, and transcripts
-// are byte-identical to wall-clock runs of the same seed.
-func runFaults(name string, seed int64, verify, vtime bool) error {
+// fails the command, not just a test. Every scenario runs on a virtual
+// timeline: modeled delays cost no wall clock, and the outcome does not
+// depend on how fast the machine is.
+func runFaults(name string, seed int64, verify bool) error {
 	var scenarios []faultbed.Scenario
 	if name == "all" {
 		scenarios = faultbed.Matrix()
@@ -55,17 +55,13 @@ func runFaults(name string, seed int64, verify, vtime bool) error {
 		}
 		scenarios = []faultbed.Scenario{s}
 	}
-	run := faultbed.Run
-	if vtime {
-		run = faultbed.RunVirtual
-	}
 	failed := false
 	for _, s := range scenarios {
 		if seed != 0 {
 			s.Seed = seed
 		}
 		start := time.Now()
-		res, err := run(s)
+		res, err := faultbed.RunVirtual(s)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.Name, err)
 		}
@@ -75,7 +71,7 @@ func runFaults(name string, seed int64, verify, vtime bool) error {
 			failed = true
 		}
 		if verify && s.AssertTranscript {
-			again, err := run(s)
+			again, err := faultbed.RunVirtual(s)
 			if err != nil {
 				return fmt.Errorf("%s (verify run): %w", s.Name, err)
 			}
@@ -145,13 +141,12 @@ func main() {
 	faults := flag.String("faults", "", "run a fault-injection scenario (a name from the matrix, or \"all\") instead of a benchmark")
 	faultSeed := flag.Int64("fault-seed", 0, "override the scenario seed (0 keeps the scenario's own)")
 	faultVerify := flag.Bool("fault-verify", false, "run each transcript-asserted scenario twice and require byte-identical transcripts")
-	vtime := flag.Bool("vtime", false, "run fault scenarios on a virtual timeline: modeled delays cost no wall clock")
 
 	jsonOut := flag.Bool("json", false, "emit results as JSON on stdout instead of tables (benchmarks only)")
 	flag.Parse()
 
 	if *faults != "" {
-		if err := runFaults(*faults, *faultSeed, *faultVerify, *vtime); err != nil {
+		if err := runFaults(*faults, *faultSeed, *faultVerify); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -4,6 +4,12 @@
 // partitioned key space, the timestamp service purging old state, and a
 // deliberately crashed coordinator whose orphaned locks the servers
 // clean up via the commitment object (Lemma 4).
+//
+// A coordinator's transaction is the same core.Txn, governed by the same
+// policy.TIL, as the in-process store's (examples/quickstart): only the
+// backend differs — here the engine's lock steps travel to the servers
+// as messages (internal/client) — so what commits, and at which
+// timestamp, is the same in both.
 package main
 
 import (
@@ -65,9 +71,10 @@ func main() {
 	}
 	fmt.Println("10 cross-partition transactions committed")
 
-	// Read the whole user set back through the batched read path: the
-	// static read set is grouped by owning server and fetched with one
-	// ReadLockBatch request per server. Reading these 10 keys one
+	// Read the whole user set back through the batched read path
+	// (core.Txn.GetMulti, one batch through the policy): the remote
+	// backend groups the static read set by owning server and fetches
+	// it with one ReadLockBatch request per server. Reading these 10 keys one
 	// Read at a time would cost 10 round trips; GetMulti costs at most
 	// one per server — 3 here — and issues them in parallel, so the
 	// wall-clock cost is a single network round trip.

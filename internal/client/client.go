@@ -1,20 +1,16 @@
 // Package client implements the transaction coordinator of the
 // distributed MVTL algorithm (§7/§H, Algorithms 11-12). A Client owns
-// connections to the storage servers, partitions keys among them, and
-// runs transactions under one of three locking strategies:
-//
-//   - ModeTILEarly / ModeTILLate — MVTIL, the interval-locking variant
-//     evaluated in §8: the transaction's interval I=[t, t+Δ] shrinks as
-//     locks are partially acquired, and the commit timestamp is the
-//     smallest (early) or largest (late) commonly locked point;
-//   - ModeTO — distributed timestamp ordering, the MVTO+ comparison
-//     point (Theorem 5);
-//   - ModePessimistic — distributed 2PL via timeline-tail locking
-//     (Theorem 6).
-//
-// All three run against the same storage servers and wire protocol, so
-// the comparison isolates the concurrency control discipline, exactly as
-// in the paper's evaluation framework (§8.1).
+// connections to the storage servers and partitions keys among them.
+// Its transactions are core.Txn — the repository's one transaction
+// engine — over the remote backend of remote.go, which carries out the
+// engine's steps by messages to the servers, governed by the policy its
+// Mode names (Mode.policy): the very policies of internal/policy that
+// govern the in-process store. All modes run against the same storage
+// servers and wire protocol, so the comparison isolates the concurrency
+// control discipline, exactly as in the paper's evaluation framework
+// (§8.1). Any policy that reaches keys only through the engine's lock
+// steps can join the table; a Mode is added together with its scenarios
+// in the fault matrix.
 package client
 
 import (
@@ -22,11 +18,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
+	"github.com/lpd-epfl/mvtl/internal/core"
 	"github.com/lpd-epfl/mvtl/internal/history"
 	"github.com/lpd-epfl/mvtl/internal/kv"
+	"github.com/lpd-epfl/mvtl/internal/policy"
 	"github.com/lpd-epfl/mvtl/internal/rpc"
 	"github.com/lpd-epfl/mvtl/internal/strhash"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
@@ -61,6 +60,25 @@ func (m Mode) String() string {
 	}
 }
 
+// policy returns the policy that governs the mode's transactions, as
+// mvtl.Algorithm chooses for the in-process store: MVTIL (§8) committing
+// early — the default — or late, MVTL-TO as the MVTO+ comparison point
+// (Theorem 5), MVTL-Pessimistic as distributed 2PL (Theorem 6).
+func (m Mode) policy(clk *clock.Process, delta int64) (core.Policy, error) {
+	switch m {
+	case 0, ModeTILEarly:
+		return policy.NewTIL(clk, delta, policy.CommitEarly, true), nil
+	case ModeTILLate:
+		return policy.NewTIL(clk, delta, policy.CommitLate, true), nil
+	case ModeTO:
+		return policy.NewTO(clk), nil
+	case ModePessimistic:
+		return policy.NewPessimistic(), nil
+	default:
+		return nil, fmt.Errorf("client: unknown %v", m)
+	}
+}
+
 // Router resolves partitions to their serving heads in replicated
 // clusters. Route is consulted at most once per partition per
 // transaction — the transaction pins what it gets, so a failover never
@@ -90,7 +108,7 @@ type Config struct {
 	// stamped with its epoch. Nil keeps the static Servers routing with
 	// epoch 0 (unfenced).
 	Router Router
-	// Mode selects the strategy.
+	// Mode selects the policy.
 	Mode Mode
 	// Delta is the MVTIL interval width in clock ticks (the paper uses
 	// Δ = 5ms with microsecond ticks).
@@ -160,13 +178,15 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 type Client struct {
 	cfg    Config
 	clk    *clock.Process
+	engine *core.Engine
 	timers clock.Timers
 	// det is the cross-server deadlock detector; nil when disabled.
 	det *detector
 
-	mu     sync.Mutex
-	conns  map[string]*rpc.Client
-	nextSq uint32
+	nextSq atomic.Uint32 // numbers the transactions
+
+	mu    sync.Mutex
+	conns map[string]*rpc.Client
 }
 
 var _ kv.DB = (*Client)(nil)
@@ -183,9 +203,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("client: Config.Network is required")
 	}
-	if cfg.Mode == 0 {
-		cfg.Mode = ModeTILEarly
-	}
 	if cfg.Delta == 0 {
 		cfg.Delta = 5000 // 5ms in microsecond ticks
 	}
@@ -193,9 +210,15 @@ func New(cfg Config) (*Client, error) {
 	if src == nil {
 		src = clock.System{}
 	}
+	clk := clock.NewProcess(src, cfg.ID)
+	pol, err := cfg.Mode.policy(clk, cfg.Delta)
+	if err != nil {
+		return nil, err
+	}
 	c := &Client{
 		cfg:    cfg,
-		clk:    clock.NewProcess(src, cfg.ID),
+		clk:    clk,
+		engine: core.NewEngine(pol, core.Options{Recorder: cfg.Recorder}),
 		timers: clock.OrSystem(cfg.Timers),
 		conns:  make(map[string]*rpc.Client),
 	}
@@ -322,34 +345,6 @@ func (c *Client) cast(addr string, flow uint64, t wire.MsgType, m wire.Message) 
 		c.evict(addr, rc, err)
 	}
 	return err
-}
-
-// Begin implements kv.DB.
-func (c *Client) Begin(ctx context.Context) (kv.Txn, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.nextSq++
-	sq := c.nextSq
-	c.mu.Unlock()
-	// Transaction ids are globally unique: client id in the high bits.
-	id := uint64(uint32(c.cfg.ID))<<32 | uint64(sq)
-	tx := newDTxn(c, id)
-	now := c.clk.Now()
-	switch c.cfg.Mode {
-	case ModeTILEarly, ModeTILLate:
-		lo := timestamp.New(now.Time, -1<<30)
-		if !lo.After(timestamp.Zero) {
-			lo = timestamp.Zero.Next()
-		}
-		tx.interval = timestamp.NewSet(timestamp.Span(lo, timestamp.New(now.Time+c.cfg.Delta, 1<<30)))
-	case ModeTO:
-		tx.ts = now
-	case ModePessimistic:
-		// no timestamp state: the tail is discovered from locks
-	}
-	return tx, nil
 }
 
 // ServerStats queries one server's state-size statistics (Figure 6).

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/lpd-epfl/mvtl/internal/client"
+	"github.com/lpd-epfl/mvtl/internal/kv"
 	"github.com/lpd-epfl/mvtl/internal/server"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 	"github.com/lpd-epfl/mvtl/internal/transport"
@@ -167,7 +168,7 @@ func BenchmarkDistributedReadPath(b *testing.B) {
 						b.Fatal(err)
 					}
 					if batched.on {
-						got, err := tx.(*client.DTxn).GetMulti(ctx, keys)
+						got, err := tx.(kv.MultiGetter).GetMulti(ctx, keys)
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"unsafe"
 
+	"github.com/lpd-epfl/mvtl/internal/core"
 	"github.com/lpd-epfl/mvtl/internal/server"
 	"github.com/lpd-epfl/mvtl/internal/transport"
 )
@@ -30,23 +32,19 @@ func footprintBed(t *testing.T, mode Mode) *Client {
 	return cl
 }
 
-func begin(t *testing.T, cl *Client) *DTxn {
+// begin starts a transaction: the engine's Txn, on the remote backend.
+func begin(t *testing.T, cl *Client) *core.Txn {
 	t.Helper()
 	tx, err := cl.Begin(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tx.(*DTxn)
+	return tx.(*core.Txn)
 }
 
-// writeOrderKeys renders tx.writeOrder as keys.
-func writeOrderKeys(tx *DTxn) []string {
-	var keys []string
-	for _, fi := range tx.writeOrder {
-		keys = append(keys, tx.foot[fi].key)
-	}
-	return keys
-}
+// backendOf returns the remote backend tx runs on: the allocation tx is
+// the first field of.
+func backendOf(tx *core.Txn) *remoteTxn { return (*remoteTxn)(unsafe.Pointer(tx)) }
 
 // TestFootprintReadAfterWrite: a key the transaction wrote is read from
 // the write buffer — no read lock, no second entry, not a recorded read.
@@ -67,8 +65,10 @@ func TestFootprintReadAfterWrite(t *testing.T) {
 			if err != nil || len(multi) != 1 || string(multi["a"]) != "mine" {
 				t.Fatalf("GetMulti after Write = %v, %v", multi, err)
 			}
-			if len(tx.foot) != 1 || tx.foot[0].read || !tx.foot[0].written {
-				t.Fatalf("footprint after write+reads of one key: %+v", tx.foot)
+			_, read := tx.ReadOf(0)
+			_, written := tx.WriteOf(0)
+			if tx.Len() != 1 || read || !written {
+				t.Fatalf("footprint after write+reads of one key: %d keys, read=%v written=%v", tx.Len(), read, written)
 			}
 			if err := tx.Commit(ctx); err != nil {
 				t.Fatal(err)
@@ -104,11 +104,14 @@ func TestFootprintGetMultiDuplicates(t *testing.T) {
 		t.Fatalf("missing key must be present and ⊥, got %v %v", v, ok)
 	}
 	var order []string
-	for _, e := range tx.foot {
-		if !e.read || e.written || e.readLocked.IsEmpty() {
-			t.Fatalf("entry %q: read=%v written=%v locked=%v", e.key, e.read, e.written, e.readLocked)
+	remote := backendOf(tx)
+	for i := int32(0); int(i) < tx.Len(); i++ {
+		_, read := tx.ReadOf(i)
+		_, written := tx.WriteOf(i)
+		if !read || written || remote.keys[i].locked.IsEmpty() {
+			t.Fatalf("entry %q: read=%v written=%v locked=%v", tx.KeyName(i), read, written, remote.keys[i].locked)
 		}
-		order = append(order, e.key)
+		order = append(order, tx.KeyName(i))
 	}
 	if fmt.Sprint(order) != "[b a none]" {
 		t.Fatalf("footprint order %v, want first-mention order [b a none]", order)
@@ -141,7 +144,7 @@ func TestFootprintWriteOrder(t *testing.T) {
 					}
 				}
 			}
-			if got := fmt.Sprint(writeOrderKeys(tx)); got != "[a c r]" {
+			if got := fmt.Sprint(tx.WriteKeys()); got != "[a c r]" {
 				t.Fatalf("write order %s, want [a c r]", got)
 			}
 			if err := tx.Commit(ctx); err != nil {
@@ -165,8 +168,9 @@ func TestFootprintWriteOrder(t *testing.T) {
 
 // TestFootprintLargeTransaction runs the preload shape — 100 writes in
 // one timestamp-ordering transaction — and a 100-key read-back: both
-// outgrow the inline footprint and, past footIndexAt keys, look keys up
-// through the index rather than by scanning.
+// outgrow the inline footprint, the engine's and the backend's (that
+// the engine then finds keys through its index is core's
+// TestFootprintIndex).
 func TestFootprintLargeTransaction(t *testing.T) {
 	const nkeys = 100
 	cl := footprintBed(t, ModeTO)
@@ -184,12 +188,12 @@ func TestFootprintLargeTransaction(t *testing.T) {
 			}
 		}
 	}
-	if len(load.foot) != nkeys || len(load.writeOrder) != nkeys || len(load.index) != nkeys {
-		t.Fatalf("foot=%d writeOrder=%d index=%d, want %d each", len(load.foot), len(load.writeOrder), len(load.index), nkeys)
+	if load.Len() != nkeys || len(load.WriteKeys()) != nkeys {
+		t.Fatalf("foot=%d writeOrder=%d, want %d each", load.Len(), len(load.WriteKeys()), nkeys)
 	}
 	for i, k := range keys {
-		if fi := load.entry(k); fi != i {
-			t.Fatalf("entry(%q) = %d, want %d", k, fi, i)
+		if got := load.KeyName(int32(i)); got != k {
+			t.Fatalf("position %d holds %q, want %q", i, got, k)
 		}
 	}
 	if err := load.Commit(ctx); err != nil {
@@ -207,8 +211,8 @@ func TestFootprintLargeTransaction(t *testing.T) {
 	if err != nil || len(got) != nkeys {
 		t.Fatalf("GetMulti: %d values, %v", len(got), err)
 	}
-	if len(rd.foot) != nkeys || rd.index == nil {
-		t.Fatalf("read-back footprint: %d entries, index %v", len(rd.foot), rd.index != nil)
+	if remote := backendOf(rd); rd.Len() != nkeys || len(remote.keys) != nkeys {
+		t.Fatalf("read-back footprint: %d entries, %d at the backend", rd.Len(), len(remote.keys))
 	}
 	if err := rd.Commit(ctx); err != nil {
 		t.Fatal(err)

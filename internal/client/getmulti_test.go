@@ -146,7 +146,7 @@ func TestGetMultiRoundTripsPerServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := n.snapshot()
-	got, err := tx.(*client.DTxn).GetMulti(ctx, keys)
+	got, err := tx.(kv.MultiGetter).GetMulti(ctx, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestGetMultiAfterFinish(t *testing.T) {
 	if err := tx.Abort(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.(*client.DTxn).GetMulti(ctx, []string{"a"}); err != kv.ErrTxnDone {
+	if _, err := tx.(kv.MultiGetter).GetMulti(ctx, []string{"a"}); err != kv.ErrTxnDone {
 		t.Fatalf("want ErrTxnDone, got %v", err)
 	}
 }
@@ -295,7 +295,7 @@ func TestGetMultiPartialFailureReleasesLocks(t *testing.T) {
 	}
 
 	tx, _ := cl.Begin(ctx)
-	if _, err := tx.(*client.DTxn).GetMulti(ctx, []string{healthyKey, deadKey}); err == nil {
+	if _, err := tx.(kv.MultiGetter).GetMulti(ctx, []string{healthyKey, deadKey}); err == nil {
 		t.Fatal("GetMulti spanning an unreachable server must fail")
 	}
 	// The release is a fire-and-forget cast; poll until it lands.

@@ -196,20 +196,14 @@ func (c *Cluster) listenAddr(name string) string {
 // serverConfig builds the configuration of the server at addr, for
 // Start and RestartServer alike: the base template bound to addr and to
 // that endpoint's view of the network. On a replicated cluster it
-// carries a ReplConfig at epoch, inheriting the tuning knobs
-// (PullInterval, LogCap) of the template's when the caller set one; a
-// non-empty upstream makes the server a standby pulling from there.
+// carries a ReplConfig at epoch; a non-empty upstream makes the server a
+// standby pulling from there.
 func (c *Cluster) serverConfig(addr string, epoch uint64, upstream string) server.Config {
 	scfg := c.cfg.ServerConfig
 	scfg.Addr = addr
 	scfg.Network = c.netFor(addr)
 	if c.cfg.Replicas > 1 {
-		r := &server.ReplConfig{Epoch: epoch, Standby: upstream != "", Upstream: upstream}
-		if base := c.cfg.ServerConfig.Repl; base != nil {
-			r.PullInterval = base.PullInterval
-			r.LogCap = base.LogCap
-		}
-		scfg.Repl = r
+		scfg.Repl = &server.ReplConfig{Epoch: epoch, Standby: upstream != "", Upstream: upstream}
 	}
 	return scfg
 }

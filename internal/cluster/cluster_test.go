@@ -371,8 +371,8 @@ func TestDistributedTCP(t *testing.T) {
 	}
 }
 
-// TestOperationsOnFinishedDTxn checks the kv.Txn contract.
-func TestOperationsOnFinishedDTxn(t *testing.T) {
+// TestOperationsOnFinishedTxn checks the kv.Txn contract.
+func TestOperationsOnFinishedTxn(t *testing.T) {
 	c := startCluster(t, 1, nil)
 	cl, _ := c.NewClient(client.ModeTILEarly, 5000, nil)
 	ctx := context.Background()

@@ -19,18 +19,19 @@ func TestAbortErrorTextAndClassification(t *testing.T) {
 	plain := errors.New("mvtil: interval exhausted")
 	deadlock := fmt.Errorf("write-lock %q: %w", "k", lock.ErrDeadlock)
 	for _, tc := range []struct {
-		op       abortOp
+		op       string
 		key      string
 		cause    error
 		want     string
 		deadlock bool
 	}{
-		{abortRead, "k", plain, `read "k": kv: transaction aborted (mvtil: interval exhausted)`, false},
-		{abortWrite, "a\"b", plain, `write "a\"b": kv: transaction aborted (mvtil: interval exhausted)`, false},
-		{abortCommitLocks, "", plain, `commit locks: kv: transaction aborted (mvtil: interval exhausted)`, false},
-		{abortRead, "", deadlock, `read "": kv: transaction aborted (kv: deadlock victim: write-lock "k": lock: deadlock detected)`, true},
-		{abortWrite, "k", deadlock, `write "k": kv: transaction aborted (kv: deadlock victim: write-lock "k": lock: deadlock detected)`, true},
-		{abortCommitLocks, "", deadlock, `commit locks: kv: transaction aborted (kv: deadlock victim: write-lock "k": lock: deadlock detected)`, true},
+		{"read", "k", plain, `read "k": kv: transaction aborted (mvtil: interval exhausted)`, false},
+		{"write", "a\"b", plain, `write "a\"b": kv: transaction aborted (mvtil: interval exhausted)`, false},
+		{"commit locks", "", plain, `commit locks: kv: transaction aborted (mvtil: interval exhausted)`, false},
+		{"decide", "", plain, `decide: kv: transaction aborted (mvtil: interval exhausted)`, false},
+		{"read batch", "", deadlock, `read batch: kv: transaction aborted (kv: deadlock victim: write-lock "k": lock: deadlock detected)`, true},
+		{"write", "k", deadlock, `write "k": kv: transaction aborted (kv: deadlock victim: write-lock "k": lock: deadlock detected)`, true},
+		{"commit locks", "", deadlock, `commit locks: kv: transaction aborted (kv: deadlock victim: write-lock "k": lock: deadlock detected)`, true},
 	} {
 		err := abortedErr(tc.op, tc.key, tc.cause)
 		if got := err.Error(); got != tc.want {
@@ -42,13 +43,13 @@ func TestAbortErrorTextAndClassification(t *testing.T) {
 		if got := errors.Is(err, kv.ErrDeadlock); got != tc.deadlock {
 			t.Errorf("%v: matches kv.ErrDeadlock = %v, want %v", err, got, tc.deadlock)
 		}
-		// The cause is rendered, not wrapped: lock errors stay an
-		// implementation detail of the engine.
-		if errors.Is(err, lock.ErrDeadlock) || errors.Is(err, plain) {
-			t.Errorf("%v: exposes its cause to errors.Is", err)
+		// The cause is wrapped: a remote backend's transport failures
+		// and fenced routes decide how the caller retries.
+		if !errors.Is(err, tc.cause) {
+			t.Errorf("%v: hides its cause from errors.Is", err)
 		}
 	}
-	if avg := testing.AllocsPerRun(100, func() { errSink = abortedErr(abortRead, "k", plain) }); avg != 1 {
+	if avg := testing.AllocsPerRun(100, func() { errSink = abortedErr("read", "k", plain) }); avg != 1 {
 		t.Errorf("building an abort error: %v allocations, want 1", avg)
 	}
 }

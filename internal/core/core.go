@@ -1,11 +1,15 @@
-// Package core implements the generic MVTL algorithm (§4 of the paper):
-// a transactional multiversion store in which transactions lock
-// individual timestamps of keys rather than whole keys, and commit at any
-// timestamp they hold locked across their entire footprint.
+// Package core implements the generic MVTL algorithm (§4 of the paper,
+// Alg. 1): a transaction locks individual timestamps of keys rather than
+// whole keys, and commits at any timestamp it holds locked across its
+// entire footprint. Txn is the repository's only transaction type.
 //
-// The engine is parameterized by a Policy (Algorithm 2) supplying the
-// nondeterministic choices; the specialized algorithms of §5 live in the
-// policy package. Correctness (Theorem 1) is independent of the policy.
+// It has two parameters. A Policy (Alg. 2) supplies the nondeterministic
+// choices; the specialized algorithms of §5 live in the policy package,
+// and correctness (Theorem 1) is independent of the policy. A Backend is
+// where the keys live: this package's in-process store (DB), or the
+// storage servers behind the coordinator of internal/client (§7/§H,
+// Alg. 11). Every rule of the paper is written once, in Txn or in a
+// policy, and runs over either backend.
 package core
 
 import (
@@ -20,7 +24,7 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
 
-// Options configure a DB.
+// Options configure an Engine.
 type Options struct {
 	// Recorder, when non-nil, receives every committed transaction's
 	// footprint for offline serializability checking. Intended for
@@ -28,10 +32,39 @@ type Options struct {
 	Recorder *history.Recorder
 }
 
-// DB is an MVTL transactional store.
-type DB struct {
+// Engine is what the transactions of one store or one coordinator
+// share: the policy that governs them, the options, and the pool of
+// their working storage.
+type Engine struct {
 	policy Policy
 	opts   Options
+	// scratch pools the transactions' working storage (*Scratch).
+	scratch sync.Pool
+}
+
+// NewEngine returns an engine governed by the given policy.
+func NewEngine(policy Policy, opts Options) *Engine {
+	e := &Engine{policy: policy, opts: opts}
+	e.scratch.New = func() any { return new(Scratch) }
+	return e
+}
+
+// Policy returns the policy the engine was created with.
+func (e *Engine) Policy() Policy { return e.policy }
+
+// Begin starts transaction id over backend b (Alg. 1 line 1) in tx,
+// zeroed memory of the caller's: a backend with state per transaction
+// keeps it and the Txn in one allocation.
+func (e *Engine) Begin(tx *Txn, id uint64, b Backend) {
+	tx.id, tx.eng, tx.backend = id, e, b
+	tx.foot = tx.footBuf[:0]
+	tx.writeOrder = tx.writeOrderBuf[:0]
+}
+
+// DB is an in-process MVTL transactional store: an Engine over the
+// local backend (local.go).
+type DB struct {
+	*Engine
 
 	// keys holds every key's lock table and version history. Its lock
 	// tables share one store-wide wait-for graph: blocking policies fail
@@ -43,20 +76,12 @@ type DB struct {
 	// mutex-guarded so Begin never serializes transactions behind a
 	// store-wide lock.
 	nextID atomic.Uint64
-
-	// scratch pools the transactions' working storage (*Scratch).
-	scratch sync.Pool
 }
 
 // New returns an empty store governed by the given policy.
 func New(policy Policy, opts Options) *DB {
-	db := &DB{policy: policy, opts: opts, keys: keyspace.New(lock.NewWaitGraph(), nil)}
-	db.scratch.New = func() any { return new(Scratch) }
-	return db
+	return &DB{Engine: NewEngine(policy, opts), keys: keyspace.New(lock.NewWaitGraph(), nil)}
 }
-
-// Policy returns the policy the store was created with.
-func (db *DB) Policy() Policy { return db.policy }
 
 // kvAdapter adapts DB to the engine-neutral kv.DB interface.
 type kvAdapter struct{ db *DB }
@@ -68,16 +93,13 @@ func (a kvAdapter) Begin(ctx context.Context) (kv.Txn, error) { return a.db.Begi
 // all engines uniformly.
 func (db *DB) KV() kv.DB { return kvAdapter{db: db} }
 
-// Begin starts a transaction (Alg. 1 line 1).
+// Begin starts a transaction.
 func (db *DB) Begin(ctx context.Context) (*Txn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tx := &Txn{id: db.nextID.Add(1), db: db}
-	tx.foot = tx.footBuf[:0]
-	tx.readset = tx.readsetBuf[:0]
-	tx.writeOrder = tx.writeOrderBuf[:0]
-	db.policy.Begin(tx)
+	tx := new(Txn)
+	db.Engine.Begin(tx, db.nextID.Add(1), db)
 	return tx, nil
 }
 

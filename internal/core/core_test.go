@@ -3,14 +3,18 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
+	"github.com/lpd-epfl/mvtl/internal/client"
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/core"
 	"github.com/lpd-epfl/mvtl/internal/history"
 	"github.com/lpd-epfl/mvtl/internal/kv"
 	"github.com/lpd-epfl/mvtl/internal/policy"
+	"github.com/lpd-epfl/mvtl/internal/server"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
+	"github.com/lpd-epfl/mvtl/internal/transport"
 )
 
 func newTO(t *testing.T) *core.DB {
@@ -314,103 +318,160 @@ func TestBlindWritesDoNotConflict(t *testing.T) {
 // transaction has committed or aborted it can reach nothing that is
 // pooled, so whatever is done to it afterwards cannot disturb the
 // transaction its scratch went to — and what it still reports is its
-// own. (The server-side twin is TestServerStateOutlivesRequestFrame.)
+// own. It holds on either backend: the in-process store's, and the
+// coordinator's over one Mem server. (The server-side twin is
+// TestServerStateOutlivesRequestFrame.)
 func TestFinishedTxnHoldsNoScratch(t *testing.T) {
 	for _, outcome := range []string{"committed", "aborted"} {
 		t.Run(outcome, func(t *testing.T) {
-			var ticks clock.Manual
-			ticks.Set(1000)
-			db := core.New(policy.NewTIL(clock.NewProcess(&ticks, 1), 100, policy.CommitEarly, true), core.Options{})
-			ctx := context.Background()
-
-			a, _ := db.Begin(ctx)
-			if _, err := a.Read(ctx, "x"); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Write(ctx, "y", []byte("from a")); err != nil {
-				t.Fatal(err)
-			}
-			aScratch := core.ScratchOf(a)
-			if aScratch == nil || a.PolicyState == nil {
-				t.Fatal("a running MVTIL transaction holds a scratch and its interval")
-			}
-			var aCommitTS timestamp.Timestamp
-			if outcome == "committed" {
-				if err := a.Commit(ctx); err != nil {
-					t.Fatal(err)
-				}
-				aCommitTS = a.CommitTS
-			} else if err := a.Abort(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if core.ScratchOf(a) != nil || a.PolicyState != nil {
-				t.Fatalf("the %s transaction still holds scratch %p, policy state %v", outcome, core.ScratchOf(a), a.PolicyState)
-			}
-
-			// b takes over a's scratch (the pool may hand out another
-			// under the race detector, which changes nothing below).
-			ticks.Advance(10_000)
-			b, _ := db.Begin(ctx)
-			if _, err := b.Read(ctx, "x"); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Write(ctx, "z", []byte("from b")); err != nil {
-				t.Fatal(err)
-			}
-			if got := core.ScratchOf(b); got != aScratch {
-				t.Logf("b runs on scratch %p, a ran on %p", got, aScratch)
-			}
-			bInterval := *b.PolicyState.(*timestamp.ShrinkingSet)
-
-			// Every method of the finished a: refused, or answered from
-			// a's own memory.
-			if _, err := a.Read(ctx, "x"); !errors.Is(err, kv.ErrTxnDone) {
-				t.Fatalf("Read on the %s transaction: %v", outcome, err)
-			}
-			if err := a.Write(ctx, "z", nil); !errors.Is(err, kv.ErrTxnDone) {
-				t.Fatalf("Write on the %s transaction: %v", outcome, err)
-			}
-			if err := a.Commit(ctx); !errors.Is(err, kv.ErrTxnDone) {
-				t.Fatalf("Commit on the %s transaction: %v", outcome, err)
-			}
-			if err := a.Abort(ctx); err != nil {
-				t.Fatalf("Abort on the %s transaction: %v", outcome, err)
-			}
-			if a.Committed() != (outcome == "committed") || a.Aborted() != (outcome == "aborted") {
-				t.Fatalf("the %s transaction reports committed=%v aborted=%v", outcome, a.Committed(), a.Aborted())
-			}
-			if a.CommitTS != aCommitTS {
-				t.Fatalf("CommitTS moved from %v to %v", aCommitTS, a.CommitTS)
-			}
-			if rs := a.ReadSet(); len(rs) != 1 || rs[0].Key != "x" {
-				t.Fatalf("ReadSet = %v", rs)
-			}
-			if wk := a.WriteKeys(); len(wk) != 1 || wk[0] != "y" {
-				t.Fatalf("WriteKeys = %v", wk)
-			}
-			if v, ok := a.PendingWrite("y"); !ok || string(v) != "from a" {
-				t.Fatalf("PendingWrite(y) = %q, %v", v, ok)
-			}
-			if _, ok := a.PendingWrite("z"); ok {
-				t.Fatal("PendingWrite(z) answers for b's write")
-			}
-			if !a.RestartHint.IsZero() {
-				t.Fatalf("RestartHint = %v", a.RestartHint)
-			}
-			if core.ScratchOf(a) != nil || a.PolicyState != nil {
-				t.Fatal("the finished transaction took a scratch again")
-			}
-
-			// None of which b noticed.
-			if got := b.PolicyState.(*timestamp.ShrinkingSet).Set(); !got.Equal(bInterval.Set()) || got.IsEmpty() {
-				t.Fatalf("b's interval went from %v to %v", bInterval.Set(), got)
-			}
-			if err := b.Commit(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if min, _ := bInterval.Set().Min(); b.CommitTS != min {
-				t.Fatalf("b committed at %v, want the bottom %v of its interval", b.CommitTS, min)
+			for _, backend := range []string{"local", "remote"} {
+				t.Run(backend, func(t *testing.T) { finishedTxnHoldsNoScratch(t, outcome, backend) })
 			}
 		})
+	}
+}
+
+func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
+	var ticks clock.Manual
+	ticks.Set(1000)
+	ctx := context.Background()
+	db := core.New(policy.NewTIL(clock.NewProcess(&ticks, 1), 100, policy.CommitEarly, true), core.Options{}).KV()
+	if backend == "remote" {
+		n := transport.NewMem(transport.LatencyModel{})
+		srv, err := server.New(server.Config{Addr: "s0", Network: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		cl, err := client.New(client.Config{ID: 1, Servers: []string{"s0"}, Network: n, Mode: client.ModeTILEarly, Delta: 100, Clock: &ticks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cl.Close() })
+		db = cl
+	}
+	begin := func() *core.Txn {
+		tx, err := db.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx.(*core.Txn)
+	}
+
+	a := begin()
+	if _, err := a.Read(ctx, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Write(ctx, "y", []byte("from a")); err != nil {
+		t.Fatal(err)
+	}
+	aScratch := core.ScratchOf(a)
+	if aScratch == nil || a.PolicyState == nil {
+		t.Fatal("a running MVTIL transaction holds a scratch and its interval")
+	}
+	var aCommitTS timestamp.Timestamp
+	if outcome == "committed" {
+		if err := a.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		aCommitTS = a.CommitTS
+	} else if err := a.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if core.ScratchOf(a) != nil || a.PolicyState != nil {
+		t.Fatalf("the %s transaction still holds scratch %p, policy state %v", outcome, core.ScratchOf(a), a.PolicyState)
+	}
+
+	// b takes over a's scratch (the pool may hand out another
+	// under the race detector, which changes nothing below).
+	ticks.Advance(10_000)
+	b := begin()
+	if _, err := b.Read(ctx, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Write(ctx, "z", []byte("from b")); err != nil {
+		t.Fatal(err)
+	}
+	if got := core.ScratchOf(b); got != aScratch {
+		t.Logf("b runs on scratch %p, a ran on %p", got, aScratch)
+	}
+	bInterval := *b.PolicyState.(*timestamp.ShrinkingSet)
+
+	// Every method of the finished a: refused, or answered from
+	// a's own memory.
+	if _, err := a.Read(ctx, "x"); !errors.Is(err, kv.ErrTxnDone) {
+		t.Fatalf("Read on the %s transaction: %v", outcome, err)
+	}
+	if err := a.Write(ctx, "z", nil); !errors.Is(err, kv.ErrTxnDone) {
+		t.Fatalf("Write on the %s transaction: %v", outcome, err)
+	}
+	if err := a.Commit(ctx); !errors.Is(err, kv.ErrTxnDone) {
+		t.Fatalf("Commit on the %s transaction: %v", outcome, err)
+	}
+	if err := a.Abort(ctx); err != nil {
+		t.Fatalf("Abort on the %s transaction: %v", outcome, err)
+	}
+	if a.Committed() != (outcome == "committed") || a.Aborted() != (outcome == "aborted") {
+		t.Fatalf("the %s transaction reports committed=%v aborted=%v", outcome, a.Committed(), a.Aborted())
+	}
+	if a.CommitTS != aCommitTS {
+		t.Fatalf("CommitTS moved from %v to %v", aCommitTS, a.CommitTS)
+	}
+	if rs := a.ReadSet(); len(rs) != 1 || rs[0].Key != "x" {
+		t.Fatalf("ReadSet = %v", rs)
+	}
+	if wk := a.WriteKeys(); len(wk) != 1 || wk[0] != "y" {
+		t.Fatalf("WriteKeys = %v", wk)
+	}
+	if v, ok := a.WriteOf(1); a.Len() != 2 || a.KeyName(1) != "y" || !ok || string(v) != "from a" {
+		t.Fatalf("footprint of %d keys, %q = %q, %v", a.Len(), a.KeyName(1), v, ok)
+	}
+	if !a.RestartHint.IsZero() {
+		t.Fatalf("RestartHint = %v", a.RestartHint)
+	}
+	if core.ScratchOf(a) != nil || a.PolicyState != nil {
+		t.Fatal("the finished transaction took a scratch again")
+	}
+
+	// None of which b noticed.
+	if got := b.PolicyState.(*timestamp.ShrinkingSet).Set(); !got.Equal(bInterval.Set()) || got.IsEmpty() {
+		t.Fatalf("b's interval went from %v to %v", bInterval.Set(), got)
+	}
+	if err := b.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if min, _ := bInterval.Set().Min(); b.CommitTS != min {
+		t.Fatalf("b committed at %v, want the bottom %v of its interval", b.CommitTS, min)
+	}
+}
+
+// TestFootprintIndex: past footIndexAt keys a transaction finds its
+// footprint entries through an index rather than by scanning, and the
+// index agrees with the order of first use.
+func TestFootprintIndex(t *testing.T) {
+	const nkeys = 100
+	db := newTO(t)
+	ctx := context.Background()
+	tx, _ := db.Begin(ctx)
+	for round := 0; round < 2; round++ { // the second round overwrites in place
+		for i := 0; i < nkeys; i++ {
+			if round == 0 && i == 8 && core.IndexLen(tx) != 0 {
+				t.Fatalf("a footprint of %d keys has an index", tx.Len())
+			}
+			if err := tx.Write(ctx, fmt.Sprintf("key-%03d", i), []byte{byte(round)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if tx.Len() != nkeys || len(tx.WriteKeys()) != nkeys || core.IndexLen(tx) != nkeys {
+		t.Fatalf("foot=%d writeOrder=%d index=%d, want %d each", tx.Len(), len(tx.WriteKeys()), core.IndexLen(tx), nkeys)
+	}
+	for i := 0; i < nkeys; i++ {
+		if k := fmt.Sprintf("key-%03d", i); core.Entry(tx, k) != i || tx.KeyName(int32(i)) != k {
+			t.Fatalf("entry(%q) = %d, position %d holds %q", k, core.Entry(tx, k), i, tx.KeyName(int32(i)))
+		}
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

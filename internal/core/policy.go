@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
-	"github.com/lpd-epfl/mvtl/internal/version"
 )
 
 // Policy fixes the nondeterministic choices of the generic MVTL algorithm
@@ -14,27 +13,28 @@ import (
 // commit. Theorem 1 guarantees serializability for every policy; the
 // policy only affects liveness and performance.
 //
-// Policies access lock tables and version lists exclusively through
-// Txn.Key so the engine can track which keys a transaction touched.
+// A policy names keys by their position in the transaction's footprint
+// and reaches them only through Txn.ReadLocks and Txn.WriteLocks, each
+// over a batch of keys — so it runs unchanged over every Backend, and a
+// batch costs a remote one a round trip per server, not per key. It sets
+// up its per-transaction state (the "Initialization" of the specialized
+// algorithms) at the transaction's first operation, when Txn.Clock and
+// Txn.Priority are known.
 type Policy interface {
 	// Name identifies the policy in logs and benchmark output.
 	Name() string
 
-	// Begin initializes per-transaction policy state (the
-	// "Initialization" step of the specialized algorithms), typically
-	// reading a clock and storing a timestamp or timestamp set in
-	// tx.PolicyState.
-	Begin(tx *Txn)
-
 	// WriteLocks acquires whatever write locks the policy takes at
-	// write time for key k (possibly none; several policies defer all
+	// write time for one key (possibly none; several policies defer all
 	// write locking to commit). An error aborts the transaction.
-	WriteLocks(ctx context.Context, tx *Txn, k string) error
+	WriteLocks(ctx context.Context, tx *Txn, key int32) error
 
-	// Read selects the version of k to read and acquires read locks on
-	// a contiguous interval immediately following that version. It
-	// returns the version read. An error aborts the transaction.
-	Read(ctx context.Context, tx *Txn, k string) (version.Version, error)
+	// Read selects, for every key of the batch, the version to read and
+	// acquires read locks on a contiguous interval immediately following
+	// it, all under the transaction's bound at the time of the call. It
+	// returns Txn.ReadLocks' results, aligned with keys as that step
+	// left them. An error aborts the transaction.
+	Read(ctx context.Context, tx *Txn, keys []int32) ([]ReadResult, error)
 
 	// CommitLocks acquires the locks the policy takes at commit time
 	// (for example, write locks on the chosen timestamp). An error

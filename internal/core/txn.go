@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/history"
@@ -13,40 +14,26 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
 
-// abortError reports a policy failure as a kv.ErrAborted, keeping
-// lock.ErrDeadlock victims distinguishable via kv.ErrDeadlock so
-// callers can retry them immediately instead of backing off — the same
-// classification the distributed client derives from
-// wire.StatusDeadlock. It is one value formatted on demand: an abort is
-// the contended path's common outcome, and most callers only classify
-// it. The cause is rendered, not wrapped.
+// abortError reports a failed step as a kv.ErrAborted, keeping deadlock
+// victims distinguishable via kv.ErrDeadlock so callers can retry them
+// immediately instead of backing off. It is one value formatted on
+// demand: an abort is the contended path's common outcome, and most
+// callers only classify it. The cause is wrapped: a remote backend's
+// transport error or fenced route decides how the caller retries.
 type abortError struct {
-	op       abortOp
-	key      string // of a read or write
+	op, key  string // the step that failed; the key of a one-key step
 	cause    error
 	deadlock bool
 }
 
-// abortOp is the step of the transaction the policy failed in.
-type abortOp uint8
-
-const (
-	abortRead abortOp = iota
-	abortWrite
-	abortCommitLocks
-)
-
-func abortedErr(op abortOp, key string, cause error) error {
+func abortedErr(op, key string, cause error) error {
 	return &abortError{op: op, key: key, cause: cause, deadlock: errors.Is(cause, lock.ErrDeadlock)}
 }
 
 func (e *abortError) Error() string {
-	op := "commit locks"
-	switch e.op {
-	case abortRead:
-		op = fmt.Sprintf("read %q", e.key)
-	case abortWrite:
-		op = fmt.Sprintf("write %q", e.key)
+	op := e.op
+	if e.key != "" {
+		op = fmt.Sprintf("%s %q", e.op, e.key)
 	}
 	if e.deadlock {
 		return fmt.Sprintf("%s: %v (%v: %v)", op, kv.ErrAborted, kv.ErrDeadlock, e.cause)
@@ -60,6 +47,9 @@ func (e *abortError) Is(target error) bool {
 	return target == kv.ErrAborted || e.deadlock && target == kv.ErrDeadlock
 }
 
+// Unwrap returns the failure that aborted the transaction.
+func (e *abortError) Unwrap() error { return e.cause }
+
 // txnState tracks the lifecycle of a transaction.
 type txnState uint8
 
@@ -67,62 +57,62 @@ const (
 	stateActive txnState = iota
 	stateCommitted
 	stateAborted
+	stateUncertain // the commit proposal's answer was lost (Uncertain)
 )
 
-// ReadRecord is one entry of the read set: the key and the timestamp of
-// the version the transaction read (Alg. 1 line 9).
-type ReadRecord struct {
-	Key string
-	// VersionTS is the timestamp tr of the version returned by the
-	// read; Zero denotes the initial version ⊥.
-	VersionTS timestamp.Timestamp
-}
-
 // footEntry is what the transaction knows about one key of its
-// footprint. ks is resolved when a policy first asks for the key's state
-// (Txn.Key) and nil until then: a write that locks nothing before commit
-// leaves it so. read: the policy served a Read of the key. written:
-// value is the buffered write.
+// footprint. read: the policy served a Read of the key, which returned
+// the version at readVer (every Read of a key returns the same one: the
+// first leaves read locks from it upward). written: value is the
+// buffered write; until the first Write's write-time locks are held,
+// value is only its argument on the way to the backend. ks is the local
+// backend's handle on the key, nil until it first touches it; any other
+// backend keeps what it knows per key in its own memory, by position.
 type footEntry struct {
 	key           string
 	ks            *keyspace.Key
 	read, written bool
+	readVer       timestamp.Timestamp
 	value         []byte
 }
 
 // A transaction within the inline capacities keeps all its bookkeeping
-// in its one allocation; a larger one spills to the heap and, past
-// footIndexAt keys, finds keys through an index.
+// in its one allocation; a larger one (a 100-key preload) spills to the
+// heap and, past footIndexAt keys, finds keys through an index.
 const (
 	footInline  = 8
 	footIndexAt = 32
 )
 
-// Txn is an MVTL transaction. It is not safe for concurrent use by
-// multiple goroutines.
+// Txn is an MVTL transaction (Alg. 1). It is not safe for concurrent use
+// by multiple goroutines.
 type Txn struct {
-	id    uint64
-	db    *DB
-	state txnState
+	id      uint64
+	eng     *Engine
+	backend Backend
+	state   txnState
+
+	// Priority marks the transaction as critical for priority-aware
+	// policies (§5.2). It must be set before the first operation.
+	Priority bool
 
 	// foot is the footprint: one entry per key, in order of first use —
 	// the order locks are cleaned up in. index finds a key's entry once
-	// foot outgrows a linear scan. writeOrder lists the written keys in
-	// order of first write.
+	// foot outgrows a linear scan. writeOrder lists the written keys, by
+	// position, in order of first write.
 	foot       []footEntry
 	index      map[string]int32
-	readset    []ReadRecord
-	writeOrder []string
+	writeOrder []int32
 
 	footBuf       [footInline]footEntry
-	readsetBuf    [8]ReadRecord
-	writeOrderBuf [8]string
+	writeOrderBuf [footInline]int32
 
 	// scratch is the pooled working storage, nil before the first use
 	// and again once the transaction has finished.
 	scratch *Scratch
 
-	// CommitTS is the serialization timestamp, set on successful commit.
+	// CommitTS is the serialization timestamp: set on successful commit,
+	// and to the proposed timestamp when the outcome is uncertain.
 	CommitTS timestamp.Timestamp
 
 	// PolicyState carries per-transaction policy data (timestamps,
@@ -131,10 +121,6 @@ type Txn struct {
 	// finishes.
 	PolicyState any
 
-	// Priority marks the transaction as critical for priority-aware
-	// policies (§5.2). It must be set before the first operation.
-	Priority bool
-
 	// Clock, when non-nil, overrides the policy's default clock for
 	// this transaction. Policies read their clock lazily at the first
 	// operation, so callers may set Clock right after Begin; this is
@@ -142,12 +128,16 @@ type Txn struct {
 	Clock *clock.Process
 
 	// RestartHint, when nonzero, suggests a timestamp above which a
-	// retry of this transaction is likely to succeed; policies set it
-	// when they observe frozen conflicts (used by MVTIL restarts, §8.1).
+	// retry of this transaction is likely to succeed; reads that meet
+	// frozen write locks raise it, and policies raise it on frozen write
+	// denials (used by MVTIL restarts, §8.1).
 	RestartHint timestamp.Timestamp
 }
 
-var _ kv.Txn = (*Txn)(nil)
+var (
+	_ kv.Txn         = (*Txn)(nil)
+	_ kv.MultiGetter = (*Txn)(nil)
+)
 
 // ID returns the transaction identifier.
 func (tx *Txn) ID() uint64 { return tx.id }
@@ -155,27 +145,19 @@ func (tx *Txn) ID() uint64 { return tx.id }
 // Owner returns the transaction's lock-owner identity.
 func (tx *Txn) Owner() lock.Owner { return lock.Owner(tx.id) }
 
-// find returns the position of k's footprint entry, or -1.
-func (tx *Txn) find(k string) int {
+// entry returns the position of k's footprint entry, adding a blank one
+// at the end on first mention.
+func (tx *Txn) entry(k string) int {
 	if tx.index != nil {
 		if i, ok := tx.index[k]; ok {
 			return int(i)
 		}
-		return -1
-	}
-	for i := range tx.foot {
-		if tx.foot[i].key == k {
-			return i
+	} else {
+		for i := range tx.foot {
+			if tx.foot[i].key == k {
+				return i
+			}
 		}
-	}
-	return -1
-}
-
-// entry returns the position of k's footprint entry, adding a blank one
-// at the end on first mention.
-func (tx *Txn) entry(k string) int {
-	if i := tx.find(k); i >= 0 {
-		return i
 	}
 	tx.foot = append(tx.foot, footEntry{key: k})
 	switch {
@@ -190,41 +172,98 @@ func (tx *Txn) entry(k string) int {
 	return len(tx.foot) - 1
 }
 
-// Key returns the lock/version state for k, registering it as touched so
-// that lock cleanup can find it. Policies must access keys only through
-// this method.
-func (tx *Txn) Key(k string) *keyspace.Key {
-	e := &tx.foot[tx.entry(k)]
-	if e.ks == nil {
-		e.ks = tx.db.keys.Key(k)
-	}
-	return e.ks
+// Len returns the number of keys in the footprint. Positions below it
+// name its keys, in order of first use, for policies and backends.
+func (tx *Txn) Len() int { return len(tx.foot) }
+
+// KeyName returns the key at position i.
+func (tx *Txn) KeyName(i int32) string { return tx.foot[i].key }
+
+// ReadOf reports whether a Read of the key at position i was served,
+// and the timestamp of the version it returned.
+func (tx *Txn) ReadOf(i int32) (timestamp.Timestamp, bool) {
+	return tx.foot[i].readVer, tx.foot[i].read
 }
 
+// WriteOf returns the value last passed to Write for the key at
+// position i, and whether that write is buffered — it is not while its
+// write-time locks are being acquired.
+func (tx *Txn) WriteOf(i int32) ([]byte, bool) { return tx.foot[i].value, tx.foot[i].written }
+
+// LocalKey returns the in-process store's lock table and version list
+// for the key at position i, for a policy that needs a lock operation
+// the shared steps do not offer. Such a policy runs on the in-process
+// store only: over any other backend LocalKey panics.
+func (tx *Txn) LocalKey(i int32) *keyspace.Key { return tx.backend.(*DB).key(tx, i) }
+
 // Scratch returns the transaction's working storage, taken from the
-// store's pool at first use. It goes back to the pool when the
+// engine's pool at first use. It goes back to the pool when the
 // transaction finishes: policies use it inside the operation they were
 // called for and keep nothing that points into it, bar Txn.PolicyState.
 func (tx *Txn) Scratch() *Scratch {
 	if tx.scratch == nil {
-		tx.scratch = tx.db.scratch.Get().(*Scratch)
+		tx.scratch = tx.eng.scratch.Get().(*Scratch)
 	}
 	return tx.scratch
 }
 
-// ReadSet returns the recorded reads.
-func (tx *Txn) ReadSet() []ReadRecord { return tx.readset }
+// Batch returns the given positions as a batch for the lock steps. It is
+// the transaction's scratch: good until the next batch is built.
+func (tx *Txn) Batch(keys ...int32) []int32 {
+	sc := tx.Scratch()
+	sc.keys = append(sc.keys[:0], keys...)
+	return sc.keys
+}
+
+// Writes returns the written keys, in first-write order, as a Batch.
+func (tx *Txn) Writes() []int32 { return tx.Batch(tx.writeOrder...) }
+
+// ReadLocks runs the read step on a batch (Backend.ReadLocks). The
+// results, aligned with keys as the step leaves it, are scratch: good
+// until the next ReadLocks.
+func (tx *Txn) ReadLocks(ctx context.Context, keys []int32, upper timestamp.Timestamp, wait bool) ([]ReadResult, error) {
+	sc := tx.Scratch()
+	sc.reads = slices.Grow(sc.reads[:0], len(keys))[:len(keys)]
+	clear(sc.reads)
+	err := tx.backend.ReadLocks(ctx, tx, keys, upper, wait, sc.reads)
+	for i := range sc.reads {
+		if at := sc.reads[i].FrozenAt; at.After(tx.RestartHint) {
+			tx.RestartHint = at
+		}
+	}
+	return sc.reads, err
+}
+
+// WriteLocks write-locks set on a batch as opts allow
+// (Backend.WriteLocks). The results, aligned with keys as the step
+// leaves it, are scratch: good until the next WriteLocks, and set must
+// not share storage with them.
+func (tx *Txn) WriteLocks(ctx context.Context, keys []int32, set timestamp.Set, opts lock.Options) ([]lock.WriteResult, error) {
+	sc := tx.Scratch()
+	sc.writes = slices.Grow(sc.writes[:0], len(keys))[:len(keys)]
+	err := tx.backend.WriteLocks(ctx, tx, keys, set, opts, sc.writes)
+	return sc.writes, err
+}
+
+// ReadSet returns the keys read, each with the timestamp of the version
+// it returned (Alg. 1 line 9; Zero denotes ⊥).
+func (tx *Txn) ReadSet() []history.Read {
+	var reads []history.Read
+	for i := range tx.foot {
+		if e := &tx.foot[i]; e.read {
+			reads = append(reads, history.Read{Key: e.key, VersionTS: e.readVer})
+		}
+	}
+	return reads
+}
 
 // WriteKeys returns the keys written, in first-write order.
-func (tx *Txn) WriteKeys() []string { return tx.writeOrder }
-
-// PendingWrite returns the buffered value for k, if the transaction
-// wrote it.
-func (tx *Txn) PendingWrite(k string) ([]byte, bool) {
-	if i := tx.find(k); i >= 0 && tx.foot[i].written {
-		return tx.foot[i].value, true
+func (tx *Txn) WriteKeys() []string {
+	keys := make([]string, len(tx.writeOrder))
+	for i, w := range tx.writeOrder {
+		keys[i] = tx.foot[w].key
 	}
-	return nil, false
+	return keys
 }
 
 // Aborted reports whether the transaction has aborted.
@@ -239,16 +278,16 @@ func (tx *Txn) Write(ctx context.Context, k string, value []byte) error {
 	if tx.state != stateActive {
 		return kv.ErrTxnDone
 	}
-	if err := tx.db.policy.WriteLocks(ctx, tx, k); err != nil {
-		tx.abort()
-		return abortedErr(abortWrite, k, err)
+	i := tx.entry(k)
+	tx.foot[i].value = value
+	if err := tx.eng.policy.WriteLocks(ctx, tx, int32(i)); err != nil {
+		tx.abort(ctx)
+		return abortedErr("write", k, err)
 	}
-	e := &tx.foot[tx.entry(k)]
-	if !e.written {
+	if e := &tx.foot[i]; !e.written {
 		e.written = true
-		tx.writeOrder = append(tx.writeOrder, k)
+		tx.writeOrder = append(tx.writeOrder, int32(i))
 	}
-	e.value = value
 	return nil
 }
 
@@ -263,169 +302,167 @@ func (tx *Txn) Read(ctx context.Context, k string) ([]byte, error) {
 	if e := &tx.foot[i]; e.written {
 		return e.value, nil
 	}
-	ver, err := tx.db.policy.Read(ctx, tx, k)
+	res, err := tx.eng.policy.Read(ctx, tx, tx.Batch(int32(i)))
 	if err != nil {
-		tx.abort()
-		return nil, abortedErr(abortRead, k, err)
+		tx.abort(ctx)
+		return nil, abortedErr("read", k, err)
 	}
-	tx.foot[i].read = true
-	tx.readset = append(tx.readset, ReadRecord{Key: k, VersionTS: ver.TS})
-	return ver.Value, nil
+	tx.foot[i].read, tx.foot[i].readVer = true, res[0].Version.TS
+	return res[0].Version.Value, nil
+}
+
+// GetMulti implements kv.MultiGetter: it reads a static set of keys as
+// one batch — which a remote backend turns into one read-lock request
+// per server, in parallel: O(servers) round trips instead of O(keys) —
+// under the transaction's bound at call time. Under MVTIL it may so pick
+// a newer version than a sequential Read loop, whose interval shrinks
+// between reads, and abort where the loop would have settled for an
+// older one. Duplicate keys are read once, written keys come from the
+// write buffer, and any key's failure aborts the transaction.
+func (tx *Txn) GetMulti(ctx context.Context, keys []string) (map[string][]byte, error) {
+	if tx.state != stateActive {
+		return nil, kv.ErrTxnDone
+	}
+	out := make(map[string][]byte, len(keys))
+	sc := tx.Scratch()
+	sc.keys = sc.keys[:0]
+	for _, k := range keys {
+		if _, dup := out[k]; dup {
+			continue
+		}
+		i := tx.entry(k)
+		out[k] = nil // claims the key; a read fills it below
+		if e := &tx.foot[i]; e.written {
+			out[k] = e.value
+		} else {
+			sc.keys = append(sc.keys, int32(i))
+		}
+	}
+	batch := sc.keys
+	if len(batch) == 0 {
+		return out, nil
+	}
+	res, err := tx.eng.policy.Read(ctx, tx, batch)
+	if err != nil {
+		tx.abort(ctx)
+		return nil, abortedErr("read batch", "", err)
+	}
+	for j, i := range batch {
+		e := &tx.foot[i]
+		e.read, e.readVer = true, res[j].Version.TS
+		out[e.key] = res[j].Version.Value
+	}
+	return out, nil
 }
 
 // Commit tries to commit the transaction (Alg. 1 lines 11-21): it
 // acquires the policy's commit-time locks, computes the candidate set T
 // of timestamps locked across the whole footprint, lets the policy pick
-// one, freezes the write locks there and exposes the written values.
+// one, has the backend decide, and then freezes the write locks there,
+// which exposes the written values.
 func (tx *Txn) Commit(ctx context.Context) error {
 	if tx.state != stateActive {
 		return kv.ErrTxnDone
 	}
-	if err := tx.db.policy.CommitLocks(ctx, tx); err != nil {
-		tx.abort()
-		return abortedErr(abortCommitLocks, "", err)
+	policy := tx.eng.policy
+	if err := policy.CommitLocks(ctx, tx); err != nil {
+		tx.abort(ctx)
+		return abortedErr("commit locks", "", err)
 	}
 
-	candidates := tx.candidateSet()
+	// T and the sets it is cut from are the transaction's scratch, so
+	// neither is reallocated key by key, or transaction by transaction.
+	t := &tx.Scratch().candidates
+	t.Reset(timestamp.Full)
+	tx.backend.Candidates(tx, t)
+	candidates := t.Set()
 	if candidates.IsEmpty() {
-		tx.abort()
+		tx.abort(ctx)
 		return fmt.Errorf("no commonly locked timestamp: %w", kv.ErrAborted)
 	}
-	chosen, ok := tx.db.policy.CommitTS(tx, candidates)
+	chosen, ok := policy.CommitTS(tx, candidates)
 	if !ok || !candidates.Contains(chosen) {
 		// Rendered first: abort returns the candidates' storage.
 		err := fmt.Errorf("policy declined candidates %v: %w", candidates, kv.ErrAborted)
-		tx.abort()
+		tx.abort(ctx)
 		return err
 	}
+
+	switch outcome, err := tx.backend.Decide(ctx, tx, true, chosen); outcome {
+	case Aborted:
+		tx.abort(ctx)
+		return abortedErr("decide", "", err)
+	case Uncertain:
+		// The commitment object may have decided commit: reporting an
+		// abort would be a lie, and releasing locks or proposing abort
+		// could fight a decided commit. The servers' suspicion path
+		// resolves the outcome and cleans up either way (Lemma 4); the
+		// checker resolves the recorded "maybe" from observation.
+		tx.CommitTS = chosen
+		tx.state = stateUncertain
+		tx.record(true)
+		tx.finish()
+		return fmt.Errorf("%w (%w)", kv.ErrUncertain, err)
+	}
 	tx.CommitTS = chosen
-
-	// Expose committed values and freeze the write locks at the commit
-	// timestamp. The value is installed before the freeze so that any
-	// reader observing a frozen write lock is guaranteed to find the
-	// version (the Go-idiomatic counterpart of the §6 special-value
-	// construction that removes the atomic block of Alg. 1).
-	for _, k := range tx.writeOrder {
-		e := &tx.foot[tx.find(k)]
-		if err := e.ks.Versions.Install(chosen, e.value); err != nil {
-			// Unreachable while the write lock at the chosen timestamp
-			// is held and the purge bound trails active transactions;
-			// abort defensively.
-			tx.abort()
-			return fmt.Errorf("install %q at %v: %w (%v)", k, chosen, kv.ErrAborted, err)
-		}
-		e.ks.Locks.FreezeWriteAt(tx.Owner(), chosen)
-	}
 	tx.state = stateCommitted
+	tx.record(false)
 
-	if rec := tx.db.opts.Recorder; rec != nil {
-		rec.Record(history.Commit{
-			ID:        tx.id,
-			CommitTS:  chosen,
-			Reads:     toHistoryReads(tx.readset),
-			WriteKeys: append([]string(nil), tx.writeOrder...),
-		})
-	}
-
-	if tx.db.policy.CommitGC(tx) {
-		tx.gc()
+	// Garbage collection (Alg. 1 lines 22-26) also freezes the read
+	// locks up to the commit timestamp and releases everything unfrozen.
+	// A failed freeze — a remote backend's broken connection — is
+	// reported, but the transaction stays committed: the decision is
+	// durable and the servers finish the exposure.
+	gc := policy.CommitGC(tx)
+	err := tx.backend.Freeze(tx, chosen, gc)
+	if err == nil && gc {
+		tx.backend.Release(tx, false)
 	}
 	tx.finish()
-	return nil
+	return err
+}
+
+// record hands the footprint to the history recorder, when there is one:
+// as a commit at CommitTS, or as a "maybe" there.
+func (tx *Txn) record(maybe bool) {
+	rec := tx.eng.opts.Recorder
+	if rec == nil {
+		return
+	}
+	rec.Record(history.Commit{ID: tx.id, CommitTS: tx.CommitTS, Reads: tx.ReadSet(), WriteKeys: tx.WriteKeys(), Maybe: maybe})
 }
 
 // Abort discards the transaction, releasing locks according to the
 // policy's garbage-collection choice. Aborting a finished transaction is
 // a no-op.
-func (tx *Txn) Abort(context.Context) error {
-	if tx.state != stateActive {
-		return nil
+func (tx *Txn) Abort(ctx context.Context) error {
+	if tx.state == stateActive {
+		tx.abort(ctx)
 	}
-	tx.abort()
 	return nil
 }
 
-// candidateSet computes T (Alg. 1 line 13): the timestamps read- or
-// write-locked on every key read, and write-locked on every key written
-// (on a key both read and written the second requirement subsumes the
-// first). T and the Owned snapshots it is cut from are the transaction's
-// scratch, so neither is reallocated key by key, or transaction by
-// transaction. The result is good until the transaction finishes.
-func (tx *Txn) candidateSet() timestamp.Set {
-	sc := tx.Scratch()
-	sc.candidates.Reset(timestamp.Full)
-	for i := range tx.foot {
-		e := &tx.foot[i]
-		if !e.read && !e.written {
-			continue
-		}
-		e.ks.Locks.OwnedInto(tx.Owner(), &sc.readOrWrite, &sc.writeOnly)
-		if e.written {
-			sc.candidates.Intersect(sc.writeOnly)
-		} else {
-			sc.candidates.Intersect(sc.readOrWrite)
-		}
-		if sc.candidates.IsEmpty() {
-			break
-		}
-	}
-	return sc.candidates.Set()
-}
-
-// abort marks the transaction aborted and cleans up its locks. Policies
-// that garbage collect drop every unfrozen lock; MVTO-style policies
-// keep their read locks (emulating persistent read timestamps) but must
-// not leave write intentions behind.
-func (tx *Txn) abort() {
+// abort marks the transaction aborted, has the backend decide so, and
+// cleans up. Policies that garbage collect drop every unfrozen lock;
+// MVTO-style policies keep their read locks (as persistent read
+// timestamps) but must not leave write intentions behind.
+func (tx *Txn) abort(ctx context.Context) {
 	tx.state = stateAborted
-	all := tx.db.policy.CommitGC(tx)
-	for i := range tx.foot {
-		ks := tx.foot[i].ks
-		if ks == nil {
-			continue
-		}
-		if all {
-			ks.Locks.ReleaseUnfrozen(tx.Owner())
-		} else {
-			ks.Locks.ReleaseWrites(tx.Owner())
-		}
-	}
+	_, _ = tx.backend.Decide(ctx, tx, false, timestamp.Timestamp{})
+	tx.backend.Release(tx, !tx.eng.policy.CommitGC(tx))
 	tx.finish()
-}
-
-// gc implements Alg. 1 lines 22-26 for a committed transaction: freeze
-// the read locks between each version read and the commit timestamp, and
-// release all unfrozen locks.
-func (tx *Txn) gc() {
-	for _, r := range tx.readset {
-		iv := timestamp.Span(r.VersionTS.Next(), tx.CommitTS)
-		tx.foot[tx.find(r.Key)].ks.Locks.FreezeReadIn(tx.Owner(), iv)
-	}
-	for i := range tx.foot {
-		if ks := tx.foot[i].ks; ks != nil {
-			ks.Locks.ReleaseUnfrozen(tx.Owner())
-		}
-	}
 }
 
 // finish ends the transaction's use of pooled storage once it has
 // committed or aborted and cleaned up: the scratch goes back to the
-// store, and the policy state, which may point into it, goes with it.
+// engine, and the policy state, which may point into it, goes with it.
 // Everything a finished transaction still answers (CommitTS, ReadSet,
-// WriteKeys, PendingWrite, RestartHint) is in the Txn's own memory.
+// WriteKeys, WriteOf, RestartHint) is in the Txn's own memory.
 func (tx *Txn) finish() {
 	tx.PolicyState = nil
 	if sc := tx.scratch; sc != nil {
 		tx.scratch = nil
-		tx.db.scratch.Put(sc)
+		clear(sc.reads[:cap(sc.reads)]) // the values read are not the pool's to keep alive
+		tx.eng.scratch.Put(sc)
 	}
-}
-
-// toHistoryReads converts the read set for the history recorder.
-func toHistoryReads(rs []ReadRecord) []history.Read {
-	out := make([]history.Read, len(rs))
-	for i, r := range rs {
-		out[i] = history.Read{Key: r.Key, VersionTS: r.VersionTS}
-	}
-	return out
 }

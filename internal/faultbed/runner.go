@@ -12,6 +12,7 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/client"
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/cluster"
+	"github.com/lpd-epfl/mvtl/internal/core"
 	"github.com/lpd-epfl/mvtl/internal/history"
 	"github.com/lpd-epfl/mvtl/internal/kv"
 	"github.com/lpd-epfl/mvtl/internal/rpc"
@@ -400,7 +401,7 @@ func (r *runner) recoverServer(i int) (int, error) {
 			}
 			return tx.Commit(ctx)
 		}()
-		if err == nil || tx.(*client.DTxn).Committed() {
+		if err == nil || tx.(*core.Txn).Committed() {
 			return len(keys), nil
 		}
 		if errors.Is(err, kv.ErrUncertain) {
@@ -454,7 +455,7 @@ func (r *runner) attempt(ops []workload.Op, value []byte) error {
 		}
 	}
 	err = tx.Commit(ctx)
-	if err != nil && tx.(*client.DTxn).Committed() {
+	if err != nil && tx.(*core.Txn).Committed() {
 		return nil
 	}
 	return err

@@ -1,8 +1,10 @@
 // Package kv defines the transactional key-value interface shared by
-// every engine in this repository: the MVTL engine with its policies, the
-// MVTO+ and 2PL baselines, and the distributed MVTIL client. Workloads
-// and benchmarks are written against this interface so that all engines
-// can be driven and compared uniformly (§8.3).
+// everything that runs transactions in this repository: the MVTL engine
+// (internal/core) with its policies — over its in-process store, and
+// over the storage servers through the coordinator of internal/client —
+// and the independent MVTO+ and 2PL baselines. Workloads and benchmarks
+// are written against this interface so that all of them can be driven
+// and compared uniformly (§8.3).
 package kv
 
 import (
@@ -25,9 +27,10 @@ var (
 	// immediate restart rather than a backoff.
 	ErrDeadlock = errors.New("kv: deadlock victim")
 	// ErrUncertain reports that the commit outcome is unknown: the
-	// decision request was sent but its reply was lost (partition,
-	// crash, timeout), so the transaction may be durably committed or
-	// may later abort. It is NOT wrapped with ErrAborted — callers must
+	// decision request was sent to the storage servers but its reply was
+	// lost (partition, crash, timeout), so the transaction may be durably
+	// committed or may later abort. Only a transaction whose keys live
+	// on the servers can end this way. It is NOT wrapped with ErrAborted — callers must
 	// not count it as an abort, must not blind-retry the transaction
 	// (a retry could double-apply its writes), and must treat the
 	// transaction's effects as possibly visible.
@@ -40,9 +43,9 @@ type DB interface {
 	Begin(ctx context.Context) (Txn, error)
 }
 
-// MultiGetter is the optional batched read interface: transactions with
-// a remote read path implement it to fetch a whole static read set in
-// one round trip per storage server instead of one per key. Semantics
+// MultiGetter is the optional batched read interface. The MVTL engine's
+// transaction implements it: over the storage servers a whole static
+// read set costs one round trip per server instead of one per key. Semantics
 // match a loop of Read calls (buffered writes are served locally, a nil
 // value means ⊥), except that all keys are read under the transaction's
 // bound at call time.

@@ -2,12 +2,11 @@ package policy
 
 import (
 	"context"
-	"fmt"
+	"errors"
 
 	"github.com/lpd-epfl/mvtl/internal/core"
 	"github.com/lpd-epfl/mvtl/internal/lock"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
-	"github.com/lpd-epfl/mvtl/internal/version"
 )
 
 // Pessimistic is the MVTL-Pessimistic policy (Alg. 9), which emulates
@@ -28,33 +27,30 @@ var _ core.Policy = Pessimistic{}
 // NewPessimistic returns the pessimistic policy.
 func NewPessimistic() Pessimistic { return Pessimistic{} }
 
+var errTailNotAcquired = errors.New("mvtl-pessimistic: tail not acquired")
+
 // Name implements core.Policy.
 func (Pessimistic) Name() string { return "mvtl-pessimistic" }
 
-// Begin implements core.Policy.
-func (Pessimistic) Begin(*core.Txn) {}
-
 // WriteLocks implements core.Policy (Alg. 9 lines 1-3): write-lock all
 // timestamps, waiting on unfrozen conflicts and skipping frozen history.
-func (Pessimistic) WriteLocks(ctx context.Context, tx *core.Txn, k string) error {
-	res, err := tx.Key(k).Locks.AcquireWrite(ctx, tx.Owner(), allWritable(),
-		lock.Options{Wait: true, Partial: true})
+func (Pessimistic) WriteLocks(ctx context.Context, tx *core.Txn, key int32) error {
+	res, err := tx.WriteLocks(ctx, tx.Batch(key), allWritable(), lock.Options{Wait: true, Partial: true})
 	if err != nil {
-		return fmt.Errorf("write-lock %q: %w", k, err)
+		return err
 	}
-	if !res.Got.Contains(timestamp.Infinity) {
+	if !res[0].Got.Contains(timestamp.Infinity) {
 		// Frozen locks can exclude finite prefixes but never the tail;
 		// failing to get +∞ means another writer raced us.
-		return fmt.Errorf("write-lock %q: tail not acquired", k)
+		return errTailNotAcquired
 	}
 	return nil
 }
 
 // Read implements core.Policy (Alg. 9 lines 4-11): read the latest
 // version and read-lock from just above it to +∞.
-func (Pessimistic) Read(ctx context.Context, tx *core.Txn, k string) (version.Version, error) {
-	v, _, err := readUpTo(ctx, tx, tx.Key(k), timestamp.Infinity, true)
-	return v, err
+func (Pessimistic) Read(ctx context.Context, tx *core.Txn, keys []int32) ([]core.ReadResult, error) {
+	return tx.ReadLocks(ctx, keys, timestamp.Infinity, true)
 }
 
 // CommitLocks implements core.Policy: nothing to acquire at commit.

@@ -8,6 +8,7 @@ import (
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/core"
+	"github.com/lpd-epfl/mvtl/internal/keyspace"
 	"github.com/lpd-epfl/mvtl/internal/lock"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 	"github.com/lpd-epfl/mvtl/internal/version"
@@ -61,38 +62,50 @@ type prefState struct {
 	poss   timestamp.Set
 	chosen timestamp.Timestamp
 	found  bool
-	set    bool
 }
 
 // Name implements core.Policy.
 func (p *Pref) Name() string { return "mvtl-pref" }
 
-// Begin implements core.Policy.
-func (p *Pref) Begin(tx *core.Txn) { tx.PolicyState = &prefState{} }
-
+// state returns the transaction's state, set up at its first operation.
 func (p *Pref) state(tx *core.Txn) *prefState {
-	st := tx.PolicyState.(*prefState)
-	if !st.set {
-		st.pref = txnClock(tx, p.clk).Now()
+	st, ok := tx.PolicyState.(*prefState)
+	if !ok {
+		st = &prefState{pref: txnClock(tx, p.clk).Now()}
 		st.poss = pointSet(st.pref)
 		for _, a := range p.alts(st.pref) {
 			st.poss.AddInPlace(timestamp.Point(a))
 		}
-		st.set = true
+		tx.PolicyState = st
 	}
 	return st
 }
 
 // WriteLocks implements core.Policy: the write set is locked only at
 // commit (Alg. 3 line 4).
-func (p *Pref) WriteLocks(context.Context, *core.Txn, string) error { return nil }
+func (p *Pref) WriteLocks(context.Context, *core.Txn, int32) error { return nil }
 
-// Read implements core.Policy (Alg. 3 lines 5-14): read the version
-// below the preferential timestamp, read-lock toward the highest still
-// viable timestamp, and narrow PossTS to the locked range.
-func (p *Pref) Read(ctx context.Context, tx *core.Txn, k string) (version.Version, error) {
-	st := p.state(tx)
-	ks := tx.Key(k)
+// Read implements core.Policy (Alg. 3 lines 5-14), key by key.
+func (p *Pref) Read(ctx context.Context, tx *core.Txn, keys []int32) ([]core.ReadResult, error) {
+	st, res := p.state(tx), make([]core.ReadResult, len(keys))
+	for i, key := range keys {
+		v, err := p.read(ctx, tx, st, tx.LocalKey(key))
+		if err != nil {
+			return nil, core.KeyErr(len(keys), tx.KeyName(key), err)
+		}
+		res[i].Version = v
+	}
+	return res, nil
+}
+
+// read reads the version below the preferential timestamp, read-locks
+// toward the highest still viable timestamp, and narrows PossTS to the
+// locked range. The locks reach past the bound the version was picked
+// under, which the read step the backends share (one bound for both)
+// does not offer: Pref works on the in-process store's key state
+// directly (Txn.LocalKey), and does not run over the wire until the
+// read-lock request carries the two bounds apart.
+func (p *Pref) read(ctx context.Context, tx *core.Txn, st *prefState, ks *keyspace.Key) (version.Version, error) {
 	owner := tx.Owner()
 	for {
 		if err := ctx.Err(); err != nil {
@@ -139,7 +152,8 @@ func (p *Pref) Read(ctx context.Context, tx *core.Txn, k string) (version.Versio
 // each alternative, without waiting.
 func (p *Pref) CommitLocks(ctx context.Context, tx *core.Txn) error {
 	st := p.state(tx)
-	if len(tx.WriteKeys()) == 0 {
+	writes := tx.Writes()
+	if len(writes) == 0 {
 		// Read-only: any remaining possible timestamp works; prefer the
 		// preferential one.
 		if st.poss.Contains(st.pref) {
@@ -154,9 +168,8 @@ func (p *Pref) CommitLocks(ctx context.Context, tx *core.Txn) error {
 	owner := tx.Owner()
 	for _, t := range p.commitOrder(st) {
 		acquired := true
-		for _, k := range tx.WriteKeys() {
-			ks := tx.Key(k)
-			if _, err := ks.Locks.AcquireWrite(ctx, owner, pointSet(t), lock.Options{}); err != nil {
+		for _, key := range writes {
+			if _, err := tx.LocalKey(key).Locks.AcquireWrite(ctx, owner, pointSet(t), lock.Options{}); err != nil {
 				acquired = false
 				break
 			}
@@ -167,8 +180,8 @@ func (p *Pref) CommitLocks(ctx context.Context, tx *core.Txn) error {
 		}
 		// This timestamp will not work: drop the write locks acquired
 		// for it and try the next (Alg. 3 line 22).
-		for _, k := range tx.WriteKeys() {
-			tx.Key(k).Locks.ReleaseWrites(owner)
+		for _, key := range writes {
+			tx.LocalKey(key).Locks.ReleaseWrites(owner)
 		}
 	}
 	return fmt.Errorf("mvtl-pref: no timestamp in %v is write-lockable", st.poss)
@@ -207,6 +220,3 @@ func (p *Pref) CommitTS(tx *core.Txn, _ timestamp.Set) (timestamp.Timestamp, boo
 
 // CommitGC implements core.Policy (Alg. 3 line 28).
 func (p *Pref) CommitGC(*core.Txn) bool { return false }
-
-// PreferredTimestamp exposes the preferential timestamp, for tests.
-func (p *Pref) PreferredTimestamp(tx *core.Txn) timestamp.Timestamp { return p.state(tx).pref }

@@ -2,13 +2,12 @@ package policy
 
 import (
 	"context"
-	"fmt"
+	"errors"
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/core"
 	"github.com/lpd-epfl/mvtl/internal/lock"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
-	"github.com/lpd-epfl/mvtl/internal/version"
 )
 
 // Prio is the prioritizer policy MVTL-Prio (§5.2, Alg. 6). Transactions
@@ -32,43 +31,23 @@ var _ core.Policy = (*Prio)(nil)
 // NewPrio returns the prioritizer policy.
 func NewPrio(clk *clock.Process) *Prio { return &Prio{clk: clk} }
 
-// prioState is the per-transaction state (normal transactions only need
-// the timestamp).
-type prioState struct {
-	ts  timestamp.Timestamp
-	set bool
-}
-
 // Name implements core.Policy.
 func (p *Prio) Name() string { return "mvtl-prio" }
-
-// Begin implements core.Policy.
-func (p *Prio) Begin(tx *core.Txn) { tx.PolicyState = &prioState{} }
-
-func (p *Prio) state(tx *core.Txn) *prioState {
-	st := tx.PolicyState.(*prioState)
-	if !st.set {
-		st.ts = txnClock(tx, p.clk).Now()
-		st.set = true
-	}
-	return st
-}
 
 // WriteLocks implements core.Policy. Critical transactions write-lock
 // every timestamp they can get right now, without waiting — in
 // particular the whole unlocked tail of the timeline. Normal
 // transactions lock nothing until commit.
-func (p *Prio) WriteLocks(ctx context.Context, tx *core.Txn, k string) error {
+func (p *Prio) WriteLocks(ctx context.Context, tx *core.Txn, key int32) error {
 	if !tx.Priority {
 		return nil
 	}
-	res, err := tx.Key(k).Locks.AcquireWrite(ctx, tx.Owner(), allWritable(),
-		lock.Options{Partial: true})
+	res, err := tx.WriteLocks(ctx, tx.Batch(key), allWritable(), lock.Options{Partial: true})
 	if err != nil {
-		return fmt.Errorf("priority write-lock %q: %w", k, err)
+		return err
 	}
-	if res.Got.IsEmpty() {
-		return fmt.Errorf("priority write-lock %q: nothing lockable", k)
+	if res[0].Got.IsEmpty() {
+		return errors.New("mvtl-prio: nothing lockable")
 	}
 	return nil
 }
@@ -78,14 +57,12 @@ func (p *Prio) WriteLocks(ctx context.Context, tx *core.Txn, k string) error {
 // which are held just for the brief commit window of other
 // transactions); normal transactions read at their timestamp like
 // MVTL-TO.
-func (p *Prio) Read(ctx context.Context, tx *core.Txn, k string) (version.Version, error) {
-	if tx.Priority {
-		v, _, err := readUpTo(ctx, tx, tx.Key(k), timestamp.Infinity, true)
-		return v, err
+func (p *Prio) Read(ctx context.Context, tx *core.Txn, keys []int32) ([]core.ReadResult, error) {
+	upper := timestamp.Infinity
+	if !tx.Priority {
+		upper = startTS(tx, p.clk)
 	}
-	st := p.state(tx)
-	v, _, err := readUpTo(ctx, tx, tx.Key(k), st.ts, true)
-	return v, err
+	return tx.ReadLocks(ctx, keys, upper, true)
 }
 
 // CommitLocks implements core.Policy. Normal transactions write-lock
@@ -95,17 +72,7 @@ func (p *Prio) CommitLocks(ctx context.Context, tx *core.Txn) error {
 	if tx.Priority {
 		return nil
 	}
-	st := p.state(tx)
-	owner := tx.Owner()
-	for _, k := range tx.WriteKeys() {
-		if _, err := tx.Key(k).Locks.AcquireWrite(ctx, owner, pointSet(st.ts), lock.Options{}); err != nil {
-			for _, prev := range tx.WriteKeys() {
-				tx.Key(prev).Locks.ReleaseWrites(owner)
-			}
-			return fmt.Errorf("write-lock %q at %v: %w", k, st.ts, err)
-		}
-	}
-	return nil
+	return writeLockAt(ctx, tx, startTS(tx, p.clk), false)
 }
 
 // CommitTS implements core.Policy: critical transactions commit at the
@@ -115,7 +82,7 @@ func (p *Prio) CommitTS(tx *core.Txn, candidates timestamp.Set) (timestamp.Times
 	if tx.Priority {
 		return tailMin(candidates)
 	}
-	return p.state(tx).ts, true
+	return startTS(tx, p.clk), true
 }
 
 // CommitGC implements core.Policy: both kinds garbage collect (§5.2).

@@ -2,13 +2,10 @@ package policy
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/core"
-	"github.com/lpd-epfl/mvtl/internal/lock"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
-	"github.com/lpd-epfl/mvtl/internal/version"
 )
 
 // TO is the MVTL-TO policy (Alg. 8), which specializes MVTL to behave
@@ -46,71 +43,30 @@ func NewGhostbuster(clk *clock.Process) *TO {
 	return &TO{clk: clk, gcOnCommit: true, waitCommitLocks: true, name: "mvtl-ghostbuster"}
 }
 
-// toState is the per-transaction state: the serialization timestamp.
-type toState struct {
-	ts timestamp.Timestamp
-	// set reports whether ts was initialized (lazily, at first use).
-	set bool
-}
-
 // Name implements core.Policy.
 func (p *TO) Name() string { return p.name }
 
-// Begin implements core.Policy. Initialization is lazy so that tests can
-// install per-transaction clocks after Begin.
-func (p *TO) Begin(tx *core.Txn) {
-	tx.PolicyState = &toState{}
-}
-
-func (p *TO) state(tx *core.Txn) *toState {
-	st := tx.PolicyState.(*toState)
-	if !st.set {
-		st.ts = txnClock(tx, p.clk).Now()
-		st.set = true
-	}
-	return st
-}
-
 // WriteLocks implements core.Policy: writes lock nothing until commit.
-func (p *TO) WriteLocks(context.Context, *core.Txn, string) error { return nil }
+func (p *TO) WriteLocks(context.Context, *core.Txn, int32) error { return nil }
 
-// Read implements core.Policy: read the latest version before the
+// Read implements core.Policy: read the latest versions before the
 // transaction timestamp and read-lock up to it, waiting on unfrozen
 // write locks.
-func (p *TO) Read(ctx context.Context, tx *core.Txn, k string) (version.Version, error) {
-	st := p.state(tx)
-	v, _, err := readUpTo(ctx, tx, tx.Key(k), st.ts, true)
-	return v, err
+func (p *TO) Read(ctx context.Context, tx *core.Txn, keys []int32) ([]core.ReadResult, error) {
+	return tx.ReadLocks(ctx, keys, startTS(tx, p.clk), true)
 }
 
 // CommitLocks implements core.Policy: write-lock exactly the transaction
-// timestamp on every written key.
+// timestamp on every written key, all or nothing — the engine's abort
+// releases what a failed batch did acquire (Alg. 8 line 16).
 func (p *TO) CommitLocks(ctx context.Context, tx *core.Txn) error {
-	st := p.state(tx)
-	owner := tx.Owner()
-	for _, k := range tx.WriteKeys() {
-		ks := tx.Key(k)
-		_, err := ks.Locks.AcquireWrite(ctx, owner, pointSet(st.ts), lock.Options{Wait: p.waitCommitLocks})
-		if err != nil {
-			// Release write locks acquired for earlier keys (Alg. 8
-			// line 16); the engine aborts the transaction.
-			for _, prev := range tx.WriteKeys() {
-				tx.Key(prev).Locks.ReleaseWrites(owner)
-			}
-			return fmt.Errorf("write-lock %q at %v: %w", k, st.ts, err)
-		}
-	}
-	return nil
+	return writeLockAt(ctx, tx, startTS(tx, p.clk), p.waitCommitLocks)
 }
 
 // CommitTS implements core.Policy: commit at the transaction timestamp.
 func (p *TO) CommitTS(tx *core.Txn, _ timestamp.Set) (timestamp.Timestamp, bool) {
-	st := p.state(tx)
-	return st.ts, true
+	return startTS(tx, p.clk), true
 }
 
 // CommitGC implements core.Policy.
 func (p *TO) CommitGC(*core.Txn) bool { return p.gcOnCommit }
-
-// Timestamp exposes the transaction's serialization timestamp, for tests.
-func (p *TO) Timestamp(tx *core.Txn) timestamp.Timestamp { return p.state(tx).ts }

@@ -91,15 +91,13 @@ type ReplConfig struct {
 	Standby bool
 	// Upstream is the address a standby pulls from.
 	Upstream string
-	// PullInterval is the standby's poll period once the upstream log
-	// is drained (pulls repeat immediately while records flow).
-	// Default 2ms.
-	PullInterval time.Duration
-	// LogCap bounds the partition log's retained records
-	// (repl.DefaultLogCap if 0); pulls from before the trim point are
-	// redirected to a fresh snapshot.
-	LogCap int
 }
+
+// pullInterval is the standby's poll period once the upstream log is
+// drained (pulls repeat immediately while records flow). The partition
+// log retains repl.DefaultLogCap records; pulls from before the trim
+// point are redirected to a fresh snapshot.
+const pullInterval = 2 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.LockWaitTimeout == 0 {
@@ -287,7 +285,7 @@ func New(cfg Config) (*Server, error) {
 		s.txnStripes[i].txns = make(map[uint64]*txnState)
 	}
 	if r := cfg.Repl; r != nil {
-		s.replLog = repl.NewLog(r.LogCap)
+		s.replLog = repl.NewLog(repl.DefaultLogCap)
 		s.epoch.Store(r.Epoch)
 		s.head.Store(!r.Standby)
 		s.pullStop = make(chan struct{})
@@ -1537,14 +1535,10 @@ func (s *Server) pullSnapshot(rc **rpc.Client) (watermark uint64, ok bool) {
 
 // pullLoop is the standby's catch-up driver: snapshot once, then tail
 // the upstream's log — immediately again while records flow, backing off
-// to PullInterval when drained. It exits on Close or promotion.
+// to pullInterval when drained. It exits on Close or promotion.
 func (s *Server) pullLoop() {
 	defer s.wg.Done()
 	r := s.cfg.Repl
-	interval := r.PullInterval
-	if interval <= 0 {
-		interval = 2 * time.Millisecond
-	}
 	rc := rpc.NewClientTimers(s.cfg.Network, r.Upstream, 1, s.timers)
 	defer func() { _ = rc.Close() }()
 	var from uint64
@@ -1561,7 +1555,7 @@ func (s *Server) pullLoop() {
 		if needSnapshot {
 			w, ok := s.pullSnapshot(&rc)
 			if !ok {
-				s.sleepPull(interval)
+				s.sleepPull()
 				continue
 			}
 			from = w + 1
@@ -1569,12 +1563,12 @@ func (s *Server) pullLoop() {
 		}
 		f, err := s.pullCall(&rc, wire.TLogTailReq, wire.LogTailReq{From: from, MaxRecords: 512})
 		if err != nil {
-			s.sleepPull(interval)
+			s.sleepPull()
 			continue
 		}
 		if derr := tail.DecodeInto(f.Body()); derr != nil || tail.Status != wire.StatusOK {
 			f.Release()
-			s.sleepPull(interval)
+			s.sleepPull()
 			continue
 		}
 		s.adoptEpoch(tail.Epoch)
@@ -1599,15 +1593,15 @@ func (s *Server) pullLoop() {
 		}
 		s.replLag.Store(int64(tail.NextLSN - from))
 		if len(tail.Records) == 0 {
-			s.sleepPull(interval)
+			s.sleepPull()
 		}
 	}
 }
 
 // sleepPull waits one pull interval, returning early on stop or
 // promotion (Close routes through stopPull, so pullStop covers both).
-func (s *Server) sleepPull(d time.Duration) {
-	s.timers.SleepStop(d, s.pullStop)
+func (s *Server) sleepPull() {
+	s.timers.SleepStop(pullInterval, s.pullStop)
 }
 
 // adoptEpoch moves a standby's epoch forward to the upstream's serving

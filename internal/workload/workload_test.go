@@ -163,8 +163,8 @@ func TestBatchReadsLocalFallback(t *testing.T) {
 }
 
 // TestBatchReadsDistributed drives BatchReads against a real cluster,
-// where the leading reads ride DTxn.GetMulti's one-batch-per-server
-// path, and checks commits and serializability.
+// where the leading reads ride the coordinator's one-batch-per-server
+// GetMulti path, and checks commits and serializability.
 func TestBatchReadsDistributed(t *testing.T) {
 	var rec history.Recorder
 	c, err := cluster.Start(cluster.Config{Servers: 2, Recorder: &rec})
