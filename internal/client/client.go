@@ -272,7 +272,7 @@ func (c *Client) routeFor(p int) (string, uint64) {
 // use; dial errors surface lazily from the calls themselves. It holds
 // one connection: this coordinator's frames to a server stay strictly
 // FIFO, and with them read-your-own-writes freshness across its
-// transactions after a fire-and-forget freeze.
+// transactions after a fire-and-forget commit tail.
 func (c *Client) conn(addr string) *rpc.Client {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -334,10 +334,10 @@ func (c *Client) callWaitable(ctx context.Context, addr string, flow uint64, t w
 	return c.call(ctx, addr, flow, t, m)
 }
 
-// cast sends a one-way message to addr without waiting for the reply
-// (Alg. 11's freeze and release sends). Per-flow FIFO ordering
-// guarantees that the transaction's subsequent frames to the same
-// server observe the message's effects.
+// cast sends a one-way message to addr, which the server serves and
+// does not answer (Alg. 11's freeze and release sends, an abort's
+// proposal). Per-flow FIFO ordering guarantees that the transaction's
+// subsequent frames to the same server observe the message's effects.
 func (c *Client) cast(addr string, flow uint64, t wire.MsgType, m wire.Message) error {
 	rc := c.conn(addr)
 	err := rc.Cast(flow, t, m)

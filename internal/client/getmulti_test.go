@@ -16,12 +16,17 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/wire"
 )
 
-// countingNetwork wraps a Network and counts, per server address, the
-// frames sent on client-side (dialed) connections.
+// countingNetwork wraps a Network and counts what coordinators exchange
+// with the servers on the connections they dial: frames sent, per server
+// address, by type, and how many of them casts (bit 63 of the
+// correlation id, see package rpc), and frames received.
 type countingNetwork struct {
 	transport.Network
 	mu   sync.Mutex
 	sent map[string]*atomic.Int64
+
+	c2s, casts, s2c atomic.Int64
+	byType          [256]atomic.Int64
 }
 
 func newCountingNetwork(inner transport.Network) *countingNetwork {
@@ -44,11 +49,10 @@ func (n *countingNetwork) Dial(addr string) (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &countingConn{Conn: conn, sent: n.counter(addr)}, nil
+	return &countingConn{Conn: conn, n: n, sent: n.counter(addr)}, nil
 }
 
-// snapshot returns the total frames sent and the number of addresses
-// with at least one frame since the given baseline.
+// snapshot returns the frames sent so far, per server address.
 func (n *countingNetwork) snapshot() map[string]int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -61,19 +65,37 @@ func (n *countingNetwork) snapshot() map[string]int64 {
 
 type countingConn struct {
 	transport.Conn
+	n    *countingNetwork
 	sent *atomic.Int64
 }
 
-func (c *countingConn) Send(f *wire.FrameBuf) error {
+func (c *countingConn) count(f *wire.FrameBuf) {
 	c.sent.Add(1)
+	c.n.c2s.Add(1)
+	c.n.casts.Add(int64(f.ID() >> 63))
+	c.n.byType[f.Type()].Add(1)
+}
+
+func (c *countingConn) Send(f *wire.FrameBuf) error {
+	c.count(f)
 	return c.Conn.Send(f)
 }
 
 // SendBatch keeps the frame counts exact under opportunistic
 // coalescing: a batch of n frames is n sends, not one.
 func (c *countingConn) SendBatch(fbs []*wire.FrameBuf) error {
-	c.sent.Add(int64(len(fbs)))
+	for _, f := range fbs {
+		c.count(f)
+	}
 	return c.Conn.SendBatch(fbs)
+}
+
+func (c *countingConn) Recv() (*wire.FrameBuf, error) {
+	f, err := c.Conn.Recv()
+	if err == nil {
+		c.n.s2c.Add(1)
+	}
+	return f, err
 }
 
 func startServers(t *testing.T, n transport.Network, count int) []string {

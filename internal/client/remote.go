@@ -79,18 +79,19 @@ type remoteTxn struct {
 	// keys is aligned with the footprint (sync grows it). routes pins
 	// each partition's (head, epoch) at first use, sorted by partition —
 	// the order every per-server fan-out (lock batches, freeze and
-	// release casts) goes out in. decision is the decision server's
-	// pinned route (§H.1); its addr is "" until a write establishes it.
+	// tail casts) goes out in. decision is the decision server's pinned
+	// route (§H.1); its addr is "" until a write establishes it.
 	keys     []remoteKey
 	routes   []routeBatch
 	decision struct {
+		part  int32
 		addr  string
 		epoch uint64
 	}
 
 	// Scratch shared by the per-server batches (see stage): the positions
-	// a release covers, the keys of the batch in hand, the read path's
-	// results between fan-out and settle, and a freeze batch's read
+	// a tail covers, the keys of the batch in hand, the read path's
+	// results between fan-out and settle, and a committed release's read
 	// ranges. req backs the requests the calling goroutine sends one at a
 	// time, so they too are encoded in place rather than boxed.
 	held    []int32
@@ -351,7 +352,7 @@ func (rt *remoteTxn) WriteLocks(ctx context.Context, _ *core.Txn, keys []int32, 
 	rt.sync()
 	if rt.decision.addr == "" {
 		r := &rt.routes[rt.pin(rt.keys[keys[0]].part)]
-		rt.decision.addr, rt.decision.epoch = r.addr, r.epoch
+		rt.decision.part, rt.decision.addr, rt.decision.epoch = r.part, r.addr, r.epoch
 	}
 	if len(keys) == 1 {
 		fi := keys[0]
@@ -450,20 +451,23 @@ func (rt *remoteTxn) Candidates(_ *core.Txn, t *timestamp.ShrinkingSet) {
 	}
 }
 
-// Decide implements core.Backend: it proposes the outcome to the
-// transaction's commitment object (Alg. 11 line 23). A transaction that
-// never asked for a write lock has no decision server; its outcome is
-// decided locally (nothing is pending anywhere). Failures of an abort
-// proposal do not matter: servers will suspect the coordinator and
-// clean up on their own (Lemma 4).
-func (rt *remoteTxn) Decide(ctx context.Context, _ *core.Txn, commit bool, ts timestamp.Timestamp) (core.Outcome, error) {
+// decides reports whether r leads to the decision server, whose share of
+// a staged tail rides the proposal instead of a message of its own.
+func (rt *remoteTxn) decides(r *routeBatch) bool {
+	return rt.decision.addr != "" && r.part == rt.decision.part
+}
+
+// propose puts commit at ts to the transaction's commitment object (Alg.
+// 11 line 23) and reports what was decided. Under garbage collection
+// the proposal carries the decision server's share of the staged tail —
+// the decision installs and freezes the writes there in any case
+// (server.applyDecision).
+func (rt *remoteTxn) propose(ctx context.Context, ts timestamp.Timestamp, gc bool) (core.Outcome, error) {
 	srv := rt.decision.addr
-	if srv == "" {
-		return core.Committed, nil
-	}
-	rt.req.decide = wire.DecideReq{Txn: rt.ID(), Epoch: rt.decision.epoch, Proposal: wire.DecideAbort, TS: ts}
-	if commit {
-		rt.req.decide.Proposal = wire.DecideCommit
+	rt.req.decide = wire.DecideReq{Txn: rt.ID(), Epoch: rt.decision.epoch, Proposal: wire.DecideCommit, TS: ts}
+	if gc {
+		r := &rt.routes[rt.pin(rt.decision.part)]
+		rt.req.decide.Keys, rt.req.decide.Reads = rt.names[r.lo:r.hi], rt.freezeReads(r, ts)
 	}
 	var resp wire.DecideResp
 	f, err := rt.client.call(ctx, srv, rt.ID(), wire.TDecideReq, &rt.req.decide)
@@ -495,66 +499,95 @@ func (rt *remoteTxn) Decide(ctx context.Context, _ *core.Txn, commit bool, ts ti
 	return core.Committed, nil
 }
 
-// Freeze implements core.Backend: one freeze batch per server (in
-// partition order), without waiting for replies (Alg. 11 lines 27-34;
-// the decision is already durable at the commitment object, and servers
-// left waiting freeze through the timeout path) — freeze the write locks
-// at ts and expose the values, and, when reads is set, freeze the read
-// locks between version read and ts.
-func (rt *remoteTxn) Freeze(_ *core.Txn, ts timestamp.Timestamp, reads bool) error {
-	rt.sync()
-	if reads && rt.reads == nil {
-		rt.reads = make([]wire.FreezeReadItem, 0, len(rt.keys))
-	}
-	writes := rt.Writes()
-	for i := range rt.routes {
-		r := &rt.routes[i]
-		rt.names, rt.reads = rt.names[:0], rt.reads[:0]
-		for _, fi := range writes {
-			if rt.keys[fi].part == r.part {
-				rt.names = append(rt.names, rt.KeyName(fi))
-			}
-		}
-		for j := int32(0); reads && int(j) < len(rt.keys); j++ {
-			if ver, read := rt.ReadOf(j); read && rt.keys[j].part == r.part && ver.Before(ts) {
-				rt.reads = append(rt.reads, wire.FreezeReadItem{Key: rt.KeyName(j), Lo: ver.Next(), Hi: ts})
-			}
-		}
-		if len(rt.names) == 0 && len(rt.reads) == 0 {
-			continue
-		}
-		rt.req.freeze = wire.FreezeBatchReq{Txn: rt.ID(), Epoch: r.epoch, TS: ts, WriteKeys: rt.names, Reads: rt.reads}
-		if err := rt.client.cast(r.addr, rt.ID(), wire.TFreezeBatchReq, &rt.req.freeze); err != nil {
-			return fmt.Errorf("client: freeze batch via %s: %w", r.addr, err)
-		}
-	}
-	return nil
-}
-
-// Release implements core.Backend on every key a server holds locks or a
-// buffered write for, one release batch per server, fire-and-forget
-// (Alg. 11 line 34). Safe on the abort path even when the abort proposal
-// failed: only the coordinator proposes commit, so an aborting
-// coordinator's outcome can only be abort and dropping pending writes is
-// correct. For a committed transaction the batch carries the commit
-// timestamp, so a server whose freeze cast was lost installs the pending
-// write instead of discarding it (wire.ReleaseBatchReq.Committed).
-func (rt *remoteTxn) Release(_ *core.Txn, writesOnly bool) {
-	rt.req.release = wire.ReleaseBatchReq{Txn: rt.ID(), WritesOnly: writesOnly}
-	if rt.Committed() {
-		rt.req.release.Committed, rt.req.release.TS = true, rt.CommitTS
-	}
+// stageTail stages the transaction's last message to each server: over
+// the written keys, and when all is set over every other key a server
+// holds locks for as well.
+func (rt *remoteTxn) stageTail(all bool) {
 	rt.sync()
 	rt.held = rt.held[:0]
 	for i := range rt.keys {
-		if _, written := rt.WriteOf(int32(i)); written || rt.keys[i].held {
+		if _, written := rt.WriteOf(int32(i)); written || all && rt.keys[i].held {
 			rt.held = append(rt.held, int32(i))
 		}
 	}
 	rt.stage(rt.held)
+}
+
+// freezeReads lists the read-lock ranges a commit at ts freezes on r's
+// staged keys: from just above each version read up to ts.
+func (rt *remoteTxn) freezeReads(r *routeBatch, ts timestamp.Timestamp) []wire.FreezeReadItem {
+	if rt.reads == nil {
+		rt.reads = make([]wire.FreezeReadItem, 0, len(rt.held))
+	}
+	rt.reads = rt.reads[:0]
+	for _, fi := range rt.held[r.lo:r.hi] {
+		if ver, read := rt.ReadOf(fi); read && ver.Before(ts) {
+			rt.reads = append(rt.reads, wire.FreezeReadItem{Key: rt.KeyName(fi), Lo: ver.Next(), Hi: ts})
+		}
+	}
+	return rt.reads
+}
+
+// Commit implements core.Backend (Alg. 11 lines 23-34): it proposes
+// commit at ts to the transaction's commitment object and, once that is
+// decided, casts every other server the one message that finishes the
+// transaction there — nobody waits for it: the decision is durable, and
+// a server the message never reaches finishes through the timeout path.
+// Under garbage collection that message is a committed release (freeze
+// my writes at ts, freeze my read locks between version read and ts,
+// drop the rest); without, a freeze of the write locks, and the servers
+// that hold only read locks are sent nothing. A transaction that never
+// asked for a write lock has no decision server; its outcome is decided
+// locally (nothing is pending anywhere).
+func (rt *remoteTxn) Commit(ctx context.Context, _ *core.Txn, ts timestamp.Timestamp, gc bool) (core.Outcome, error) {
+	rt.stageTail(gc)
+	if rt.decision.addr != "" {
+		if outcome, err := rt.propose(ctx, ts, gc); outcome != core.Committed {
+			return outcome, err
+		}
+	}
+	var firstErr error
 	for i := range rt.routes {
 		r := &rt.routes[i]
-		if r.hi == r.lo {
+		if r.hi == r.lo || rt.decides(r) {
+			continue
+		}
+		var err error
+		if gc {
+			rt.req.release = wire.ReleaseBatchReq{Txn: rt.ID(), Epoch: r.epoch, Committed: true, TS: ts, Keys: rt.names[r.lo:r.hi], Reads: rt.freezeReads(r, ts)}
+			err = rt.client.cast(r.addr, rt.ID(), wire.TReleaseBatchReq, &rt.req.release)
+		} else {
+			rt.req.freeze = wire.FreezeBatchReq{Txn: rt.ID(), Epoch: r.epoch, TS: ts, WriteKeys: rt.names[r.lo:r.hi]}
+			err = rt.client.cast(r.addr, rt.ID(), wire.TFreezeBatchReq, &rt.req.freeze)
+		}
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("client: commit tail via %s: %w", r.addr, err)
+		}
+	}
+	return core.Committed, firstErr
+}
+
+// Abort implements core.Backend: it proposes abort to the commitment
+// object and releases every key a server holds locks or a buffered write
+// for, one message per server — the proposal, which carries the decision
+// server's release, and a release batch to each of the others — all
+// fire-and-forget (Alg. 11 line 34). Failures do not matter: only the
+// coordinator proposes commit, so an aborting coordinator's outcome can
+// only be abort and dropping pending writes is correct, and servers left
+// holding locks suspect the coordinator and clean up on their own (Lemma
+// 4). The proposal goes out unfenced (epoch 0), as releases are: a
+// demoted head must drain the transactions it was left with.
+func (rt *remoteTxn) Abort(_ context.Context, _ *core.Txn, writesOnly bool) {
+	rt.stageTail(true)
+	if rt.decision.addr != "" {
+		r := &rt.routes[rt.pin(rt.decision.part)]
+		rt.req.decide = wire.DecideReq{Txn: rt.ID(), Proposal: wire.DecideAbort, WritesOnly: writesOnly, Keys: rt.names[r.lo:r.hi]}
+		_ = rt.client.cast(r.addr, rt.ID(), wire.TDecideReq, &rt.req.decide)
+	}
+	rt.req.release = wire.ReleaseBatchReq{Txn: rt.ID(), WritesOnly: writesOnly}
+	for i := range rt.routes {
+		r := &rt.routes[i]
+		if r.hi == r.lo || rt.decides(r) {
 			continue
 		}
 		rt.req.release.Epoch, rt.req.release.Keys = r.epoch, rt.names[r.lo:r.hi]

@@ -315,9 +315,9 @@ func (c *Cluster) Failover(p int) (repl.View, error) {
 	if oldSrv != nil {
 		oldSrv.Demote(v.Epoch)
 		// In-flight commits first: a coordinator that decided commit
-		// before the demotion still casts its freeze batches at the old
+		// before the demotion still casts its commit's tail at the old
 		// head (the fence deliberately admits freeze/release — see
-		// handleFreezeBatch), and those installs must reach the log
+		// handleReleaseBatch), and those installs must reach the log
 		// before the standby is drained against it. Wait for the old
 		// head's transaction records to empty out; new write locks are
 		// fenced (including a post-acquisition re-check), so once live

@@ -19,7 +19,7 @@ import (
 // (a remote one groups it by server); out has the batch's length and is
 // aligned with the batch as the step leaves it. They return the first
 // failure; locks granted to other keys of the batch stay granted, and
-// are the backend's to remember for Release.
+// are the backend's to remember for Abort.
 type Backend interface {
 	// ReadLocks runs the read step on every key (keyspace.Key.ReadStep,
 	// repeated while newer frozen versions appear): the latest version
@@ -37,20 +37,20 @@ type Backend interface {
 	// write-locked on every key read, write-locked on every key written.
 	Candidates(tx *Txn, t *timestamp.ShrinkingSet)
 
-	// Decide settles the outcome: commit at ts, or abort. Past a
-	// Committed answer the writes are durable — installed in the local
-	// store, decided by the remote commitment object (§H.1). Only a
-	// remote backend answers Uncertain. An abort's answer is ignored.
-	Decide(ctx context.Context, tx *Txn, commit bool, ts timestamp.Timestamp) (Outcome, error)
+	// Commit settles the outcome as commit at ts and, on a Committed
+	// answer, finishes the transaction on its keys: the writes are
+	// durable — installed in the local store, decided by the remote
+	// commitment object (§H.1) — the write locks are frozen at ts, and
+	// when gc is set the read locks between each version read and ts are
+	// frozen and every other lock is dropped (Alg. 1 lines 18, 22-26).
+	// Only a remote backend answers Uncertain, and only one reports an
+	// error beside Committed: part of the finish could not be sent, and
+	// the servers complete it on their own.
+	Commit(ctx context.Context, tx *Txn, ts timestamp.Timestamp, gc bool) (Outcome, error)
 
-	// Freeze freezes the decided transaction's write locks at ts and,
-	// when reads is set, its read locks between each version read and
-	// ts (Alg. 1 lines 18, 22-24).
-	Freeze(tx *Txn, ts timestamp.Timestamp, reads bool) error
-
-	// Release drops the transaction's unfrozen locks, or only its write
-	// locks (Alg. 1 lines 25-26).
-	Release(tx *Txn, writesOnly bool)
+	// Abort settles the outcome as abort and drops the transaction's
+	// unfrozen locks, or only its write locks (Alg. 1 lines 25-26).
+	Abort(ctx context.Context, tx *Txn, writesOnly bool)
 }
 
 // ReadResult is the read step's outcome on one key.
@@ -69,7 +69,7 @@ type ReadResult struct {
 // Outcome is a backend's answer to a commit proposal.
 type Outcome uint8
 
-// Outcomes of Backend.Decide.
+// Outcomes of Backend.Commit.
 const (
 	Committed Outcome = iota
 	Aborted

@@ -77,15 +77,12 @@ func (db *DB) Candidates(tx *Txn, t *timestamp.ShrinkingSet) {
 	}
 }
 
-// Decide implements Backend: a local commit is decided by installing
-// its versions — before Freeze freezes the write locks, so that any
-// reader observing a frozen write lock is guaranteed to find the version
-// (the Go-idiomatic counterpart of the §6 special-value construction
-// that removes the atomic block of Alg. 1).
-func (db *DB) Decide(_ context.Context, tx *Txn, commit bool, ts timestamp.Timestamp) (Outcome, error) {
-	if !commit {
-		return Aborted, nil
-	}
+// Commit implements Backend: a local commit is decided by installing
+// its versions — before the write locks freeze, so that any reader
+// observing a frozen write lock is guaranteed to find the version (the
+// Go-idiomatic counterpart of the §6 special-value construction that
+// removes the atomic block of Alg. 1).
+func (db *DB) Commit(_ context.Context, tx *Txn, ts timestamp.Timestamp, gc bool) (Outcome, error) {
 	for _, i := range tx.writeOrder {
 		e := &tx.foot[i]
 		if err := e.ks.Versions.Install(ts, e.value); err != nil {
@@ -94,24 +91,27 @@ func (db *DB) Decide(_ context.Context, tx *Txn, commit bool, ts timestamp.Times
 			return Aborted, fmt.Errorf("install %q at %v: %w", e.key, ts, err)
 		}
 	}
-	return Committed, nil
-}
-
-// Freeze implements Backend.
-func (db *DB) Freeze(tx *Txn, ts timestamp.Timestamp, reads bool) error {
 	for _, i := range tx.writeOrder {
 		tx.foot[i].ks.Locks.FreezeWriteAt(tx.Owner(), ts)
 	}
-	for i := 0; reads && i < len(tx.foot); i++ {
+	if !gc {
+		return Committed, nil
+	}
+	for i := range tx.foot {
 		if e := &tx.foot[i]; e.read {
 			e.ks.Locks.FreezeReadIn(tx.Owner(), timestamp.Span(e.readVer.Next(), ts))
 		}
 	}
-	return nil
+	db.release(tx, false)
+	return Committed, nil
 }
 
-// Release implements Backend on every key the transaction touched here.
-func (db *DB) Release(tx *Txn, writesOnly bool) {
+// Abort implements Backend: there is nobody to tell about the outcome.
+func (db *DB) Abort(_ context.Context, tx *Txn, writesOnly bool) { db.release(tx, writesOnly) }
+
+// release drops tx's unfrozen locks, or only its write locks, on every
+// key it touched here.
+func (db *DB) release(tx *Txn, writesOnly bool) {
 	for i := range tx.foot {
 		switch ks := tx.foot[i].ks; {
 		case ks == nil:

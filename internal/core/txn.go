@@ -358,8 +358,8 @@ func (tx *Txn) GetMulti(ctx context.Context, keys []string) (map[string][]byte, 
 // Commit tries to commit the transaction (Alg. 1 lines 11-21): it
 // acquires the policy's commit-time locks, computes the candidate set T
 // of timestamps locked across the whole footprint, lets the policy pick
-// one, has the backend decide, and then freezes the write locks there,
-// which exposes the written values.
+// one, and has the backend commit there, which freezes the write locks
+// and so exposes the written values.
 func (tx *Txn) Commit(ctx context.Context) error {
 	if tx.state != stateActive {
 		return kv.ErrTxnDone
@@ -388,7 +388,10 @@ func (tx *Txn) Commit(ctx context.Context) error {
 		return err
 	}
 
-	switch outcome, err := tx.backend.Decide(ctx, tx, true, chosen); outcome {
+	// Garbage collection (Alg. 1 lines 22-26) also freezes the read
+	// locks up to the commit timestamp and releases everything unfrozen.
+	outcome, err := tx.backend.Commit(ctx, tx, chosen, policy.CommitGC(tx))
+	switch outcome {
 	case Aborted:
 		tx.abort(ctx)
 		return abortedErr("decide", "", err)
@@ -404,20 +407,12 @@ func (tx *Txn) Commit(ctx context.Context) error {
 		tx.finish()
 		return fmt.Errorf("%w (%w)", kv.ErrUncertain, err)
 	}
+	// A failure past the decision — a remote backend's broken connection
+	// — is reported, but the transaction stays committed: the decision
+	// is durable and the servers finish the exposure.
 	tx.CommitTS = chosen
 	tx.state = stateCommitted
 	tx.record(false)
-
-	// Garbage collection (Alg. 1 lines 22-26) also freezes the read
-	// locks up to the commit timestamp and releases everything unfrozen.
-	// A failed freeze — a remote backend's broken connection — is
-	// reported, but the transaction stays committed: the decision is
-	// durable and the servers finish the exposure.
-	gc := policy.CommitGC(tx)
-	err := tx.backend.Freeze(tx, chosen, gc)
-	if err == nil && gc {
-		tx.backend.Release(tx, false)
-	}
 	tx.finish()
 	return err
 }
@@ -442,14 +437,13 @@ func (tx *Txn) Abort(ctx context.Context) error {
 	return nil
 }
 
-// abort marks the transaction aborted, has the backend decide so, and
-// cleans up. Policies that garbage collect drop every unfrozen lock;
+// abort marks the transaction aborted and has the backend settle that
+// and clean up. Policies that garbage collect drop every unfrozen lock;
 // MVTO-style policies keep their read locks (as persistent read
 // timestamps) but must not leave write intentions behind.
 func (tx *Txn) abort(ctx context.Context) {
 	tx.state = stateAborted
-	_, _ = tx.backend.Decide(ctx, tx, false, timestamp.Timestamp{})
-	tx.backend.Release(tx, !tx.eng.policy.CommitGC(tx))
+	tx.backend.Abort(ctx, tx, !tx.eng.policy.CommitGC(tx))
 	tx.finish()
 }
 

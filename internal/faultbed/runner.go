@@ -435,9 +435,9 @@ func (r *runner) runTxn(ops []workload.Op, value []byte) (outcome string, attemp
 
 // attempt runs the operations as one transaction. A commit whose only
 // failure was in post-decision cleanup (the commitment object decided
-// commit, then a freeze cast hit a broken connection) counts as
-// committed: the decision is durable and the servers' suspicion path
-// finishes the exposure.
+// commit, then a cast of the commit's tail hit a broken connection)
+// counts as committed: the decision is durable and the servers'
+// suspicion path finishes the exposure.
 func (r *runner) attempt(ops []workload.Op, value []byte) error {
 	ctx := context.Background()
 	tx, err := r.work.Begin(ctx)

@@ -8,7 +8,7 @@
 // Every call occupies a waiter slot in a per-connection freelist, and
 // the frame's correlation id encodes the slot's position:
 //
-//	bit  63     cast flag (fire-and-forget, no waiter)
+//	bit  63     cast flag (fire-and-forget: no waiter, and no response)
 //	bits 32-62  slot index
 //	bits 0-31   slot generation
 //
@@ -19,9 +19,11 @@
 // and the per-connection demux goroutine routes each response by
 // indexing the slot table and comparing generations — no map lookup, no
 // per-call channel allocation. A response whose generation no longer
-// matches — the reply to a call whose context was cancelled, a chaos
-// duplicate, or the echo of a cast (cast flag set) — is released back
-// to the buffer pool immediately. A call can therefore never observe
+// matches — the reply to a call whose context was cancelled, or a chaos
+// duplicate — is released back to the buffer pool immediately. A cast
+// is owed nothing: the server half sends no frame for a request whose id
+// carries the cast flag, so every response on the wire is one a caller
+// is parked on. A call can therefore never observe
 // another call's response: a slot is recycled only after its tenant is
 // done, and recycling changes the generation every response must match.
 //
@@ -62,8 +64,8 @@
 // lazily. Every Call and Cast names a flow (callers use the transaction
 // id): all frames of one flow travel over the same pooled connection,
 // in send order, so the transport's per-connection FIFO guarantee
-// becomes a per-flow FIFO guarantee — a transaction's release cast can
-// never overtake its freeze cast. Between different flows there is no
+// becomes a per-flow FIFO guarantee — a transaction's tail casts can
+// never overtake the decide they follow. Between different flows there is no
 // ordering: with a pool larger than one, a frame of flow A may reach
 // the server before an earlier frame of flow B. Callers that rely on
 // cross-transaction FIFO to one server (the coordinator's
@@ -192,12 +194,12 @@ func (c *Client) Call(ctx context.Context, flow uint64, t wire.MsgType, m wire.M
 	return cn.call(ctx, t, m)
 }
 
-// Cast sends a request on the flow's pooled connection without waiting
-// for the response; the reply carries the cast flag back and is dropped
-// (and its buffer recycled) by the demultiplexer. Used for the
-// fire-and-forget messages of Alg. 11 — freeze-write-locks,
-// freeze-read-locks and releases are sent "without waiting for replies"
-// (§H), which is what makes the protocol communication efficient.
+// Cast sends a request on the flow's pooled connection that nobody
+// waits for and the server does not answer (its id carries the cast
+// flag). Used for the fire-and-forget messages of Alg. 11 —
+// freeze-write-locks, freeze-read-locks and releases are sent "without
+// waiting for replies" (§H), which is what makes the protocol
+// communication efficient.
 func (c *Client) Cast(flow uint64, t wire.MsgType, m wire.Message) error {
 	cn, err := c.conn(flow)
 	if err != nil {
@@ -228,9 +230,8 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// castFlag marks a correlation id as having no waiter: the demux
-// releases the response unexamined. Server handlers echo the id back
-// verbatim, so the flag round-trips.
+// castFlag marks a correlation id as having no waiter: the server half
+// serves the request and sends nothing back (sendReply).
 const castFlag = uint64(1) << 63
 
 // callID packs a waiter slot's position into a correlation id.
@@ -277,8 +278,7 @@ type conn struct {
 	closed bool
 
 	// lateDrops counts responses released by slot/generation mismatch:
-	// late replies to cancelled calls and chaos duplicates (cast echoes
-	// are expected traffic and not counted).
+	// late replies to cancelled calls and chaos duplicates.
 	lateDrops atomic.Uint64
 
 	// done joins the demux goroutine's exit. A credited clock.Join, not
@@ -392,15 +392,12 @@ func (cn *conn) recvLoop() {
 }
 
 // route delivers one response frame by slot index + generation, or
-// releases it back to the pool: cast echoes (cast flag), late replies
-// to cancelled calls (generation mismatch), duplicates (active already
-// cleared), and garbage ids all recycle here.
+// releases it back to the pool: late replies to cancelled calls
+// (generation mismatch), duplicates (active already cleared), and
+// garbage ids (out-of-range slots, which a stray cast-flagged id is
+// one of) all recycle here.
 func (cn *conn) route(f *wire.FrameBuf) {
 	id := f.ID()
-	if id&castFlag != 0 {
-		f.Release()
-		return
-	}
 	idx, gen := uint32(id>>32), uint32(id)
 	var s *waiterSlot
 	cn.mu.Lock()
@@ -662,8 +659,9 @@ func (q *replyFlusher) stop() {
 
 // Reply sends one response frame, correlated with the request that the
 // enclosing handler is serving: m is append-encoded into a pooled
-// buffer that the transport consumes. It is safe for concurrent use
-// while the handler runs, and must not be called after the handler has
+// buffer that the transport consumes — unless the request was a cast,
+// which is served and not answered. It is safe for concurrent use while
+// the handler runs, and must not be called after the handler has
 // returned.
 type Reply func(t wire.MsgType, m wire.Message)
 
@@ -684,8 +682,12 @@ func (r *replyState) reply(t wire.MsgType, m wire.Message) {
 
 // sendReply encodes one response frame and enqueues it on the
 // connection's reply flusher, so consecutive replies coalesce into
-// vectored writes and handlers never block on transmission.
+// vectored writes and handlers never block on transmission. The reply
+// to a cast is dropped here, unencoded: its sender waits for nothing.
 func sendReply(out *replyFlusher, onSendErr func(error), id uint64, t wire.MsgType, m wire.Message) {
+	if id&castFlag != 0 {
+		return
+	}
 	fb := wire.GetFrameBuf()
 	if err := fb.SetFrame(id, t, m); err != nil {
 		fb.Release()

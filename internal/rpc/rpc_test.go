@@ -382,3 +382,71 @@ func TestServeConnTimersParkedHandler(t *testing.T) {
 	close(gate)
 	expect(1, "park")
 }
+
+// TestCastServedNotAnswered checks what a cast is owed: its handler
+// runs — inline or parked — and no frame comes back, whatever the
+// handler passes to reply; the calls around it are answered as ever.
+func TestCastServedNotAnswered(t *testing.T) {
+	n := transport.NewMem(transport.LatencyModel{})
+	l, err := n.Listen("casts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	var served atomic.Int64
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		ServeConnTimers(conn, func(f *wire.FrameBuf, reply Reply) func(Reply) {
+			served.Add(1)
+			if string(f.Body()) != "park" {
+				reply(f.Type(), wire.Raw(f.Body()))
+				return nil
+			}
+			return func(reply Reply) { reply(f.Type(), wire.Raw(f.Body())) }
+		}, nil, nil)
+	}()
+
+	conn, err := n.Dial("casts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	send := func(id uint64, body string) {
+		t.Helper()
+		fb := wire.GetFrameBuf()
+		if err := fb.SetFrame(id, wire.TStatsReq, wire.Raw(body)); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(fb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := func() uint64 {
+		t.Helper()
+		f, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Release()
+		return f.ID()
+	}
+	send(castFlag|1, "inline")
+	send(castFlag|2, "park")
+	send(1, "inline")
+	send(2, "park")
+	if a, b := recv(), recv(); a+b != 3 || a&castFlag != 0 || b&castFlag != 0 {
+		t.Fatalf("got replies %#x and %#x, want the two calls'", a, b)
+	}
+	// Replies leave in order on one connection: had either cast been
+	// answered, its frame would come before this one.
+	send(3, "inline")
+	if id := recv(); id != 3 {
+		t.Fatalf("got reply %#x, want 3", id)
+	}
+	if got := served.Load(); got != 5 {
+		t.Fatalf("served %d requests, want 5: casts are served like calls", got)
+	}
+}

@@ -137,9 +137,9 @@ func TestRouteGenerationChecks(t *testing.T) {
 		t.Fatalf("duplicate must be dropped and counted, lateDrops=%d", got)
 	}
 
-	cn.route(frame(castFlag | 7)) // cast echo: released, not counted
-	if got := cn.lateDrops.Load(); got != 2 {
-		t.Fatalf("cast echo is expected traffic, lateDrops=%d", got)
+	cn.route(frame(castFlag | 7)) // no server answers a cast: a stray id like any other
+	if got := cn.lateDrops.Load(); got != 3 {
+		t.Fatalf("a cast-flagged response must be dropped and counted, lateDrops=%d", got)
 	}
 
 	cn.freeSlot(idx, s)

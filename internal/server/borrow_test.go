@@ -108,10 +108,13 @@ func TestParkedBatchKeepsItsRequest(t *testing.T) {
 	}
 }
 
-// TestServerStateOutlivesRequestFrame checks the two records a write
+// TestServerStateOutlivesRequestFrame checks the records a request
 // leaves behind that name its key: the pending write, found again by
-// the freeze that names the same key, and the replication-log record of
-// the install, served to a standby much later.
+// the freeze that names the same key; the replication-log record of the
+// install, served to a standby much later; and the lock table a read
+// range is frozen in when the range — listed by a committed release, or
+// by the share a decide carries — is the first the server hears of the
+// key.
 func TestServerStateOutlivesRequestFrame(t *testing.T) {
 	n := transport.NewMem(transport.LatencyModel{})
 	srv, err := server.New(server.Config{Addr: "srv", Network: n, WriteLockTimeout: time.Minute, Repl: &server.ReplConfig{Epoch: 1}})
@@ -148,5 +151,22 @@ func TestServerStateOutlivesRequestFrame(t *testing.T) {
 	var read wire.ReadLockBatchResp
 	if err := read.DecodeInto(f.Body()); err != nil || string(read.Results[0].Value) != value {
 		t.Fatalf("read back: %+v %v", read, err)
+	}
+
+	// A key that exists from here on under the name a Reads view gave
+	// it: were the name a view still, the churned frames would have
+	// rewritten it, and the next request to name the key would miss it
+	// and make another.
+	const viaRelease, viaDecide = "a-key-first-named-by-a-release", "a-key-first-named-by-a-decide"
+	span := func(k string) []wire.FreezeReadItem {
+		return []wire.FreezeReadItem{{Key: k, Lo: ts(10), Hi: ts(20)}}
+	}
+	c.call(wire.TReleaseBatchReq, wire.ReleaseBatchReq{Txn: 3, Epoch: 1, Committed: true, TS: ts(20), Reads: span(viaRelease)})
+	c.call(wire.TDecideReq, wire.DecideReq{Txn: 4, Epoch: 1, Proposal: wire.DecideCommit, TS: ts(20), Reads: span(viaDecide)})
+	named := stats(t, c).Keys
+	churn(t, c, 1, 100) // over the keys the churns above made
+	c.call(wire.TReadLockBatchReq, wire.ReadLockBatchReq{Txn: 5, Epoch: 1, Upper: ts(100), Keys: []string{viaRelease, viaDecide}})
+	if again := stats(t, c).Keys; again != named {
+		t.Fatalf("%d keys, %d before the two were named again: a key was kept under a borrowed name", again, named)
 	}
 }

@@ -8,19 +8,21 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/wire"
 )
 
-// inlineTxnAllocCeiling bounds what one transaction's four requests may
+// inlineTxnAllocCeiling bounds what one transaction's three requests may
 // allocate on the inline dispatch path of a warmed server. Measured 2
 // when the gate was set, both of them state the transaction creates: its
 // txnState record and the copy of its pending value. Decoding, the
 // replies, the lock tables and the version list contribute nothing; a
-// per-request allocation in any of them costs four here, a per-key one
-// on the read side as many, and either trips the gate.
+// per-request allocation in any of them costs three here, a per-key one
+// on the read side four, and either trips the gate.
 const inlineTxnAllocCeiling = 3
 
 // TestInlineDispatchAllocs drives one connection's dispatch directly,
-// with pre-encoded frames, through transactions of four requests: a
-// no-wait read-lock batch over four keys, a write-lock batch, the freeze
-// batch that commits both, and the release batch.
+// with pre-encoded frames, through transactions of three requests, what
+// a garbage-collecting coordinator sends a server that is not its
+// decision server: a no-wait read-lock batch over four keys, a
+// write-lock batch, and the committed release that installs the write,
+// freezes the read ranges and drops the rest.
 func TestInlineDispatchAllocs(t *testing.T) {
 	s, err := New(Config{Addr: "srv", Network: transport.NewMem(transport.LatencyModel{})})
 	if err != nil {
@@ -42,7 +44,7 @@ func TestInlineDispatchAllocs(t *testing.T) {
 		}
 		return fb
 	}
-	var txns [warmup + measured + 1][4]*wire.FrameBuf
+	var txns [warmup + measured + 1][3]*wire.FrameBuf
 	for i := range txns {
 		txn, base := uint64(i+1), int64(100*(i+1))
 		commit, upper := timestamp.New(base+50, 1), timestamp.New(base+99, 1)
@@ -50,13 +52,12 @@ func TestInlineDispatchAllocs(t *testing.T) {
 		for _, k := range readKeys {
 			reads = append(reads, wire.FreezeReadItem{Key: k, Lo: timestamp.Zero.Next(), Hi: commit})
 		}
-		txns[i] = [4]*wire.FrameBuf{
+		txns[i] = [3]*wire.FrameBuf{
 			frame(wire.TReadLockBatchReq, wire.ReadLockBatchReq{Txn: txn, Upper: upper, Keys: readKeys}),
 			frame(wire.TWriteLockBatchReq, wire.WriteLockBatchReq{Txn: txn, DecisionSrv: "elsewhere", Items: []wire.WriteLockItem{
 				{Key: "w", Set: timestamp.NewSet(timestamp.Span(timestamp.New(base, 1), upper)), Value: []byte("8 bytes.")},
 			}}),
-			frame(wire.TFreezeBatchReq, wire.FreezeBatchReq{Txn: txn, TS: commit, WriteKeys: []string{"w"}, Reads: reads}),
-			frame(wire.TReleaseBatchReq, wire.ReleaseBatchReq{Txn: txn, Committed: true, TS: commit, Keys: allKeys}),
+			frame(wire.TReleaseBatchReq, wire.ReleaseBatchReq{Txn: txn, Committed: true, TS: commit, Keys: allKeys, Reads: reads}),
 		}
 	}
 

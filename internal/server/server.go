@@ -473,6 +473,7 @@ type connState struct {
 	writeLock wire.WriteLockBatchReq
 	freeze    wire.FreezeBatchReq
 	release   wire.ReleaseBatchReq
+	decide    wire.DecideReq
 
 	readLockResp     wire.ReadLockBatchResp
 	writeLockResp    wire.WriteLockBatchResp
@@ -493,21 +494,19 @@ const maxScratchItems = 1024
 
 // trim drops request scratch that has outgrown maxScratchItems.
 func (c *connState) trim() {
-	if cap(c.readLock.Keys) > maxScratchItems {
-		c.readLock.Keys = nil
+	c.readLock.Keys = trimmed(c.readLock.Keys)
+	c.writeLock.Items = trimmed(c.writeLock.Items)
+	c.freeze.WriteKeys, c.freeze.Reads = trimmed(c.freeze.WriteKeys), trimmed(c.freeze.Reads)
+	c.release.Keys, c.release.Reads = trimmed(c.release.Keys), trimmed(c.release.Reads)
+	c.decide.Keys, c.decide.Reads = trimmed(c.decide.Keys), trimmed(c.decide.Reads)
+}
+
+// trimmed returns s, or nil once its capacity exceeds maxScratchItems.
+func trimmed[T any](s []T) []T {
+	if cap(s) > maxScratchItems {
+		return nil
 	}
-	if cap(c.writeLock.Items) > maxScratchItems {
-		c.writeLock.Items = nil
-	}
-	if cap(c.freeze.WriteKeys) > maxScratchItems {
-		c.freeze.WriteKeys = nil
-	}
-	if cap(c.freeze.Reads) > maxScratchItems {
-		c.freeze.Reads = nil
-	}
-	if cap(c.release.Keys) > maxScratchItems {
-		c.release.Keys = nil
-	}
+	return s
 }
 
 // maxInternedAddrs bounds connState.addrs against a peer that names a
@@ -642,26 +641,35 @@ func (c *connState) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc
 			reply(wire.TReleaseBatchResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
-		c.handleReleaseBatch()
+		c.handleReleaseBatch(&c.release)
 		reply(wire.TReleaseBatchResp, &c.ack)
 	case wire.TDecideReq:
-		req, err := wire.DecodeDecideReq(f.Body())
-		if err != nil {
+		req := &c.decide
+		if err := req.DecodeInto(f.Body()); err != nil {
 			// An explicit error status: a fabricated "abort" decision
 			// would be indistinguishable from the commitment object
 			// really deciding abort.
 			reply(wire.TDecideResp, wire.DecideResp{Status: wire.StatusError, Err: err.Error()})
 			return nil
 		}
-		// Epoch 0 bypasses the fence: server-to-server abort proposals
-		// (the suspicion scanner, victim aborts) do not track
-		// coordinator epochs, and accepting them anywhere is safe —
-		// abort is the default outcome.
+		// Epoch 0 bypasses the fence: abort proposals — the suspicion
+		// scanner's, a victim abort's, an aborting coordinator's — track
+		// no epoch, and accepting them anywhere is safe: abort is the
+		// default outcome, and the release one carries is unfenced too.
 		if req.Epoch != 0 && !s.fence(req.Epoch) {
 			reply(wire.TDecideResp, wire.DecideResp{Status: wire.StatusWrongEpoch, Err: "wrong epoch"})
 			return nil
 		}
-		d := s.handleDecide(req)
+		d := s.handleDecide(req.Txn, commitment.Decision{Kind: req.Proposal, TS: req.TS})
+		if d.Kind == req.Proposal && len(req.Keys)+len(req.Reads) > 0 {
+			// The proposal won, so the sender's share of the tail that
+			// rode along is due: its writes here are dealt with
+			// (applyDecision), what is left is the release.
+			c.handleReleaseBatch(&wire.ReleaseBatchReq{
+				Txn: req.Txn, Epoch: req.Epoch, WritesOnly: req.WritesOnly,
+				Committed: d.Kind == wire.DecideCommit, TS: d.TS, Keys: req.Keys, Reads: req.Reads,
+			})
+		}
 		c.decideResp = wire.DecideResp{Status: wire.StatusOK, Kind: d.Kind, TS: d.TS}
 		reply(wire.TDecideResp, &c.decideResp)
 	case wire.TPurgeReq:
@@ -1052,11 +1060,14 @@ func (c *connState) handleFreezeBatch() {
 	}
 }
 
-// handleReleaseBatch drops the transaction's unfrozen locks on every
-// listed key, then updates the transaction state in one pass. The
-// answer, always OK, is left in c.ack.
-func (c *connState) handleReleaseBatch() {
-	s, req := c.s, &c.release
+// handleReleaseBatch ends the transaction on the listed keys: a committed
+// release first does what the commit owes them — installs and freezes
+// the writes still pending here, freezes the listed read ranges — then
+// every release drops the transaction's unfrozen locks and updates the
+// transaction state in one pass. The answer, always OK, is left in
+// c.ack.
+func (c *connState) handleReleaseBatch(req *wire.ReleaseBatchReq) {
+	s := c.s
 	// Not fenced, for the same reason as handleFreezeBatch: releases only
 	// drop locks their owner was granted (a no-op anywhere else), and a
 	// demoted head must accept them so aborted in-flight transactions
@@ -1064,25 +1075,29 @@ func (c *connState) handleReleaseBatch() {
 	// transactions to reach zero before freezing the old head's log.
 	owner := lock.Owner(req.Txn)
 	if req.Committed {
-		// The sender's transaction decided commit at req.TS. Any write
-		// key still pending here means the freeze cast that should have
-		// installed it was lost in flight (both are fire-and-forget):
-		// releasing its unfrozen lock below would silently discard a
-		// durably committed write. Run the lost freeze first — the
-		// freshly frozen locks then survive ReleaseUnfrozen. The freeze
-		// scratch is idle while a release is served, so the lost keys are
-		// collected straight into it.
-		lost := c.freeze.WriteKeys[:0]
+		// The sender's transaction decided commit at req.TS, and this is
+		// the one message of its tail this server is sent: a write key
+		// still pending here has not been exposed yet (the decision
+		// server's were, by the decide), and releasing its unfrozen lock
+		// below would silently discard a durably committed write. Freeze
+		// first — frozen locks survive ReleaseUnfrozen. The freeze scratch
+		// is idle while a release is served, so the pending keys are
+		// collected straight into it. A second delivery finds nothing
+		// pending and nothing unfrozen.
+		pending := c.freeze.WriteKeys[:0]
 		s.withTxnIfPresent(req.Txn, func(t *txnState) {
 			for _, k := range req.Keys {
 				if t.find(k) >= 0 {
-					lost = append(lost, k)
+					pending = append(pending, k)
 				}
 			}
 		})
-		if len(lost) > 0 {
-			c.freeze = wire.FreezeBatchReq{Txn: req.Txn, Epoch: req.Epoch, TS: req.TS, WriteKeys: lost, Reads: c.freeze.Reads[:0]}
+		if len(pending) > 0 {
+			c.freeze = wire.FreezeBatchReq{Txn: req.Txn, Epoch: req.Epoch, TS: req.TS, WriteKeys: pending, Reads: c.freeze.Reads[:0]}
 			c.handleFreezeBatch()
+		}
+		for _, r := range req.Reads {
+			s.keys.Key(r.Key).Locks.FreezeReadIn(owner, timestamp.Span(r.Lo, r.Hi))
 		}
 	}
 	for _, k := range req.Keys {
@@ -1117,11 +1132,11 @@ func (c *connState) handleReleaseBatch() {
 	c.ack = wire.Ack{Status: wire.StatusOK}
 }
 
-// handleDecide runs the commitment object hosted on this server and
-// applies the decision to local state.
-func (s *Server) handleDecide(req wire.DecideReq) commitment.Decision {
-	d := s.registry.Object(req.Txn).Decide(commitment.Decision{Kind: req.Proposal, TS: req.TS})
-	s.applyDecision(req.Txn, d)
+// handleDecide puts the proposal to the transaction's commitment object,
+// hosted on this server, and applies the decision to local state.
+func (s *Server) handleDecide(txn uint64, proposal commitment.Decision) commitment.Decision {
+	d := s.registry.Object(txn).Decide(proposal)
+	s.applyDecision(txn, d)
 	return d
 }
 

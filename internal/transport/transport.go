@@ -551,7 +551,8 @@ type tcpConn struct {
 	writeTimeout time.Duration
 	wm           sync.Mutex
 	rm           sync.Mutex
-	// vec is the reusable iovec backing for SendBatch, guarded by wm.
+	// vec is SendBatch's reusable iovec, the value its vectored write is
+	// called on (see wire.WriteFrames), guarded by wm.
 	vec net.Buffers
 }
 
@@ -589,8 +590,7 @@ func (c *tcpConn) SendBatch(fbs []*wire.FrameBuf) error {
 	if c.writeTimeout > 0 {
 		_ = c.c.SetWriteDeadline(time.Now().Add(c.writeTimeout))
 	}
-	var err error
-	c.vec, err = wire.WriteFrames(c.c, fbs, c.vec) // one writev for the whole batch
+	err := wire.WriteFrames(c.c, fbs, &c.vec) // one writev for the whole batch
 	c.wm.Unlock()
 	wire.ReleaseAll(fbs)
 	if err != nil {

@@ -123,10 +123,34 @@ type FreezeReadItem struct {
 	Lo, Hi timestamp.Timestamp
 }
 
+// freezeReads appends a length-prefixed sequence of read ranges.
+func (e *Encoder) freezeReads(v []FreezeReadItem) {
+	e.I32(int32(len(v)))
+	for _, r := range v {
+		e.Str(r.Key)
+		e.TS(r.Lo)
+		e.TS(r.Hi)
+	}
+}
+
+// freezeReadsInto consumes a sequence of read ranges, reusing dst's
+// capacity; the keys are borrowed views (see StrView).
+func (d *Decoder) freezeReadsInto(dst []FreezeReadItem) []FreezeReadItem {
+	n := d.count()
+	dst = dst[:0]
+	for i := 0; i < n && d.err == nil; i++ {
+		dst = append(dst, FreezeReadItem{Key: d.StrView(), Lo: d.TS(), Hi: d.TS()})
+	}
+	return dst
+}
+
 // FreezeBatchReq applies a commit decision to this server's share of the
 // footprint in one pass: freeze the write locks of WriteKeys at TS,
 // exposing the pending values (Alg. 13, receive-freeze-write-lock-
-// message), and freeze the read-lock ranges of Reads.
+// message), and freeze the read-lock ranges of Reads. Its one sender
+// left is a commit that keeps its other locks (no garbage collection:
+// timestamp ordering), which casts it with WriteKeys alone; a commit
+// that garbage-collects sends a committed ReleaseBatchReq instead.
 type FreezeBatchReq struct {
 	Txn       uint64
 	Epoch     uint64
@@ -142,12 +166,7 @@ func (m FreezeBatchReq) AppendTo(buf []byte) []byte {
 	e.U64(m.Epoch)
 	e.TS(m.TS)
 	e.StrSlice(m.WriteKeys)
-	e.I32(int32(len(m.Reads)))
-	for _, r := range m.Reads {
-		e.Str(r.Key)
-		e.TS(r.Lo)
-		e.TS(r.Hi)
-	}
+	e.freezeReads(m.Reads)
 	return e.buf
 }
 
@@ -158,17 +177,14 @@ func (m *FreezeBatchReq) DecodeInto(b []byte) error {
 	d := NewDecoder(b)
 	m.Txn, m.Epoch, m.TS = d.U64(), d.U64(), d.TS()
 	m.WriteKeys = d.strViewsInto(m.WriteKeys)
-	n := d.count()
-	m.Reads = m.Reads[:0]
-	for i := 0; i < n && d.err == nil; i++ {
-		m.Reads = append(m.Reads, FreezeReadItem{Key: d.StrView(), Lo: d.TS(), Hi: d.TS()})
-	}
+	m.Reads = d.freezeReadsInto(m.Reads)
 	return d.Err()
 }
 
-// FreezeBatchResp answers a FreezeBatchReq with one ack per write key
-// (read freezes cannot fail). Coordinators fire-and-forget freezes, but
-// the acks make the handler testable and keep the protocol symmetric.
+// FreezeBatchResp answers a FreezeBatchReq that was called with one ack
+// per write key (read freezes cannot fail). Coordinators cast their
+// freezes and get nothing back; the probes and tests that call one read
+// the acks.
 type FreezeBatchResp struct {
 	Status Status
 	Err    string
@@ -200,24 +216,29 @@ func DecodeFreezeBatchResp(b []byte) (FreezeBatchResp, error) {
 	return m, d.Err()
 }
 
-// ReleaseBatchReq releases the transaction's unfrozen locks on every
-// listed key in one pass (all of them, or only write locks). When
+// ReleaseBatchReq ends the transaction on this server's share of the
+// footprint in one pass: it releases the transaction's unfrozen locks
+// on every listed key (all of them, or only write locks). When
 // Committed is set, the sender is a coordinator whose transaction
-// decided commit at TS: freezes and releases are both casts, so a
-// dropped freeze followed by a delivered release would otherwise make
-// the handler discard a still-unfrozen write lock — and with it the
-// pending value of a durably committed write. A committed release
-// therefore subsumes the freeze: the handler installs any write key
-// still pending at TS before dropping the remaining unfrozen locks.
+// decided commit at TS, and the batch is the whole of the commit's tail
+// here: install every write among Keys still pending at TS and freeze
+// its write lock (Alg. 13, receive-freeze-write-lock-message), freeze
+// the read-lock ranges of Reads (Alg. 11 line 33), and only then drop
+// what is left unfrozen — so no delivery order or lost sibling frame can
+// make the handler discard the pending value of a durably committed
+// write. Applying it twice changes nothing.
 type ReleaseBatchReq struct {
 	Txn        uint64
 	Epoch      uint64
 	WritesOnly bool
 	// Committed marks the sender's transaction as decided-commit at TS;
-	// leftover pending writes among Keys are installed, not dropped.
+	// pending writes among Keys are installed, not dropped.
 	Committed bool
 	TS        timestamp.Timestamp
 	Keys      []string
+	// Reads are the read-lock ranges a committed release freezes before
+	// it releases (version read to TS, per key read).
+	Reads []FreezeReadItem
 }
 
 // AppendTo implements Message.
@@ -229,15 +250,17 @@ func (m ReleaseBatchReq) AppendTo(buf []byte) []byte {
 	e.Bool(m.Committed)
 	e.TS(m.TS)
 	e.StrSlice(m.Keys)
+	e.freezeReads(m.Reads)
 	return e.buf
 }
 
-// DecodeInto deserializes into m, reusing m.Keys' capacity. Every field
-// is overwritten; the keys are borrowed views of b.
+// DecodeInto deserializes into m, reusing the capacity of m.Keys and
+// m.Reads. Every field is overwritten; all keys are borrowed views of b.
 func (m *ReleaseBatchReq) DecodeInto(b []byte) error {
 	d := NewDecoder(b)
 	m.Txn, m.Epoch, m.WritesOnly, m.Committed, m.TS = d.U64(), d.U64(), d.Bool(), d.Bool(), d.TS()
 	m.Keys = d.strViewsInto(m.Keys)
+	m.Reads = d.freezeReadsInto(m.Reads)
 	return d.Err()
 }
 

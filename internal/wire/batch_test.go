@@ -36,6 +36,22 @@ func randWord(r *rand.Rand) string {
 	return string(b)
 }
 
+func randWords(r *rand.Rand) []string {
+	var out []string
+	for i, n := 0, r.Intn(6); i < n; i++ {
+		out = append(out, randWord(r))
+	}
+	return out
+}
+
+func randFreezeReads(r *rand.Rand) []FreezeReadItem {
+	var out []FreezeReadItem
+	for i, n := 0, r.Intn(6); i < n; i++ {
+		out = append(out, FreezeReadItem{Key: randWord(r), Lo: randTS(r), Hi: randTS(r)})
+	}
+	return out
+}
+
 func randBlob(r *rand.Rand) []byte {
 	if r.Intn(4) == 0 {
 		return nil
@@ -92,10 +108,13 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 		}}
 	},
 	"DecideReq": func(r *rand.Rand) codecCase {
-		in := DecideReq{Txn: r.Uint64(), Epoch: r.Uint64(), Proposal: DecisionKind(1 + r.Intn(2)), TS: randTS(r)}
+		in := DecideReq{Txn: r.Uint64(), Epoch: r.Uint64(), Proposal: DecisionKind(1 + r.Intn(2)), TS: randTS(r), WritesOnly: r.Intn(2) == 0}
+		in.Keys, in.Reads = randWords(r), randFreezeReads(r)
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeDecideReq(b)
-			return out == in, err
+			out, err := fresh[DecideReq](b)
+			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.Proposal == in.Proposal && out.TS == in.TS &&
+				out.WritesOnly == in.WritesOnly && slices.Equal(out.Keys, in.Keys) && slices.Equal(out.Reads, in.Reads)
+			return ok, err
 		}}
 	},
 	"DecideResp": func(r *rand.Rand) codecCase {
@@ -186,12 +205,7 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 	},
 	"FreezeBatchReq": func(r *rand.Rand) codecCase {
 		in := FreezeBatchReq{Txn: r.Uint64(), Epoch: r.Uint64(), TS: randTS(r)}
-		for i, n := 0, r.Intn(6); i < n; i++ {
-			in.WriteKeys = append(in.WriteKeys, randWord(r))
-		}
-		for i, n := 0, r.Intn(6); i < n; i++ {
-			in.Reads = append(in.Reads, FreezeReadItem{Key: randWord(r), Lo: randTS(r), Hi: randTS(r)})
-		}
+		in.WriteKeys, in.Reads = randWords(r), randFreezeReads(r)
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
 			out, err := fresh[FreezeBatchReq](b)
 			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.TS == in.TS &&
@@ -212,9 +226,7 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 	},
 	"ReadLockBatchReq": func(r *rand.Rand) codecCase {
 		in := ReadLockBatchReq{Txn: r.Uint64(), Epoch: r.Uint64(), Upper: randTS(r), Wait: r.Intn(2) == 0}
-		for i, n := 0, r.Intn(6); i < n; i++ {
-			in.Keys = append(in.Keys, randWord(r))
-		}
+		in.Keys = randWords(r)
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
 			out, err := fresh[ReadLockBatchReq](b)
 			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.Upper == in.Upper && out.Wait == in.Wait &&
@@ -248,13 +260,12 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 	},
 	"ReleaseBatchReq": func(r *rand.Rand) codecCase {
 		in := ReleaseBatchReq{Txn: r.Uint64(), Epoch: r.Uint64(), WritesOnly: r.Intn(2) == 0, Committed: r.Intn(2) == 0, TS: randTS(r)}
-		for i, n := 0, r.Intn(6); i < n; i++ {
-			in.Keys = append(in.Keys, randWord(r))
-		}
+		in.Keys, in.Reads = randWords(r), randFreezeReads(r)
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
 			out, err := fresh[ReleaseBatchReq](b)
 			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.WritesOnly == in.WritesOnly &&
-				out.Committed == in.Committed && out.TS == in.TS && slices.Equal(out.Keys, in.Keys)
+				out.Committed == in.Committed && out.TS == in.TS && slices.Equal(out.Keys, in.Keys) &&
+				slices.Equal(out.Reads, in.Reads)
 			return ok, err
 		}}
 	},

@@ -51,6 +51,7 @@ func newIntoTwins() map[string]intoTwin {
 		"WriteLockBatchReq": twinOf[WriteLockBatchReq](),
 		"FreezeBatchReq":    twinOf[FreezeBatchReq](),
 		"ReleaseBatchReq":   twinOf[ReleaseBatchReq](),
+		"DecideReq":         twinOf[DecideReq](),
 		"LogTailResp":       twinOf[LogTailResp](),
 	}
 }
@@ -126,16 +127,19 @@ func TestRequestDecodeIntoZeroAlloc(t *testing.T) {
 	write := WriteLockBatchReq{Txn: 7, DecisionSrv: "srv-0", Items: []WriteLockItem{
 		{Key: keys[0], Set: set, Value: make([]byte, 64)}, {Key: keys[1], Set: set, Value: make([]byte, 64)},
 	}}.AppendTo(nil)
-	freeze := FreezeBatchReq{Txn: 7, TS: timestamp.New(100, 1), WriteKeys: keys[:2], Reads: []FreezeReadItem{
+	reads := []FreezeReadItem{
 		{Key: keys[2], Lo: timestamp.New(1, 0), Hi: timestamp.New(100, 1)}, {Key: keys[3], Lo: timestamp.New(1, 0), Hi: timestamp.New(100, 1)},
-	}}.AppendTo(nil)
-	release := ReleaseBatchReq{Txn: 7, Committed: true, TS: timestamp.New(100, 1), Keys: keys}.AppendTo(nil)
+	}
+	freeze := FreezeBatchReq{Txn: 7, TS: timestamp.New(100, 1), WriteKeys: keys[:2], Reads: reads}.AppendTo(nil)
+	release := ReleaseBatchReq{Txn: 7, Committed: true, TS: timestamp.New(100, 1), Keys: keys, Reads: reads}.AppendTo(nil)
+	decide := DecideReq{Txn: 7, Proposal: DecideCommit, TS: timestamp.New(100, 1), Keys: keys, Reads: reads}.AppendTo(nil)
 
 	var (
 		readReq    ReadLockBatchReq
 		writeReq   WriteLockBatchReq
 		freezeReq  FreezeBatchReq
 		releaseReq ReleaseBatchReq
+		decideReq  DecideReq
 	)
 	decodeAll := func() {
 		if err := readReq.DecodeInto(read); err != nil || len(readReq.Keys) != 4 {
@@ -147,8 +151,11 @@ func TestRequestDecodeIntoZeroAlloc(t *testing.T) {
 		if err := freezeReq.DecodeInto(freeze); err != nil || len(freezeReq.WriteKeys) != 2 || len(freezeReq.Reads) != 2 {
 			t.Fatalf("freeze batch: %v %+v", err, freezeReq)
 		}
-		if err := releaseReq.DecodeInto(release); err != nil || releaseReq.Keys[3] != keys[3] {
+		if err := releaseReq.DecodeInto(release); err != nil || releaseReq.Keys[3] != keys[3] || len(releaseReq.Reads) != 2 {
 			t.Fatalf("release batch: %v %+v", err, releaseReq)
+		}
+		if err := decideReq.DecodeInto(decide); err != nil || decideReq.Keys[3] != keys[3] || len(decideReq.Reads) != 2 {
+			t.Fatalf("decide: %v %+v", err, decideReq)
 		}
 	}
 	decodeAll()

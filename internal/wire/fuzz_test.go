@@ -27,7 +27,7 @@ var decoderCases = []decoderCase{
 	{"WriteLockReq", asMsg(fresh[WriteLockReq])},
 	{"WriteLockResp", asMsg(DecodeWriteLockResp)},
 	{"Ack", asMsg(DecodeAck)},
-	{"DecideReq", asMsg(DecodeDecideReq)},
+	{"DecideReq", asMsg(fresh[DecideReq])},
 	{"DecideResp", asMsg(DecodeDecideResp)},
 	{"PurgeReq", asMsg(DecodePurgeReq)},
 	{"PurgeResp", asMsg(DecodePurgeResp)},
@@ -94,6 +94,9 @@ func FuzzDecodeMessages(f *testing.F) {
 		add("FreezeBatchReq", FreezeBatchReq{Txn: r.Uint64(), TS: randTS(r), WriteKeys: k})
 		add("FreezeBatchReq", FreezeBatchReq{Txn: r.Uint64(), Reads: []FreezeReadItem{{Key: k[0], Lo: randTS(r), Hi: randTS(r)}}})
 		add("ReleaseBatchReq", ReleaseBatchReq{Txn: r.Uint64(), Keys: k})
+		add("ReleaseBatchReq", ReleaseBatchReq{Txn: r.Uint64(), Committed: true, TS: randTS(r), Keys: k, Reads: []FreezeReadItem{{Key: k[0], Lo: randTS(r), Hi: randTS(r)}}})
+		add("DecideReq", DecideReq{Txn: r.Uint64(), Proposal: DecideCommit, TS: randTS(r), Keys: k, Reads: []FreezeReadItem{{Key: k[0], Lo: randTS(r), Hi: randTS(r)}}})
+		add("DecideReq", DecideReq{Txn: r.Uint64(), Proposal: DecideAbort, WritesOnly: true, Keys: k})
 	}
 	twins := newIntoTwins()
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {

@@ -167,15 +167,26 @@ func (k DecisionKind) String() string {
 // object (hosted at the decision server). The reply carries the agreed
 // decision, which may differ from the proposal. Epoch is the
 // coordinator's cached membership epoch for the decision server's
-// partition; 0 bypasses the epoch fence — server-to-server abort
-// proposals (the suspicion scanner) do not track coordinator epochs,
-// and accepting them anywhere is safe because abort is the default
-// outcome.
+// partition; 0 bypasses the epoch fence — abort proposals, a server's
+// (the suspicion scanner) or a coordinator's, track no epoch, and
+// accepting them anywhere is safe because abort is the default outcome.
+//
+// The decision server is usually a footprint server too, and the
+// proposal then carries its share of the transaction's tail, so that a
+// single-server transaction ends in this one frame: when the decision
+// equals the proposal, the server goes on to serve the ReleaseBatchReq
+// {Txn, Epoch, WritesOnly, Committed: decided commit, TS, Keys, Reads}.
+// A proposal the fence turns away, or one that loses to an earlier
+// decision, applies none of it.
 type DecideReq struct {
 	Txn      uint64
 	Epoch    uint64
 	Proposal DecisionKind
 	TS       timestamp.Timestamp
+	// The release batch riding along; Keys and Reads both empty: none.
+	WritesOnly bool
+	Keys       []string
+	Reads      []FreezeReadItem
 }
 
 // AppendTo implements Message.
@@ -185,19 +196,24 @@ func (m DecideReq) AppendTo(buf []byte) []byte {
 	e.U64(m.Epoch)
 	e.buf = append(e.buf, byte(m.Proposal))
 	e.TS(m.TS)
+	e.Bool(m.WritesOnly)
+	e.StrSlice(m.Keys)
+	e.freezeReads(m.Reads)
 	return e.buf
 }
 
-// DecodeDecideReq deserializes a DecideReq.
-func DecodeDecideReq(b []byte) (DecideReq, error) {
+// DecodeInto deserializes into m, reusing the capacity of m.Keys and
+// m.Reads. Every field is overwritten; all keys are borrowed views of b.
+func (m *DecideReq) DecodeInto(b []byte) error {
 	d := NewDecoder(b)
-	m := DecideReq{Txn: d.U64(), Epoch: d.U64()}
-	k := d.take(1)
-	if k != nil {
+	m.Txn, m.Epoch, m.Proposal = d.U64(), d.U64(), 0
+	if k := d.take(1); k != nil {
 		m.Proposal = DecisionKind(k[0])
 	}
-	m.TS = d.TS()
-	return m, d.Err()
+	m.TS, m.WritesOnly = d.TS(), d.Bool()
+	m.Keys = d.strViewsInto(m.Keys)
+	m.Reads = d.freezeReadsInto(m.Reads)
+	return d.Err()
 }
 
 // DecideResp carries the agreed outcome. Status distinguishes a real

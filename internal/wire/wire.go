@@ -238,21 +238,22 @@ func WriteFrame(w io.Writer, fb *FrameBuf) error {
 // net.Conn writers a whole batch reaches the kernel as a single writev
 // (the runtime splits batches beyond the iovec limit). The bytes are
 // identical to len(fbs) sequential WriteFrame calls — batching is
-// invisible to the receiver. scratch is the caller's reusable iovec
-// backing (nil is fine); the zeroed slice is returned for the next
-// call, so steady-state batch writes allocate nothing. WriteFrames does
+// invisible to the receiver. vec is the connection's reusable iovec: it
+// is the very value WriteTo is called on — a net.Buffers local to this
+// function would move to the heap on every call, since WriteTo hands its
+// receiver to the writer — and it comes back empty over the same backing
+// array, so steady-state batch writes allocate nothing. WriteFrames does
 // not release the frames; the caller (the transport) still owns them.
-func WriteFrames(w io.Writer, fbs []*FrameBuf, scratch net.Buffers) (net.Buffers, error) {
-	vec := scratch[:0]
+func WriteFrames(w io.Writer, fbs []*FrameBuf, vec *net.Buffers) error {
+	all := (*vec)[:0]
 	for _, fb := range fbs {
-		vec = append(vec, fb.hdr[:], fb.body)
+		all = append(all, fb.hdr[:], fb.body)
 	}
-	bufs := vec // WriteTo consumes bufs; vec keeps the backing array
-	_, err := bufs.WriteTo(w)
-	for i := range vec {
-		vec[i] = nil
-	}
-	return vec[:0], err
+	*vec = all // WriteTo consumes *vec; all keeps the backing array
+	_, err := vec.WriteTo(w)
+	clear(all)
+	*vec = all[:0]
+	return err
 }
 
 // ReleaseAll releases every frame in fbs and nils the entries, so a

@@ -191,7 +191,7 @@ func TestSmallMessagesRoundTrip(t *testing.T) {
 		t.Fatalf("%+v %v", out, err)
 	}
 	dq := DecideReq{Txn: 4, Proposal: DecideCommit, TS: ts(77, 2)}
-	if out, err := DecodeDecideReq(dq.AppendTo(nil)); err != nil || out != dq {
+	if out, err := fresh[DecideReq](dq.AppendTo(nil)); err != nil || out.Txn != 4 || out.Proposal != DecideCommit || out.TS != dq.TS || len(out.Keys)+len(out.Reads) != 0 {
 		t.Fatalf("%+v %v", out, err)
 	}
 	dr := DecideResp{Kind: DecideAbort, TS: ts(0, 0)}
