@@ -3,8 +3,10 @@ package client_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"github.com/lpd-epfl/mvtl/internal/client"
+	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/transport"
 )
 
@@ -21,6 +23,11 @@ import (
 // average over 200 runs absorbs a refilled pool, so its ceiling is the
 // measurement. What the transaction puts on the wire is pinned beside
 // this gate, in TestCommitTailFrames.
+//
+// The same ceilings hold on clock.Virtual, where every modelled frame
+// delivery is a timeline event: measured 10 and 0 there too, 68 and 6
+// while a sleep allocated its wake channel, a closure and a timer
+// entry.
 const (
 	pointTxnAllocCeiling = 12
 	readAllocCeiling     = 0
@@ -28,15 +35,34 @@ const (
 
 // TestPointTxnAllocBudget gates the allocation cost of the benchmark's
 // tcp-point transaction (MVTIL-early, six single-key reads, two writes,
-// commit) over three zero-latency Mem servers, and of a single-key Read
-// on its own — which must cost no fan-out goroutine, join or waiter.
+// commit) over three Mem servers, and of a single-key Read on its own —
+// which must cost no fan-out goroutine, join or waiter. The servers are
+// zero-latency on the wall clock, and on clock.Virtual they have
+// vt-point's latency model, timers and timestamp source.
 func TestPointTxnAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	n := transport.NewMem(transport.LatencyModel{})
-	addrs := startServers(t, n, 3)
-	cl, err := client.New(client.Config{ID: 1, Servers: addrs, Network: n, Mode: client.ModeTILEarly})
+	t.Run("wall", func(t *testing.T) {
+		n := transport.NewMem(transport.LatencyModel{})
+		addrs := startServers(t, n, 3)
+		checkPointTxnAllocs(t, client.Config{ID: 1, Servers: addrs, Network: n, Mode: client.ModeTILEarly})
+	})
+	t.Run("virtual", func(t *testing.T) {
+		v := clock.NewVirtual()
+		v.Register() // this goroutine is the timeline's root actor
+		t.Cleanup(v.Unregister)
+		n := transport.NewMemSeededTimers(transport.LatencyModel{Base: 100 * time.Microsecond, Jitter: 50 * time.Microsecond}, 1, v)
+		addrs := startServersOn(t, n, 3, v)
+		// As on vt-point, the detector's timer-driven polls are off: TIL
+		// lock requests never park.
+		checkPointTxnAllocs(t, client.Config{ID: 1, Servers: addrs, Network: n, Mode: client.ModeTILEarly,
+			Clock: clock.TimersSource{T: v}, Timers: v, DeadlockPoll: -1})
+	})
+}
+
+func checkPointTxnAllocs(t *testing.T, cfg client.Config) {
+	cl, err := client.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/lpd-epfl/mvtl/internal/client"
+	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/kv"
 	"github.com/lpd-epfl/mvtl/internal/server"
 	"github.com/lpd-epfl/mvtl/internal/strhash"
@@ -100,10 +101,17 @@ func (c *countingConn) Recv() (*wire.FrameBuf, error) {
 
 func startServers(t *testing.T, n transport.Network, count int) []string {
 	t.Helper()
+	return startServersOn(t, n, count, nil)
+}
+
+// startServersOn is startServers with every server's timed waits on
+// timers (nil: the wall clock).
+func startServersOn(t *testing.T, n transport.Network, count int, timers clock.Timers) []string {
+	t.Helper()
 	addrs := make([]string, count)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("s%d", i)
-		srv, err := server.New(server.Config{Addr: addrs[i], Network: n})
+		srv, err := server.New(server.Config{Addr: addrs[i], Network: n, Timers: timers})
 		if err != nil {
 			t.Fatal(err)
 		}

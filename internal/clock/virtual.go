@@ -28,6 +28,18 @@ import (
 // sync.WaitGroup) leaves the goroutine counted as runnable, which can
 // only delay advancement, never reorder it; when the awaited goroutines
 // themselves need the timeline to move, wait on a Join instead.
+//
+// A modelled event costs no garbage. A timer entry carries no closure,
+// only what firing needs, and sleep entries — one per modelled frame
+// delivery — are recycled through a free list under the scheduler lock,
+// each keeping its capacity-one wake channel. No stale signal can reach
+// the next sleeper: an entry fires at most once per push, and its owner
+// returns it only after consuming that signal, or after removing it from
+// the heap unfired. The free list is bounded by the peak number of
+// simultaneous sleepers, because an entry is made only when the list is
+// empty and each one out is held by exactly one sleeper. Deadline
+// entries are not recycled: a context's cancel may look at its entry
+// after it fired.
 type Virtual struct {
 	epoch time.Time
 
@@ -40,6 +52,8 @@ type Virtual struct {
 	parked int
 	timers vtimerHeap
 	seq    uint64
+	// free holds sleep entries whose wake signal has been consumed.
+	free []*vtimer
 }
 
 // NewVirtual returns a fresh virtual timeline. The epoch is a fixed
@@ -84,16 +98,11 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	ch := make(chan struct{}, 1)
 	v.mu.Lock()
-	v.pushLocked(d, func() {
-		v.active++
-		ch <- struct{}{}
-	})
-	v.active--
-	v.tryAdvanceLocked()
+	t := v.sleepLocked(d)
 	v.mu.Unlock()
-	<-ch
+	<-t.wake
+	v.recycle(t)
 }
 
 // SleepStop implements Timers.
@@ -110,17 +119,12 @@ func (v *Virtual) SleepStop(d time.Duration, stop <-chan struct{}) bool {
 			return false
 		}
 	}
-	ch := make(chan struct{}, 1)
 	v.mu.Lock()
-	t := v.pushLocked(d, func() {
-		v.active++
-		ch <- struct{}{}
-	})
-	v.active--
-	v.tryAdvanceLocked()
+	t := v.sleepLocked(d)
 	v.mu.Unlock()
 	select {
-	case <-ch:
+	case <-t.wake:
+		v.recycle(t)
 		// If stop closed concurrently, prefer reporting it: a closer
 		// that went idle right after closing can let the timer fire
 		// first, and callers use the result to decide shutdown.
@@ -138,22 +142,51 @@ func (v *Virtual) SleepStop(d time.Duration, stop <-chan struct{}) bool {
 			// advance can have slipped in between.
 			v.removeLocked(t)
 			v.active++
+			v.free = append(v.free, t)
 			v.mu.Unlock()
 			return true
 		}
 		v.mu.Unlock()
 		// The timer fired concurrently and already credited us;
-		// consume its signal so the accounting balances.
-		<-ch
+		// consume its signal so the accounting balances and the
+		// recycled channel is empty.
+		<-t.wake
+		v.recycle(t)
 		return false
 	}
+}
+
+// sleepLocked schedules a sleep entry, reusing a free one, at now+d
+// and marks the caller quiescent. The caller waits on the entry's wake
+// and hands the entry back to recycle once the wake is consumed.
+func (v *Virtual) sleepLocked(d time.Duration) *vtimer {
+	var t *vtimer
+	if n := len(v.free); n > 0 {
+		t = v.free[n-1]
+		v.free[n-1] = nil
+		v.free = v.free[:n-1]
+	} else {
+		t = &vtimer{wake: make(chan struct{}, 1)}
+	}
+	v.pushLocked(t, d)
+	v.active--
+	v.tryAdvanceLocked()
+	return t
+}
+
+// recycle returns a sleep entry whose wake, if it fired, has been
+// consumed.
+func (v *Virtual) recycle(t *vtimer) {
+	v.mu.Lock()
+	v.free = append(v.free, t)
+	v.mu.Unlock()
 }
 
 // AfterFunc implements Timers: fn runs on a registered goroutine when
 // the timeline reaches now+d.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) {
 	v.mu.Lock()
-	v.pushLocked(d, func() { v.goLocked(fn) })
+	v.pushLocked(&vtimer{fn: fn}, d)
 	v.mu.Unlock()
 }
 
@@ -197,7 +230,8 @@ func (v *Virtual) WithTimeout(parent context.Context, d time.Duration) (context.
 		return c, func() {}
 	}
 	c.deadline = v.epoch.Add(time.Duration(v.now) + d)
-	c.timer = v.pushLocked(d, func() { c.finishLocked(context.DeadlineExceeded) })
+	c.timer = &vtimer{ctx: c}
+	v.pushLocked(c.timer, d)
 	v.mu.Unlock()
 	if pd := parent.Done(); pd != nil {
 		// Off-bed parents may be cancelable; watch them from an
@@ -214,24 +248,28 @@ func (v *Virtual) WithTimeout(parent context.Context, d time.Duration) (context.
 	return c, func() { c.cancel(context.Canceled) }
 }
 
-// vtimer is one pending deadline. fire runs with v.mu held, exactly
-// once; idx is the heap position, -1 once fired or removed.
+// vtimer is one pending deadline; idx is the heap position, -1 once
+// fired or removed. Exactly one of wake, ctx and fn is set, and it says
+// what firing does: credit and signal a sleeper, expire a context, or
+// spawn fn registered. Firing happens with v.mu held, once per push.
 type vtimer struct {
 	at   int64
 	seq  uint64
 	idx  int
-	fire func()
+	wake chan struct{}
+	ctx  *vctx
+	fn   func()
 }
 
-// pushLocked schedules fire at now+d and returns the entry.
-func (v *Virtual) pushLocked(d time.Duration, fire func()) *vtimer {
+// pushLocked schedules t at now+d.
+func (v *Virtual) pushLocked(t *vtimer, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t := &vtimer{at: v.now + int64(d), seq: v.seq, fire: fire}
+	t.at = v.now + int64(d)
+	t.seq = v.seq
 	v.seq++
 	heap.Push(&v.timers, t)
-	return t
 }
 
 func (v *Virtual) removeLocked(t *vtimer) {
@@ -268,7 +306,15 @@ func (v *Virtual) tryAdvanceLocked() {
 		if t.at > v.now {
 			v.now = t.at
 		}
-		t.fire()
+		switch {
+		case t.wake != nil:
+			v.active++
+			t.wake <- struct{}{}
+		case t.ctx != nil:
+			t.ctx.finishLocked(context.DeadlineExceeded)
+		default:
+			v.goLocked(t.fn)
+		}
 	}
 }
 

@@ -3,7 +3,9 @@ package clock
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -241,4 +243,196 @@ func TestVirtualDeadlockPanics(t *testing.T) {
 		v.Unregister()
 	}()
 	v.NewWaiter().Park()
+}
+
+// Allocation counts of one timeline event, on a warmed timeline. A
+// sleep entry is recycled, so a sleep allocates nothing whichever way
+// it ends (3 each when an entry carried a closure and a fresh channel).
+// A deadline or a deferred call still allocates its entry, but no
+// longer the closure it used to carry: 5 and 3 then (the AfterFunc case
+// below measured 6, its firing sleep included).
+const (
+	// the vctx, its done channel, the entry and the cancel func
+	withTimeoutAllocs = 4
+	// the entry, and the closure of the goroutine that runs fn
+	afterFuncAllocs = 2
+)
+
+// TestVirtualTimerAllocs gates the allocations of the timeline's
+// events with one registered actor. Each case also checks that it took
+// the path it names.
+func TestVirtualTimerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	v := NewVirtual()
+	v.Register()
+	defer v.Unregister()
+	const d = time.Millisecond
+	open, closed := make(chan struct{}), make(chan struct{})
+	close(closed)
+	fired := 0
+	fn := func() { fired++ }
+	cases := []struct {
+		name string
+		// pin keeps a second actor runnable, as the peer that closed
+		// stop would be, so the stop is seen before the deadline.
+		pin  bool
+		want float64
+		op   func() bool
+	}{
+		{"Sleep", false, 0, func() bool {
+			before := v.Now()
+			v.Sleep(d)
+			return v.Now().Sub(before) == d
+		}},
+		{"SleepStop/deadline first", false, 0, func() bool {
+			before := v.Now()
+			return !v.SleepStop(d, open) && v.Now().Sub(before) == d
+		}},
+		{"SleepStop/stop first", true, 0, func() bool {
+			before := v.Now()
+			return v.SleepStop(d, closed) && v.Now().Equal(before)
+		}},
+		{"WithTimeout+cancel", false, withTimeoutAllocs, func() bool {
+			ctx, cancel := v.WithTimeout(context.Background(), d)
+			cancel()
+			return ctx.Err() == context.Canceled
+		}},
+		{"AfterFunc", false, afterFuncAllocs, func() bool {
+			before := fired
+			v.AfterFunc(d, fn)
+			v.Sleep(2 * d)
+			return fired == before+1
+		}},
+	}
+	for _, c := range cases {
+		if c.pin {
+			v.Register()
+		}
+		ok := true
+		got := testing.AllocsPerRun(100, func() { ok = c.op() && ok })
+		if c.pin {
+			v.Unregister()
+		}
+		if !ok {
+			t.Errorf("%s: did not take the path it names", c.name)
+		}
+		if got > c.want {
+			t.Errorf("%s: %v allocs, ceiling %v", c.name, got, c.want)
+		} else {
+			t.Logf("%s: %v allocs (ceiling %v)", c.name, got, c.want)
+		}
+	}
+}
+
+// TestVirtualRecycledSleepNeverWakesEarly churns the sleep entries'
+// free list: many actors mix Sleep with SleepStop whose stop closes
+// before the call, or is closed by a peer before, at or after the
+// deadline — same-instant ties included, so the "fired concurrently"
+// branch runs too. After each, the actor's next Sleep(d) must move the
+// timeline by exactly d: an entry recycled with a signal still in its
+// channel would wake it at once. At the end every entry is back on the
+// free list, unqueued and empty, and there are no more of them than
+// sleepers that were ever in flight at once.
+func TestVirtualRecycledSleepNeverWakesEarly(t *testing.T) {
+	const actors, rounds = 16, 200
+	const ms = time.Millisecond
+	v := NewVirtual()
+	v.Register()
+	defer v.Unregister()
+	var sleeping, peak atomic.Int64
+	sleep := func(f func()) {
+		n := sleeping.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		f()
+		sleeping.Add(-1)
+	}
+	join := NewJoin(v, actors)
+	for a := 0; a < actors; a++ {
+		rng := rand.New(rand.NewSource(int64(a) + 1))
+		v.Go(func() {
+			defer join.Done()
+			for r := 0; r < rounds; r++ {
+				d := time.Duration(1+rng.Intn(3)) * ms
+				switch rng.Intn(4) {
+				case 0:
+					sleep(func() { v.Sleep(d) })
+				case 1:
+					stop := make(chan struct{})
+					close(stop)
+					sleep(func() { v.SleepStop(d, stop) })
+				default:
+					stop := make(chan struct{})
+					at := d + time.Duration(rng.Intn(3)-1)*ms
+					closer := NewJoin(v, 1)
+					v.Go(func() {
+						defer closer.Done()
+						sleep(func() { v.Sleep(at) })
+						close(stop)
+					})
+					sleep(func() { v.SleepStop(d, stop) })
+					closer.Wait()
+				}
+				d = time.Duration(1+rng.Intn(3)) * ms
+				before := v.Now()
+				sleep(func() { v.Sleep(d) })
+				if got := v.Now().Sub(before); got != d {
+					t.Errorf("actor %d round %d: Sleep(%v) moved the timeline %v", a, r, d, got)
+					return
+				}
+			}
+		})
+	}
+	join.Wait()
+
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if len(v.timers) != 0 {
+		t.Errorf("%d timers still pending", len(v.timers))
+	}
+	if n := int64(len(v.free)); n == 0 || n > peak.Load() {
+		t.Errorf("free list holds %d entries, peak sleepers %d", n, peak.Load())
+	}
+	for i, e := range v.free {
+		if e.idx != -1 || len(e.wake) != 0 || e.ctx != nil || e.fn != nil {
+			t.Errorf("free entry %d: idx %d, %d signals queued, ctx %v, fn set %v", i, e.idx, len(e.wake), e.ctx != nil, e.fn != nil)
+		}
+	}
+}
+
+// BenchmarkVirtualSleep measures the timeline's own cost per modelled
+// event: a sleeper and a peer take turns, each sleeping 1µs and then
+// waking the other, so one iteration is two sleeps, two advances and
+// two credited handoffs.
+func BenchmarkVirtualSleep(b *testing.B) {
+	v := NewVirtual()
+	v.Register()
+	defer v.Unregister()
+	mine, peer := v.NewWaiter(), v.NewWaiter()
+	done := false
+	join := NewJoin(v, 1)
+	v.Go(func() {
+		defer join.Done()
+		for {
+			peer.Park()
+			if done {
+				return
+			}
+			v.Sleep(time.Microsecond)
+			mine.Wake()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.Sleep(time.Microsecond)
+		peer.Wake()
+		mine.Park()
+	}
+	b.StopTimer()
+	done = true
+	peer.Wake()
+	join.Wait()
 }

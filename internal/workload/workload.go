@@ -6,6 +6,7 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -49,7 +50,8 @@ type Config struct {
 	TxnTimeout time.Duration
 	// Retry re-submits an aborted transaction (as the paper's clients
 	// may restart with an adjusted interval). A retried attempt still
-	// counts one abort and one new attempt.
+	// counts one abort and one new attempt. A commit that returns
+	// kv.ErrUncertain is not retried: it may have committed.
 	Retry bool
 	// BatchReads groups each transaction's leading read operations
 	// into one static read set issued via kv.GetMulti — O(servers)
@@ -247,12 +249,12 @@ func client(ctx context.Context, db kv.DB, cfg Config, seed int64, ctr *metrics.
 		// Pre-generate the transaction so retries replay the same ops.
 		ops := gen.Txn()
 
-		attempt := func() bool {
+		attempt := func() error {
 			txCtx, cancel := context.WithTimeout(ctx, cfg.TxnTimeout)
 			defer cancel()
 			tx, err := db.Begin(txCtx)
 			if err != nil {
-				return false
+				return err
 			}
 			reads, writes := 0, 0
 			rest := ops
@@ -269,7 +271,7 @@ func client(ctx context.Context, db kv.DB, cfg Config, seed int64, ctr *metrics.
 						keys[i] = ops[i].Key
 					}
 					if _, err := kv.GetMulti(txCtx, tx, keys); err != nil {
-						return false
+						return err
 					}
 					reads += lead
 					rest = ops[lead:]
@@ -284,24 +286,27 @@ func client(ctx context.Context, db kv.DB, cfg Config, seed int64, ctr *metrics.
 					reads++
 				}
 				if err != nil {
-					return false
+					return err
 				}
 			}
 			if err := tx.Commit(txCtx); err != nil {
-				return false
+				return err
 			}
 			ctr.Ops(reads, writes)
-			return true
+			return nil
 		}
 
-		if attempt() {
+		err := attempt()
+		if err == nil {
 			ctr.Commit()
 			continue
 		}
 		ctr.Abort()
-		if cfg.Retry && ctx.Err() == nil {
+		// An uncertain commit may have committed: replaying it could
+		// apply its writes twice.
+		if cfg.Retry && ctx.Err() == nil && !errors.Is(err, kv.ErrUncertain) {
 			ctr.Restart()
-			if attempt() {
+			if attempt() == nil {
 				ctr.Commit()
 			} else {
 				ctr.Abort()

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/cluster"
 	"github.com/lpd-epfl/mvtl/internal/core"
 	"github.com/lpd-epfl/mvtl/internal/history"
+	"github.com/lpd-epfl/mvtl/internal/kv"
 	"github.com/lpd-epfl/mvtl/internal/metrics"
 	"github.com/lpd-epfl/mvtl/internal/policy"
 	"github.com/lpd-epfl/mvtl/internal/workload"
@@ -192,5 +194,71 @@ func TestBatchReadsDistributed(t *testing.T) {
 	}
 	if err := rec.Check(); err != nil {
 		t.Fatalf("batched-read workload produced non-serializable history: %v", err)
+	}
+}
+
+// uncertainDB is a kv.DB whose every commit ends uncertain. It records
+// each transaction's operations and cancels the run after stopAfter
+// commits.
+type uncertainDB struct {
+	stopAfter int
+	cancel    context.CancelFunc
+	txns      [][]workload.Op
+}
+
+func (db *uncertainDB) Begin(context.Context) (kv.Txn, error) {
+	db.txns = append(db.txns, nil)
+	return &uncertainTxn{db: db}, nil
+}
+
+type uncertainTxn struct{ db *uncertainDB }
+
+func (tx *uncertainTxn) record(o workload.Op) {
+	last := &tx.db.txns[len(tx.db.txns)-1]
+	*last = append(*last, o)
+}
+
+func (tx *uncertainTxn) Read(_ context.Context, key string) ([]byte, error) {
+	tx.record(workload.Op{Key: key})
+	return nil, nil
+}
+
+func (tx *uncertainTxn) Write(_ context.Context, key string, _ []byte) error {
+	tx.record(workload.Op{Key: key, Write: true})
+	return nil
+}
+
+func (tx *uncertainTxn) Commit(context.Context) error {
+	if len(tx.db.txns) == tx.db.stopAfter {
+		tx.db.cancel()
+	}
+	return kv.ErrUncertain
+}
+
+func (tx *uncertainTxn) Abort(context.Context) error { return nil }
+
+func (tx *uncertainTxn) ID() uint64 { return uint64(len(tx.db.txns)) }
+
+// TestRetryNeverReplaysUncertainCommit: a commit that reports
+// kv.ErrUncertain may have committed, so even with Retry on the client
+// moves on to its next generated transaction instead of replaying the
+// same one — exactly one Begin per generated transaction.
+func TestRetryNeverReplaysUncertainCommit(t *testing.T) {
+	cfg := workload.Config{Clients: 1, OpsPerTxn: 6, WriteFraction: 0.5, Keys: 1000, Retry: true, Measure: time.Minute, Seed: 7}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	db := &uncertainDB{stopAfter: 20, cancel: cancel}
+	res, _ := workload.Run(ctx, db, cfg)
+	if res.Restarts != 0 {
+		t.Errorf("%d restarts of uncertain commits", res.Restarts)
+	}
+	gen := workload.NewGen(cfg, cfg.Seed)
+	if len(db.txns) != db.stopAfter {
+		t.Fatalf("%d Begins for %d generated transactions", len(db.txns), db.stopAfter)
+	}
+	for i, got := range db.txns {
+		if want := gen.Txn(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Begin %d ran %v, want generated transaction %d %v", i, got, i, want)
+		}
 	}
 }
