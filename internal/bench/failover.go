@@ -152,7 +152,7 @@ func RunFailoverCell(ctx context.Context, cell Cell) (Row, error) {
 	// Give the probe a moment to observe the recovered partition, then
 	// stop it. The wait must cover a couple of CallTimeouts: the probe
 	// attempt straddling the kill can hang for the full 2s before it
-	// fails, evicts the dead connection and retries on the new head.
+	// fails, drops the dead connection and retries on the new head.
 	for i := 0; i < 6000; i++ {
 		probeMu.Lock()
 		recovered := !probeDown || !firstAfter.IsZero()

@@ -15,7 +15,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -237,10 +236,11 @@ func (c *Client) routeFor(p int) (string, uint64) {
 }
 
 // conn returns the cached RPC client for addr, creating it on first
-// use; dial errors surface lazily from the calls themselves. It holds
-// one connection: this coordinator's frames to a server stay strictly
-// FIFO, and with them read-your-own-writes freshness across its
-// transactions after a fire-and-forget commit tail.
+// use; dial errors surface lazily from the calls themselves, and a
+// connection a call found dead is redialed by the next call (package
+// rpc). It holds one connection: this coordinator's frames to a server
+// stay strictly FIFO, and with them read-your-own-writes freshness
+// across its transactions after a fire-and-forget commit tail.
 func (c *Client) conn(addr string) *rpc.Client {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -252,25 +252,6 @@ func (c *Client) conn(addr string) *rpc.Client {
 	return rc
 }
 
-// evict drops the pooled RPC client for addr — if it is still the
-// cached one (identity-checked, so a concurrent redial is never torn
-// down) and err says the connection itself died rather than the one
-// request — so the next use redials. Package rpc is crash-stop: a
-// broken Client never redials on its own, which is correct for the
-// paper's failure model but would leave a crash-RESTARTED server
-// permanently unreachable without this.
-func (c *Client) evict(addr string, rc *rpc.Client, err error) {
-	if !errors.Is(err, rpc.ErrClosed) && !errors.Is(err, transport.ErrClosed) && !errors.Is(err, transport.ErrTimeout) {
-		return
-	}
-	c.mu.Lock()
-	if c.conns[addr] == rc {
-		delete(c.conns, addr)
-	}
-	c.mu.Unlock()
-	_ = rc.Close()
-}
-
 // call performs one RPC against the server at addr, bounded by
 // CallTimeout when configured. flow pins all frames of one transaction
 // to one pooled connection (FIFO within the flow); callers outside any
@@ -280,11 +261,7 @@ func (c *Client) evict(addr string, rc *rpc.Client, err error) {
 func (c *Client) call(ctx context.Context, addr string, flow uint64, t wire.MsgType, m wire.Message) (*wire.FrameBuf, error) {
 	ctx, cancel := c.callContext(ctx)
 	defer cancel()
-	rc, p, err := c.start(addr, flow, t, m)
-	if err != nil {
-		return nil, err
-	}
-	return c.wait(ctx, addr, rc, p)
+	return c.conn(addr).Call(ctx, flow, t, m)
 }
 
 // callContext bounds ctx by CallTimeout when one is configured.
@@ -295,37 +272,12 @@ func (c *Client) callContext(ctx context.Context) (context.Context, context.Canc
 	return ctx, func() {}
 }
 
-// start is the sending half of call: it sends the request to addr and
-// returns the pending call, with the RPC client it went out on.
-func (c *Client) start(addr string, flow uint64, t wire.MsgType, m wire.Message) (*rpc.Client, rpc.Pending, error) {
-	rc := c.conn(addr)
-	p, err := rc.Start(flow, t, m)
-	if err != nil {
-		c.evict(addr, rc, err)
-	}
-	return rc, p, err
-}
-
-// wait is the other half: the reply to a call start made, under ctx.
-func (c *Client) wait(ctx context.Context, addr string, rc *rpc.Client, p rpc.Pending) (*wire.FrameBuf, error) {
-	f, err := p.Wait(ctx)
-	if err != nil {
-		c.evict(addr, rc, err)
-	}
-	return f, err
-}
-
 // cast sends a one-way message to addr, which the server serves and
 // does not answer (Alg. 11's freeze and release sends, an abort's
 // proposal). Per-flow FIFO ordering guarantees that the transaction's
 // subsequent frames to the same server observe the message's effects.
 func (c *Client) cast(addr string, flow uint64, t wire.MsgType, m wire.Message) error {
-	rc := c.conn(addr)
-	err := rc.Cast(flow, t, m)
-	if err != nil {
-		c.evict(addr, rc, err)
-	}
-	return err
+	return c.conn(addr).Cast(flow, t, m)
 }
 
 // ServerStats queries one server's state-size statistics (Figure 6).

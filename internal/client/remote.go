@@ -24,7 +24,7 @@ import (
 // fenced server-side; the transaction aborts and the retry re-routes) —
 // plus the partition's share of the per-server batch in flight: keys
 // names[lo:hi], the staged request msg (nil when the partition has no
-// share), the started call (rc, call), and the settled exchange fb/err.
+// share), the started call, and the settled exchange fb/err.
 // read backs msg on the read path, so a read-lock request is encoded
 // from memory the transaction owns instead of boxed per call.
 type routeBatch struct {
@@ -33,7 +33,6 @@ type routeBatch struct {
 	epoch  uint64
 	lo, hi int
 	msg    wire.Message
-	rc     *rpc.Client
 	call   rpc.Pending
 	fb     *wire.FrameBuf
 	err    error
@@ -106,7 +105,6 @@ type remoteTxn struct {
 	reads   []wire.FreezeReadItem
 	req     struct {
 		decide  wire.DecideReq
-		freeze  wire.FreezeBatchReq
 		release wire.ReleaseBatchReq
 	}
 
@@ -203,12 +201,12 @@ func (rt *remoteTxn) fanOut(ctx context.Context, t wire.MsgType, wait bool) {
 	defer cancel()
 	for i := range rt.routes {
 		if r := &rt.routes[i]; r.msg != nil {
-			r.rc, r.call, r.err = c.start(r.addr, rt.ID(), t, r.msg)
+			r.call, r.err = c.conn(r.addr).Start(rt.ID(), t, r.msg)
 		}
 	}
 	for i := range rt.routes {
 		if r := &rt.routes[i]; r.msg != nil && r.err == nil {
-			f, err := c.wait(ctx, r.addr, r.rc, r.call)
+			f, err := r.call.Wait(ctx)
 			r.fb, r.err = f, err // the route owns the frame until settle
 		}
 	}
@@ -244,7 +242,7 @@ func (rt *remoteTxn) settle() {
 		if r.fb != nil {
 			r.fb.Release()
 		}
-		r.msg, r.rc, r.call, r.fb, r.err = nil, nil, rpc.Pending{}, nil, nil
+		r.msg, r.call, r.fb, r.err = nil, rpc.Pending{}, nil, nil
 	}
 }
 
@@ -536,10 +534,11 @@ func (rt *remoteTxn) freezeReads(r *routeBatch, ts timestamp.Timestamp) []wire.F
 // a server the message never reaches finishes through the timeout path.
 // Under garbage collection that message is a committed release (freeze
 // my writes at ts, freeze my read locks between version read and ts,
-// drop the rest); without, a freeze of the write locks, and the servers
-// that hold only read locks are sent nothing. A transaction that never
-// asked for a write lock has no decision server; its outcome is decided
-// locally (nothing is pending anywhere).
+// drop the rest); without, a committed release naming no keys, which
+// installs and freezes the server's pending writes and drops nothing,
+// and the servers that hold only read locks are sent nothing. A
+// transaction that never asked for a write lock has no decision server;
+// its outcome is decided locally (nothing is pending anywhere).
 func (rt *remoteTxn) Commit(ctx context.Context, _ *core.Txn, ts timestamp.Timestamp, gc bool) (core.Outcome, error) {
 	rt.stageTail(!gc)
 	if rt.decision.addr != "" {
@@ -557,13 +556,11 @@ func (rt *remoteTxn) Commit(ctx context.Context, _ *core.Txn, ts timestamp.Times
 		if r.hi == r.lo || rt.decides(r) {
 			continue
 		}
+		rt.req.release = wire.ReleaseBatchReq{Txn: rt.ID(), Epoch: r.epoch, Committed: true, TS: ts}
 		if gc {
-			rt.req.release = wire.ReleaseBatchReq{Txn: rt.ID(), Epoch: r.epoch, Committed: true, TS: ts, Keys: rt.names[r.lo:r.hi], Reads: rt.freezeReads(r, ts)}
-			_ = rt.client.cast(r.addr, rt.ID(), wire.TReleaseBatchReq, &rt.req.release)
-		} else {
-			rt.req.freeze = wire.FreezeBatchReq{Txn: rt.ID(), Epoch: r.epoch, TS: ts, WriteKeys: rt.names[r.lo:r.hi]}
-			_ = rt.client.cast(r.addr, rt.ID(), wire.TFreezeBatchReq, &rt.req.freeze)
+			rt.req.release.Keys, rt.req.release.Reads = rt.names[r.lo:r.hi], rt.freezeReads(r, ts)
 		}
+		_ = rt.client.cast(r.addr, rt.ID(), wire.TReleaseBatchReq, &rt.req.release)
 	}
 	return core.Committed, nil
 }
@@ -596,7 +593,7 @@ func (rt *remoteTxn) Abort(_ context.Context, _ *core.Txn, writesOnly bool) {
 		}
 		rt.req.release.Epoch, rt.req.release.Keys = r.epoch, rt.names[r.lo:r.hi]
 		// Nothing waits on a release, so a failed send has nobody to
-		// report to; cast has already evicted the broken connection.
+		// report to; the next message to the server redials.
 		_ = rt.client.cast(r.addr, rt.ID(), wire.TReleaseBatchReq, &rt.req.release)
 	}
 }

@@ -246,8 +246,8 @@ func (c *Cluster) StopServer(i int) error {
 // standby of partition i's current head — it snapshots and then tails
 // the head's log, and the director appends it to the chain so a later
 // Failover can promote it — which a server the director still lists as
-// that head cannot do. Coordinators reconnect on their next call (their
-// broken connections are evicted and redialed).
+// that head cannot do. Coordinators and peers reconnect on their next
+// call: package rpc redials a connection a call found dead.
 func (c *Cluster) RestartServer(i int) error {
 	if i < 0 || i >= len(c.addrs) {
 		return fmt.Errorf("cluster: no server %d", i)

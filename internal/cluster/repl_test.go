@@ -61,8 +61,8 @@ func commitAll(t *testing.T, cl *client.Client, kvs map[string]string) {
 }
 
 // readBack reads k in a transaction of its own, retrying aborts: the
-// first attempt after a failover may race the client's eviction of its
-// cached connection. It returns "" when no attempt commits.
+// first attempt after a failover may race the RPC layer's drop of the
+// dead connection. It returns "" when no attempt commits.
 func readBack(t *testing.T, cl *client.Client, k string) string {
 	t.Helper()
 	ctx := context.Background()
@@ -133,7 +133,7 @@ func TestFailoverServesCommittedData(t *testing.T) {
 
 	// A fresh transaction re-routes to the promoted head and must see
 	// every committed value; the first attempt may still abort if it
-	// raced the client's cached-connection eviction.
+	// raced the RPC layer's drop of the dead connection.
 	for k, want := range data {
 		if got := readBack(t, cl, k); got != want {
 			t.Fatalf("after failover, %q = %q, want %q", k, got, want)

@@ -32,7 +32,7 @@ func (db *DB) ReadLocks(ctx context.Context, tx *Txn, keys []int32, upper timest
 		for again := true; again; {
 			err := ctx.Err()
 			if err == nil {
-				r.Version, r.Got, _, again, err = ks.ReadStep(ctx, tx.Owner(), upper, wait)
+				r.Version, r.Got, again, err = ks.ReadStep(ctx, tx.Owner(), upper, wait)
 			}
 			if err != nil {
 				return KeyErr(len(keys), ks.Name, err)

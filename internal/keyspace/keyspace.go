@@ -165,35 +165,31 @@ func (s *Space) PurgeBelow(bound timestamp.Timestamp) (versions, locks int) {
 //
 // A frozen write lock met on the way up means a version committed
 // inside the request (values are installed before their lock is
-// frozen); frozenAt is where, and is Zero when none was met. The pass
-// settles for the prefix below it when re-picking cannot do better: the
-// frozen point is upper itself, so the newer version is not readable
-// below upper; or the caller does not wait and the prefix is not empty.
+// frozen). The pass settles for the prefix below it when re-picking
+// cannot do better: the frozen point is upper itself, so the newer
+// version is not readable below upper; or the caller does not wait and
+// the prefix is not empty.
 // In both cases v stays correct for every serialization point in got.
 // Otherwise the prefix is given back and again is set: the caller
 // re-picks with another pass, between which it may give up.
-func (k *Key) ReadStep(ctx context.Context, owner lock.Owner, upper timestamp.Timestamp, wait bool) (v version.Version, got timestamp.Interval, frozenAt timestamp.Timestamp, again bool, err error) {
+func (k *Key) ReadStep(ctx context.Context, owner lock.Owner, upper timestamp.Timestamp, wait bool) (v version.Version, got timestamp.Interval, again bool, err error) {
 	v, err = k.Versions.LatestBefore(upper)
 	if err != nil {
-		return version.Version{}, timestamp.Empty, timestamp.Zero, false, err
+		return version.Version{}, timestamp.Empty, false, err
 	}
 	req := timestamp.Span(v.TS.Next(), upper)
 	if req.IsEmpty() {
-		return v, timestamp.Empty, timestamp.Zero, false, nil
+		return v, timestamp.Empty, false, nil
 	}
 	res, err := k.Locks.AcquireRead(ctx, owner, req, lock.Options{Wait: wait, Partial: true})
 	if err != nil {
-		return version.Version{}, timestamp.Empty, timestamp.Zero, false, err
+		return version.Version{}, timestamp.Empty, false, err
 	}
-	if !res.Frozen {
-		return v, res.Got, timestamp.Zero, false, nil
-	}
-	frozenAt = res.FrozenAt.Lo
-	if !frozenAt.Before(upper) || (!wait && !res.Got.IsEmpty()) {
-		return v, res.Got, frozenAt, false, nil
+	if !res.Frozen || !res.FrozenAt.Lo.Before(upper) || (!wait && !res.Got.IsEmpty()) {
+		return v, res.Got, false, nil
 	}
 	if !res.Got.IsEmpty() {
 		k.Locks.ReleaseReadIn(owner, res.Got)
 	}
-	return version.Version{}, timestamp.Empty, frozenAt, true, nil
+	return version.Version{}, timestamp.Empty, true, nil
 }

@@ -69,25 +69,27 @@ func TestReadStepExits(t *testing.T) {
 		wait  bool
 		setup func(*testing.T, *Key)
 		// The pass reads the initial version and locks got, or asks for
-		// another pass; held is what the reader owns afterwards.
+		// another pass; held is what the reader owns afterwards. frozen is
+		// where the writer's lock is frozen (Zero for none); a pass that
+		// asks for another is retried once a version is installed there.
 		got, held timestamp.Interval
-		frozenAt  timestamp.Timestamp
+		frozen    timestamp.Timestamp
 		again     bool
 	}{
 		{name: "no conflict", setup: func(*testing.T, *Key) {},
 			got: timestamp.Span(first, upper), held: timestamp.Span(first, upper)},
 		{name: "frozen write at upper settles", wait: true,
 			setup: func(t *testing.T, k *Key) { install(t, k, upper); writeLock(t, k, upper, true) },
-			got:   timestamp.Span(first, upper.Prev()), held: timestamp.Span(first, upper.Prev()), frozenAt: upper},
+			got:   timestamp.Span(first, upper.Prev()), held: timestamp.Span(first, upper.Prev()), frozen: upper},
 		{name: "no-wait settles for a prefix below a frozen point",
 			setup: func(t *testing.T, k *Key) { writeLock(t, k, ts(5), true) },
-			got:   timestamp.Span(first, ts(5).Prev()), held: timestamp.Span(first, ts(5).Prev()), frozenAt: ts(5)},
+			got:   timestamp.Span(first, ts(5).Prev()), held: timestamp.Span(first, ts(5).Prev()), frozen: ts(5)},
 		{name: "waiting below a frozen point re-picks", wait: true,
 			setup: func(t *testing.T, k *Key) { writeLock(t, k, ts(5), true) },
-			got:   timestamp.Empty, held: timestamp.Empty, frozenAt: ts(5), again: true},
+			got:   timestamp.Empty, held: timestamp.Empty, frozen: ts(5), again: true},
 		{name: "no-wait with an empty prefix re-picks",
 			setup: func(t *testing.T, k *Key) { writeLock(t, k, first, true) },
-			got:   timestamp.Empty, held: timestamp.Empty, frozenAt: first, again: true},
+			got:   timestamp.Empty, held: timestamp.Empty, frozen: first, again: true},
 		{name: "no-wait takes the prefix below an unfrozen write",
 			setup: func(t *testing.T, k *Key) { writeLock(t, k, ts(5), false) },
 			got:   timestamp.Span(first, ts(5).Prev()), held: timestamp.Span(first, ts(5).Prev())},
@@ -95,12 +97,15 @@ func TestReadStepExits(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			k := New(lock.NewWaitGraph(), nil).Key("k")
 			tc.setup(t, k)
-			v, got, frozenAt, again, err := k.ReadStep(ctx, reader, upper, tc.wait)
+			v, got, again, err := k.ReadStep(ctx, reader, upper, tc.wait)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if frozenAt != tc.frozenAt || again != tc.again {
-				t.Fatalf("frozenAt %v again %v, want %v %v", frozenAt, again, tc.frozenAt, tc.again)
+			if again != tc.again {
+				t.Fatalf("again %v, want %v", again, tc.again)
+			}
+			if frozen := frozenWriteAt(k); frozen != tc.frozen {
+				t.Fatalf("the writer's lock is frozen at %v after the pass, want %v", frozen, tc.frozen)
 			}
 			if v.TS != timestamp.Zero || !sameInterval(got, tc.got) {
 				t.Fatalf("read version %v locking %v, want the initial version locking %v", v.TS, got, tc.got)
@@ -113,13 +118,13 @@ func TestReadStepExits(t *testing.T) {
 			}
 			// Once the missing version is installed, a second pass reads
 			// it and locks from just above it to upper.
-			install(t, k, tc.frozenAt)
-			v, got, _, again, err = k.ReadStep(ctx, reader, upper, tc.wait)
+			install(t, k, tc.frozen)
+			v, got, again, err = k.ReadStep(ctx, reader, upper, tc.wait)
 			if err != nil || again {
 				t.Fatalf("second pass: again %v, err %v", again, err)
 			}
-			if want := timestamp.Span(tc.frozenAt.Next(), upper); v.TS != tc.frozenAt || string(v.Value) != "new" || !sameInterval(got, want) {
-				t.Fatalf("second pass read %v (%q) locking %v, want the version at %v locking %v", v.TS, v.Value, got, tc.frozenAt, want)
+			if want := timestamp.Span(tc.frozen.Next(), upper); v.TS != tc.frozen || string(v.Value) != "new" || !sameInterval(got, want) {
+				t.Fatalf("second pass read %v (%q) locking %v, want the version at %v locking %v", v.TS, v.Value, got, tc.frozen, want)
 			}
 		})
 	}
@@ -132,7 +137,7 @@ func TestReadStepExits(t *testing.T) {
 		if versions, _ := s.PurgeBelow(ts(30)); versions != 1 {
 			t.Fatalf("purged %d versions, want the initial one", versions)
 		}
-		_, _, _, again, err := k.ReadStep(ctx, reader, upper, false)
+		_, _, again, err := k.ReadStep(ctx, reader, upper, false)
 		if !errors.Is(err, version.ErrPurged) || again {
 			t.Fatalf("read below a purged bound: again %v, err %v, want version.ErrPurged", again, err)
 		}
@@ -140,6 +145,17 @@ func TestReadStepExits(t *testing.T) {
 			t.Fatalf("the failed read left %v locked", held)
 		}
 	})
+}
+
+// frozenWriteAt returns where k's lock table holds a frozen write lock,
+// or Zero when it holds none.
+func frozenWriteAt(k *Key) timestamp.Timestamp {
+	for _, e := range k.Locks.Snapshot() {
+		if e.Frozen && e.Mode == lock.ModeWrite {
+			return e.Interval.Lo
+		}
+	}
+	return timestamp.Zero
 }
 
 // sameInterval compares intervals, any two empty ones being the same.

@@ -81,17 +81,23 @@
 // use a pool of one, which is the default and restores exactly the old
 // single-connection ordering.
 //
-// # Shutdown
+// # Shutdown and redial
 //
-// Close tears every pooled connection down. A call in flight when its
-// connection closes — locally via Close or remotely by the peer — fails
-// fast with ErrClosed wrapped with the server address; it never hangs
-// and never receives another call's response. A sender whose frame was
-// coalesced behind another caller's failing flush learns of the failure
-// the same way: the flusher closes the transport, the demux fails every
-// outstanding slot. Once closed (or once a connection breaks), a Client
-// stays closed: calls fail immediately and no redial is attempted,
-// matching the crash-stop failure model of §H.
+// A call in flight when its connection closes — locally via Close or
+// remotely by the peer — fails fast with ErrClosed wrapped with the
+// server address; it never hangs and never receives another call's
+// response. A sender whose frame was coalesced behind another caller's
+// failing flush learns of the failure the same way: the flusher closes
+// the transport, the demux fails every outstanding slot.
+//
+// A call that finds its connection dead — it failed with ErrClosed from
+// the connection, or its own flush failed — retires the connection from
+// its pool slot, and the slot's next call dials afresh. A timed-out call
+// or a failed dial retires nothing. This is what keeps a server that
+// crashed and restarted on the same address (a new incarnation, in the
+// crash-stop model of §H) reachable through the same Client. Close is
+// final: it tears every pooled connection down, and later calls fail
+// immediately without dialing.
 package rpc
 
 import (
@@ -118,7 +124,7 @@ type Client struct {
 	timers  clock.Timers
 
 	mu     sync.Mutex
-	conns  []*conn // lazily dialed, one slot per pool index
+	conns  []*conn // one slot per pool index: nil until dialed, and again once dropped
 	closed bool
 }
 
@@ -182,7 +188,7 @@ func (c *Client) conn(flow uint64) (*conn, error) {
 		_ = tc.Close()
 		return existing, nil
 	}
-	cn = newConn(c.addr, tc, c.timers)
+	cn = newConn(c, slot, tc)
 	c.conns[slot] = cn
 	return cn, nil
 }
@@ -235,6 +241,7 @@ func (p Pending) Wait(ctx context.Context) (*wire.FrameBuf, error) {
 		case f := <-s.ch:
 			cn.freeSlot(p.idx, s)
 			if f == nil {
+				cn.drop()
 				return nil, closedErr(cn.addr)
 			}
 			return f, nil
@@ -321,6 +328,8 @@ type waiterSlot struct {
 // goroutine routing response frames by slot index + generation, and a
 // batcher coalescing concurrent senders' frames into vectored writes.
 type conn struct {
+	pool   *Client // owns the pool slot this connection fills
+	slot   int
 	addr   string
 	tc     transport.Conn
 	timers clock.Timers
@@ -344,8 +353,8 @@ type conn struct {
 	done *clock.Join
 }
 
-func newConn(addr string, tc transport.Conn, t clock.Timers) *conn {
-	cn := &conn{addr: addr, tc: tc, timers: clock.OrSystem(t)}
+func newConn(pool *Client, slot int, tc transport.Conn) *conn {
+	cn := &conn{pool: pool, slot: slot, addr: pool.addr, tc: tc, timers: pool.timers}
 	cn.out.tc = tc
 	cn.done = clock.NewJoin(cn.timers, 1)
 	cn.timers.Go(cn.recvLoop)
@@ -486,14 +495,12 @@ func (cn *conn) send(id uint64, t wire.MsgType, m wire.Message) error {
 func (cn *conn) start(t wire.MsgType, m wire.Message) (Pending, error) {
 	idx, s, id, err := cn.acquire()
 	if err != nil {
+		cn.drop()
 		return Pending{}, err
 	}
 	if err := cn.send(id, t, m); err != nil {
 		cn.unregister(idx, s)
-		if errors.Is(err, transport.ErrClosed) {
-			return Pending{}, closedErr(cn.addr)
-		}
-		return Pending{}, fmt.Errorf("rpc: send to %s: %w", cn.addr, err)
+		return Pending{}, cn.sendErr(err)
 	}
 	return Pending{cn: cn, s: s, idx: idx}, nil
 }
@@ -503,16 +510,44 @@ func (cn *conn) cast(t wire.MsgType, m wire.Message) error {
 	closed := cn.closed
 	cn.mu.Unlock()
 	if closed {
+		cn.drop()
 		return closedErr(cn.addr)
 	}
 	id := castFlag | cn.castID.Add(1)
 	if err := cn.send(id, t, m); err != nil {
-		if errors.Is(err, transport.ErrClosed) {
-			return closedErr(cn.addr)
-		}
-		return fmt.Errorf("rpc: send to %s: %w", cn.addr, err)
+		return cn.sendErr(err)
 	}
 	return nil
+}
+
+// sendErr renders a failed send, retiring the connection when the
+// failure was a flush's — the batcher has closed the transport then —
+// rather than the frame's encoding.
+func (cn *conn) sendErr(err error) error {
+	if cn.out.broken() {
+		cn.drop()
+	}
+	if errors.Is(err, transport.ErrClosed) {
+		return closedErr(cn.addr)
+	}
+	return fmt.Errorf("rpc: send to %s: %w", cn.addr, err)
+}
+
+// drop retires a connection a call found dead: it empties the pool slot
+// — if the slot still holds this connection (a concurrent call may have
+// dropped it and dialed anew) and the client is not closed (Close owns
+// the teardown then) — and closes the connection, joining its demux.
+func (cn *conn) drop() {
+	c := cn.pool
+	c.mu.Lock()
+	mine := !c.closed && c.conns[cn.slot] == cn
+	if mine {
+		c.conns[cn.slot] = nil
+	}
+	c.mu.Unlock()
+	if mine {
+		cn.close()
+	}
 }
 
 func (cn *conn) close() {
@@ -537,6 +572,14 @@ type batcher struct {
 	spare    []*wire.FrameBuf // previous flush's array, reused for the next
 	flushing bool
 	err      error // first flush error; the connection is dead beyond it
+}
+
+// broken reports whether a flush has failed: the batcher has closed the
+// transport, and the connection is dead.
+func (b *batcher) broken() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.err != nil
 }
 
 // send enqueues fb, taking ownership like transport.Conn.Send. An error

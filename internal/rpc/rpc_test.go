@@ -45,8 +45,15 @@ func startEcho(tb testing.TB, n transport.Network, addr string, delay time.Durat
 						time.Sleep(time.Duration(rand.Int63n(int64(delay))))
 					}
 					// The request body is borrowed; reply copies it into
-					// the response frame before the handler returns.
-					reply(f.Type()+1, wire.Raw(f.Body()))
+					// the response frame before the handler returns. An
+					// empty body goes back as nil: boxing an empty view
+					// of a recycled buffer allocates, and the allocation
+					// gates measure through this server.
+					var body wire.Message
+					if len(f.Body()) > 0 {
+						body = wire.Raw(f.Body())
+					}
+					reply(f.Type()+1, body)
 				}, nil)
 		}
 	}()
@@ -448,5 +455,84 @@ func TestCastServedNotAnswered(t *testing.T) {
 	}
 	if got := served.Load(); got != 5 {
 		t.Fatalf("served %d requests, want 5: casts are served like calls", got)
+	}
+}
+
+// TestClientRedialsAfterConnectionDies is the redial contract: the
+// server drops the first connection mid-call, and that call fails with
+// ErrClosed; the same Client's next Call and Cast go out over a second,
+// freshly dialed connection. After Close, calls fail fast and dial
+// nothing.
+func TestClientRedialsAfterConnectionDies(t *testing.T) {
+	n := transport.NewMem(transport.LatencyModel{})
+	l, err := n.Listen("redial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	var accepted, served atomic.Int64
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { _ = conn.Close() })
+			if accepted.Add(1) == 1 {
+				// The first connection dies with its first request unanswered.
+				go func() {
+					if f, err := conn.Recv(); err == nil {
+						f.Release()
+					}
+					_ = conn.Close()
+				}()
+				continue
+			}
+			go ServeConn(conn, nil, func(f *wire.FrameBuf, reply Reply) {
+				served.Add(1)
+				reply(f.Type()+1, wire.Raw(f.Body()))
+			}, nil)
+		}
+	}()
+
+	c := NewClient(n, "redial", 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if _, err := c.Call(ctx, 0, wire.TStatsReq, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call on the dropped connection: want ErrClosed, got %v", err)
+	}
+	f, err := c.Call(ctx, 0, wire.TStatsReq, wire.Raw("again"))
+	if err != nil {
+		t.Fatalf("call after the connection died: %v", err)
+	}
+	if string(f.Body()) != "again" {
+		t.Fatalf("echo = %q, want %q", f.Body(), "again")
+	}
+	f.Release()
+	if err := c.Cast(0, wire.TStatsReq, nil); err != nil {
+		t.Fatalf("cast after the connection died: %v", err)
+	}
+	// Per-flow FIFO: once this call is answered, the cast was served.
+	if f, err := c.Call(ctx, 0, wire.TStatsReq, nil); err != nil {
+		t.Fatal(err)
+	} else {
+		f.Release()
+	}
+	if got := served.Load(); got != 3 {
+		t.Fatalf("the second connection served %d frames, want 3 (call, cast, call)", got)
+	}
+	if got := accepted.Load(); got != 2 {
+		t.Fatalf("%d connections accepted, want 2", got)
+	}
+
+	_ = c.Close()
+	if _, err := c.Call(ctx, 0, wire.TStatsReq, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after Close: want ErrClosed, got %v", err)
+	}
+	if err := c.Cast(0, wire.TStatsReq, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("cast after Close: want ErrClosed, got %v", err)
+	}
+	if got := accepted.Load(); got != 2 {
+		t.Fatalf("a call after Close dialed: %d connections accepted, want 2", got)
 	}
 }

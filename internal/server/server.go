@@ -781,7 +781,7 @@ func (s *Server) readLockKey(key string, owner lock.Owner, upper timestamp.Times
 		if ctx.Err() != nil {
 			return wire.ReadLockResult{Status: wire.StatusConflict, Err: "lock wait timeout"}
 		}
-		v, got, _, again, err := ks.ReadStep(ctx, owner, upper, wait)
+		v, got, again, err := ks.ReadStep(ctx, owner, upper, wait)
 		switch {
 		case again:
 			// re-pick, while the budget lasts
@@ -1182,10 +1182,9 @@ func (s *Server) proposeAbort(txn uint64, decisionSrv string) (commitment.Decisi
 // and victim aborts only — so each peer gets a single pipelined
 // connection; concurrent callers multiplex on it by correlation id. The
 // caller owns the returned frame buffer and must Release it after
-// decoding. Calls are bounded by PeerCallTimeout, and a client whose
-// connection died is evicted (identity-checked) so the next scanner
-// pass redials — a peer that crash-restarted on the same address
-// becomes reachable again instead of failing forever.
+// decoding. Calls are bounded by PeerCallTimeout; a connection a call
+// found dead is redialed by the next call (package rpc), so a peer that
+// crash-restarted on the same address becomes reachable again.
 func (s *Server) callPeer(addr string, t wire.MsgType, m wire.Message) (*wire.FrameBuf, error) {
 	s.peersMu.Lock()
 	if s.closing.Load() {
@@ -1200,18 +1199,15 @@ func (s *Server) callPeer(addr string, t wire.MsgType, m wire.Message) (*wire.Fr
 		s.peers[addr] = pc
 	}
 	s.peersMu.Unlock()
+	return s.timedCall(pc, t, m)
+}
+
+// timedCall performs one RPC to another server over rc, bounded by
+// PeerCallTimeout.
+func (s *Server) timedCall(rc *rpc.Client, t wire.MsgType, m wire.Message) (*wire.FrameBuf, error) {
 	ctx, cancel := s.timers.WithTimeout(context.Background(), s.cfg.PeerCallTimeout)
 	defer cancel()
-	f, err := pc.Call(ctx, 0, t, m)
-	if err != nil && (errors.Is(err, rpc.ErrClosed) || errors.Is(err, transport.ErrClosed) || errors.Is(err, transport.ErrTimeout)) {
-		s.peersMu.Lock()
-		if s.peers[addr] == pc {
-			delete(s.peers, addr)
-		}
-		s.peersMu.Unlock()
-		_ = pc.Close()
-	}
-	return f, err
+	return rc.Call(ctx, 0, t, m)
 }
 
 // --- maintenance ---------------------------------------------------------------
@@ -1365,31 +1361,17 @@ func (s *Server) applyReplRecord(r *wire.ReplRecord) error {
 	return nil
 }
 
-// pullCall performs one catch-up RPC to the standby's upstream. A dead
-// client is replaced in place so the next attempt redials — the upstream
-// may have crash-restarted on the same address.
-func (s *Server) pullCall(rc **rpc.Client, t wire.MsgType, m wire.Message) (*wire.FrameBuf, error) {
-	ctx, cancel := s.timers.WithTimeout(context.Background(), s.cfg.PeerCallTimeout)
-	defer cancel()
-	f, err := (*rc).Call(ctx, 0, t, m)
-	if err != nil && (errors.Is(err, rpc.ErrClosed) || errors.Is(err, transport.ErrClosed) || errors.Is(err, transport.ErrTimeout)) {
-		_ = (*rc).Close()
-		*rc = rpc.NewClientTimers(s.cfg.Network, s.cfg.Repl.Upstream, 1, s.timers)
-	}
-	return f, err
-}
-
 // pullSnapshot streams the upstream's full state chunk by chunk and
 // returns the first chunk's log watermark; the tail pull resumes at
 // watermark+1. The standby's own log is reset first: the records between
 // its old tail and the new watermark were never pulled, and the log must
 // stay contiguous to serve From after a promotion.
-func (s *Server) pullSnapshot(rc **rpc.Client) (watermark uint64, ok bool) {
+func (s *Server) pullSnapshot(rc *rpc.Client) (watermark uint64, ok bool) {
 	s.replLog.Reset()
 	var cursor uint64
 	first := true
 	for {
-		f, err := s.pullCall(rc, wire.TSnapshotChunkReq, wire.SnapshotChunkReq{Cursor: cursor})
+		f, err := s.timedCall(rc, wire.TSnapshotChunkReq, wire.SnapshotChunkReq{Cursor: cursor})
 		if err != nil {
 			return 0, false
 		}
@@ -1435,7 +1417,7 @@ func (s *Server) pullLoop() {
 		default:
 		}
 		if needSnapshot {
-			w, ok := s.pullSnapshot(&rc)
+			w, ok := s.pullSnapshot(rc)
 			if !ok {
 				s.sleepPull()
 				continue
@@ -1443,7 +1425,7 @@ func (s *Server) pullLoop() {
 			from = w + 1
 			needSnapshot = false
 		}
-		f, err := s.pullCall(&rc, wire.TLogTailReq, wire.LogTailReq{From: from, MaxRecords: 512})
+		f, err := s.timedCall(rc, wire.TLogTailReq, wire.LogTailReq{From: from, MaxRecords: 512})
 		if err != nil {
 			s.sleepPull()
 			continue

@@ -496,9 +496,9 @@ func (c *memConn) Close() error {
 // non-zero timeouts bound each frame read/write and surface expiry as
 // ErrTimeout, which the RPC layer classifies as retryable. ReadTimeout
 // is a maximum silence, not a liveness probe: set it well above the
-// connection's expected idle time, or pair it with eviction-and-redial
-// in the caller (as internal/client does), because an idle healthy
-// connection will be torn down when it expires.
+// connection's expected idle time, because an idle healthy connection
+// is torn down when it expires (package rpc then redials it on the next
+// call).
 type TCP struct {
 	// ReadTimeout bounds how long Recv waits for the next frame.
 	// Zero means no deadline.
