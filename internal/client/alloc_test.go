@@ -2,20 +2,24 @@ package client_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/lpd-epfl/mvtl/internal/client"
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/core"
+	"github.com/lpd-epfl/mvtl/internal/kv"
 	"github.com/lpd-epfl/mvtl/internal/strhash"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 	"github.com/lpd-epfl/mvtl/internal/transport"
 )
 
 // Allocation ceilings of the point transaction, process-wide (the
-// servers run in this process, so their share counts): measured 10 per
-// transaction and 0 per single-key Read — 18 when this gate was first
+// servers run in this process, so their share counts): measured 8 per
+// transaction and 0 per single-key Read — 10 while the coordinator
+// allocated its per-transaction state beside the Txn instead of taking
+// it from the pooled scratch, 18 when this gate was first
 // set; 102 and 4 before the servers decoded keys as views into per-connection
 // scratch and replied by pointer; 315 and 26 with a map-based footprint,
 // an always-spawning fan-out and spawn-by-type server dispatch. The
@@ -28,11 +32,11 @@ import (
 // this gate, in TestCommitTailFrames.
 //
 // The same ceilings hold on clock.Virtual, where every modelled frame
-// delivery is a timeline event: measured 10 and 0 there too, 68 and 6
+// delivery is a timeline event: measured 8 and 0 there too, 68 and 6
 // while a sleep allocated its wake channel, a closure and a timer
 // entry.
 const (
-	pointTxnAllocCeiling = 12
+	pointTxnAllocCeiling = 10
 	readAllocCeiling     = 0
 )
 
@@ -142,4 +146,91 @@ func checkPointTxnAllocs(t *testing.T, cfg client.Config) {
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// batchTxnAllocCeiling is the allocation ceiling of tcp-batch's
+// transaction in miniature, process-wide, set as the point
+// transaction's is: the measurement plus two for runtime noise. Measured
+// 27 — 32 while the coordinator's per-transaction state was allocated
+// with each transaction and spilled past its inline buffers. Fourteen of
+// them are the owned copies of the values read; GetMulti's result map
+// and the Txn's footprint, which sixteen keys outgrow, are the
+// transaction's own.
+const batchTxnAllocCeiling = 29
+
+// TestBatchTxnAllocBudget gates the allocation cost of the benchmark's
+// tcp-batch transaction in miniature (MVTIL-early over three zero-latency
+// Mem servers): sixteen keys with 1 KiB values, the leading fourteen read
+// as one GetMulti, then two writes and commit. Its footprint is past
+// every inline capacity, so the coordinator's per-transaction state —
+// routes, grants, staged names, read results, freeze ranges, write-lock
+// items — is what the pooled scratch saves it from growing anew.
+func TestBatchTxnAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	n := transport.NewMem(transport.LatencyModel{})
+	addrs := startServers(t, n, 3)
+	cl, err := client.New(client.Config{ID: 1, Servers: addrs, Network: n, Mode: client.ModeTILEarly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	ctx := context.Background()
+	keys := make([]string, 2048)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+	}
+	val := make([]byte, 1024)
+
+	// The preload, as tcp-batch's: every key gets a 1 KiB value, and
+	// connections, waiter slots, frame pool and every key's server-side
+	// state exist before counting. The measured transactions then read
+	// values, not ⊥, and stay within one pass over the table.
+	for lo := 0; lo < len(keys); lo += 16 {
+		tx, err := cl.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys[lo : lo+16] {
+			if err := tx.Write(ctx, k, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	txn := func() {
+		if err := batchTxn(ctx, cl, keys, i, val); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	if avg := testing.AllocsPerRun(100, txn); avg > batchTxnAllocCeiling {
+		t.Errorf("batch transaction: %v allocs, ceiling %d", avg, batchTxnAllocCeiling)
+	} else {
+		t.Logf("batch transaction: %v allocs (ceiling %d)", avg, batchTxnAllocCeiling)
+	}
+}
+
+// batchTxn runs one transaction of the tcp-batch shape over the sixteen
+// consecutive keys of the table starting at 16*i: the leading fourteen
+// read as one GetMulti, then two writes of val, commit.
+func batchTxn(ctx context.Context, cl *client.Client, keys []string, i int, val []byte) error {
+	tx, err := cl.Begin(ctx)
+	if err != nil {
+		return err
+	}
+	ks := keys[(16*i)%len(keys):][:16]
+	if _, err := kv.GetMulti(ctx, tx, ks[:14]); err != nil {
+		return err
+	}
+	for _, k := range ks[14:] {
+		if err := tx.Write(ctx, k, val); err != nil {
+			return err
+		}
+	}
+	return tx.Commit(ctx)
 }

@@ -3,7 +3,11 @@
 // connections to the storage servers and partitions keys among them.
 // Its transactions are core.Txn — the repository's one transaction
 // engine — over the remote backend of remote.go, which carries out the
-// engine's steps by messages to the servers, governed by the policy its
+// engine's steps by messages to the servers. The backend is one value per
+// Client, as core.DB is one per store: a transaction allocates only its
+// Txn, and the coordinator's working state for it (routes, grants,
+// request buffers) rides the Txn's pooled core.Scratch beside the
+// policy's. The transactions are governed by the policy the Client's
 // Mode names (Mode.policy): the very policies of internal/policy that
 // govern the in-process store. All modes run against the same storage
 // servers and wire protocol, so the comparison isolates the concurrency
@@ -150,7 +154,6 @@ type Client struct {
 	det *detector
 
 	nextSq atomic.Uint32 // numbers the transactions
-	writes sync.Pool     // *writeBatch: the write-lock fan-outs' scratch
 
 	mu    sync.Mutex
 	conns map[string]*rpc.Client

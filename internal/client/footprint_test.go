@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"unsafe"
 
 	"github.com/lpd-epfl/mvtl/internal/core"
 	"github.com/lpd-epfl/mvtl/internal/server"
@@ -42,9 +41,9 @@ func begin(t *testing.T, cl *Client) *core.Txn {
 	return tx.(*core.Txn)
 }
 
-// backendOf returns the remote backend tx runs on: the allocation tx is
-// the first field of.
-func backendOf(tx *core.Txn) *remoteTxn { return (*remoteTxn)(unsafe.Pointer(tx)) }
+// stateOf returns what the remote backend keeps of the running tx: its
+// state in tx's scratch, as of the backend's last step.
+func stateOf(tx *core.Txn) *txnState { return tx.Scratch().Backend.(*txnState) }
 
 // TestFootprintReadAfterWrite: a key the transaction wrote is read from
 // the write buffer — no read lock, no second entry, not a recorded read.
@@ -104,7 +103,7 @@ func TestFootprintGetMultiDuplicates(t *testing.T) {
 		t.Fatalf("missing key must be present and ⊥, got %v %v", v, ok)
 	}
 	var order []string
-	remote := backendOf(tx)
+	remote := stateOf(tx)
 	for i := int32(0); int(i) < tx.Len(); i++ {
 		_, read := tx.ReadOf(i)
 		_, written := tx.WriteOf(i)
@@ -211,7 +210,7 @@ func TestFootprintLargeTransaction(t *testing.T) {
 	if err != nil || len(got) != nkeys {
 		t.Fatalf("GetMulti: %d values, %v", len(got), err)
 	}
-	if remote := backendOf(rd); rd.Len() != nkeys || len(remote.keys) != nkeys {
+	if remote := stateOf(rd); rd.Len() != nkeys || len(remote.keys) != nkeys {
 		t.Fatalf("read-back footprint: %d entries, %d at the backend", rd.Len(), len(remote.keys))
 	}
 	if err := rd.Commit(ctx); err != nil {

@@ -24,22 +24,28 @@ import (
 type countingNetwork struct {
 	transport.Network
 	mu   sync.Mutex
-	sent map[string]*atomic.Int64
+	sent map[string]*serverCount
 
 	c2s, casts, s2c atomic.Int64
 	byType          [256]atomic.Int64
 }
 
 func newCountingNetwork(inner transport.Network) *countingNetwork {
-	return &countingNetwork{Network: inner, sent: make(map[string]*atomic.Int64)}
+	return &countingNetwork{Network: inner, sent: make(map[string]*serverCount)}
 }
 
-func (n *countingNetwork) counter(addr string) *atomic.Int64 {
+// serverCount is what was sent to one server: frames, and frames by type.
+type serverCount struct {
+	frames atomic.Int64
+	byType [256]atomic.Int64
+}
+
+func (n *countingNetwork) counter(addr string) *serverCount {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	c, ok := n.sent[addr]
 	if !ok {
-		c = &atomic.Int64{}
+		c = &serverCount{}
 		n.sent[addr] = c
 	}
 	return c
@@ -59,19 +65,25 @@ func (n *countingNetwork) snapshot() map[string]int64 {
 	defer n.mu.Unlock()
 	out := make(map[string]int64, len(n.sent))
 	for addr, c := range n.sent {
-		out[addr] = c.Load()
+		out[addr] = c.frames.Load()
 	}
 	return out
+}
+
+// sentOf returns the frames of type t sent to addr so far.
+func (n *countingNetwork) sentOf(addr string, t wire.MsgType) int64 {
+	return n.counter(addr).byType[t].Load()
 }
 
 type countingConn struct {
 	transport.Conn
 	n    *countingNetwork
-	sent *atomic.Int64
+	sent *serverCount
 }
 
 func (c *countingConn) count(f *wire.FrameBuf) {
-	c.sent.Add(1)
+	c.sent.frames.Add(1)
+	c.sent.byType[f.Type()].Add(1)
 	c.n.c2s.Add(1)
 	c.n.casts.Add(int64(f.ID() >> 63))
 	c.n.byType[f.Type()].Add(1)

@@ -25,18 +25,26 @@ import (
 // plus the partition's share of the per-server batch in flight: keys
 // names[lo:hi], the staged request msg (nil when the partition has no
 // share), the started call, and the settled exchange fb/err.
-// read backs msg on the read path, so a read-lock request is encoded
-// from memory the transaction owns instead of boxed per call.
+// read and write back msg on the two lock paths, so a lock request is
+// encoded from memory the transaction's state owns instead of boxed per
+// call.
 type routeBatch struct {
-	part   int32
-	addr   string
-	epoch  uint64
+	route
 	lo, hi int
 	msg    wire.Message
 	call   rpc.Pending
 	fb     *wire.FrameBuf
 	err    error
 	read   wire.ReadLockBatchReq
+	write  wire.WriteLockBatchReq
+}
+
+// route is where a partition's messages go: its head, under the epoch
+// that fences them.
+type route struct {
+	part  int32
+	addr  string
+	epoch uint64
 }
 
 // remoteKey is what the coordinator knows about one key of the
@@ -53,13 +61,6 @@ type remoteKey struct {
 	locked        timestamp.Set
 }
 
-// A transaction within the inline capacities (core's footprint has the
-// same) keeps all its bookkeeping in its one allocation.
-const (
-	footInline  = 8
-	routeInline = 3
-)
-
 // errStaleRoute marks a request rejected by the epoch fence before it
 // reached any decision point: provably not acted on, so the coordinator
 // may abort cleanly instead of reporting an uncertain outcome.
@@ -72,12 +73,26 @@ type remoteDeadlock string
 func (e remoteDeadlock) Error() string        { return string(e) }
 func (e remoteDeadlock) Is(target error) bool { return target == lock.ErrDeadlock }
 
-// remoteTxn is the remote backend of one transaction (Alg. 11): it
-// carries out core.Txn's steps by messages to the storage servers. The
-// Txn it serves is its first field, so the two are one allocation.
-type remoteTxn struct {
-	core.Txn
-	client *Client
+// remote is the remote backend (Alg. 11): it carries out core.Txn's
+// steps by messages to the storage servers. It is one value per Client,
+// as core.DB is one per store: what it knows of a transaction beyond the
+// footprint is the transaction's txnState, which rides its scratch.
+type remote struct{ c *Client }
+
+var _ core.Backend = remote{}
+
+// txnState is the remote backend's working state for one transaction.
+// It lives in the transaction's pooled scratch (core.Scratch.Backend):
+// taken at the first step, handed back when the transaction finishes,
+// and started over by the next transaction that finds it there (see
+// remote.step). What it keeps from one transaction to the next is the
+// storage its slices have grown, and no caller's value: a write-lock
+// fan-out clears its items, and every settle the read results.
+type txnState struct {
+	// id is the transaction the state was last set up for. A step of any
+	// other transaction starts it over: ids are never reused by one
+	// client, where a finished Txn's memory may be.
+	id uint64
 
 	// keys is aligned with the footprint (sync grows it). routes pins
 	// each partition's (head, epoch) at first use, sorted by partition —
@@ -86,73 +101,82 @@ type remoteTxn struct {
 	// route (§H.1); its addr is "" until a write establishes it.
 	keys     []remoteKey
 	routes   []routeBatch
-	decision struct {
-		part  int32
-		addr  string
-		epoch uint64
-	}
+	decision route
 
 	// Scratch shared by the per-server batches (see stage): the positions
 	// a tail covers, the keys of the batch in hand, the read path's
-	// results between fan-out and settle, and a committed release's read
-	// ranges. req backs the requests the tail sends one at a time, so
-	// they too are encoded in place rather than boxed. The write path's
-	// scratch is the client's (writeBatch): embedded here, it would push
-	// remoteTxn into a larger size class (see TestRemoteTxnSizeClass).
+	// results between fan-out and settle, a write-lock fan-out's items
+	// and decoded answers, and a committed release's read ranges. req
+	// backs the requests the tail sends one at a time, so they too are
+	// encoded in place rather than boxed.
 	held    []int32
 	names   []string
 	results []wire.ReadLockResult
+	items   []wire.WriteLockItem
+	answers []wire.WriteLockResult
 	reads   []wire.FreezeReadItem
 	req     struct {
 		decide  wire.DecideReq
 		release wire.ReleaseBatchReq
 	}
-
-	keyBuf   [footInline]remoteKey
-	heldBuf  [footInline]int32
-	nameBuf  [footInline]string
-	routeBuf [routeInline]routeBatch
 }
 
-var _ core.Backend = (*remoteTxn)(nil)
+// remoteStep is one backend step's view of its transaction: the client
+// it runs on, the Txn, and the Txn's state.
+type remoteStep struct {
+	c  *Client
+	tx *core.Txn
+	*txnState
+}
+
+// step returns tx's view for one backend step. The state comes from
+// tx's scratch, and is started over when it was last set up for another
+// transaction.
+func (b remote) step(tx *core.Txn) remoteStep {
+	sc := tx.Scratch()
+	st, ok := sc.Backend.(*txnState)
+	if !ok {
+		st = new(txnState)
+		sc.Backend = st
+	}
+	if st.id != tx.ID() {
+		st.id, st.keys, st.routes, st.decision = tx.ID(), st.keys[:0], st.routes[:0], route{}
+	}
+	return remoteStep{c: b.c, tx: tx, txnState: st}
+}
 
 // Begin implements kv.DB: the transaction is a *core.Txn of the client's
-// engine, over a new remote backend.
+// engine, over the client's remote backend — the Txn is all it
+// allocates.
 func (c *Client) Begin(ctx context.Context) (kv.Txn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rt := &remoteTxn{client: c}
-	rt.keys = rt.keyBuf[:0]
-	rt.held = rt.heldBuf[:0]
-	rt.names = rt.nameBuf[:0]
-	rt.routes = rt.routeBuf[:0]
 	// Transaction ids are globally unique: client id in the high bits.
-	c.engine.Begin(&rt.Txn, uint64(uint32(c.cfg.ID))<<32|uint64(c.nextSq.Add(1)), rt)
-	return &rt.Txn, nil
+	return c.engine.Begin(uint64(uint32(c.cfg.ID))<<32|uint64(c.nextSq.Add(1)), remote{c}), nil
 }
 
 // sync extends keys to the footprint, placing each new key.
-func (rt *remoteTxn) sync() {
-	for i := len(rt.keys); i < rt.Len(); i++ {
-		rt.keys = append(rt.keys, remoteKey{part: int32(rt.client.partitionFor(rt.KeyName(int32(i))))})
+func (rt remoteStep) sync() {
+	for i := len(rt.keys); i < rt.tx.Len(); i++ {
+		rt.keys = append(rt.keys, remoteKey{part: int32(rt.c.partitionFor(rt.tx.KeyName(int32(i))))})
 	}
 }
 
 // pin returns the position in rt.routes of partition p's route, pinning
 // the client's current route on first use. A new pin shifts the routes
 // after it: positions and pointers are good only until the next one.
-func (rt *remoteTxn) pin(p int32) int {
+func (rt remoteStep) pin(p int32) int {
 	i := 0
 	for ; i < len(rt.routes) && rt.routes[i].part <= p; i++ {
 		if rt.routes[i].part == p {
 			return i
 		}
 	}
-	addr, epoch := rt.client.routeFor(int(p))
+	addr, epoch := rt.c.routeFor(int(p))
 	rt.routes = append(rt.routes, routeBatch{})
 	copy(rt.routes[i+1:], rt.routes[i:])
-	rt.routes[i] = routeBatch{part: p, addr: addr, epoch: epoch}
+	rt.routes[i] = routeBatch{route: route{part: p, addr: addr, epoch: epoch}}
 	return i
 }
 
@@ -161,13 +185,13 @@ func (rt *remoteTxn) pin(p int32) int {
 // caller's order), pins their routes, and lays their keys out in
 // rt.names, aligned with idx — partition r's share is [r.lo, r.hi) of
 // both.
-func (rt *remoteTxn) stage(idx []int32) {
+func (rt remoteStep) stage(idx []int32) {
 	rt.sync()
 	slices.SortStableFunc(idx, func(a, b int32) int { return cmp.Compare(rt.keys[a].part, rt.keys[b].part) })
 	rt.names = rt.names[:0]
 	for _, fi := range idx {
 		rt.pin(rt.keys[fi].part)
-		rt.names = append(rt.names, rt.KeyName(fi))
+		rt.names = append(rt.names, rt.tx.KeyName(fi))
 	}
 	k := 0
 	for i := range rt.routes {
@@ -191,8 +215,8 @@ func (rt *remoteTxn) stage(idx []int32) {
 // request that may park server-side (wait) keeps the deadlock detector
 // polling until the last reply is in. Decoding, folding and settle stay
 // with the caller.
-func (rt *remoteTxn) fanOut(ctx context.Context, t wire.MsgType, wait bool) {
-	c := rt.client
+func (rt remoteStep) fanOut(ctx context.Context, t wire.MsgType, wait bool) {
+	c := rt.c
 	if wait && c.det != nil {
 		c.det.enter()
 		defer c.det.exit()
@@ -201,7 +225,7 @@ func (rt *remoteTxn) fanOut(ctx context.Context, t wire.MsgType, wait bool) {
 	defer cancel()
 	for i := range rt.routes {
 		if r := &rt.routes[i]; r.msg != nil {
-			r.call, r.err = c.conn(r.addr).Start(rt.ID(), t, r.msg)
+			r.call, r.err = c.conn(r.addr).Start(rt.tx.ID(), t, r.msg)
 		}
 	}
 	for i := range rt.routes {
@@ -216,7 +240,7 @@ func (rt *remoteTxn) fanOut(ctx context.Context, t wire.MsgType, wait bool) {
 // alone when the exchange or the decode already failed): the request
 // must have been accepted, under the pinned epoch, with one result per
 // key. Piggybacked wait-for edges go to the deadlock detector.
-func (rt *remoteTxn) checkBatch(r *routeBatch, what string, status wire.Status, errStr string, results int, edges []wire.WaitEdge) {
+func (rt remoteStep) checkBatch(r *routeBatch, what string, status wire.Status, errStr string, results int, edges []wire.WaitEdge) {
 	switch {
 	case r.err != nil:
 		return
@@ -227,7 +251,7 @@ func (rt *remoteTxn) checkBatch(r *routeBatch, what string, status wire.Status, 
 	case results != r.hi-r.lo:
 		r.err = fmt.Errorf("%s batch via %s: %d results for %d keys", what, r.addr, results, r.hi-r.lo)
 	}
-	if det := rt.client.det; det != nil {
+	if det := rt.c.det; det != nil {
 		det.observe(r.addr, edges)
 	}
 }
@@ -235,7 +259,7 @@ func (rt *remoteTxn) checkBatch(r *routeBatch, what string, status wire.Status, 
 // settle ends a fan-out: it releases every response frame still parked
 // on a route, unstages the routes, and drops the read results, whose
 // values were views into those frames.
-func (rt *remoteTxn) settle() {
+func (rt remoteStep) settle() {
 	clear(rt.results)
 	for i := range rt.routes {
 		r := &rt.routes[i]
@@ -263,7 +287,8 @@ func denied(n int, key string, status wire.Status, msg string) error {
 // ReadLocks implements core.Backend (Alg. 11 lines 10-14): one batched
 // read-lock request per server, in parallel, the servers running the
 // read step. Values are owned copies; nil means ⊥.
-func (rt *remoteTxn) ReadLocks(ctx context.Context, _ *core.Txn, keys []int32, upper timestamp.Timestamp, wait bool, out []core.ReadResult) error {
+func (b remote) ReadLocks(ctx context.Context, tx *core.Txn, keys []int32, upper timestamp.Timestamp, wait bool, out []core.ReadResult) error {
+	rt := b.step(tx)
 	// stage orders keys by server; names, results and out are all
 	// aligned with it from here on.
 	rt.stage(keys)
@@ -273,7 +298,7 @@ func (rt *remoteTxn) ReadLocks(ctx context.Context, _ *core.Txn, keys []int32, u
 	results := rt.results[:len(keys)]
 	for i := range rt.routes {
 		if r := &rt.routes[i]; r.hi > r.lo {
-			r.read = wire.ReadLockBatchReq{Txn: rt.ID(), Epoch: r.epoch, Upper: upper, Wait: wait, Keys: rt.names[r.lo:r.hi]}
+			r.read = wire.ReadLockBatchReq{Txn: tx.ID(), Epoch: r.epoch, Upper: upper, Wait: wait, Keys: rt.names[r.lo:r.hi]}
 			r.msg = &r.read
 		}
 	}
@@ -327,62 +352,34 @@ func (rt *remoteTxn) ReadLocks(ctx context.Context, _ *core.Txn, keys []int32, u
 	return nil
 }
 
-// writeBatch is the scratch of one write-lock fan-out: the items of the
-// whole batch, each server's request over its share of them (aligned
-// with rt.routes), and the decoded answers (aligned with the items). A
-// Client pools them, so a fan-out builds its requests and decodes its
-// answers in storage an earlier one grew.
-type writeBatch struct {
-	items   []wire.WriteLockItem
-	reqs    []wire.WriteLockBatchReq
-	results []wire.WriteLockResult
-}
-
-// writeBatch takes a write-lock fan-out's scratch from the pool.
-func (c *Client) writeBatch() *writeBatch {
-	if b, ok := c.writes.Get().(*writeBatch); ok {
-		return b
-	}
-	return new(writeBatch)
-}
-
-// putWriteBatch returns b to the pool, keeping none of the values,
-// sets and errors it referred to alive.
-func (c *Client) putWriteBatch(b *writeBatch) {
-	clear(b.items)
-	clear(b.reqs)
-	clear(b.results)
-	c.writes.Put(b)
-}
-
 // WriteLocks implements core.Backend (Alg. 11 lines 3-9), establishing
 // the decision server on first use (§H.1: the first server reached by a
 // write): one batch request per server, sent together, so W writes cost
 // one round trip to each server that holds any of them. The servers
 // always grant what they can: an all-or-nothing request (opts.Partial
 // unset) is one whose partial grant counts as a denial.
-func (rt *remoteTxn) WriteLocks(ctx context.Context, _ *core.Txn, keys []int32, set timestamp.Set, opts lock.Options, out []lock.WriteResult) error {
+func (b remote) WriteLocks(ctx context.Context, tx *core.Txn, keys []int32, set timestamp.Set, opts lock.Options, out []lock.WriteResult) error {
+	rt := b.step(tx)
 	rt.sync()
 	if rt.decision.addr == "" {
-		r := &rt.routes[rt.pin(rt.keys[keys[0]].part)]
-		rt.decision.part, rt.decision.addr, rt.decision.epoch = r.part, r.addr, r.epoch
+		rt.decision = rt.routes[rt.pin(rt.keys[keys[0]].part)].route
 	}
 	rt.stage(keys)
-	b := rt.client.writeBatch()
-	defer rt.client.putWriteBatch(b)
-	b.items = b.items[:0]
+	// The items carry the caller's values, which the pooled state must
+	// not keep alive once the answers are in.
+	defer func() { clear(rt.items); clear(rt.answers) }()
+	rt.items = rt.items[:0]
 	for i, fi := range keys {
-		value, _ := rt.WriteOf(fi)
-		b.items = append(b.items, wire.WriteLockItem{Key: rt.names[i], Set: set, Value: value})
+		value, _ := tx.WriteOf(fi)
+		rt.items = append(rt.items, wire.WriteLockItem{Key: rt.names[i], Set: set, Value: value})
 		// Whatever becomes of the answer, the request may reach the
 		// server and leave a lock and a pending value there.
 		rt.keys[fi].held = true
 	}
-	b.reqs = slices.Grow(b.reqs[:0], len(rt.routes))[:len(rt.routes)]
 	for i := range rt.routes {
 		if r := &rt.routes[i]; r.hi > r.lo {
-			b.reqs[i] = wire.WriteLockBatchReq{Txn: rt.ID(), Epoch: r.epoch, DecisionSrv: rt.decision.addr, Wait: opts.Wait, Items: b.items[r.lo:r.hi]}
-			r.msg = &b.reqs[i]
+			r.write = wire.WriteLockBatchReq{Txn: tx.ID(), Epoch: r.epoch, DecisionSrv: rt.decision.addr, Wait: opts.Wait, Items: rt.items[r.lo:r.hi]}
+			r.msg = &r.write
 		}
 	}
 	rt.fanOut(ctx, wire.TWriteLockBatchReq, opts.Wait)
@@ -390,7 +387,7 @@ func (rt *remoteTxn) WriteLocks(ctx context.Context, _ *core.Txn, keys []int32, 
 
 	// Acquired sets are recorded for every key of every batch that
 	// settled; the first denial or transport failure is returned.
-	b.results = slices.Grow(b.results[:0], len(keys))[:len(keys)]
+	rt.answers = slices.Grow(rt.answers[:0], len(keys))[:len(keys)]
 	var firstErr error
 	var resp wire.WriteLockBatchResp
 	for i := range rt.routes {
@@ -399,9 +396,9 @@ func (rt *remoteTxn) WriteLocks(ctx context.Context, _ *core.Txn, keys []int32, 
 			continue
 		}
 		if r.err == nil {
-			// Decode straight into the server's share of results, as the
-			// read path does; nothing is borrowed from the frame.
-			resp.Results = b.results[r.lo:r.lo:r.hi]
+			// Decode straight into the server's share of the answers, as
+			// the read path does; nothing is borrowed from the frame.
+			resp.Results = rt.answers[r.lo:r.lo:r.hi]
 			r.err = resp.DecodeInto(r.fb.Body())
 		}
 		rt.checkBatch(r, "write-lock", resp.Status, resp.Err, len(resp.Results), resp.Edges)
@@ -416,9 +413,9 @@ func (rt *remoteTxn) WriteLocks(ctx context.Context, _ *core.Txn, keys []int32, 
 // granted records one key's answer to a write-lock request of n keys —
 // what was granted joins keys, in storage of its own — and reports it in
 // out, or as the key's failure.
-func (rt *remoteTxn) granted(n int, fi int32, res wire.WriteLockResult, opts lock.Options, out *lock.WriteResult) error {
+func (rt remoteStep) granted(n int, fi int32, res wire.WriteLockResult, opts lock.Options, out *lock.WriteResult) error {
 	if res.Status != wire.StatusOK {
-		return denied(n, rt.KeyName(fi), res.Status, res.Err)
+		return denied(n, rt.tx.KeyName(fi), res.Status, res.Err)
 	}
 	k := &rt.keys[fi]
 	if !k.wlocked {
@@ -427,19 +424,20 @@ func (rt *remoteTxn) granted(n int, fi int32, res wire.WriteLockResult, opts loc
 	k.locked = k.locked.Union(res.Got)
 	out.Got, out.Denied = res.Got, res.Denied
 	if !opts.Partial && !res.Denied.IsEmpty() {
-		return core.KeyErr(n, rt.KeyName(fi), fmt.Errorf("write-lock %v denied at %v", out.Got.Union(out.Denied), res.Denied))
+		return core.KeyErr(n, rt.tx.KeyName(fi), fmt.Errorf("write-lock %v denied at %v", out.Got.Union(out.Denied), res.Denied))
 	}
 	return nil
 }
 
 // Candidates implements core.Backend from the servers' grants (Alg. 11
 // line 17).
-func (rt *remoteTxn) Candidates(_ *core.Txn, t *timestamp.ShrinkingSet) {
+func (b remote) Candidates(tx *core.Txn, t *timestamp.ShrinkingSet) {
+	rt := b.step(tx)
 	rt.sync()
 	for i := range rt.keys {
 		k := &rt.keys[i]
-		_, read := rt.ReadOf(int32(i))
-		_, written := rt.WriteOf(int32(i))
+		_, read := tx.ReadOf(int32(i))
+		_, written := tx.WriteOf(int32(i))
 		switch {
 		case written && !k.wlocked:
 			t.Intersect(timestamp.Set{})
@@ -451,7 +449,7 @@ func (rt *remoteTxn) Candidates(_ *core.Txn, t *timestamp.ShrinkingSet) {
 
 // decides reports whether r leads to the decision server, whose share of
 // a staged tail rides the proposal instead of a message of its own.
-func (rt *remoteTxn) decides(r *routeBatch) bool {
+func (rt remoteStep) decides(r *routeBatch) bool {
 	return rt.decision.addr != "" && r.part == rt.decision.part
 }
 
@@ -460,15 +458,15 @@ func (rt *remoteTxn) decides(r *routeBatch) bool {
 // the proposal carries the decision server's share of the staged tail —
 // the decision installs and freezes the writes there in any case
 // (server.endTxn).
-func (rt *remoteTxn) propose(ctx context.Context, ts timestamp.Timestamp, gc bool) (core.Outcome, error) {
+func (rt remoteStep) propose(ctx context.Context, ts timestamp.Timestamp, gc bool) (core.Outcome, error) {
 	srv := rt.decision.addr
-	rt.req.decide = wire.DecideReq{Txn: rt.ID(), Epoch: rt.decision.epoch, Proposal: wire.DecideCommit, TS: ts}
+	rt.req.decide = wire.DecideReq{Txn: rt.tx.ID(), Epoch: rt.decision.epoch, Proposal: wire.DecideCommit, TS: ts}
 	if gc {
 		r := &rt.routes[rt.pin(rt.decision.part)]
 		rt.req.decide.Keys, rt.req.decide.Reads = rt.names[r.lo:r.hi], rt.freezeReads(r, ts)
 	}
 	var resp wire.DecideResp
-	f, err := rt.client.call(ctx, srv, rt.ID(), wire.TDecideReq, &rt.req.decide)
+	f, err := rt.c.call(ctx, srv, rt.tx.ID(), wire.TDecideReq, &rt.req.decide)
 	if err == nil {
 		resp, err = wire.DecodeDecideResp(f.Body())
 		f.Release()
@@ -501,11 +499,11 @@ func (rt *remoteTxn) propose(ctx context.Context, ts timestamp.Timestamp, gc boo
 // every key a server may hold something for, or when writesOnly is set
 // only over the written ones among them. A write that never left the
 // coordinator's buffer is owed nobody anything.
-func (rt *remoteTxn) stageTail(writesOnly bool) {
+func (rt remoteStep) stageTail(writesOnly bool) {
 	rt.sync()
 	rt.held = rt.held[:0]
 	for i := range rt.keys {
-		if _, written := rt.WriteOf(int32(i)); rt.keys[i].held && (written || !writesOnly) {
+		if _, written := rt.tx.WriteOf(int32(i)); rt.keys[i].held && (written || !writesOnly) {
 			rt.held = append(rt.held, int32(i))
 		}
 	}
@@ -514,14 +512,11 @@ func (rt *remoteTxn) stageTail(writesOnly bool) {
 
 // freezeReads lists the read-lock ranges a commit at ts freezes on r's
 // staged keys: from just above each version read up to ts.
-func (rt *remoteTxn) freezeReads(r *routeBatch, ts timestamp.Timestamp) []wire.FreezeReadItem {
-	if rt.reads == nil {
-		rt.reads = make([]wire.FreezeReadItem, 0, len(rt.held))
-	}
+func (rt remoteStep) freezeReads(r *routeBatch, ts timestamp.Timestamp) []wire.FreezeReadItem {
 	rt.reads = rt.reads[:0]
 	for _, fi := range rt.held[r.lo:r.hi] {
-		if ver, read := rt.ReadOf(fi); read && ver.Before(ts) {
-			rt.reads = append(rt.reads, wire.FreezeReadItem{Key: rt.KeyName(fi), Lo: ver.Next(), Hi: ts})
+		if ver, read := rt.tx.ReadOf(fi); read && ver.Before(ts) {
+			rt.reads = append(rt.reads, wire.FreezeReadItem{Key: rt.tx.KeyName(fi), Lo: ver.Next(), Hi: ts})
 		}
 	}
 	return rt.reads
@@ -539,7 +534,8 @@ func (rt *remoteTxn) freezeReads(r *routeBatch, ts timestamp.Timestamp) []wire.F
 // and the servers that hold only read locks are sent nothing. A
 // transaction that never asked for a write lock has no decision server;
 // its outcome is decided locally (nothing is pending anywhere).
-func (rt *remoteTxn) Commit(ctx context.Context, _ *core.Txn, ts timestamp.Timestamp, gc bool) (core.Outcome, error) {
+func (b remote) Commit(ctx context.Context, tx *core.Txn, ts timestamp.Timestamp, gc bool) (core.Outcome, error) {
+	rt := b.step(tx)
 	rt.stageTail(!gc)
 	if rt.decision.addr != "" {
 		if outcome, err := rt.propose(ctx, ts, gc); outcome != core.Committed {
@@ -556,11 +552,11 @@ func (rt *remoteTxn) Commit(ctx context.Context, _ *core.Txn, ts timestamp.Times
 		if r.hi == r.lo || rt.decides(r) {
 			continue
 		}
-		rt.req.release = wire.ReleaseBatchReq{Txn: rt.ID(), Epoch: r.epoch, Committed: true, TS: ts}
+		rt.req.release = wire.ReleaseBatchReq{Txn: tx.ID(), Epoch: r.epoch, Committed: true, TS: ts}
 		if gc {
 			rt.req.release.Keys, rt.req.release.Reads = rt.names[r.lo:r.hi], rt.freezeReads(r, ts)
 		}
-		_ = rt.client.cast(r.addr, rt.ID(), wire.TReleaseBatchReq, &rt.req.release)
+		_ = rt.c.cast(r.addr, tx.ID(), wire.TReleaseBatchReq, &rt.req.release)
 	}
 	return core.Committed, nil
 }
@@ -578,14 +574,15 @@ func (rt *remoteTxn) Commit(ctx context.Context, _ *core.Txn, ts timestamp.Times
 // write set is sent, a transaction has no decision server and no server
 // has heard of its writes: it proposes nothing and releases only its
 // reads.
-func (rt *remoteTxn) Abort(_ context.Context, _ *core.Txn, writesOnly bool) {
+func (b remote) Abort(_ context.Context, tx *core.Txn, writesOnly bool) {
+	rt := b.step(tx)
 	rt.stageTail(false)
 	if rt.decision.addr != "" {
 		r := &rt.routes[rt.pin(rt.decision.part)]
-		rt.req.decide = wire.DecideReq{Txn: rt.ID(), Proposal: wire.DecideAbort, WritesOnly: writesOnly, Keys: rt.names[r.lo:r.hi]}
-		_ = rt.client.cast(r.addr, rt.ID(), wire.TDecideReq, &rt.req.decide)
+		rt.req.decide = wire.DecideReq{Txn: tx.ID(), Proposal: wire.DecideAbort, WritesOnly: writesOnly, Keys: rt.names[r.lo:r.hi]}
+		_ = rt.c.cast(r.addr, tx.ID(), wire.TDecideReq, &rt.req.decide)
 	}
-	rt.req.release = wire.ReleaseBatchReq{Txn: rt.ID(), WritesOnly: writesOnly}
+	rt.req.release = wire.ReleaseBatchReq{Txn: tx.ID(), WritesOnly: writesOnly}
 	for i := range rt.routes {
 		r := &rt.routes[i]
 		if r.hi == r.lo || rt.decides(r) {
@@ -594,6 +591,6 @@ func (rt *remoteTxn) Abort(_ context.Context, _ *core.Txn, writesOnly bool) {
 		rt.req.release.Epoch, rt.req.release.Keys = r.epoch, rt.names[r.lo:r.hi]
 		// Nothing waits on a release, so a failed send has nobody to
 		// report to; the next message to the server redials.
-		_ = rt.client.cast(r.addr, rt.ID(), wire.TReleaseBatchReq, &rt.req.release)
+		_ = rt.c.cast(r.addr, tx.ID(), wire.TReleaseBatchReq, &rt.req.release)
 	}
 }

@@ -224,7 +224,9 @@ func TestCrashAfterDecideCommits(t *testing.T) {
 
 // TestDistributedStressSerializable runs concurrent mixed workloads under
 // every mode across several clients and validates the committed history
-// with the MVSG checker (Theorem 8).
+// with the MVSG checker (Theorem 8). Each client is shared by two
+// goroutines, so its transactions run side by side and its pooled
+// per-transaction state passes between goroutines and Ps.
 func TestDistributedStressSerializable(t *testing.T) {
 	modes := []client.Mode{client.ModeTILEarly, client.ModeTILLate, client.ModeTO, client.ModePessimistic}
 	for _, mode := range modes {
@@ -235,15 +237,18 @@ func TestDistributedStressSerializable(t *testing.T) {
 			c := startCluster(t, 3, &rec)
 			ctx := context.Background()
 
-			const clients = 6
+			const clients, perClient = 3, 2
 			const txnsPer = 25
 			var wg sync.WaitGroup
 			var commits int64
 			var mu sync.Mutex
-			for i := 0; i < clients; i++ {
-				cl, err := c.NewClient(mode, 5000, nil)
-				if err != nil {
-					t.Fatal(err)
+			var cl *client.Client
+			for i := 0; i < clients*perClient; i++ {
+				if i%perClient == 0 { // the next perClient goroutines share it
+					var err error
+					if cl, err = c.NewClient(mode, 5000, nil); err != nil {
+						t.Fatal(err)
+					}
 				}
 				wg.Add(1)
 				go func(cl *client.Client, seed int64) {

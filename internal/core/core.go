@@ -52,13 +52,15 @@ func NewEngine(policy Policy, opts Options) *Engine {
 // Policy returns the policy the engine was created with.
 func (e *Engine) Policy() Policy { return e.policy }
 
-// Begin starts transaction id over backend b (Alg. 1 line 1) in tx,
-// zeroed memory of the caller's: a backend with state per transaction
-// keeps it and the Txn in one allocation.
-func (e *Engine) Begin(tx *Txn, id uint64, b Backend) {
-	tx.id, tx.eng, tx.backend = id, e, b
+// Begin starts transaction id over backend b (Alg. 1 line 1). The Txn
+// is the transaction's one allocation: b is one value per store or
+// coordinator, and keeps what it knows of the transaction in its
+// scratch (Scratch.Backend).
+func (e *Engine) Begin(id uint64, b Backend) *Txn {
+	tx := &Txn{id: id, eng: e, backend: b}
 	tx.foot = tx.footBuf[:0]
 	tx.writeOrder = tx.writeOrderBuf[:0]
+	return tx
 }
 
 // DB is an in-process MVTL transactional store: an Engine over the
@@ -98,9 +100,7 @@ func (db *DB) Begin(ctx context.Context) (*Txn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tx := new(Txn)
-	db.Engine.Begin(tx, db.nextID.Add(1), db)
-	return tx, nil
+	return db.Engine.Begin(db.nextID.Add(1), db), nil
 }
 
 // StateStats summarizes the store's state size.

@@ -319,7 +319,9 @@ func TestBlindWritesDoNotConflict(t *testing.T) {
 // pooled, so whatever is done to it afterwards cannot disturb the
 // transaction its scratch went to — and what it still reports is its
 // own. It holds on either backend: the in-process store's, and the
-// coordinator's over one Mem server. (The server-side twin is
+// coordinator's over one Mem server, whose state for the transaction
+// rides the scratch too — the finished Txn reaches only the backend
+// value every transaction of the client shares. (The server-side twin is
 // TestServerStateOutlivesRequestFrame.)
 func TestFinishedTxnHoldsNoScratch(t *testing.T) {
 	for _, outcome := range []string{"committed", "aborted"} {
@@ -369,6 +371,9 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 	if aScratch == nil || a.PolicyState == nil {
 		t.Fatal("a running MVTIL transaction holds a scratch and its interval")
 	}
+	if (aScratch.Backend != nil) != (backend == "remote") {
+		t.Fatalf("a running transaction's scratch holds backend state %T; want the coordinator's, and none of the local store's", aScratch.Backend)
+	}
 	var aCommitTS timestamp.Timestamp
 	if outcome == "committed" {
 		if err := a.Commit(ctx); err != nil {
@@ -394,6 +399,12 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 	}
 	if got := core.ScratchOf(b); got != aScratch {
 		t.Logf("b runs on scratch %p, a ran on %p", got, aScratch)
+	}
+	// What a still reaches of its backend is the backend itself, which
+	// is one value per store or coordinator and b's too: the state the
+	// backend kept of a went back to the pool with a's scratch.
+	if core.BackendOf(a) != core.BackendOf(b) {
+		t.Fatalf("a runs on backend %T, b on another: a transaction's backend holds state of its own", core.BackendOf(a))
 	}
 	bInterval := *b.PolicyState.(*timestamp.ShrinkingSet)
 

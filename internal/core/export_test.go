@@ -10,3 +10,6 @@ func IndexLen(tx *Txn) int { return len(tx.index) }
 
 // Entry returns the footprint position of k.
 func Entry(tx *Txn, k string) int { return tx.entry(k) }
+
+// BackendOf returns the backend tx runs on.
+func BackendOf(tx *Txn) Backend { return tx.backend }

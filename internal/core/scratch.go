@@ -19,6 +19,12 @@ type Scratch struct {
 	// allocating — and must reinitialize it.
 	Policy any
 
+	// Backend is the backend's own per-transaction state (the
+	// coordinator's routes, grants and request buffers; the in-process
+	// store keeps none), under the same rule — and what stays in it
+	// holds no caller's value.
+	Backend any
+
 	// keys is the batch in hand (Txn.Batch); reads and writes are the
 	// results of the last Txn.ReadLocks and Txn.WriteLocks.
 	keys   []int32

@@ -67,7 +67,8 @@ const (
 // buffered write; until the first Write's write-time locks are held,
 // value is only its argument on the way to the backend. ks is the local
 // backend's handle on the key, nil until it first touches it; any other
-// backend keeps what it knows per key in its own memory, by position.
+// backend keeps what it knows per key in the scratch (Scratch.Backend),
+// by position.
 type footEntry struct {
 	key           string
 	ks            *keyspace.Key
@@ -192,8 +193,9 @@ func (tx *Txn) LocalKey(i int32) *keyspace.Key { return tx.backend.(*DB).key(tx,
 
 // Scratch returns the transaction's working storage, taken from the
 // engine's pool at first use. It goes back to the pool when the
-// transaction finishes: policies use it inside the operation they were
-// called for and keep nothing that points into it, bar Txn.PolicyState.
+// transaction finishes: policies and backends use it inside the
+// operation they were called for and keep nothing that points into it,
+// bar Txn.PolicyState.
 func (tx *Txn) Scratch() *Scratch {
 	if tx.scratch == nil {
 		tx.scratch = tx.eng.scratch.Get().(*Scratch)
