@@ -33,9 +33,9 @@ import (
 	"time"
 
 	"github.com/lpd-epfl/mvtl/internal/bench"
-	"github.com/lpd-epfl/mvtl/internal/client"
 	"github.com/lpd-epfl/mvtl/internal/cluster"
 	"github.com/lpd-epfl/mvtl/internal/faultbed"
+	"github.com/lpd-epfl/mvtl/internal/policy"
 )
 
 // runFaults executes fault-injection scenarios and reports violations:
@@ -101,21 +101,6 @@ func parseClients(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func parseMode(s string) (client.Mode, error) {
-	switch s {
-	case "mvtil-early":
-		return client.ModeTILEarly, nil
-	case "mvtil-late":
-		return client.ModeTILLate, nil
-	case "mvto+", "mvto":
-		return client.ModeTO, nil
-	case "2pl", "pessimistic":
-		return client.ModePessimistic, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (mvtil-early, mvtil-late, mvto+, 2pl)", s)
-	}
 }
 
 func main() {
@@ -202,7 +187,7 @@ func main() {
 		// Fail the partition-0 head over mid-measurement on a replicated
 		// cluster and report the client-observed availability dip; the
 		// recorded history must stay serializable across the failover.
-		mode, err := parseMode(*modeFlag)
+		mode, err := policy.Parse(*modeFlag)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,7 +6,7 @@
 //
 //	mvtl-cli -servers 127.0.0.1:7401,127.0.0.1:7402 set greeting hello
 //	mvtl-cli -servers 127.0.0.1:7401,127.0.0.1:7402 get greeting
-//	mvtl-cli -servers ... -mode 2pl txn set a 1 set b 2
+//	mvtl-cli -servers ... -mode mvtl-pessimistic txn set a 1 set b 2
 //	mvtl-cli -servers ... stats
 package main
 
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/lpd-epfl/mvtl/internal/client"
+	"github.com/lpd-epfl/mvtl/internal/policy"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 	"github.com/lpd-epfl/mvtl/internal/transport"
 )
@@ -34,7 +35,8 @@ commands:
   stats                        print per-server state sizes
   purge                        purge history older than now on all servers
 
-modes: mvtil-early (default), mvtil-late, mvto+, 2pl
+modes: mvtil-early (default), mvtil-late, mvtl-to (or mvto+, mvto),
+       mvtl-pessimistic (or 2pl, pessimistic)
 `)
 	os.Exit(2)
 }
@@ -53,18 +55,9 @@ func main() {
 		usage()
 	}
 
-	var mode client.Mode
-	switch *modeFlag {
-	case "mvtil-early":
-		mode = client.ModeTILEarly
-	case "mvtil-late":
-		mode = client.ModeTILLate
-	case "mvto+", "mvto":
-		mode = client.ModeTO
-	case "2pl", "pessimistic":
-		mode = client.ModePessimistic
-	default:
-		log.Fatalf("unknown mode %q", *modeFlag)
+	mode, err := policy.Parse(*modeFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	cl, err := client.New(client.Config{

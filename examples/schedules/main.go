@@ -97,24 +97,19 @@ func theorem2(db *core.DB) string {
 	return outcome(t2.Commit(ctx))
 }
 
-func main() {
-	mk := func(name string) *core.DB {
-		var src clock.Logical
-		clk := clock.NewProcess(&src, 0)
-		switch name {
-		case "mvtl-to":
-			return core.New(policy.NewTO(clk), core.Options{})
-		case "mvtl-ghostbuster":
-			return core.New(policy.NewGhostbuster(clk), core.Options{})
-		case "mvtl-eps-clock":
-			return core.New(policy.NewEpsilonClock(clk, 15), core.Options{})
-		case "mvtl-pref":
-			return core.New(policy.NewPref(clk, policy.OffsetAlternatives(-150)), core.Options{})
-		default:
-			panic("unknown policy " + name)
-		}
+// mk returns an empty store governed by the named policy, with ε and
+// A(t) sized for the schedules' clocks.
+func mk(name string) *core.DB {
+	k, err := policy.Parse(name)
+	if err != nil {
+		panic(err)
 	}
+	var src clock.Logical
+	params := policy.Params{Epsilon: 15, Alternatives: policy.OffsetAlternatives(-150)}
+	return core.New(k.New(clock.NewProcess(&src, 0), params), core.Options{})
+}
 
+func main() {
 	fmt.Println("schedule                       policy              outcome of the victim txn")
 	fmt.Println("------------------------------ ------------------- -------------------------")
 	for _, p := range []string{"mvtl-to", "mvtl-eps-clock"} {

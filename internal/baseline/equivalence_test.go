@@ -229,19 +229,21 @@ func TestPessimisticNeverAbortsSerial(t *testing.T) {
 }
 
 // wireModes pairs each coordinator mode with the policy it names, built
-// here by hand so that the test does not pass by sharing the table.
+// here by hand so that the test does not pass by sharing the table, and
+// with the subtest's name, the mode's command-line spelling.
 var wireModes = []struct {
+	name   string
 	mode   client.Mode
 	policy func(clk *clock.Process, delta int64) core.Policy
 }{
-	{client.ModeTILEarly, func(clk *clock.Process, delta int64) core.Policy {
+	{"mvtil-early", client.ModeTILEarly, func(clk *clock.Process, delta int64) core.Policy {
 		return policy.NewTIL(clk, delta, policy.CommitEarly, true)
 	}},
-	{client.ModeTILLate, func(clk *clock.Process, delta int64) core.Policy {
+	{"mvtil-late", client.ModeTILLate, func(clk *clock.Process, delta int64) core.Policy {
 		return policy.NewTIL(clk, delta, policy.CommitLate, true)
 	}},
-	{client.ModeTO, func(clk *clock.Process, _ int64) core.Policy { return policy.NewTO(clk) }},
-	{client.ModePessimistic, func(*clock.Process, int64) core.Policy { return policy.NewPessimistic() }},
+	{"mvto+", client.ModeTO, func(clk *clock.Process, _ int64) core.Policy { return policy.NewTO(clk) }},
+	{"2pl", client.ModePessimistic, func(*clock.Process, int64) core.Policy { return policy.NewPessimistic() }},
 }
 
 // wireDelta is the MVTIL interval width of the equivalence schedules;
@@ -339,7 +341,7 @@ func sequentialRun(seed int64, e engine) []string {
 // locked).
 func TestWireEquivalentToLocal(t *testing.T) {
 	for m := range wireModes {
-		t.Run(wireModes[m].mode.String(), func(t *testing.T) {
+		t.Run(wireModes[m].name, func(t *testing.T) {
 			local, wire := twoEngines(t, m)
 			for seed := int64(1); seed <= 20; seed++ {
 				a := sequentialRun(seed, local)

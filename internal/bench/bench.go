@@ -91,7 +91,7 @@ func (r Row) String() string {
 	if r.Replicas > 1 {
 		repl = fmt.Sprintf(" repl=%d", r.Replicas)
 	}
-	line := fmt.Sprintf("%-12s srv=%d cli=%-3d ops=%-2d wr=%3.0f%% keys=%-6d%s | %8.0f txs/s  commit=%.3f",
+	line := fmt.Sprintf("%-16s srv=%d cli=%-3d ops=%-2d wr=%3.0f%% keys=%-6d%s | %8.0f txs/s  commit=%.3f",
 		r.Mode, r.Servers, r.Clients, r.OpsPerTxn, r.WriteFrac*100, r.Keys, repl, r.Throughput, r.CommitRate)
 	if r.Replicas > 1 {
 		line += fmt.Sprintf("  dip=%.2fms recover=%.2fms lag=%d", r.AvailabilityDipMS, r.RecoveryMS, r.ReplicaLag)

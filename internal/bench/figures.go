@@ -116,22 +116,26 @@ type StatePoint struct {
 	Commits  int64
 }
 
+// stateSeries are the over-time configurations of Figs 6 and 7: MVTO+
+// and MVTIL-early with garbage collection off, under their policy names,
+// and MVTIL-GC — MVTIL-early with the periodic purge on.
+var stateSeries = []struct {
+	name  string
+	mode  client.Mode
+	purge bool
+}{
+	{name: client.ModeTO.String(), mode: client.ModeTO},
+	{name: client.ModeTILEarly.String(), mode: client.ModeTILEarly},
+	{name: "mvtil-gc", mode: client.ModeTILEarly, purge: true},
+}
+
 // Fig6 reproduces Figure 6: the number of locks and versions over time
 // with garbage collection off (MVTO+ and MVTIL-early) and on (MVTIL-GC
 // with a periodic purge). It returns one series per engine.
 func Fig6(ctx context.Context, w io.Writer, sc Scale) (map[string][]StatePoint, error) {
 	fmt.Fprintln(w, "== Figure 6: lock and version state over time, GC on and off (20 ops, 50% writes, 8K keys) ==")
-	configs := []struct {
-		name  string
-		mode  client.Mode
-		purge bool
-	}{
-		{name: "mvto+", mode: client.ModeTO, purge: false},
-		{name: "mvtil-early", mode: client.ModeTILEarly, purge: false},
-		{name: "mvtil-gc", mode: client.ModeTILEarly, purge: true},
-	}
-	out := make(map[string][]StatePoint, len(configs))
-	for _, cfgv := range configs {
+	out := make(map[string][]StatePoint, len(stateSeries))
+	for _, cfgv := range stateSeries {
 		series, err := stateRun(ctx, cfgv.mode, cfgv.purge, sc)
 		if err != nil {
 			return out, err
@@ -149,17 +153,8 @@ func Fig6(ctx context.Context, w io.Writer, sc Scale) (map[string][]StatePoint, 
 // GC on and off; without purging, throughput decays as state accumulates.
 func Fig7(ctx context.Context, w io.Writer, sc Scale) (map[string][]StatePoint, error) {
 	fmt.Fprintln(w, "== Figure 7: performance over time, GC on and off ==")
-	configs := []struct {
-		name  string
-		mode  client.Mode
-		purge bool
-	}{
-		{name: "mvto+", mode: client.ModeTO, purge: false},
-		{name: "mvtil-early", mode: client.ModeTILEarly, purge: false},
-		{name: "mvtil-gc", mode: client.ModeTILEarly, purge: true},
-	}
-	out := make(map[string][]StatePoint, len(configs))
-	for _, cfgv := range configs {
+	out := make(map[string][]StatePoint, len(stateSeries))
+	for _, cfgv := range stateSeries {
 		series, err := stateRun(ctx, cfgv.mode, cfgv.purge, sc)
 		if err != nil {
 			return out, err

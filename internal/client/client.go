@@ -8,13 +8,13 @@
 // Txn, and the coordinator's working state for it (routes, grants,
 // request buffers) rides the Txn's pooled core.Scratch beside the
 // policy's. The transactions are governed by the policy the Client's
-// Mode names (Mode.policy): the very policies of internal/policy that
-// govern the in-process store. All modes run against the same storage
+// Mode names, built by policy's one table: the very policies that govern
+// the in-process store. All modes run against the same storage
 // servers and wire protocol, so the comparison isolates the concurrency
 // control discipline, exactly as in the paper's evaluation framework
 // (§8.1). Any policy that reaches keys only through the engine's lock
-// steps can join the table; a Mode is added together with its scenarios
-// in the fault matrix.
+// steps can run here; it joins by setting its row's remote flag in
+// policy's table, together with its scenarios in the fault matrix.
 package client
 
 import (
@@ -36,51 +36,19 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/wire"
 )
 
-// Mode selects the coordinator's concurrency control strategy.
-type Mode uint8
+// Mode selects the coordinator's policy. It is policy.Kind, and only a
+// kind the remote backend runs (Kind.Remote) is a valid Mode: these four.
+type Mode = policy.Kind
 
-// Coordinator modes.
+// Coordinator modes: MVTIL (§8) committing early — the default — or
+// late, MVTL-TO as the MVTO+ comparison point (Theorem 5),
+// MVTL-Pessimistic as distributed 2PL (Theorem 6).
 const (
-	ModeTILEarly Mode = iota + 1
-	ModeTILLate
-	ModeTO
-	ModePessimistic
+	ModeTILEarly    = policy.KindTILEarly
+	ModeTILLate     = policy.KindTILLate
+	ModeTO          = policy.KindTO
+	ModePessimistic = policy.KindPessimistic
 )
-
-// String renders the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeTILEarly:
-		return "mvtil-early"
-	case ModeTILLate:
-		return "mvtil-late"
-	case ModeTO:
-		return "mvto+"
-	case ModePessimistic:
-		return "2pl"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
-// policy returns the policy that governs the mode's transactions, as
-// mvtl.Algorithm chooses for the in-process store: MVTIL (§8) committing
-// early — the default — or late, MVTL-TO as the MVTO+ comparison point
-// (Theorem 5), MVTL-Pessimistic as distributed 2PL (Theorem 6).
-func (m Mode) policy(clk *clock.Process, delta int64) (core.Policy, error) {
-	switch m {
-	case 0, ModeTILEarly:
-		return policy.NewTIL(clk, delta, policy.CommitEarly, true), nil
-	case ModeTILLate:
-		return policy.NewTIL(clk, delta, policy.CommitLate, true), nil
-	case ModeTO:
-		return policy.NewTO(clk), nil
-	case ModePessimistic:
-		return policy.NewPessimistic(), nil
-	default:
-		return nil, fmt.Errorf("client: unknown %v", m)
-	}
-}
 
 // Router resolves partitions to their serving heads in replicated
 // clusters. Route is consulted at most once per partition per
@@ -113,8 +81,8 @@ type Config struct {
 	Router Router
 	// Mode selects the policy.
 	Mode Mode
-	// Delta is the MVTIL interval width in clock ticks (the paper uses
-	// Δ = 5ms with microsecond ticks).
+	// Delta is the MVTIL interval width in clock ticks; zero takes the
+	// paper's Δ = 5ms in microsecond ticks.
 	Delta int64
 	// Clock is the client's local clock; no synchronization is assumed
 	// (§8). Defaults to the system clock.
@@ -173,22 +141,18 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("client: Config.Network is required")
 	}
-	if cfg.Delta == 0 {
-		cfg.Delta = 5000 // 5ms in microsecond ticks
+	if !cfg.Mode.Remote() {
+		return nil, fmt.Errorf("client: policy %v does not run over the wire", cfg.Mode)
 	}
 	src := cfg.Clock
 	if src == nil {
 		src = clock.System{}
 	}
 	clk := clock.NewProcess(src, cfg.ID)
-	pol, err := cfg.Mode.policy(clk, cfg.Delta)
-	if err != nil {
-		return nil, err
-	}
 	c := &Client{
 		cfg:    cfg,
 		clk:    clk,
-		engine: core.NewEngine(pol, core.Options{Recorder: cfg.Recorder}),
+		engine: core.NewEngine(cfg.Mode.New(clk, policy.Params{Delta: cfg.Delta}), core.Options{Recorder: cfg.Recorder}),
 		timers: clock.OrSystem(cfg.Timers),
 		conns:  make(map[string]*rpc.Client),
 	}

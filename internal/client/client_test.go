@@ -2,8 +2,10 @@ package client
 
 import (
 	"context"
+	"strings"
 	"testing"
 
+	"github.com/lpd-epfl/mvtl/internal/policy"
 	"github.com/lpd-epfl/mvtl/internal/transport"
 )
 
@@ -24,17 +26,19 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	pairs := map[Mode]string{
-		ModeTILEarly:    "mvtil-early",
-		ModeTILLate:     "mvtil-late",
-		ModeTO:          "mvto+",
-		ModePessimistic: "2pl",
-		Mode(99):        "mode(99)",
-	}
-	for m, want := range pairs {
-		if got := m.String(); got != want {
-			t.Errorf("%d.String() = %q want %q", m, got, want)
+// TestNewRejectsPoliciesOffTheWire: a Mode whose policy the remote
+// backend cannot run fails at New, naming the policy, instead of building
+// a coordinator whose transactions would fail later (Pref's reads would
+// panic in Txn.LocalKey).
+func TestNewRejectsPoliciesOffTheWire(t *testing.T) {
+	n := transport.NewMem(transport.LatencyModel{})
+	for _, m := range []Mode{policy.KindPref, policy.KindGhostbuster, policy.KindPrio, policy.KindEpsilonClock, Mode(99)} {
+		cl, err := New(Config{ID: 1, Servers: []string{"s"}, Network: n, Mode: m})
+		if err == nil || !strings.Contains(err.Error(), m.String()) {
+			t.Errorf("New with %v: err %v, want an error naming it", m, err)
+		}
+		if cl != nil {
+			t.Errorf("New with %v returned a client to begin transactions on", m)
 		}
 	}
 }

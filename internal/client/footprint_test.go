@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/lpd-epfl/mvtl/internal/core"
+	"github.com/lpd-epfl/mvtl/internal/policy"
 	"github.com/lpd-epfl/mvtl/internal/server"
 	"github.com/lpd-epfl/mvtl/internal/transport"
 )
@@ -48,8 +49,11 @@ func stateOf(tx *core.Txn) *txnState { return tx.Scratch().Backend.(*txnState) }
 // TestFootprintReadAfterWrite: a key the transaction wrote is read from
 // the write buffer — no read lock, no second entry, not a recorded read.
 func TestFootprintReadAfterWrite(t *testing.T) {
-	for _, mode := range []Mode{ModeTILEarly, ModeTO} {
-		t.Run(mode.String(), func(t *testing.T) {
+	// Subtests are named by command-line spellings, which policy.Parse
+	// accepts (TestKindTable), so its error needs no check.
+	for _, name := range []string{"mvtil-early", "mvto+"} {
+		mode, _ := policy.Parse(name)
+		t.Run(name, func(t *testing.T) {
 			cl := footprintBed(t, mode)
 			ctx := context.Background()
 			tx := begin(t, cl)
@@ -124,8 +128,9 @@ func TestFootprintGetMultiDuplicates(t *testing.T) {
 // write — also for a key that was read (and so entered the footprint)
 // before an earlier-written one.
 func TestFootprintWriteOrder(t *testing.T) {
-	for _, mode := range []Mode{ModeTILEarly, ModeTO, ModePessimistic} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range []string{"mvtil-early", "mvto+", "2pl"} {
+		mode, _ := policy.Parse(name)
+		t.Run(name, func(t *testing.T) {
 			cl := footprintBed(t, mode)
 			ctx := context.Background()
 			tx := begin(t, cl)

@@ -11,6 +11,7 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/client"
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/kv"
+	"github.com/lpd-epfl/mvtl/internal/policy"
 	"github.com/lpd-epfl/mvtl/internal/server"
 	"github.com/lpd-epfl/mvtl/internal/strhash"
 	"github.com/lpd-epfl/mvtl/internal/transport"
@@ -225,8 +226,11 @@ func TestGetMultiRoundTripsPerServer(t *testing.T) {
 // buffered writes overlay the snapshot, duplicates collapse, missing
 // keys come back as ⊥ (nil), and the transaction still commits.
 func TestGetMultiAllModes(t *testing.T) {
-	for _, mode := range []client.Mode{client.ModeTILEarly, client.ModeTILLate, client.ModeTO, client.ModePessimistic} {
-		t.Run(mode.String(), func(t *testing.T) {
+	// Subtests are named by command-line spellings, which policy.Parse
+	// accepts (TestKindTable), so its error needs no check.
+	for _, name := range []string{"mvtil-early", "mvtil-late", "mvto+", "2pl"} {
+		mode, _ := policy.Parse(name)
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			n := transport.NewMem(transport.LatencyModel{})
 			addrs := startServers(t, n, 3)

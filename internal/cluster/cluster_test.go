@@ -13,6 +13,7 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/cluster"
 	"github.com/lpd-epfl/mvtl/internal/history"
 	"github.com/lpd-epfl/mvtl/internal/kv"
+	"github.com/lpd-epfl/mvtl/internal/policy"
 	"github.com/lpd-epfl/mvtl/internal/server"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 	"github.com/lpd-epfl/mvtl/internal/transport"
@@ -38,9 +39,11 @@ func startCluster(t *testing.T, servers int, rec *history.Recorder) *cluster.Clu
 }
 
 func TestDistributedRoundTrip(t *testing.T) {
-	for _, mode := range []client.Mode{client.ModeTILEarly, client.ModeTILLate, client.ModeTO, client.ModePessimistic} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
+	// Subtests are named by command-line spellings, which policy.Parse
+	// accepts (TestKindTable), so its error needs no check.
+	for _, name := range []string{"mvtil-early", "mvtil-late", "mvto+", "2pl"} {
+		mode, _ := policy.Parse(name)
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			c := startCluster(t, 3, nil)
 			cl, err := c.NewClient(mode, 5000, nil)
@@ -228,10 +231,11 @@ func TestCrashAfterDecideCommits(t *testing.T) {
 // goroutines, so its transactions run side by side and its pooled
 // per-transaction state passes between goroutines and Ps.
 func TestDistributedStressSerializable(t *testing.T) {
-	modes := []client.Mode{client.ModeTILEarly, client.ModeTILLate, client.ModeTO, client.ModePessimistic}
-	for _, mode := range modes {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
+	// Subtests are named by command-line spellings, which policy.Parse
+	// accepts (TestKindTable), so its error needs no check.
+	for _, name := range []string{"mvtil-early", "mvtil-late", "mvto+", "2pl"} {
+		mode, _ := policy.Parse(name)
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			var rec history.Recorder
 			c := startCluster(t, 3, &rec)

@@ -49,9 +49,6 @@ func NewEngine(policy Policy, opts Options) *Engine {
 	return e
 }
 
-// Policy returns the policy the engine was created with.
-func (e *Engine) Policy() Policy { return e.policy }
-
 // Begin starts transaction id over backend b (Alg. 1 line 1). The Txn
 // is the transaction's one allocation: b is one value per store or
 // coordinator, and keeps what it knows of the transaction in its

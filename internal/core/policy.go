@@ -21,9 +21,6 @@ import (
 // algorithms) at the transaction's first operation, when Txn.Clock and
 // Txn.Priority are known.
 type Policy interface {
-	// Name identifies the policy in logs and benchmark output.
-	Name() string
-
 	// WriteLocks acquires whatever write locks the policy takes at
 	// write time for one key (possibly none; several policies defer all
 	// write locking to commit). An error aborts the transaction.

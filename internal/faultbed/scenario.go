@@ -83,8 +83,8 @@ type Scenario struct {
 	Replicas int
 	// Txns is the number of workload transactions driven. Default 40.
 	Txns int
-	// Mode is the coordinator's concurrency control strategy. Default
-	// ModeTILEarly. Transcript-asserted scenarios should keep it:
+	// Mode is the coordinator's concurrency control strategy. The zero
+	// value is ModeTILEarly. Transcript-asserted scenarios should keep it:
 	// late-point commit timestamps land near the top of the interval,
 	// where overlap with the next transaction's interval — and with it
 	// the conflict outcome — depends on wall-clock spacing.
@@ -130,9 +130,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.Txns == 0 {
 		s.Txns = 40
-	}
-	if s.Mode == 0 {
-		s.Mode = client.ModeTILEarly
 	}
 	if s.Workload.OpsPerTxn == 0 {
 		s.Workload.OpsPerTxn = 6

@@ -23,9 +23,6 @@ func NewEpsilonClock(clk *clock.Process, eps int64) *EpsilonClock {
 	return &EpsilonClock{newShrinking("mvtl-eps-clock", clk, eps, eps, true)}
 }
 
-// Name implements core.Policy.
-func (p *EpsilonClock) Name() string { return "mvtl-eps-clock" }
-
 // CommitTS implements core.Policy: the smallest commonly locked
 // timestamp (Alg. 7 line 19), which in a serial execution is at most the
 // transaction's real start time — the key to avoiding serial aborts.

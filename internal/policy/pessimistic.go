@@ -29,9 +29,6 @@ func NewPessimistic() Pessimistic { return Pessimistic{} }
 
 var errTailNotAcquired = errors.New("mvtl-pessimistic: tail not acquired")
 
-// Name implements core.Policy.
-func (Pessimistic) Name() string { return "mvtl-pessimistic" }
-
 // WriteLocks implements core.Policy (Alg. 9 lines 1-3): write-lock all
 // timestamps, waiting on unfrozen conflicts and skipping frozen history.
 func (Pessimistic) WriteLocks(ctx context.Context, tx *core.Txn, key int32) error {

@@ -18,8 +18,9 @@
 // Every policy is a safe specialization of the generic algorithm
 // (Theorem 1); they differ in liveness: which workloads abort, block, or
 // deadlock. They reach keys through the transaction's lock steps, so
-// each governs the in-process store and, as a client.Mode, the
-// coordinator alike — bar Pref, which needs the store's key state.
+// each governs the in-process store and the coordinator alike — bar
+// Pref, which needs the store's key state. One table (kind.go) names,
+// parses and builds them all, and marks which ones the coordinator runs.
 package policy
 
 import (

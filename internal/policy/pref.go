@@ -64,9 +64,6 @@ type prefState struct {
 	found  bool
 }
 
-// Name implements core.Policy.
-func (p *Pref) Name() string { return "mvtl-pref" }
-
 // state returns the transaction's state, set up at its first operation.
 func (p *Pref) state(tx *core.Txn) *prefState {
 	st, ok := tx.PolicyState.(*prefState)

@@ -31,9 +31,6 @@ var _ core.Policy = (*Prio)(nil)
 // NewPrio returns the prioritizer policy.
 func NewPrio(clk *clock.Process) *Prio { return &Prio{clk: clk} }
 
-// Name implements core.Policy.
-func (p *Prio) Name() string { return "mvtl-prio" }
-
 // WriteLocks implements core.Policy. Critical transactions write-lock
 // every timestamp they can get right now, without waiting — in
 // particular the whole unlocked tail of the timeline. Normal

@@ -274,12 +274,12 @@ func TestPrefCommitsWhereTOAborts(t *testing.T) {
 // workload: both policies commit everything.
 func TestPrefMatchesTOOnCleanWorkload(t *testing.T) {
 	ctx := context.Background()
-	for _, mk := range []func() *core.DB{
-		func() *core.DB {
+	for name, mk := range map[string]func() *core.DB{
+		"mvtl-to": func() *core.DB {
 			var src clock.Logical
 			return core.New(policy.NewTO(clock.NewProcess(&src, 0)), core.Options{})
 		},
-		func() *core.DB {
+		"mvtl-pref": func() *core.DB {
 			var src clock.Logical
 			return core.New(policy.NewPref(clock.NewProcess(&src, 0), policy.OffsetAlternatives(-5)), core.Options{})
 		},
@@ -290,13 +290,13 @@ func TestPrefMatchesTOOnCleanWorkload(t *testing.T) {
 			tx, _ := db.Begin(ctx)
 			tx.Clock = procClock(base+int64(i*10), int32(i+1))
 			if _, err := tx.Read(ctx, "a"); err != nil {
-				t.Fatalf("%s txn %d read: %v", db.Policy().Name(), i, err)
+				t.Fatalf("%s txn %d read: %v", name, i, err)
 			}
 			if err := tx.Write(ctx, "b", []byte{byte(i)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := tx.Commit(ctx); err != nil {
-				t.Fatalf("%s txn %d: %v", db.Policy().Name(), i, err)
+				t.Fatalf("%s txn %d: %v", name, i, err)
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"fmt"
-
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/core"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
@@ -17,18 +15,6 @@ const (
 	CommitEarly CommitChoice = iota + 1
 	CommitLate
 )
-
-// String renders the choice.
-func (c CommitChoice) String() string {
-	switch c {
-	case CommitEarly:
-		return "early"
-	case CommitLate:
-		return "late"
-	default:
-		return fmt.Sprintf("choice(%d)", uint8(c))
-	}
-}
 
 // TIL is MVTIL (§8), the interval-locking variant of the ε-clock
 // algorithm used in the paper's evaluation: a transaction associates
@@ -54,9 +40,6 @@ var _ core.Policy = (*TIL)(nil)
 func NewTIL(clk *clock.Process, delta int64, choice CommitChoice, gcOnCommit bool) *TIL {
 	return &TIL{shrinking: newShrinking("mvtil", clk, 0, delta, false), choice: choice, gc: gcOnCommit}
 }
-
-// Name implements core.Policy.
-func (p *TIL) Name() string { return "mvtil-" + p.choice.String() }
 
 // CommitTS implements core.Policy: the smallest or largest commonly
 // locked timestamp, per the early/late variant.

@@ -27,25 +27,21 @@ type TO struct {
 	// conflicts (Ghostbuster, Alg. 10 line 15) instead of failing
 	// immediately (TO, Alg. 8 line 14).
 	waitCommitLocks bool
-	name            string
 }
 
 var _ core.Policy = (*TO)(nil)
 
 // NewTO returns the MVTL-TO policy drawing timestamps from clk.
 func NewTO(clk *clock.Process) *TO {
-	return &TO{clk: clk, name: "mvtl-to"}
+	return &TO{clk: clk}
 }
 
 // NewGhostbuster returns the MVTL-Ghostbuster policy (Alg. 10): MVTL-TO
 // plus garbage collection on commit and abort, which makes it immune to
 // ghost aborts (Theorem 7).
 func NewGhostbuster(clk *clock.Process) *TO {
-	return &TO{clk: clk, gcOnCommit: true, waitCommitLocks: true, name: "mvtl-ghostbuster"}
+	return &TO{clk: clk, gcOnCommit: true, waitCommitLocks: true}
 }
-
-// Name implements core.Policy.
-func (p *TO) Name() string { return p.name }
 
 // WriteLocks implements core.Policy: writes lock nothing until commit.
 func (p *TO) WriteLocks(context.Context, *core.Txn, int32) error { return nil }

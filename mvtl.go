@@ -29,7 +29,9 @@
 // clocks), Pessimistic (equivalent to 2PL), and TILEarly/TILLate (the
 // MVTIL variants evaluated in §8). All algorithms are serializable
 // regardless of the choice (Theorem 1); they differ only in which
-// workloads abort, block or deadlock.
+// workloads abort, block or deadlock. Algorithm is policy.Kind, so an
+// algorithm prints under the one name every front end uses
+// ("mvtil-early", "mvtl-to", "mvtl-pessimistic", ...).
 //
 // For the distributed system — storage servers, coordinators, commitment
 // objects (§7/§H) — see the cmd/mvtl-server and cmd/mvtl-bench binaries
@@ -48,59 +50,37 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
 
-// Algorithm selects the MVTL locking policy (§5 of the paper).
-type Algorithm uint8
+// Algorithm selects the MVTL locking policy (§5 of the paper). It is
+// policy.Kind: one table names, parses and builds every policy, for the
+// in-process store and the distributed coordinator alike.
+type Algorithm = policy.Kind
 
 // Available algorithms.
 const (
 	// TILEarly is MVTIL committing at the earliest locked timestamp —
-	// the paper's best all-round performer (§8).
-	TILEarly Algorithm = iota + 1
+	// the paper's best all-round performer (§8). It is the zero value.
+	TILEarly = policy.KindTILEarly
 	// TILLate is MVTIL committing at the latest locked timestamp.
-	TILLate
+	TILLate = policy.KindTILLate
 	// TO is MVTL-TO, behaviourally equivalent to multiversion timestamp
 	// ordering (MVTO+, Theorem 5).
-	TO
+	TO = policy.KindTO
 	// Ghostbuster is MVTL-TO plus garbage collection: immune to ghost
 	// aborts (Theorem 7).
-	Ghostbuster
+	Ghostbuster = policy.KindGhostbuster
 	// Pref is the preferential algorithm: each transaction carries
 	// alternative timestamps to fall back on, aborting strictly less
 	// than MVTO+ (Theorem 2).
-	Pref
+	Pref = policy.KindPref
 	// Prio is the prioritizer: transactions marked critical are never
 	// aborted by normal ones (Theorem 3).
-	Prio
+	Prio = policy.KindPrio
 	// EpsilonClock avoids serial aborts under ε-synchronized clocks
 	// (Theorem 4).
-	EpsilonClock
+	EpsilonClock = policy.KindEpsilonClock
 	// Pessimistic emulates two-phase locking (Theorem 6).
-	Pessimistic
+	Pessimistic = policy.KindPessimistic
 )
-
-// String renders the algorithm name.
-func (a Algorithm) String() string {
-	switch a {
-	case TILEarly:
-		return "mvtil-early"
-	case TILLate:
-		return "mvtil-late"
-	case TO:
-		return "mvtl-to"
-	case Ghostbuster:
-		return "mvtl-ghostbuster"
-	case Pref:
-		return "mvtl-pref"
-	case Prio:
-		return "mvtl-prio"
-	case EpsilonClock:
-		return "mvtl-eps-clock"
-	case Pessimistic:
-		return "mvtl-pessimistic"
-	default:
-		return fmt.Sprintf("algorithm(%d)", uint8(a))
-	}
-}
 
 // Options configure a Store.
 type Options struct {
@@ -122,49 +102,22 @@ type Timestamp = timestamp.Timestamp
 
 // Store is a serializable multiversion key-value store.
 type Store struct {
-	db *core.DB
+	db  *core.DB
+	alg Algorithm
 }
 
-// Open creates an empty in-process store.
+// Open creates an empty in-process store. It panics if opts.Algorithm
+// names no algorithm.
 func Open(opts Options) *Store {
-	if opts.Algorithm == 0 {
-		opts.Algorithm = TILEarly
-	}
-	if opts.Delta == 0 {
-		opts.Delta = 5000
-	}
-	if opts.Epsilon == 0 {
-		opts.Epsilon = 1000
-	}
 	clk := clock.NewProcess(clock.System{}, 1)
-	var pol core.Policy
-	switch opts.Algorithm {
-	case TILLate:
-		pol = policy.NewTIL(clk, opts.Delta, policy.CommitLate, true)
-	case TO:
-		pol = policy.NewTO(clk)
-	case Ghostbuster:
-		pol = policy.NewGhostbuster(clk)
-	case Pref:
-		alts := policy.Alternatives(opts.Alternatives)
-		if opts.Alternatives == nil {
-			alts = policy.OffsetAlternatives(-1_000, -10_000)
-		}
-		pol = policy.NewPref(clk, alts)
-	case Prio:
-		pol = policy.NewPrio(clk)
-	case EpsilonClock:
-		pol = policy.NewEpsilonClock(clk, opts.Epsilon)
-	case Pessimistic:
-		pol = policy.NewPessimistic()
-	default:
-		pol = policy.NewTIL(clk, opts.Delta, policy.CommitEarly, true)
-	}
-	return &Store{db: core.New(pol, core.Options{})}
+	pol := opts.Algorithm.New(clk, policy.Params{
+		Delta: opts.Delta, Epsilon: opts.Epsilon, Alternatives: policy.Alternatives(opts.Alternatives),
+	})
+	return &Store{db: core.New(pol, core.Options{}), alg: opts.Algorithm}
 }
 
 // Algorithm returns the store's policy name.
-func (s *Store) Algorithm() string { return s.db.Policy().Name() }
+func (s *Store) Algorithm() string { return s.alg.String() }
 
 // Begin starts a transaction.
 func (s *Store) Begin(ctx context.Context) (*Txn, error) {

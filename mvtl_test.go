@@ -3,6 +3,7 @@ package mvtl_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,6 +15,19 @@ func TestOpenDefaults(t *testing.T) {
 	if s.Algorithm() != "mvtil-early" {
 		t.Fatalf("default algorithm = %q", s.Algorithm())
 	}
+}
+
+// TestOpenPanicsOnUnknownAlgorithm: a value that names no algorithm is a
+// programming error Open reports, naming the value, rather than a store
+// quietly running MVTIL.
+func TestOpenPanicsOnUnknownAlgorithm(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "42") {
+			t.Fatalf("Open(Algorithm 42) recovered %v, want a panic naming 42", r)
+		}
+	}()
+	s := mvtl.Open(mvtl.Options{Algorithm: 42})
+	t.Fatalf("Open(Algorithm 42) returned a store running %s", s.Algorithm())
 }
 
 func TestAllAlgorithmsRoundTrip(t *testing.T) {
