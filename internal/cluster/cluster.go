@@ -364,10 +364,10 @@ func (c *Cluster) holds(cond func() bool) bool {
 // standbys, in log records: 0 means every standby has applied every
 // install the head has logged *as of this call*; -1 means the head is
 // down. The comparison is head-side (the head's current log watermark
-// against each standby's applied LSN), not the standby's self-reported
-// lag — that one is only as fresh as the standby's last pull and reads
-// 0 in the window between a commit and the pull that fetches it, which
-// is exactly when a lag barrier runs.
+// against each standby's applied LSN): a figure the standby reported
+// itself would be only as fresh as its last pull and read 0 in the
+// window between a commit and the pull that fetches it, which is
+// exactly when a lag barrier runs.
 func (c *Cluster) ReplicaLag(p int) int64 {
 	if c.director == nil {
 		return 0
@@ -493,9 +493,6 @@ func (c *Cluster) Stats(ctx context.Context) (wire.StatsResp, error) {
 		total.ReplPromotions += st.ReplPromotions
 		total.ReplWrongEpoch += st.ReplWrongEpoch
 		total.ReplCatchupBytes += st.ReplCatchupBytes
-		if st.ReplLag > total.ReplLag {
-			total.ReplLag = st.ReplLag
-		}
 		if st.ReplEpoch > total.ReplEpoch {
 			total.ReplEpoch = st.ReplEpoch
 		}

@@ -11,7 +11,7 @@
 //
 //   - The underlying Mem network derives each connection's jitter
 //     stream from (seed, address, dial index) — dialing one link never
-//     perturbs another (see transport.NewMemSeeded).
+//     perturbs another (see transport.NewMemSeededTimers).
 //   - Chaos decisions (drop, duplicate, delay, reset) are
 //     stateless hashes of (seed, link, dial index, direction, frame
 //     index, fault kind): no generator state, so the decision for frame

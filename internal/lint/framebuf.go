@@ -575,8 +575,8 @@ func (w *fbWalker) classifyCall(call *ast.CallExpr, obj *types.Var) (fbEffect, b
 			// Documented borrows: the frame helpers do not release.
 			return fbEffect{use: true, pos: a.Pos()}, true
 		case calleeNameIs(call, "Send", "SendBatch", "send", "sendBatch"):
-			// Consuming sends: transport.Conn.Send/SendBatch and the
-			// rpc batcher/replyFlusher enqueue helpers, which own the
+			// Consuming sends: transport.Conn.Send/SendBatch, the Mem
+			// pipe's send and the rpc batcher's enqueue, which own the
 			// frame even on error (PROTOCOL.md rule 3).
 			return fbEffect{use: true, consume: true, via: calleeDisplayName(call), pos: a.Pos()}, true
 		default:

@@ -47,11 +47,12 @@
 // per-frame transmission cost that would otherwise serialize them.
 // Frames flush in enqueue order and flushes never overlap, so the
 // transport's per-connection FIFO guarantee is preserved. The server
-// half coalesces through a dedicated flusher goroutine instead: replies
-// are generated sequentially by the read loop, so a sender-flushes
-// scheme would never see two replies pending at once — handlers enqueue
-// and return, and every reply that accumulates while the flusher's
-// previous write is on the wire goes out in the next vectored write.
+// half sends its replies through a batcher too, so a frame has one way
+// out in either direction. Its read loop and its parked handlers are
+// the concurrent senders there; a reply may therefore wait on the
+// transport, and a peer that stops reading its replies holds the read
+// loop back — TCP flow control pushes back on the peer — instead of
+// growing a queue on the server.
 //
 // # Buffer ownership
 //
@@ -563,7 +564,9 @@ func (cn *conn) close() {
 // while later senders just append and return. Frames flush in enqueue
 // order and flushes never overlap, preserving the transport's
 // per-connection FIFO. Two swapped backing arrays make the steady state
-// allocation-free.
+// allocation-free. Both halves of the mux send through one: a client
+// connection's callers, and a served connection's read loop and parked
+// handlers.
 type batcher struct {
 	tc transport.Conn
 
@@ -633,113 +636,6 @@ func (b *batcher) send(fb *wire.FrameBuf) error {
 	return err
 }
 
-// replyFlusher coalesces response frames through a dedicated flusher
-// goroutine. The server's replies are generated sequentially by the
-// read loop, so unlike the client's concurrent callers they would never
-// coalesce under a sender-flushes scheme — and a reply send that blocks
-// (transport backpressure) would stall request dispatch. Here handlers
-// enqueue and return immediately; the flusher drains everything that
-// accumulated during its previous write into one vectored write. Frames
-// flush in enqueue order, so per-connection FIFO is preserved.
-type replyFlusher struct {
-	tc    transport.Conn
-	onErr func(error) // reported once per failing flush; may be nil
-
-	mu      sync.Mutex
-	pending []*wire.FrameBuf
-	spare   []*wire.FrameBuf // previous flush's array, reused
-	err     error            // first flush error; the connection is dead beyond it
-	stopped bool
-
-	wake clock.Waiter // at most one buffered wakeup
-	// done joins the flusher goroutine's exit; a credited clock.Join
-	// for the same reason as conn.done (the loop may be sleeping in the
-	// transport's modeled backpressure when stop is called).
-	done *clock.Join
-}
-
-func newReplyFlusher(tc transport.Conn, onErr func(error), t clock.Timers) *replyFlusher {
-	q := &replyFlusher{tc: tc, onErr: onErr, wake: t.NewWaiter(), done: clock.NewJoin(t, 1)}
-	t.Go(q.loop)
-	return q
-}
-
-// send enqueues fb, taking ownership like transport.Conn.Send. Flush
-// failures surface asynchronously through onErr; send itself fails only
-// once the connection is already known broken or the flusher stopped.
-func (q *replyFlusher) send(fb *wire.FrameBuf) error {
-	q.mu.Lock()
-	if q.err != nil || q.stopped {
-		err := q.err
-		q.mu.Unlock()
-		fb.Release()
-		if err == nil {
-			err = transport.ErrClosed
-		}
-		return err
-	}
-	q.pending = append(q.pending, fb)
-	q.mu.Unlock()
-	q.wake.Wake()
-	return nil
-}
-
-func (q *replyFlusher) loop() {
-	defer q.done.Done()
-	for {
-		q.mu.Lock()
-		for len(q.pending) == 0 {
-			if q.stopped || q.err != nil {
-				q.mu.Unlock()
-				return
-			}
-			q.mu.Unlock()
-			q.wake.Park()
-			q.mu.Lock()
-		}
-		batch := q.pending
-		q.pending = q.spare[:0]
-		q.mu.Unlock()
-		var err error
-		if len(batch) == 1 {
-			err = q.tc.Send(batch[0])
-			batch[0] = nil
-		} else {
-			err = q.tc.SendBatch(batch) // consumes and nils every entry
-		}
-		q.mu.Lock()
-		q.spare = batch[:0]
-		if err == nil {
-			q.mu.Unlock()
-			continue
-		}
-		q.err = err
-		pend := q.pending
-		q.pending = nil
-		q.mu.Unlock()
-		wire.ReleaseAll(pend)
-		if q.onErr != nil {
-			q.onErr(err)
-		}
-		// Closing the transport fails ServeConn's read loop, tearing the
-		// connection down rather than serving requests whose responses
-		// can no longer be written.
-		_ = q.tc.Close()
-		return
-	}
-}
-
-// stop drains queued replies through a final flush and waits for the
-// flusher goroutine to exit. Callers must ensure no further send can
-// race with it (ServeConn stops only after every handler returned).
-func (q *replyFlusher) stop() {
-	q.mu.Lock()
-	q.stopped = true
-	q.mu.Unlock()
-	q.wake.Wake()
-	q.done.Wait()
-}
-
 // Reply sends one response frame, correlated with the request that the
 // enclosing handler is serving: m is append-encoded into a pooled
 // buffer that the transport consumes — unless the request was a cast,
@@ -754,7 +650,7 @@ type Reply func(t wire.MsgType, m wire.Message)
 // connection is safe — and the per-frame closure allocation of the old
 // code is gone.
 type replyState struct {
-	out       *replyFlusher
+	out       *batcher
 	onSendErr func(error)
 	id        uint64
 }
@@ -764,10 +660,10 @@ func (r *replyState) reply(t wire.MsgType, m wire.Message) {
 }
 
 // sendReply encodes one response frame and enqueues it on the
-// connection's reply flusher, so consecutive replies coalesce into
-// vectored writes and handlers never block on transmission. The reply
-// to a cast is dropped here, unencoded: its sender waits for nothing.
-func sendReply(out *replyFlusher, onSendErr func(error), id uint64, t wire.MsgType, m wire.Message) {
+// connection's batcher, which coalesces it with the replies of
+// concurrent handlers. The reply to a cast is dropped here, unencoded:
+// its sender waits for nothing.
+func sendReply(out *batcher, onSendErr func(error), id uint64, t wire.MsgType, m wire.Message) {
 	if id&castFlag != 0 {
 		return
 	}
@@ -799,12 +695,14 @@ type Handler func(f *wire.FrameBuf, reply Reply) (parked func(reply Reply))
 
 // ServeConn is the server half of the mux: it reads frames from conn
 // and dispatches each to handle with a Reply bound to the frame's
-// correlation id. Responses are enqueued on the connection's reply
-// flusher — consecutive replies coalesce into vectored writes, never
-// interleave bytes, and never block the handler that sent them. Frames
-// whose type spawn reports true (handlers that may block) run in their
-// own goroutine; all others run inline on the read loop, in arrival
-// order — preserving the per-flow FIFO semantics coordinators rely on
+// correlation id. Responses go out through the connection's batcher,
+// as the client's requests do: replies that parked handlers send
+// concurrently coalesce into vectored writes and never interleave
+// bytes, and a reply may wait on the transport — a peer that stops
+// reading holds the read loop back instead of queueing its replies.
+// Frames whose type spawn reports true (handlers that may block) run in
+// their own goroutine; all others run inline on the read loop, in
+// arrival order — preserving the per-flow FIFO semantics coordinators rely on
 // when they fire-and-forget a freeze and then issue the next request on
 // the same flow — and share one pre-allocated Reply, so the inline
 // request/reply path allocates nothing beyond the pooled frames. Each
@@ -836,17 +734,17 @@ func ServeConn(conn transport.Conn, spawn func(wire.MsgType) bool, handle func(f
 // register as actors and the teardown wait is a credited clock.Join, so
 // they can still be expired by virtual lock-wait deadlines while the
 // connection drains without opening a free-running-advance window at
-// the final handoff. A nil t means SystemTimers.
+// the final handoff. A nil t means SystemTimers. The connection runs on
+// the calling goroutine plus one per parked handler; a reply is flushed
+// by whichever of them sends it while no flush is running, so the read
+// loop may wait on the transport (see ServeConn).
 func ServeConnTimers(conn transport.Conn, handle Handler, onSendErr func(error), t clock.Timers) {
 	timers := clock.OrSystem(t)
-	out := newReplyFlusher(conn, onSendErr, timers)
+	out := &batcher{tc: conn}
 	inline := &replyState{out: out, onSendErr: onSendErr}
 	inlineReply := Reply(inline.reply) // one closure for the whole connection
 	handlers := clock.NewJoin(timers, 0)
-	defer func() {
-		handlers.Wait() // no reply can be enqueued past this point
-		out.stop()
-	}()
+	defer handlers.Wait()
 	for {
 		f, err := conn.Recv()
 		if err != nil {

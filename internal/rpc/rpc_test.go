@@ -458,6 +458,72 @@ func TestCastServedNotAnswered(t *testing.T) {
 	}
 }
 
+// TestServeConnHoldsBackStalledReader is the stalled-reader case of a
+// hostile peer: it sends requests whose replies are large and reads
+// none of them. Once the socket buffers are full the server must stop
+// serving — the reply write blocks its read loop, and TCP flow control
+// holds the peer back — rather than queue every reply in memory. Mem
+// cannot show this: its pipe models no socket buffer.
+func TestServeConnHoldsBackStalledReader(t *testing.T) {
+	n := transport.TCP{}
+	l, err := n.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	big := make([]byte, 256<<10)
+	var served atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		ServeConn(conn, nil, func(f *wire.FrameBuf, reply Reply) {
+			served.Add(1)
+			reply(f.Type(), wire.Raw(big))
+		}, nil)
+	}()
+
+	conn, err := n.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requests = 200
+	for i := 1; i <= requests; i++ {
+		fb := wire.GetFrameBuf()
+		if err := fb.SetFrame(uint64(i), wire.TStatsReq, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(fb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := int64(-1)
+	for still := 0; still < 5; {
+		time.Sleep(40 * time.Millisecond)
+		if got := served.Load(); got != last {
+			last, still = got, 0
+		} else {
+			still++
+		}
+	}
+	if last >= requests/2 {
+		t.Fatalf("served %d of %d requests to a peer that reads nothing: replies are queued, not held back", last, requests)
+	}
+	t.Logf("served %d of %d requests before the stalled reader held the server back", last, requests)
+	// The peer going away fails the blocked reply write, which ends the
+	// read loop.
+	_ = conn.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeConn did not return after the stalled peer closed")
+	}
+}
+
 // TestClientRedialsAfterConnectionDies is the redial contract: the
 // server drops the first connection mid-call, and that call fails with
 // ErrClosed; the same Client's next Call and Cast go out over a second,

@@ -200,15 +200,11 @@ type Server struct {
 	head    atomic.Bool
 	replLog *repl.Log
 	replCtr metrics.ReplCounters
-	// replLag is the standby's distance behind its upstream in log
-	// records, as of the last pull (0 on heads).
-	replLag atomic.Int64
 	// appliedLSN is the highest upstream LSN this standby has applied —
 	// the snapshot watermark after a sync, then the last tail record. A
-	// lag barrier compares it against the head's *current* watermark:
-	// the standby's self-reported replLag is only as fresh as its last
-	// pull and reads 0 in the window between an upstream commit and the
-	// pull that fetches it.
+	// lag barrier compares it against the head's *current* watermark,
+	// which no figure the standby reports about itself can replace: it
+	// would be only as fresh as its last pull.
 	appliedLSN atomic.Uint64
 	// pullStop ends the standby pull loop on promotion; pullOnce guards
 	// the close when Close races a Promote.
@@ -282,9 +278,6 @@ func New(cfg Config) (*Server, error) {
 		s.head.Store(!r.Standby)
 		s.pullStop = make(chan struct{})
 		if r.Standby {
-			// -1 = no completed pull yet: distinguishable from a drained
-			// log, so lag barriers cannot pass before the first sync.
-			s.replLag.Store(-1)
 			s.wg.Add(1)
 			s.timers.Go(s.pullLoop)
 		}
@@ -1220,16 +1213,10 @@ func (s *Server) stats() wire.StatsResp {
 		FrozenLocks: int64(size.FrozenLockEntries),
 		Versions:    int64(size.Versions),
 	}
-	for i := range s.txnStripes {
-		tst := &s.txnStripes[i]
-		tst.mu.Lock()
-		st.LiveTxns += int64(len(tst.txns))
-		tst.mu.Unlock()
-	}
+	st.LiveTxns = s.LiveTxns()
 	st.PurgedTxns = s.purgedTxns.Load()
 	if s.replLog != nil {
 		st.ReplEpoch = int64(s.epoch.Load())
-		st.ReplLag = s.replLag.Load()
 		rs := s.replCtr.Snapshot()
 		st.ReplPromotions = rs.Promotions
 		st.ReplWrongEpoch = rs.WrongEpoch
@@ -1455,7 +1442,6 @@ func (s *Server) pullLoop() {
 		if needSnapshot {
 			continue
 		}
-		s.replLag.Store(int64(tail.NextLSN - from))
 		if len(tail.Records) == 0 {
 			s.sleepPull()
 		}
@@ -1488,7 +1474,6 @@ func (s *Server) Promote(e uint64) {
 	s.stopPull()
 	s.epoch.Store(e)
 	s.head.Store(true)
-	s.replLag.Store(0)
 	s.replCtr.Promotion()
 	s.logf("server %s: promoted to head at epoch %d", s.cfg.Addr, e)
 }
@@ -1501,11 +1486,6 @@ func (s *Server) Demote(e uint64) {
 	s.head.Store(false)
 	s.logf("server %s: demoted at epoch %d", s.cfg.Addr, e)
 }
-
-// ReplLag returns the standby's last observed distance behind its
-// upstream in log records: 0 on heads, unreplicated servers and drained
-// standbys, -1 on a standby that has not completed a pull yet.
-func (s *Server) ReplLag() int64 { return s.replLag.Load() }
 
 // AppliedLSN returns the highest upstream log record this standby has
 // applied (0 before the first completed snapshot). Meaningless on heads.

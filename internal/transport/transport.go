@@ -12,8 +12,8 @@
 // exercised identically in either mode, and both are driven through the
 // multiplexed RPC layer of package rpc — coordinators pipeline many
 // in-flight requests per connection over Mem and TCP alike, so the two
-// beds differ only in where the latency and per-frame cost come from
-// (a model here, real syscalls there).
+// beds differ only in where the latency comes from (a model here, real
+// syscalls there).
 //
 // # Buffer ownership
 //
@@ -21,10 +21,10 @@
 // of the buffer it is passed, success or failure: TCP writes the bytes
 // (header and body as one vectored write) and releases the buffer; the
 // in-memory transport delivers the very same buffer to the peer,
-// copy-free — its latency model accounts the frame's size without ever
-// touching the bytes. Recv returns an owned buffer that the receiver
-// must Release once done with the frame and everything borrowed from
-// its body (see package wire).
+// copy-free — it schedules the frame without ever touching the bytes.
+// Recv returns an owned buffer that the receiver must Release once done
+// with the frame and everything borrowed from its body (see package
+// wire).
 package transport
 
 import (
@@ -65,11 +65,11 @@ type Conn interface {
 	// taking ownership of all of them — even on a partial error, every
 	// frame is consumed (released or delivered) and the entries of fbs
 	// are left nil, so the caller may recycle the slice but must not
-	// touch the frames. The bytes on the wire are identical to len(fbs)
-	// sequential Sends; what batching changes is the cost: TCP hands
-	// the whole batch to the kernel as one vectored write (one writev
-	// for N frames), and Mem charges the PerFrame occupancy once per
-	// batch. An empty batch is a no-op.
+	// touch the frames. The bytes on the wire, and on Mem the delivery
+	// times, are identical to len(fbs) sequential Sends; what batching
+	// changes is the cost on TCP, which hands the whole batch to the
+	// kernel as one vectored write (one writev for N frames). An empty
+	// batch is a no-op.
 	SendBatch(fbs []*wire.FrameBuf) error
 	// Recv blocks for the next frame. The caller owns the result and
 	// must Release it.
@@ -98,33 +98,14 @@ type Network interface {
 
 // --- in-memory network ------------------------------------------------------
 
-// LatencyModel produces one-way frame delays.
+// LatencyModel produces one-way frame delays. It models propagation
+// only: a link has unbounded bandwidth and no socket buffer, so a Mem
+// send never blocks and frame size never changes a delivery time.
 type LatencyModel struct {
 	// Base is the fixed one-way latency.
 	Base time.Duration
 	// Jitter adds a uniform random extra in [0, Jitter).
 	Jitter time.Duration
-	// PerFrame is the sender-side occupancy per flush: the connection
-	// transmits at most one frame — or one coalesced batch — per
-	// PerFrame, and Send/SendBatch block the sender until the link is
-	// free of earlier flushes (the flush just queued transmits
-	// asynchronously — a one-frame device queue, like a socket buffer
-	// backpressuring a writer). It is what makes connection pooling and
-	// frame coalescing measurable on the in-memory bed — one connection
-	// caps at 1/PerFrame flushes per second, so single frames queue
-	// behind a busy connection while a batch of n moves n frames in one
-	// charge, and an idle connection still sends with zero sender
-	// latency. Zero (the default, and both paper beds) models infinite
-	// per-connection bandwidth: only Base and Jitter matter.
-	PerFrame time.Duration
-	// PerByte is additional sender-side occupancy per wire byte
-	// (header plus body), i.e. the inverse link bandwidth: a frame
-	// occupies its connection for PerFrame + WireLen·PerByte. It is
-	// accounted from the frame's length alone — the model never copies
-	// or inspects the bytes — and makes value-size sweeps interact
-	// with the network model the way they do with a real NIC. Zero
-	// (the default) models infinite bandwidth.
-	PerByte time.Duration
 }
 
 // delay samples one propagation delay.
@@ -136,13 +117,8 @@ func (m LatencyModel) delay(rng *rand.Rand) time.Duration {
 	return d
 }
 
-// occupancy is how long a frame of n wire bytes holds the sender busy.
-func (m LatencyModel) occupancy(n int) time.Duration {
-	return m.PerFrame + time.Duration(n)*m.PerByte
-}
-
 // Mem is an in-process Network. The zero value is not usable; call
-// NewMem or NewMemSeeded.
+// NewMem or NewMemSeededTimers.
 //
 // Randomness is partitioned per link: the jitter streams of a
 // connection are seeded from (network seed, dialed address, per-address
@@ -162,20 +138,14 @@ type Mem struct {
 var _ Network = (*Mem)(nil)
 
 // NewMem returns an in-memory network with the given latency model and
-// the default seed.
-func NewMem(model LatencyModel) *Mem { return NewMemSeeded(model, 1) }
+// the default seed, on the wall clock.
+func NewMem(model LatencyModel) *Mem { return NewMemSeededTimers(model, 1, nil) }
 
-// NewMemSeeded returns an in-memory network whose per-link jitter
-// streams all derive from seed.
-func NewMemSeeded(model LatencyModel, seed int64) *Mem {
-	return NewMemSeededTimers(model, seed, nil)
-}
-
-// NewMemSeededTimers is NewMemSeeded on an explicit timeline: every
-// pacing decision of the latency model — propagation sleeps, sender
-// occupancy, backpressure — reads and sleeps on t instead of the wall
-// clock, so the fault bed can run the whole network in virtual time.
-// A nil t means SystemTimers.
+// NewMemSeededTimers returns an in-memory network whose per-link jitter
+// streams all derive from seed, on an explicit timeline: delivery times
+// read t and receivers sleep on it instead of the wall clock, so the
+// fault bed can run the whole network in virtual time. A nil t means
+// SystemTimers.
 func NewMemSeededTimers(model LatencyModel, seed int64, t clock.Timers) *Mem {
 	return &Mem{
 		model:     model,
@@ -291,11 +261,8 @@ type memPipe struct {
 	// few frames (queue = queue[1:] would strand the popped prefix).
 	queue []timedFrame
 	head  int
-	// busyUntil is when the sender finishes transmitting the queued
-	// frames (the PerFrame/PerByte occupancy); nextAt keeps delivery
-	// FIFO.
-	busyUntil time.Time
-	nextAt    time.Time
+	// nextAt is the last queued delivery time, which keeps delivery FIFO.
+	nextAt time.Time
 	// w parks the receiver when the queue is empty; senders and close
 	// wake it (level-triggered, capacity one).
 	w      clock.Waiter
@@ -311,84 +278,12 @@ func newMemPipe(model LatencyModel, seed int64, t clock.Timers) *memPipe {
 	return &memPipe{model: model, timers: t, rng: rand.New(rand.NewSource(seed)), w: t.NewWaiter()}
 }
 
-func (p *memPipe) send(fb *wire.FrameBuf) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		fb.Release()
-		return ErrClosed
-	}
-	// The frame first occupies the sender for its occupancy (queueing
-	// behind earlier frames still transmitting — larger frames hold the
-	// link longer), then propagates for the sampled delay.
-	now := p.timers.Now()
-	free := p.busyUntil
-	start := p.occupancyStart(now, p.model.occupancy(fb.WireLen()))
-	p.busyUntil = start
-	// Propagation cannot begin before the send call itself.
-	base := start
-	if base.Before(now) {
-		base = now
-	}
-	at := base.Add(p.model.delay(p.rng))
-	// FIFO: delivery times are monotone within the pipe.
-	if at.Before(p.nextAt) {
-		at = p.nextAt
-	}
-	p.nextAt = at
-	p.queue = append(p.queue, timedFrame{fb: fb, deliverAt: at})
-	p.mu.Unlock()
-	p.w.Wake()
-	p.backpressure(free)
-	return nil
-}
-
-// senderWakeGrace bounds how far into the past a flush may backdate its
-// occupancy. time.Sleep on a loaded machine overshoots by roughly the
-// timer granularity (~1ms), so a parked flusher reliably wakes a little
-// after the link frees; anything within the grace is treated as
-// back-to-back demand rather than idle link time.
-const senderWakeGrace = 2 * time.Millisecond
-
-// occupancyStart returns when the flush being queued finishes
-// transmitting, charging its occupancy from the link-free instant when
-// the link is still busy — or freed within senderWakeGrace, so a
-// flusher that parked in backpressure and woke with sleep overshoot
-// transmits back-to-back instead of turning every overshoot into
-// phantom idle bandwidth. A genuinely idle link (or a pure-delay model
-// with no occupancy, where nobody ever parks) restarts the clock at
-// now. Caller holds p.mu.
-func (p *memPipe) occupancyStart(now time.Time, occ time.Duration) time.Time {
-	start := p.busyUntil
-	if start.Before(now) && (occ == 0 || start.Before(now.Add(-senderWakeGrace))) {
-		start = now
-	}
-	return start.Add(occ)
-}
-
-// backpressure blocks the sender until the link is free of every
-// earlier flush; the flush just queued then transmits asynchronously —
-// a one-frame device queue, the way a writer can hand the kernel one
-// buffered write and only blocks on the next when the socket buffer is
-// still draining. An idle connection therefore sends with zero sender
-// latency, while a caller racing a busy one parks — which is what lets
-// opportunistic coalescing accumulate frames behind an in-flight flush
-// on the in-memory bed. A no-op (free in the past, and always for pure
-// Base/Jitter models).
-func (p *memPipe) backpressure(free time.Time) {
-	if wait := free.Sub(p.timers.Now()); wait > 0 {
-		p.timers.Sleep(wait)
-	}
-}
-
-// sendBatch queues a coalesced flush: the sender occupancy is charged
-// once for the whole batch (PerFrame once — the per-flush cost that
-// coalescing amortizes — plus PerByte over the batch's total bytes),
-// but each frame still samples its own propagation delay from the
-// pipe's rng, in order, so the jitter stream consumption is exactly
-// what len(fbs) unbatched sends would be — batching never perturbs the
-// deterministic delay schedule of later frames.
-func (p *memPipe) sendBatch(fbs []*wire.FrameBuf) error {
+// send queues fbs for delivery, in order, consuming every frame (the
+// entries of fbs are left nil). Each frame samples its own propagation
+// delay from the pipe's rng, so a batch consumes the jitter stream
+// exactly as len(fbs) single sends would and batching never perturbs
+// the deterministic delay schedule of later frames. It never blocks.
+func (p *memPipe) send(fbs ...*wire.FrameBuf) error {
 	if len(fbs) == 0 {
 		return nil
 	}
@@ -398,21 +293,10 @@ func (p *memPipe) sendBatch(fbs []*wire.FrameBuf) error {
 		wire.ReleaseAll(fbs)
 		return ErrClosed
 	}
-	total := 0
-	for _, fb := range fbs {
-		total += fb.WireLen()
-	}
 	now := p.timers.Now()
-	free := p.busyUntil
-	start := p.occupancyStart(now, p.model.occupancy(total))
-	p.busyUntil = start
-	// Propagation cannot begin before the send call itself.
-	base := start
-	if base.Before(now) {
-		base = now
-	}
 	for i, fb := range fbs {
-		at := base.Add(p.model.delay(p.rng))
+		at := now.Add(p.model.delay(p.rng))
+		// FIFO: delivery times are monotone within the pipe.
 		if at.Before(p.nextAt) {
 			at = p.nextAt
 		}
@@ -422,7 +306,6 @@ func (p *memPipe) sendBatch(fbs []*wire.FrameBuf) error {
 	}
 	p.mu.Unlock()
 	p.w.Wake()
-	p.backpressure(free)
 	return nil
 }
 
@@ -479,7 +362,7 @@ var _ Conn = (*memConn)(nil)
 
 func (c *memConn) Send(fb *wire.FrameBuf) error { return c.send.send(fb) }
 
-func (c *memConn) SendBatch(fbs []*wire.FrameBuf) error { return c.send.sendBatch(fbs) }
+func (c *memConn) SendBatch(fbs []*wire.FrameBuf) error { return c.send.send(fbs...) }
 
 func (c *memConn) Recv() (*wire.FrameBuf, error) { return c.recv.recv() }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/wire"
 )
 
@@ -174,7 +175,7 @@ func TestMemSeededDeterminism(t *testing.T) {
 	// sample dials "target" and returns the inter-arrival schedule of
 	// one 20-frame burst; extraDials dials unrelated addresses first.
 	sample := func(seed int64, extraDials int) []time.Duration {
-		n := NewMemSeeded(LatencyModel{Base: time.Millisecond, Jitter: 30 * time.Millisecond}, seed)
+		n := NewMemSeededTimers(LatencyModel{Base: time.Millisecond, Jitter: 30 * time.Millisecond}, seed, nil)
 		for _, addr := range []string{"other-a", "other-b"} {
 			l, err := n.Listen(addr)
 			if err != nil {
@@ -393,78 +394,6 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 	}
 }
 
-// TestMemPerFramePacing checks the sender-occupancy model: with a
-// PerFrame cost, k frames sent back to back cannot all arrive before
-// k×PerFrame has elapsed, no matter how fast the propagation is.
-func TestMemPerFramePacing(t *testing.T) {
-	n := NewMem(LatencyModel{PerFrame: 2 * time.Millisecond})
-	l, err := n.Listen("paced")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	conn, err := n.Dial("paced")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const frames = 5
-	start := time.Now()
-	for i := 0; i < frames; i++ {
-		sendFrame(t, conn, uint64(i+1), 1, nil)
-	}
-	for i := 0; i < frames; i++ {
-		f, err := srv.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Release()
-	}
-	if elapsed := time.Since(start); elapsed < frames*2*time.Millisecond {
-		t.Fatalf("%d frames at 2ms occupancy arrived in %v; the per-frame cost is not being charged", frames, elapsed)
-	}
-}
-
-// TestMemPerBytePacing checks the bandwidth model: with a PerByte cost,
-// k frames of n bytes each cannot all arrive before roughly k×n×PerByte
-// has elapsed — the occupancy is charged from the frame length alone,
-// without the pipe ever copying the bytes.
-func TestMemPerBytePacing(t *testing.T) {
-	n := NewMem(LatencyModel{PerByte: 10 * time.Microsecond})
-	l, err := n.Listen("bw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	conn, err := n.Dial("bw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const frames = 5
-	body := make([]byte, 1000) // ~1KB => >=10ms occupancy per frame
-	start := time.Now()
-	for i := 0; i < frames; i++ {
-		sendFrame(t, conn, uint64(i+1), 1, body)
-	}
-	for i := 0; i < frames; i++ {
-		f, err := srv.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Release()
-	}
-	if elapsed := time.Since(start); elapsed < frames*10*time.Millisecond {
-		t.Fatalf("%d 1KB frames at 10µs/B occupancy arrived in %v; bytes are not being accounted", frames, elapsed)
-	}
-}
-
 // makeBatch builds n pooled frames with ids 1..n and the given body.
 func makeBatch(tb testing.TB, n int, body []byte) []*wire.FrameBuf {
 	tb.Helper()
@@ -480,43 +409,59 @@ func makeBatch(tb testing.TB, n int, body []byte) []*wire.FrameBuf {
 	return fbs
 }
 
-// TestMemBatchAmortizesPerFrame pins the coalescing model: a batch of k
-// frames is one flush, charged PerFrame once — where k sequential Sends
-// pay it k times (TestMemPerFramePacing). All k frames must land well
-// before k×PerFrame.
-func TestMemBatchAmortizesPerFrame(t *testing.T) {
-	const perFrame = 20 * time.Millisecond
-	n := NewMem(LatencyModel{PerFrame: perFrame})
-	l, err := n.Listen("batched")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	conn, err := n.Dial("batched")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const frames = 5
-	start := time.Now()
-	if err := conn.SendBatch(makeBatch(t, frames, nil)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < frames; i++ {
-		f, err := srv.Recv()
+// TestMemBatchSchedulesLikeSends pins what SendBatch means on Mem: a
+// batch of k frames is scheduled exactly as k sequential Sends are —
+// each frame samples its own delay from the link's jitter stream, in
+// order — so coalescing never moves a delivery time.
+func TestMemBatchSchedulesLikeSends(t *testing.T) {
+	const frames = 8
+	schedule := func(batch bool) []time.Time {
+		// A virtual timeline that nobody advances: every frame is sent at
+		// the same instant, so delivery times compare exactly.
+		n := NewMemSeededTimers(LatencyModel{Base: time.Millisecond, Jitter: 5 * time.Millisecond}, 3, clock.NewVirtual())
+		l, err := n.Listen("srv")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := f.ID(); got != uint64(i+1) {
-			t.Fatalf("batch broke FIFO: frame %d has id %d", i, got)
+		defer l.Close()
+		c, err := n.Dial("srv")
+		if err != nil {
+			t.Fatal(err)
 		}
-		f.Release()
+		defer c.Close()
+		fbs := makeBatch(t, frames, nil)
+		if batch {
+			if err := c.SendBatch(fbs); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, fb := range fbs {
+				if err := c.Send(fb); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		p := c.(*memConn).send
+		var at []time.Time
+		for i, tf := range p.queue[p.head:] {
+			if got := tf.fb.ID(); got != uint64(i+1) {
+				t.Fatalf("batch=%v broke FIFO: frame %d has id %d", batch, i, got)
+			}
+			at = append(at, tf.deliverAt)
+		}
+		return at
 	}
-	if elapsed := time.Since(start); elapsed >= frames*perFrame {
-		t.Fatalf("batch of %d took %v, >= the %v unbatched floor: PerFrame is not amortized per flush", frames, elapsed, frames*perFrame)
+	sent, batched := schedule(false), schedule(true)
+	if len(sent) != frames || len(batched) != frames {
+		t.Fatalf("queued %d sent and %d batched frames, want %d each", len(sent), len(batched), frames)
+	}
+	for i := range sent {
+		if !batched[i].Equal(sent[i]) {
+			t.Fatalf("frame %d: batched delivery at %v, sequential sends at %v", i, batched[i], sent[i])
+		}
+	}
+	if sent[0].Equal(sent[frames-1]) {
+		t.Fatal("every frame has the same delivery time; jitter is inert")
 	}
 }
 

@@ -142,7 +142,7 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 		in := StatsResp{
 			Keys: r.Int63(), LockEntries: r.Int63(), FrozenLocks: r.Int63(), Versions: r.Int63(),
 			LiveTxns: r.Int63(), PurgedTxns: r.Int63(),
-			ReplEpoch: r.Int63(), ReplLag: r.Int63(), ReplPromotions: r.Int63(),
+			ReplEpoch: r.Int63(), ReplPromotions: r.Int63(),
 			ReplWrongEpoch: r.Int63(), ReplCatchupBytes: r.Int63(),
 		}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {

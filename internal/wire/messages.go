@@ -313,11 +313,9 @@ type StatsResp struct {
 	LiveTxns   int64
 	PurgedTxns int64
 	// Replication state (zero on unreplicated servers): the server's
-	// membership epoch, its lag behind the upstream head in log records
-	// (0 on heads), and the metrics.ReplCounters totals — promotions
+	// membership epoch and the metrics.ReplCounters totals — promotions
 	// served, wrong-epoch frames rejected, catch-up bytes streamed.
 	ReplEpoch        int64
-	ReplLag          int64
 	ReplPromotions   int64
 	ReplWrongEpoch   int64
 	ReplCatchupBytes int64
@@ -333,7 +331,6 @@ func (m StatsResp) AppendTo(buf []byte) []byte {
 	e.I64(m.LiveTxns)
 	e.I64(m.PurgedTxns)
 	e.I64(m.ReplEpoch)
-	e.I64(m.ReplLag)
 	e.I64(m.ReplPromotions)
 	e.I64(m.ReplWrongEpoch)
 	e.I64(m.ReplCatchupBytes)
@@ -346,7 +343,7 @@ func DecodeStatsResp(b []byte) (StatsResp, error) {
 	m := StatsResp{
 		Keys: d.I64(), LockEntries: d.I64(), FrozenLocks: d.I64(), Versions: d.I64(),
 		LiveTxns: d.I64(), PurgedTxns: d.I64(),
-		ReplEpoch: d.I64(), ReplLag: d.I64(), ReplPromotions: d.I64(),
+		ReplEpoch: d.I64(), ReplPromotions: d.I64(),
 		ReplWrongEpoch: d.I64(), ReplCatchupBytes: d.I64(),
 	}
 	return m, d.Err()

@@ -10,8 +10,8 @@ import (
 // log (LogTailReq/Resp) — every committed version install is one
 // LSN-numbered record. Both ride the pooled FrameBuf path: records
 // append-encode into the reply frame, decoders hand out borrowed views,
-// and replies coalesce through the server's reply flusher into
-// SendBatch, so steady-state catch-up is zero-copy and allocation-free.
+// and replies go out through the connection's batcher into SendBatch,
+// so steady-state catch-up is zero-copy and allocation-free.
 
 // ReplRecord is one replicated version install: transaction commit
 // wrote Value to Key at timestamp TS, as log sequence number LSN.
@@ -144,10 +144,9 @@ func DecodeLogTailReq(b []byte) (LogTailReq, error) {
 }
 
 // LogTailResp carries consecutive log records starting at the request's
-// From. NextLSN is the sender's next unassigned LSN, so the receiver's
-// lag is NextLSN - 1 - (last applied LSN). SnapshotNeeded reports that
-// the log has been trimmed past From: the receiver must restart with a
-// snapshot. Epoch is the sender's membership epoch.
+// From. NextLSN is the sender's next unassigned LSN. SnapshotNeeded
+// reports that the log has been trimmed past From: the receiver must
+// restart with a snapshot. Epoch is the sender's membership epoch.
 type LogTailResp struct {
 	Status         Status
 	Err            string

@@ -95,8 +95,8 @@ func loopbackConn(tb testing.TB) net.Conn {
 }
 
 // BenchmarkFramePathWriteFrames measures the coalesced send: two small
-// replies, the batch a reply flusher most often finds, leave as one
-// vectored write on a loopback socket. Steady state must be 0 allocs/op:
+// replies, the batch a server connection's batcher most often finds,
+// leave as one vectored write on a loopback socket. Steady state must be 0 allocs/op:
 // the iovec and its header belong to the connection.
 func BenchmarkFramePathWriteFrames(b *testing.B) {
 	c := loopbackConn(b)

@@ -25,6 +25,13 @@ func newDB(rec *history.Recorder) *core.DB {
 	return core.New(policy.NewTIL(clock.NewProcess(&src, 1), 1000, policy.CommitEarly, true), core.Options{Recorder: rec})
 }
 
+// checkedKeys is the keyspace of the in-process runs whose whole history
+// is checked: history.CheckCommits is linear in versions per key, so a
+// 200ms run over 100 keys took tens of seconds to check. Over this many
+// keys contention is rare; policy.TestStressSerializability checks the
+// til-early policy for serializability under contention (12 keys).
+const checkedKeys = 10000
+
 func TestRunProducesThroughput(t *testing.T) {
 	var rec history.Recorder
 	db := newDB(&rec)
@@ -32,7 +39,7 @@ func TestRunProducesThroughput(t *testing.T) {
 		Clients:       4,
 		OpsPerTxn:     5,
 		WriteFraction: 0.3,
-		Keys:          100,
+		Keys:          checkedKeys,
 		Measure:       200 * time.Millisecond,
 	})
 	if err != nil {
@@ -151,7 +158,7 @@ func TestBatchReadsLocalFallback(t *testing.T) {
 		Clients:       4,
 		OpsPerTxn:     8,
 		WriteFraction: 0.25,
-		Keys:          100,
+		Keys:          checkedKeys,
 		BatchReads:    true,
 		Measure:       200 * time.Millisecond,
 	})
