@@ -16,35 +16,42 @@ import (
 )
 
 // Allocation ceilings of the point transaction, process-wide (the
-// servers run in this process, so their share counts): measured 8 per
-// transaction and 0 per single-key Read — 10 while the coordinator
-// allocated its per-transaction state beside the Txn instead of taking
-// it from the pooled scratch, 18 when this gate was first
-// set; 102 and 4 before the servers decoded keys as views into per-connection
-// scratch and replied by pointer; 315 and 26 with a map-based footprint,
-// an always-spawning fan-out and spawn-by-type server dispatch. The
+// servers run in this process, so their share counts): measured 6 per
+// transaction over present 8-byte values and 0 per single-key Read —
+// the Txn, and what the transaction leaves on the servers: two pending
+// values, room in two version lists for what they become, and a
+// commitment object. It was 14 over present values (8 over ⊥, whose
+// copy was free) while each value read was cloned out of its response
+// frame and each server allocated a record per writing transaction.
+// Over ⊥ it was 10 while the coordinator allocated its per-transaction
+// state beside the Txn instead of taking it from the pooled scratch, 18
+// when this gate was first set; 102 and 4 before the servers decoded
+// keys as views into per-connection scratch and replied by pointer; 315
+// and 26 with a map-based footprint, an always-spawning fan-out and
+// spawn-by-type server dispatch. The
 // transaction's ceiling is the measurement plus two for runtime noise
 // (a GC emptying the frame pool, map growth in the lock tables), not for
 // new per-operation allocations: one of those on a six-read transaction
 // costs six and trips the gate. A Read allocates nothing, and the
-// average over 200 runs absorbs a refilled pool, so its ceiling is the
-// measurement. What the transaction puts on the wire is pinned beside
-// this gate, in TestCommitTailFrames.
+// average over 200 runs absorbs a refilled pool or a new chunk of read
+// values, so its ceiling is the measurement. What the transaction puts
+// on the wire is pinned beside this gate, in TestCommitTailFrames.
 //
 // The same ceilings hold on clock.Virtual, where every modelled frame
-// delivery is a timeline event: measured 8 and 0 there too, 68 and 6
-// while a sleep allocated its wake channel, a closure and a timer
-// entry.
+// delivery is a timeline event: measured 6 and 0 there too, 68 and 6
+// over ⊥ while a sleep allocated its wake channel, a closure and a
+// timer entry.
 const (
-	pointTxnAllocCeiling = 10
+	pointTxnAllocCeiling = 8
 	readAllocCeiling     = 0
 )
 
 // TestPointTxnAllocBudget gates the allocation cost of the benchmark's
-// tcp-point transaction (MVTIL-early, six single-key reads, two writes,
-// commit) over three Mem servers, and of a single-key Read on its own
-// and the read step over two keys on two servers — which must cost no
-// fan-out goroutine, join or waiter. The servers are
+// tcp-point transaction (MVTIL-early over keys preloaded with 8-byte
+// values, six single-key reads, two writes, commit) over three Mem
+// servers, and of a single-key Read on its own, of ⊥ and of a present
+// value, and the read step over two keys on two servers — which must
+// cost no fan-out goroutine, join or waiter. The servers are
 // zero-latency on the wall clock, and on clock.Virtual they have
 // vt-point's latency model, timers and timestamp source.
 func TestPointTxnAllocBudget(t *testing.T) {
@@ -79,17 +86,19 @@ func checkPointTxnAllocs(t *testing.T, cfg client.Config) {
 	keys := pointTxnKeys()
 	val := []byte("8 bytes.")
 
+	// The preload, as tcp-point's: every key gets an 8-byte value, so the
+	// measured reads copy values, not ⊥, and connections, waiter slots,
+	// frame pool and every key's server-side state exist before counting.
+	// The measured transactions stay within one pass over the table, so
+	// each finds its keys as tcp-point's mostly do: holding the preload's
+	// version and frozen write lock only.
+	preload(t, ctx, cl, keys, val)
 	i := 0
 	txn := func() {
 		if err := pointTxn(ctx, cl, keys, i, val); err != nil {
 			t.Fatal(err)
 		}
 		i++
-	}
-	// One pass over the key table first: connections, waiter slots, frame
-	// pool, and every key's server-side state exist before counting.
-	for i < len(keys)/8 {
-		txn()
 	}
 	if avg := testing.AllocsPerRun(200, txn); avg > pointTxnAllocCeiling {
 		t.Errorf("point transaction: %v allocs, ceiling %d", avg, pointTxnAllocCeiling)
@@ -99,28 +108,32 @@ func checkPointTxnAllocs(t *testing.T, cfg client.Config) {
 
 	// Re-reading a key inside one transaction repeats the whole read
 	// path — stage, one-server fan-out, server read-lock, fold — without
-	// growing the footprint, so the count is the path's own.
+	// growing the footprint, so the count is the path's own: over a
+	// present value, whose copy is carved from the coordinator's region of
+	// read values, and over a key outside the table, ⊥.
 	tx, err := cl.Begin(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := func() {
-		if _, err := tx.Read(ctx, keys[0]); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct{ what, key string }{{"a present value", keys[0]}, {"⊥", "absent"}} {
+		read := func() {
+			if _, err := tx.Read(ctx, c.key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read()
+		if avg := testing.AllocsPerRun(200, read); avg > readAllocCeiling {
+			t.Errorf("single-key Read of %s: %v allocs, ceiling %d (a fan-out goroutine alone costs more)", c.what, avg, readAllocCeiling)
+		} else {
+			t.Logf("single-key Read of %s: %v allocs (ceiling %d)", c.what, avg, readAllocCeiling)
 		}
 	}
-	read()
-	if avg := testing.AllocsPerRun(200, read); avg > readAllocCeiling {
-		t.Errorf("single-key Read: %v allocs, ceiling %d (a fan-out goroutine alone costs more)", avg, readAllocCeiling)
-	} else {
-		t.Logf("single-key Read: %v allocs (ceiling %d)", avg, readAllocCeiling)
-	}
 
-	// The same read step over a batch of two keys on two servers: one
-	// fan-out that sends both requests and then waits for each reply on
-	// the calling goroutine, so it too costs no goroutine, join or
-	// closure. Both keys are among the ones pointTxn only reads: ⊥, whose
-	// copy is free, as keys[0]'s is above.
+	// The same read step over a batch of two present values on two
+	// servers: one fan-out that sends both requests and then waits for
+	// each reply on the calling goroutine, so it too costs no goroutine,
+	// join or closure. They are keys[0] and other, footprint positions 0
+	// and 2.
 	other := keys[1]
 	for _, k := range keys[1:6] {
 		if strhash.Partition(k, len(cfg.Servers)) != strhash.Partition(keys[0], len(cfg.Servers)) {
@@ -133,7 +146,7 @@ func checkPointTxnAllocs(t *testing.T, cfg client.Config) {
 	}
 	engineTxn := tx.(*core.Txn)
 	fanOut := func() {
-		if _, err := engineTxn.ReadLocks(ctx, engineTxn.Batch(0, 1), timestamp.Infinity, false); err != nil {
+		if _, err := engineTxn.ReadLocks(ctx, engineTxn.Batch(0, 2), timestamp.Infinity, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,12 +164,15 @@ func checkPointTxnAllocs(t *testing.T, cfg client.Config) {
 // batchTxnAllocCeiling is the allocation ceiling of tcp-batch's
 // transaction in miniature, process-wide, set as the point
 // transaction's is: the measurement plus two for runtime noise. Measured
-// 27 — 32 while the coordinator's per-transaction state was allocated
-// with each transaction and spilled past its inline buffers. Fourteen of
-// them are the owned copies of the values read; GetMulti's result map
-// and the Txn's footprint, which sixteen keys outgrow, are the
-// transaction's own.
-const batchTxnAllocCeiling = 29
+// 11: the Txn, GetMulti's result map and the Txn's footprint, which
+// sixteen keys outgrow, and what the transaction leaves on the servers.
+// The fourteen values read are carved from the coordinator's region of
+// read values, which a new 32 KiB chunk refills every couple of
+// transactions. It was 27 while each value read was cloned on its own
+// and each server allocated a record per writing transaction, 32 while
+// the coordinator's per-transaction state was allocated with each
+// transaction and spilled past its inline buffers.
+const batchTxnAllocCeiling = 13
 
 // TestBatchTxnAllocBudget gates the allocation cost of the benchmark's
 // tcp-batch transaction in miniature (MVTIL-early over three zero-latency
@@ -187,6 +203,25 @@ func TestBatchTxnAllocBudget(t *testing.T) {
 	// connections, waiter slots, frame pool and every key's server-side
 	// state exist before counting. The measured transactions then read
 	// values, not ⊥, and stay within one pass over the table.
+	preload(t, ctx, cl, keys, val)
+	i := 0
+	txn := func() {
+		if err := batchTxn(ctx, cl, keys, i, val); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	if avg := testing.AllocsPerRun(100, txn); avg > batchTxnAllocCeiling {
+		t.Errorf("batch transaction: %v allocs, ceiling %d", avg, batchTxnAllocCeiling)
+	} else {
+		t.Logf("batch transaction: %v allocs (ceiling %d)", avg, batchTxnAllocCeiling)
+	}
+}
+
+// preload writes val to every key, sixteen keys per transaction; len(keys)
+// is a multiple of sixteen.
+func preload(t *testing.T, ctx context.Context, cl *client.Client, keys []string, val []byte) {
+	t.Helper()
 	for lo := 0; lo < len(keys); lo += 16 {
 		tx, err := cl.Begin(ctx)
 		if err != nil {
@@ -200,18 +235,6 @@ func TestBatchTxnAllocBudget(t *testing.T) {
 		if err := tx.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
-	}
-	i := 0
-	txn := func() {
-		if err := batchTxn(ctx, cl, keys, i, val); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	}
-	if avg := testing.AllocsPerRun(100, txn); avg > batchTxnAllocCeiling {
-		t.Errorf("batch transaction: %v allocs, ceiling %d", avg, batchTxnAllocCeiling)
-	} else {
-		t.Logf("batch transaction: %v allocs (ceiling %d)", avg, batchTxnAllocCeiling)
 	}
 }
 

@@ -86,8 +86,10 @@ var _ core.Backend = remote{}
 // taken at the first step, handed back when the transaction finishes,
 // and started over by the next transaction that finds it there (see
 // remote.step). What it keeps from one transaction to the next is the
-// storage its slices have grown, and no caller's value: a write-lock
-// fan-out clears its items, and every settle the read results.
+// storage its slices have grown, no caller's value to write — a
+// write-lock fan-out clears its items, and every settle the read
+// results — and, in vals, at most one partly used chunk of the values it
+// has handed out to readers.
 type txnState struct {
 	// id is the transaction the state was last set up for. A step of any
 	// other transaction starts it over: ids are never reused by one
@@ -119,6 +121,42 @@ type txnState struct {
 		decide  wire.DecideReq
 		release wire.ReleaseBatchReq
 	}
+
+	// vals is the region read values are carved from (see carve). Its
+	// length is what has been handed out, and it is never rewound: every
+	// byte goes to one reader, so a value stays its caller's for as long
+	// as the caller keeps it, whichever transaction runs on this state
+	// next.
+	vals []byte
+}
+
+// A read value is carved from a chunk of valChunk bytes, the largest
+// small size class, so a chunk is not rounded up to whole pages. A value
+// over maxCarved is copied alone instead, which keeps what a full chunk
+// leaves unused under an eighth of it.
+const (
+	valChunk  = 32 << 10
+	maxCarved = 4 << 10
+)
+
+// carve returns the caller's copy of a value read: nil (⊥) stays nil,
+// and anything else, even empty, is a non-nil slice of st.vals with its
+// capacity capped at its length, so an append by the caller reallocates
+// instead of writing over the next value. A chunk without room for v is
+// replaced, not rewound; the collector frees it once its last value is
+// dropped.
+func (st *txnState) carve(v []byte) []byte {
+	switch {
+	case v == nil:
+		return nil
+	case len(v) > maxCarved:
+		return bytes.Clone(v)
+	case st.vals == nil || cap(st.vals)-len(st.vals) < len(v):
+		st.vals = make([]byte, 0, valChunk)
+	}
+	n := len(st.vals)
+	st.vals = append(st.vals, v...)
+	return st.vals[n:len(st.vals):len(st.vals)]
 }
 
 // remoteStep is one backend step's view of its transaction: the client
@@ -286,7 +324,9 @@ func denied(n int, key string, status wire.Status, msg string) error {
 
 // ReadLocks implements core.Backend (Alg. 11 lines 10-14): one batched
 // read-lock request per server, in parallel, the servers running the
-// read step. Values are owned copies; nil means ⊥.
+// read step. Values are copied out of the response frames (carve) and
+// are the caller's under kv.Txn's rule: valid after the transaction
+// ends, not to be modified. nil means ⊥.
 func (b remote) ReadLocks(ctx context.Context, tx *core.Txn, keys []int32, upper timestamp.Timestamp, wait bool, out []core.ReadResult) error {
 	rt := b.step(tx)
 	// stage orders keys by server; names, results and out are all
@@ -345,8 +385,8 @@ func (b remote) ReadLocks(ctx context.Context, tx *core.Txn, keys []int32, upper
 			return denied(len(keys), rt.names[i], res.Status, res.Err)
 		}
 		// res.Value is a borrowed view of a pooled response frame; the
-		// caller's copy outlives it (bytes.Clone keeps nil nil: ⊥).
-		out[i].Version = version.Version{TS: res.VersionTS, Value: bytes.Clone(res.Value)}
+		// caller's copy outlives it.
+		out[i].Version = version.Version{TS: res.VersionTS, Value: rt.carve(res.Value)}
 		out[i].Got = res.Got
 	}
 	return nil

@@ -48,8 +48,8 @@ type DB interface {
 // transaction implements it: over the storage servers a whole static
 // read set costs one round trip per server instead of one per key. Semantics
 // match a loop of Read calls (buffered writes are served locally, a nil
-// value means ⊥), except that all keys are read under the transaction's
-// bound at call time.
+// value means ⊥, and the values are the caller's as Txn says), except
+// that all keys are read under the transaction's bound at call time.
 type MultiGetter interface {
 	GetMulti(ctx context.Context, keys []string) (map[string][]byte, error)
 }
@@ -78,12 +78,19 @@ func GetMulti(ctx context.Context, tx Txn, keys []string) (map[string][]byte, er
 // Txn is a single transaction. Implementations are not safe for
 // concurrent use by multiple goroutines; each transaction belongs to one
 // client thread (§8.1).
+//
+// Values are shared, not copied, across this interface. A value Read or
+// GetMulti returns stays valid after the transaction ends, whatever runs
+// next, and must not be modified: it may be the store's own version or a
+// buffered write. Write keeps its argument as the buffered value — and,
+// in process, as the version it commits — so the caller must not modify
+// it afterwards either.
 type Txn interface {
 	// Read returns the value of key within the transaction. A nil value
 	// with a nil error means the key holds ⊥ (never written).
 	Read(ctx context.Context, key string) ([]byte, error)
 	// Write buffers a value for key; it becomes visible to other
-	// transactions only after Commit.
+	// transactions only after Commit. It keeps value (see Txn).
 	Write(ctx context.Context, key string, value []byte) error
 	// Commit tries to commit. It returns nil exactly when the transaction
 	// committed, ErrAborted (possibly wrapped) if it could not be

@@ -9,13 +9,14 @@ import (
 )
 
 // inlineTxnAllocCeiling bounds what one transaction's three requests may
-// allocate on the inline dispatch path of a warmed server. Measured 2
-// when the gate was set, both of them state the transaction creates: its
-// txnState record and the copy of its pending value. Decoding, the
-// replies, the lock tables and the version list contribute nothing; a
-// per-request allocation in any of them costs three here, a per-key one
-// on the read side four, and either trips the gate.
-const inlineTxnAllocCeiling = 3
+// allocate on the inline dispatch path of a warmed server. Measured 1,
+// state the transaction leaves behind: the copy of its pending value.
+// Its txnState record is the last transaction's, recycled; 2 while each
+// transaction allocated its own. Decoding, the replies, the lock tables
+// and the version list contribute nothing; a per-request allocation in
+// any of them costs three here, a per-key one on the read side four, and
+// either trips the gate.
+const inlineTxnAllocCeiling = 2
 
 // TestInlineDispatchAllocs drives one connection's dispatch directly,
 // with pre-encoded frames, through transactions of three requests, what

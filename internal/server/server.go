@@ -132,7 +132,9 @@ type pendingWrite struct {
 }
 
 // txnState tracks what this server knows about one transaction. Its
-// fields are guarded by the owning txnStripe's mutex.
+// fields are guarded by the owning txnStripe's mutex, and nothing keeps
+// a pointer to it past that mutex: once collected, the record is blanked
+// and may be the next transaction's (see txnStripe).
 type txnState struct {
 	decisionSrv string
 	// writes are the keys where the txn holds (possibly unfrozen) write
@@ -169,10 +171,50 @@ func (t *txnState) put(key string, value []byte) {
 	t.writes = append(t.writes, pendingWrite{key: key, value: value})
 }
 
-// txnStripe is one shard of the transaction map.
+// blank empties t for another transaction, its writes back on the inline
+// array.
+func (t *txnState) blank() {
+	*t = txnState{}
+	t.writes = t.inline[:0]
+}
+
+// txnStripe is one shard of the transaction map. free keeps collected
+// records, blank, for the stripe's next transactions to take: at most
+// maxFreeTxns of them, so a server keeps no more than stripeCount ×
+// maxFreeTxns records beyond its live ones.
 type txnStripe struct {
 	mu   sync.Mutex
 	txns map[uint64]*txnState
+	free []*txnState
+}
+
+// maxFreeTxns bounds a stripe's free list. A stripe's live records
+// number the transactions running on it, a handful for each client, so
+// the stripe's share of a steady load fits and records are made only
+// when a burst outgrows it.
+const maxFreeTxns = 8
+
+// take returns a blank record, a collected one when there is one.
+// Callers hold st.mu.
+func (st *txnStripe) take() *txnState {
+	n := len(st.free)
+	if n == 0 {
+		t := new(txnState)
+		t.blank()
+		return t
+	}
+	t := st.free[n-1]
+	st.free[n-1], st.free = nil, st.free[:n-1]
+	return t
+}
+
+// recycle blanks a collected record and keeps it for take while the free
+// list has room. Callers hold st.mu.
+func (st *txnStripe) recycle(t *txnState) {
+	if len(st.free) < maxFreeTxns {
+		t.blank()
+		st.free = append(st.free, t)
+	}
 }
 
 // Server is one storage server.
@@ -325,17 +367,17 @@ func (s *Server) txnStripeFor(id uint64) *txnStripe {
 }
 
 // withTxn runs fn with the transaction's state (created if absent) under
-// its stripe mutex. fn must not block or call back into the server.
-// After fn returns, the record is garbage-collected if the transaction
-// is finished and fully released, so every touch point doubles as a GC
-// opportunity and finished records do not accumulate.
+// its stripe mutex. fn must not block or call back into the server, nor
+// keep the record past its return. After fn returns, the record is
+// garbage-collected if the transaction is finished and fully released,
+// so every touch point doubles as a GC opportunity and finished records
+// do not accumulate.
 func (s *Server) withTxn(id uint64, fn func(*txnState)) {
 	st := s.txnStripeFor(id)
 	st.mu.Lock()
 	t, ok := st.txns[id]
 	if !ok {
-		t = &txnState{}
-		t.writes = t.inline[:0]
+		t = st.take()
 		st.txns[id] = t
 	}
 	fn(t)
@@ -361,13 +403,14 @@ func (s *Server) withTxnIfPresent(id uint64, fn func(*txnState)) bool {
 
 // gcTxnLocked deletes the transaction's record once it is finished and
 // holds no write-lock bookkeeping (read-lock state
-// needs no record: releases and freezes name their keys explicitly).
-// Callers hold st.mu.
+// needs no record: releases and freezes name their keys explicitly), and
+// recycles it. Callers hold st.mu.
 func (s *Server) gcTxnLocked(st *txnStripe, id uint64, t *txnState) {
 	if !t.finished || len(t.writes) != 0 {
 		return
 	}
 	delete(st.txns, id)
+	st.recycle(t)
 	s.purgedTxns.Add(1)
 	// Drop any unconsumed deadlock-victim mark along with the record.
 	s.waits.ClearAbort(lock.Owner(id))

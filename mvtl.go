@@ -208,11 +208,15 @@ type Txn struct {
 }
 
 // Get returns the value of key; nil means the key was never written.
+// The value stays valid after the transaction ends and must not be
+// modified: it is the store's own version, or the transaction's own
+// buffered write.
 func (t *Txn) Get(ctx context.Context, key string) ([]byte, error) {
 	return t.tx.Read(ctx, key)
 }
 
-// Set buffers a write of value to key, visible after Commit.
+// Set buffers a write of value to key, visible after Commit. The store
+// keeps value itself, so the caller must not modify it afterwards.
 func (t *Txn) Set(ctx context.Context, key string, value []byte) error {
 	if t.readOnly {
 		return fmt.Errorf("mvtl: Set %q inside View: transaction is read-only", key)
