@@ -69,10 +69,8 @@ func TestPointTxnAllocBudget(t *testing.T) {
 		t.Cleanup(v.Unregister)
 		n := transport.NewMemSeededTimers(transport.LatencyModel{Base: 100 * time.Microsecond, Jitter: 50 * time.Microsecond}, 1, v)
 		addrs := startServersOn(t, n, 3, v)
-		// As on vt-point, the detector's timer-driven polls are off: TIL
-		// lock requests never park.
 		checkPointTxnAllocs(t, client.Config{ID: 1, Servers: addrs, Network: n, Mode: client.ModeTILEarly,
-			Clock: clock.TimersSource{T: v}, Timers: v, DeadlockPoll: -1})
+			Clock: clock.TimersSource{T: v}, Timers: v})
 	})
 }
 

@@ -90,13 +90,11 @@ type Config struct {
 	// Recorder, when non-nil, receives committed transaction footprints
 	// for offline serializability checking (tests only).
 	Recorder *history.Recorder
-	// DeadlockPoll is the cross-server deadlock detector's poll
-	// interval: while one of this coordinator's lock requests is
-	// blocked, every server's wait-for edges are polled this often and
-	// victims of confirmed global cycles are aborted (see package
-	// deadlock). Zero selects the 10ms default; a negative value
-	// disables the detector, leaving cross-server cycles to the
-	// server-side lock-wait timeout.
+	// DeadlockPoll is the cross-server deadlock detector's poll period:
+	// while one of this coordinator's lock requests may be parked
+	// server-side, every server's wait-for edges are polled this often
+	// and victims of confirmed global cycles are aborted (see detector).
+	// Zero or a negative value selects the 10ms default.
 	DeadlockPoll time.Duration
 	// CallTimeout bounds each RPC — and each fan-out, whose requests
 	// leave together: a partitioned or crashed server costs one timeout
@@ -118,8 +116,7 @@ type Client struct {
 	clk    *clock.Process
 	engine *core.Engine
 	timers clock.Timers
-	// det is the cross-server deadlock detector; nil when disabled.
-	det *detector
+	det    detector
 
 	nextSq atomic.Uint32 // numbers the transactions
 
@@ -156,12 +153,9 @@ func New(cfg Config) (*Client, error) {
 		timers: clock.OrSystem(cfg.Timers),
 		conns:  make(map[string]*rpc.Client),
 	}
-	if cfg.DeadlockPoll >= 0 {
-		poll := cfg.DeadlockPoll
-		if poll == 0 {
-			poll = 10 * time.Millisecond
-		}
-		c.det = newDetector(c, poll)
+	c.det = detector{c: c, poll: cfg.DeadlockPoll, stop: make(chan struct{})}
+	if c.det.poll <= 0 {
+		c.det.poll = 10 * time.Millisecond
 	}
 	return c, nil
 }
@@ -169,9 +163,7 @@ func New(cfg Config) (*Client, error) {
 // Close stops the deadlock detector and tears down all server
 // connections.
 func (c *Client) Close() error {
-	if c.det != nil {
-		c.det.close()
-	}
+	c.det.close()
 	c.mu.Lock()
 	conns := c.conns
 	c.conns = map[string]*rpc.Client{}

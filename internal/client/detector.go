@@ -2,11 +2,12 @@ package client
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
-	"github.com/lpd-epfl/mvtl/internal/clock"
-	"github.com/lpd-epfl/mvtl/internal/deadlock"
+	"github.com/lpd-epfl/mvtl/internal/rpc"
 	"github.com/lpd-epfl/mvtl/internal/wire"
 )
 
@@ -14,173 +15,286 @@ import (
 // transaction while the previous one is still taking effect.
 const firedWindow = 500 * time.Millisecond
 
-// detector is the per-coordinator half of cross-server deadlock
-// detection (see package deadlock for the protocol). While any of this
-// client's lock RPCs may be parked server-side, it polls every server's
-// wait-for edges on a short interval, merges them with the snapshots
-// piggybacked on conflicted lock responses, and — for each cycle
-// observed on two consecutive merges — sends a victim abort for the
-// cycle's lowest transaction id to the server where that transaction is
-// parked.
+// detector is the coordinator half of cross-server deadlock detection.
+//
+// A storage server detects wait-for cycles among the transactions
+// parked on its own lock tables (lock.WaitGraph), but a cycle spanning
+// servers — transaction A parked on server 1 waiting for B, B parked on
+// server 2 waiting for A — is invisible to every local graph, and would
+// be broken only by the server's lock-wait timeout, which stays the
+// backstop. The detector turns that stall into a prompt abort:
+//
+//   - It runs only while a request of this coordinator waits. The first
+//     lock request that may park server-side (one sent with Wait: the
+//     pessimistic policy's locks, MVTL-TO's reads) starts its loop; the
+//     loop exits at the first wake-up that finds no request waiting. A
+//     coordinator that never waits runs nothing and arms no timer.
+//   - Each scan is one poll: a TWaitGraphReq to every partition's current
+//     head, sent together, whose answers' union is the global graph. The
+//     poll is the only way edges reach the detector. A head that does not
+//     answer in time contributes nothing to that scan.
+//   - Per-server snapshots are taken at different moments, so a cycle
+//     seen once may be stale. Mirroring lock.WaitGraph's confirmation
+//     under all stripe locks, a scan that finds cycles is followed at once
+//     by a second, and only victims found by both are shot.
+//   - The victim of a cycle is its lowest transaction id, so coordinators
+//     that see one cycle agree on whom to abort. The abort goes to the
+//     server owning the key the victim is parked on, which checks that it
+//     is still waiting there (lock.WaitGraph.IsWaiting), aborts it through
+//     its commitment object and wakes it with a deadlock error; its
+//     coordinator sees wire.StatusDeadlock and may retry at once.
 type detector struct {
-	c        *Client
-	poll     time.Duration
-	graph    *deadlock.Graph
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	c    *Client
+	poll time.Duration
+	stop chan struct{} // closed by close
 
 	mu sync.Mutex
-	// blocked counts in-flight lock RPCs that may park server-side;
-	// polling only runs while it is nonzero.
-	blocked int
-	// fired maps recently aborted victims to the time of the abort.
+	// waiting counts in-flight lock requests that may park server-side.
+	waiting int
+	// running is set while a loop runs, and done is closed when the last
+	// loop started returns; closed is set by close, after which no loop
+	// starts.
+	running, closed bool
+	done            chan struct{}
+
+	// fired maps recently aborted victims to the time of the abort; only
+	// the loop touches it, and one loop runs at a time.
 	fired map[uint64]time.Time
 }
 
-func newDetector(c *Client, poll time.Duration) *detector {
-	d := &detector{
-		c:     c,
-		poll:  poll,
-		graph: deadlock.NewGraph(),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-		fired: make(map[uint64]time.Time),
-	}
-	c.timers.Go(d.run)
-	return d
-}
-
-// close stops the polling goroutine; safe to call more than once
-// (Client.Close may run from both a test cleanup and a cluster
-// teardown).
-func (d *detector) close() {
-	d.stopOnce.Do(func() { close(d.stop) })
-	<-d.done
-}
-
-// enter and exit bracket a lock RPC that can block on conflicts. When
-// the last one finishes the merged graph is reset: without blocked
-// calls this coordinator has no stake in any cycle, and stale edges
-// must not trigger aborts later.
+// enter and exit bracket a lock request that may park server-side. An
+// enter that finds no loop running starts one; a running loop sees the
+// request at its next wake-up.
 func (d *detector) enter() {
 	d.mu.Lock()
-	d.blocked++
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	d.waiting++
+	if d.running || d.closed {
+		return
+	}
+	done := make(chan struct{})
+	d.running, d.done = true, done
+	d.c.timers.Go(func() { d.run(done) })
 }
 
 func (d *detector) exit() {
 	d.mu.Lock()
-	d.blocked--
-	idle := d.blocked == 0
+	d.waiting--
 	d.mu.Unlock()
-	if idle {
-		d.graph.Reset()
+}
+
+// close stops a running loop and waits for it to return; no loop starts
+// after it. It is safe to call more than once (Client.Close may run from
+// both a test cleanup and a cluster teardown).
+func (d *detector) close() {
+	d.mu.Lock()
+	if !d.closed {
+		d.closed = true
+		close(d.stop)
+	}
+	done := d.done
+	d.mu.Unlock()
+	if done != nil {
+		<-done
 	}
 }
 
-// observe merges a snapshot piggybacked on a conflicted lock response.
-// Empty snapshots are ignored here — only the authoritative poll clears
-// a server's entry.
-func (d *detector) observe(addr string, edges []wire.WaitEdge) {
-	if len(edges) == 0 {
-		return
-	}
-	d.graph.Observe(addr, edges)
-}
-
-func (d *detector) run() {
-	defer close(d.done)
+// run scans once per poll period for as long as a request waits.
+func (d *detector) run(done chan struct{}) {
+	defer close(done)
 	for {
-		if d.c.timers.SleepStop(d.poll, d.stop) {
+		d.c.timers.SleepStop(d.poll, d.stop)
+		d.mu.Lock()
+		idle := d.waiting == 0 || d.closed
+		d.running = !idle
+		d.mu.Unlock()
+		if idle {
 			return
 		}
-		d.mu.Lock()
-		blocked := d.blocked
-		d.mu.Unlock()
-		if blocked == 0 {
-			continue
-		}
-		d.pollOnce()
-		victims := d.graph.Victims()
-		if len(victims) == 0 {
-			continue
-		}
-		// Confirm before shooting: per-server snapshots mix moments, so
-		// re-poll and only abort victims of cycles present in both
-		// views (the wire-level analogue of WaitGraph's confirm under
-		// all stripe locks).
-		d.pollOnce()
-		confirmed := make(map[uint64]deadlock.Victim, len(victims))
-		for _, v := range d.graph.Victims() {
-			confirmed[v.Txn] = v
-		}
-		now := d.c.timers.Now()
-		for _, v := range victims {
-			cv, ok := confirmed[v.Txn]
-			if !ok || cv.Key == "" {
-				continue
-			}
-			d.mu.Lock()
-			last, seen := d.fired[v.Txn]
-			recent := seen && now.Sub(last) < firedWindow
-			if !recent {
-				d.fired[v.Txn] = now
-			}
-			for txn, at := range d.fired {
-				if now.Sub(at) > 4*firedWindow {
-					delete(d.fired, txn)
-				}
-			}
-			d.mu.Unlock()
-			if recent {
-				continue
-			}
-			d.abortVictim(cv)
-		}
+		d.scan()
 	}
 }
 
-// pollOnce fetches every server's wait-for snapshot in parallel and
-// folds them into the merged graph. Unreachable servers keep their
-// previous snapshot; cycle confirmation bounds the staleness risk.
-func (d *detector) pollOnce() {
+// scan aborts the victims of the cycles found by two consecutive polls.
+func (d *detector) scan() {
+	victims := findVictims(d.pollOnce())
+	if len(victims) == 0 {
+		return
+	}
+	confirmed := findVictims(d.pollOnce())
+	now := d.c.timers.Now()
+	if d.fired == nil {
+		d.fired = make(map[uint64]time.Time)
+	}
+	for txn, at := range d.fired {
+		if now.Sub(at) > 4*firedWindow {
+			delete(d.fired, txn)
+		}
+	}
+	for _, v := range victims {
+		i := slices.IndexFunc(confirmed, func(cv victim) bool { return cv.txn == v.txn })
+		if i < 0 || confirmed[i].key == "" {
+			continue
+		}
+		if last, seen := d.fired[v.txn]; seen && now.Sub(last) < firedWindow {
+			continue
+		}
+		d.fired[v.txn] = now
+		d.abortVictim(confirmed[i])
+	}
+}
+
+// pollOnce asks the current head of every partition for its wait-for
+// edges — not the static server list: after a failover the waits live on
+// the promoted replica — and returns the union of the answers. As a
+// fan-out does, it sends every request first and then waits for each
+// reply on the calling goroutine, all under one deadline of four poll
+// periods. A head that cannot be reached, or does not answer by then,
+// contributes nothing.
+func (d *detector) pollOnce() []wire.WaitEdge {
 	ctx, cancel := d.c.timers.WithTimeout(context.Background(), 4*d.poll)
 	defer cancel()
-	join := clock.NewJoin(d.c.timers, 0)
-	// Poll the current head of every partition (not the static list):
-	// after a failover the waits live on the promoted replica.
+	calls := make([]rpc.Pending, 0, len(d.c.cfg.Servers))
 	for p := range d.c.cfg.Servers {
 		addr, _ := d.c.routeFor(p)
-		join.Add(1)
-		d.c.timers.Go(func() {
-			defer join.Done()
-			f, err := d.c.call(ctx, addr, 0, wire.TWaitGraphReq, nil)
-			if err != nil {
-				return
-			}
-			resp, err := wire.DecodeWaitGraphResp(f.Body())
-			f.Release()
-			if err != nil {
-				return
-			}
-			d.graph.Observe(addr, resp.Edges)
-		})
+		if call, err := d.c.conn(addr).Start(0, wire.TWaitGraphReq, nil); err == nil {
+			calls = append(calls, call)
+		}
 	}
-	join.Wait()
+	var edges []wire.WaitEdge
+	for _, call := range calls {
+		f, err := call.Wait(ctx)
+		if err != nil {
+			continue
+		}
+		resp, err := wire.DecodeWaitGraphResp(f.Body())
+		f.Release()
+		if err == nil {
+			edges = append(edges, resp.Edges...)
+		}
+	}
+	return edges
 }
 
 // abortVictim routes the abort to the server owning the key the victim
 // is parked on. The reply is advisory (the server validates that the
 // victim is really waiting there); failures are resolved by the next
-// poll or, ultimately, the lock-wait timeout.
-func (d *detector) abortVictim(v deadlock.Victim) {
+// scan or, ultimately, the lock-wait timeout.
+func (d *detector) abortVictim(v victim) {
 	ctx, cancel := d.c.timers.WithTimeout(context.Background(), 4*d.poll)
 	defer cancel()
-	addr, _ := d.c.routeFor(d.c.partitionFor(v.Key))
+	addr, _ := d.c.routeFor(d.c.partitionFor(v.key))
 	f, err := d.c.call(ctx, addr, 0, wire.TVictimAbortReq,
-		wire.VictimAbortReq{Txn: v.Txn, Key: v.Key})
+		wire.VictimAbortReq{Txn: v.txn, Key: v.key})
 	if err == nil {
 		f.Release()
 	}
+}
+
+// victim identifies the transaction to abort for one detected cycle: the
+// lowest transaction id in the cycle, and the key it is blocked on
+// (which names the server where it is parked).
+type victim struct {
+	txn uint64
+	key string
+}
+
+// findVictims returns one victim per disjoint cycle in edges: the lowest
+// transaction id of each cycle, paired with the key of its outgoing edge
+// inside the cycle, ordered by transaction id. The choice is
+// deterministic in the edge set, so independent detectors observing the
+// same graph agree. Nodes on a path into a cycle (waiting on the cycle
+// without being part of it) are not victims — aborting the cycle frees
+// them.
+func findVictims(edges []wire.WaitEdge) []victim {
+	if len(edges) == 0 {
+		return nil
+	}
+	adj := make(map[uint64][]wire.WaitEdge, len(edges))
+	for _, e := range edges {
+		if e.Waiter == e.Holder {
+			continue // self-loops are resolved locally, never exported
+		}
+		adj[e.Waiter] = append(adj[e.Waiter], e)
+	}
+	// Sort adjacency for determinism: map iteration order must not
+	// influence which cycle a shared node is attributed to.
+	nodes := make([]uint64, 0, len(adj))
+	for n, es := range adj {
+		nodes = append(nodes, n)
+		sort.Slice(es, func(i, j int) bool { return es[i].Holder < es[j].Holder })
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+
+	const (
+		white = 0 // unvisited
+		gray  = 1 // on the current DFS path
+		black = 2 // fully explored
+	)
+	color := make(map[uint64]int, len(adj))
+	var victims []victim
+
+	// Iterative DFS with an explicit path stack; a gray hit means the
+	// path from that node to the top of the stack is a cycle.
+	type frame struct {
+		node uint64
+		next int // next adjacency index to explore
+	}
+	for _, start := range nodes {
+		if color[start] != white {
+			continue
+		}
+		stack := []frame{{node: start}}
+		color[start] = gray
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			if f.next >= len(adj[f.node]) {
+				color[f.node] = black
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			e := adj[f.node][f.next]
+			f.next++
+			switch color[e.Holder] {
+			case white:
+				color[e.Holder] = gray
+				stack = append(stack, frame{node: e.Holder})
+			case gray:
+				// Cycle: e.Holder ... top of stack. Collect its nodes,
+				// pick the minimum as victim, and record the key of the
+				// victim's outgoing edge within the cycle.
+				inCycle := map[uint64]bool{}
+				for i := len(stack) - 1; i >= 0; i-- {
+					inCycle[stack[i].node] = true
+					if stack[i].node == e.Holder {
+						break
+					}
+				}
+				v := victim{txn: ^uint64(0)}
+				for n := range inCycle {
+					if n < v.txn {
+						v.txn = n
+					}
+				}
+				for _, ve := range adj[v.txn] {
+					if inCycle[ve.Holder] {
+						v.key = ve.Key
+						break
+					}
+				}
+				victims = append(victims, v)
+				// Retire the whole DFS path (cycle nodes and the path
+				// leading into it) so one scan reports each disjoint
+				// cycle once and no node is left gray off-stack; an
+				// interlocking cycle hidden behind these nodes is found
+				// by the next poll, after the victim dies.
+				for i := range stack {
+					color[stack[i].node] = black
+				}
+				stack = stack[:0]
+			}
+		}
+	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i].txn < victims[j].txn })
+	return victims
 }

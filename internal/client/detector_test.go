@@ -1,4 +1,4 @@
-package deadlock
+package client
 
 import (
 	"fmt"
@@ -14,10 +14,10 @@ func edge(w, h uint64, key string) wire.WaitEdge {
 
 func TestFindVictimsNoCycle(t *testing.T) {
 	edges := []wire.WaitEdge{edge(1, 2, "a"), edge(2, 3, "b"), edge(4, 3, "c")}
-	if v := FindVictims(edges); len(v) != 0 {
+	if v := findVictims(edges); len(v) != 0 {
 		t.Fatalf("acyclic graph produced victims: %+v", v)
 	}
-	if v := FindVictims(nil); len(v) != 0 {
+	if v := findVictims(nil); len(v) != 0 {
 		t.Fatalf("empty graph produced victims: %+v", v)
 	}
 }
@@ -26,16 +26,16 @@ func TestFindVictimsTwoCycle(t *testing.T) {
 	// The classic cross-server AB-BA: 7 waits on 9 (key b), 9 waits on
 	// 7 (key a). Victim is the lower id, blocked on b.
 	edges := []wire.WaitEdge{edge(7, 9, "b"), edge(9, 7, "a")}
-	v := FindVictims(edges)
-	if len(v) != 1 || v[0].Txn != 7 || v[0].Key != "b" {
+	v := findVictims(edges)
+	if len(v) != 1 || v[0].txn != 7 || v[0].key != "b" {
 		t.Fatalf("victims = %+v", v)
 	}
 }
 
 func TestFindVictimsTransitive(t *testing.T) {
 	edges := []wire.WaitEdge{edge(5, 6, "x"), edge(6, 8, "y"), edge(8, 5, "z")}
-	v := FindVictims(edges)
-	if len(v) != 1 || v[0].Txn != 5 || v[0].Key != "x" {
+	v := findVictims(edges)
+	if len(v) != 1 || v[0].txn != 5 || v[0].key != "x" {
 		t.Fatalf("victims = %+v", v)
 	}
 }
@@ -46,8 +46,8 @@ func TestFindVictimsDisjointCycles(t *testing.T) {
 		edge(10, 11, "c"), edge(11, 10, "d"),
 		edge(20, 21, "e"), // acyclic appendix
 	}
-	v := FindVictims(edges)
-	if len(v) != 2 || v[0].Txn != 1 || v[1].Txn != 10 {
+	v := findVictims(edges)
+	if len(v) != 2 || v[0].txn != 1 || v[1].txn != 10 {
 		t.Fatalf("victims = %+v", v)
 	}
 }
@@ -56,8 +56,8 @@ func TestFindVictimsPathIntoCycle(t *testing.T) {
 	// 1 waits on the cycle {2,3} without being in it: aborting the
 	// cycle's victim (2) frees 1, so 1 must not be shot.
 	edges := []wire.WaitEdge{edge(1, 2, "a"), edge(2, 3, "b"), edge(3, 2, "c")}
-	v := FindVictims(edges)
-	if len(v) != 1 || v[0].Txn != 2 || v[0].Key != "b" {
+	v := findVictims(edges)
+	if len(v) != 1 || v[0].txn != 2 || v[0].key != "b" {
 		t.Fatalf("victims = %+v", v)
 	}
 }
@@ -72,40 +72,13 @@ func TestFindVictimsDeterministic(t *testing.T) {
 		edge(40, 41, "d"), edge(41, 40, "e"),
 		edge(100, 3, "f"),
 	}
-	want := fmt.Sprintf("%+v", FindVictims(base))
+	want := fmt.Sprintf("%+v", findVictims(base))
 	for i := 0; i < 50; i++ {
 		shuffled := append([]wire.WaitEdge(nil), base...)
 		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		if got := fmt.Sprintf("%+v", FindVictims(shuffled)); got != want {
+		if got := fmt.Sprintf("%+v", findVictims(shuffled)); got != want {
 			t.Fatalf("iteration %d: %s != %s", i, got, want)
 		}
-	}
-}
-
-func TestGraphObserveReplacesSnapshots(t *testing.T) {
-	g := NewGraph()
-	g.Observe("s1", []wire.WaitEdge{edge(1, 2, "a")})
-	g.Observe("s2", []wire.WaitEdge{edge(2, 1, "b")})
-	if v := g.Victims(); len(v) != 1 || v[0].Txn != 1 {
-		t.Fatalf("victims = %+v", v)
-	}
-	// A fresh snapshot from s2 without the edge dissolves the cycle.
-	g.Observe("s2", nil)
-	if v := g.Victims(); len(v) != 0 {
-		t.Fatalf("stale snapshot survived: %+v", v)
-	}
-	g.Observe("s1", nil)
-	if len(g.Edges()) != 0 {
-		t.Fatal("graph not empty after clearing both sources")
-	}
-}
-
-func TestGraphReset(t *testing.T) {
-	g := NewGraph()
-	g.Observe("s1", []wire.WaitEdge{edge(1, 2, "a"), edge(2, 1, "b")})
-	g.Reset()
-	if v := g.Victims(); len(v) != 0 {
-		t.Fatalf("reset graph produced victims: %+v", v)
 	}
 }
 
@@ -123,7 +96,7 @@ func BenchmarkFindVictims(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if v := FindVictims(edges); len(v) != 1 {
+				if v := findVictims(edges); len(v) != 1 {
 					b.Fatalf("victims = %+v", v)
 				}
 			}

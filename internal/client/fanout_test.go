@@ -56,7 +56,7 @@ func TestFanOutPartitionedServerTimesOut(t *testing.T) {
 	addrs := []string{startServersOn(t, n, 1, v)[0], blackHole(t, n, v, "hole")}
 	const callTimeout = 50 * time.Millisecond
 	cl, err := client.New(client.Config{ID: 1, Servers: addrs, Network: n, Mode: client.ModeTILEarly,
-		Clock: clock.TimersSource{T: v}, Timers: v, DeadlockPoll: -1, CallTimeout: callTimeout})
+		Clock: clock.TimersSource{T: v}, Timers: v, CallTimeout: callTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,11 +251,11 @@ func (rt remoteStep) stage(idx []int32) {
 // goroutine, join or closure, as a one-server batch does. The requests
 // leave together, so one CallTimeout bounds the whole exchange, and a
 // request that may park server-side (wait) keeps the deadlock detector
-// polling until the last reply is in. Decoding, folding and settle stay
+// running until the last reply is in. Decoding, folding and settle stay
 // with the caller.
 func (rt remoteStep) fanOut(ctx context.Context, t wire.MsgType, wait bool) {
 	c := rt.c
-	if wait && c.det != nil {
+	if wait {
 		c.det.enter()
 		defer c.det.exit()
 	}
@@ -277,8 +277,8 @@ func (rt remoteStep) fanOut(ctx context.Context, t wire.MsgType, wait bool) {
 // checkBatch turns one route's decoded batch response into r.err (left
 // alone when the exchange or the decode already failed): the request
 // must have been accepted, under the pinned epoch, with one result per
-// key. Piggybacked wait-for edges go to the deadlock detector.
-func (rt remoteStep) checkBatch(r *routeBatch, what string, status wire.Status, errStr string, results int, edges []wire.WaitEdge) {
+// key.
+func checkBatch(r *routeBatch, what string, status wire.Status, errStr string, results int) {
 	switch {
 	case r.err != nil:
 		return
@@ -288,9 +288,6 @@ func (rt remoteStep) checkBatch(r *routeBatch, what string, status wire.Status, 
 		r.err = fmt.Errorf("%s batch via %s: %s", what, r.addr, errStr)
 	case results != r.hi-r.lo:
 		r.err = fmt.Errorf("%s batch via %s: %d results for %d keys", what, r.addr, results, r.hi-r.lo)
-	}
-	if det := rt.c.det; det != nil {
-		det.observe(r.addr, edges)
 	}
 }
 
@@ -362,7 +359,7 @@ func (b remote) ReadLocks(ctx context.Context, tx *core.Txn, keys []int32, upper
 			resp.Results = results[r.lo:r.lo:r.hi]
 			r.err = resp.DecodeInto(r.fb.Body())
 		}
-		rt.checkBatch(r, "read", resp.Status, resp.Err, len(resp.Results), resp.Edges)
+		checkBatch(r, "read", resp.Status, resp.Err, len(resp.Results))
 		if firstErr = cmp.Or(firstErr, r.err); r.err != nil {
 			clear(results[r.lo:r.hi]) // no status: nothing was granted
 		}
@@ -441,7 +438,7 @@ func (b remote) WriteLocks(ctx context.Context, tx *core.Txn, keys []int32, set 
 			resp.Results = rt.answers[r.lo:r.lo:r.hi]
 			r.err = resp.DecodeInto(r.fb.Body())
 		}
-		rt.checkBatch(r, "write-lock", resp.Status, resp.Err, len(resp.Results), resp.Edges)
+		checkBatch(r, "write-lock", resp.Status, resp.Err, len(resp.Results))
 		firstErr = cmp.Or(firstErr, r.err)
 		for j := 0; r.err == nil && j < len(resp.Results); j++ {
 			firstErr = cmp.Or(firstErr, rt.granted(len(keys), keys[r.lo+j], resp.Results[j], opts, &out[r.lo+j]))

@@ -34,9 +34,9 @@ func TestTxnSizeClass(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 
-	// Nothing listens at s0: Begin sends nothing, and with the detector
-	// off the client runs nothing of its own.
-	cl, err := client.New(client.Config{ID: 1, Servers: []string{"s0"}, Network: transport.NewMem(transport.LatencyModel{}), DeadlockPoll: -1})
+	// Nothing listens at s0: Begin sends nothing, and a client none of
+	// whose requests waits runs nothing of its own.
+	cl, err := client.New(client.Config{ID: 1, Servers: []string{"s0"}, Network: transport.NewMem(transport.LatencyModel{})})
 	if err != nil {
 		t.Fatal(err)
 	}

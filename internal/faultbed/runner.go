@@ -150,16 +150,12 @@ func run(s Scenario, timers clock.Timers) (Result, error) {
 	})
 	rec := &history.Recorder{}
 	clus, err := cluster.Start(cluster.Config{
-		Servers:  s.Servers,
-		Replicas: s.Replicas,
-		Network:  net,
-		Recorder: rec,
-		// The deadlock detector's timer-driven polls would consume
-		// chaos coins nondeterministically; lock requests in TIL modes
-		// never park, so the lock-wait timeout alone is enough here.
-		DeadlockPoll: -1,
-		CallTimeout:  callTimeout,
-		Timers:       timers,
+		Servers:     s.Servers,
+		Replicas:    s.Replicas,
+		Network:     net,
+		Recorder:    rec,
+		CallTimeout: callTimeout,
+		Timers:      timers,
 		ServerConfig: server.Config{
 			LockWaitTimeout:  lockWaitTimeout,
 			WriteLockTimeout: writeLockTimeout,

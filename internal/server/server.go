@@ -225,8 +225,8 @@ type Server struct {
 	// waits detects wait-for cycles among transactions blocked on this
 	// server's locks. Cross-server cycles are invisible to it, so its
 	// edges (labelled with the blocking key) are exported to
-	// coordinators — piggybacked on conflicted lock responses and via
-	// TWaitGraphReq polling — which assemble the global graph and send
+	// coordinators through TWaitGraphReq polling, which assemble the
+	// global graph and send
 	// back TVictimAbortReq for the victim of a confirmed cycle; the
 	// lock-wait timeout remains the backstop.
 	waits *lock.WaitGraph
@@ -765,7 +765,6 @@ func (c *connState) handleReadLockBatch() {
 	}
 	owner := lock.Owner(req.Txn)
 	results := resized(resp.Results, len(req.Keys))
-	anyDenied := false
 	wait := req.Wait
 	for i, k := range req.Keys {
 		// Each key gets its own lock-wait budget, exactly as n
@@ -773,7 +772,6 @@ func (c *connState) handleReadLockBatch() {
 		// starve its siblings' waits or poison their results.
 		results[i] = s.readLockKey(k, owner, req.Upper, wait)
 		if results[i].Status != wire.StatusOK {
-			anyDenied = true
 			// The coordinator aborts on any per-key failure, so once one
 			// sub-read has failed there is no point parking on the rest:
 			// the remaining keys fall back to no-wait acquisition. This
@@ -785,15 +783,6 @@ func (c *connState) handleReadLockBatch() {
 		}
 	}
 	*resp = wire.ReadLockBatchResp{Status: wire.StatusOK, Results: results}
-	if anyDenied && req.Wait {
-		// Denied sub-reads of a waiting batch mean someone held
-		// conflicting locks long enough to park us; export the local
-		// wait-for edges so the coordinator's cross-server deadlock
-		// detector sees them without polling (no-wait requesters never
-		// park, so they cannot be in a cycle and skip the snapshot
-		// cost).
-		resp.Edges = s.exportEdges()
-	}
 }
 
 // readLockKey answers one key of a read-lock request: the kernel's read
@@ -909,7 +898,7 @@ func (c *connState) handleWriteLockBatch() {
 	if len(req.Items) > len(acquiredBuf) {
 		acquired = make([]*keyspace.Key, len(req.Items))
 	}
-	any, anyDenied := false, false
+	any := false
 	for i := range req.Items {
 		it := &req.Items[i]
 		ks := s.keys.Key(it.Key)
@@ -923,13 +912,9 @@ func (c *connState) handleWriteLockBatch() {
 				status = wire.StatusDeadlock
 			}
 			results[i] = wire.WriteLockResult{Status: status, Err: err.Error(), Denied: res.Denied}
-			anyDenied = true
 			continue
 		}
 		results[i] = wire.WriteLockResult{Status: wire.StatusOK, Got: res.Got, Denied: res.Denied}
-		if !res.Denied.IsEmpty() {
-			anyDenied = true
-		}
 		if !res.Got.IsEmpty() {
 			acquired[i] = ks
 			any = true
@@ -988,20 +973,12 @@ func (c *connState) handleWriteLockBatch() {
 		}
 	}
 	*resp = wire.WriteLockBatchResp{Status: wire.StatusOK, Results: results}
-	if anyDenied && req.Wait {
-		// Denied acquisitions of a waiting batch mean someone held
-		// conflicting locks long enough to park us; export the local
-		// wait-for edges so the coordinator's cross-server deadlock
-		// detector sees them without polling. No-wait batches
-		// (timestamp ordering) can never deadlock, so their denials
-		// skip the snapshot.
-		resp.Edges = s.exportEdges()
-	}
 }
 
-// exportEdges snapshots the local wait-for graph for the wire: each
-// edge names the waiting transaction, the holder it blocks on, and the
-// key of the blocking lock table.
+// exportEdges snapshots the local wait-for graph for a coordinator's
+// poll (TWaitGraphReq), the only way edges leave the server: each edge
+// names the waiting transaction, the holder it blocks on, and the key
+// of the blocking lock table.
 func (s *Server) exportEdges() []wire.WaitEdge {
 	local := s.waits.Edges(nil)
 	if len(local) == 0 {

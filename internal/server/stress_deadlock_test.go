@@ -139,17 +139,18 @@ func TestCrossServerDeadlockVictimAbort(t *testing.T) {
 	}
 }
 
-// TestCrossServerDeadlockDisabledFallsBackToTimeout pins the "before"
-// behaviour the detector replaces: with polling disabled, the same
-// AB-BA cycle is only broken by the lock-wait timeout, so resolution
-// takes at least that long. (This is the baseline recorded in
-// BENCH_deadlock.json.)
-func TestCrossServerDeadlockDisabledFallsBackToTimeout(t *testing.T) {
+// TestCrossServerDeadlockTimeoutBackstop pins the lock-wait timeout as
+// the backstop behind the detector: with a poll period far beyond the
+// lock-wait timeout, no scan happens before the timeout fires, so the
+// same AB-BA cycle is broken by the timeout alone, in no less time, and
+// its abort does not claim to be a deadlock victim. (This is the
+// baseline recorded in BENCH_deadlock.json.)
+func TestCrossServerDeadlockTimeoutBackstop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out a full lock-wait timeout")
 	}
 	const lockWait = 300 * time.Millisecond
-	_, cls := startDeadlockBed(t, lockWait, -1, nil)
+	_, cls := startDeadlockBed(t, lockWait, 10*time.Second, nil)
 	ctx := context.Background()
 	kA := keyOnServer("toA", 0, 2, 0)
 	kB := keyOnServer("toB", 1, 2, 0)
@@ -271,17 +272,18 @@ func TestCrossServerDeadlockStress(t *testing.T) {
 // BenchmarkCycleResolution measures end-to-end resolution of one
 // cross-server AB-BA cycle: from closing the cycle to the victim
 // aborted and the survivor committed. The detector sub-benchmark is the
-// global-detection path; timeout is the pre-detector baseline, where
-// only the 1s lock-wait timeout breaks the cycle (both recorded in
-// BENCH_deadlock.json). Not part of the CI bench smoke — the timeout
-// arm costs a full second per iteration.
+// global-detection path; timeout is the pre-detector baseline, where a
+// poll period far beyond the 1s lock-wait timeout leaves the timeout to
+// break the cycle (both recorded in BENCH_deadlock.json). Not part of
+// the CI bench smoke — the timeout arm costs a full second per
+// iteration.
 func BenchmarkCycleResolution(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
 		poll time.Duration
 	}{
 		{"detector", 5 * time.Millisecond},
-		{"timeout", -1},
+		{"timeout", time.Hour},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			_, cls := startDeadlockBed(b, time.Second, cfg.poll, nil)

@@ -21,12 +21,9 @@ type Config struct {
 	Interval time.Duration
 	// Retention is K: the broadcast bound is now − K.
 	Retention time.Duration
-	// Clock supplies "now" in ticks; defaults to the system clock
-	// (microseconds).
+	// Clock supplies "now" in microsecond ticks; defaults to the system
+	// clock.
 	Clock clock.Source
-	// TicksPerSecond converts Retention to ticks; defaults to 1e6
-	// (microsecond ticks).
-	TicksPerSecond int64
 	// Broadcast receives the bound on every period. Implementations
 	// purge servers and advance client clocks.
 	Broadcast func(bound timestamp.Timestamp)
@@ -47,18 +44,18 @@ func Start(cfg Config) *Service {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System{}
 	}
-	if cfg.TicksPerSecond == 0 {
-		cfg.TicksPerSecond = 1_000_000
-	}
 	s := &Service{cfg: cfg, stop: make(chan struct{})}
 	s.wg.Add(1)
 	go s.run()
 	return s
 }
 
+// ticksPerSecond converts Retention to the clock's microsecond ticks.
+const ticksPerSecond = 1_000_000
+
 // Bound computes the current broadcast bound.
 func (s *Service) Bound() timestamp.Timestamp {
-	retentionTicks := int64(s.cfg.Retention.Seconds() * float64(s.cfg.TicksPerSecond))
+	retentionTicks := int64(s.cfg.Retention.Seconds() * ticksPerSecond)
 	t := s.cfg.Clock.Now() - retentionTicks
 	if t < 0 {
 		t = 0

@@ -13,10 +13,9 @@ func TestBoundSubtractsRetention(t *testing.T) {
 	var m clock.Manual
 	m.Set(10_000_000) // 10s in µs
 	s := Start(Config{
-		Interval:       time.Hour, // never fires during the test
-		Retention:      2 * time.Second,
-		Clock:          &m,
-		TicksPerSecond: 1_000_000,
+		Interval:  time.Hour, // never fires during the test
+		Retention: 2 * time.Second,
+		Clock:     &m,
 	})
 	defer s.Stop()
 	if got := s.Bound(); got != timestamp.New(8_000_000, 0) {

@@ -75,14 +75,10 @@ type WriteLockResult struct {
 // WriteLockBatchResp answers a WriteLockBatchReq. Results is parallel to
 // the request's Items; Status reports request-level failures (malformed
 // frame, transaction already decided) in which case Results may be nil.
-// Edges piggybacks the server's local wait-for edges when any sub-result
-// was denied, feeding the coordinator's cross-server deadlock detector
-// without an extra round trip.
 type WriteLockBatchResp struct {
 	Status  Status
 	Err     string
 	Results []WriteLockResult
-	Edges   []WaitEdge
 }
 
 // AppendTo implements Message.
@@ -97,7 +93,6 @@ func (m WriteLockBatchResp) AppendTo(buf []byte) []byte {
 		e.Set(r.Got)
 		e.Set(r.Denied)
 	}
-	e.Edges(m.Edges)
 	return e.buf
 }
 
@@ -117,7 +112,6 @@ func (m *WriteLockBatchResp) DecodeInto(b []byte) error {
 			Status: d.status(), Err: d.Str(), Got: d.Set(), Denied: d.Set(),
 		})
 	}
-	m.Edges = d.Edges()
 	return d.Err()
 }
 
@@ -272,8 +266,7 @@ func (m *ReadLockBatchReq) DecodeInto(b []byte) error {
 	return d.Err()
 }
 
-// ReadLockResult is the per-key outcome of a batch read. The wait-for
-// edges a conflicted read piggybacks are batch-level.
+// ReadLockResult is the per-key outcome of a batch read.
 type ReadLockResult struct {
 	Status    Status
 	Err       string
@@ -285,15 +278,11 @@ type ReadLockResult struct {
 
 // ReadLockBatchResp answers a ReadLockBatchReq. Results is parallel to
 // the request's Keys; Status reports request-level failures (malformed
-// frame) in which case Results may be nil. Edges piggybacks the
-// server's local wait-for edges when any waiting sub-read conflicted,
-// feeding the coordinator's cross-server deadlock detector without an
-// extra round trip.
+// frame) in which case Results may be nil.
 type ReadLockBatchResp struct {
 	Status  Status
 	Err     string
 	Results []ReadLockResult
-	Edges   []WaitEdge
 }
 
 // AppendTo implements Message.
@@ -309,7 +298,6 @@ func (m ReadLockBatchResp) AppendTo(buf []byte) []byte {
 		e.Blob(r.Value)
 		e.Interval(r.Got)
 	}
-	e.Edges(m.Edges)
 	return e.buf
 }
 
@@ -328,7 +316,6 @@ func (m *ReadLockBatchResp) DecodeInto(b []byte) error {
 			Status: d.status(), Err: d.Str(), VersionTS: d.TS(), Value: d.Blob(), Got: d.Interval(),
 		})
 	}
-	m.Edges = d.Edges()
 	return d.Err()
 }
 

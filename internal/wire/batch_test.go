@@ -184,14 +184,13 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 		}}
 	},
 	"WriteLockBatchResp": func(r *rand.Rand) codecCase {
-		in := WriteLockBatchResp{Status: randStatus(r), Err: randWord(r), Edges: randEdges(r)}
+		in := WriteLockBatchResp{Status: randStatus(r), Err: randWord(r)}
 		for i, n := 0, r.Intn(6); i < n; i++ {
 			in.Results = append(in.Results, WriteLockResult{Status: randStatus(r), Err: randWord(r), Got: randTSSet(r), Denied: randTSSet(r)})
 		}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
 			out, err := fresh[WriteLockBatchResp](b)
-			ok := out.Status == in.Status && out.Err == in.Err && len(out.Results) == len(in.Results) &&
-				slices.Equal(out.Edges, in.Edges)
+			ok := out.Status == in.Status && out.Err == in.Err && len(out.Results) == len(in.Results)
 			if ok {
 				for i := range in.Results {
 					ok = ok && out.Results[i].Status == in.Results[i].Status &&
@@ -224,7 +223,7 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 		}}
 	},
 	"ReadLockBatchResp": func(r *rand.Rand) codecCase {
-		in := ReadLockBatchResp{Status: randStatus(r), Err: randWord(r), Edges: randEdges(r)}
+		in := ReadLockBatchResp{Status: randStatus(r), Err: randWord(r)}
 		for i, n := 0, r.Intn(6); i < n; i++ {
 			in.Results = append(in.Results, ReadLockResult{
 				Status: randStatus(r), Err: randWord(r), VersionTS: randTS(r), Value: randBlob(r), Got: randIv(r),
@@ -232,8 +231,7 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 		}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
 			out, err := fresh[ReadLockBatchResp](b)
-			ok := out.Status == in.Status && out.Err == in.Err && len(out.Results) == len(in.Results) &&
-				slices.Equal(out.Edges, in.Edges)
+			ok := out.Status == in.Status && out.Err == in.Err && len(out.Results) == len(in.Results)
 			if ok {
 				for i := range in.Results {
 					ok = ok && out.Results[i].Status == in.Results[i].Status &&

@@ -351,7 +351,7 @@ func DecodeStatsResp(b []byte) (StatsResp, error) {
 
 // WaitEdge is one wait-for edge exported by a server: transaction
 // Waiter is blocked on a lock held by transaction Holder, on Key. A
-// coordinator merges edges from several servers into the global
+// coordinator unions the edges of every server into the global
 // wait-for graph; Key names the server where the waiter is parked, so a
 // victim abort can be routed there.
 type WaitEdge struct {
@@ -360,36 +360,10 @@ type WaitEdge struct {
 	Key    string
 }
 
-// Edges appends a length-prefixed sequence of wait-for edges.
-func (e *Encoder) Edges(v []WaitEdge) {
-	e.I32(int32(len(v)))
-	for _, x := range v {
-		e.U64(x.Waiter)
-		e.U64(x.Holder)
-		e.Str(x.Key)
-	}
-}
-
-// Edges consumes a length-prefixed sequence of wait-for edges.
-func (d *Decoder) Edges() []WaitEdge {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]WaitEdge, 0, min(n, 1024))
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, WaitEdge{Waiter: d.U64(), Holder: d.U64(), Key: d.Str()})
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
-
 // WaitGraphResp answers a TWaitGraphReq (whose body is empty) with a
-// snapshot of the server's local wait-for edges. Coordinators poll it
-// while one of their lock requests is blocked and assemble the
-// cross-server wait-for graph.
+// snapshot of the server's local wait-for edges. It is the only way
+// edges leave a server: a coordinator polls every head while one of its
+// lock requests waits, and assembles the cross-server wait-for graph.
 type WaitGraphResp struct {
 	Edges []WaitEdge
 }
@@ -397,15 +371,26 @@ type WaitGraphResp struct {
 // AppendTo implements Message.
 func (m WaitGraphResp) AppendTo(buf []byte) []byte {
 	e := Encoder{buf: buf}
-	e.Edges(m.Edges)
+	e.I32(int32(len(m.Edges)))
+	for _, x := range m.Edges {
+		e.U64(x.Waiter)
+		e.U64(x.Holder)
+		e.Str(x.Key)
+	}
 	return e.buf
 }
 
 // DecodeWaitGraphResp deserializes a WaitGraphResp.
 func DecodeWaitGraphResp(b []byte) (WaitGraphResp, error) {
 	d := NewDecoder(b)
-	m := WaitGraphResp{Edges: d.Edges()}
-	return m, d.Err()
+	var m WaitGraphResp
+	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
+		m.Edges = append(m.Edges, WaitEdge{Waiter: d.U64(), Holder: d.U64(), Key: d.Str()})
+	}
+	if d.err != nil {
+		return WaitGraphResp{}, d.err
+	}
+	return m, nil
 }
 
 // VictimAbortReq tells the server that transaction Txn — currently

@@ -318,7 +318,7 @@ func (db *firstTxnDB) Begin(ctx context.Context) (kv.Txn, error) {
 // returns nil, and a workload with Retry on counts it as a commit and
 // does not run it again.
 func TestRetryNeverReplaysACommitWhoseCastWasLost(t *testing.T) {
-	c, err := cluster.Start(cluster.Config{Servers: 2, Network: lossyNetwork{transport.NewMem(transport.LatencyModel{})}, DeadlockPoll: -1})
+	c, err := cluster.Start(cluster.Config{Servers: 2, Network: lossyNetwork{transport.NewMem(transport.LatencyModel{})}})
 	if err != nil {
 		t.Fatal(err)
 	}
