@@ -54,10 +54,18 @@ func NewEngine(policy Policy, opts Options) *Engine {
 // coordinator, and keeps what it knows of the transaction in its
 // scratch (Scratch.Backend).
 func (e *Engine) Begin(id uint64, b Backend) *Txn {
-	tx := &Txn{id: id, eng: e, backend: b}
+	tx := new(Txn)
+	e.BeginIn(tx, id, b)
+	return tx
+}
+
+// BeginIn is Begin into caller-provided storage, which must be a zero
+// Txn: a caller whose own transaction type holds the Txn by value keeps
+// the transaction at one allocation.
+func (e *Engine) BeginIn(tx *Txn, id uint64, b Backend) {
+	tx.id, tx.eng, tx.backend = id, e, b
 	tx.foot = tx.footBuf[:0]
 	tx.writeOrder = tx.writeOrderBuf[:0]
-	return tx
 }
 
 // DB is an in-process MVTL transactional store: an Engine over the
@@ -94,10 +102,21 @@ func (db *DB) KV() kv.DB { return kvAdapter{db: db} }
 
 // Begin starts a transaction.
 func (db *DB) Begin(ctx context.Context) (*Txn, error) {
-	if err := ctx.Err(); err != nil {
+	tx := new(Txn)
+	if err := db.BeginIn(ctx, tx); err != nil {
 		return nil, err
 	}
-	return db.Engine.Begin(db.nextID.Add(1), db), nil
+	return tx, nil
+}
+
+// BeginIn is Begin into caller-provided storage, a zero Txn (see
+// Engine.BeginIn).
+func (db *DB) BeginIn(ctx context.Context, tx *Txn) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	db.Engine.BeginIn(tx, db.nextID.Add(1), db)
+	return nil
 }
 
 // StateStats summarizes the store's state size.

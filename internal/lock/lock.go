@@ -38,6 +38,17 @@
 //   - OwnedInto walks live, and merges history in only when the owner
 //     filter below lets it.
 //
+// History grows with versions, not with reads. A frozen read range has
+// no owner: FreezeReadIn hands it to the reserved owner anonymous, and
+// the merge that compresses one owner's records joins every overlapping
+// or adjacent frozen read range, whoever froze it. All reads of one
+// version freeze ranges starting just above it, so a key's frozen list
+// holds one write point per committed version and at most one read range
+// above each — whatever the number of readers. The union of frozen
+// timestamps is what it would be with one record per reader, so no
+// conflict answer changes; only the readers' names are forgotten, and a
+// reader that freezes is finishing on the key (see FreezeReadIn).
+//
 // Past indexLen records a list also carries a running prefix maximum of
 // interval ends (maxHi, monotone, so it can be binary searched): a scan
 // narrows to the window [first record whose prefix-max end reaches the
@@ -50,8 +61,9 @@
 // (insert, remove) are O(n) in the list they change, from the slice copy
 // and the index repair behind it.
 //
-// The table knows the smallest and the largest owner id in its frozen
-// list (widened by every freeze, recomputed by every purge). An owner
+// The table knows the smallest and the largest named owner in its frozen
+// list — the frozen writes' owners, since frozen reads are anonymous —
+// widened by every write freeze and recomputed by every purge. An owner
 // outside those bounds has no frozen record — as a filter the bounds
 // are exact — and OwnedInto then never reads history. Transaction ids
 // grow with time, so a transaction that has not frozen anything on the
@@ -81,8 +93,13 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
 
-// Owner identifies a lock holder (a transaction).
+// Owner identifies a lock holder (a transaction). Owner 0 is reserved.
 type Owner uint64
+
+// anonymous owns every frozen read range: what a finishing reader froze
+// is history that no transaction answers for (see FreezeReadIn). No
+// transaction has this id.
+const anonymous Owner = 0
 
 // Mode distinguishes read locks from write locks.
 type Mode uint8
@@ -227,7 +244,8 @@ type Table struct {
 	// live holds the unfrozen records, frozen the frozen ones.
 	live, frozen list
 	// frozenMinOwner and frozenMaxOwner are the smallest and the largest
-	// owner of the records in frozen; they say nothing while it is empty.
+	// named owner of the records in frozen; both are anonymous while it
+	// holds no named record.
 	frozenMinOwner, frozenMaxOwner Owner
 	// waiters are the currently parked acquisitions, in no particular
 	// order. waitLo/waitHi bound the union of their spans (they may
@@ -414,6 +432,14 @@ func (t *Table) FreezeWriteAt(owner Owner, ts timestamp.Timestamp) bool {
 
 // FreezeReadIn freezes the portions of the owner's read locks inside iv,
 // as done by garbage collection after commit (Alg. 1 line 25).
+//
+// Its caller is finishing on this key: it has frozen its writes here and
+// releases what stays unfrozen next, as a commit does. What it freezes
+// is history, not the owner's lock: the frozen range becomes anonymous
+// and merges with the key's other frozen read ranges, so Owned no longer
+// reports it and the owner's own writes would now conflict with it. The
+// points where the owner holds a frozen write — its commit point — are
+// left out of the range: they are frozen against everyone else already.
 func (t *Table) FreezeReadIn(owner Owner, iv timestamp.Interval) {
 	if iv.IsEmpty() {
 		return
@@ -427,7 +453,7 @@ func (t *Table) FreezeReadIn(owner Owner, iv timestamp.Interval) {
 		}
 		frozenPart := held.Intersect(iv)
 		below, above := held.Subtract(frozenPart)
-		t.insertFrozenLocked(entry{iv: frozenPart, owner: owner, mode: ModeRead})
+		t.insertFrozenReadLocked(owner, frozenPart)
 		t.insertLiveLocked(entry{iv: below, owner: owner, mode: ModeRead})
 		t.insertLiveLocked(entry{iv: above, owner: owner, mode: ModeRead})
 		// Writers parked on the now-frozen range must observe the
@@ -476,7 +502,8 @@ func (t *Table) ReleaseReadIn(owner Owner, iv timestamp.Interval) {
 
 // Owned returns the timestamps the owner currently holds: all locked
 // timestamps (read or write) and the write-locked subset. The generic
-// commit step intersects these across keys (Alg. 1 line 13).
+// commit step intersects these across keys (Alg. 1 line 13). Frozen
+// reads are anonymous, so they count for no owner.
 func (t *Table) Owned(owner Owner) (readOrWrite, writeOnly timestamp.Set) {
 	t.OwnedInto(owner, &readOrWrite, &writeOnly)
 	return readOrWrite, writeOnly
@@ -531,7 +558,7 @@ func (t *Table) PurgeFrozenBelow(ts timestamp.Timestamp) int {
 	l := &t.frozen
 	kept := l.entries[:0]
 	removedAt := -1
-	t.frozenMinOwner, t.frozenMaxOwner = 0, 0
+	t.frozenMinOwner, t.frozenMaxOwner = anonymous, anonymous
 	for i, e := range l.entries {
 		if e.iv.Hi.Before(ts) {
 			if removedAt < 0 {
@@ -539,7 +566,7 @@ func (t *Table) PurgeFrozenBelow(ts timestamp.Timestamp) int {
 			}
 			continue
 		}
-		t.noteFrozenOwnerLocked(e.owner, len(kept) == 0)
+		t.noteFrozenOwnerLocked(e.owner)
 		kept = append(kept, e)
 	}
 	removed := len(l.entries) - len(kept)
@@ -551,8 +578,13 @@ func (t *Table) PurgeFrozenBelow(ts timestamp.Timestamp) int {
 }
 
 // noteFrozenOwnerLocked widens the frozen list's owner bounds to cover
-// owner; first says the list holds no other record.
-func (t *Table) noteFrozenOwnerLocked(owner Owner, first bool) {
+// owner, unless it is anonymous. Named owners are never anonymous, so a
+// minimum that is says the list holds no other named record.
+func (t *Table) noteFrozenOwnerLocked(owner Owner) {
+	if owner == anonymous {
+		return
+	}
+	first := t.frozenMinOwner == anonymous
 	if first || owner < t.frozenMinOwner {
 		t.frozenMinOwner = owner
 	}
@@ -605,11 +637,11 @@ func (t *Table) Snapshot() []EntryInfo {
 }
 
 // Validate checks the table's core invariants — each list is sorted and
-// carries its prefix-max index exactly when it is long enough to, the
-// owner bounds cover every frozen record, and write locks are exclusive
-// against locks of other owners within and across the lists — and
-// returns an error describing the first violation. It is intended for
-// tests.
+// carries its prefix-max index exactly when it is long enough to, a
+// record is anonymous exactly when it is a frozen read, the owner bounds
+// cover every named frozen record, and write locks are exclusive against
+// locks of other owners within and across the lists — and returns an
+// error describing the first violation. It is intended for tests.
 func (t *Table) Validate() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -619,8 +651,16 @@ func (t *Table) Validate() error {
 	if err := t.frozen.validate(); err != nil {
 		return fmt.Errorf("frozen list: %w", err)
 	}
+	for i, e := range t.live.entries {
+		if e.owner == anonymous {
+			return fmt.Errorf("live entry %d: %v/%v has no owner", i, e.iv, e.mode)
+		}
+	}
 	for i, e := range t.frozen.entries {
-		if e.owner < t.frozenMinOwner || e.owner > t.frozenMaxOwner {
+		if (e.owner == anonymous) != (e.mode == ModeRead) {
+			return fmt.Errorf("frozen entry %d: %v/%v of owner %d, want frozen reads and only they anonymous", i, e.iv, e.mode, e.owner)
+		}
+		if e.owner != anonymous && (e.owner < t.frozenMinOwner || e.owner > t.frozenMaxOwner) {
 			return fmt.Errorf("frozen entry %d: owner %d outside the bounds [%d,%d]", i, e.owner, t.frozenMinOwner, t.frozenMaxOwner)
 		}
 	}
@@ -838,23 +878,25 @@ func (l *list) blockersForWrite(owner Owner, req timestamp.Set, dst []Owner) []O
 // one start together, the unfrozen one is reported. Callers hold t.mu.
 func (t *Table) firstWriteOverLocked(owner Owner, iv timestamp.Interval) (conf timestamp.Interval, frozen, ok bool) {
 	if len(t.live.entries) > 0 {
-		conf, ok = t.live.firstWriteOver(owner, iv)
+		conf, ok = t.live.firstWriteOver(owner, false, iv)
 	}
 	if len(t.frozen.entries) > 0 {
-		if f, fok := t.frozen.firstWriteOver(owner, iv); fok && (!ok || f.Lo.Before(conf.Lo)) {
+		if f, fok := t.frozen.firstWriteOver(owner, false, iv); fok && (!ok || f.Lo.Before(conf.Lo)) {
 			return f, true, true
 		}
 	}
 	return conf, false, ok
 }
 
-// firstWriteOver is the list's part of firstWriteOverLocked. Entries are
-// sorted by start, so the first match in index order is the answer.
-func (l *list) firstWriteOver(owner Owner, iv timestamp.Interval) (timestamp.Interval, bool) {
+// firstWriteOver returns the interval of the list's write record that
+// overlaps iv and starts first, among other owners' records, or among
+// owner's own when mine is set. Entries are sorted by start, so the first
+// match in index order is the answer.
+func (l *list) firstWriteOver(owner Owner, mine bool, iv timestamp.Interval) (timestamp.Interval, bool) {
 	lo, hi := l.window(iv)
 	for i := lo; i < hi; i++ {
 		e := &l.entries[i]
-		if e.owner != owner && e.mode == ModeWrite && e.iv.Overlaps(iv) {
+		if (e.owner == owner) == mine && e.mode == ModeWrite && e.iv.Overlaps(iv) {
 			return e.iv, true
 		}
 	}
@@ -1024,8 +1066,23 @@ func (t *Table) insertFrozenLocked(e entry) {
 	if e.iv.IsEmpty() {
 		return
 	}
-	t.noteFrozenOwnerLocked(e.owner, len(t.frozen.entries) == 0)
+	t.noteFrozenOwnerLocked(e.owner)
 	t.frozen.insert(e)
+}
+
+// insertFrozenReadLocked adds iv to the anonymous frozen read history,
+// less the points where owner holds a frozen write. Callers hold t.mu.
+func (t *Table) insertFrozenReadLocked(owner Owner, iv timestamp.Interval) {
+	for !iv.IsEmpty() {
+		w, ok := t.frozen.firstWriteOver(owner, true, iv)
+		if !ok {
+			t.insertFrozenLocked(entry{iv: iv, owner: anonymous, mode: ModeRead})
+			return
+		}
+		var below timestamp.Interval
+		below, iv = iv.Subtract(w)
+		t.insertFrozenLocked(entry{iv: below, owner: anonymous, mode: ModeRead})
+	}
 }
 
 // extendWaiterEdgesLocked keeps deadlock detection current under

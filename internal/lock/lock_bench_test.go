@@ -218,8 +218,9 @@ func BenchmarkContendedPartialWrite(b *testing.B) {
 	}
 }
 
-// longHistoryTable returns a table holding n frozen read records of n
-// other owners: a hot key's history between purges.
+// longHistoryTable returns a table holding n frozen read ranges that do
+// not touch, frozen by n other owners: a hot key's history between
+// purges.
 func longHistoryTable(b *testing.B, n int) *Table {
 	tbl := NewTable()
 	ctx := context.Background()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -297,6 +298,106 @@ func TestFreezeReadIn(t *testing.T) {
 	_, err := tbl.AcquireWrite(ctx, 2, set(iv(4, 4)), Options{})
 	if !errors.Is(err, ErrFrozen) {
 		t.Fatalf("want ErrFrozen, got %v", err)
+	}
+}
+
+// TestFrozenReadHistoryCoalesces pins what a key keeps of its readers:
+// one anonymous frozen range per version, however many read it. A
+// thousand readers of the version at v, committing in shuffled order,
+// leave the write point and one range; every point they froze still
+// turns a writer away for good; none of them owns anything afterwards;
+// and a hundred more readers cost the warmed table no allocation. A
+// reader that also wrote the key keeps its commit point as its own
+// frozen write, and the range stops just below it.
+func TestFrozenReadHistoryCoalesces(t *testing.T) {
+	const (
+		v       = 10
+		delta   = 2000
+		readers = 1000
+		writer  = Owner(1)
+		fresh   = Owner(1 << 40)
+	)
+	ctx := context.Background()
+	tbl := NewTable()
+	if _, err := tbl.AcquireWrite(ctx, writer, set(timestamp.Point(mp(v))), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	tbl.FreezeWriteAt(writer, mp(v))
+	tbl.ReleaseUnfrozen(writer)
+	reader := func(i int) Owner { return Owner(2 + i) }
+
+	// Every reader holds (v, v+delta] before the first commits; reader i
+	// commits at v+1+i, in shuffled order.
+	for i := range readers {
+		if _, err := tbl.AcquireRead(ctx, reader(i), mspan(v+1, v+delta), Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range rand.New(rand.NewSource(1)).Perm(readers) {
+		tbl.FreezeReadIn(reader(i), mspan(v+1, v+1+i))
+		tbl.ReleaseUnfrozen(reader(i))
+	}
+	if err := tbl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := []EntryInfo{
+		{Interval: timestamp.Point(mp(v)), Owner: writer, Mode: ModeWrite, Frozen: true},
+		{Interval: mspan(v+1, v+readers), Owner: anonymous, Mode: ModeRead, Frozen: true},
+	}
+	if got := tbl.Snapshot(); !slices.Equal(got, want) {
+		t.Fatalf("after %d readers the table holds %d records %v, want %v", readers, len(got), got[:min(len(got), 4)], want)
+	}
+	for p := v; p <= v+readers; p++ {
+		if _, err := tbl.AcquireWrite(ctx, fresh, set(timestamp.Point(mp(p))), Options{}); !errors.Is(err, ErrFrozen) {
+			t.Fatalf("write at point %d: %v, want ErrFrozen", p, err)
+		}
+	}
+	for i := range readers {
+		if rw, w := tbl.Owned(reader(i)); !rw.IsEmpty() || !w.IsEmpty() {
+			t.Fatalf("finished reader %d owns %v, %v", reader(i), rw, w)
+		}
+	}
+
+	next := readers
+	another := func() {
+		o := reader(next)
+		if _, err := tbl.AcquireRead(ctx, o, mspan(v+1, v+delta), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		tbl.FreezeReadIn(o, mspan(v+1, v+1+next%readers))
+		tbl.ReleaseUnfrozen(o)
+		next++
+	}
+	if avg := testing.AllocsPerRun(100, another); avg != 0 {
+		t.Errorf("a reader's lock, freeze and release over the warmed table: %v allocs, want 0", avg)
+	}
+	if got := tbl.Snapshot(); !slices.Equal(got, want) {
+		t.Fatalf("after %d more readers the table holds %d records, want %v", next-readers, len(got), want)
+	}
+
+	rw, c := reader(next), v+readers+5
+	if _, err := tbl.AcquireRead(ctx, rw, mspan(v+1, v+delta), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.AcquireWrite(ctx, rw, set(timestamp.Point(mp(c))), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	tbl.FreezeWriteAt(rw, mp(c))
+	tbl.FreezeReadIn(rw, mspan(v+1, c))
+	tbl.ReleaseUnfrozen(rw)
+	if err := tbl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want = []EntryInfo{
+		want[0],
+		{Interval: mspan(v+1, c-1), Owner: anonymous, Mode: ModeRead, Frozen: true},
+		{Interval: timestamp.Point(mp(c)), Owner: rw, Mode: ModeWrite, Frozen: true},
+	}
+	if got := tbl.Snapshot(); !slices.Equal(got, want) {
+		t.Fatalf("after a reader that wrote at %d: %v, want %v", c, got, want)
+	}
+	if all, w := tbl.Owned(rw); !all.Equal(w) || !w.Equal(set(timestamp.Point(mp(c)))) {
+		t.Fatalf("the reader that wrote owns %v, %v, want its commit point only", all, w)
 	}
 }
 

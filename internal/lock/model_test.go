@@ -17,14 +17,18 @@ import (
 // literally: one bit per (timestamp, owner, mode, frozen) over a domain
 // small enough to enumerate — which is what the interval-compressed
 // table must be indistinguishable from, however its records were split
-// and merged on the way.
+// and merged on the way. One thing it forgets on purpose: who froze a
+// read. A frozen read bit belongs to the anonymous owner, and an owner
+// freezes its reads only as it finishes on the key, in the protocol's
+// order — freeze the reads, release the rest.
 
 // modelConfig sizes one run of the differential test: timestamps
 // mp(0)..mp(points-1) and owners 1..owners. When acquireSpan is nonzero
 // acquisitions ask for at most that many points, which keeps records
 // apart so that the lists grow long; when drainEvery is nonzero every
 // other stretch of that many steps acquires nothing, so that they shrink
-// again.
+// again, and the stretches between them purge nothing, so that frozen
+// history — merged across readers, so slower to lengthen — grows.
 type modelConfig struct {
 	points, owners, acquireSpan, drainEvery int
 }
@@ -35,7 +39,7 @@ var (
 	modelSmall = modelConfig{points: 64, owners: 4}
 	// modelLong is sparse: both lists grow past indexLen and shrink back
 	// below it, several times a run.
-	modelLong = modelConfig{points: 160, owners: 8, acquireSpan: 4, drainEvery: 60}
+	modelLong = modelConfig{points: 160, owners: 8, acquireSpan: 4, drainEvery: 150}
 )
 
 // mp is the i-th point of the model's domain. The points differ in the
@@ -56,13 +60,14 @@ type lockModel struct {
 	held map[class][]bool
 }
 
+// newLockModel returns an empty model. Frozen reads have one plane, the
+// anonymous owner's; no named owner has one.
 func newLockModel(cfg modelConfig) *lockModel {
 	m := &lockModel{cfg: cfg, held: map[class][]bool{}}
+	m.held[class{anonymous, ModeRead, true}] = make([]bool, cfg.points)
 	for o := Owner(1); o <= Owner(cfg.owners); o++ {
-		for _, mode := range []Mode{ModeRead, ModeWrite} {
-			for _, frozen := range []bool{false, true} {
-				m.held[class{o, mode, frozen}] = make([]bool, cfg.points)
-			}
+		for _, c := range []class{{o, ModeRead, false}, {o, ModeWrite, false}, {o, ModeWrite, true}} {
+			m.held[c] = make([]bool, cfg.points)
 		}
 	}
 	return m
@@ -244,8 +249,13 @@ func runModelSeed(t *testing.T, cfg modelConfig, seed int64, steps int) indexCro
 		owner := Owner(1 + rng.Intn(cfg.owners))
 		var desc string
 		op := rng.Intn(16)
-		if cfg.drainEvery > 0 && step/cfg.drainEvery%2 == 1 && op < 8 {
-			op = 8 + op%7 // a freeze or release in the acquisition's place
+		if cfg.drainEvery > 0 {
+			switch draining := step/cfg.drainEvery%2 == 1; {
+			case draining && op < 8:
+				op = 8 + op%7 // a freeze or release in the acquisition's place
+			case !draining && op == 15:
+				op = 8 // a write freeze in the purge's place
+			}
 		}
 		switch {
 		case op < 4:
@@ -365,14 +375,20 @@ func runModelSeed(t *testing.T, cfg modelConfig, seed int64, steps int) indexCro
 			}
 		case op < 12:
 			lo, hi := randSpan()
-			desc = fmt.Sprintf("FreezeReadIn(%d, [%d,%d])", owner, lo, hi)
+			desc = fmt.Sprintf("FreezeReadIn(%d, [%d,%d]), ReleaseUnfrozen(%d)", owner, lo, hi, owner)
 			tbl.FreezeReadIn(owner, mspan(lo, hi))
-			unfrozen, frozen := m.plane(owner, ModeRead, false), m.plane(owner, ModeRead, true)
+			tbl.ReleaseUnfrozen(owner)
+			// The frozen reads become history, less the owner's own frozen
+			// write points; everything else the owner held unfrozen goes.
+			reads, written := m.plane(owner, ModeRead, false), m.plane(owner, ModeWrite, true)
+			history := m.plane(anonymous, ModeRead, true)
 			for p := lo; p <= hi; p++ {
-				if unfrozen[p] {
-					unfrozen[p], frozen[p] = false, true
+				if reads[p] && !written[p] {
+					history[p] = true
 				}
 			}
+			clear(reads)
+			clear(m.plane(owner, ModeWrite, false))
 		case op < 13:
 			lo, hi := randSpan()
 			desc = fmt.Sprintf("ReleaseReadIn(%d, [%d,%d])", owner, lo, hi)

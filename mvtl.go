@@ -119,24 +119,24 @@ func Open(opts Options) *Store {
 // Algorithm returns the store's policy name.
 func (s *Store) Algorithm() string { return s.alg.String() }
 
-// Begin starts a transaction.
+// Begin starts a transaction. The Txn is its one allocation.
 func (s *Store) Begin(ctx context.Context) (*Txn, error) {
-	tx, err := s.db.Begin(ctx)
-	if err != nil {
+	t := new(Txn)
+	if err := s.db.BeginIn(ctx, &t.tx); err != nil {
 		return nil, err
 	}
-	return &Txn{tx: tx}, nil
+	return t, nil
 }
 
 // BeginCritical starts a transaction marked critical; under the Prio
 // algorithm it can never be aborted by normal transactions (§5.2).
 func (s *Store) BeginCritical(ctx context.Context) (*Txn, error) {
-	tx, err := s.db.Begin(ctx)
+	t, err := s.Begin(ctx)
 	if err != nil {
 		return nil, err
 	}
-	tx.Priority = true
-	return &Txn{tx: tx}, nil
+	t.tx.Priority = true
+	return t, nil
 }
 
 // Update runs fn inside a transaction, committing on nil return and
@@ -203,7 +203,8 @@ func IsDeadlock(err error) bool { return errors.Is(err, kv.ErrDeadlock) }
 // Txn is a transaction over a Store. Not safe for concurrent use by
 // multiple goroutines.
 type Txn struct {
-	tx       *core.Txn
+	// tx is held by value, so that a transaction is one allocation.
+	tx       core.Txn
 	readOnly bool
 }
 
