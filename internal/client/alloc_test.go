@@ -160,25 +160,26 @@ func checkPointTxnAllocs(t *testing.T, cfg client.Config) {
 }
 
 // batchTxnAllocCeiling is the allocation ceiling of tcp-batch's
-// transaction in miniature, process-wide, set as the point
-// transaction's is: the measurement plus two for runtime noise. Measured
-// 11: the Txn, GetMulti's result map and the Txn's footprint, which
-// sixteen keys outgrow, and what the transaction leaves on the servers.
-// The fourteen values read are carved from the coordinator's region of
-// read values, which a new 32 KiB chunk refills every couple of
-// transactions. It was 27 while each value read was cloned on its own
-// and each server allocated a record per writing transaction, 32 while
-// the coordinator's per-transaction state was allocated with each
-// transaction and spilled past its inline buffers.
-const batchTxnAllocCeiling = 13
+// transaction in miniature, process-wide: the measurement plus one for
+// runtime noise. Measured 10: the Txn, GetMulti's result map, and what
+// the transaction leaves on the servers. The sixteen-key footprint lives
+// in the pooled scratch, and the fourteen values read are carved from
+// the coordinator's region of read values, which a new 32 KiB chunk
+// refills every couple of transactions. It was 11 while the Txn held
+// eight footprint entries inline and sixteen keys spilled them, 27
+// while each value read was cloned on its own and each server allocated
+// a record per writing transaction, 32 while the coordinator's
+// per-transaction state was allocated with each transaction and spilled
+// past its inline buffers.
+const batchTxnAllocCeiling = 11
 
 // TestBatchTxnAllocBudget gates the allocation cost of the benchmark's
 // tcp-batch transaction in miniature (MVTIL-early over three zero-latency
 // Mem servers): sixteen keys with 1 KiB values, the leading fourteen read
-// as one GetMulti, then two writes and commit. Its footprint is past
-// every inline capacity, so the coordinator's per-transaction state —
-// routes, grants, staged names, read results, freeze ranges, write-lock
-// items — is what the pooled scratch saves it from growing anew.
+// as one GetMulti, then two writes and commit. The engine's footprint
+// and the coordinator's per-transaction state — routes, grants, staged
+// names, read results, freeze ranges, write-lock items — are what the
+// pooled scratch saves it from growing anew.
 func TestBatchTxnAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -172,9 +172,9 @@ func TestFootprintWriteOrder(t *testing.T) {
 
 // TestFootprintLargeTransaction runs the preload shape — 100 writes in
 // one timestamp-ordering transaction — and a 100-key read-back: both
-// outgrow the inline footprint, the engine's and the backend's (that
-// the engine then finds keys through its index is core's
-// TestFootprintIndex).
+// outgrow what small transactions grew in the pooled scratch, the
+// engine's footprint and the backend's state (that the engine then finds
+// keys through its index is core's TestFootprintIndex).
 func TestFootprintLargeTransaction(t *testing.T) {
 	const nkeys = 100
 	cl := footprintBed(t, ModeTO)
@@ -211,7 +211,7 @@ func TestFootprintLargeTransaction(t *testing.T) {
 			t.Fatalf("Read(%q) = %q, %v; want %q", k, v, err, want)
 		}
 	}
-	got, err := rd.GetMulti(ctx, keys) // re-read as one batch, past the inline scratch
+	got, err := rd.GetMulti(ctx, keys) // re-read as one batch
 	if err != nil || len(got) != nkeys {
 		t.Fatalf("GetMulti: %d values, %v", len(got), err)
 	}

@@ -14,21 +14,21 @@ import (
 // TestTxnSizeClass pins the one allocation a transaction costs at Begin,
 // on either backend, to its size class. It is a core.Txn and nothing
 // else: the coordinator's backend is one value per Client, and what it
-// keeps of a transaction rides the Txn's pooled scratch. The runtime
-// rounds the Txn up to the next size class, 768 bytes, and every byte up
-// to the class is free. One byte past it costs the whole step to the
-// next class, 896: +128 bytes per transaction with no new allocation to
-// show for it — a 768-byte core.Txn took that class and cost local-hot
-// 13 % of its bytes per commit. An object over 512 bytes that holds
-// pointers carries an 8-byte malloc header, which counts against the
-// class. Whatever would cross the class belongs in the pooled scratch
-// (core.Scratch) instead.
+// keeps of a transaction rides the Txn's pooled scratch, as does the
+// transaction's footprint. The runtime rounds the Txn up to the next
+// size class, 96 bytes, and every byte up to the class is free. One byte
+// past it costs the whole step to the next class, 112: +16 bytes per
+// transaction with no new allocation to show for it. (The 8-byte malloc
+// header counts against the class only above 512 bytes; the 760-byte
+// Txn that held eight footprint entries inline paid it, in the
+// 768-byte class.) Whatever would cross the class — the footprint
+// itself, first of all — belongs in the pooled scratch (core.Scratch).
 func TestTxnSizeClass(t *testing.T) {
-	const txnClass, header = 768, 8
-	if n := unsafe.Sizeof(core.Txn{}) + header; n > txnClass {
-		t.Errorf("core.Txn is %d bytes with its header, over its %d-byte size class", n, txnClass)
+	const txnClass = 96
+	if n := unsafe.Sizeof(core.Txn{}); n > txnClass {
+		t.Errorf("core.Txn is %d bytes, over its %d-byte size class", n, txnClass)
 	} else {
-		t.Logf("core.Txn: %d bytes with its header (class %d)", n, txnClass)
+		t.Logf("core.Txn: %d bytes (class %d)", n, txnClass)
 	}
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

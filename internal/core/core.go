@@ -50,9 +50,10 @@ func NewEngine(policy Policy, opts Options) *Engine {
 }
 
 // Begin starts transaction id over backend b (Alg. 1 line 1). The Txn
-// is the transaction's one allocation: b is one value per store or
-// coordinator, and keeps what it knows of the transaction in its
-// scratch (Scratch.Backend).
+// is the transaction's one allocation, and a small one: its footprint
+// lives in the pooled scratch it takes at the first key, and b is one
+// value per store or coordinator, which keeps what it knows of the
+// transaction in that scratch too (Scratch.Backend).
 func (e *Engine) Begin(id uint64, b Backend) *Txn {
 	tx := new(Txn)
 	e.BeginIn(tx, id, b)
@@ -64,8 +65,6 @@ func (e *Engine) Begin(id uint64, b Backend) *Txn {
 // the transaction at one allocation.
 func (e *Engine) BeginIn(tx *Txn, id uint64, b Backend) {
 	tx.id, tx.eng, tx.backend = id, e, b
-	tx.foot = tx.footBuf[:0]
-	tx.writeOrder = tx.writeOrderBuf[:0]
 }
 
 // DB is an in-process MVTL transactional store: an Engine over the

@@ -318,7 +318,10 @@ func TestBlindWritesDoNotConflict(t *testing.T) {
 // transaction has committed or aborted it can reach nothing that is
 // pooled, so whatever is done to it afterwards cannot disturb the
 // transaction its scratch went to — and what it still reports is its
-// own. It holds on either backend: the in-process store's, and the
+// own: its id, its outcome and CommitTS. Its footprint went back to the
+// pool with the scratch, emptied, so it reports none, and in particular
+// none of the keys of the transaction that took the scratch over. It
+// holds on either backend: the in-process store's, and the
 // coordinator's over one Mem server, whose state for the transaction
 // rides the scratch too — the finished Txn reaches only the backend
 // value every transaction of the client shares. (The server-side twin is
@@ -374,6 +377,7 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 	if (aScratch.Backend != nil) != (backend == "remote") {
 		t.Fatalf("a running transaction's scratch holds backend state %T; want the coordinator's, and none of the local store's", aScratch.Backend)
 	}
+	aID := a.ID()
 	var aCommitTS timestamp.Timestamp
 	if outcome == "committed" {
 		if err := a.Commit(ctx); err != nil {
@@ -386,6 +390,13 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 	if core.ScratchOf(a) != nil || a.PolicyState != nil {
 		t.Fatalf("the %s transaction still holds scratch %p, policy state %v", outcome, core.ScratchOf(a), a.PolicyState)
 	}
+	noFootprint := func(when string) {
+		t.Helper()
+		if a.Len() != 0 || len(a.ReadSet()) != 0 || len(a.WriteKeys()) != 0 {
+			t.Fatalf("%s, the %s transaction reports a footprint of %d keys: ReadSet %v, WriteKeys %v", when, outcome, a.Len(), a.ReadSet(), a.WriteKeys())
+		}
+	}
+	noFootprint("once finished")
 
 	// b takes over a's scratch (the pool may hand out another
 	// under the race detector, which changes nothing below).
@@ -399,6 +410,9 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 	}
 	if got := core.ScratchOf(b); got != aScratch {
 		t.Logf("b runs on scratch %p, a ran on %p", got, aScratch)
+	}
+	if b.Len() != 2 || b.KeyName(0) != "x" || b.KeyName(1) != "z" {
+		t.Fatalf("b's footprint: %d keys, ReadSet %v, WriteKeys %v", b.Len(), b.ReadSet(), b.WriteKeys())
 	}
 	// What a still reaches of its backend is the backend itself, which
 	// is one value per store or coordinator and b's too: the state the
@@ -425,18 +439,10 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 	if a.Committed() != (outcome == "committed") || a.Aborted() != (outcome == "aborted") {
 		t.Fatalf("the %s transaction reports committed=%v aborted=%v", outcome, a.Committed(), a.Aborted())
 	}
-	if a.CommitTS != aCommitTS {
-		t.Fatalf("CommitTS moved from %v to %v", aCommitTS, a.CommitTS)
+	if a.ID() != aID || a.CommitTS != aCommitTS {
+		t.Fatalf("id moved from %d to %d, CommitTS from %v to %v", aID, a.ID(), aCommitTS, a.CommitTS)
 	}
-	if rs := a.ReadSet(); len(rs) != 1 || rs[0].Key != "x" {
-		t.Fatalf("ReadSet = %v", rs)
-	}
-	if wk := a.WriteKeys(); len(wk) != 1 || wk[0] != "y" {
-		t.Fatalf("WriteKeys = %v", wk)
-	}
-	if v, ok := a.WriteOf(1); a.Len() != 2 || a.KeyName(1) != "y" || !ok || string(v) != "from a" {
-		t.Fatalf("footprint of %d keys, %q = %q, %v", a.Len(), a.KeyName(1), v, ok)
-	}
+	noFootprint("with b running on the pooled scratch")
 	if core.ScratchOf(a) != nil || a.PolicyState != nil {
 		t.Fatal("the finished transaction took a scratch again")
 	}
@@ -455,31 +461,34 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 
 // TestFootprintIndex: past footIndexAt keys a transaction finds its
 // footprint entries through an index rather than by scanning, and the
-// index agrees with the order of first use.
+// index agrees with the order of first use. The second transaction runs
+// on the scratch the first handed back, whose index must start empty.
 func TestFootprintIndex(t *testing.T) {
 	const nkeys = 100
 	db := newTO(t)
 	ctx := context.Background()
-	tx, _ := db.Begin(ctx)
-	for round := 0; round < 2; round++ { // the second round overwrites in place
+	for _, prefix := range []string{"key", "other"} {
+		tx, _ := db.Begin(ctx)
+		for round := 0; round < 2; round++ { // the second round overwrites in place
+			for i := 0; i < nkeys; i++ {
+				if round == 0 && i == 8 && core.IndexLen(tx) != 0 {
+					t.Fatalf("a footprint of %d keys has an index", tx.Len())
+				}
+				if err := tx.Write(ctx, fmt.Sprintf("%s-%03d", prefix, i), []byte{byte(round)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if tx.Len() != nkeys || len(tx.WriteKeys()) != nkeys || core.IndexLen(tx) != nkeys {
+			t.Fatalf("foot=%d writeOrder=%d index=%d, want %d each", tx.Len(), len(tx.WriteKeys()), core.IndexLen(tx), nkeys)
+		}
 		for i := 0; i < nkeys; i++ {
-			if round == 0 && i == 8 && core.IndexLen(tx) != 0 {
-				t.Fatalf("a footprint of %d keys has an index", tx.Len())
-			}
-			if err := tx.Write(ctx, fmt.Sprintf("key-%03d", i), []byte{byte(round)}); err != nil {
-				t.Fatal(err)
+			if k := fmt.Sprintf("%s-%03d", prefix, i); core.Entry(tx, k) != i || tx.KeyName(int32(i)) != k {
+				t.Fatalf("entry(%q) = %d, position %d holds %q", k, core.Entry(tx, k), i, tx.KeyName(int32(i)))
 			}
 		}
-	}
-	if tx.Len() != nkeys || len(tx.WriteKeys()) != nkeys || core.IndexLen(tx) != nkeys {
-		t.Fatalf("foot=%d writeOrder=%d index=%d, want %d each", tx.Len(), len(tx.WriteKeys()), core.IndexLen(tx), nkeys)
-	}
-	for i := 0; i < nkeys; i++ {
-		if k := fmt.Sprintf("key-%03d", i); core.Entry(tx, k) != i || tx.KeyName(int32(i)) != k {
-			t.Fatalf("entry(%q) = %d, position %d holds %q", k, core.Entry(tx, k), i, tx.KeyName(int32(i)))
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := tx.Commit(ctx); err != nil {
-		t.Fatal(err)
 	}
 }

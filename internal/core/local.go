@@ -10,13 +10,14 @@ import (
 )
 
 // The local backend: DB runs a transaction's steps on its own keyspace.
-// What it keeps per transaction is each footprint entry's key handle.
+// What it keeps per transaction is each footprint entry's key handle,
+// in the entry itself.
 var _ Backend = (*DB)(nil)
 
 // key returns the state of the key at position i of tx's footprint,
 // resolving it at first use — which also marks it for Release.
 func (db *DB) key(tx *Txn, i int32) *keyspace.Key {
-	e := &tx.foot[i]
+	e := &tx.scratch.foot[i]
 	if e.ks == nil {
 		e.ks = db.keys.Key(e.key)
 	}
@@ -56,8 +57,8 @@ func (db *DB) WriteLocks(ctx context.Context, tx *Txn, keys []int32, set timesta
 // Candidates implements Backend from the lock tables themselves.
 func (db *DB) Candidates(tx *Txn, t *timestamp.ShrinkingSet) {
 	sc := tx.Scratch()
-	for i := range tx.foot {
-		e := &tx.foot[i]
+	for i := range sc.foot {
+		e := &sc.foot[i]
 		if !e.read && !e.written {
 			continue
 		}
@@ -81,22 +82,23 @@ func (db *DB) Candidates(tx *Txn, t *timestamp.ShrinkingSet) {
 // Go-idiomatic counterpart of the §6 special-value construction that
 // removes the atomic block of Alg. 1).
 func (db *DB) Commit(_ context.Context, tx *Txn, ts timestamp.Timestamp, gc bool) (Outcome, error) {
-	for _, i := range tx.writeOrder {
-		e := &tx.foot[i]
+	sc := tx.scratch
+	for _, i := range sc.writeOrder {
+		e := &sc.foot[i]
 		if err := e.ks.Versions.Install(ts, e.value); err != nil {
 			// Unreachable while the write lock at ts is held and the
 			// purge bound trails active transactions.
 			return Aborted, fmt.Errorf("install %q at %v: %w", e.key, ts, err)
 		}
 	}
-	for _, i := range tx.writeOrder {
-		tx.foot[i].ks.Locks.FreezeWriteAt(tx.Owner(), ts)
+	for _, i := range sc.writeOrder {
+		sc.foot[i].ks.Locks.FreezeWriteAt(tx.Owner(), ts)
 	}
 	if !gc {
 		return Committed, nil
 	}
-	for i := range tx.foot {
-		if e := &tx.foot[i]; e.read {
+	for i := range sc.foot {
+		if e := &sc.foot[i]; e.read {
 			e.ks.Locks.FreezeReadIn(tx.Owner(), timestamp.Span(e.readVer.Next(), ts))
 		}
 	}
@@ -110,8 +112,9 @@ func (db *DB) Abort(_ context.Context, tx *Txn, writesOnly bool) { db.release(tx
 // release drops tx's unfrozen locks, or only its write locks, on every
 // key it touched here.
 func (db *DB) release(tx *Txn, writesOnly bool) {
-	for i := range tx.foot {
-		switch ks := tx.foot[i].ks; {
+	foot := tx.footprint()
+	for i := range foot {
+		switch ks := foot[i].ks; {
 		case ks == nil:
 		case writesOnly:
 			ks.Locks.ReleaseWrites(tx.Owner())

@@ -5,14 +5,16 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
 
-// Scratch is the working storage of one running transaction: the
-// batches, results and sets its lock steps and its commit step rebuild
-// over and over. An engine pools them — a transaction takes one at first
-// use (Txn.Scratch) and hands it back when it finishes — so that what
-// spills to the heap under contention is grown once per pool entry and
-// not once per transaction. Nothing in it is the finished transaction's:
-// what the transaction still reports lives in the Txn itself, and the
-// values it handed its caller are the caller's (kv.Txn).
+// Scratch is the working storage of one running transaction: its
+// footprint, and the batches, results and sets its lock steps and its
+// commit step rebuild over and over. An engine pools them — a
+// transaction takes one at first use (Txn.Scratch) and hands it back
+// when it finishes — so that what spills to the heap, a footprint of
+// many keys included, is grown once per pool entry and not once per
+// transaction. Nothing in it is the finished transaction's: what the
+// transaction still reports (its id, outcome and CommitTS) lives in the
+// Txn itself, and the values it handed its caller are the caller's
+// (kv.Txn).
 type Scratch struct {
 	// Policy is the policy's own per-transaction state. It stays with
 	// the Scratch when the transaction finishes, so a policy that finds
@@ -29,6 +31,15 @@ type Scratch struct {
 	// stay the callers', and the pool keeps that chunk alive with them.
 	Backend any
 
+	// foot is the footprint: one entry per key, in order of first use —
+	// the order locks are cleaned up in. writeOrder lists the written
+	// keys, by position, in order of first write. index finds a key's
+	// entry once foot is longer than footIndexAt; below that it is
+	// empty, and keys are found by a scan.
+	foot       []footEntry
+	writeOrder []int32
+	index      map[string]int32
+
 	// keys is the batch in hand (Txn.Batch); reads and writes are the
 	// results of the last Txn.ReadLocks and Txn.WriteLocks.
 	keys   []int32
@@ -40,4 +51,17 @@ type Scratch struct {
 	// way there.
 	candidates             timestamp.ShrinkingSet
 	readOrWrite, writeOnly timestamp.Set
+}
+
+// clearFootprint empties the footprint for the next transaction and
+// drops what the pool must not keep alive: the keys, the local
+// backend's key handles, and the values written and read, which are the
+// caller's.
+func (sc *Scratch) clearFootprint() {
+	if len(sc.foot) > footIndexAt {
+		clear(sc.index)
+	}
+	clear(sc.foot)
+	sc.foot, sc.writeOrder = sc.foot[:0], sc.writeOrder[:0]
+	clear(sc.reads[:cap(sc.reads)])
 }

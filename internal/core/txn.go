@@ -61,14 +61,14 @@ const (
 )
 
 // footEntry is what the transaction knows about one key of its
-// footprint. read: the policy served a Read of the key, which returned
-// the version at readVer (every Read of a key returns the same one: the
-// first leaves read locks from it upward). written: value is the
-// buffered write; until the first Write's write-time locks are held,
-// value is only its argument on the way to the backend. ks is the local
-// backend's handle on the key, nil until it first touches it; any other
-// backend keeps what it knows per key in the scratch (Scratch.Backend),
-// by position.
+// footprint (Scratch.foot). read: the policy served a Read of the key,
+// which returned the version at readVer (every Read of a key returns the
+// same one: the first leaves read locks from it upward). written: value
+// is the buffered write; until the first Write's write-time locks are
+// held, value is only its argument on the way to the backend. ks is the
+// local backend's handle on the key, nil until it first touches it; any
+// other backend keeps what it knows per key in Scratch.Backend, by
+// position.
 type footEntry struct {
 	key           string
 	ks            *keyspace.Key
@@ -77,16 +77,17 @@ type footEntry struct {
 	value         []byte
 }
 
-// A transaction within the inline capacities keeps all its bookkeeping
-// in its one allocation; a larger one (a 100-key preload) spills to the
-// heap and, past footIndexAt keys, finds keys through an index.
-const (
-	footInline  = 8
-	footIndexAt = 32
-)
+// footIndexAt is the footprint size past which a transaction (a 100-key
+// preload) finds its keys through an index rather than by a scan.
+const footIndexAt = 32
 
 // Txn is an MVTL transaction (Alg. 1). It is not safe for concurrent use
 // by multiple goroutines.
+//
+// The Txn holds the transaction's identity, its settings and what a
+// finished transaction still answers (its outcome and CommitTS). The
+// footprint is working state: it lives in the pooled Scratch, taken at
+// the first key and handed back, emptied, when the transaction finishes.
 type Txn struct {
 	id      uint64
 	eng     *Engine
@@ -97,19 +98,8 @@ type Txn struct {
 	// policies (§5.2). It must be set before the first operation.
 	Priority bool
 
-	// foot is the footprint: one entry per key, in order of first use —
-	// the order locks are cleaned up in. index finds a key's entry once
-	// foot outgrows a linear scan. writeOrder lists the written keys, by
-	// position, in order of first write.
-	foot       []footEntry
-	index      map[string]int32
-	writeOrder []int32
-
-	footBuf       [footInline]footEntry
-	writeOrderBuf [footInline]int32
-
-	// scratch is the pooled working storage, nil before the first use
-	// and again once the transaction has finished.
+	// scratch is the pooled working storage, the footprint included: nil
+	// before the first use and again once the transaction has finished.
 	scratch *Scratch
 
 	// CommitTS is the serialization timestamp: set on successful commit,
@@ -143,47 +133,65 @@ func (tx *Txn) Owner() lock.Owner { return lock.Owner(tx.id) }
 // entry returns the position of k's footprint entry, adding a blank one
 // at the end on first mention.
 func (tx *Txn) entry(k string) int {
-	if tx.index != nil {
-		if i, ok := tx.index[k]; ok {
+	sc := tx.Scratch()
+	if len(sc.foot) > footIndexAt {
+		if i, ok := sc.index[k]; ok {
 			return int(i)
 		}
 	} else {
-		for i := range tx.foot {
-			if tx.foot[i].key == k {
+		for i := range sc.foot {
+			if sc.foot[i].key == k {
 				return i
 			}
 		}
 	}
-	tx.foot = append(tx.foot, footEntry{key: k})
+	sc.foot = append(sc.foot, footEntry{key: k})
+	n := len(sc.foot)
 	switch {
-	case tx.index != nil:
-		tx.index[k] = int32(len(tx.foot) - 1)
-	case len(tx.foot) > footIndexAt:
-		tx.index = make(map[string]int32, 2*len(tx.foot))
-		for i := range tx.foot {
-			tx.index[tx.foot[i].key] = int32(i)
+	case n > footIndexAt+1:
+		sc.index[k] = int32(n - 1)
+	case n == footIndexAt+1:
+		if sc.index == nil {
+			sc.index = make(map[string]int32, 2*n)
+		}
+		for i := range sc.foot {
+			sc.index[sc.foot[i].key] = int32(i)
 		}
 	}
-	return len(tx.foot) - 1
+	return n - 1
+}
+
+// footprint returns the footprint's entries: none before the first key,
+// and none once the transaction has finished.
+func (tx *Txn) footprint() []footEntry {
+	if tx.scratch == nil {
+		return nil
+	}
+	return tx.scratch.foot
 }
 
 // Len returns the number of keys in the footprint. Positions below it
-// name its keys, in order of first use, for policies and backends.
-func (tx *Txn) Len() int { return len(tx.foot) }
+// name its keys, in order of first use, for policies and backends. A
+// finished transaction's footprint is empty.
+func (tx *Txn) Len() int { return len(tx.footprint()) }
 
 // KeyName returns the key at position i.
-func (tx *Txn) KeyName(i int32) string { return tx.foot[i].key }
+func (tx *Txn) KeyName(i int32) string { return tx.scratch.foot[i].key }
 
 // ReadOf reports whether a Read of the key at position i was served,
 // and the timestamp of the version it returned.
 func (tx *Txn) ReadOf(i int32) (timestamp.Timestamp, bool) {
-	return tx.foot[i].readVer, tx.foot[i].read
+	e := &tx.scratch.foot[i]
+	return e.readVer, e.read
 }
 
 // WriteOf returns the value last passed to Write for the key at
 // position i, and whether that write is buffered — it is not while its
 // write-time locks are being acquired.
-func (tx *Txn) WriteOf(i int32) ([]byte, bool) { return tx.foot[i].value, tx.foot[i].written }
+func (tx *Txn) WriteOf(i int32) ([]byte, bool) {
+	e := &tx.scratch.foot[i]
+	return e.value, e.written
+}
 
 // LocalKey returns the in-process store's lock table and version list
 // for the key at position i, for a policy that needs a lock operation
@@ -191,11 +199,11 @@ func (tx *Txn) WriteOf(i int32) ([]byte, bool) { return tx.foot[i].value, tx.foo
 // store only: over any other backend LocalKey panics.
 func (tx *Txn) LocalKey(i int32) *keyspace.Key { return tx.backend.(*DB).key(tx, i) }
 
-// Scratch returns the transaction's working storage, taken from the
-// engine's pool at first use. It goes back to the pool when the
-// transaction finishes: policies and backends use it inside the
-// operation they were called for and keep nothing that points into it,
-// bar Txn.PolicyState.
+// Scratch returns the transaction's working storage, its footprint
+// included, taken from the engine's pool at first use. It goes back to
+// the pool when the transaction finishes: policies and backends use it
+// inside the operation they were called for and keep nothing that
+// points into it, bar Txn.PolicyState.
 func (tx *Txn) Scratch() *Scratch {
 	if tx.scratch == nil {
 		tx.scratch = tx.eng.scratch.Get().(*Scratch)
@@ -212,7 +220,7 @@ func (tx *Txn) Batch(keys ...int32) []int32 {
 }
 
 // Writes returns the written keys, in first-write order, as a Batch.
-func (tx *Txn) Writes() []int32 { return tx.Batch(tx.writeOrder...) }
+func (tx *Txn) Writes() []int32 { return tx.Batch(tx.Scratch().writeOrder...) }
 
 // ReadLocks runs the read step on a batch (Backend.ReadLocks). The
 // results, aligned with keys as the step leaves it, are scratch: good
@@ -237,22 +245,29 @@ func (tx *Txn) WriteLocks(ctx context.Context, keys []int32, set timestamp.Set, 
 }
 
 // ReadSet returns the keys read, each with the timestamp of the version
-// it returned (Alg. 1 line 9; Zero denotes ⊥).
+// it returned (Alg. 1 line 9; Zero denotes ⊥). It is empty once the
+// transaction has finished.
 func (tx *Txn) ReadSet() []history.Read {
 	var reads []history.Read
-	for i := range tx.foot {
-		if e := &tx.foot[i]; e.read {
+	foot := tx.footprint()
+	for i := range foot {
+		if e := &foot[i]; e.read {
 			reads = append(reads, history.Read{Key: e.key, VersionTS: e.readVer})
 		}
 	}
 	return reads
 }
 
-// WriteKeys returns the keys written, in first-write order.
+// WriteKeys returns the keys written, in first-write order. It is empty
+// once the transaction has finished.
 func (tx *Txn) WriteKeys() []string {
-	keys := make([]string, len(tx.writeOrder))
-	for i, w := range tx.writeOrder {
-		keys[i] = tx.foot[w].key
+	sc := tx.scratch
+	if sc == nil {
+		return nil
+	}
+	keys := make([]string, len(sc.writeOrder))
+	for i, w := range sc.writeOrder {
+		keys[i] = sc.foot[w].key
 	}
 	return keys
 }
@@ -270,14 +285,14 @@ func (tx *Txn) Write(ctx context.Context, k string, value []byte) error {
 		return kv.ErrTxnDone
 	}
 	i := tx.entry(k)
-	tx.foot[i].value = value
+	tx.scratch.foot[i].value = value
 	if err := tx.eng.policy.WriteLocks(ctx, tx, int32(i)); err != nil {
 		tx.abort(ctx)
 		return abortedErr("write", k, err)
 	}
-	if e := &tx.foot[i]; !e.written {
-		e.written = true
-		tx.writeOrder = append(tx.writeOrder, int32(i))
+	if sc := tx.scratch; !sc.foot[i].written {
+		sc.foot[i].written = true
+		sc.writeOrder = append(sc.writeOrder, int32(i))
 	}
 	return nil
 }
@@ -290,7 +305,7 @@ func (tx *Txn) Read(ctx context.Context, k string) ([]byte, error) {
 		return nil, kv.ErrTxnDone
 	}
 	i := tx.entry(k)
-	if e := &tx.foot[i]; e.written {
+	if e := &tx.scratch.foot[i]; e.written {
 		return e.value, nil
 	}
 	res, err := tx.eng.policy.Read(ctx, tx, tx.Batch(int32(i)))
@@ -298,7 +313,8 @@ func (tx *Txn) Read(ctx context.Context, k string) ([]byte, error) {
 		tx.abort(ctx)
 		return nil, abortedErr("read", k, err)
 	}
-	tx.foot[i].read, tx.foot[i].readVer = true, res[0].Version.TS
+	e := &tx.scratch.foot[i]
+	e.read, e.readVer = true, res[0].Version.TS
 	return res[0].Version.Value, nil
 }
 
@@ -323,7 +339,7 @@ func (tx *Txn) GetMulti(ctx context.Context, keys []string) (map[string][]byte, 
 		}
 		i := tx.entry(k)
 		out[k] = nil // claims the key; a read fills it below
-		if e := &tx.foot[i]; e.written {
+		if e := &sc.foot[i]; e.written {
 			out[k] = e.value
 		} else {
 			sc.keys = append(sc.keys, int32(i))
@@ -339,7 +355,7 @@ func (tx *Txn) GetMulti(ctx context.Context, keys []string) (map[string][]byte, 
 		return nil, abortedErr("read batch", "", err)
 	}
 	for j, i := range batch {
-		e := &tx.foot[i]
+		e := &sc.foot[i]
 		e.read, e.readVer = true, res[j].Version.TS
 		out[e.key] = res[j].Version.Value
 	}
@@ -437,14 +453,15 @@ func (tx *Txn) abort(ctx context.Context) {
 
 // finish ends the transaction's use of pooled storage once it has
 // committed or aborted and cleaned up: the scratch goes back to the
-// engine, and the policy state, which may point into it, goes with it.
-// Everything a finished transaction still answers (CommitTS, ReadSet,
-// WriteKeys, WriteOf) is in the Txn's own memory.
+// engine with the footprint emptied, and the policy state, which may
+// point into it, goes with it. What a finished transaction still
+// answers — its id, its outcome and CommitTS — is in the Txn's own
+// memory; its footprint reads as empty.
 func (tx *Txn) finish() {
 	tx.PolicyState = nil
 	if sc := tx.scratch; sc != nil {
 		tx.scratch = nil
-		clear(sc.reads[:cap(sc.reads)]) // the values read are not the pool's to keep alive
+		sc.clearFootprint()
 		tx.eng.scratch.Put(sc)
 	}
 }

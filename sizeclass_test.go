@@ -13,15 +13,15 @@ import (
 // the size class of the engine's own transaction, as client's
 // TestTxnSizeClass does for the coordinator: the mvtl.Txn holds the
 // engine's transaction by value, so wrapping it costs neither a second
-// allocation nor a larger class. An object over 512 bytes that holds
-// pointers carries an 8-byte malloc header, which counts against the
-// class.
+// allocation nor a larger class, and its footprint lives in the engine's
+// pooled scratch. The 8-byte malloc header counts against the class only
+// above 512 bytes.
 func TestStoreBeginSizeClass(t *testing.T) {
-	const txnClass, header = 768, 8
-	if n := unsafe.Sizeof(mvtl.Txn{}) + header; n > txnClass {
-		t.Errorf("mvtl.Txn is %d bytes with its header, over its %d-byte size class", n, txnClass)
+	const txnClass = 96
+	if n := unsafe.Sizeof(mvtl.Txn{}); n > txnClass {
+		t.Errorf("mvtl.Txn is %d bytes, over its %d-byte size class", n, txnClass)
 	} else {
-		t.Logf("mvtl.Txn: %d bytes with its header (class %d)", n, txnClass)
+		t.Logf("mvtl.Txn: %d bytes (class %d)", n, txnClass)
 	}
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
