@@ -16,11 +16,13 @@ import (
 )
 
 // Allocation ceilings of the point transaction, process-wide (the
-// servers run in this process, so their share counts): measured 6 per
+// servers run in this process, so their share counts): measured 5 per
 // transaction over present 8-byte values and 0 per single-key Read —
 // the Txn, and what the transaction leaves on the servers: two pending
-// values, room in two version lists for what they become, and a
-// commitment object. It was 14 over present values (8 over ⊥, whose
+// values and room in two version lists for what they become. It was 6
+// while the decision server allocated a commitment object per writing
+// transaction where it now keeps a decision in a map, and 14 over
+// present values (8 over ⊥, whose
 // copy was free) while each value read was cloned out of its response
 // frame and each server allocated a record per writing transaction.
 // Over ⊥ it was 10 while the coordinator allocated its per-transaction
@@ -38,11 +40,11 @@ import (
 // on the wire is pinned beside this gate, in TestCommitTailFrames.
 //
 // The same ceilings hold on clock.Virtual, where every modelled frame
-// delivery is a timeline event: measured 6 and 0 there too, 68 and 6
+// delivery is a timeline event: measured 5 and 0 there too, 68 and 6
 // over ⊥ while a sleep allocated its wake channel, a closure and a
 // timer entry.
 const (
-	pointTxnAllocCeiling = 8
+	pointTxnAllocCeiling = 7
 	readAllocCeiling     = 0
 )
 

@@ -9,7 +9,9 @@
 // write) as its decision point; proposals race on that server and the
 // first to arrive wins. Since storage servers are modelled as reliable
 // logical entities (replicated in practice), first-proposal-wins on a
-// single process solves consensus among the participants.
+// single process solves consensus among the participants. A decision
+// server therefore keeps what each transaction's object decided, and
+// nothing else: the object is its entry in one map.
 package commitment
 
 import (
@@ -26,72 +28,29 @@ type Decision struct {
 	TS timestamp.Timestamp
 }
 
-// Object decides the fate of one transaction. The zero value is ready to
-// use. Decide is idempotent and first-proposal-wins, which provides the
-// uniform-consensus properties of §H.2 (validity, integrity, agreement)
-// within a single reliable process.
-type Object struct {
-	mu      sync.Mutex
-	decided bool
-	d       Decision
-}
-
-// Decide proposes an outcome and returns the agreed decision: the
-// proposal itself if this was the first proposal, the previously agreed
-// decision otherwise.
-func (o *Object) Decide(proposal Decision) Decision {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if !o.decided {
-		o.d = proposal
-		o.decided = true
-	}
-	return o.d
-}
-
-// Decided returns the decision if one was reached.
-func (o *Object) Decided() (Decision, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.d, o.decided
-}
-
-// Registry holds the commitment objects of a decision server, one per
-// transaction, created on demand. The zero value is not ready; use
-// NewRegistry.
+// Registry holds the decisions of a decision server, one per
+// transaction. The zero value is not ready; use NewRegistry.
 type Registry struct {
-	mu   sync.Mutex
-	objs map[uint64]*Object
+	mu        sync.Mutex
+	decisions map[uint64]Decision
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{objs: make(map[uint64]*Object)}
+	return &Registry{decisions: make(map[uint64]Decision)}
 }
 
-// Object returns the commitment object for txn, creating it if needed.
-func (r *Registry) Object(txn uint64) *Object {
+// Decide proposes an outcome for txn and returns the agreed decision:
+// the proposal itself if this was the first proposal, the previously
+// agreed decision otherwise. Being idempotent and first-proposal-wins,
+// it provides the uniform-consensus properties of §H.2 (validity,
+// integrity, agreement) within a single reliable process.
+func (r *Registry) Decide(txn uint64, proposal Decision) Decision {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	o, ok := r.objs[txn]
-	if !ok {
-		o = &Object{}
-		r.objs[txn] = o
+	if d, ok := r.decisions[txn]; ok {
+		return d
 	}
-	return o
-}
-
-// Forget drops the object for txn (after its outcome has been applied
-// everywhere); keeping registries bounded.
-func (r *Registry) Forget(txn uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.objs, txn)
-}
-
-// Len returns the number of live objects, for monitoring.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.objs)
+	r.decisions[txn] = proposal
+	return proposal
 }

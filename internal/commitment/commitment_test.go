@@ -9,34 +9,22 @@ import (
 )
 
 func TestFirstProposalWins(t *testing.T) {
-	var o Object
-	d1 := o.Decide(Decision{Kind: wire.DecideCommit, TS: timestamp.New(5, 1)})
+	r := NewRegistry()
+	d1 := r.Decide(1, Decision{Kind: wire.DecideCommit, TS: timestamp.New(5, 1)})
 	if d1.Kind != wire.DecideCommit {
 		t.Fatalf("d1 = %+v", d1)
 	}
-	d2 := o.Decide(Decision{Kind: wire.DecideAbort})
+	d2 := r.Decide(1, Decision{Kind: wire.DecideAbort})
 	if d2.Kind != wire.DecideCommit || d2.TS != timestamp.New(5, 1) {
 		t.Fatalf("later proposal must not override: %+v", d2)
-	}
-}
-
-func TestDecidedBeforeAndAfter(t *testing.T) {
-	var o Object
-	if _, ok := o.Decided(); ok {
-		t.Fatal("fresh object must be undecided")
-	}
-	o.Decide(Decision{Kind: wire.DecideAbort})
-	d, ok := o.Decided()
-	if !ok || d.Kind != wire.DecideAbort {
-		t.Fatalf("%+v %v", d, ok)
 	}
 }
 
 // TestAgreementUnderContention: many goroutines race proposals; all must
 // observe the same decision (the Agreement property of §H.2).
 func TestAgreementUnderContention(t *testing.T) {
-	for round := 0; round < 50; round++ {
-		var o Object
+	r := NewRegistry()
+	for round := uint64(0); round < 50; round++ {
 		const racers = 16
 		out := make([]Decision, racers)
 		var wg sync.WaitGroup
@@ -48,7 +36,7 @@ func TestAgreementUnderContention(t *testing.T) {
 				if i%2 == 0 {
 					kind = wire.DecideAbort
 				}
-				out[i] = o.Decide(Decision{Kind: kind, TS: timestamp.New(int64(i), 0)})
+				out[i] = r.Decide(round, Decision{Kind: kind, TS: timestamp.New(int64(i), 0)})
 			}(i)
 		}
 		wg.Wait()
@@ -60,24 +48,19 @@ func TestAgreementUnderContention(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
+// TestTransactionsIndependent: one transaction's decision does not bind
+// another's.
+func TestTransactionsIndependent(t *testing.T) {
 	r := NewRegistry()
-	a := r.Object(1)
-	b := r.Object(1)
-	if a != b {
-		t.Fatal("registry must return the same object per txn")
+	commit := Decision{Kind: wire.DecideCommit, TS: timestamp.New(7, 0)}
+	abort := Decision{Kind: wire.DecideAbort}
+	if d := r.Decide(1, commit); d != commit {
+		t.Fatalf("txn 1 decided %+v, want %+v", d, commit)
 	}
-	if r.Object(2) == a {
-		t.Fatal("distinct txns get distinct objects")
+	if d := r.Decide(2, abort); d != abort {
+		t.Fatalf("txn 2 decided %+v, want %+v", d, abort)
 	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	r.Forget(1)
-	if r.Len() != 1 {
-		t.Fatalf("Len after Forget = %d", r.Len())
-	}
-	if r.Object(1) == a {
-		t.Fatal("forgotten object must be recreated")
+	if d := r.Decide(1, abort); d != commit {
+		t.Fatalf("txn 1 re-decided %+v, want %+v", d, commit)
 	}
 }

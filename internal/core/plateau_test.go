@@ -12,9 +12,9 @@ import (
 // TestFrozenHistoryPlateau runs the local-uniform workload in miniature
 // with nobody purging: 2 000 preloaded keys, then 20 000 transactions of
 // 8 operations at 10 % writes. What the lock tables keep frozen must grow
-// with versions, not with reads: one write point per installed version,
-// and at most one anonymous read range starting just above each version,
-// however many transactions read it.
+// with versions, not with reads: one record per installed version — its
+// write point and the anonymous read range frozen just above it, however
+// many transactions read it.
 func TestFrozenHistoryPlateau(t *testing.T) {
 	const keys, txns, ops, writePct, preloadBatch = 2000, 20_000, 8, 10, 100
 	store := mvtl.Open(mvtl.Options{Algorithm: mvtl.TILEarly})
@@ -65,8 +65,8 @@ func TestFrozenHistoryPlateau(t *testing.T) {
 
 	st := store.Stats()
 	t.Logf("%d of %d committed: %d versions, %d frozen lock records of %d", commits, txns, st.Versions, st.FrozenLockEntries, st.LockEntries)
-	if st.FrozenLockEntries > 2*st.Versions {
-		t.Errorf("%d frozen lock records over %d versions, want at most two per version", st.FrozenLockEntries, st.Versions)
+	if st.FrozenLockEntries > st.Versions {
+		t.Errorf("%d frozen lock records over %d versions, want at most one per version", st.FrozenLockEntries, st.Versions)
 	}
 	if st.LockEntries != st.FrozenLockEntries {
 		t.Errorf("%d unfrozen lock records left with no transaction running", st.LockEntries-st.FrozenLockEntries)

@@ -38,14 +38,21 @@
 //   - OwnedInto walks live, and merges history in only when the owner
 //     filter below lets it.
 //
-// History grows with versions, not with reads. A frozen read range has
-// no owner: FreezeReadIn hands it to the reserved owner anonymous, and
-// the merge that compresses one owner's records joins every overlapping
-// or adjacent frozen read range, whoever froze it. All reads of one
-// version freeze ranges starting just above it, so a key's frozen list
-// holds one write point per committed version and at most one read range
-// above each — whatever the number of readers. The union of frozen
-// timestamps is what it would be with one record per reader, so no
+// History grows with versions, not with reads, one record per version.
+// A frozen read range has no owner: FreezeReadIn hands it to the
+// reserved owner anonymous, whoever froze it. All reads of one version
+// freeze ranges starting just above it, so they join that version's
+// write point in one record of the frozen list: [v, h] says the write is
+// frozen at v for its owner and reads are frozen on (v, h] for nobody.
+// A key's frozen list thus holds one record per committed version,
+// whatever the number of readers. A bare anonymous range is left only
+// where no single version point lies right below it: over ⊥, above a
+// point a purge dropped, or above several adjacent points of one owner
+// (one transaction committing twice on a key, which no policy does).
+// The union of frozen timestamps is what it would be with one record per
+// reader, and every answer per timestamp is what it would be with the
+// write point and the range as two records — a read meets the record at
+// v only, a write meets all of it but its owner's own point — so no
 // conflict answer changes; only the readers' names are forgotten, and a
 // reader that freezes is finishing on the key (see FreezeReadIn).
 //
@@ -57,15 +64,17 @@
 // has no index and is scanned whole, which is faster than two binary
 // searches and spares every cold key the index's allocation; a list's
 // record slice starts at capacity initialCap, so that a cold key's one
-// or two records cost one allocation per list. Structural updates
-// (insert, remove) are O(n) in the list they change, from the slice copy
-// and the index repair behind it.
+// or two records cost one allocation per list. With one frozen record
+// per version, a key's history needs no index until it keeps more than
+// indexLen versions, and its record slice doubles once per doubling of
+// versions. Structural updates (insert, remove) are O(n) in the list
+// they change, from the slice copy and the index repair behind it.
 //
 // The table knows the smallest and the largest named owner in its frozen
-// list — the frozen writes' owners, since frozen reads are anonymous —
-// widened by every write freeze and recomputed by every purge. An owner
-// outside those bounds has no frozen record — as a filter the bounds
-// are exact — and OwnedInto then never reads history. Transaction ids
+// list — the frozen writes' and versions' owners, since frozen reads are
+// anonymous — widened by every write freeze and recomputed by every
+// purge. An owner outside those bounds has no frozen record — as a
+// filter the bounds are exact — and OwnedInto then never reads history. Transaction ids
 // grow with time, so a transaction that has not frozen anything on the
 // key yet is usually above the bounds; one that falls inside them
 // without a record (a younger transaction froze first) pays one
@@ -176,12 +185,62 @@ type WriteResult struct {
 	frozenConf, liveConf timestamp.Set
 }
 
+// modeVersion marks a frozen record that stands for a committed version
+// and the reads frozen above it: its owner's write is frozen at iv.Lo,
+// and reads are frozen for nobody on (iv.Lo, iv.Hi], which is never
+// empty. It lives only in the frozen list, and Snapshot renders it as
+// the write point and the anonymous read range it replaces.
+const modeVersion = ModeWrite + 1
+
 // entry is one interval-compressed lock record. It has no frozen bit:
 // the list that holds it says whether it is frozen.
 type entry struct {
 	iv    timestamp.Interval
 	owner Owner
 	mode  Mode
+}
+
+// writes returns the timestamps the record write-locks for its owner:
+// all of a write record, the point of a version, none of a read.
+func (e *entry) writes() timestamp.Interval {
+	switch e.mode {
+	case ModeWrite:
+		return e.iv
+	case modeVersion:
+		return timestamp.Point(e.iv.Lo)
+	default:
+		return timestamp.Empty
+	}
+}
+
+// readsAbove returns a version's frozen reads, (iv.Lo, iv.Hi].
+func (e *entry) readsAbove() timestamp.Interval {
+	return timestamp.Span(e.iv.Lo.Next(), e.iv.Hi)
+}
+
+// deniesWrite returns the timestamps of the record that a write by
+// owner conflicts with: all of another owner's record, and the frozen
+// reads above the owner's own version.
+func (e *entry) deniesWrite(owner Owner) timestamp.Interval {
+	switch {
+	case e.owner != owner:
+		return e.iv
+	case e.mode == modeVersion:
+		return e.readsAbove()
+	default:
+		return timestamp.Empty
+	}
+}
+
+// appendInfo appends the records e stands for to dst: a version as its
+// write point and the anonymous read range above it.
+func (e *entry) appendInfo(dst []EntryInfo, frozen bool) []EntryInfo {
+	if e.mode != modeVersion {
+		return append(dst, EntryInfo{Interval: e.iv, Owner: e.owner, Mode: e.mode, Frozen: frozen})
+	}
+	return append(dst,
+		EntryInfo{Interval: e.writes(), Owner: e.owner, Mode: ModeWrite, Frozen: true},
+		EntryInfo{Interval: e.readsAbove(), Owner: anonymous, Mode: ModeRead, Frozen: true})
 }
 
 const (
@@ -421,7 +480,7 @@ func (t *Table) FreezeWriteAt(owner Owner, ts timestamp.Timestamp) bool {
 	point := timestamp.Point(ts)
 	below, above := t.live.entries[i].iv.Subtract(point)
 	t.live.removeAt(i)
-	t.insertFrozenLocked(entry{iv: point, owner: owner, mode: ModeWrite})
+	t.freezeWriteLocked(owner, ts)
 	t.insertLiveLocked(entry{iv: below, owner: owner, mode: ModeWrite})
 	t.insertLiveLocked(entry{iv: above, owner: owner, mode: ModeWrite})
 	// Only the frozen point changed state; waiters blocked on the
@@ -436,10 +495,12 @@ func (t *Table) FreezeWriteAt(owner Owner, ts timestamp.Timestamp) bool {
 // Its caller is finishing on this key: it has frozen its writes here and
 // releases what stays unfrozen next, as a commit does. What it freezes
 // is history, not the owner's lock: the frozen range becomes anonymous
-// and merges with the key's other frozen read ranges, so Owned no longer
-// reports it and the owner's own writes would now conflict with it. The
-// points where the owner holds a frozen write — its commit point — are
-// left out of the range: they are frozen against everyone else already.
+// and joins the version record it overlaps or touches from above — the
+// version the owner read — or else merges with the key's bare frozen
+// read ranges, so Owned no longer reports it and the owner's own writes
+// would now conflict with it. The points where the owner holds a frozen
+// write — its commit point — are left out of the range: they are frozen
+// against everyone else already.
 func (t *Table) FreezeReadIn(owner Owner, iv timestamp.Interval) {
 	if iv.IsEmpty() {
 		return
@@ -537,17 +598,22 @@ func (t *Table) OwnedInto(owner Owner, readOrWrite, writeOnly *timestamp.Set) {
 		if e.owner != owner {
 			continue
 		}
-		readOrWrite.AddInPlace(e.iv)
-		if e.mode == ModeWrite {
-			writeOnly.AddInPlace(e.iv)
+		if e.mode == ModeRead {
+			readOrWrite.AddInPlace(e.iv)
+			continue
 		}
+		readOrWrite.AddInPlace(e.writes())
+		writeOnly.AddInPlace(e.writes())
 	}
 }
 
 // PurgeFrozenBelow drops frozen entries that lie entirely below ts,
 // mirroring version purging (§6): once the versions below a bound are
 // discarded, their lock state may be discarded too. It returns the number
-// of entries removed.
+// of entries removed, counted as Snapshot renders them: a version record
+// is its write point and the read range above it. A version whose point
+// lies below ts while its reads reach ts loses the point and keeps the
+// reads, as a bare range.
 //
 // No waiters are woken: acquisitions only ever park on *unfrozen*
 // conflicts, and purging removes only frozen records, so no parked
@@ -557,19 +623,27 @@ func (t *Table) PurgeFrozenBelow(ts timestamp.Timestamp) int {
 	defer t.mu.Unlock()
 	l := &t.frozen
 	kept := l.entries[:0]
-	removedAt := -1
+	removed, removedAt := 0, -1
 	t.frozenMinOwner, t.frozenMaxOwner = anonymous, anonymous
 	for i, e := range l.entries {
-		if e.iv.Hi.Before(ts) {
+		switch {
+		case e.iv.Hi.Before(ts):
+			removed++
+			if e.mode == modeVersion {
+				removed++
+			}
 			if removedAt < 0 {
 				removedAt = i
 			}
 			continue
+		case e.mode == modeVersion && e.iv.Lo.Before(ts):
+			// The end of the record stays, so the index does too.
+			removed++
+			e = entry{iv: e.readsAbove(), owner: anonymous, mode: ModeRead}
 		}
 		t.noteFrozenOwnerLocked(e.owner)
 		kept = append(kept, e)
 	}
-	removed := len(l.entries) - len(kept)
 	l.entries = kept
 	if removedAt >= 0 {
 		l.reindex(removedAt)
@@ -595,7 +669,8 @@ func (t *Table) noteFrozenOwnerLocked(owner Owner) {
 
 // Stats summarizes the table's lock state size.
 type Stats struct {
-	// Entries is the number of interval-compressed lock records.
+	// Entries is the number of interval-compressed lock records the
+	// table stores; a version record counts once.
 	Entries int
 	// Frozen is how many of them are frozen.
 	Frozen int
@@ -618,29 +693,40 @@ type EntryInfo struct {
 }
 
 // Snapshot returns a copy of the lock records, sorted by interval start:
-// the merge of the unfrozen and the frozen list.
+// the merge of the unfrozen and the frozen list, each version record
+// rendered as its write point and the anonymous read range above it.
 func (t *Table) Snapshot() []EntryInfo {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot for callers that hold t.mu.
+func (t *Table) snapshotLocked() []EntryInfo {
 	live, frozen := t.live.entries, t.frozen.entries
-	out := make([]EntryInfo, 0, len(live)+len(frozen))
+	dst := make([]EntryInfo, 0, len(live)+2*len(frozen))
 	for i, j := 0, 0; i < len(live) || j < len(frozen); {
 		if j == len(frozen) || i < len(live) && live[i].iv.Lo.AtOrBefore(frozen[j].iv.Lo) {
-			out = append(out, EntryInfo{Interval: live[i].iv, Owner: live[i].owner, Mode: live[i].mode})
+			dst = live[i].appendInfo(dst, false)
 			i++
 		} else {
-			out = append(out, EntryInfo{Interval: frozen[j].iv, Owner: frozen[j].owner, Mode: frozen[j].mode, Frozen: true})
+			dst = frozen[j].appendInfo(dst, true)
 			j++
 		}
 	}
-	return out
+	return dst
 }
 
 // Validate checks the table's core invariants — each list is sorted and
-// carries its prefix-max index exactly when it is long enough to, a
-// record is anonymous exactly when it is a frozen read, the owner bounds
-// cover every named frozen record, and write locks are exclusive against
-// locks of other owners within and across the lists — and returns an
+// carries its prefix-max index exactly when it is long enough to; live
+// records are named reads and writes; a frozen record is anonymous
+// exactly when it is a bare read range, and a version's read range is
+// never empty; the owner bounds cover every named frozen record; frozen
+// records are disjoint and merged as far as they can be — no bare range
+// overlaps or touches from above a version or a one-point write, which
+// it would have joined, and no write of one owner touches another of its
+// own; and write locks are exclusive against locks of other owners
+// within and across the lists, as Snapshot renders them — and returns an
 // error describing the first violation. It is intended for tests.
 func (t *Table) Validate() error {
 	t.mu.Lock()
@@ -652,30 +738,46 @@ func (t *Table) Validate() error {
 		return fmt.Errorf("frozen list: %w", err)
 	}
 	for i, e := range t.live.entries {
-		if e.owner == anonymous {
-			return fmt.Errorf("live entry %d: %v/%v has no owner", i, e.iv, e.mode)
+		if e.owner == anonymous || e.mode == modeVersion {
+			return fmt.Errorf("live entry %d: %v/%v of owner %d, want a named read or write", i, e.iv, e.mode, e.owner)
 		}
 	}
 	for i, e := range t.frozen.entries {
 		if (e.owner == anonymous) != (e.mode == ModeRead) {
-			return fmt.Errorf("frozen entry %d: %v/%v of owner %d, want frozen reads and only they anonymous", i, e.iv, e.mode, e.owner)
+			return fmt.Errorf("frozen entry %d: %v/%v of owner %d, want bare reads and only they anonymous", i, e.iv, e.mode, e.owner)
+		}
+		if e.mode == modeVersion && e.iv.Lo == e.iv.Hi {
+			return fmt.Errorf("frozen entry %d: version %v of owner %d has no reads", i, e.iv, e.owner)
 		}
 		if e.owner != anonymous && (e.owner < t.frozenMinOwner || e.owner > t.frozenMaxOwner) {
 			return fmt.Errorf("frozen entry %d: owner %d outside the bounds [%d,%d]", i, e.owner, t.frozenMinOwner, t.frozenMaxOwner)
 		}
+		if i == 0 {
+			continue
+		}
+		p := &t.frozen.entries[i-1]
+		switch {
+		case !p.iv.Hi.Before(e.iv.Lo):
+			return fmt.Errorf("frozen entries %d and %d overlap: %v/%v and %v/%v", i-1, i, p.iv, p.mode, e.iv, e.mode)
+		case p.iv.Hi.Next() != e.iv.Lo:
+		case e.mode == ModeRead && (p.mode != ModeWrite || p.iv.Lo == p.iv.Hi):
+			return fmt.Errorf("frozen reads %v not merged with the %v/%v below them", e.iv, p.iv, p.mode)
+		case e.mode != ModeRead && p.mode == ModeWrite && p.owner == e.owner:
+			return fmt.Errorf("frozen writes %v and %v of owner %d not merged", p.iv, e.writes(), e.owner)
+		}
 	}
-	all := append(append([]entry(nil), t.live.entries...), t.frozen.entries...)
+	all := t.snapshotLocked()
 	for i, a := range all {
 		for _, b := range all[i+1:] {
-			if a.owner == b.owner {
+			if a.Owner == b.Owner {
 				continue
 			}
-			if a.mode == ModeRead && b.mode == ModeRead {
+			if a.Mode == ModeRead && b.Mode == ModeRead {
 				continue
 			}
-			if a.iv.Overlaps(b.iv) {
+			if a.Interval.Overlaps(b.Interval) {
 				return fmt.Errorf("conflict between %v/%v(owner %d) and %v/%v(owner %d)",
-					a.iv, a.mode, a.owner, b.iv, b.mode, b.owner)
+					a.Interval, a.Mode, a.Owner, b.Interval, b.Mode, b.Owner)
 			}
 		}
 	}
@@ -888,47 +990,45 @@ func (t *Table) firstWriteOverLocked(owner Owner, iv timestamp.Interval) (conf t
 	return conf, false, ok
 }
 
-// firstWriteOver returns the interval of the list's write record that
-// overlaps iv and starts first, among other owners' records, or among
-// owner's own when mine is set. Entries are sorted by start, so the first
-// match in index order is the answer.
+// firstWriteOver returns the write-locked interval of the list's record
+// that overlaps iv and starts first, among other owners' records, or
+// among owner's own when mine is set; for a version that is its point.
+// Entries are sorted by start, so the first match in index order is the
+// answer.
 func (l *list) firstWriteOver(owner Owner, mine bool, iv timestamp.Interval) (timestamp.Interval, bool) {
 	lo, hi := l.window(iv)
 	for i := lo; i < hi; i++ {
 		e := &l.entries[i]
-		if (e.owner == owner) == mine && e.mode == ModeWrite && e.iv.Overlaps(iv) {
-			return e.iv, true
+		if (e.owner == owner) == mine && e.writes().Overlaps(iv) {
+			return e.writes(), true
 		}
 	}
 	return timestamp.Empty, false
 }
 
-// conflictsInto adds to dst the timestamps of req covered by the list's
-// records of other owners: what a write of req conflicts with. Within a
-// request interval the overlaps come in start order, so the in-place
-// adds stay on the cheap append/extend path.
+// conflictsInto adds to dst the timestamps of req that the list's
+// records deny a write by owner: what a write of req conflicts with.
+// Within a request interval the overlaps come in start order, so the
+// in-place adds stay on the cheap append/extend path.
 func (l *list) conflictsInto(owner Owner, req timestamp.Set, dst *timestamp.Set) {
 	for r := 0; r < req.NumIntervals(); r++ {
 		riv := req.At(r)
 		lo, hi := l.window(riv)
 		for i := lo; i < hi; i++ {
-			e := &l.entries[i]
-			if e.owner == owner {
-				continue
-			}
-			if x := riv.Intersect(e.iv); !x.IsEmpty() {
+			if x := riv.Intersect(l.entries[i].deniesWrite(owner)); !x.IsEmpty() {
 				dst.AddInPlace(x)
 			}
 		}
 	}
 }
 
-// writeAt returns the index of the owner's write lock covering ts, or -1.
+// writeAt returns the index of the owner's record write-locking ts, or
+// -1.
 func (l *list) writeAt(owner Owner, ts timestamp.Timestamp) int {
 	lo, hi := l.window(timestamp.Point(ts))
 	for i := lo; i < hi; i++ {
 		e := &l.entries[i]
-		if e.owner == owner && e.mode == ModeWrite && e.iv.Contains(ts) {
+		if e.owner == owner && e.writes().Contains(ts) {
 			return i
 		}
 	}
@@ -998,11 +1098,17 @@ func (l *list) reindex(pos int) {
 // compression, §6), and returns the interval of the merged record. The
 // list stays sorted by interval start.
 func (l *list) insert(e entry) timestamp.Interval {
-	// Merge with compatible neighbours. The candidate window is widened
-	// by one tick on each side to catch adjacency; records of the same
-	// (owner, mode) class are mutually non-adjacent by this very
-	// invariant, so merged growth cannot reach entries outside the
-	// window.
+	e = l.merge(e)
+	l.insertAt(l.search(e.iv.Lo), e)
+	return e.iv
+}
+
+// merge removes the records of e's owner and mode that overlap or touch
+// e and returns e widened over them. The candidate window is widened by
+// one tick on each side to catch adjacency; records of the same (owner,
+// mode) class are mutually non-adjacent by this very invariant, so
+// merged growth cannot reach entries outside the window.
+func (l *list) merge(e entry) entry {
 	lo, hi := l.window(timestamp.Span(e.iv.Lo.Prev(), e.iv.Hi.Next()))
 	for i := hi - 1; i >= lo; i-- {
 		o := &l.entries[i]
@@ -1011,9 +1117,18 @@ func (l *list) insert(e entry) timestamp.Interval {
 			l.removeAt(i)
 		}
 	}
-	pos := sort.Search(len(l.entries), func(i int) bool {
-		return l.entries[i].iv.Lo.AtOrAfter(e.iv.Lo)
+	return e
+}
+
+// search returns the index of the first record starting at or after ts.
+func (l *list) search(ts timestamp.Timestamp) int {
+	return sort.Search(len(l.entries), func(i int) bool {
+		return l.entries[i].iv.Lo.AtOrAfter(ts)
 	})
+}
+
+// insertAt puts e at index pos, which must keep the list sorted.
+func (l *list) insertAt(pos int, e entry) {
 	if l.entries == nil {
 		l.entries = make([]entry, 0, initialCap)
 	}
@@ -1021,7 +1136,6 @@ func (l *list) insert(e entry) timestamp.Interval {
 	copy(l.entries[pos+1:], l.entries[pos:])
 	l.entries[pos] = e
 	l.reindex(pos)
-	return e.iv
 }
 
 // removeAt deletes the record at index i, preserving order.
@@ -1059,15 +1173,32 @@ func (t *Table) insertLiveLocked(e entry) {
 	t.extendWaiterEdgesLocked(e)
 }
 
-// insertFrozenLocked adds a frozen record (an empty one is ignored).
-// Waiters are not told: the freeze paths wake the overlapping ones
-// themselves. Callers hold t.mu.
-func (t *Table) insertFrozenLocked(e entry) {
-	if e.iv.IsEmpty() {
+// freezeWriteLocked adds the owner's frozen write at ts to the frozen
+// list, unless the owner has one there already. It merges with the
+// owner's frozen writes it touches; a version of the owner right above
+// gives its point to the merged writes and keeps its reads as a bare
+// range, and a single point takes in the bare range right above it, so
+// becoming a version. Waiters are not told: FreezeWriteAt wakes the
+// overlapping ones itself. Callers hold t.mu.
+func (t *Table) freezeWriteLocked(owner Owner, ts timestamp.Timestamp) {
+	l := &t.frozen
+	if l.writeAt(owner, ts) >= 0 {
 		return
 	}
-	t.noteFrozenOwnerLocked(e.owner)
-	t.frozen.insert(e)
+	t.noteFrozenOwnerLocked(owner)
+	e := l.merge(entry{iv: timestamp.Point(ts), owner: owner, mode: ModeWrite})
+	pos := l.search(e.iv.Lo)
+	if pos < len(l.entries) && l.entries[pos].iv.Lo == e.iv.Hi.Next() {
+		switch above := &l.entries[pos]; {
+		case above.owner == owner && above.mode == modeVersion:
+			e.iv.Hi = above.iv.Lo
+			*above = entry{iv: above.readsAbove(), owner: anonymous, mode: ModeRead}
+		case above.owner == anonymous && e.iv.Lo == e.iv.Hi:
+			*above = entry{iv: timestamp.Span(e.iv.Lo, above.iv.Hi), owner: owner, mode: modeVersion}
+			return
+		}
+	}
+	l.insertAt(pos, e)
 }
 
 // insertFrozenReadLocked adds iv to the anonymous frozen read history,
@@ -1076,13 +1207,38 @@ func (t *Table) insertFrozenReadLocked(owner Owner, iv timestamp.Interval) {
 	for !iv.IsEmpty() {
 		w, ok := t.frozen.firstWriteOver(owner, true, iv)
 		if !ok {
-			t.insertFrozenLocked(entry{iv: iv, owner: anonymous, mode: ModeRead})
+			t.frozen.freezeReads(iv)
 			return
 		}
 		var below timestamp.Interval
 		below, iv = iv.Subtract(w)
-		t.insertFrozenLocked(entry{iv: below, owner: anonymous, mode: ModeRead})
+		t.frozen.freezeReads(below)
 	}
+}
+
+// freezeReads adds the anonymous frozen reads r, which holds no frozen
+// write, to the list. It merges r with the bare ranges it overlaps or
+// touches; the result joins the version right below it if it overlaps or
+// touches that version's reads, or turns a single write point it touches
+// into a version, and stays a bare range otherwise — over ⊥, above a
+// point a purge dropped, or above several points of one owner.
+func (l *list) freezeReads(r timestamp.Interval) {
+	if r.IsEmpty() {
+		return
+	}
+	e := l.merge(entry{iv: r, owner: anonymous, mode: ModeRead})
+	pos := l.search(e.iv.Lo)
+	if pos > 0 {
+		below := &l.entries[pos-1]
+		single := below.mode == ModeWrite && below.iv.Lo == below.iv.Hi
+		if (single || below.mode == modeVersion) && below.iv.Hi.Next().AtOrAfter(e.iv.Lo) {
+			below.iv.Hi = timestamp.Max(below.iv.Hi, e.iv.Hi)
+			below.mode = modeVersion
+			l.reindex(pos - 1)
+			return
+		}
+	}
+	l.insertAt(pos, e)
 }
 
 // extendWaiterEdgesLocked keeps deadlock detection current under

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
@@ -347,6 +348,10 @@ func TestFrozenReadHistoryCoalesces(t *testing.T) {
 	if got := tbl.Snapshot(); !slices.Equal(got, want) {
 		t.Fatalf("after %d readers the table holds %d records %v, want %v", readers, len(got), got[:min(len(got), 4)], want)
 	}
+	// The write point and the range above it are one stored record.
+	if s := tbl.Stats(); s.Frozen != 1 || s.Entries != 1 {
+		t.Fatalf("after %d readers the table stores %+v, want one frozen record", readers, s)
+	}
 	for p := v; p <= v+readers; p++ {
 		if _, err := tbl.AcquireWrite(ctx, fresh, set(timestamp.Point(mp(p))), Options{}); !errors.Is(err, ErrFrozen) {
 			t.Fatalf("write at point %d: %v, want ErrFrozen", p, err)
@@ -396,8 +401,76 @@ func TestFrozenReadHistoryCoalesces(t *testing.T) {
 	if got := tbl.Snapshot(); !slices.Equal(got, want) {
 		t.Fatalf("after a reader that wrote at %d: %v, want %v", c, got, want)
 	}
+	if s := tbl.Stats(); s.Frozen != 2 {
+		t.Fatalf("after a reader that wrote the table stores %d frozen records, want 2", s.Frozen)
+	}
 	if all, w := tbl.Owned(rw); !all.Equal(w) || !w.Equal(set(timestamp.Point(mp(c)))) {
 		t.Fatalf("the reader that wrote owns %v, %v, want its commit point only", all, w)
+	}
+}
+
+// TestEntrySize pins the record at 48 bytes: a version's kind rides the
+// mode byte, so sharing one record between a write point and the reads
+// above it costs no field.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 48 {
+		t.Fatalf("entry is %d bytes, want 48", got)
+	}
+}
+
+// TestPurgeKeepsRangeAbovePurgedPoint purges between a version's point
+// and the end of the reads frozen above it. What is left renders and
+// counts as the two records did before they shared one: the point goes,
+// counted once, and the range stays, as a bare range. A later reader of
+// the version extends that range.
+func TestPurgeKeepsRangeAbovePurgedPoint(t *testing.T) {
+	const (
+		v, h   = 10, 20
+		writer = Owner(1)
+	)
+	ctx := context.Background()
+	tbl := NewTable()
+	if _, err := tbl.AcquireWrite(ctx, writer, set(timestamp.Point(mp(v))), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	tbl.FreezeWriteAt(writer, mp(v))
+	tbl.ReleaseUnfrozen(writer)
+	reader := func(o Owner, c int) {
+		if _, err := tbl.AcquireRead(ctx, o, mspan(v+1, v+100), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		tbl.FreezeReadIn(o, mspan(v+1, c))
+		tbl.ReleaseUnfrozen(o)
+	}
+	reader(2, h)
+	if s := tbl.Stats(); s.Frozen != 1 {
+		t.Fatalf("before the purge the table stores %d frozen records, want 1", s.Frozen)
+	}
+
+	if n := tbl.PurgeFrozenBelow(mp(v + 5)); n != 1 {
+		t.Fatalf("purged %d records, want 1: the point", n)
+	}
+	if err := tbl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bare := EntryInfo{Interval: mspan(v+1, h), Owner: anonymous, Mode: ModeRead, Frozen: true}
+	if got := tbl.Snapshot(); !slices.Equal(got, []EntryInfo{bare}) {
+		t.Fatalf("after the purge: %v, want %v", got, bare)
+	}
+	if _, err := tbl.AcquireWrite(ctx, 3, set(timestamp.Point(mp(h))), Options{}); !errors.Is(err, ErrFrozen) {
+		t.Fatalf("write at %d after the purge: %v, want ErrFrozen", h, err)
+	}
+
+	reader(4, h+5)
+	if err := tbl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bare.Interval = mspan(v+1, h+5)
+	if got := tbl.Snapshot(); !slices.Equal(got, []EntryInfo{bare}) {
+		t.Fatalf("after a later reader: %v, want %v", got, bare)
+	}
+	if s := tbl.Stats(); s.Frozen != 1 {
+		t.Fatalf("after a later reader the table stores %d frozen records, want 1", s.Frozen)
 	}
 }
 

@@ -17,7 +17,10 @@ import (
 // literally: one bit per (timestamp, owner, mode, frozen) over a domain
 // small enough to enumerate — which is what the interval-compressed
 // table must be indistinguishable from, however its records were split
-// and merged on the way. One thing it forgets on purpose: who froze a
+// and merged on the way, and however few of them it stores for what it
+// renders: a version and the reads frozen above it are one record, so
+// the table may store fewer frozen records than the model has frozen
+// runs, never more. One thing the model forgets on purpose: who froze a
 // read. A frozen read bit belongs to the anonymous owner, and an owner
 // freezes its reads only as it finishes on the key, in the protocol's
 // order — freeze the reads, release the rest.
@@ -429,6 +432,17 @@ func runModelSeed(t *testing.T, cfg modelConfig, seed int64, steps int) indexCro
 		}
 		if diff := m.matches(tbl); diff != "" {
 			t.Fatalf("seed %d step %d %s: %s", seed, step, desc, diff)
+		}
+		// A version and the reads frozen above it share a record, so the
+		// table never stores more frozen records than it renders.
+		runs := 0
+		for _, e := range m.entries() {
+			if e.Frozen {
+				runs++
+			}
+		}
+		if stored := len(tbl.frozen.entries); stored > runs {
+			t.Fatalf("seed %d step %d %s: %d frozen records stored for %d frozen runs", seed, step, desc, stored, runs)
 		}
 		crossings.observe(tbl)
 	}

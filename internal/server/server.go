@@ -693,7 +693,7 @@ func (c *connState) dispatch(f *wire.FrameBuf, reply rpc.Reply) (parked func(rpc
 		}
 		// The commitment object is hosted here; the decision is applied
 		// here as well.
-		d := s.registry.Object(req.Txn).Decide(commitment.Decision{Kind: req.Proposal, TS: req.TS})
+		d := s.registry.Decide(req.Txn, commitment.Decision{Kind: req.Proposal, TS: req.TS})
 		end := decided(req.Txn, d)
 		if d.Kind == req.Proposal {
 			// The proposal won, so the sender's share of the tail that
@@ -1172,7 +1172,7 @@ func (s *Server) scanOnce() {
 func (s *Server) proposeAbort(txn uint64, decisionSrv string) (commitment.Decision, bool) {
 	proposal := commitment.Decision{Kind: wire.DecideAbort}
 	if decisionSrv == "" || decisionSrv == s.cfg.Addr {
-		return s.registry.Object(txn).Decide(proposal), true
+		return s.registry.Decide(txn, proposal), true
 	}
 	f, err := s.callPeer(decisionSrv, wire.TDecideReq,
 		wire.DecideReq{Txn: txn, Proposal: wire.DecideAbort})
