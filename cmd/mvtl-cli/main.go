@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -89,6 +90,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// The value is lent until Commit returns; it is printed only
+		// once the read has committed.
+		v = bytes.Clone(v)
 		if err := tx.Commit(ctx); err != nil {
 			log.Fatal(err)
 		}

@@ -77,11 +77,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	read := len(profiles) // the map is lent until Commit returns
 	if err := readTx.Commit(ctx); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("read %d user profiles batched: %d round trips instead of %d\n",
-		len(profiles), len(c.Addrs()), len(userKeys))
+		read, len(c.Addrs()), len(userKeys))
 
 	// Crash a coordinator mid-transaction: its write locks are orphaned.
 	// An MVTIL coordinator holds none before it commits, so this one runs

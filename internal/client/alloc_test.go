@@ -35,8 +35,8 @@ import (
 // (a GC emptying the frame pool, map growth in the lock tables), not for
 // new per-operation allocations: one of those on a six-read transaction
 // costs six and trips the gate. A Read allocates nothing, and the
-// average over 200 runs absorbs a refilled pool or a new chunk of read
-// values, so its ceiling is the measurement. What the transaction puts
+// average over 200 runs absorbs a refilled pool or a grown region of
+// read values, so its ceiling is the measurement. What the transaction puts
 // on the wire is pinned beside this gate, in TestCommitTailFrames.
 //
 // The same ceilings hold on clock.Virtual, where every modelled frame
@@ -109,7 +109,7 @@ func checkPointTxnAllocs(t *testing.T, cfg client.Config) {
 	// Re-reading a key inside one transaction repeats the whole read
 	// path — stage, one-server fan-out, server read-lock, fold — without
 	// growing the footprint, so the count is the path's own: over a
-	// present value, whose copy is carved from the coordinator's region of
+	// present value, whose copy is lent from the coordinator's region of
 	// read values, and over a key outside the table, ⊥.
 	tx, err := cl.Begin(ctx)
 	if err != nil {
@@ -163,25 +163,28 @@ func checkPointTxnAllocs(t *testing.T, cfg client.Config) {
 
 // batchTxnAllocCeiling is the allocation ceiling of tcp-batch's
 // transaction in miniature, process-wide: the measurement plus one for
-// runtime noise. Measured 10: the Txn, GetMulti's result map, and what
-// the transaction leaves on the servers. The sixteen-key footprint lives
-// in the pooled scratch, and the fourteen values read are carved from
-// the coordinator's region of read values, which a new 32 KiB chunk
-// refills every couple of transactions. It was 11 while the Txn held
-// eight footprint entries inline and sixteen keys spilled them, 27
+// runtime noise. Measured 5, as the point transaction: the Txn, and what
+// the transaction leaves on the servers. The sixteen-key footprint and
+// GetMulti's result map live in the pooled scratch, and the fourteen
+// values read are lent from the coordinator's region of read values,
+// which the next transaction reuses. It was 10 while GetMulti built a
+// new map per call and a new 32 KiB chunk of read values, never rewound,
+// refilled the region every couple of transactions, 11 while the Txn
+// held eight footprint entries inline and sixteen keys spilled them, 27
 // while each value read was cloned on its own and each server allocated
 // a record per writing transaction, 32 while the coordinator's
 // per-transaction state was allocated with each transaction and spilled
 // past its inline buffers.
-const batchTxnAllocCeiling = 11
+const batchTxnAllocCeiling = 6
 
 // TestBatchTxnAllocBudget gates the allocation cost of the benchmark's
 // tcp-batch transaction in miniature (MVTIL-early over three zero-latency
 // Mem servers): sixteen keys with 1 KiB values, the leading fourteen read
-// as one GetMulti, then two writes and commit. The engine's footprint
-// and the coordinator's per-transaction state — routes, grants, staged
-// names, read results, freeze ranges, write-lock items — are what the
-// pooled scratch saves it from growing anew.
+// as one GetMulti, then two writes and commit. The engine's footprint,
+// GetMulti's map and the coordinator's per-transaction state — routes,
+// grants, staged names, read results, freeze ranges, write-lock items,
+// the region of read values — are what the pooled scratch saves it from
+// growing anew.
 func TestBatchTxnAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

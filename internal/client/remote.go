@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -88,8 +87,8 @@ var _ core.Backend = remote{}
 // remote.step). What it keeps from one transaction to the next is the
 // storage its slices have grown, no caller's value to write — a
 // write-lock fan-out clears its items, and every settle the read
-// results — and, in vals, at most one partly used chunk of the values it
-// has handed out to readers.
+// results — and, in vals, the region its last transaction's values were
+// lent from.
 type txnState struct {
 	// id is the transaction the state was last set up for. A step of any
 	// other transaction starts it over: ids are never reused by one
@@ -123,35 +122,29 @@ type txnState struct {
 	}
 
 	// vals is the region read values are carved from (see carve). Its
-	// length is what has been handed out, and it is never rewound: every
-	// byte goes to one reader, so a value stays its caller's for as long
-	// as the caller keeps it, whichever transaction runs on this state
-	// next.
+	// length is what the transaction has been lent. A value is the
+	// transaction's until it ends (kv.Txn), so vals is rewound only when
+	// the state is started over for the next one.
 	vals []byte
 }
 
-// A read value is carved from a chunk of valChunk bytes, the largest
-// small size class, so a chunk is not rounded up to whole pages. A value
-// over maxCarved is copied alone instead, which keeps what a full chunk
-// leaves unused under an eighth of it.
-const (
-	valChunk  = 32 << 10
-	maxCarved = 4 << 10
-)
+// valChunk is the size of a fresh region of read values: the largest
+// small size class, so it is not rounded up to whole pages. A region
+// that outgrew it is dropped at rewind, so a pooled scratch never pins
+// more.
+const valChunk = 32 << 10
 
-// carve returns the caller's copy of a value read: nil (⊥) stays nil,
-// and anything else, even empty, is a non-nil slice of st.vals with its
-// capacity capped at its length, so an append by the caller reallocates
-// instead of writing over the next value. A chunk without room for v is
-// replaced, not rewound; the collector frees it once its last value is
-// dropped.
+// carve returns the transaction's copy of a value read: nil (⊥) stays
+// nil, and anything else, even empty, is a non-nil slice of st.vals with
+// its capacity capped at its length, so an append by the caller
+// reallocates instead of writing over the next value. A region without
+// room for v grows by append; the values carved before stay where they
+// are, in the old array.
 func (st *txnState) carve(v []byte) []byte {
-	switch {
-	case v == nil:
+	if v == nil {
 		return nil
-	case len(v) > maxCarved:
-		return bytes.Clone(v)
-	case st.vals == nil || cap(st.vals)-len(st.vals) < len(v):
+	}
+	if st.vals == nil {
 		st.vals = make([]byte, 0, valChunk)
 	}
 	n := len(st.vals)
@@ -179,6 +172,11 @@ func (b remote) step(tx *core.Txn) remoteStep {
 	}
 	if st.id != tx.ID() {
 		st.id, st.keys, st.routes, st.decision = tx.ID(), st.keys[:0], st.routes[:0], route{}
+		// The last transaction has ended, and with it the loan of its
+		// values.
+		if st.vals = st.vals[:0]; cap(st.vals) > valChunk {
+			st.vals = nil
+		}
 	}
 	return remoteStep{c: b.c, tx: tx, txnState: st}
 }
@@ -322,8 +320,8 @@ func denied(n int, key string, status wire.Status, msg string) error {
 // ReadLocks implements core.Backend (Alg. 11 lines 10-14): one batched
 // read-lock request per server, in parallel, the servers running the
 // read step. Values are copied out of the response frames (carve) and
-// are the caller's under kv.Txn's rule: valid after the transaction
-// ends, not to be modified. nil means ⊥.
+// lent to the transaction under kv.Txn's rule: valid until it ends, not
+// to be modified. nil means ⊥.
 func (b remote) ReadLocks(ctx context.Context, tx *core.Txn, keys []int32, upper timestamp.Timestamp, wait bool, out []core.ReadResult) error {
 	rt := b.step(tx)
 	// stage orders keys by server; names, results and out are all
@@ -382,7 +380,7 @@ func (b remote) ReadLocks(ctx context.Context, tx *core.Txn, keys []int32, upper
 			return denied(len(keys), rt.names[i], res.Status, res.Err)
 		}
 		// res.Value is a borrowed view of a pooled response frame; the
-		// caller's copy outlives it.
+		// transaction's copy outlives it.
 		out[i].Version = version.Version{TS: res.VersionTS, Value: rt.carve(res.Value)}
 		out[i].Got = res.Got
 	}

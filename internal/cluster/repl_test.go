@@ -71,13 +71,14 @@ func readBack(t *testing.T, cl *client.Client, k string) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tx.Read(ctx, k)
+		v, err := tx.Read(ctx, k)
 		if err != nil {
 			_ = tx.Abort(ctx)
 			continue
 		}
+		got := string(v) // v is lent until Commit returns
 		if tx.Commit(ctx) == nil {
-			return string(got)
+			return got
 		}
 	}
 	return ""

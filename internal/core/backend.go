@@ -25,8 +25,9 @@ type Backend interface {
 	// repeated while newer frozen versions appear): the latest version
 	// below upper, and read locks from just above it up to upper —
 	// parking on unfrozen write locks when wait is set, taking the
-	// contiguous prefix it can get otherwise. The values read go to the
-	// caller under kv.Txn's rule: valid for good, never modified.
+	// contiguous prefix it can get otherwise. The values read are lent
+	// to the transaction under kv.Txn's rule: valid until it ends, never
+	// modified.
 	ReadLocks(ctx context.Context, tx *Txn, keys []int32, upper timestamp.Timestamp, wait bool, out []ReadResult) error
 
 	// WriteLocks write-locks set on every key as opts allow. Values ride

@@ -13,8 +13,8 @@ import (
 // many keys included, is grown once per pool entry and not once per
 // transaction. Nothing in it is the finished transaction's: what the
 // transaction still reports (its id, outcome and CommitTS) lives in the
-// Txn itself, and the values it handed its caller are the caller's
-// (kv.Txn).
+// Txn itself, and what it lent its caller — values read, GetMulti's map
+// — was lent only until it ended (kv.Txn).
 type Scratch struct {
 	// Policy is the policy's own per-transaction state. It stays with
 	// the Scratch when the transaction finishes, so a policy that finds
@@ -25,10 +25,9 @@ type Scratch struct {
 	// Backend is the backend's own per-transaction state (the
 	// coordinator's routes, grants and request buffers; the in-process
 	// store keeps none), under the same rule. What stays in it holds no
-	// value a caller wrote. It may hold the chunk the coordinator copies
-	// read values into, at most one partly used one per Scratch: the
-	// bytes already handed out are never written again, so the values
-	// stay the callers', and the pool keeps that chunk alive with them.
+	// value a caller wrote. It may hold the region the coordinator
+	// copies read values into, which the next transaction overwrites:
+	// the values were lent only until the last one ended.
 	Backend any
 
 	// foot is the footprint: one entry per key, in order of first use —
@@ -41,10 +40,12 @@ type Scratch struct {
 	index      map[string]int32
 
 	// keys is the batch in hand (Txn.Batch); reads and writes are the
-	// results of the last Txn.ReadLocks and Txn.WriteLocks.
+	// results of the last Txn.ReadLocks and Txn.WriteLocks, and multi is
+	// the map the last Txn.GetMulti returned.
 	keys   []int32
 	reads  []ReadResult
 	writes []lock.WriteResult
+	multi  map[string][]byte
 
 	// candidates is T of the commit step (Alg. 1 line 13); readOrWrite
 	// and writeOnly are one key's Owned snapshots on the local backend's
@@ -55,8 +56,8 @@ type Scratch struct {
 
 // clearFootprint empties the footprint for the next transaction and
 // drops what the pool must not keep alive: the keys, the local
-// backend's key handles, and the values written and read, which are the
-// caller's.
+// backend's key handles, and the values written and read, GetMulti's
+// map of them included, which is left empty.
 func (sc *Scratch) clearFootprint() {
 	if len(sc.foot) > footIndexAt {
 		clear(sc.index)
@@ -64,4 +65,5 @@ func (sc *Scratch) clearFootprint() {
 	clear(sc.foot)
 	sc.foot, sc.writeOrder = sc.foot[:0], sc.writeOrder[:0]
 	clear(sc.reads[:cap(sc.reads)])
+	clear(sc.multi)
 }

@@ -325,13 +325,19 @@ func (tx *Txn) Read(ctx context.Context, k string) ([]byte, error) {
 // a newer version than a sequential Read loop, whose interval shrinks
 // between reads, and abort where the loop would have settled for an
 // older one. Duplicate keys are read once, written keys come from the
-// write buffer, and any key's failure aborts the transaction.
+// write buffer, and any key's failure aborts the transaction. The map is
+// the scratch's, lent as the values are (kv.MultiGetter): the next
+// GetMulti refills it, and the transaction's end empties it.
 func (tx *Txn) GetMulti(ctx context.Context, keys []string) (map[string][]byte, error) {
 	if tx.state != stateActive {
 		return nil, kv.ErrTxnDone
 	}
-	out := make(map[string][]byte, len(keys))
 	sc := tx.Scratch()
+	if sc.multi == nil {
+		sc.multi = make(map[string][]byte, len(keys))
+	}
+	out := sc.multi
+	clear(out)
 	sc.keys = sc.keys[:0]
 	for _, k := range keys {
 		if _, dup := out[k]; dup {

@@ -48,8 +48,10 @@ type DB interface {
 // transaction implements it: over the storage servers a whole static
 // read set costs one round trip per server instead of one per key. Semantics
 // match a loop of Read calls (buffered writes are served locally, a nil
-// value means ⊥, and the values are the caller's as Txn says), except
-// that all keys are read under the transaction's bound at call time.
+// value means ⊥, and the values are lent as Txn says), except that all
+// keys are read under the transaction's bound at call time. The map is
+// lent too: valid until the next GetMulti on the transaction or its end,
+// whichever comes first, and not to be modified.
 type MultiGetter interface {
 	GetMulti(ctx context.Context, keys []string) (map[string][]byte, error)
 }
@@ -80,9 +82,11 @@ func GetMulti(ctx context.Context, tx Txn, keys []string) (map[string][]byte, er
 // client thread (§8.1).
 //
 // Values are shared, not copied, across this interface. A value Read or
-// GetMulti returns stays valid after the transaction ends, whatever runs
-// next, and must not be modified: it may be the store's own version or a
-// buffered write. Write keeps its argument as the buffered value — and,
+// GetMulti returns is lent to the transaction: it is valid until the
+// transaction ends (Commit or Abort returns) and must never be modified,
+// for it may be the store's own version, a buffered write, or storage
+// the next transaction reuses. A caller that keeps a value longer
+// copies it first. Write keeps its argument as the buffered value — and,
 // in process, as the version it commits — so the caller must not modify
 // it afterwards either.
 type Txn interface {

@@ -211,7 +211,9 @@ type Txn struct {
 // Get returns the value of key; nil means the key was never written.
 // The value stays valid after the transaction ends and must not be
 // modified: it is the store's own version, or the transaction's own
-// buffered write.
+// buffered write. That is a property of Store, which keeps its versions
+// in process, not of kv.Txn, whose values are lent only until the
+// transaction ends.
 func (t *Txn) Get(ctx context.Context, key string) ([]byte, error) {
 	return t.tx.Read(ctx, key)
 }
