@@ -16,35 +16,36 @@ import (
 )
 
 // Allocation ceilings of the point transaction, process-wide (the
-// servers run in this process, so their share counts): measured 5 per
+// servers run in this process, so their share counts): measured 3 per
 // transaction over present 8-byte values and 0 per single-key Read —
 // the Txn, and what the transaction leaves on the servers: two pending
-// values and room in two version lists for what they become. It was 6
-// while the decision server allocated a commitment object per writing
-// transaction where it now keeps a decision in a map, and 14 over
-// present values (8 over ⊥, whose
-// copy was free) while each value read was cloned out of its response
-// frame and each server allocated a record per writing transaction.
-// Over ⊥ it was 10 while the coordinator allocated its per-transaction
-// state beside the Txn instead of taking it from the pooled scratch, 18
-// when this gate was first set; 102 and 4 before the servers decoded
-// keys as views into per-connection scratch and replied by pointer; 315
-// and 26 with a map-based footprint, an always-spawning fan-out and
-// spawn-by-type server dispatch. The
-// transaction's ceiling is the measurement plus two for runtime noise
-// (a GC emptying the frame pool, map growth in the lock tables), not for
-// new per-operation allocations: one of those on a six-read transaction
-// costs six and trips the gate. A Read allocates nothing, and the
-// average over 200 runs absorbs a refilled pool or a grown region of
-// read values, so its ceiling is the measurement. What the transaction puts
-// on the wire is pinned beside this gate, in TestCommitTailFrames.
+// values, whose versions take nodes that their stripes' arenas carve
+// 128 at a time. It was 6 while the decision server allocated a
+// commitment object per writing transaction where it now keeps a
+// decision in a map, and 14 over present values (8 over ⊥, whose copy was free) while each value read
+// was cloned out of its response frame and each server allocated a
+// record per writing transaction. Over ⊥ it was 10 while the
+// coordinator allocated its per-transaction state beside the Txn
+// instead of taking it from the pooled scratch, 18 when this gate was
+// first set; 102 and 4 before the servers decoded keys as views into
+// per-connection scratch and replied by pointer; 315 and 26 with a
+// map-based footprint, an always-spawning fan-out and spawn-by-type
+// server dispatch. The transaction's ceiling is the measurement plus
+// one for runtime noise (a GC emptying the frame pool, map growth in
+// the lock tables, a stripe's arena carving a chunk of nodes), not
+// for new per-operation allocations: one of those on a six-read
+// transaction costs six and trips the gate. A Read allocates nothing,
+// and the average over 200 runs absorbs a refilled pool or a grown
+// region of read values, so its ceiling is the measurement. What the
+// transaction puts on the wire is pinned beside this gate, in
+// TestCommitTailFrames.
 //
 // The same ceilings hold on clock.Virtual, where every modelled frame
-// delivery is a timeline event: measured 5 and 0 there too, 68 and 6
+// delivery is a timeline event: measured 3 and 0 there too, 68 and 6
 // over ⊥ while a sleep allocated its wake channel, a closure and a
 // timer entry.
 const (
-	pointTxnAllocCeiling = 7
+	pointTxnAllocCeiling = 4
 	readAllocCeiling     = 0
 )
 
@@ -163,19 +164,20 @@ func checkPointTxnAllocs(t *testing.T, cfg client.Config) {
 
 // batchTxnAllocCeiling is the allocation ceiling of tcp-batch's
 // transaction in miniature, process-wide: the measurement plus one for
-// runtime noise. Measured 5, as the point transaction: the Txn, and what
-// the transaction leaves on the servers. The sixteen-key footprint and
-// GetMulti's result map live in the pooled scratch, and the fourteen
-// values read are lent from the coordinator's region of read values,
-// which the next transaction reuses. It was 10 while GetMulti built a
-// new map per call and a new 32 KiB chunk of read values, never rewound,
-// refilled the region every couple of transactions, 11 while the Txn
-// held eight footprint entries inline and sixteen keys spilled them, 27
-// while each value read was cloned on its own and each server allocated
-// a record per writing transaction, 32 while the coordinator's
-// per-transaction state was allocated with each transaction and spilled
-// past its inline buffers.
-const batchTxnAllocCeiling = 6
+// runtime noise. Measured 3, as the point transaction: the Txn, and what
+// the transaction leaves on the servers, two pending values whose
+// versions take arena nodes. The sixteen-key footprint and GetMulti's
+// result map live in the pooled scratch, and the fourteen values read
+// are lent from the coordinator's region of read values, which the next
+// transaction reuses. It was 10 while
+// GetMulti built a new map per call and a new 32 KiB chunk of read
+// values, never rewound, refilled the region every couple of
+// transactions, 11 while the Txn held eight footprint entries inline
+// and sixteen keys spilled them, 27 while each value read was cloned on
+// its own and each server allocated a record per writing transaction,
+// 32 while the coordinator's per-transaction state was allocated with
+// each transaction and spilled past its inline buffers.
+const batchTxnAllocCeiling = 4
 
 // TestBatchTxnAllocBudget gates the allocation cost of the benchmark's
 // tcp-batch transaction in miniature (MVTIL-early over three zero-latency

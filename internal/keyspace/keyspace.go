@@ -34,13 +34,17 @@ type Key struct {
 	Name string
 	// Locks is the interval-compressed lock state of the key.
 	Locks *lock.Table
-	// Versions is the committed version history of the key.
+	// Versions is the committed version history of the key: a chain of
+	// versions, newest first, whose nodes come from the arena of the
+	// key's stripe and go back to it when a purge drops them. ⊥ takes no
+	// node; it is present until the first purge that drops it.
 	Versions *version.List
 }
 
 type stripe struct {
-	mu   sync.RWMutex
-	keys map[string]*Key
+	mu    sync.RWMutex
+	keys  map[string]*Key
+	arena version.Arena // the version nodes of the stripe's keys
 }
 
 // Space is a striped map of keys. Keys are created on first use and
@@ -80,7 +84,7 @@ func (s *Space) Key(name string) *Key {
 		return k
 	}
 	own := strings.Clone(name)
-	k = &Key{Name: own, Locks: lock.NewTableKeyedTimers(s.waits, own, s.timers), Versions: version.NewList()}
+	k = &Key{Name: own, Locks: lock.NewTableKeyedTimers(s.waits, own, s.timers), Versions: version.NewListIn(&st.arena)}
 	st.keys[own] = k
 	return k
 }

@@ -3,16 +3,24 @@
 //
 // The paper models the data as an array Values[k, t] of write-once cells,
 // with Values[k, 0] = ⊥ for every key (§4.1). This package keeps, per key,
-// the committed versions sorted by timestamp, supports the latest-before
-// lookup that reads need, and implements version purging (§6): versions
-// older than a bound can be discarded — keeping the newest one below the
-// bound — and transactions that would need a purged version are aborted.
+// the committed versions as a chain of fixed-size nodes, newest first,
+// supports the latest-before lookup that reads need, and implements
+// version purging (§6): versions older than a bound can be discarded —
+// keeping the newest one below the bound — and transactions that would
+// need a purged version are aborted.
+//
+// The initial version ⊥ has no node: it is present while the purge floor
+// is still Zero, and the first purge that drops it raises the floor.
+// A read at "now" finds its version at the head of the chain, one step.
+// Nodes come from an Arena shared by many lists (the keyspace gives each
+// of its stripes one; the lists NewList returns share one), which carves
+// them in chunks and takes back the nodes a purge drops on a free list,
+// zeroed, so a recycled node never keeps a value alive.
 package version
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
@@ -39,22 +47,83 @@ type Version struct {
 // IsBottom reports whether the version carries no data.
 func (v Version) IsBottom() bool { return v.Value == nil }
 
-// List is the version history of a single key. The zero value is not
-// ready for use; call NewList. A new List holds the initial version ⊥ at
-// timestamp Zero.
+// node is one committed version in a list's chain.
+type node struct {
+	Version
+	older *node
+}
+
+// arenaChunk is how many nodes an Arena carves from one allocation.
+const arenaChunk = 128
+
+// Arena hands out the nodes of the lists built on it and takes back the
+// nodes their purges drop. The zero value is ready for use. Its lock is
+// taken under a list's, never the other way round.
+type Arena struct {
+	mu    sync.Mutex
+	chunk []node // the uncarved rest of the newest chunk
+	free  *node  // dropped nodes, zeroed, linked through older
+}
+
+// get returns a zeroed node.
+func (a *Arena) get() *node {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n := a.free; n != nil {
+		a.free = n.older
+		n.older = nil
+		return n
+	}
+	if len(a.chunk) == 0 {
+		a.chunk = make([]node, arenaChunk)
+	}
+	n := &a.chunk[0]
+	a.chunk = a.chunk[1:]
+	return n
+}
+
+// put zeroes the chain starting at n and adds it to the free list.
+func (a *Arena) put(n *node) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for n != nil {
+		older := n.older
+		*n = node{older: a.free}
+		a.free = n
+		n = older
+	}
+}
+
+// List is the version history of a single key. A new List, from
+// NewList or NewListIn, holds the initial version ⊥ at timestamp Zero.
 type List struct {
-	mu       sync.RWMutex
-	versions []Version // sorted by TS ascending; never empty
+	mu     sync.RWMutex
+	arena  *Arena // where the chain's nodes come from and go back to
+	newest *node  // the committed versions, newest first; ⊥ is implicit
+	nodes  int    // length of the chain
 	// floor is the timestamp of the oldest version whose predecessors
 	// are all intact: lookups at or below floor are unreliable after a
-	// purge and return ErrPurged.
+	// purge and return ErrPurged. ⊥ is present while floor is Zero; once
+	// a purge raises it, the oldest node sits at floor.
 	floor timestamp.Timestamp
 }
 
-// NewList returns a history containing only the initial version ⊥.
-func NewList() *List {
-	return &List{versions: []Version{{TS: timestamp.Zero}}}
-}
+// shared is the arena of the lists NewList returns.
+var shared Arena
+
+// NewList returns a history containing only the initial version ⊥,
+// whose nodes come from an arena shared by every list NewList returns.
+func NewList() *List { return &List{arena: &shared} }
+
+// NewListIn returns a history containing only the initial version ⊥,
+// whose nodes come from a and go back to it when purged.
+func NewListIn(a *Arena) *List { return &List{arena: a} }
+
+// bottom is the initial version ⊥.
+var bottom = Version{TS: timestamp.Zero}
+
+// hasBottom reports whether ⊥ is still held. The caller holds l.mu.
+func (l *List) hasBottom() bool { return l.floor == timestamp.Zero }
 
 // LatestBefore returns the version with the largest timestamp strictly
 // below t. It returns ErrPurged if that version may have been discarded,
@@ -65,55 +134,55 @@ func (l *List) LatestBefore(t timestamp.Timestamp) (Version, error) {
 	if t.AtOrBefore(l.floor) {
 		return Version{}, fmt.Errorf("latest before %v: %w", t, ErrPurged)
 	}
-	i := sort.Search(len(l.versions), func(i int) bool {
-		return l.versions[i].TS.AtOrAfter(t)
-	})
-	if i == 0 {
-		// No version below t survived; t <= floor was already handled,
-		// so this means t <= the initial version's timestamp.
-		return Version{}, fmt.Errorf("latest before %v: %w", t, ErrPurged)
+	for n := l.newest; n != nil; n = n.older {
+		if n.TS.Before(t) {
+			return n.Version, nil
+		}
 	}
-	return l.versions[i-1], nil
+	if l.hasBottom() {
+		return bottom, nil
+	}
+	// Unreachable while the oldest node sits at floor < t.
+	return Version{}, fmt.Errorf("latest before %v: %w", t, ErrPurged)
 }
 
 // At returns the version committed exactly at t, if any.
 func (l *List) At(t timestamp.Timestamp) (Version, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	i := sort.Search(len(l.versions), func(i int) bool {
-		return l.versions[i].TS.AtOrAfter(t)
-	})
-	if i < len(l.versions) && l.versions[i].TS == t {
-		return l.versions[i], true
+	for n := l.newest; n != nil && n.TS.AtOrAfter(t); n = n.older {
+		if n.TS == t {
+			return n.Version, true
+		}
+	}
+	if t == timestamp.Zero && l.hasBottom() {
+		return bottom, true
 	}
 	return Version{}, false
 }
 
-// Latest returns the newest version.
-func (l *List) Latest() Version {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.versions[len(l.versions)-1]
-}
-
 // Install exposes a committed value at timestamp t (Alg. 1 line 19).
 // Cells are write-once: installing twice at the same timestamp fails with
-// ErrExists, and installing below the purge floor fails with ErrPurged.
+// ErrExists, and installing at or below the purge floor fails with
+// ErrPurged.
 func (l *List) Install(t timestamp.Timestamp, value []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if t.AtOrBefore(l.floor) {
 		return fmt.Errorf("install at %v: %w", t, ErrPurged)
 	}
-	i := sort.Search(len(l.versions), func(i int) bool {
-		return l.versions[i].TS.AtOrAfter(t)
-	})
-	if i < len(l.versions) && l.versions[i].TS == t {
+	at := &l.newest
+	for *at != nil && (*at).TS.After(t) {
+		at = &(*at).older
+	}
+	if *at != nil && (*at).TS == t {
 		return fmt.Errorf("install at %v: %w", t, ErrExists)
 	}
-	l.versions = append(l.versions, Version{})
-	copy(l.versions[i+1:], l.versions[i:])
-	l.versions[i] = Version{TS: t, Value: value}
+	n := l.arena.get()
+	n.Version = Version{TS: t, Value: value}
+	n.older = *at
+	*at = n
+	l.nodes++
 	return nil
 }
 
@@ -124,18 +193,29 @@ func (l *List) Install(t timestamp.Timestamp, value []byte) error {
 func (l *List) PurgeBelow(t timestamp.Timestamp) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i := sort.Search(len(l.versions), func(i int) bool {
-		return l.versions[i].TS.AtOrAfter(t)
-	})
-	// versions[0..i-1] are below t; keep the last of them.
-	if i <= 1 {
+	keep := l.newest
+	for keep != nil && keep.TS.AtOrAfter(t) {
+		keep = keep.older
+	}
+	if keep == nil {
+		// At most ⊥ is below t, and it is the boundary.
 		return 0
 	}
-	removed := i - 1
-	l.versions = append(l.versions[:0], l.versions[removed:]...)
-	if l.versions[0].TS.After(l.floor) {
-		l.floor = l.versions[0].TS
+	dropped := 0
+	for n := keep.older; n != nil; n = n.older {
+		dropped++
 	}
+	removed := dropped
+	if l.hasBottom() {
+		removed++
+	}
+	if removed == 0 {
+		return 0
+	}
+	l.arena.put(keep.older)
+	keep.older = nil
+	l.nodes -= dropped
+	l.floor = keep.TS
 	return removed
 }
 
@@ -144,14 +224,26 @@ func (l *List) PurgeBelow(t timestamp.Timestamp) int {
 func (l *List) Count() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.versions)
+	return l.count()
+}
+
+// count is Count for a caller holding l.mu.
+func (l *List) count() int {
+	if l.hasBottom() {
+		return l.nodes + 1
+	}
+	return l.nodes
 }
 
 // Snapshot returns a copy of the history, oldest first.
 func (l *List) Snapshot() []Version {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := make([]Version, len(l.versions))
-	copy(out, l.versions)
+	i := l.count()
+	out := make([]Version, i) // out[0] stays ⊥ while it is held
+	for n := l.newest; n != nil; n = n.older {
+		i--
+		out[i] = n.Version
+	}
 	return out
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -88,16 +90,18 @@ func TestAt(t *testing.T) {
 	}
 }
 
+// The newest version is LatestBefore(Infinity): ⊥ on a fresh list, then
+// the newest installed whatever the install order.
 func TestLatest(t *testing.T) {
 	l := NewList()
-	if !l.Latest().IsBottom() {
-		t.Fatal("latest of fresh list is bottom")
+	if v, err := l.LatestBefore(timestamp.Infinity); err != nil || !v.IsBottom() {
+		t.Fatalf("latest of fresh list = %+v, %v; want bottom", v, err)
 	}
 	_ = l.Install(ts(3), []byte("x"))
 	_ = l.Install(ts(9), []byte("y"))
 	_ = l.Install(ts(6), []byte("z"))
-	if got := l.Latest(); string(got.Value) != "y" {
-		t.Fatalf("Latest = %+v", got)
+	if got, err := l.LatestBefore(timestamp.Infinity); err != nil || string(got.Value) != "y" {
+		t.Fatalf("LatestBefore(Infinity) = %+v, %v", got, err)
 	}
 }
 
@@ -190,53 +194,209 @@ func TestConcurrentInstallAndRead(t *testing.T) {
 	}
 }
 
-// Property: LatestBefore(t) over random installs matches a brute-force
-// model.
-func TestQuickLatestBeforeMatchesModel(t *testing.T) {
-	type probe struct {
-		Installs []int64
-		At       int64
-	}
-	gen := func(r *rand.Rand, _ int) reflect.Value {
-		n := r.Intn(12)
-		ins := make([]int64, n)
-		for i := range ins {
-			ins[i] = int64(r.Intn(40) + 1)
-		}
-		return reflect.ValueOf(probe{Installs: ins, At: int64(r.Intn(45))})
-	}
-	f := func(p probe) bool {
-		l := NewList()
-		installed := map[int64]bool{0: true}
-		for _, x := range p.Installs {
-			err := l.Install(ts(x), []byte{byte(x)})
-			if installed[x] {
-				if !errors.Is(err, ErrExists) {
-					return false
+// Lists that share an arena take and return its nodes from several
+// goroutines at once; each must keep reading its own values.
+func TestConcurrentListsShareArena(t *testing.T) {
+	var arena Arena
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g byte) {
+			defer wg.Done()
+			l := NewListIn(&arena)
+			for i := int64(1); i <= 500; i++ {
+				if err := l.Install(ts(i), []byte{g, byte(i)}); err != nil {
+					errs <- err
+					return
 				}
-			} else if err != nil {
+				if i%16 == 0 {
+					l.PurgeBelow(ts(i - 4))
+				}
+				v, err := l.LatestBefore(ts(i + 1))
+				if err != nil || !reflect.DeepEqual(v.Value, []byte{g, byte(i)}) {
+					errs <- fmt.Errorf("list %d: LatestBefore(%d) = %+v, %v", g, i+1, v, err)
+					return
+				}
+			}
+			// The last purge, below 492, kept 491 to 496; 497 to 500 followed.
+			if n := l.Count(); n != 10 {
+				errs <- fmt.Errorf("list %d: Count = %d, want 10", g, n)
+			}
+		}(byte(g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// sliceList is the layout List had before its chain: every version,
+// ⊥ included, in one slice sorted by timestamp. It is the reference List
+// must answer like, value for value and error for error.
+type sliceList struct {
+	versions []Version
+	floor    timestamp.Timestamp
+}
+
+func newSliceList() *sliceList {
+	return &sliceList{versions: []Version{{TS: timestamp.Zero}}}
+}
+
+// search returns the index of the first version at or after t.
+func (l *sliceList) search(t timestamp.Timestamp) int {
+	return sort.Search(len(l.versions), func(i int) bool {
+		return l.versions[i].TS.AtOrAfter(t)
+	})
+}
+
+func (l *sliceList) LatestBefore(t timestamp.Timestamp) (Version, error) {
+	if t.AtOrBefore(l.floor) {
+		return Version{}, ErrPurged
+	}
+	i := l.search(t)
+	if i == 0 {
+		return Version{}, ErrPurged
+	}
+	return l.versions[i-1], nil
+}
+
+func (l *sliceList) At(t timestamp.Timestamp) (Version, bool) {
+	i := l.search(t)
+	if i < len(l.versions) && l.versions[i].TS == t {
+		return l.versions[i], true
+	}
+	return Version{}, false
+}
+
+func (l *sliceList) Install(t timestamp.Timestamp, value []byte) error {
+	if t.AtOrBefore(l.floor) {
+		return ErrPurged
+	}
+	i := l.search(t)
+	if i < len(l.versions) && l.versions[i].TS == t {
+		return ErrExists
+	}
+	l.versions = append(l.versions, Version{})
+	copy(l.versions[i+1:], l.versions[i:])
+	l.versions[i] = Version{TS: t, Value: value}
+	return nil
+}
+
+func (l *sliceList) PurgeBelow(t timestamp.Timestamp) int {
+	i := l.search(t)
+	if i <= 1 {
+		return 0
+	}
+	removed := i - 1
+	l.versions = append(l.versions[:0], l.versions[removed:]...)
+	if l.versions[0].TS.After(l.floor) {
+		l.floor = l.versions[0].TS
+	}
+	return removed
+}
+
+func (l *sliceList) Count() int { return len(l.versions) }
+
+func (l *sliceList) Snapshot() []Version { return slices.Clone(l.versions) }
+
+// op is one call on a history; At is its timestamp, Infinity included.
+type op struct {
+	Kind int // one of the op* constants
+	At   timestamp.Timestamp
+}
+
+const (
+	opInstall = iota
+	opPurge
+	opLatestBefore
+	opAt
+	opCount
+	opSnapshot
+	opKinds
+)
+
+// sameErr reports whether a and b are both nil or match the same
+// sentinels under errors.Is.
+func sameErr(a, b error) bool {
+	return (a == nil) == (b == nil) &&
+		errors.Is(a, ErrPurged) == errors.Is(b, ErrPurged) &&
+		errors.Is(a, ErrExists) == errors.Is(b, ErrExists)
+}
+
+// replay runs ops on l and on the reference, and reports the first call
+// whose answers differ. Each install carries a value naming its step, so
+// a duplicate that overwrote the first value would show.
+func replay(l *List, ops []op) error {
+	ref := newSliceList()
+	for i, o := range ops {
+		switch o.Kind {
+		case opInstall:
+			val := []byte{byte(i), byte(i >> 8)}
+			if got, want := l.Install(o.At, val), ref.Install(o.At, val); !sameErr(got, want) {
+				return fmt.Errorf("step %d Install(%v) = %v, want %v", i, o.At, got, want)
+			}
+		case opPurge:
+			if got, want := l.PurgeBelow(o.At), ref.PurgeBelow(o.At); got != want {
+				return fmt.Errorf("step %d PurgeBelow(%v) = %d, want %d", i, o.At, got, want)
+			}
+		case opLatestBefore:
+			got, gerr := l.LatestBefore(o.At)
+			want, werr := ref.LatestBefore(o.At)
+			if !sameErr(gerr, werr) || !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("step %d LatestBefore(%v) = %+v, %v, want %+v, %v", i, o.At, got, gerr, want, werr)
+			}
+		case opAt:
+			got, gok := l.At(o.At)
+			want, wok := ref.At(o.At)
+			if gok != wok || !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("step %d At(%v) = %+v, %v, want %+v, %v", i, o.At, got, gok, want, wok)
+			}
+		case opCount:
+			if got, want := l.Count(), ref.Count(); got != want {
+				return fmt.Errorf("step %d Count() = %d, want %d", i, got, want)
+			}
+		case opSnapshot:
+			if got, want := l.Snapshot(), ref.Snapshot(); !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("step %d Snapshot() = %+v, want %+v", i, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// Property: the chain answers every call like the sorted slice it
+// replaced, over random sequences of installs — out of order, repeated,
+// at Zero, at and below the purge floor — purges and lookups, whether
+// its nodes come from the arena NewList's lists share or from one that
+// lists before it have handed nodes back to.
+func TestQuickLatestBeforeMatchesModel(t *testing.T) {
+	gen := func(r *rand.Rand) []op {
+		ops := make([]op, r.Intn(40))
+		for i := range ops {
+			ops[i] = op{Kind: r.Intn(opKinds), At: ts(int64(r.Intn(45)))}
+			if r.Intn(2) == 0 {
+				ops[i].Kind = opInstall // installs are most of a history
+			}
+			if r.Intn(8) == 0 {
+				ops[i].At = timestamp.Infinity
+			}
+		}
+		return ops
+	}
+	var arena Arena
+	f := func(ops []op) bool {
+		for _, l := range []*List{NewList(), NewListIn(&arena)} {
+			if err := replay(l, ops); err != nil {
+				t.Log(err)
 				return false
 			}
-			installed[x] = true
 		}
-		// model answer: largest installed < At
-		var best int64 = -1
-		for x := range installed {
-			if x < p.At && x > best {
-				best = x
-			}
-		}
-		v, err := l.LatestBefore(ts(p.At))
-		if best < 0 {
-			return errors.Is(err, ErrPurged)
-		}
-		if err != nil {
-			return false
-		}
-		return v.TS == ts(best)
+		return true
 	}
-	cfg := &quick.Config{MaxCount: 1500, Values: func(vs []reflect.Value, r *rand.Rand) {
-		vs[0] = gen(r, 0)
+	cfg := &quick.Config{MaxCount: 3000, Values: func(vs []reflect.Value, r *rand.Rand) {
+		vs[0] = reflect.ValueOf(gen(r))
 	}}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
