@@ -38,7 +38,7 @@ func outcome(err error) string {
 func serialAbort(db *core.DB) string {
 	ctx := context.Background()
 	t2, _ := db.Begin(ctx)
-	t2.Clock = procClock(20, 2)
+	t2.SetClock(procClock(20, 2))
 	if _, err := t2.Read(ctx, "x"); err != nil {
 		return "ABORT(read)"
 	}
@@ -46,7 +46,7 @@ func serialAbort(db *core.DB) string {
 		return "ABORT(T2?)"
 	}
 	t1, _ := db.Begin(ctx)
-	t1.Clock = procClock(10, 1)
+	t1.SetClock(procClock(10, 1))
 	if err := t1.Write(ctx, "x", []byte("v")); err != nil {
 		return "ABORT"
 	}
@@ -58,11 +58,11 @@ func serialAbort(db *core.DB) string {
 func ghostAbort(db *core.DB) string {
 	ctx := context.Background()
 	t3, _ := db.Begin(ctx)
-	t3.Clock = procClock(30, 3)
+	t3.SetClock(procClock(30, 3))
 	t2, _ := db.Begin(ctx)
-	t2.Clock = procClock(20, 2)
+	t2.SetClock(procClock(20, 2))
 	t1, _ := db.Begin(ctx)
-	t1.Clock = procClock(10, 1)
+	t1.SetClock(procClock(10, 1))
 
 	_, _ = t3.Read(ctx, "x")
 	_ = t3.Commit(ctx)
@@ -80,11 +80,11 @@ func ghostAbort(db *core.DB) string {
 func theorem2(db *core.DB) string {
 	ctx := context.Background()
 	t1, _ := db.Begin(ctx)
-	t1.Clock = procClock(100, 1)
+	t1.SetClock(procClock(100, 1))
 	t2, _ := db.Begin(ctx)
-	t2.Clock = procClock(200, 2)
+	t2.SetClock(procClock(200, 2))
 	t3, _ := db.Begin(ctx)
-	t3.Clock = procClock(300, 3)
+	t3.SetClock(procClock(300, 3))
 
 	_ = t1.Write(ctx, "y", []byte("t1"))
 	_ = t1.Commit(ctx)

@@ -151,7 +151,7 @@ func TestTOEquivalentToMVTO(t *testing.T) {
 			}
 			var m clock.Manual
 			m.Set(clockT)
-			tx.Clock = clock.NewProcess(&m, int32(i+1))
+			tx.SetClock(clock.NewProcess(&m, int32(i+1)))
 			return tx
 		})
 
@@ -388,7 +388,7 @@ func TestWireGhostAbortUnderTO(t *testing.T) {
 			var m clock.Manual
 			m.Set(time)
 			tx := e.begin()
-			tx.Clock = clock.NewProcess(&m, proc)
+			tx.SetClock(clock.NewProcess(&m, proc))
 			return tx
 		}
 		t3, t2, t1 := at(30, 3), at(20, 2), at(10, 1)

@@ -3,11 +3,11 @@
 // connections to the storage servers and partitions keys among them.
 // Its transactions are core.Txn — the repository's one transaction
 // engine — over the remote backend of remote.go, which carries out the
-// engine's steps by messages to the servers. The backend is one value per
-// Client, as core.DB is one per store: a transaction allocates only its
-// Txn, and the coordinator's working state for it (routes, grants,
-// request buffers) rides the Txn's pooled core.Scratch beside the
-// policy's. The transactions are governed by the policy the Client's
+// engine's steps by messages to the servers. The backend is one value
+// per Client, held by the Client's engine, as core.DB is one per store:
+// a transaction allocates only its Txn, and the coordinator's working
+// state for it (routes, grants, request buffers) rides the Txn's pooled
+// core.Scratch beside the policy's. The transactions are governed by the policy the Client's
 // Mode names, built by policy's one table: the very policies that govern
 // the in-process store. All modes run against the same storage
 // servers and wire protocol, so the comparison isolates the concurrency
@@ -149,10 +149,10 @@ func New(cfg Config) (*Client, error) {
 	c := &Client{
 		cfg:    cfg,
 		clk:    clk,
-		engine: core.NewEngine(cfg.Mode.New(clk, policy.Params{Delta: cfg.Delta}), core.Options{Recorder: cfg.Recorder}),
 		timers: clock.OrSystem(cfg.Timers),
 		conns:  make(map[string]*rpc.Client),
 	}
+	c.engine = core.NewEngine(remote{c}, cfg.Mode.New(clk, policy.Params{Delta: cfg.Delta}), core.Options{Recorder: cfg.Recorder})
 	c.det = detector{c: c, poll: cfg.DeadlockPoll, stop: make(chan struct{})}
 	if c.det.poll <= 0 {
 		c.det.poll = 10 * time.Millisecond

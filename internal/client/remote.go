@@ -189,7 +189,7 @@ func (c *Client) Begin(ctx context.Context) (kv.Txn, error) {
 		return nil, err
 	}
 	// Transaction ids are globally unique: client id in the high bits.
-	return c.engine.Begin(uint64(uint32(c.cfg.ID))<<32|uint64(c.nextSq.Add(1)), remote{c}), nil
+	return c.engine.Begin(uint64(uint32(c.cfg.ID))<<32 | uint64(c.nextSq.Add(1))), nil
 }
 
 // sync extends keys to the footprint, placing each new key.

@@ -7,28 +7,31 @@ import (
 	"unsafe"
 
 	"github.com/lpd-epfl/mvtl/internal/client"
+	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/core"
+	"github.com/lpd-epfl/mvtl/internal/kv"
+	"github.com/lpd-epfl/mvtl/internal/policy"
 	"github.com/lpd-epfl/mvtl/internal/transport"
 )
 
+// txnClass is the size of a core.Txn and the size class of the one
+// allocation a transaction costs at Begin. The Txn keeps its id, its
+// engine, its outcome and CommitTS, its settings (Priority, the
+// read-only mark) and its pooled scratch. Everything else has one home
+// elsewhere: the backend is the engine's, one value per store or
+// coordinator, and the footprint, the policy's state, the clock override
+// and the coordinator's state for the transaction ride the scratch
+// (core.Scratch). A byte more costs the step to the next class, 64:
+// +16 bytes per transaction with no new allocation to show for it.
+const txnClass = 48
+
 // TestTxnSizeClass pins the one allocation a transaction costs at Begin,
-// on either backend, to its size class. It is a core.Txn and nothing
-// else: the coordinator's backend is one value per Client, and what it
-// keeps of a transaction rides the Txn's pooled scratch, as does the
-// transaction's footprint. The runtime rounds the Txn up to the next
-// size class, 96 bytes, and every byte up to the class is free. One byte
-// past it costs the whole step to the next class, 112: +16 bytes per
-// transaction with no new allocation to show for it. (The 8-byte malloc
-// header counts against the class only above 512 bytes; the 760-byte
-// Txn that held eight footprint entries inline paid it, in the
-// 768-byte class.) Whatever would cross the class — the footprint
-// itself, first of all — belongs in the pooled scratch (core.Scratch).
+// on either backend, to its size class: it is a core.Txn and nothing
+// else. (The 8-byte malloc header counts against the class only above
+// 512 bytes.)
 func TestTxnSizeClass(t *testing.T) {
-	const txnClass = 96
-	if n := unsafe.Sizeof(core.Txn{}); n > txnClass {
-		t.Errorf("core.Txn is %d bytes, over its %d-byte size class", n, txnClass)
-	} else {
-		t.Logf("core.Txn: %d bytes (class %d)", n, txnClass)
+	if n := unsafe.Sizeof(core.Txn{}); n != txnClass {
+		t.Errorf("core.Txn is %d bytes, want %d", n, txnClass)
 	}
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -41,25 +44,29 @@ func TestTxnSizeClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cl.Close() })
-	ctx := context.Background()
-	begin := func() {
-		if _, err := cl.Begin(ctx); err != nil {
-			t.Fatal(err)
+	local := core.New(policy.KindTILEarly.New(clock.NewProcess(clock.System{}, 1), policy.Params{}), core.Options{})
+	for _, b := range []struct {
+		name string
+		db   kv.DB
+	}{{"Client.Begin", cl}, {"core.DB.Begin", local.KV()}} {
+		ctx := context.Background()
+		begin := func() {
+			if _, err := b.db.Begin(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if avg := testing.AllocsPerRun(100, begin); avg != 1 {
-		t.Errorf("Client.Begin: %v allocations, want exactly 1 (the core.Txn)", avg)
-	}
-	const runs = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		begin()
-	}
-	runtime.ReadMemStats(&after)
-	if n := (after.TotalAlloc - before.TotalAlloc) / runs; n > txnClass {
-		t.Errorf("Client.Begin: %d bytes, over the %d-byte class of the core.Txn", n, txnClass)
-	} else {
-		t.Logf("Client.Begin: %d bytes (class %d)", n, txnClass)
+		if avg := testing.AllocsPerRun(100, begin); avg != 1 {
+			t.Errorf("%s: %v allocations, want exactly 1 (the core.Txn)", b.name, avg)
+		}
+		const runs = 1000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			begin()
+		}
+		runtime.ReadMemStats(&after)
+		if n := (after.TotalAlloc - before.TotalAlloc) / runs; n > txnClass {
+			t.Errorf("%s: %d bytes, over the %d bytes of the core.Txn", b.name, n, txnClass)
+		}
 	}
 }

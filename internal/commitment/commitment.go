@@ -28,16 +28,33 @@ type Decision struct {
 	TS timestamp.Timestamp
 }
 
+// decided is a Decision as the registry keeps it, flattened so that the
+// kind rides the timestamp's padding: 16 bytes, where a Decision is 24,
+// and a map slot of 24 bytes rather than 32.
+type decided struct {
+	time int64
+	proc int32
+	kind wire.DecisionKind
+}
+
+func flatten(d Decision) decided {
+	return decided{time: d.TS.Time, proc: d.TS.Proc, kind: d.Kind}
+}
+
+func (d decided) decision() Decision {
+	return Decision{Kind: d.kind, TS: timestamp.New(d.time, d.proc)}
+}
+
 // Registry holds the decisions of a decision server, one per
 // transaction. The zero value is not ready; use NewRegistry.
 type Registry struct {
 	mu        sync.Mutex
-	decisions map[uint64]Decision
+	decisions map[uint64]decided
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{decisions: make(map[uint64]Decision)}
+	return &Registry{decisions: make(map[uint64]decided)}
 }
 
 // Decide proposes an outcome for txn and returns the agreed decision:
@@ -49,8 +66,8 @@ func (r *Registry) Decide(txn uint64, proposal Decision) Decision {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if d, ok := r.decisions[txn]; ok {
-		return d
+		return d.decision()
 	}
-	r.decisions[txn] = proposal
+	r.decisions[txn] = flatten(proposal)
 	return proposal
 }

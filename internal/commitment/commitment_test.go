@@ -1,8 +1,10 @@
 package commitment
 
 import (
+	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 	"github.com/lpd-epfl/mvtl/internal/wire"
@@ -62,5 +64,40 @@ func TestTransactionsIndependent(t *testing.T) {
 	}
 	if d := r.Decide(1, abort); d != commit {
 		t.Fatalf("txn 1 re-decided %+v, want %+v", d, commit)
+	}
+}
+
+// TestDecisionKeptExactly: the registry keeps a decision in a flattened
+// form, and hands back a commit and an abort exactly as proposed — an
+// abort proposal's timestamp included — at the extremes of Time and Proc.
+func TestDecisionKeptExactly(t *testing.T) {
+	if n := unsafe.Sizeof(decided{}); n != 16 {
+		t.Errorf("a kept decision is %d bytes, want 16", n)
+	}
+	r := NewRegistry()
+	txn := uint64(0)
+	for _, kind := range []wire.DecisionKind{wire.DecideCommit, wire.DecideAbort} {
+		other := Decision{Kind: wire.DecideAbort}
+		if kind == wire.DecideAbort {
+			other = Decision{Kind: wire.DecideCommit, TS: timestamp.New(5, 1)}
+		}
+		for _, ts := range []timestamp.Timestamp{
+			timestamp.Zero,
+			timestamp.Infinity,
+			timestamp.New(math.MinInt64, math.MinInt32),
+			timestamp.New(math.MaxInt64, math.MinInt32),
+			timestamp.New(math.MinInt64, math.MaxInt32),
+			timestamp.New(-1, -1),
+			timestamp.New(1<<40+7, 3),
+		} {
+			txn++
+			want := Decision{Kind: kind, TS: ts}
+			if d := r.Decide(txn, want); d != want {
+				t.Errorf("txn %d: first proposal %+v came back as %+v", txn, want, d)
+			}
+			if d := r.Decide(txn, other); d != want {
+				t.Errorf("txn %d: decided %+v, kept as %+v", txn, want, d)
+			}
+		}
 	}
 }

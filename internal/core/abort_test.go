@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -32,6 +33,13 @@ func TestAbortErrorTextAndClassification(t *testing.T) {
 		{"read batch", "", deadlock, `read batch: kv: transaction aborted (kv: deadlock victim: write-lock "k": lock: deadlock detected)`, true},
 		{"write", "k", deadlock, `write "k": kv: transaction aborted (kv: deadlock victim: write-lock "k": lock: deadlock detected)`, true},
 		{"commit locks", "", deadlock, `commit locks: kv: transaction aborted (kv: deadlock victim: write-lock "k": lock: deadlock detected)`, true},
+		// kv.ErrDeadlock matches exactly when the cause is a lock
+		// deadlock, however deep or however reported.
+		{"decide", "", lock.ErrDeadlock, `decide: kv: transaction aborted (kv: deadlock victim: lock: deadlock detected)`, true},
+		{"read batch", "", fmt.Errorf("fan-out: %w", deadlock), `read batch: kv: transaction aborted (kv: deadlock victim: fan-out: write-lock "k": lock: deadlock detected)`, true},
+		{"read", "k", deadlockReport("s0: lock: deadlock detected"), `read "k": kv: transaction aborted (kv: deadlock victim: s0: lock: deadlock detected)`, true},
+		{"read", "k", errors.New("lock: deadlock detected"), `read "k": kv: transaction aborted (lock: deadlock detected)`, false},
+		{"read", "k", fmt.Errorf("read-lock: %w", context.DeadlineExceeded), `read "k": kv: transaction aborted (read-lock: context deadline exceeded)`, false},
 	} {
 		err := abortedErr(tc.op, tc.key, tc.cause)
 		if got := err.Error(); got != tc.want {
@@ -53,3 +61,10 @@ func TestAbortErrorTextAndClassification(t *testing.T) {
 		t.Errorf("building an abort error: %v allocations, want 1", avg)
 	}
 }
+
+// deadlockReport stands for a remote backend's rendering of a lock
+// deadlock: not lock.ErrDeadlock, but matched as one.
+type deadlockReport string
+
+func (e deadlockReport) Error() string        { return string(e) }
+func (e deadlockReport) Is(target error) bool { return target == lock.ErrDeadlock }

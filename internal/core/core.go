@@ -3,13 +3,18 @@
 // whole keys, and commits at any timestamp it holds locked across its
 // entire footprint. Txn is the repository's only transaction type.
 //
-// It has two parameters. A Policy (Alg. 2) supplies the nondeterministic
-// choices; the specialized algorithms of §5 live in the policy package,
-// and correctness (Theorem 1) is independent of the policy. A Backend is
-// where the keys live: this package's in-process store (DB), or the
-// storage servers behind the coordinator of internal/client (§7/§H,
-// Alg. 11). Every rule of the paper is written once, in Txn or in a
-// policy, and runs over either backend.
+// It has two parameters, both an Engine's. A Policy (Alg. 2) supplies
+// the nondeterministic choices; the specialized algorithms of §5 live in
+// the policy package, and correctness (Theorem 1) is independent of the
+// policy. A Backend is where the keys live: this package's in-process
+// store (DB), or the storage servers behind the coordinator of
+// internal/client (§7/§H, Alg. 11). Every rule of the paper is written
+// once, in Txn or in a policy, and runs over either backend.
+//
+// A Txn keeps its id, its settings and what a finished transaction
+// still answers: its outcome and CommitTS. What it works with while it
+// runs — its footprint, the policy's state for it, a clock override — is
+// the pooled Scratch's, and goes back to the pool when it finishes.
 package core
 
 import (
@@ -33,38 +38,41 @@ type Options struct {
 }
 
 // Engine is what the transactions of one store or one coordinator
-// share: the policy that governs them, the options, and the pool of
-// their working storage.
+// share: the backend their keys live on, the policy that governs them,
+// the options, and the pool of their working storage.
 type Engine struct {
-	policy Policy
-	opts   Options
+	// backend is one value per store or coordinator: what it keeps of a
+	// transaction rides the transaction's scratch (Scratch.Backend).
+	backend Backend
+	policy  Policy
+	opts    Options
 	// scratch pools the transactions' working storage (*Scratch).
 	scratch sync.Pool
 }
 
-// NewEngine returns an engine governed by the given policy.
-func NewEngine(policy Policy, opts Options) *Engine {
-	e := &Engine{policy: policy, opts: opts}
+// NewEngine returns an engine over backend b, governed by the given
+// policy.
+func NewEngine(b Backend, policy Policy, opts Options) *Engine {
+	e := &Engine{backend: b, policy: policy, opts: opts}
 	e.scratch.New = func() any { return new(Scratch) }
 	return e
 }
 
-// Begin starts transaction id over backend b (Alg. 1 line 1). The Txn
-// is the transaction's one allocation, and a small one: its footprint
-// lives in the pooled scratch it takes at the first key, and b is one
-// value per store or coordinator, which keeps what it knows of the
-// transaction in that scratch too (Scratch.Backend).
-func (e *Engine) Begin(id uint64, b Backend) *Txn {
+// Begin starts transaction id over the engine's backend (Alg. 1 line
+// 1). The Txn is the transaction's one allocation, and a small one:
+// its footprint, its policy state and its clock override live in the
+// pooled scratch it takes at first use.
+func (e *Engine) Begin(id uint64) *Txn {
 	tx := new(Txn)
-	e.BeginIn(tx, id, b)
+	e.BeginIn(tx, id)
 	return tx
 }
 
 // BeginIn is Begin into caller-provided storage, which must be a zero
 // Txn: a caller whose own transaction type holds the Txn by value keeps
 // the transaction at one allocation.
-func (e *Engine) BeginIn(tx *Txn, id uint64, b Backend) {
-	tx.id, tx.eng, tx.backend = id, e, b
+func (e *Engine) BeginIn(tx *Txn, id uint64) {
+	tx.id, tx.eng = id, e
 }
 
 // DB is an in-process MVTL transactional store: an Engine over the
@@ -86,7 +94,9 @@ type DB struct {
 
 // New returns an empty store governed by the given policy.
 func New(policy Policy, opts Options) *DB {
-	return &DB{Engine: NewEngine(policy, opts), keys: keyspace.New(lock.NewWaitGraph(), nil)}
+	db := &DB{keys: keyspace.New(lock.NewWaitGraph(), nil)}
+	db.Engine = NewEngine(db, policy, opts)
+	return db
 }
 
 // kvAdapter adapts DB to the engine-neutral kv.DB interface.
@@ -114,7 +124,7 @@ func (db *DB) BeginIn(ctx context.Context, tx *Txn) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	db.Engine.BeginIn(tx, db.nextID.Add(1), db)
+	db.Engine.BeginIn(tx, db.nextID.Add(1))
 	return nil
 }
 

@@ -252,7 +252,7 @@ func TestPurgedReadAborts(t *testing.T) {
 	// A transaction whose timestamp falls at or below the kept boundary
 	// version needs the purged region and must abort.
 	tx3, _ := db.Begin(ctx)
-	tx3.Clock = clock.NewProcess(func() *clock.Manual { var m clock.Manual; m.Set(5); return &m }(), 3)
+	tx3.SetClock(clock.NewProcess(func() *clock.Manual { var m clock.Manual; m.Set(5); return &m }(), 3))
 	if _, err := tx3.Read(ctx, "x"); !errors.Is(err, kv.ErrAborted) {
 		t.Fatalf("read of purged region must abort, got %v", err)
 	}
@@ -323,9 +323,10 @@ func TestBlindWritesDoNotConflict(t *testing.T) {
 // none of the keys of the transaction that took the scratch over. It
 // holds on either backend: the in-process store's, and the
 // coordinator's over one Mem server, whose state for the transaction
-// rides the scratch too — the finished Txn reaches only the backend
-// value every transaction of the client shares. (The server-side twin is
-// TestServerStateOutlivesRequestFrame.)
+// rides the scratch too — the backend itself is the engine's, which
+// every transaction of the client shares. The policy's state rides the
+// scratch as well, marked as the holder's until it finishes. (The
+// server-side twin is TestServerStateOutlivesRequestFrame.)
 func TestFinishedTxnHoldsNoScratch(t *testing.T) {
 	for _, outcome := range []string{"committed", "aborted"} {
 		t.Run(outcome, func(t *testing.T) {
@@ -371,8 +372,8 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 		t.Fatal(err)
 	}
 	aScratch := core.ScratchOf(a)
-	if aScratch == nil || a.PolicyState == nil {
-		t.Fatal("a running MVTIL transaction holds a scratch and its interval")
+	if aScratch == nil || !core.PolicyUsed(aScratch) {
+		t.Fatal("a running MVTIL transaction holds a scratch, marked as holding its interval")
 	}
 	if (aScratch.Backend != nil) != (backend == "remote") {
 		t.Fatalf("a running transaction's scratch holds backend state %T; want the coordinator's, and none of the local store's", aScratch.Backend)
@@ -387,8 +388,11 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 	} else if err := a.Abort(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if core.ScratchOf(a) != nil || a.PolicyState != nil {
-		t.Fatalf("the %s transaction still holds scratch %p, policy state %v", outcome, core.ScratchOf(a), a.PolicyState)
+	if core.ScratchOf(a) != nil {
+		t.Fatalf("the %s transaction still holds scratch %p", outcome, core.ScratchOf(a))
+	}
+	if core.PolicyUsed(aScratch) {
+		t.Fatalf("the %s transaction handed its scratch back marked as holding its interval", outcome)
 	}
 	noFootprint := func(when string) {
 		t.Helper()
@@ -414,13 +418,7 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 	if b.Len() != 2 || b.KeyName(0) != "x" || b.KeyName(1) != "z" {
 		t.Fatalf("b's footprint: %d keys, ReadSet %v, WriteKeys %v", b.Len(), b.ReadSet(), b.WriteKeys())
 	}
-	// What a still reaches of its backend is the backend itself, which
-	// is one value per store or coordinator and b's too: the state the
-	// backend kept of a went back to the pool with a's scratch.
-	if core.BackendOf(a) != core.BackendOf(b) {
-		t.Fatalf("a runs on backend %T, b on another: a transaction's backend holds state of its own", core.BackendOf(a))
-	}
-	bInterval := *b.PolicyState.(*timestamp.ShrinkingSet)
+	bInterval := *core.ScratchOf(b).Policy.(*timestamp.ShrinkingSet)
 
 	// Every method of the finished a: refused, or answered from
 	// a's own memory.
@@ -436,6 +434,7 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 	if err := a.Abort(ctx); err != nil {
 		t.Fatalf("Abort on the %s transaction: %v", outcome, err)
 	}
+	a.SetClock(clock.NewProcess(&ticks, 9))
 	if a.Committed() != (outcome == "committed") || a.Aborted() != (outcome == "aborted") {
 		t.Fatalf("the %s transaction reports committed=%v aborted=%v", outcome, a.Committed(), a.Aborted())
 	}
@@ -443,12 +442,12 @@ func finishedTxnHoldsNoScratch(t *testing.T, outcome, backend string) {
 		t.Fatalf("id moved from %d to %d, CommitTS from %v to %v", aID, a.ID(), aCommitTS, a.CommitTS)
 	}
 	noFootprint("with b running on the pooled scratch")
-	if core.ScratchOf(a) != nil || a.PolicyState != nil {
+	if core.ScratchOf(a) != nil {
 		t.Fatal("the finished transaction took a scratch again")
 	}
 
 	// None of which b noticed.
-	if got := b.PolicyState.(*timestamp.ShrinkingSet).Set(); !got.Equal(bInterval.Set()) || got.IsEmpty() {
+	if got := core.ScratchOf(b).Policy.(*timestamp.ShrinkingSet).Set(); !got.Equal(bInterval.Set()) || got.IsEmpty() {
 		t.Fatalf("b's interval went from %v to %v", bInterval.Set(), got)
 	}
 	if err := b.Commit(ctx); err != nil {

@@ -9,10 +9,10 @@ import (
 	mvtl "github.com/lpd-epfl/mvtl"
 )
 
-// spilledTxnClass is the size class of an mvtl.Txn, which holds its
-// core.Txn by value: the one allocation a transaction may make however
-// many keys it touches.
-const spilledTxnClass = 96
+// spilledTxnClass is the size class of an mvtl.Txn, which is its
+// core.Txn held by value: the one allocation a transaction may make
+// however many keys it touches.
+const spilledTxnClass = 48
 
 // TestSpilledFootprintAllocs gates a footprint larger than any fixed
 // inline buffer: a read-only Store transaction over sixteen preloaded

@@ -18,8 +18,8 @@ import (
 // over a batch of keys — so it runs unchanged over every Backend, and a
 // batch costs a remote one a round trip per server, not per key. It sets
 // up its per-transaction state (the "Initialization" of the specialized
-// algorithms) at the transaction's first operation, when Txn.Clock and
-// Txn.Priority are known.
+// algorithms) in Scratch.Policy at the transaction's first operation,
+// when the clock override (Txn.SetClock) and Txn.Priority are known.
 type Policy interface {
 	// WriteLocks acquires whatever write locks the policy takes at
 	// write time for one key (possibly none; several policies defer all

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/lock"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
@@ -16,10 +17,11 @@ import (
 // Txn itself, and what it lent its caller — values read, GetMulti's map
 // — was lent only until it ended (kv.Txn).
 type Scratch struct {
-	// Policy is the policy's own per-transaction state. It stays with
-	// the Scratch when the transaction finishes, so a policy that finds
-	// its state here reuses it, and the storage it has grown, instead of
-	// allocating — and must reinitialize it.
+	// Policy is the policy's own per-transaction state, its one home. It
+	// stays with the Scratch when the transaction finishes, so a policy
+	// that finds its state here reuses it, and the storage it has grown,
+	// instead of allocating — and must reinitialize it at the first use
+	// by the transaction holding the Scratch (FirstPolicyUse).
 	Policy any
 
 	// Backend is the backend's own per-transaction state (the
@@ -52,13 +54,35 @@ type Scratch struct {
 	// way there.
 	candidates             timestamp.ShrinkingSet
 	readOrWrite, writeOnly timestamp.Set
+
+	// policyUsed marks Policy as set up for the transaction holding the
+	// Scratch; clock is that transaction's clock override (Txn.SetClock).
+	// Both are the transaction's settings: the next one starts without.
+	policyUsed bool
+	clock      *clock.Process
 }
 
-// clearFootprint empties the footprint for the next transaction and
-// drops what the pool must not keep alive: the keys, the local
-// backend's key handles, and the values written and read, GetMulti's
-// map of them included, which is left empty.
+// FirstPolicyUse reports whether the transaction holding the Scratch
+// reaches its policy state for the first time, when the policy must
+// initialize Policy whatever an earlier transaction left there, and
+// marks it reached.
+func (sc *Scratch) FirstPolicyUse() bool {
+	first := !sc.policyUsed
+	sc.policyUsed = true
+	return first
+}
+
+// Clock returns the transaction's clock override (Txn.SetClock): nil
+// unless one was set, when the policy's default clock applies.
+func (sc *Scratch) Clock() *clock.Process { return sc.clock }
+
+// clearFootprint empties the footprint for the next transaction, resets
+// the finished one's settings — the policy's mark of first use and the
+// clock override — and drops what the pool must not keep alive: the
+// keys, the local backend's key handles, and the values written and
+// read, GetMulti's map of them included, which is left empty.
 func (sc *Scratch) clearFootprint() {
+	sc.policyUsed, sc.clock = false, nil
 	if len(sc.foot) > footIndexAt {
 		clear(sc.index)
 	}

@@ -20,22 +20,27 @@ import (
 // demand: an abort is the contended path's common outcome, and most
 // callers only classify it. The cause is wrapped: a remote backend's
 // transport error or fenced route decides how the caller retries.
+//
+// Whether a deadlock caused the abort is asked of the cause on demand,
+// not cached, so that the error stays in the 48-byte size class.
 type abortError struct {
-	op, key  string // the step that failed; the key of a one-key step
-	cause    error
-	deadlock bool
+	op, key string // the step that failed; the key of a one-key step
+	cause   error
 }
 
 func abortedErr(op, key string, cause error) error {
-	return &abortError{op: op, key: key, cause: cause, deadlock: errors.Is(cause, lock.ErrDeadlock)}
+	return &abortError{op: op, key: key, cause: cause}
 }
+
+// deadlock reports whether a deadlock caused the abort.
+func (e *abortError) deadlock() bool { return errors.Is(e.cause, lock.ErrDeadlock) }
 
 func (e *abortError) Error() string {
 	op := e.op
 	if e.key != "" {
 		op = fmt.Sprintf("%s %q", e.op, e.key)
 	}
-	if e.deadlock {
+	if e.deadlock() {
 		return fmt.Sprintf("%s: %v (%v: %v)", op, kv.ErrAborted, kv.ErrDeadlock, e.cause)
 	}
 	return fmt.Sprintf("%s: %v (%v)", op, kv.ErrAborted, e.cause)
@@ -44,7 +49,7 @@ func (e *abortError) Error() string {
 // Is makes the error match kv.ErrAborted, and kv.ErrDeadlock when a
 // deadlock caused the abort.
 func (e *abortError) Is(target error) bool {
-	return target == kv.ErrAborted || e.deadlock && target == kv.ErrDeadlock
+	return target == kv.ErrAborted || target == kv.ErrDeadlock && e.deadlock()
 }
 
 // Unwrap returns the failure that aborted the transaction.
@@ -85,18 +90,23 @@ const footIndexAt = 32
 // by multiple goroutines.
 //
 // The Txn holds the transaction's identity, its settings and what a
-// finished transaction still answers (its outcome and CommitTS). The
-// footprint is working state: it lives in the pooled Scratch, taken at
-// the first key and handed back, emptied, when the transaction finishes.
+// finished transaction still answers (its outcome and CommitTS): 48
+// bytes, the one allocation of a Begin. Everything else has one home
+// elsewhere. The backend is the engine's. The footprint, the policy's
+// state and the clock override are working state: they live in the
+// pooled Scratch, taken at first use and handed back, emptied, when the
+// transaction finishes.
 type Txn struct {
-	id      uint64
-	eng     *Engine
-	backend Backend
-	state   txnState
+	id    uint64
+	eng   *Engine
+	state txnState
 
 	// Priority marks the transaction as critical for priority-aware
 	// policies (§5.2). It must be set before the first operation.
 	Priority bool
+
+	// readOnly makes Write fail with ErrReadOnly (SetReadOnly).
+	readOnly bool
 
 	// scratch is the pooled working storage, the footprint included: nil
 	// before the first use and again once the transaction has finished.
@@ -105,19 +115,11 @@ type Txn struct {
 	// CommitTS is the serialization timestamp: set on successful commit,
 	// and to the proposed timestamp when the outcome is uncertain.
 	CommitTS timestamp.Timestamp
-
-	// PolicyState carries per-transaction policy data (timestamps,
-	// timestamp sets, priority flags, ...), owned by the policy. It may
-	// point into the Scratch, so it is cleared when the transaction
-	// finishes.
-	PolicyState any
-
-	// Clock, when non-nil, overrides the policy's default clock for
-	// this transaction. Policies read their clock lazily at the first
-	// operation, so callers may set Clock right after Begin; this is
-	// how tests model per-process (skewed) clocks in a single engine.
-	Clock *clock.Process
 }
+
+// ErrReadOnly is Write's refusal in a transaction marked read-only. The
+// transaction stays active: what it read still commits.
+var ErrReadOnly = errors.New("transaction is read-only")
 
 var (
 	_ kv.Txn         = (*Txn)(nil)
@@ -129,6 +131,22 @@ func (tx *Txn) ID() uint64 { return tx.id }
 
 // Owner returns the transaction's lock-owner identity.
 func (tx *Txn) Owner() lock.Owner { return lock.Owner(tx.id) }
+
+// SetReadOnly marks the transaction read-only: every later Write fails
+// with ErrReadOnly.
+func (tx *Txn) SetReadOnly() { tx.readOnly = true }
+
+// SetClock overrides the policy's default clock for this transaction,
+// which is how tests model per-process (skewed) clocks in a single
+// engine. Policies read their clock lazily at the first operation, so
+// it may be set any time before that. The override rides the scratch,
+// and goes with it when the transaction finishes: on a finished
+// transaction SetClock does nothing.
+func (tx *Txn) SetClock(c *clock.Process) {
+	if tx.state == stateActive {
+		tx.Scratch().clock = c
+	}
+}
 
 // entry returns the position of k's footprint entry, adding a blank one
 // at the end on first mention.
@@ -197,13 +215,13 @@ func (tx *Txn) WriteOf(i int32) ([]byte, bool) {
 // for the key at position i, for a policy that needs a lock operation
 // the shared steps do not offer. Such a policy runs on the in-process
 // store only: over any other backend LocalKey panics.
-func (tx *Txn) LocalKey(i int32) *keyspace.Key { return tx.backend.(*DB).key(tx, i) }
+func (tx *Txn) LocalKey(i int32) *keyspace.Key { return tx.eng.backend.(*DB).key(tx, i) }
 
 // Scratch returns the transaction's working storage, its footprint
 // included, taken from the engine's pool at first use. It goes back to
-// the pool when the transaction finishes: policies and backends use it
-// inside the operation they were called for and keep nothing that
-// points into it, bar Txn.PolicyState.
+// the pool when the transaction finishes: policies and backends keep
+// nothing that points into it, bar what they keep in it (Scratch.Policy,
+// Scratch.Backend).
 func (tx *Txn) Scratch() *Scratch {
 	if tx.scratch == nil {
 		tx.scratch = tx.eng.scratch.Get().(*Scratch)
@@ -229,7 +247,7 @@ func (tx *Txn) ReadLocks(ctx context.Context, keys []int32, upper timestamp.Time
 	sc := tx.Scratch()
 	sc.reads = slices.Grow(sc.reads[:0], len(keys))[:len(keys)]
 	clear(sc.reads)
-	err := tx.backend.ReadLocks(ctx, tx, keys, upper, wait, sc.reads)
+	err := tx.eng.backend.ReadLocks(ctx, tx, keys, upper, wait, sc.reads)
 	return sc.reads, err
 }
 
@@ -240,7 +258,7 @@ func (tx *Txn) ReadLocks(ctx context.Context, keys []int32, upper timestamp.Time
 func (tx *Txn) WriteLocks(ctx context.Context, keys []int32, set timestamp.Set, opts lock.Options) ([]lock.WriteResult, error) {
 	sc := tx.Scratch()
 	sc.writes = slices.Grow(sc.writes[:0], len(keys))[:len(keys)]
-	err := tx.backend.WriteLocks(ctx, tx, keys, set, opts, sc.writes)
+	err := tx.eng.backend.WriteLocks(ctx, tx, keys, set, opts, sc.writes)
 	return sc.writes, err
 }
 
@@ -279,8 +297,12 @@ func (tx *Txn) Aborted() bool { return tx.state == stateAborted }
 func (tx *Txn) Committed() bool { return tx.state == stateCommitted }
 
 // Write buffers value for key k after acquiring the policy's write-time
-// locks (Alg. 1 lines 3-5). The write becomes visible only at commit.
+// locks (Alg. 1 lines 3-5). The write becomes visible only at commit. A
+// read-only transaction refuses it with ErrReadOnly, and stays active.
 func (tx *Txn) Write(ctx context.Context, k string, value []byte) error {
+	if tx.readOnly {
+		return ErrReadOnly
+	}
 	if tx.state != stateActive {
 		return kv.ErrTxnDone
 	}
@@ -387,7 +409,7 @@ func (tx *Txn) Commit(ctx context.Context) error {
 	// neither is reallocated key by key, or transaction by transaction.
 	t := &tx.Scratch().candidates
 	t.Reset(timestamp.Full)
-	tx.backend.Candidates(tx, t)
+	tx.eng.backend.Candidates(tx, t)
 	candidates := t.Set()
 	if candidates.IsEmpty() {
 		tx.abort(ctx)
@@ -403,7 +425,7 @@ func (tx *Txn) Commit(ctx context.Context) error {
 
 	// Garbage collection (Alg. 1 lines 22-26) also freezes the read
 	// locks up to the commit timestamp and releases everything unfrozen.
-	outcome, err := tx.backend.Commit(ctx, tx, chosen, policy.CommitGC(tx))
+	outcome, err := tx.eng.backend.Commit(ctx, tx, chosen, policy.CommitGC(tx))
 	switch outcome {
 	case Aborted:
 		tx.abort(ctx)
@@ -453,18 +475,17 @@ func (tx *Txn) Abort(ctx context.Context) error {
 // timestamps) but must not leave write intentions behind.
 func (tx *Txn) abort(ctx context.Context) {
 	tx.state = stateAborted
-	tx.backend.Abort(ctx, tx, !tx.eng.policy.CommitGC(tx))
+	tx.eng.backend.Abort(ctx, tx, !tx.eng.policy.CommitGC(tx))
 	tx.finish()
 }
 
 // finish ends the transaction's use of pooled storage once it has
 // committed or aborted and cleaned up: the scratch goes back to the
-// engine with the footprint emptied, and the policy state, which may
-// point into it, goes with it. What a finished transaction still
-// answers — its id, its outcome and CommitTS — is in the Txn's own
-// memory; its footprint reads as empty.
+// engine with the footprint emptied and the transaction's settings in it
+// — the policy's mark of first use, the clock override — reset. What a
+// finished transaction still answers — its id, its outcome and
+// CommitTS — is in the Txn's own memory; its footprint reads as empty.
 func (tx *Txn) finish() {
-	tx.PolicyState = nil
 	if sc := tx.scratch; sc != nil {
 		tx.scratch = nil
 		sc.clearFootprint()

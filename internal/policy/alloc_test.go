@@ -16,8 +16,9 @@ import (
 
 // hotKeyTxnAllocCeiling is what one attempt of a contended MVTIL
 // transaction may allocate, averaged over commits and aborts. Measured
-// 1.5: the Txn itself, the error of the attempts that abort, and the
-// amortized growth of version chains and lock lists between purges. The
+// 1.4: the 48-byte Txn itself, the 48-byte error of the attempts that
+// abort, and the amortized growth of version chains and lock lists
+// between purges. The
 // sets a contended attempt shrinks, splits and intersects — its
 // interval, every write grant and denial, the commit step's snapshots
 // and candidates — live in the store's pooled scratch and cost nothing.

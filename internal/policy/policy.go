@@ -36,10 +36,10 @@ import (
 )
 
 // txnClock returns the timestamp source for a transaction: its override
-// if set, the policy default otherwise.
+// (Txn.SetClock) if set, the policy default otherwise.
 func txnClock(tx *core.Txn, def *clock.Process) *clock.Process {
-	if tx.Clock != nil {
-		return tx.Clock
+	if c := tx.Scratch().Clock(); c != nil {
+		return c
 	}
 	return def
 }
@@ -59,21 +59,17 @@ func timeInterval(lo, hi int64) timestamp.Interval {
 // pooledState returns the transaction's policy state of type T, and
 // whether this is the transaction's first use of it — when the caller
 // must initialize it, whatever an earlier transaction left there. The
-// state is part of the transaction's pooled scratch, so storage it has
-// grown (a shrinking set's spill under contention) is reused from
-// transaction to transaction.
+// state lives in the transaction's pooled scratch (Scratch.Policy), so
+// storage it has grown (a shrinking set's spill under contention) is
+// reused from transaction to transaction.
 func pooledState[T any](tx *core.Txn) (st *T, first bool) {
-	if st, ok := tx.PolicyState.(*T); ok {
-		return st, false
-	}
 	sc := tx.Scratch()
 	st, ok := sc.Policy.(*T)
 	if !ok {
 		st = new(T)
 		sc.Policy = st
 	}
-	tx.PolicyState = st
-	return st, true
+	return st, sc.FirstPolicyUse()
 }
 
 // startTS returns the timestamp of a timestamp-ordered transaction,

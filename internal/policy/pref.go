@@ -55,7 +55,7 @@ func NewPref(clk *clock.Process, alts Alternatives) *Pref {
 	return &Pref{clk: clk, alts: alts}
 }
 
-// prefState is the per-transaction state.
+// prefState is the per-transaction state, pooled as every policy's is.
 type prefState struct {
 	pref timestamp.Timestamp
 	// poss is PossTS: the timestamps still viable for commit.
@@ -66,14 +66,13 @@ type prefState struct {
 
 // state returns the transaction's state, set up at its first operation.
 func (p *Pref) state(tx *core.Txn) *prefState {
-	st, ok := tx.PolicyState.(*prefState)
-	if !ok {
-		st = &prefState{pref: txnClock(tx, p.clk).Now()}
+	st, first := pooledState[prefState](tx)
+	if first {
+		*st = prefState{pref: txnClock(tx, p.clk).Now()}
 		st.poss = pointSet(st.pref)
 		for _, a := range p.alts(st.pref) {
 			st.poss.AddInPlace(timestamp.Point(a))
 		}
-		tx.PolicyState = st
 	}
 	return st
 }

@@ -34,7 +34,7 @@ func TestSerialAbortUnderTO(t *testing.T) {
 	ctx := context.Background()
 
 	t2, _ := db.Begin(ctx)
-	t2.Clock = procClock(20, 2)
+	t2.SetClock(procClock(20, 2))
 	if _, err := t2.Read(ctx, "x"); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSerialAbortUnderTO(t *testing.T) {
 	}
 
 	t1, _ := db.Begin(ctx)
-	t1.Clock = procClock(10, 1)
+	t1.SetClock(procClock(10, 1))
 	if err := t1.Write(ctx, "x", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestNoSerialAbortUnderEpsilonClock(t *testing.T) {
 	ctx := context.Background()
 
 	t2, _ := db.Begin(ctx)
-	t2.Clock = procClock(20, 2)
+	t2.SetClock(procClock(20, 2))
 	if _, err := t2.Read(ctx, "x"); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestNoSerialAbortUnderEpsilonClock(t *testing.T) {
 	}
 
 	t1, _ := db.Begin(ctx)
-	t1.Clock = procClock(10, 1)
+	t1.SetClock(procClock(10, 1))
 	if err := t1.Write(ctx, "x", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSerialExecutionNeverAbortsEpsilonClock(t *testing.T) {
 		base.Advance(3) // real time moves a little between transactions
 		skew := skews[i%len(skews)]
 		tx, _ := db.Begin(ctx)
-		tx.Clock = clock.NewProcess(clock.NewSkewed(&base, skew), int32(i+1))
+		tx.SetClock(clock.NewProcess(clock.NewSkewed(&base, skew), int32(i+1)))
 		if _, err := tx.Read(ctx, "x"); err != nil {
 			t.Fatalf("txn %d read: %v", i, err)
 		}
@@ -122,7 +122,7 @@ func TestSerialExecutionAbortsUnderTOWithSkew(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		base.Advance(3)
 		tx, _ := db.Begin(ctx)
-		tx.Clock = clock.NewProcess(clock.NewSkewed(&base, skews[i%2]), int32(i+1))
+		tx.SetClock(clock.NewProcess(clock.NewSkewed(&base, skews[i%2]), int32(i+1)))
 		if _, err := tx.Read(ctx, "x"); err != nil {
 			aborts++
 			continue
@@ -151,11 +151,11 @@ func TestGhostAbortUnderTO(t *testing.T) {
 	ctx := context.Background()
 
 	t3, _ := db.Begin(ctx)
-	t3.Clock = procClock(30, 3)
+	t3.SetClock(procClock(30, 3))
 	t2, _ := db.Begin(ctx)
-	t2.Clock = procClock(20, 2)
+	t2.SetClock(procClock(20, 2))
 	t1, _ := db.Begin(ctx)
-	t1.Clock = procClock(10, 1)
+	t1.SetClock(procClock(10, 1))
 
 	if _, err := t3.Read(ctx, "x"); err != nil {
 		t.Fatal(err)
@@ -191,11 +191,11 @@ func TestNoGhostAbortUnderGhostbuster(t *testing.T) {
 	ctx := context.Background()
 
 	t3, _ := db.Begin(ctx)
-	t3.Clock = procClock(30, 3)
+	t3.SetClock(procClock(30, 3))
 	t2, _ := db.Begin(ctx)
-	t2.Clock = procClock(20, 2)
+	t2.SetClock(procClock(20, 2))
 	t1, _ := db.Begin(ctx)
-	t1.Clock = procClock(10, 1)
+	t1.SetClock(procClock(10, 1))
 
 	if _, err := t3.Read(ctx, "x"); err != nil {
 		t.Fatal(err)
@@ -229,11 +229,11 @@ func TestPrefCommitsWhereTOAborts(t *testing.T) {
 
 	runSchedule := func(db *core.DB) error {
 		t1, _ := db.Begin(ctx)
-		t1.Clock = procClock(100, 1)
+		t1.SetClock(procClock(100, 1))
 		t2, _ := db.Begin(ctx)
-		t2.Clock = procClock(200, 2)
+		t2.SetClock(procClock(200, 2))
 		t3, _ := db.Begin(ctx)
-		t3.Clock = procClock(300, 3)
+		t3.SetClock(procClock(300, 3))
 
 		if err := t1.Write(ctx, "y", []byte("t1")); err != nil {
 			return err
@@ -288,7 +288,7 @@ func TestPrefMatchesTOOnCleanWorkload(t *testing.T) {
 		base := int64(100)
 		for i := 0; i < 20; i++ {
 			tx, _ := db.Begin(ctx)
-			tx.Clock = procClock(base+int64(i*10), int32(i+1))
+			tx.SetClock(procClock(base+int64(i*10), int32(i+1)))
 			if _, err := tx.Read(ctx, "a"); err != nil {
 				t.Fatalf("%s txn %d read: %v", name, i, err)
 			}
@@ -354,7 +354,7 @@ func TestPrioNormalAbortedByCritical(t *testing.T) {
 	// above 10 (its read locks make timestamps <= 10 unavailable for
 	// the critical write).
 	n0, _ := db.Begin(ctx)
-	n0.Clock = procClock(10, 1)
+	n0.SetClock(procClock(10, 1))
 	if _, err := n0.Read(ctx, "x"); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestPrioNormalAbortedByCritical(t *testing.T) {
 	// A normal writer below the critical transaction's frozen read
 	// interval must abort.
 	n1, _ := db.Begin(ctx)
-	n1.Clock = procClock(5, 2)
+	n1.SetClock(procClock(5, 2))
 	if err := n1.Write(ctx, "x", []byte("normal")); err != nil {
 		t.Fatal(err)
 	}

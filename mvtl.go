@@ -157,14 +157,14 @@ func (s *Store) Update(ctx context.Context, fn func(tx *Txn) error) error {
 	return err
 }
 
-// View runs fn inside a read-only transaction (enforced by the wrapper:
-// Set fails), committing at the end.
+// View runs fn inside a read-only transaction (Set fails), committing
+// at the end.
 func (s *Store) View(ctx context.Context, fn func(tx *Txn) error) error {
 	tx, err := s.Begin(ctx)
 	if err != nil {
 		return err
 	}
-	tx.readOnly = true
+	tx.tx.SetReadOnly()
 	if err := fn(tx); err != nil {
 		_ = tx.Abort(ctx)
 		return err
@@ -203,9 +203,9 @@ func IsDeadlock(err error) bool { return errors.Is(err, kv.ErrDeadlock) }
 // Txn is a transaction over a Store. Not safe for concurrent use by
 // multiple goroutines.
 type Txn struct {
-	// tx is held by value, so that a transaction is one allocation.
-	tx       core.Txn
-	readOnly bool
+	// tx is held by value and is the whole Txn, so that a transaction is
+	// one allocation, of the core.Txn's size.
+	tx core.Txn
 }
 
 // Get returns the value of key; nil means the key was never written.
@@ -221,10 +221,11 @@ func (t *Txn) Get(ctx context.Context, key string) ([]byte, error) {
 // Set buffers a write of value to key, visible after Commit. The store
 // keeps value itself, so the caller must not modify it afterwards.
 func (t *Txn) Set(ctx context.Context, key string, value []byte) error {
-	if t.readOnly {
-		return fmt.Errorf("mvtl: Set %q inside View: transaction is read-only", key)
+	err := t.tx.Write(ctx, key, value)
+	if errors.Is(err, core.ErrReadOnly) {
+		return fmt.Errorf("mvtl: Set %q inside View: %w", key, err)
 	}
-	return t.tx.Write(ctx, key, value)
+	return err
 }
 
 // Commit tries to commit; on failure the transaction aborted and
