@@ -16,8 +16,8 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //mvtl:ignore directives. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid
+	// identifier.
 	Name string
 
 	// Doc is the one-paragraph help text: first line is a summary,
@@ -38,11 +38,6 @@ type Pass struct {
 	// Files holds the type-checked syntax trees of the package's
 	// non-test sources.
 	Files []*ast.File
-
-	// TestFiles holds parsed (but NOT type-checked) in-package _test.go
-	// sources. Only syntactic checks may use them — the codecpair
-	// analyzer scans them for the fuzz seed corpus.
-	TestFiles []*ast.File
 
 	PkgPath   string
 	Pkg       *types.Package

@@ -15,7 +15,6 @@
 package analysistest
 
 import (
-	"go/ast"
 	"regexp"
 	"strconv"
 	"strings"
@@ -28,8 +27,7 @@ import (
 
 // Run loads each fixture package directory (relative to the test's
 // working directory) and checks analyzer diagnostics against the
-// fixtures' want comments. Findings of the "directive" pseudo-analyzer
-// (malformed //mvtl:ignore) participate, so directive fixtures work.
+// fixtures' want comments.
 func Run(t *testing.T, analyzers []*analysis.Analyzer, dirs ...string) {
 	t.Helper()
 	patterns := make([]string, len(dirs))
@@ -84,8 +82,7 @@ func collectWants(t *testing.T, pkgs []*loader.Package) map[posKey][]*want {
 	t.Helper()
 	wants := map[posKey][]*want{}
 	for _, pkg := range pkgs {
-		files := append(append([]*ast.File{}, pkg.Syntax...), pkg.TestSyntax...)
-		for _, f := range files {
+		for _, f := range pkg.Syntax {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))

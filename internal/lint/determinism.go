@@ -138,7 +138,7 @@ func checkMapRanges(pass *analysis.Pass, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		t := typeOf(info, rng.X)
+		t := info.TypeOf(rng.X)
 		if t == nil {
 			return true
 		}
@@ -186,7 +186,7 @@ func outputFeeding(pass *analysis.Pass, fnBody *ast.BlockStmt, rng *ast.RangeStm
 			if !ok {
 				return true
 			}
-			obj, ok := bindingVar(info, id).(*types.Var)
+			obj, ok := info.ObjectOf(id).(*types.Var)
 			if !ok || obj.Pos() >= rng.Pos() {
 				return true // declared inside the loop: fresh each iteration
 			}

@@ -1,30 +1,21 @@
 // Package lint implements mvtl's project-specific static analyzers.
 // Each analyzer mechanically enforces an invariant that PROTOCOL.md or
-// TESTING.md states in prose and that the compiler cannot see:
+// TESTING.md states in prose, that the compiler cannot see, and that
+// no other test catches — see TESTING.md "Mechanically enforced
+// invariants" for the mutation each one is kept for:
 //
 //   - framebuf: pooled wire.FrameBuf ownership — every GetFrameBuf
 //     reaches exactly one Release/Send/transfer on every path, and a
 //     buffer is never touched after a consuming call.
-//   - borrowedview: []byte views borrowed from frame bodies
-//     (Decoder.Blob, FrameBuf.Body, decoded-message fields) must be
-//     bytes.Clone'd before they are stored anywhere that outlives the
-//     frame.
 //   - determinism: in //mvtl:deterministic packages (and
 //     internal/faultbed), no wall-clock reads, no global math/rand, no
 //     multi-case selects, no output-feeding iteration over unsorted
 //     maps — the H13 same-seed ⇒ byte-identical-transcript rule.
 //   - lockorder: no mutex held across a blocking RPC or transport
-//     send — the bug class PR 3's per-peer-mutex fix repaired by hand.
-//   - codecpair: every wire message type has an AppendTo/decoder pair
-//     and a fuzz seed corpus entry.
+//     send, such as a per-peer mutex held over a call to that peer.
 //
-// False positives are suppressed with a justified directive on the
-// flagged line or the line above:
-//
-//	//mvtl:ignore <analyzer> <justification>
-//
-// The justification is mandatory; a bare directive is itself reported.
-// See TESTING.md "Mechanically enforced invariants".
+// TestLint runs them over both modules of the tree, so `go test ./...`
+// fails on any finding. There is no suppression directive.
 package lint
 
 import (
@@ -33,7 +24,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"github.com/lpd-epfl/mvtl/internal/lint/analysis"
 	"github.com/lpd-epfl/mvtl/internal/lint/loader"
@@ -43,37 +33,12 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		FrameBufAnalyzer,
-		BorrowedViewAnalyzer,
 		DeterminismAnalyzer,
 		LockOrderAnalyzer,
-		CodecPairAnalyzer,
 	}
 }
 
-// ByName resolves a comma-separated analyzer list ("framebuf,lockorder").
-func ByName(names string) ([]*analysis.Analyzer, error) {
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, a := range Analyzers() {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", name)
-		}
-	}
-	return out, nil
-}
-
-// Finding is one post-suppression diagnostic.
+// Finding is one diagnostic.
 type Finding struct {
 	Analyzer string
 	Pos      token.Position
@@ -84,32 +49,22 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// Run applies analyzers to pkgs, filters suppressed findings through
-// //mvtl:ignore directives, and returns the survivors sorted by
-// position. Malformed directives (missing analyzer name or
-// justification) are reported as findings of the pseudo-analyzer
-// "directive" and cannot be suppressed.
+// Run applies analyzers to pkgs and returns their findings sorted by
+// position.
 func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	var findings []Finding
 	for _, pkg := range pkgs {
-		ignores, bad := collectIgnores(pkg)
-		findings = append(findings, bad...)
 		for _, a := range analyzers {
 			pass := &analysis.Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Syntax,
-				TestFiles: pkg.TestSyntax,
 				PkgPath:   pkg.PkgPath,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
 			}
 			pass.Report = func(d analysis.Diagnostic) {
-				pos := pkg.Fset.Position(d.Pos)
-				if ignores.suppressed(a.Name, pos) {
-					return
-				}
-				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+				findings = append(findings, Finding{Analyzer: a.Name, Pos: pkg.Fset.Position(d.Pos), Message: d.Message})
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.PkgPath, err)
@@ -127,74 +82,6 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, err
 		return a.Analyzer < b.Analyzer
 	})
 	return findings, nil
-}
-
-// --- //mvtl:ignore directives ------------------------------------------------
-
-// ignoreSet records, per file and line, which analyzers are silenced.
-// A directive covers its own line and the next one, so both trailing
-// comments and a comment line above the flagged statement work.
-type ignoreSet map[string]map[int]map[string]bool
-
-func (s ignoreSet) suppressed(analyzer string, pos token.Position) bool {
-	lines := s[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, ln := range [2]int{pos.Line, pos.Line - 1} {
-		if lines[ln][analyzer] {
-			return true
-		}
-	}
-	return false
-}
-
-const ignorePrefix = "mvtl:ignore"
-
-func collectIgnores(pkg *loader.Package) (ignoreSet, []Finding) {
-	set := ignoreSet{}
-	var bad []Finding
-	files := append(append([]*ast.File{}, pkg.Syntax...), pkg.TestSyntax...)
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
-				text = strings.TrimSpace(strings.TrimSuffix(text, "*/"))
-				if !strings.HasPrefix(text, ignorePrefix) {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				fields := strings.Fields(strings.TrimPrefix(text, ignorePrefix))
-				if len(fields) < 2 {
-					bad = append(bad, Finding{
-						Analyzer: "directive",
-						Pos:      pos,
-						Message:  "malformed //mvtl:ignore: want \"//mvtl:ignore <analyzer> <justification>\"",
-					})
-					continue
-				}
-				name := fields[0]
-				if _, err := ByName(name); err != nil {
-					bad = append(bad, Finding{
-						Analyzer: "directive",
-						Pos:      pos,
-						Message:  fmt.Sprintf("//mvtl:ignore names unknown analyzer %q", name),
-					})
-					continue
-				}
-				lines := set[pos.Filename]
-				if lines == nil {
-					lines = map[int]map[string]bool{}
-					set[pos.Filename] = lines
-				}
-				if lines[pos.Line] == nil {
-					lines[pos.Line] = map[string]bool{}
-				}
-				lines[pos.Line][name] = true
-			}
-		}
-	}
-	return set, bad
 }
 
 // --- shared type helpers ------------------------------------------------------

@@ -35,25 +35,19 @@ type Package struct {
 	// Syntax holds the type-checked non-test files.
 	Syntax []*ast.File
 
-	// TestSyntax holds parsed in-package _test.go files. They are NOT
-	// type-checked (the test binary's extra dependencies are not
-	// loaded); only syntactic passes may rely on them.
-	TestSyntax []*ast.File
-
 	Types     *types.Package
 	TypesInfo *types.Info
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	ImportPath  string
-	Dir         string
-	Export      string
-	GoFiles     []string
-	TestGoFiles []string
-	Standard    bool
-	DepOnly     bool
-	Error       *struct{ Err string }
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
 // Load lists patterns relative to dir (module-aware), type-checks every
@@ -121,24 +115,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 }
 
 func check(fset *token.FileSet, imp types.Importer, t *listPkg) (*Package, error) {
-	parse := func(names []string) ([]*ast.File, error) {
-		var files []*ast.File
-		for _, name := range names {
-			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, fmt.Errorf("loader: %s: %v", t.ImportPath, err)
-			}
-			files = append(files, f)
+	var syntax []*ast.File
+	for _, name := range t.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("loader: %s: %v", t.ImportPath, err)
 		}
-		return files, nil
-	}
-	syntax, err := parse(t.GoFiles)
-	if err != nil {
-		return nil, err
-	}
-	testSyntax, err := parse(t.TestGoFiles)
-	if err != nil {
-		return nil, err
+		syntax = append(syntax, f)
 	}
 
 	info := &types.Info{
@@ -161,12 +144,11 @@ func check(fset *token.FileSet, imp types.Importer, t *listPkg) (*Package, error
 		return nil, fmt.Errorf("loader: type-checking %s: %v", t.ImportPath, errors.Join(typeErrs...))
 	}
 	return &Package{
-		PkgPath:    t.ImportPath,
-		Dir:        t.Dir,
-		Fset:       fset,
-		Syntax:     syntax,
-		TestSyntax: testSyntax,
-		Types:      tpkg,
-		TypesInfo:  info,
+		PkgPath:   t.ImportPath,
+		Dir:       t.Dir,
+		Fset:      fset,
+		Syntax:    syntax,
+		Types:     tpkg,
+		TypesInfo: info,
 	}, nil
 }

@@ -149,10 +149,9 @@ func (d *Decoder) freezeReadsInto(dst []FreezeReadItem) []FreezeReadItem {
 // and freeze its write lock (Alg. 13, receive-freeze-write-lock-message),
 // and freeze the read-lock ranges of Reads. WriteKeys names the writes
 // for the record; the server installs what it has pending, which is all
-// of them. Its one sender left is a commit that keeps its other locks
-// (no garbage collection: timestamp ordering), which casts it with
-// WriteKeys alone; a commit that garbage-collects sends a committed
-// ReleaseBatchReq instead. A called freeze is answered with an Ack.
+// of them. No coordinator sends it: a commit finishes every server but
+// its decision server with a committed ReleaseBatchReq, and only the
+// server's tests and the benchmark's probes still build one. A called freeze is answered with an Ack.
 type FreezeBatchReq struct {
 	Txn       uint64
 	Epoch     uint64

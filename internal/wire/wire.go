@@ -50,8 +50,9 @@
 // on its hot path, and the two responses whose slices a caller reuses
 // (ReadLockBatchResp, LogTailResp), have a DecodeInto method that
 // overwrites every field of its receiver; everything else has a
-// Decode<T> function returning a fresh value. The codecpair analyzer
-// rejects a type that has both.
+// Decode<T> function returning a fresh value. TestMessageCatalog
+// rejects a type that has both, or neither, and one missing from the
+// codec and fuzz tables.
 package wire
 
 import (
