@@ -1,0 +1,9 @@
+package cluster_test
+
+import (
+	"testing"
+
+	"github.com/lpd-epfl/mvtl/internal/wiretest"
+)
+
+func TestMain(m *testing.M) { wiretest.Main(m) }

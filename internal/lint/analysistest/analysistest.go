@@ -10,8 +10,8 @@
 // A want comment names one or more message regexps expected on its
 // line:
 //
-//	fb := wire.GetFrameBuf() // want `leaks`
-//	conn.Send(fb)            // want "after it was consumed" "second"
+//	t := time.Now()              // want `wall-clock read time.Now`
+//	time.Sleep(time.Millisecond) // want "raw timer" "second"
 package analysistest
 
 import (

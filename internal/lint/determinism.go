@@ -257,3 +257,18 @@ func sortedAfter(info *types.Info, fnBody *ast.BlockStmt, rng *ast.RangeStmt, ob
 	})
 	return sorted
 }
+
+func identIs(info *types.Info, e ast.Expr, obj types.Object) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && info.Uses[id] == obj
+}
+
+func calleeDisplayName(call *ast.CallExpr) string {
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fn.Name
+	case *ast.SelectorExpr:
+		return fn.Sel.Name
+	}
+	return "call"
+}

@@ -4,9 +4,6 @@
 // no other test catches — see TESTING.md "Mechanically enforced
 // invariants" for the mutation each one is kept for:
 //
-//   - framebuf: pooled wire.FrameBuf ownership — every GetFrameBuf
-//     reaches exactly one Release/Send/transfer on every path, and a
-//     buffer is never touched after a consuming call.
 //   - determinism: in //mvtl:deterministic packages (and
 //     internal/faultbed), no wall-clock reads, no global math/rand, no
 //     multi-case selects, no output-feeding iteration over unsorted
@@ -15,7 +12,9 @@
 //     send, such as a per-peer mutex held over a call to that peer.
 //
 // TestLint runs them over both modules of the tree, so `go test ./...`
-// fails on any finding. There is no suppression directive.
+// fails on any finding. There is no suppression directive. Pooled
+// wire.FrameBuf ownership has no analyzer: the pool checks it at run
+// time (wire.Outstanding, internal/wiretest).
 package lint
 
 import (
@@ -32,7 +31,6 @@ import (
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		FrameBufAnalyzer,
 		DeterminismAnalyzer,
 		LockOrderAnalyzer,
 	}
@@ -87,7 +85,6 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, err
 // --- shared type helpers ------------------------------------------------------
 
 const (
-	wirePath      = "github.com/lpd-epfl/mvtl/internal/wire"
 	transportPath = "github.com/lpd-epfl/mvtl/internal/transport"
 	rpcPath       = "github.com/lpd-epfl/mvtl/internal/rpc"
 )
@@ -104,11 +101,6 @@ func namedAs(t types.Type, pkgPath, name string) bool {
 	}
 	obj := n.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
-func isFrameBufPtr(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	return ok && namedAs(p.Elem(), wirePath, "FrameBuf")
 }
 
 // calleeFunc resolves a call to its *types.Func (package function or
@@ -130,13 +122,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isPkgCall reports whether call invokes the package-level function
-// pkgPath.name.
-func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	f := calleeFunc(info, call)
-	return f != nil && f.Pkg() != nil && f.Pkg().Path() == pkgPath && f.Name() == name && f.Type().(*types.Signature).Recv() == nil
-}
-
 // methodOn reports whether call is a method call named name whose
 // receiver (after stripping one pointer) is pkgPath.typeName.
 func methodOn(info *types.Info, call *ast.CallExpr, pkgPath, typeName, name string) bool {
@@ -149,18 +134,6 @@ func methodOn(info *types.Info, call *ast.CallExpr, pkgPath, typeName, name stri
 		return false
 	}
 	return namedAs(s.Recv(), pkgPath, typeName)
-}
-
-// usesIdentOf reports whether node references obj anywhere beneath it.
-func usesIdentOf(info *types.Info, node ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(node, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // funcBodies yields every function/method body and every function

@@ -81,9 +81,12 @@ func TestCallMultiplexing(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			if _, err := c.Call(ctx, 0, wire.TStatsReq, nil); err != nil {
+			f, err := c.Call(ctx, 0, wire.TStatsReq, nil)
+			if err != nil {
 				errs <- err
+				return
 			}
+			f.Release()
 		}()
 	}
 	wg.Wait()
@@ -109,11 +112,13 @@ func TestCallAfterCloseFailsFast(t *testing.T) {
 	n := transport.NewMem(transport.LatencyModel{})
 	echoServer(t, n, "echo2", 0)
 	c := NewClient(n, "echo2", 2)
-	if _, err := c.Call(context.Background(), 0, wire.TStatsReq, nil); err != nil {
+	f, err := c.Call(context.Background(), 0, wire.TStatsReq, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	f.Release()
 	_ = c.Close()
-	_, err := c.Call(context.Background(), 0, wire.TStatsReq, nil)
+	_, err = c.Call(context.Background(), 0, wire.TStatsReq, nil)
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
@@ -146,9 +151,11 @@ func TestCloseMidCallFailsFast(t *testing.T) {
 			}
 			go func(conn transport.Conn) {
 				for {
-					if _, err := conn.Recv(); err != nil {
+					f, err := conn.Recv()
+					if err != nil {
 						return
 					}
+					f.Release()
 				}
 			}(conn)
 		}
@@ -216,9 +223,11 @@ func TestPoolShardsByFlow(t *testing.T) {
 	defer func() { _ = c.Close() }()
 	ctx := context.Background()
 	for flow := uint64(0); flow < 2*size; flow++ {
-		if _, err := c.Call(ctx, flow, wire.TStatsReq, nil); err != nil {
+		f, err := c.Call(ctx, flow, wire.TStatsReq, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		f.Release()
 	}
 	if got := accepted.Load(); got != size {
 		t.Fatalf("expected %d pooled connections after %d flows, got %d", size, 2*size, got)

@@ -1,0 +1,9 @@
+package server_test
+
+import (
+	"testing"
+
+	"github.com/lpd-epfl/mvtl/internal/wiretest"
+)
+
+func TestMain(m *testing.M) { wiretest.Main(m) }

@@ -30,9 +30,7 @@ func dialRaw(t *testing.T, n transport.Network, addr string) *rawClient {
 	return &rawClient{t: t, conn: conn, next: 1}
 }
 
-// call sends m as one frame and returns the response frame. Response
-// buffers are deliberately never released back to the pool here, so
-// decoded views in the tests stay valid for the test's lifetime.
+// call sends m as one frame and returns the response frame.
 func (c *rawClient) call(mt wire.MsgType, m wire.Message) *wire.FrameBuf {
 	c.t.Helper()
 	id := c.send(mt, m)
@@ -59,13 +57,16 @@ func (c *rawClient) send(mt wire.MsgType, m wire.Message) uint64 {
 	return id
 }
 
-// recv returns the next response frame on the connection.
+// recv returns the next response frame on the connection. The frame
+// goes back to the pool when the test ends, so views decoded from it
+// stay valid for the test's lifetime.
 func (c *rawClient) recv() *wire.FrameBuf {
 	c.t.Helper()
 	f, err := c.conn.Recv()
 	if err != nil {
 		c.t.Fatal(err)
 	}
+	c.t.Cleanup(f.Release)
 	return f
 }
 

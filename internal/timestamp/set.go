@@ -367,18 +367,6 @@ func subtractAppend(dst *Set, a, b []Interval) {
 	}
 }
 
-// SubtractInterval returns the subset of s outside iv.
-func (s Set) SubtractInterval(iv Interval) Set {
-	var out Set
-	if iv.IsEmpty() {
-		out.copyOf(s.view())
-		return out
-	}
-	one := [1]Interval{iv}
-	subtractAppend(&out, s.view(), one[:])
-	return out
-}
-
 // Subtract returns the set difference s \ o. The receiver is not
 // modified.
 func (s Set) Subtract(o Set) Set {

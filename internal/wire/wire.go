@@ -26,7 +26,10 @@
 // of the frame body. The ownership rules:
 //
 //   - GetFrameBuf hands out a pooled buffer; Release returns it. Every
-//     buffer has exactly one owner at a time.
+//     buffer has exactly one owner at a time. The pool checks this at
+//     run time: Outstanding counts the buffers handed out and not yet
+//     released, every test binary that moves frames ends at 0
+//     (internal/wiretest), and a second Release of one buffer panics.
 //   - transport.Conn.Send takes ownership of the buffer it is passed —
 //     even on error — and releases it once the bytes are on the wire
 //     (TCP) or hands it to the receiving end (the in-memory transport
@@ -63,6 +66,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
@@ -162,8 +166,9 @@ func (m Raw) AppendTo(buf []byte) []byte { return append(buf, m...) }
 // paths obtain buffers from GetFrameBuf and return them with Release;
 // see the package comment for the ownership rules.
 type FrameBuf struct {
-	hdr  [headerSize]byte
-	body []byte
+	hdr    [headerSize]byte
+	pooled bool // in the pool: Release panics; fills hdr's padding
+	body   []byte
 	// vec and storage back vectored writes: header and body go to the
 	// kernel as one writev, never coalescing into a third buffer.
 	// net.Buffers consumes the slice it writes, so vec is rebuilt from
@@ -172,18 +177,36 @@ type FrameBuf struct {
 	storage [2][]byte
 }
 
-var framePool = sync.Pool{New: func() any { return new(FrameBuf) }}
+var (
+	framePool   = sync.Pool{New: func() any { return new(FrameBuf) }}
+	outstanding atomic.Int64
+)
 
 // GetFrameBuf returns a frame buffer from the pool.
-func GetFrameBuf() *FrameBuf { return framePool.Get().(*FrameBuf) }
+func GetFrameBuf() *FrameBuf {
+	fb := framePool.Get().(*FrameBuf)
+	fb.pooled = false
+	outstanding.Add(1)
+	return fb
+}
+
+// Outstanding returns how many buffers GetFrameBuf has handed out and
+// Release has not yet taken back.
+func Outstanding() int64 { return outstanding.Load() }
 
 // Release returns the buffer to the pool. It is a no-op on nil, so
 // error paths can release unconditionally. The caller must not touch
-// the buffer — or anything decoded from it — afterwards.
+// the buffer — or anything decoded from it — afterwards; releasing a
+// buffer that is already back in the pool panics.
 func (fb *FrameBuf) Release() {
 	if fb == nil {
 		return
 	}
+	if fb.pooled {
+		panic("wire: FrameBuf released twice")
+	}
+	fb.pooled = true
+	outstanding.Add(-1)
 	if cap(fb.body) > maxPooledBody {
 		fb.body = nil
 	} else {

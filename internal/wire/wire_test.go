@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 )
@@ -48,6 +49,34 @@ func TestFrameEmptyBody(t *testing.T) {
 	if len(out.Body()) != 0 {
 		t.Fatalf("body = %v", out.Body())
 	}
+}
+
+// TestFrameBufPoolGuard pins the pool's run-time ownership checks: a
+// Get/Release pair leaves the outstanding count where it was, a second
+// Release of one buffer panics, and the guard's flag rides in the
+// padding after the header, so a FrameBuf stays 112 bytes.
+func TestFrameBufPoolGuard(t *testing.T) {
+	if n := unsafe.Sizeof(FrameBuf{}); n != 112 {
+		t.Errorf("FrameBuf is %d bytes, want 112", n)
+	}
+	before := Outstanding()
+	fb := GetFrameBuf()
+	if got := Outstanding(); got != before+1 {
+		t.Fatalf("outstanding after Get = %d, want %d", got, before+1)
+	}
+	fb.Release()
+	if got := Outstanding(); got != before {
+		t.Fatalf("outstanding after Release = %d, want %d", got, before)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release of one buffer did not panic")
+		}
+		if got := Outstanding(); got != before {
+			t.Fatalf("outstanding after the rejected Release = %d, want %d", got, before)
+		}
+	}()
+	fb.Release()
 }
 
 func TestReadFrameRejectsBadLength(t *testing.T) {
