@@ -134,10 +134,12 @@ type StateStats = keyspace.Stats
 // StateStats scans the store and returns its current state size.
 func (db *DB) StateStats() StateStats { return db.keys.Stats() }
 
-// PurgeBelow discards versions and frozen lock state older than the
-// bound (§6) and returns the number of versions and lock records
-// removed. Transactions that later need a purged version abort with
-// version.ErrPurged.
+// PurgeBelow trims every key below the bound (§6, keyspace.Key.Trim)
+// and returns the number of versions and lock records removed. Any
+// bound is safe: no key is trimmed past a lock a running transaction
+// holds, and a transaction older than the bound aborts — its reads of
+// trimmed versions with version.ErrPurged, its writes below the bound
+// on the frozen past.
 func (db *DB) PurgeBelow(bound timestamp.Timestamp) (versionsRemoved, locksRemoved int) {
 	return db.keys.PurgeBelow(bound)
 }

@@ -76,23 +76,32 @@ func (db *DB) Candidates(tx *Txn, t *timestamp.ShrinkingSet) {
 	}
 }
 
+// Retention is how far back a commit leaves each key it writes (K of
+// §8.1): one second in the clock's microsecond ticks. Commit trims the
+// key below ts − Retention, so a key keeps what was written in its last
+// Retention, not its whole run.
+const Retention = 1_000_000
+
 // Commit implements Backend: a local commit is decided by installing
 // its versions — before the write locks freeze, so that any reader
 // observing a frozen write lock is guaranteed to find the version (the
 // Go-idiomatic counterpart of the §6 special-value construction that
-// removes the atomic block of Alg. 1).
+// removes the atomic block of Alg. 1). Each freeze trims its key below
+// ts − Retention in the same critical section.
 func (db *DB) Commit(_ context.Context, tx *Txn, ts timestamp.Timestamp, gc bool) (Outcome, error) {
 	sc := tx.scratch
 	for _, i := range sc.writeOrder {
 		e := &sc.foot[i]
 		if err := e.ks.Versions.Install(ts, e.value); err != nil {
-			// Unreachable while the write lock at ts is held and the
-			// purge bound trails active transactions.
+			// Unreachable: tx holds the write lock at ts, and a trim
+			// never passes a lock a running transaction holds, so the
+			// version floor stays below ts.
 			return Aborted, fmt.Errorf("install %q at %v: %w", e.key, ts, err)
 		}
 	}
+	bound := timestamp.New(ts.Time-Retention, 0)
 	for _, i := range sc.writeOrder {
-		sc.foot[i].ks.Locks.FreezeWriteAt(tx.Owner(), ts)
+		sc.foot[i].ks.FreezeWrite(tx.Owner(), ts, bound)
 	}
 	if !gc {
 		return Committed, nil

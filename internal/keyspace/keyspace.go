@@ -36,8 +36,8 @@ type Key struct {
 	Locks *lock.Table
 	// Versions is the committed version history of the key: a chain of
 	// versions, newest first, whose nodes come from the arena of the
-	// key's stripe and go back to it when a purge drops them. ⊥ takes no
-	// node; it is present until the first purge that drops it.
+	// key's stripe and go back to it when a trim drops them. ⊥ takes no
+	// node; it is present until the first trim that drops it.
 	Versions *version.List
 }
 
@@ -146,17 +146,37 @@ func (s *Space) Stats() Stats {
 	return st
 }
 
-// PurgeBelow discards versions and frozen lock state older than the
-// bound (§6): each key keeps the newest version below the bound, and
-// frozen lock records entirely below the bound are dropped. It returns
-// the number of versions and lock records removed. A read that later
-// needs a purged version fails with version.ErrPurged.
+// PurgeBelow trims every key below bound (Key.Trim) and returns the
+// number of versions and lock records removed. Any bound is safe: a key
+// is trimmed no further than its oldest running transaction's locks,
+// and a transaction older than the bound aborts — a read that needs a
+// trimmed version fails with version.ErrPurged, and a write below the
+// bound meets the frozen past.
 func (s *Space) PurgeBelow(bound timestamp.Timestamp) (versions, locks int) {
 	s.Each(func(k *Key) {
-		versions += k.Versions.PurgeBelow(bound)
-		locks += k.Locks.PurgeFrozenBelow(bound)
+		v, l := k.Trim(bound)
+		versions += v
+		locks += l
 	})
 	return versions, locks
+}
+
+// Trim drops the key's history below bound — its versions but the
+// newest one below, and its frozen lock records — and leaves the past
+// one anonymous frozen read range (lock.Table.Trim, which also lowers
+// the bound to the key's oldest live lock). It returns the number of
+// versions and lock records removed.
+func (k *Key) Trim(bound timestamp.Timestamp) (versions, locks int) {
+	return k.Locks.Trim(bound, k.Versions)
+}
+
+// FreezeWrite freezes owner's write lock at ts, whose version is
+// installed, and trims the key below bound in the same critical section
+// of its lock table when there is history to drop
+// (lock.Table.FreezeWriteAndTrim). It reports whether owner held a write
+// lock at ts.
+func (k *Key) FreezeWrite(owner lock.Owner, ts, bound timestamp.Timestamp) bool {
+	return k.Locks.FreezeWriteAndTrim(owner, ts, bound, k.Versions)
 }
 
 // ReadStep is one pass of the read step (Alg. 8 lines 4-11; Alg. 13,

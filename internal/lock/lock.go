@@ -31,8 +31,9 @@
 //   - releasing, taking or splitting an owner's unfrozen locks, the
 //     blocker scans that feed the wait-for graph, and every unfrozen
 //     insert touch only live — O(live), however long the key's history;
-//   - PurgeFrozenBelow and the frozen half of a conflict scan touch only
-//     frozen, and Stats reads two lengths;
+//   - a trim and the frozen half of a conflict scan touch only frozen
+//     (a trim reads live's first record, for its bound), and Stats reads
+//     two lengths;
 //   - a conflict scan (AcquireRead's first conflict, AcquireWrite's
 //     conflict sets) looks at both, live first;
 //   - OwnedInto walks live, and merges history in only when the owner
@@ -46,9 +47,10 @@
 // frozen at v for its owner and reads are frozen on (v, h] for nobody.
 // A key's frozen list thus holds one record per committed version,
 // whatever the number of readers. A bare anonymous range is left only
-// where no single version point lies right below it: over ⊥, above a
-// point a purge dropped, or above several adjacent points of one owner
-// (one transaction committing twice on a key, which no policy does).
+// where no single version point lies right below it: over ⊥, as the
+// frozen past a trim leaves (from Zero, over the points it dropped), or
+// above several adjacent points of one owner (one transaction
+// committing twice on a key, which no policy does).
 // The union of frozen timestamps is what it would be with one record per
 // reader, and every answer per timestamp is what it would be with the
 // write point and the range as two records — a read meets the record at
@@ -73,7 +75,7 @@
 // The table knows the smallest and the largest named owner in its frozen
 // list — the frozen writes' and versions' owners, since frozen reads are
 // anonymous — widened by every write freeze and recomputed by every
-// purge. An owner outside those bounds has no frozen record — as a
+// trim. An owner outside those bounds has no frozen record — as a
 // filter the bounds are exact — and OwnedInto then never reads history. Transaction ids
 // grow with time, so a transaction that has not frozen anything on the
 // key yet is usually above the bounds; one that falls inside them
@@ -81,7 +83,7 @@
 // O(frozen) merge walk.
 //
 // Blocked acquisitions park on a per-waiter channel tagged with the
-// intervals the waiter is blocked on. A release, freeze or purge wakes
+// intervals the waiter is blocked on. A release or freeze wakes
 // only the waiters whose tagged intervals overlap the state that
 // actually changed — O(w) overlap checks for w parked waiters — where
 // the previous implementation closed a table-wide broadcast channel,
@@ -306,6 +308,11 @@ type Table struct {
 	// named owner of the records in frozen; both are anonymous while it
 	// holds no named record.
 	frozenMinOwner, frozenMaxOwner Owner
+	// floor is the timestamp of the oldest version the key holds, as its
+	// history reported at the last trim (see Trim): Zero before any, and
+	// for a table trimmed without one. A read starting at or below it was
+	// picked above a version that is gone.
+	floor timestamp.Timestamp
 	// waiters are the currently parked acquisitions, in no particular
 	// order. waitLo/waitHi bound the union of their spans (they may
 	// overshoot after waiters leave; they are tightened whenever the
@@ -372,6 +379,16 @@ func (t *Table) AcquireRead(ctx context.Context, owner Owner, iv timestamp.Inter
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
+		if t.floor != timestamp.Zero && iv.Lo.AtOrBefore(t.floor) {
+			// The version below iv was picked before a trim dropped it,
+			// and with it the writes that may lie between it and iv: the
+			// trimmed past conflicts from the request's first point.
+			res := ReadResult{Got: timestamp.Empty, Frozen: true, FrozenAt: timestamp.Point(iv.Lo)}
+			if !opts.Partial {
+				return res, fmt.Errorf("read %v starts at or below the trimmed floor %v: %w", iv, t.floor, ErrFrozen)
+			}
+			return res, nil
+		}
 		conf, frozen, ok := t.firstWriteOverLocked(owner, iv)
 		if !ok {
 			t.insertLiveLocked(entry{iv: iv, owner: owner, mode: ModeRead})
@@ -473,6 +490,24 @@ func (t *Table) AcquireWriteInto(ctx context.Context, owner Owner, req timestamp
 func (t *Table) FreezeWriteAt(owner Owner, ts timestamp.Timestamp) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.freezeWriteAtLocked(owner, ts)
+}
+
+// FreezeWriteAndTrim is FreezeWriteAt followed, in the same critical
+// section, by a trim of the key below bound (see Trim) — when there is
+// history to drop: a frozen write below the lowered bound. A commit
+// calls it on every key it writes, so a key keeps what was written
+// since bound and not its whole run.
+func (t *Table) FreezeWriteAndTrim(owner Owner, ts, bound timestamp.Timestamp, vs Versions) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ok := t.freezeWriteAtLocked(owner, ts)
+	t.trimLocked(bound, vs, false)
+	return ok
+}
+
+// freezeWriteAtLocked is FreezeWriteAt for a caller holding t.mu.
+func (t *Table) freezeWriteAtLocked(owner Owner, ts timestamp.Timestamp) bool {
 	i := t.live.writeAt(owner, ts)
 	if i < 0 {
 		return t.frozen.writeAt(owner, ts) >= 0
@@ -607,48 +642,81 @@ func (t *Table) OwnedInto(owner Owner, readOrWrite, writeOnly *timestamp.Set) {
 	}
 }
 
-// PurgeFrozenBelow drops frozen entries that lie entirely below ts,
-// mirroring version purging (§6): once the versions below a bound are
-// discarded, their lock state may be discarded too. It returns the number
-// of entries removed, counted as Snapshot renders them: a version record
-// is its write point and the read range above it. A version whose point
-// lies below ts while its reads reach ts loses the point and keeps the
-// reads, as a bare range.
+// Versions is the version history of a table's key as a trim drops
+// it (version.List is one): Trim drops the versions below bound but the
+// newest of them, and returns the oldest version's timestamp it leaves
+// — the floor — and how many it dropped. A table calls it holding its
+// own lock, so that no read sees the versions trimmed and the table
+// not, or the other way round: it must not call back into the table.
+type Versions interface {
+	Trim(bound timestamp.Timestamp) (floor timestamp.Timestamp, dropped int)
+}
+
+// Trim drops the key's history below bound (§6, §8.1) and returns how
+// many versions and lock records went; a version record counts as
+// Snapshot renders it, its point and its reads. It is the one trim:
+// FreezeWriteAndTrim runs it on commit, and purges run it on every key.
 //
-// No waiters are woken: acquisitions only ever park on *unfrozen*
-// conflicts, and purging removes only frozen records, so no parked
-// acquisition's outcome can change.
-func (t *Table) PurgeFrozenBelow(ts timestamp.Timestamp) int {
+//   - The bound first falls to the start of the oldest unfrozen record:
+//     a trim never passes a transaction that still holds a lock here, so
+//     no write lock of a running transaction lies below it.
+//   - vs, when given, drops its versions below the bound but the newest
+//     one, whose timestamp becomes the table's floor: a read request
+//     starting at or below it — one picked above a dropped version —
+//     fails from its first point (see AcquireRead) and is picked again.
+//   - The frozen records wholly below the bound go. One that reaches
+//     across it keeps what lies at or above it: a version its reads, a
+//     write range its points from the bound on.
+//   - What went becomes one anonymous frozen read range from Zero up to
+//     the bound, merged with the reads it touches. No write can land
+//     below a trim, and no read is refused by one.
+//
+// A trim with nothing to drop — no frozen write below the bound, and no
+// version besides the newest — changes nothing. No waiters are woken:
+// acquisitions park only on unfrozen records, which all lie above the
+// bound, and none of them goes.
+func (t *Table) Trim(bound timestamp.Timestamp, vs Versions) (versions, locks int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	l := &t.frozen
-	kept := l.entries[:0]
-	removed, removedAt := 0, -1
+	return t.trimLocked(bound, vs, true)
+}
+
+// PurgeFrozenBelow is Trim for a table without a version history: it
+// returns the number of lock records it dropped.
+func (t *Table) PurgeFrozenBelow(ts timestamp.Timestamp) int {
+	_, locks := t.Trim(ts, nil)
+	return locks
+}
+
+// trimLocked is Trim for a caller holding t.mu. Unless always is set it
+// looks at the versions only when a frozen write lies below the lowered
+// bound, so that a commit pays for the version list's lock only when it
+// has something to drop.
+func (t *Table) trimLocked(bound timestamp.Timestamp, vs Versions, always bool) (versions, locks int) {
+	if len(t.live.entries) > 0 {
+		bound = timestamp.Min(bound, t.live.entries[0].iv.Lo)
+	}
+	if !bound.After(timestamp.Zero) {
+		return 0, 0
+	}
+	written := t.frozen.namedBelow(bound)
+	if !written && !always {
+		return 0, 0
+	}
+	if vs != nil {
+		var floor timestamp.Timestamp
+		floor, versions = vs.Trim(bound)
+		t.floor = timestamp.Max(t.floor, floor)
+	}
+	if !written && versions == 0 {
+		return 0, 0
+	}
+	locks = t.frozen.trimBelow(bound)
 	t.frozenMinOwner, t.frozenMaxOwner = anonymous, anonymous
-	for i, e := range l.entries {
-		switch {
-		case e.iv.Hi.Before(ts):
-			removed++
-			if e.mode == modeVersion {
-				removed++
-			}
-			if removedAt < 0 {
-				removedAt = i
-			}
-			continue
-		case e.mode == modeVersion && e.iv.Lo.Before(ts):
-			// The end of the record stays, so the index does too.
-			removed++
-			e = entry{iv: e.readsAbove(), owner: anonymous, mode: ModeRead}
-		}
-		t.noteFrozenOwnerLocked(e.owner)
-		kept = append(kept, e)
+	for i := range t.frozen.entries {
+		t.noteFrozenOwnerLocked(t.frozen.entries[i].owner)
 	}
-	l.entries = kept
-	if removedAt >= 0 {
-		l.reindex(removedAt)
-	}
-	return removed
+	return versions, locks
 }
 
 // noteFrozenOwnerLocked widens the frozen list's owner bounds to cover
@@ -1220,8 +1288,8 @@ func (t *Table) insertFrozenReadLocked(owner Owner, iv timestamp.Interval) {
 // write, to the list. It merges r with the bare ranges it overlaps or
 // touches; the result joins the version right below it if it overlaps or
 // touches that version's reads, or turns a single write point it touches
-// into a version, and stays a bare range otherwise — over ⊥, above a
-// point a purge dropped, or above several points of one owner.
+// into a version, and stays a bare range otherwise — over ⊥, as a
+// trim's frozen past, or above several points of one owner.
 func (l *list) freezeReads(r timestamp.Interval) {
 	if r.IsEmpty() {
 		return
@@ -1239,6 +1307,64 @@ func (l *list) freezeReads(r timestamp.Interval) {
 		}
 	}
 	l.insertAt(pos, e)
+}
+
+// namedBelow reports whether a record starting below bound has an
+// owner: a version or a frozen write, where bare reads have none.
+func (l *list) namedBelow(bound timestamp.Timestamp) bool {
+	for i := range l.entries {
+		e := &l.entries[i]
+		if !e.iv.Lo.Before(bound) {
+			return false
+		}
+		if e.owner != anonymous {
+			return true
+		}
+	}
+	return false
+}
+
+// trimBelow makes the frozen list anonymous frozen reads below bound
+// (see Table.Trim) and returns the number of rendered records it
+// dropped: those wholly below bound, and the point of a version whose
+// reads reach across it.
+func (l *list) trimBelow(bound timestamp.Timestamp) (removed int) {
+	n := l.search(bound)
+	hi := bound.Prev()
+	var cut entry // a write range across bound, from bound on
+	for i := range n {
+		switch e := &l.entries[i]; {
+		case e.iv.Hi.Before(bound):
+			removed++
+			if e.mode == modeVersion {
+				removed++
+			}
+		case e.mode == ModeWrite:
+			cut = entry{iv: timestamp.Span(bound, e.iv.Hi), owner: e.owner, mode: ModeWrite}
+		default:
+			if e.mode == modeVersion {
+				removed++
+			}
+			hi = e.iv.Hi
+		}
+	}
+	l.entries = append(l.entries[:0], l.entries[n:]...)
+	l.reindex(0)
+	if cut.owner != anonymous {
+		// What is left starts above the cut. A single point takes in the
+		// bare reads right above it, as freezeWriteLocked's does.
+		if len(l.entries) > 0 && cut.iv.Lo == cut.iv.Hi {
+			if above := &l.entries[0]; above.owner == anonymous && above.iv.Lo == cut.iv.Hi.Next() {
+				*above = entry{iv: timestamp.Span(cut.iv.Lo, above.iv.Hi), owner: cut.owner, mode: modeVersion}
+				cut.owner = anonymous
+			}
+		}
+		if cut.owner != anonymous {
+			l.insertAt(0, cut)
+		}
+	}
+	l.freezeReads(timestamp.Span(timestamp.Zero, hi))
+	return removed
 }
 
 // extendWaiterEdgesLocked keeps deadlock detection current under

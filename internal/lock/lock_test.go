@@ -419,10 +419,10 @@ func TestEntrySize(t *testing.T) {
 }
 
 // TestPurgeKeepsRangeAbovePurgedPoint purges between a version's point
-// and the end of the reads frozen above it. What is left renders and
-// counts as the two records did before they shared one: the point goes,
-// counted once, and the range stays, as a bare range. A later reader of
-// the version extends that range.
+// and the end of the reads frozen above it. The point goes, counted
+// once, and the reads stay, joined to the frozen past: one anonymous
+// range from Zero to their end, so no write lands below the bound or
+// in the reads. A later reader of the version extends that range.
 func TestPurgeKeepsRangeAbovePurgedPoint(t *testing.T) {
 	const (
 		v, h   = 10, 20
@@ -453,19 +453,21 @@ func TestPurgeKeepsRangeAbovePurgedPoint(t *testing.T) {
 	if err := tbl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bare := EntryInfo{Interval: mspan(v+1, h), Owner: anonymous, Mode: ModeRead, Frozen: true}
+	bare := EntryInfo{Interval: timestamp.Span(timestamp.Zero, mp(h)), Owner: anonymous, Mode: ModeRead, Frozen: true}
 	if got := tbl.Snapshot(); !slices.Equal(got, []EntryInfo{bare}) {
 		t.Fatalf("after the purge: %v, want %v", got, bare)
 	}
-	if _, err := tbl.AcquireWrite(ctx, 3, set(timestamp.Point(mp(h))), Options{}); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("write at %d after the purge: %v, want ErrFrozen", h, err)
+	for _, p := range []int{v - 5, v, h} {
+		if _, err := tbl.AcquireWrite(ctx, 3, set(timestamp.Point(mp(p))), Options{}); !errors.Is(err, ErrFrozen) {
+			t.Fatalf("write at %d after the purge: %v, want ErrFrozen", p, err)
+		}
 	}
 
 	reader(4, h+5)
 	if err := tbl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bare.Interval = mspan(v+1, h+5)
+	bare.Interval.Hi = mp(h + 5)
 	if got := tbl.Snapshot(); !slices.Equal(got, []EntryInfo{bare}) {
 		t.Fatalf("after a later reader: %v, want %v", got, bare)
 	}
@@ -528,6 +530,9 @@ func TestIntervalCompression(t *testing.T) {
 	}
 }
 
+// TestPurgeFrozenBelow freezes points at 2, 5 and 9 and purges below
+// 6: the two points below go, and the past below 6 stays frozen for
+// writes while the timestamps between it and 9 stay free.
 func TestPurgeFrozenBelow(t *testing.T) {
 	tbl := NewTable()
 	ctx := context.Background()
@@ -540,8 +545,15 @@ func TestPurgeFrozenBelow(t *testing.T) {
 	if n := tbl.PurgeFrozenBelow(ts(6)); n != 2 {
 		t.Fatalf("purged %d, want 2", n)
 	}
-	if s := tbl.Stats(); s.Entries != 1 || s.Frozen != 1 {
+	// The frozen past below the bound and the point at 9.
+	if s := tbl.Stats(); s.Entries != 2 || s.Frozen != 2 {
 		t.Fatalf("stats = %+v", s)
+	}
+	if _, err := tbl.AcquireWrite(ctx, 7, set(iv(3, 3)), Options{}); !errors.Is(err, ErrFrozen) {
+		t.Fatalf("write below the bound: %v, want ErrFrozen", err)
+	}
+	if _, err := tbl.AcquireWrite(ctx, 7, set(iv(6, 8)), Options{}); err != nil {
+		t.Fatalf("write between the bound and the point at 9: %v", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -23,7 +24,9 @@ import (
 // runs, never more. One thing the model forgets on purpose: who froze a
 // read. A frozen read bit belongs to the anonymous owner, and an owner
 // freezes its reads only as it finishes on the key, in the protocol's
-// order — freeze the reads, release the rest.
+// order — freeze the reads, release the rest. And one rule for purges:
+// a purge that drops history leaves every timestamp below its bound
+// frozen-read, from Zero on.
 
 // modelConfig sizes one run of the differential test: timestamps
 // mp(0)..mp(points-1) and owners 1..owners. When acquireSpan is nonzero
@@ -61,6 +64,9 @@ type class struct {
 type lockModel struct {
 	cfg  modelConfig
 	held map[class][]bool
+	// purged is set once a purge has frozen the past: the frozen reads
+	// from point 0 then reach down to Zero.
+	purged bool
 }
 
 // newLockModel returns an empty model. Frozen reads have one plane, the
@@ -110,7 +116,11 @@ func (m *lockModel) entries() []EntryInfo {
 			for p+1 < len(plane) && plane[p+1] {
 				p++
 			}
-			out = append(out, EntryInfo{Interval: mspan(lo, p), Owner: c.owner, Mode: c.mode, Frozen: c.frozen})
+			iv := mspan(lo, p)
+			if lo == 0 && m.purged && c.owner == anonymous {
+				iv.Lo = timestamp.Zero
+			}
+			out = append(out, EntryInfo{Interval: iv, Owner: c.owner, Mode: c.mode, Frozen: c.frozen})
 		}
 	}
 	normalise(out)
@@ -411,17 +421,37 @@ func runModelSeed(t *testing.T, cfg modelConfig, seed int64, steps int) indexCro
 		default:
 			bound := rng.Intn(points)
 			desc = fmt.Sprintf("PurgeFrozenBelow(%d)", bound)
+			// The bound falls to the oldest unfrozen lock. With a frozen
+			// write below it, the runs wholly below it are dropped and
+			// every point below it becomes a frozen read; without one,
+			// nothing changes.
+			low := bound
+			for c, plane := range m.held {
+				if i := slices.Index(plane[:low], true); !c.frozen && i >= 0 {
+					low = i
+				}
+			}
+			written := false
+			for c, plane := range m.held {
+				if c.frozen && c.owner != anonymous && slices.Contains(plane[:low], true) {
+					written = true
+				}
+			}
 			want := 0
-			for _, e := range m.entries() {
-				if e.Frozen && e.Interval.Hi.Before(mp(bound)) {
-					want++
-					plane := m.plane(e.Owner, e.Mode, true)
-					for p := 0; p < bound; p++ {
-						if e.Interval.Contains(mp(p)) {
-							plane[p] = false
+			if written {
+				for _, e := range m.entries() {
+					if e.Frozen && e.Interval.Hi.Before(mp(low)) {
+						want++
+					}
+				}
+				for c, plane := range m.held {
+					if c.frozen {
+						for p := 0; p < low; p++ {
+							plane[p] = c.owner == anonymous
 						}
 					}
 				}
+				m.purged = true
 			}
 			if got := tbl.PurgeFrozenBelow(mp(bound)); got != want {
 				t.Fatalf("seed %d step %d %s = %d, want %d", seed, step, desc, got, want)

@@ -35,8 +35,9 @@ var _ core.Policy = (*TIL)(nil)
 
 // NewTIL returns an MVTIL policy with interval width delta (in clock
 // ticks). gcOnCommit enables per-commit lock garbage collection; the
-// paper's MVTIL-GC additionally purges old state periodically, which is
-// DB.PurgeBelow's job.
+// paper's MVTIL-GC additionally purges old state, which the in-process
+// store does on every commit, for each key written (core.Retention),
+// and DB.PurgeBelow on demand.
 func NewTIL(clk *clock.Process, delta int64, choice CommitChoice, gcOnCommit bool) *TIL {
 	return &TIL{shrinking: newShrinking("mvtil", clk, 0, delta, false), choice: choice, gc: gcOnCommit}
 }

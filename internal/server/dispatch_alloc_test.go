@@ -82,9 +82,7 @@ func TestInlineDispatchAllocs(t *testing.T) {
 		// What the periodic purge does, so the tables keep their size.
 		bound := timestamp.New(int64(100*next), 0)
 		for _, k := range allKeys {
-			ks := s.keys.Key(k)
-			ks.Locks.PurgeFrozenBelow(bound)
-			ks.Versions.PurgeBelow(bound)
+			s.keys.Key(k).Trim(bound)
 		}
 		next++
 	}

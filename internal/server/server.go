@@ -1053,13 +1053,14 @@ func decided(txn uint64, d commitment.Decision) *wire.ReleaseBatchReq {
 // In order: the record is marked finished, so a write-lock batch racing
 // this finds it decided; every write pending here is installed and its
 // lock frozen at the commit timestamp (install-before-freeze keeps the
-// frozen-implies-present invariant readers rely on), or its write lock
-// dropped on abort; a commit freezes the read ranges (garbage collection,
-// Alg. 11 line 33); the keys are released; the record is let go. Every
-// pending write here is the transaction's own, so none has to be named,
-// and a commit's writes are frozen before anything is released — so no
-// door arriving first, and no lost sibling frame, can discard a committed
-// write. Ending a transaction twice changes nothing.
+// frozen-implies-present invariant readers rely on) and the rest of that
+// lock dropped, or all of it dropped on abort; a commit freezes the read
+// ranges (garbage collection, Alg. 11 line 33); the keys are released;
+// the record is let go. Every pending write here is the transaction's
+// own, so none has to be named, and a commit's writes are frozen before
+// anything is released — so no door arriving first, and no lost sibling
+// frame, can discard a committed write. Ending a transaction twice
+// changes nothing.
 //
 // Nothing here is fenced. endTxn acts only on state a fenced grant
 // created — on a server that never granted, it is a no-op — and a
@@ -1099,6 +1100,11 @@ func (s *Server) endTxn(e *wire.ReleaseBatchReq) {
 		if !ks.Locks.FreezeWriteAt(owner, e.TS) {
 			s.logf("server %s: freeze %q at %v: write lock not held", s.cfg.Addr, w.key, e.TS)
 		}
+		// The rest of the write lock guards nothing now. Drop it here,
+		// whether or not e.Keys names the key: a decision the suspicion
+		// scanner fetched names none, and an unfrozen write left behind
+		// would refuse every later read of the key.
+		ks.Locks.ReleaseWrites(owner)
 	}
 	if e.Committed {
 		for _, r := range e.Reads {

@@ -28,6 +28,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -398,7 +399,7 @@ func (t TCP) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %q: %w", addr, err)
 	}
-	return &tcpConn{c: nc, readTimeout: t.ReadTimeout, writeTimeout: t.WriteTimeout}, nil
+	return newTCPConn(nc, t.ReadTimeout, t.WriteTimeout), nil
 }
 
 // Listen implements Network.
@@ -421,7 +422,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpConn{c: nc, readTimeout: l.readTimeout, writeTimeout: l.writeTimeout}, nil
+	return newTCPConn(nc, l.readTimeout, l.writeTimeout), nil
 }
 
 func (l *tcpListener) Close() error { return l.l.Close() }
@@ -437,6 +438,15 @@ type tcpConn struct {
 	// vec is SendBatch's reusable iovec, the value its vectored write is
 	// called on (see wire.WriteFrames), guarded by wm.
 	vec net.Buffers
+	// r buffers what Recv reads, guarded by rm: wire.ReadFrame reads a
+	// frame in three parts, and one read(2) usually brings all three,
+	// or several frames.
+	r *bufio.Reader
+}
+
+// newTCPConn wraps an established connection.
+func newTCPConn(nc net.Conn, readTimeout, writeTimeout time.Duration) *tcpConn {
+	return &tcpConn{c: nc, readTimeout: readTimeout, writeTimeout: writeTimeout, r: bufio.NewReader(nc)}
 }
 
 var _ Conn = (*tcpConn)(nil)
@@ -489,7 +499,7 @@ func (c *tcpConn) Recv() (*wire.FrameBuf, error) {
 		_ = c.c.SetReadDeadline(time.Now().Add(c.readTimeout))
 	}
 	fb := wire.GetFrameBuf()
-	if err := wire.ReadFrame(c.c, fb); err != nil {
+	if err := wire.ReadFrame(c.r, fb); err != nil {
 		fb.Release()
 		return nil, wrapTimeout(err)
 	}

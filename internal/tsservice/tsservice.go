@@ -1,9 +1,18 @@
 // Package tsservice implements the timestamp service of §8.1: a
 // component that periodically broadcasts a time T in the past — the
 // current time minus a retention constant K — with two effects: storage
-// servers purge versions (and lock state) older than T, and clients
-// advance their local clocks to at least T so that slow clocks do not
-// start transactions that would need purged versions.
+// servers trim every key below T, and clients advance their local clocks
+// to at least T so that slow clocks do not start transactions that
+// would need purged versions.
+//
+// A trim (keyspace.Key.Trim) drops the versions below T but the newest
+// one and the frozen lock records below T, and leaves the past one
+// frozen read range, so no write can land below it. It never passes a
+// lock a running transaction holds, so any T is safe: a transaction
+// older than T aborts, it does not break serializability. Servers do not
+// trim on commit, as the in-process store does, so that the GC-off
+// series of Figs 6–7 keep growing: on a server this broadcast is what
+// bounds the state.
 package tsservice
 
 import (

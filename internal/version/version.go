@@ -191,6 +191,15 @@ func (l *List) Install(t timestamp.Timestamp, value []byte) error {
 // snapshot), and returns the number of versions discarded. The purge
 // floor rises to the kept boundary version's timestamp.
 func (l *List) PurgeBelow(t timestamp.Timestamp) int {
+	_, removed := l.Trim(t)
+	return removed
+}
+
+// Trim is PurgeBelow that also returns the purge floor it leaves: the
+// timestamp of the oldest version the list still holds, Zero while ⊥
+// is held. A key's lock table trims its versions through it
+// (lock.Versions).
+func (l *List) Trim(t timestamp.Timestamp) (floor timestamp.Timestamp, removed int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	keep := l.newest
@@ -199,24 +208,24 @@ func (l *List) PurgeBelow(t timestamp.Timestamp) int {
 	}
 	if keep == nil {
 		// At most ⊥ is below t, and it is the boundary.
-		return 0
+		return l.floor, 0
 	}
 	dropped := 0
 	for n := keep.older; n != nil; n = n.older {
 		dropped++
 	}
-	removed := dropped
+	removed = dropped
 	if l.hasBottom() {
 		removed++
 	}
 	if removed == 0 {
-		return 0
+		return l.floor, 0
 	}
 	l.arena.put(keep.older)
 	keep.older = nil
 	l.nodes -= dropped
 	l.floor = keep.TS
-	return removed
+	return l.floor, removed
 }
 
 // Count returns the number of stored versions (including the boundary

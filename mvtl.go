@@ -180,8 +180,13 @@ type StateStats = core.StateStats
 func (s *Store) Stats() StateStats { return s.db.StateStats() }
 
 // Purge discards versions and lock state older than ageMicros
-// microseconds before now, keeping the newest version of each key (§6).
-// Transactions that later need purged history abort.
+// microseconds before now, keeping the newest version of each key below
+// that bound and leaving the past frozen (§6). Any bound is safe: no key
+// is trimmed past a lock a running transaction holds, and a transaction
+// older than the bound aborts — its reads of purged versions, and its
+// writes below the bound. Each commit already trims the keys it writes
+// one second (core.Retention) behind its timestamp, so Purge is needed
+// only to cut deeper, or to trim keys nobody writes any more.
 func (s *Store) Purge(nowMicros, ageMicros int64) (versions, locks int) {
 	bound := nowMicros - ageMicros
 	if bound < 0 {
