@@ -75,7 +75,7 @@ func BenchmarkDistributedCommitTO(b *testing.B) {
 				if err := tx.Commit(ctx); err != nil {
 					b.Fatal(err)
 				}
-				// Keep server-side lock tables and version lists from
+				// Keep server-side lock tables, versions included, from
 				// growing across iterations, off the clock.
 				if i%64 == 63 {
 					b.StopTimer()

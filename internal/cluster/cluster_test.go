@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,20 +16,36 @@ import (
 	"github.com/lpd-epfl/mvtl/internal/kv"
 	"github.com/lpd-epfl/mvtl/internal/policy"
 	"github.com/lpd-epfl/mvtl/internal/server"
+	"github.com/lpd-epfl/mvtl/internal/strhash"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
 	"github.com/lpd-epfl/mvtl/internal/transport"
+	"github.com/lpd-epfl/mvtl/internal/wire"
+)
+
+// The servers' suspicion settings in every test cluster.
+const (
+	writeLockTimeout = 500 * time.Millisecond
+	scanInterval     = 50 * time.Millisecond
 )
 
 func startCluster(t *testing.T, servers int, rec *history.Recorder) *cluster.Cluster {
 	t.Helper()
+	return startClusterOn(t, servers, rec, nil)
+}
+
+// startClusterOn is startCluster over network, or the local bed's when
+// it is nil.
+func startClusterOn(t *testing.T, servers int, rec *history.Recorder, network transport.Network) *cluster.Cluster {
+	t.Helper()
 	c, err := cluster.Start(cluster.Config{
 		Servers:  servers,
 		Bed:      cluster.BedLocal,
+		Network:  network,
 		Recorder: rec,
 		ServerConfig: server.Config{
 			LockWaitTimeout:  300 * time.Millisecond,
-			WriteLockTimeout: 500 * time.Millisecond,
-			ScanInterval:     50 * time.Millisecond,
+			WriteLockTimeout: writeLockTimeout,
+			ScanInterval:     scanInterval,
 		},
 	})
 	if err != nil {
@@ -192,37 +209,143 @@ func TestCoordinatorCrashRecovered(t *testing.T) {
 	}
 }
 
-// TestCrashAfterDecideCommits validates the other failover direction: if
-// the coordinator decided commit at the decision server and froze the
-// locks on a subset of servers before crashing, the remaining server
-// applies the commit (not an abort) when it times out.
+// TestCrashAfterDecideCommits validates the other failover direction
+// (Alg. 13's recovery): the coordinator decides commit at the decision
+// server, which installs and freezes its share with the decision, and
+// stops — its committed release to the other server never arrives. That
+// server's suspicion scanner learns the commit from the decision server
+// and ends the transaction through the decided door: within one
+// WriteLockTimeout plus a scan, both keys read their committed values and
+// take new writes.
 func TestCrashAfterDecideCommits(t *testing.T) {
-	c := startCluster(t, 2, nil)
+	// The first coordinator a cluster makes is client-1.
+	network := &dropReleases{Network: transport.NewMem(cluster.LatencyFor(cluster.BedLocal)), from: "client-1"}
+	c := startClusterOn(t, 2, nil, network)
 	ctx := context.Background()
+	var keys [2]string // one key on each server
+	for i := 0; keys[0] == "" || keys[1] == ""; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if p := strhash.Partition(k, len(keys)); keys[p] == "" {
+			keys[p] = k
+		}
+	}
 
-	// Find two keys on two different servers, with the decision server
-	// being the first write's server.
-	cl, _ := c.NewClient(client.ModeTILEarly, 5000, nil)
-	tx, _ := cl.Begin(ctx)
-	if err := tx.Write(ctx, "k1", []byte("v1")); err != nil {
-		t.Fatal(err)
+	crasher, _ := c.NewClient(client.ModeTILEarly, 5000, nil)
+	tx, _ := crasher.Begin(ctx)
+	for _, k := range keys {
+		if err := tx.Write(ctx, k, []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := tx.Write(ctx, "k2", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	// Run the commit normally; then verify both keys visible. (The
-	// partial-freeze crash is exercised through the server's
-	// suspicion path in TestCoordinatorCrashRecovered; here we
-	// check the decision object agrees on commit for both servers.)
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	check, _ := cl.Begin(ctx)
-	v1, err1 := check.Read(ctx, "k1")
-	v2, err2 := check.Read(ctx, "k2")
-	if err1 != nil || err2 != nil || string(v1) != "v1" || string(v2) != "v2" {
-		t.Fatalf("k1=%q(%v) k2=%q(%v)", v1, err1, v2, err2)
+	decided := time.Now()
+	_ = crasher.Close()
+	if n := network.dropped.Load(); n != 1 {
+		t.Fatalf("%d release casts dropped, want the one to the server that did not decide", n)
 	}
+
+	// Each attempt reads both keys and rewrites them. Until the scanner
+	// ends the transaction, the key whose release was lost holds no
+	// version and an unfrozen write lock above the commit point.
+	other, _ := c.NewClient(client.ModeTILEarly, 5000, nil)
+	attempt := func() error {
+		tx, err := other.Begin(ctx)
+		if err != nil {
+			return err
+		}
+		for _, k := range keys {
+			v, err := tx.Read(ctx, k)
+			if err == nil && string(v) != "v-"+k {
+				err = fmt.Errorf("%s = %q, want the committed %q", k, v, "v-"+k)
+			}
+			if err == nil {
+				err = tx.Write(ctx, k, []byte("again"))
+			}
+			if err != nil {
+				_ = tx.Abort(ctx)
+				return err
+			}
+		}
+		return tx.Commit(ctx)
+	}
+	// A scan, with room for its round trip to the decision server.
+	deadline := decided.Add(writeLockTimeout + 4*scanInterval)
+	for {
+		err := attempt()
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%v after the decision, the keys are still not both committed and writable: %v", time.Since(decided), err)
+		}
+		time.Sleep(scanInterval / 5)
+	}
+}
+
+// dropReleases is a network on which the release casts that endpoint
+// from sends vanish, as a crashed coordinator's never leave.
+type dropReleases struct {
+	transport.Network
+	from    string
+	dropped atomic.Int64
+}
+
+// Endpoint implements the cluster's per-process view of the network.
+func (n *dropReleases) Endpoint(name string) transport.Network {
+	if name != n.from {
+		return n.Network
+	}
+	return releaseDropper{n}
+}
+
+// releaseDropper is the view of the dropping endpoint.
+type releaseDropper struct{ n *dropReleases }
+
+func (d releaseDropper) Dial(addr string) (transport.Conn, error) {
+	conn, err := d.n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &dropConn{Conn: conn, n: d.n}, nil
+}
+
+func (d releaseDropper) Listen(addr string) (transport.Listener, error) {
+	return d.n.Network.Listen(addr)
+}
+
+type dropConn struct {
+	transport.Conn
+	n *dropReleases
+}
+
+// drop releases fb if it is a release cast, and reports whether it was.
+func (c *dropConn) drop(fb *wire.FrameBuf) bool {
+	if fb.Type() != wire.TReleaseBatchReq {
+		return false
+	}
+	fb.Release()
+	c.n.dropped.Add(1)
+	return true
+}
+
+func (c *dropConn) Send(fb *wire.FrameBuf) error {
+	if c.drop(fb) {
+		return nil
+	}
+	return c.Conn.Send(fb)
+}
+
+func (c *dropConn) SendBatch(fbs []*wire.FrameBuf) error {
+	kept := fbs[:0]
+	for _, fb := range fbs {
+		if !c.drop(fb) {
+			kept = append(kept, fb)
+		}
+	}
+	clear(fbs[len(kept):])
+	return c.Conn.SendBatch(kept)
 }
 
 // TestDistributedStressSerializable runs concurrent mixed workloads under

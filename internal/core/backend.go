@@ -10,7 +10,7 @@ import (
 )
 
 // Backend is where a transaction's keys live: the steps Alg. 1 and the
-// policies take against lock tables and version lists. The in-process
+// policies take against the keys' lock tables. The in-process
 // store runs them on its keyspace (local.go); the coordinator sends
 // them to the storage servers (internal/client, Alg. 11). Keys are
 // positions in the footprint (Txn.KeyName).
@@ -21,9 +21,9 @@ import (
 // failure; locks granted to other keys of the batch stay granted, and
 // are the backend's to remember for Abort.
 type Backend interface {
-	// ReadLocks runs the read step on every key (keyspace.Key.ReadStep,
-	// repeated while newer frozen versions appear): the latest version
-	// below upper, and read locks from just above it up to upper —
+	// ReadLocks runs the read step on every key (lock.Table.Read): the
+	// latest version below upper, and read locks from just above it up
+	// to upper —
 	// parking on unfrozen write locks when wait is set, taking the
 	// contiguous prefix it can get otherwise. The values read are lent
 	// to the transaction under kv.Txn's rule: valid until it ends, never

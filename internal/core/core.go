@@ -80,8 +80,8 @@ func (e *Engine) BeginIn(tx *Txn, id uint64) {
 type DB struct {
 	*Engine
 
-	// keys holds every key's lock table and version history. Its lock
-	// tables share one store-wide wait-for graph: blocking policies fail
+	// keys holds every key's lock table, version history included. Its
+	// lock tables share one store-wide wait-for graph: blocking policies fail
 	// fast with lock.ErrDeadlock on wait cycles instead of relying on
 	// context timeouts (§4.3).
 	keys *keyspace.Space
@@ -134,7 +134,7 @@ type StateStats = keyspace.Stats
 // StateStats scans the store and returns its current state size.
 func (db *DB) StateStats() StateStats { return db.keys.Stats() }
 
-// PurgeBelow trims every key below the bound (§6, keyspace.Key.Trim)
+// PurgeBelow trims every key below the bound (§6, lock.Table.Trim)
 // and returns the number of versions and lock records removed. Any
 // bound is safe: no key is trimmed past a lock a running transaction
 // holds, and a transaction older than the bound aborts — its reads of

@@ -24,20 +24,17 @@ func (db *DB) key(tx *Txn, i int32) *keyspace.Key {
 	return e.ks
 }
 
-// ReadLocks implements Backend: the kernel's read step on each key,
-// repeated while a frozen write lock reveals that a newer version
-// committed in between (the repeat loop of Alg. 8).
+// ReadLocks implements Backend: the lock table's read step on each key,
+// picking below upper and locking up to it.
 func (db *DB) ReadLocks(ctx context.Context, tx *Txn, keys []int32, upper timestamp.Timestamp, wait bool, out []ReadResult) error {
 	for j, i := range keys {
 		ks, r := db.key(tx, i), &out[j]
-		for again := true; again; {
-			err := ctx.Err()
-			if err == nil {
-				r.Version, r.Got, again, err = ks.ReadStep(ctx, tx.Owner(), upper, wait)
-			}
-			if err != nil {
-				return KeyErr(len(keys), ks.Name, err)
-			}
+		err := ctx.Err()
+		if err == nil {
+			r.Version, r.Got, err = ks.Locks.Read(ctx, tx.Owner(), upper, upper, wait)
+		}
+		if err != nil {
+			return KeyErr(len(keys), ks.Name, err)
 		}
 	}
 	return nil
@@ -82,26 +79,21 @@ func (db *DB) Candidates(tx *Txn, t *timestamp.ShrinkingSet) {
 // Retention, not its whole run.
 const Retention = 1_000_000
 
-// Commit implements Backend: a local commit is decided by installing
-// its versions — before the write locks freeze, so that any reader
-// observing a frozen write lock is guaranteed to find the version (the
-// Go-idiomatic counterpart of the §6 special-value construction that
-// removes the atomic block of Alg. 1). Each freeze trims its key below
-// ts − Retention in the same critical section.
+// Commit implements Backend: a local commit is decided by its commit
+// steps, Alg. 1's atomic block on each key it writes — the version
+// installed and the write lock frozen at ts in one critical section of
+// the key's lock table, which also trims the key below ts − Retention.
 func (db *DB) Commit(_ context.Context, tx *Txn, ts timestamp.Timestamp, gc bool) (Outcome, error) {
 	sc := tx.scratch
+	bound := timestamp.New(ts.Time-Retention, 0)
 	for _, i := range sc.writeOrder {
 		e := &sc.foot[i]
-		if err := e.ks.Versions.Install(ts, e.value); err != nil {
+		if _, err := e.ks.Locks.Commit(tx.Owner(), ts, e.value, bound); err != nil {
 			// Unreachable: tx holds the write lock at ts, and a trim
 			// never passes a lock a running transaction holds, so the
 			// version floor stays below ts.
-			return Aborted, fmt.Errorf("install %q at %v: %w", e.key, ts, err)
+			return Aborted, fmt.Errorf("commit %q at %v: %w", e.key, ts, err)
 		}
-	}
-	bound := timestamp.New(ts.Time-Retention, 0)
-	for _, i := range sc.writeOrder {
-		sc.foot[i].ks.FreezeWrite(tx.Owner(), ts, bound)
 	}
 	if !gc {
 		return Committed, nil

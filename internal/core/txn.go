@@ -211,8 +211,8 @@ func (tx *Txn) WriteOf(i int32) ([]byte, bool) {
 	return e.value, e.written
 }
 
-// LocalKey returns the in-process store's lock table and version list
-// for the key at position i, for a policy that needs a lock operation
+// LocalKey returns the in-process store's lock table, versions
+// included, for the key at position i, for a policy that needs a lock operation
 // the shared steps do not offer. Such a policy runs on the in-process
 // store only: over any other backend LocalKey panics.
 func (tx *Txn) LocalKey(i int32) *keyspace.Key { return tx.eng.backend.(*DB).key(tx, i) }

@@ -30,7 +30,7 @@ func TestVersionArenaAllocs(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, k := range ks {
-			if err := k.Versions.Install(ts(1), val); err != nil {
+			if err := k.Locks.Install(ts(1), val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -47,11 +47,11 @@ func TestVersionArenaAllocs(t *testing.T) {
 		k := New(lock.NewWaitGraph(), nil).Key("warm")
 		next := int64(1)
 		cycle := func() {
-			if err := k.Versions.Install(ts(next), val); err != nil {
+			if err := k.Locks.Install(ts(next), val); err != nil {
 				t.Fatal(err)
 			}
-			k.Versions.PurgeBelow(ts(next))
-			if err := k.Versions.Install(ts(next+1), val); err != nil {
+			k.Locks.Trim(ts(next))
+			if err := k.Locks.Install(ts(next+1), val); err != nil {
 				t.Fatal(err)
 			}
 			next += 2
@@ -69,11 +69,11 @@ func TestVersionArenaAllocs(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
-			t.Errorf("%d cycles of install → PurgeBelow → install on a warmed key: %d allocations, want 0", cycles, allocs)
+			t.Errorf("%d cycles of install → Trim → install on a warmed key: %d allocations, want 0", cycles, allocs)
 		} else {
-			t.Logf("%d cycles of install → PurgeBelow → install on a warmed key: 0 allocations", cycles)
+			t.Logf("%d cycles of install → Trim → install on a warmed key: 0 allocations", cycles)
 		}
-		if n := k.Versions.Count(); n != 3 {
+		if n := k.Locks.Stats().Versions; n != 3 {
 			t.Fatalf("Count = %d after the cycles, want 3", n)
 		}
 	})
@@ -83,12 +83,12 @@ func TestVersionArenaAllocs(t *testing.T) {
 		collected := make(chan struct{})
 		installCollectable(t, k, ts(1), collected)
 		for _, p := range []int64{2, 3} {
-			if err := k.Versions.Install(ts(p), val); err != nil {
+			if err := k.Locks.Install(ts(p), val); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if removed := k.Versions.PurgeBelow(ts(3)); removed != 2 {
-			t.Fatalf("PurgeBelow(3) removed %d, want ⊥ and the version at 1", removed)
+		if removed, _ := k.Locks.Trim(ts(3)); removed != 2 {
+			t.Fatalf("Trim(3) removed %d versions, want ⊥ and the version at 1", removed)
 		}
 		for deadline := time.Now().Add(5 * time.Second); ; {
 			runtime.GC()
@@ -104,8 +104,8 @@ func TestVersionArenaAllocs(t *testing.T) {
 		}
 		// The key, and with it the arena and its free list, is live
 		// until here.
-		if v, err := k.Versions.LatestBefore(ts(4)); err != nil || v.TS != ts(3) {
-			t.Fatalf("LatestBefore(4) = %+v, %v after the purge", v, err)
+		if vs := k.Locks.VersionSnapshot(); len(vs) != 2 || vs[1].TS != ts(3) {
+			t.Fatalf("versions %+v after the purge, want those at 2 and 3", vs)
 		}
 	})
 }
@@ -116,7 +116,7 @@ func installCollectable(t *testing.T, k *Key, at timestamp.Timestamp, collected 
 	t.Helper()
 	v := make([]byte, 64)
 	runtime.SetFinalizer(&v[0], func(*byte) { close(collected) })
-	if err := k.Versions.Install(at, v); err != nil {
+	if err := k.Locks.Install(at, v); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,14 +1,13 @@
 // Package keyspace is the storage kernel under both engines: the map
-// from key to its interval lock table and version history, and the one
-// per-key step — the read step — whose outcome rests on how the two fit
-// together. The in-process store (internal/core, driven by
-// internal/policy) and the storage server (internal/server, Alg. 13)
-// each hold one Space; neither keeps a map, a walker or a read body of
-// its own.
+// from key to its lock table, which holds the key's interval locks and
+// its version history under one mutex (lock.Table). The in-process store
+// (internal/core, driven by internal/policy) and the storage server
+// (internal/server, Alg. 13) each hold one Space; neither keeps a map or
+// a walker of its own, and both read and commit through the table's
+// steps.
 package keyspace
 
 import (
-	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -32,13 +31,10 @@ type Key struct {
 	// the lookup — a pending write's record, a replication-log record,
 	// the lock table's label in the wait-for graph — uses Name instead.
 	Name string
-	// Locks is the interval-compressed lock state of the key.
+	// Locks is the key's history: its interval-compressed lock state and
+	// its committed versions, whose nodes come from the arena of the
+	// key's stripe and go back to it when a trim drops them.
 	Locks *lock.Table
-	// Versions is the committed version history of the key: a chain of
-	// versions, newest first, whose nodes come from the arena of the
-	// key's stripe and go back to it when a trim drops them. ⊥ takes no
-	// node; it is present until the first trim that drops it.
-	Versions *version.List
 }
 
 type stripe struct {
@@ -66,8 +62,8 @@ func New(waits *lock.WaitGraph, timers clock.Timers) *Space {
 }
 
 // Key returns the state of the key called name, creating it if needed.
-// Only the owning stripe is locked, and only for the map access: lock
-// tables and version lists synchronize themselves. name may be a
+// Only the owning stripe is locked, and only for the map access: a lock
+// table synchronizes itself, versions included. name may be a
 // borrowed view: a lookup does not keep it, and a new key is entered
 // under its own copy.
 func (s *Space) Key(name string) *Key {
@@ -84,7 +80,7 @@ func (s *Space) Key(name string) *Key {
 		return k
 	}
 	own := strings.Clone(name)
-	k = &Key{Name: own, Locks: lock.NewTableKeyedTimers(s.waits, own, s.timers), Versions: version.NewListIn(&st.arena)}
+	k = &Key{Name: own, Locks: lock.NewKeyTable(s.waits, own, s.timers, &st.arena)}
 	st.keys[own] = k
 	return k
 }
@@ -141,79 +137,22 @@ func (s *Space) Stats() Stats {
 		ls := k.Locks.Stats()
 		st.LockEntries += ls.Entries
 		st.FrozenLockEntries += ls.Frozen
-		st.Versions += k.Versions.Count()
+		st.Versions += ls.Versions
 	})
 	return st
 }
 
-// PurgeBelow trims every key below bound (Key.Trim) and returns the
-// number of versions and lock records removed. Any bound is safe: a key
-// is trimmed no further than its oldest running transaction's locks,
-// and a transaction older than the bound aborts — a read that needs a
-// trimmed version fails with version.ErrPurged, and a write below the
-// bound meets the frozen past.
+// PurgeBelow trims every key below bound (lock.Table.Trim) and returns
+// the number of versions and lock records removed. Any bound is safe: a
+// key is trimmed no further than its oldest running transaction's
+// locks, and a transaction older than the bound aborts — a read that
+// needs a trimmed version fails with version.ErrPurged, and a write
+// below the bound meets the frozen past.
 func (s *Space) PurgeBelow(bound timestamp.Timestamp) (versions, locks int) {
 	s.Each(func(k *Key) {
-		v, l := k.Trim(bound)
+		v, l := k.Locks.Trim(bound)
 		versions += v
 		locks += l
 	})
 	return versions, locks
-}
-
-// Trim drops the key's history below bound — its versions but the
-// newest one below, and its frozen lock records — and leaves the past
-// one anonymous frozen read range (lock.Table.Trim, which also lowers
-// the bound to the key's oldest live lock). It returns the number of
-// versions and lock records removed.
-func (k *Key) Trim(bound timestamp.Timestamp) (versions, locks int) {
-	return k.Locks.Trim(bound, k.Versions)
-}
-
-// FreezeWrite freezes owner's write lock at ts, whose version is
-// installed, and trims the key below bound in the same critical section
-// of its lock table when there is history to drop
-// (lock.Table.FreezeWriteAndTrim). It reports whether owner held a write
-// lock at ts.
-func (k *Key) FreezeWrite(owner lock.Owner, ts, bound timestamp.Timestamp) bool {
-	return k.Locks.FreezeWriteAndTrim(owner, ts, bound, k.Versions)
-}
-
-// ReadStep is one pass of the read step (Alg. 8 lines 4-11; Alg. 13,
-// receive-read-lock-message): pick the latest committed version v below
-// upper and read-lock, for owner, the interval from just after v up to
-// upper — parking on unfrozen write locks when wait is set (bounded by
-// ctx), taking the contiguous prefix it can get otherwise. got is the
-// interval locked, possibly a strict prefix of the request, possibly
-// empty.
-//
-// A frozen write lock met on the way up means a version committed
-// inside the request (values are installed before their lock is
-// frozen). The pass settles for the prefix below it when re-picking
-// cannot do better: the frozen point is upper itself, so the newer
-// version is not readable below upper; or the caller does not wait and
-// the prefix is not empty.
-// In both cases v stays correct for every serialization point in got.
-// Otherwise the prefix is given back and again is set: the caller
-// re-picks with another pass, between which it may give up.
-func (k *Key) ReadStep(ctx context.Context, owner lock.Owner, upper timestamp.Timestamp, wait bool) (v version.Version, got timestamp.Interval, again bool, err error) {
-	v, err = k.Versions.LatestBefore(upper)
-	if err != nil {
-		return version.Version{}, timestamp.Empty, false, err
-	}
-	req := timestamp.Span(v.TS.Next(), upper)
-	if req.IsEmpty() {
-		return v, timestamp.Empty, false, nil
-	}
-	res, err := k.Locks.AcquireRead(ctx, owner, req, lock.Options{Wait: wait, Partial: true})
-	if err != nil {
-		return version.Version{}, timestamp.Empty, false, err
-	}
-	if !res.Frozen || !res.FrozenAt.Lo.Before(upper) || (!wait && !res.Got.IsEmpty()) {
-		return v, res.Got, false, nil
-	}
-	if !res.Got.IsEmpty() {
-		k.Locks.ReleaseReadIn(owner, res.Got)
-	}
-	return version.Version{}, timestamp.Empty, true, nil
 }

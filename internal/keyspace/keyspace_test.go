@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -38,124 +39,112 @@ func TestKeyOutlivesBorrowedName(t *testing.T) {
 	}
 }
 
-// TestReadStepExits drives one pass of the read step through each of its
-// exits, as owner 1 reading below ts(10). A frozen point below the bound
-// is built by freezing owner 2's write lock where no version is
-// installed yet: what a reader sees when it picked its version before a
-// committer's Install and scans the locks after its FreezeWriteAt.
+// TestReadStepExits drives the read step (lock.Table.Read) through each
+// of its exits, as owner 1 reading up to ts(10) and picking below it —
+// or below a lower bound, as MVTL-Pref picks below its preferential
+// timestamp.
 func TestReadStepExits(t *testing.T) {
 	const reader, writer = lock.Owner(1), lock.Owner(2)
 	upper := ts(10)
 	first := timestamp.Zero.Next()
 	ctx := context.Background()
-	writeLock := func(t *testing.T, k *Key, at timestamp.Timestamp, freeze bool) {
-		t.Helper()
-		res, err := k.Locks.AcquireWrite(ctx, writer, timestamp.NewSet(timestamp.Point(at)), lock.Options{})
-		if err != nil || !res.Got.Contains(at) {
-			t.Fatalf("write-lock at %v: %+v %v", at, res, err)
-		}
-		if freeze && !k.Locks.FreezeWriteAt(writer, at) {
-			t.Fatalf("freeze at %v failed", at)
-		}
-	}
-	install := func(t *testing.T, k *Key, at timestamp.Timestamp) {
-		t.Helper()
-		if err := k.Versions.Install(at, []byte("new")); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, tc := range []struct {
 		name  string
 		wait  bool
+		pick  timestamp.Timestamp // Zero: upper
 		setup func(*testing.T, *Key)
-		// The pass reads the initial version and locks got, or asks for
-		// another pass; held is what the reader owns afterwards. frozen is
-		// where the writer's lock is frozen (Zero for none); a pass that
-		// asks for another is retried once a version is installed there.
-		got, held timestamp.Interval
-		frozen    timestamp.Timestamp
-		again     bool
+		// The step reads the version at read (Zero for ⊥) and locks got,
+		// which is then all the reader holds.
+		read timestamp.Timestamp
+		got  timestamp.Interval
 	}{
 		{name: "no conflict", setup: func(*testing.T, *Key) {},
-			got: timestamp.Span(first, upper), held: timestamp.Span(first, upper)},
+			got: timestamp.Span(first, upper)},
 		{name: "frozen write at upper settles", wait: true,
-			setup: func(t *testing.T, k *Key) { install(t, k, upper); writeLock(t, k, upper, true) },
-			got:   timestamp.Span(first, upper.Prev()), held: timestamp.Span(first, upper.Prev()), frozen: upper},
-		{name: "no-wait settles for a prefix below a frozen point",
-			setup: func(t *testing.T, k *Key) { writeLock(t, k, ts(5), true) },
-			got:   timestamp.Span(first, ts(5).Prev()), held: timestamp.Span(first, ts(5).Prev()), frozen: ts(5)},
-		{name: "waiting below a frozen point re-picks", wait: true,
-			setup: func(t *testing.T, k *Key) { writeLock(t, k, ts(5), true) },
-			got:   timestamp.Empty, held: timestamp.Empty, frozen: ts(5), again: true},
-		{name: "no-wait with an empty prefix re-picks",
-			setup: func(t *testing.T, k *Key) { writeLock(t, k, first, true) },
-			got:   timestamp.Empty, held: timestamp.Empty, frozen: first, again: true},
+			setup: func(t *testing.T, k *Key) { commit(t, k, writer, upper) },
+			got:   timestamp.Span(first, upper.Prev())},
+		{name: "no-wait settles for a prefix below a frozen point", pick: ts(5),
+			setup: func(t *testing.T, k *Key) { commit(t, k, writer, ts(5)) },
+			got:   timestamp.Span(first, ts(5).Prev())},
+		{name: "a version below upper is picked",
+			setup: func(t *testing.T, k *Key) { commit(t, k, writer, ts(5)) },
+			read:  ts(5), got: timestamp.Span(ts(5).Next(), upper)},
 		{name: "no-wait takes the prefix below an unfrozen write",
-			setup: func(t *testing.T, k *Key) { writeLock(t, k, ts(5), false) },
-			got:   timestamp.Span(first, ts(5).Prev()), held: timestamp.Span(first, ts(5).Prev())},
+			setup: func(t *testing.T, k *Key) { writeLock(t, k, writer, ts(5)) },
+			got:   timestamp.Span(first, ts(5).Prev())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := New(lock.NewWaitGraph(), nil).Key("k")
 			tc.setup(t, k)
-			v, got, again, err := k.ReadStep(ctx, reader, upper, tc.wait)
+			pick := tc.pick
+			if pick == timestamp.Zero {
+				pick = upper
+			}
+			v, got, err := k.Locks.Read(ctx, reader, pick, upper, tc.wait)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if again != tc.again {
-				t.Fatalf("again %v, want %v", again, tc.again)
+			if v.TS != tc.read || !sameInterval(got, tc.got) {
+				t.Fatalf("read version %v locking %v, want the version at %v locking %v", v.TS, got, tc.read, tc.got)
 			}
-			if frozen := frozenWriteAt(k); frozen != tc.frozen {
-				t.Fatalf("the writer's lock is frozen at %v after the pass, want %v", frozen, tc.frozen)
-			}
-			if v.TS != timestamp.Zero || !sameInterval(got, tc.got) {
-				t.Fatalf("read version %v locking %v, want the initial version locking %v", v.TS, got, tc.got)
-			}
-			if held, _ := k.Locks.Owned(reader); !held.Equal(timestamp.NewSet(tc.held)) {
-				t.Fatalf("the reader holds %v after the pass, want %v", held, tc.held)
-			}
-			if !tc.again {
-				return
-			}
-			// Once the missing version is installed, a second pass reads
-			// it and locks from just above it to upper.
-			install(t, k, tc.frozen)
-			v, got, again, err = k.ReadStep(ctx, reader, upper, tc.wait)
-			if err != nil || again {
-				t.Fatalf("second pass: again %v, err %v", again, err)
-			}
-			if want := timestamp.Span(tc.frozen.Next(), upper); v.TS != tc.frozen || string(v.Value) != "new" || !sameInterval(got, want) {
-				t.Fatalf("second pass read %v (%q) locking %v, want the version at %v locking %v", v.TS, v.Value, got, tc.frozen, want)
+			if held, _ := k.Locks.Owned(reader); !held.Equal(timestamp.NewSet(tc.got)) {
+				t.Fatalf("the reader holds %v after the step, want %v", held, tc.got)
 			}
 		})
 	}
 
+	// The reader parks on the writer's unfrozen lock at 5, which the
+	// writer's commit freezes with its version: the step picks again.
+	t.Run("waiting below a frozen point re-picks", func(t *testing.T) {
+		g := lock.NewWaitGraph()
+		k := New(g, nil).Key("k")
+		writeLock(t, k, writer, ts(5))
+		type result struct {
+			read timestamp.Timestamp
+			got  timestamp.Interval
+			err  error
+		}
+		done := make(chan result, 1)
+		go func() {
+			v, got, err := k.Locks.Read(ctx, reader, upper, upper, true)
+			done <- result{v.TS, got, err}
+		}()
+		for !g.IsWaiting(reader) {
+			select {
+			case r := <-done:
+				t.Fatalf("the read returned version %v locking %v (%v) without waiting", r.read, r.got, r.err)
+			default:
+				runtime.Gosched()
+			}
+		}
+		if _, err := k.Locks.Commit(writer, ts(5), []byte("new"), timestamp.Zero); err != nil {
+			t.Fatal(err)
+		}
+		r := <-done
+		if want := timestamp.Span(ts(5).Next(), upper); r.err != nil || r.read != ts(5) || !sameInterval(r.got, want) {
+			t.Fatalf("read version %v locking %v (%v), want the committed version at 5 locking %v", r.read, r.got, r.err, want)
+		}
+	})
+
 	t.Run("purged", func(t *testing.T) {
 		s := New(lock.NewWaitGraph(), nil)
 		k := s.Key("k")
-		install(t, k, ts(20))
-		install(t, k, ts(30))
+		for _, at := range []timestamp.Timestamp{ts(20), ts(30)} {
+			if err := k.Locks.Install(at, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if versions, _ := s.PurgeBelow(ts(30)); versions != 1 {
 			t.Fatalf("purged %d versions, want the initial one", versions)
 		}
-		_, _, again, err := k.ReadStep(ctx, reader, upper, false)
-		if !errors.Is(err, version.ErrPurged) || again {
-			t.Fatalf("read below a purged bound: again %v, err %v, want version.ErrPurged", again, err)
+		_, _, err := k.Locks.Read(ctx, reader, upper, upper, false)
+		if !errors.Is(err, version.ErrPurged) {
+			t.Fatalf("read below a purged bound: %v, want version.ErrPurged", err)
 		}
 		if held, _ := k.Locks.Owned(reader); !held.IsEmpty() {
 			t.Fatalf("the failed read left %v locked", held)
 		}
 	})
-}
-
-// frozenWriteAt returns where k's lock table holds a frozen write lock,
-// or Zero when it holds none.
-func frozenWriteAt(k *Key) timestamp.Timestamp {
-	for _, e := range k.Locks.Snapshot() {
-		if e.Frozen && e.Mode == lock.ModeWrite {
-			return e.Interval.Lo
-		}
-	}
-	return timestamp.Zero
 }
 
 // sameInterval compares intervals, any two empty ones being the same.

@@ -105,6 +105,12 @@ var onePathRules = []struct {
 		reason:  "a key's history is a newest-first chain of arena nodes, not a sorted slice",
 	},
 	{
+		name: "key-history", paths: []string{"internal"}, goOnly: true,
+		pattern: `Versions \*version\.List|\.Versions\.|again bool`,
+		sample:  `	Versions *version.List`,
+		reason:  "a key's history lives in its lock table, and its read step picks and locks in one critical section, with no retry",
+	},
+	{
 		name: "decision-per-txn", paths: []string{"internal/commitment"},
 		pattern: `type Object|\) Object\(`,
 		sample:  `func (s *Server) Object(txn uint64) *Object {`,

@@ -201,7 +201,7 @@ func TestWaitGraphEdgesSnapshot(t *testing.T) {
 // acquisition with ErrDeadlock long before its context deadline.
 func TestAbortWakesParkedWaiter(t *testing.T) {
 	g := NewWaitGraph()
-	tbl := NewTableKeyedTimers(g, "x", nil)
+	tbl := NewKeyTable(g, "x", nil, nil)
 	ctx := context.Background()
 	if _, err := tbl.AcquireWrite(ctx, 1, set(iv(5, 5)), Options{}); err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestAbortWakesParkedWaiter(t *testing.T) {
 // fail the acquisition fast instead of leaking a full timeout.
 func TestAbortBeforeParkStillFires(t *testing.T) {
 	g := NewWaitGraph()
-	tbl := NewTableKeyedTimers(g, "x", nil)
+	tbl := NewKeyTable(g, "x", nil, nil)
 	ctx := context.Background()
 	if _, err := tbl.AcquireWrite(ctx, 1, set(iv(5, 5)), Options{}); err != nil {
 		t.Fatal(err)

@@ -22,6 +22,13 @@
 //
 // # Performance model
 //
+// A table also keeps its key's committed versions, a version.List, under
+// the same mutex as its lock records. So a read picks its version and
+// locks above it, and a commit installs its version and freezes its
+// write lock, each in one critical section (Alg. 1's atomic block); a
+// trim drops versions and lock records together. A read at "now" finds
+// its version at the head of the chain, one step.
+//
 // A table keeps two lists of records, each sorted by interval start:
 // live holds the unfrozen records (running transactions, and the read
 // locks MVTO-style policies leave behind), frozen holds history. A
@@ -102,6 +109,7 @@ import (
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/timestamp"
+	"github.com/lpd-epfl/mvtl/internal/version"
 )
 
 // Owner identifies a lock holder (a transaction). Owner 0 is reserved.
@@ -298,21 +306,22 @@ func (w *waiter) overlaps(iv timestamp.Interval) bool {
 	return false
 }
 
-// Table is the freezable interval lock table for one key. The zero value
-// is not ready for use; call NewTable.
+// Table is the freezable interval lock table for one key, and the key's
+// version history. The zero value is not ready for use; call NewTable.
 type Table struct {
 	mu sync.Mutex
+	// versions is the key's committed history: a chain of versions,
+	// newest first, whose nodes come from the arena the table was made
+	// with. ⊥ takes no node; it is present until the first trim that
+	// drops it. Its floor is the table's: a read picked at or below it
+	// fails with version.ErrPurged.
+	versions version.List
 	// live holds the unfrozen records, frozen the frozen ones.
 	live, frozen list
 	// frozenMinOwner and frozenMaxOwner are the smallest and the largest
 	// named owner of the records in frozen; both are anonymous while it
 	// holds no named record.
 	frozenMinOwner, frozenMaxOwner Owner
-	// floor is the timestamp of the oldest version the key holds, as its
-	// history reported at the last trim (see Trim): Zero before any, and
-	// for a table trimmed without one. A read starting at or below it was
-	// picked above a version that is gone.
-	floor timestamp.Timestamp
 	// waiters are the currently parked acquisitions, in no particular
 	// order. waitLo/waitHi bound the union of their spans (they may
 	// overshoot after waiters leave; they are tightened whenever the
@@ -356,72 +365,92 @@ func NewTableDetected(g *WaitGraph) *Table {
 	return &Table{graph: g}
 }
 
-// NewTableKeyedTimers returns a lock table participating in the shared
-// wait-for graph g whose edges are labelled with key, so graph
-// snapshots exported for cross-server deadlock detection name the key
-// each waiter blocks on. Parked waiters use the wake slots of timeline
-// t, so the fault bed can expire lock waits by virtual-time jump; a nil
-// t means SystemTimers.
-func NewTableKeyedTimers(g *WaitGraph, key string, t clock.Timers) *Table {
-	return &Table{graph: g, key: key, timers: t}
+// NewKeyTable returns the table of a keyspace's key: it participates in
+// the shared wait-for graph g, and its edges are labelled with key, so
+// graph snapshots exported for cross-server deadlock detection name the
+// key each waiter blocks on. Parked waiters use the wake slots of
+// timeline t, so the fault bed can expire lock waits by virtual-time
+// jump; a nil t means SystemTimers. Its version nodes come from arena a.
+func NewKeyTable(g *WaitGraph, key string, t clock.Timers, a *version.Arena) *Table {
+	return &Table{graph: g, key: key, timers: t, versions: version.ListIn(a)}
 }
 
 // AcquireRead acquires read locks on a contiguous interval starting at
 // iv.Lo, following the semantics of the paper's read-locks step (§4.3):
 // the interval must begin immediately after the version being read, so a
-// partial acquisition keeps the *prefix* before the first conflict.
+// partial acquisition keeps the *prefix* before the first conflict. It
+// is the lock half of Read, for a caller that knows what lies below iv.
 func (t *Table) AcquireRead(ctx context.Context, owner Owner, iv timestamp.Interval, opts Options) (ReadResult, error) {
 	if iv.IsEmpty() {
 		return ReadResult{Got: timestamp.Empty}, nil
 	}
-	var spanBuf [1]timestamp.Interval
-	var spans []timestamp.Interval
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		if t.floor != timestamp.Zero && iv.Lo.AtOrBefore(t.floor) {
-			// The version below iv was picked before a trim dropped it,
-			// and with it the writes that may lie between it and iv: the
-			// trimmed past conflicts from the request's first point.
-			res := ReadResult{Got: timestamp.Empty, Frozen: true, FrozenAt: timestamp.Point(iv.Lo)}
-			if !opts.Partial {
-				return res, fmt.Errorf("read %v starts at or below the trimmed floor %v: %w", iv, t.floor, ErrFrozen)
-			}
-			return res, nil
+		if res, parked, err := t.acquireReadLocked(ctx, owner, iv, opts); !parked || err != nil {
+			return res, err
 		}
-		conf, frozen, ok := t.firstWriteOverLocked(owner, iv)
-		if !ok {
-			t.insertLiveLocked(entry{iv: iv, owner: owner, mode: ModeRead})
-			return ReadResult{Got: iv}, nil
-		}
-		if frozen {
-			res := ReadResult{Frozen: true, FrozenAt: conf}
-			if !opts.Partial {
-				return res, fmt.Errorf("read %v blocked at %v: %w", iv, conf, ErrFrozen)
-			}
-			res.Got = prefixBefore(iv, conf)
-			t.insertLiveLocked(entry{iv: res.Got, owner: owner, mode: ModeRead})
-			return res, nil
-		}
-		// Unfrozen conflict.
-		if opts.Wait {
-			if spans == nil {
-				spanBuf[0] = iv
-				spans = spanBuf[:]
-			}
-			t.blockerScratch = t.live.blockersForRead(owner, iv, t.blockerScratch[:0])
-			if err := t.blockLocked(ctx, owner, ModeRead, t.blockerScratch, spans); err != nil {
-				return ReadResult{}, err
-			}
-			continue
-		}
-		if opts.Partial {
-			res := ReadResult{Got: prefixBefore(iv, conf)}
-			t.insertLiveLocked(entry{iv: res.Got, owner: owner, mode: ModeRead})
-			return res, nil
-		}
-		return ReadResult{}, fmt.Errorf("read %v blocked at %v: %w", iv, conf, ErrConflict)
 	}
+}
+
+// Read is the read step (Alg. 8 lines 4-11; Alg. 13,
+// receive-read-lock-message), in one critical section: it picks the
+// latest committed version v below pick and read-locks, for owner, the
+// interval from just after v up to upper — parking on unfrozen write
+// locks when wait is set (bounded by ctx), taking the contiguous prefix
+// it can get otherwise. got is the interval locked, possibly a strict
+// prefix of the request, possibly empty.
+//
+// A frozen write met on the way up stands for a version installed with
+// it, at or above pick, so v is the version of every point below it, and
+// the prefix is kept. After a park the step picks again: whoever it
+// waited for may have committed a newer version below pick.
+func (t *Table) Read(ctx context.Context, owner Owner, pick, upper timestamp.Timestamp, wait bool) (v version.Version, got timestamp.Interval, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for {
+		if v, err = t.versions.LatestBefore(pick); err != nil {
+			return version.Version{}, timestamp.Empty, err
+		}
+		iv := timestamp.Span(v.TS.Next(), upper)
+		if iv.IsEmpty() {
+			return v, timestamp.Empty, nil
+		}
+		res, parked, err := t.acquireReadLocked(ctx, owner, iv, Options{Wait: wait, Partial: true})
+		if err != nil {
+			return version.Version{}, timestamp.Empty, err
+		}
+		if !parked {
+			return v, res.Got, nil
+		}
+	}
+}
+
+// acquireReadLocked is one attempt of AcquireRead for a caller holding
+// t.mu, on a non-empty iv: it locks iv, or what opts let it take, and
+// returns — or it parks until overlapping lock state changes and reports
+// parked, for the caller to try again.
+func (t *Table) acquireReadLocked(ctx context.Context, owner Owner, iv timestamp.Interval, opts Options) (res ReadResult, parked bool, err error) {
+	conf, frozen, ok := t.firstWriteOverLocked(owner, iv)
+	switch {
+	case !ok:
+		t.insertLiveLocked(entry{iv: iv, owner: owner, mode: ModeRead})
+		return ReadResult{Got: iv}, false, nil
+	case frozen:
+		res = ReadResult{Frozen: true, FrozenAt: conf}
+		if !opts.Partial {
+			return res, false, fmt.Errorf("read %v blocked at %v: %w", iv, conf, ErrFrozen)
+		}
+	case opts.Wait:
+		spans := [1]timestamp.Interval{iv}
+		t.blockerScratch = t.live.blockersForRead(owner, iv, t.blockerScratch[:0])
+		return ReadResult{}, true, t.blockLocked(ctx, owner, ModeRead, t.blockerScratch, spans[:])
+	case !opts.Partial:
+		return ReadResult{}, false, fmt.Errorf("read %v blocked at %v: %w", iv, conf, ErrConflict)
+	}
+	res.Got = prefixBefore(iv, conf)
+	t.insertLiveLocked(entry{iv: res.Got, owner: owner, mode: ModeRead})
+	return res, false, nil
 }
 
 // AcquireWrite acquires write locks on the requested set of timestamps.
@@ -484,26 +513,55 @@ func (t *Table) AcquireWriteInto(ctx context.Context, owner Owner, req timestamp
 }
 
 // FreezeWriteAt freezes the owner's write lock at exactly ts, splitting
-// the covering interval if needed. It reports whether a write lock of the
-// owner covered ts. A commit freezes its write lock on the chosen commit
-// timestamp before exposing the value (§4.3, Alg. 1 line 18).
+// the covering interval if needed, and installs nothing: it is the lock
+// half of Commit (Alg. 1 line 18). It reports whether a write lock of
+// the owner covered ts.
 func (t *Table) FreezeWriteAt(owner Owner, ts timestamp.Timestamp) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.freezeWriteAtLocked(owner, ts)
 }
 
-// FreezeWriteAndTrim is FreezeWriteAt followed, in the same critical
-// section, by a trim of the key below bound (see Trim) — when there is
-// history to drop: a frozen write below the lowered bound. A commit
-// calls it on every key it writes, so a key keeps what was written
-// since bound and not its whole run.
-func (t *Table) FreezeWriteAndTrim(owner Owner, ts, bound timestamp.Timestamp, vs Versions) bool {
+// Commit is Alg. 1's atomic block (lines 18-19) on the table's key: in
+// one critical section it installs value at ts, freezes owner's write
+// lock there, and trims the key below bound (see Trim) when there is
+// history to drop — a frozen write below the lowered bound. So no read
+// meets the frozen write without its version, and a key keeps what was
+// written since bound, not its whole run. fresh reports whether the
+// version is new: a second commit of the same version finds it
+// installed and frozen, and changes nothing. A commit fails, and changes
+// nothing, when owner holds no write lock at ts, or when ts is at or
+// below the floor.
+func (t *Table) Commit(owner Owner, ts timestamp.Timestamp, value []byte, bound timestamp.Timestamp) (fresh bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ok := t.freezeWriteAtLocked(owner, ts)
-	t.trimLocked(bound, vs, false)
-	return ok
+	if t.live.writeAt(owner, ts) < 0 && t.frozen.writeAt(owner, ts) < 0 {
+		return false, fmt.Errorf("commit at %v: owner %d holds no write lock there", ts, owner)
+	}
+	switch err = t.versions.Install(ts, value); {
+	case err == nil:
+		fresh = true
+	case !errors.Is(err, version.ErrExists):
+		return false, err
+	}
+	t.freezeWriteAtLocked(owner, ts)
+	t.trimLocked(bound, false)
+	return fresh, nil
+}
+
+// Install exposes value at ts and touches no lock: a standby applies its
+// head's committed versions this way (version.List.Install).
+func (t *Table) Install(ts timestamp.Timestamp, value []byte) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.versions.Install(ts, value)
+}
+
+// VersionSnapshot returns a copy of the key's history, oldest first.
+func (t *Table) VersionSnapshot() []version.Version {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.versions.Snapshot()
 }
 
 // freezeWriteAtLocked is FreezeWriteAt for a caller holding t.mu.
@@ -642,28 +700,17 @@ func (t *Table) OwnedInto(owner Owner, readOrWrite, writeOnly *timestamp.Set) {
 	}
 }
 
-// Versions is the version history of a table's key as a trim drops
-// it (version.List is one): Trim drops the versions below bound but the
-// newest of them, and returns the oldest version's timestamp it leaves
-// — the floor — and how many it dropped. A table calls it holding its
-// own lock, so that no read sees the versions trimmed and the table
-// not, or the other way round: it must not call back into the table.
-type Versions interface {
-	Trim(bound timestamp.Timestamp) (floor timestamp.Timestamp, dropped int)
-}
-
 // Trim drops the key's history below bound (§6, §8.1) and returns how
 // many versions and lock records went; a version record counts as
 // Snapshot renders it, its point and its reads. It is the one trim:
-// FreezeWriteAndTrim runs it on commit, and purges run it on every key.
+// Commit runs it, and purges run it on every key.
 //
 //   - The bound first falls to the start of the oldest unfrozen record:
 //     a trim never passes a transaction that still holds a lock here, so
 //     no write lock of a running transaction lies below it.
-//   - vs, when given, drops its versions below the bound but the newest
-//     one, whose timestamp becomes the table's floor: a read request
-//     starting at or below it — one picked above a dropped version —
-//     fails from its first point (see AcquireRead) and is picked again.
+//   - The versions below the bound go but the newest one, whose
+//     timestamp becomes the floor: a read picked at or below it fails
+//     with version.ErrPurged.
 //   - The frozen records wholly below the bound go. One that reaches
 //     across it keeps what lies at or above it: a version its reads, a
 //     write range its points from the bound on.
@@ -675,24 +722,24 @@ type Versions interface {
 // version besides the newest — changes nothing. No waiters are woken:
 // acquisitions park only on unfrozen records, which all lie above the
 // bound, and none of them goes.
-func (t *Table) Trim(bound timestamp.Timestamp, vs Versions) (versions, locks int) {
+func (t *Table) Trim(bound timestamp.Timestamp) (versions, locks int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.trimLocked(bound, vs, true)
+	return t.trimLocked(bound, true)
 }
 
-// PurgeFrozenBelow is Trim for a table without a version history: it
-// returns the number of lock records it dropped.
+// PurgeFrozenBelow is Trim reporting only the number of lock records it
+// dropped.
 func (t *Table) PurgeFrozenBelow(ts timestamp.Timestamp) int {
-	_, locks := t.Trim(ts, nil)
+	_, locks := t.Trim(ts)
 	return locks
 }
 
 // trimLocked is Trim for a caller holding t.mu. Unless always is set it
-// looks at the versions only when a frozen write lies below the lowered
-// bound, so that a commit pays for the version list's lock only when it
-// has something to drop.
-func (t *Table) trimLocked(bound timestamp.Timestamp, vs Versions, always bool) (versions, locks int) {
+// walks the versions only when a frozen write lies below the lowered
+// bound: a committed version comes with its frozen write, so a commit
+// has versions to drop only then.
+func (t *Table) trimLocked(bound timestamp.Timestamp, always bool) (versions, locks int) {
 	if len(t.live.entries) > 0 {
 		bound = timestamp.Min(bound, t.live.entries[0].iv.Lo)
 	}
@@ -703,11 +750,7 @@ func (t *Table) trimLocked(bound timestamp.Timestamp, vs Versions, always bool) 
 	if !written && !always {
 		return 0, 0
 	}
-	if vs != nil {
-		var floor timestamp.Timestamp
-		floor, versions = vs.Trim(bound)
-		t.floor = timestamp.Max(t.floor, floor)
-	}
+	versions = t.versions.Trim(bound)
 	if !written && versions == 0 {
 		return 0, 0
 	}
@@ -735,20 +778,23 @@ func (t *Table) noteFrozenOwnerLocked(owner Owner) {
 	}
 }
 
-// Stats summarizes the table's lock state size.
+// Stats summarizes the table's state size.
 type Stats struct {
 	// Entries is the number of interval-compressed lock records the
 	// table stores; a version record counts once.
 	Entries int
 	// Frozen is how many of them are frozen.
 	Frozen int
+	// Versions is the number of versions the key holds, ⊥ included
+	// while it is.
+	Versions int
 }
 
 // Stats returns the current state-size statistics.
 func (t *Table) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return Stats{Entries: len(t.live.entries) + len(t.frozen.entries), Frozen: len(t.frozen.entries)}
+	return Stats{Entries: len(t.live.entries) + len(t.frozen.entries), Frozen: len(t.frozen.entries), Versions: t.versions.Count()}
 }
 
 // EntryInfo is an exported view of one lock record, for tests and
@@ -793,9 +839,11 @@ func (t *Table) snapshotLocked() []EntryInfo {
 // records are disjoint and merged as far as they can be — no bare range
 // overlaps or touches from above a version or a one-point write, which
 // it would have joined, and no write of one owner touches another of its
-// own; and write locks are exclusive against locks of other owners
-// within and across the lists, as Snapshot renders them — and returns an
-// error describing the first violation. It is intended for tests.
+// own; every frozen write point has its version in the key's history
+// (versions without a lock, as a standby keeps them, are legal); and
+// write locks are exclusive against locks of other owners within and
+// across the lists, as Snapshot renders them — and returns an error
+// describing the first violation. It is intended for tests.
 func (t *Table) Validate() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -819,6 +867,16 @@ func (t *Table) Validate() error {
 		}
 		if e.owner != anonymous && (e.owner < t.frozenMinOwner || e.owner > t.frozenMaxOwner) {
 			return fmt.Errorf("frozen entry %d: owner %d outside the bounds [%d,%d]", i, e.owner, t.frozenMinOwner, t.frozenMaxOwner)
+		}
+		if w := e.writes(); !w.IsEmpty() {
+			for p := w.Lo; ; p = p.Next() {
+				if v, err := t.versions.LatestBefore(p.Next()); err != nil || v.TS != p {
+					return fmt.Errorf("frozen entry %d: owner %d's write at %v has no version", i, e.owner, p)
+				}
+				if p == w.Hi {
+					break
+				}
+			}
 		}
 		if i == 0 {
 			continue

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -323,7 +324,9 @@ func TestFrozenReadHistoryCoalesces(t *testing.T) {
 	if _, err := tbl.AcquireWrite(ctx, writer, set(timestamp.Point(mp(v))), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	tbl.FreezeWriteAt(writer, mp(v))
+	if _, err := tbl.Commit(writer, mp(v), nil, timestamp.Zero); err != nil {
+		t.Fatal(err)
+	}
 	tbl.ReleaseUnfrozen(writer)
 	reader := func(i int) Owner { return Owner(2 + i) }
 
@@ -387,7 +390,9 @@ func TestFrozenReadHistoryCoalesces(t *testing.T) {
 	if _, err := tbl.AcquireWrite(ctx, rw, set(timestamp.Point(mp(c))), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	tbl.FreezeWriteAt(rw, mp(c))
+	if _, err := tbl.Commit(rw, mp(c), nil, timestamp.Zero); err != nil {
+		t.Fatal(err)
+	}
 	tbl.FreezeReadIn(rw, mspan(v+1, c))
 	tbl.ReleaseUnfrozen(rw)
 	if err := tbl.Validate(); err != nil {
@@ -608,7 +613,11 @@ func TestConcurrentStress(t *testing.T) {
 					res, err := tbl.AcquireWrite(ctx, owner, set(iv(lo, hi)), Options{Partial: rng.Intn(2) == 0, Wait: rng.Intn(2) == 0})
 					if err == nil && rng.Intn(8) == 0 {
 						if min, ok := res.Got.Min(); ok {
-							tbl.FreezeWriteAt(owner, min)
+							if _, err := tbl.Commit(owner, min, nil, timestamp.Zero); err != nil {
+								cancel()
+								errs <- err
+								return
+							}
 						}
 					}
 				}
@@ -648,17 +657,24 @@ func TestModeString(t *testing.T) {
 // committing transaction makes over a key: read-lock, freeze the read
 // prefix, release the rest; and write-lock, freeze at the commit
 // timestamp, release the rest. Both split a record in two or three, and
-// neither may allocate once the table's entry storage has grown.
+// neither may allocate once the table's entry storage has grown. The
+// versions of the frozen points are installed up front, so the write
+// passes, which freeze one point again and again, price the locks only.
 func TestLockTableSteadyStateAllocs(t *testing.T) {
 	tbl := NewTable()
 	ctx := context.Background()
 	// Other transactions' frozen history, so the splits happen in the
 	// middle of a populated table.
-	for i := int64(0); i < 8; i++ {
+	for i := int64(1); i <= 8; i++ {
 		if _, err := tbl.AcquireWrite(ctx, Owner(100+i), set(iv(10*i, 10*i)), Options{}); err != nil {
 			t.Fatal(err)
 		}
-		tbl.FreezeWriteAt(Owner(100+i), ts(10*i))
+		if _, err := tbl.Commit(Owner(100+i), ts(10*i), nil, timestamp.Zero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Install(ts(85), nil); err != nil {
+		t.Fatal(err)
 	}
 	readPass := func() {
 		if _, err := tbl.AcquireRead(ctx, 1, iv(71, 79), Options{Partial: true}); err != nil {
@@ -690,15 +706,20 @@ func TestLockTableSteadyStateAllocs(t *testing.T) {
 	}
 
 	// A hot key: a thousand frozen points of other owners, and a write
-	// request the last seven of them cut into pieces. With the result
-	// reused, neither the grant's eight intervals nor the conflict scan
+	// request the last eight of them cut into pieces. With the result
+	// reused, neither the grant's nine intervals nor the conflict scan
 	// behind it allocate, and the pass stays clear of the history.
 	hot := NewTable()
-	for i := int64(0); i < 1000; i++ {
+	for i := int64(1); i <= 1000; i++ {
 		if _, err := hot.AcquireWrite(ctx, Owner(100+i), set(iv(10*i, 10*i)), Options{}); err != nil {
 			t.Fatal(err)
 		}
-		hot.FreezeWriteAt(Owner(100+i), ts(10*i))
+		if _, err := hot.Commit(Owner(100+i), ts(10*i), nil, timestamp.Zero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := hot.Install(ts(10_001), nil); err != nil {
+		t.Fatal(err)
 	}
 	hotReq := set(iv(9925, 10_050))
 	var res WriteResult
@@ -720,5 +741,89 @@ func TestLockTableSteadyStateAllocs(t *testing.T) {
 	}
 	if err := hot.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateJoinsFrozenWritesToVersions: a frozen write point stands
+// for a committed version, so Validate refuses one whose version the
+// table does not hold — a freeze without its install — and accepts it
+// once the version is there, as Commit leaves it. A version without a
+// lock, as a standby keeps it, is legal.
+func TestValidateJoinsFrozenWritesToVersions(t *testing.T) {
+	ctx := context.Background()
+	tbl := NewTable()
+	for owner, p := range map[Owner]int64{1: 5, 2: 9} {
+		if _, err := tbl.AcquireWrite(ctx, owner, set(iv(p, p)), Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !tbl.FreezeWriteAt(1, ts(5)) {
+		t.Fatal("owner 1 holds no write lock at 5")
+	}
+	if err := tbl.Validate(); err == nil || !strings.Contains(err.Error(), "has no version") {
+		t.Fatalf("a frozen write without its version: Validate = %v, want it refused", err)
+	}
+	if err := tbl.Install(ts(5), []byte("v5")); err != nil {
+		t.Fatal(err)
+	}
+	if fresh, err := tbl.Commit(2, ts(9), []byte("v9"), timestamp.Zero); !fresh || err != nil {
+		t.Fatalf("commit at 9: fresh %v, %v", fresh, err)
+	}
+	if err := tbl.Install(ts(7), []byte("replicated")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if fresh, err := tbl.Commit(2, ts(9), []byte("v9"), timestamp.Zero); fresh || err != nil {
+		t.Fatalf("the same commit again: fresh %v, %v, want nothing new", fresh, err)
+	}
+	if _, err := tbl.Commit(3, ts(11), []byte("v11"), timestamp.Zero); err == nil {
+		t.Fatal("a commit without its write lock succeeded")
+	}
+	if vs := tbl.VersionSnapshot(); len(vs) != 4 || vs[3].TS != ts(9) {
+		t.Fatalf("versions %+v: the refused commit installed", vs)
+	}
+}
+
+// TestConcurrentInstallAndRead: eight goroutines install versions of one
+// key at their own timestamps, lockless as a standby does, and after
+// each install run the read step just above it. The table's mutex
+// guards the chain for both: every read finds the version just
+// installed, and the history ends whole and sorted.
+func TestConcurrentInstallAndRead(t *testing.T) {
+	const goroutines, installs = 8, 200
+	tbl := NewTable()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= installs; i++ {
+				at := timestamp.New(int64(i), int32(g))
+				if err := tbl.Install(at, []byte{byte(g)}); err != nil {
+					t.Error(err)
+					return
+				}
+				owner := Owner(g*installs + i)
+				v, _, err := tbl.Read(ctx, owner, at.Next(), at.Next(), false)
+				if err != nil || v.TS != at {
+					t.Errorf("read just above %v: version %v, %v", at, v.TS, err)
+					return
+				}
+				tbl.ReleaseUnfrozen(owner)
+			}
+		}()
+	}
+	wg.Wait()
+	vs := tbl.VersionSnapshot()
+	if len(vs) != goroutines*installs+1 {
+		t.Fatalf("%d versions, want %d and ⊥", len(vs), goroutines*installs)
+	}
+	for i := 1; i < len(vs); i++ {
+		if !vs[i-1].TS.Before(vs[i].TS) {
+			t.Fatalf("history not sorted at %d: %v then %v", i, vs[i-1].TS, vs[i].TS)
+		}
 	}
 }

@@ -375,10 +375,10 @@ func runModelSeed(t *testing.T, cfg modelConfig, seed int64, steps int) indexCro
 					}
 				}
 			}
-			desc = fmt.Sprintf("FreezeWriteAt(%d, %d)", owner, p)
+			desc = fmt.Sprintf("Commit(%d, %d)", owner, p)
 			want := unfrozen[p] || frozen[p]
-			if got := tbl.FreezeWriteAt(owner, mp(p)); got != want {
-				t.Fatalf("seed %d step %d %s = %v, want %v", seed, step, desc, got, want)
+			if _, err := tbl.Commit(owner, mp(p), nil, timestamp.Zero); (err == nil) != want {
+				t.Fatalf("seed %d step %d %s = %v, want success %v", seed, step, desc, err, want)
 			}
 			// An owner that re-locked over its own frozen point holds
 			// both; the table looks at the unfrozen list first, so the

@@ -96,51 +96,35 @@ func (p *Pref) Read(ctx context.Context, tx *core.Txn, keys []int32) ([]core.Rea
 
 // read reads the version below the preferential timestamp, read-locks
 // toward the highest still viable timestamp, and narrows PossTS to the
-// locked range. The locks reach past the bound the version was picked
+// locked range. The locks reach past the bound the version is picked
 // under, which the read step the backends share (one bound for both)
-// does not offer: Pref works on the in-process store's key state
-// directly (Txn.LocalKey), and does not run over the wire until the
-// read-lock request carries the two bounds apart.
+// does not offer: Pref runs the lock table's read step with its two
+// bounds on the in-process store's key state directly (Txn.LocalKey),
+// and does not run over the wire until the read-lock request carries
+// them apart.
 func (p *Pref) read(ctx context.Context, tx *core.Txn, st *prefState, ks *keyspace.Key) (version.Version, error) {
-	owner := tx.Owner()
-	for {
-		if err := ctx.Err(); err != nil {
-			return version.Version{}, err
-		}
-		if st.poss.IsEmpty() {
-			return version.Version{}, errors.New("mvtl-pref: no viable timestamps left")
-		}
-		v, err := ks.Versions.LatestBefore(st.pref)
-		if err != nil {
-			return version.Version{}, err
-		}
-		upper, _ := st.poss.Max()
-		req := timestamp.Span(v.TS.Next(), upper)
-		res, err := ks.Locks.AcquireRead(ctx, owner, req, lock.Options{Wait: true, Partial: true})
-		if err != nil {
-			return version.Version{}, err
-		}
-		if res.Frozen && res.FrozenAt.Lo.Before(st.pref) {
-			// A newer version committed strictly below the preferential
-			// timestamp: re-pick the version to read (repeat loop). A
-			// frozen point at or above pref cannot change what we read
-			// — LatestBefore(pref) is strict — so for those we keep the
-			// prefix and let the narrowing below drop the dead
-			// candidates (otherwise the loop would never progress).
-			if !res.Got.IsEmpty() {
-				ks.Locks.ReleaseReadIn(owner, res.Got)
-			}
-			continue
-		}
-		// Narrow PossTS to [tr, tmax] (Alg. 3 line 13); tmax is the top
-		// of the locked range (or tr itself when nothing was locked).
-		hi := v.TS
-		if !res.Got.IsEmpty() {
-			hi = res.Got.Hi
-		}
-		st.poss = st.poss.IntersectInterval(timestamp.Span(v.TS, hi))
-		return v, nil
+	if err := ctx.Err(); err != nil {
+		return version.Version{}, err
 	}
+	if st.poss.IsEmpty() {
+		return version.Version{}, errors.New("mvtl-pref: no viable timestamps left")
+	}
+	// A frozen point at or above pref cannot change what is read —
+	// the pick below pref is strict — so the step keeps the prefix
+	// below it, and the narrowing drops the dead candidates.
+	upper, _ := st.poss.Max()
+	v, got, err := ks.Locks.Read(ctx, tx.Owner(), st.pref, upper, true)
+	if err != nil {
+		return version.Version{}, err
+	}
+	// Narrow PossTS to [tr, tmax] (Alg. 3 line 13); tmax is the top of
+	// the locked range (or tr itself when nothing was locked).
+	hi := v.TS
+	if !got.IsEmpty() {
+		hi = got.Hi
+	}
+	st.poss = st.poss.IntersectInterval(timestamp.Span(v.TS, hi))
+	return v, nil
 }
 
 // CommitLocks implements core.Policy (Alg. 3 lines 15-26): try to

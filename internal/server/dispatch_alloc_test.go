@@ -12,8 +12,8 @@ import (
 // allocate on the inline dispatch path of a warmed server. Measured 1,
 // state the transaction leaves behind: the copy of its pending value.
 // Its txnState record is the last transaction's, recycled; 2 while each
-// transaction allocated its own. Decoding, the replies, the lock tables
-// and the version list contribute nothing; a per-request allocation in
+// transaction allocated its own. Decoding, the replies and the lock
+// tables, versions included, contribute nothing; a per-request allocation in
 // any of them costs three here, a per-key one on the read side four, and
 // either trips the gate.
 const inlineTxnAllocCeiling = 2
@@ -82,7 +82,7 @@ func TestInlineDispatchAllocs(t *testing.T) {
 		// What the periodic purge does, so the tables keep their size.
 		bound := timestamp.New(int64(100*next), 0)
 		for _, k := range allKeys {
-			s.keys.Key(k).Trim(bound)
+			s.keys.Key(k).Locks.Trim(bound)
 		}
 		next++
 	}
@@ -92,7 +92,8 @@ func TestInlineDispatchAllocs(t *testing.T) {
 		if ack, err := wire.DecodeAck(sink.Body()); sent != wire.TReleaseBatchResp || err != nil || ack.Status != wire.StatusOK {
 			t.Fatalf("release: %v %+v %v", sent, ack, err)
 		}
-		if v, ok := s.keys.Key("w").Versions.At(timestamp.New(int64(100*(i+1)+50), 1)); !ok || string(v.Value) != "8 bytes." {
+		vs := s.keys.Key("w").Locks.VersionSnapshot()
+		if v := vs[len(vs)-1]; v.TS != timestamp.New(int64(100*(i+1)+50), 1) || string(v.Value) != "8 bytes." {
 			t.Fatalf("transaction %d did not install its write", i+1)
 		}
 		if st := s.keys.Key("r1").Locks.Stats(); st.Frozen == 0 {

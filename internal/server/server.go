@@ -785,42 +785,29 @@ func (c *connState) handleReadLockBatch() {
 	*resp = wire.ReadLockBatchResp{Status: wire.StatusOK, Results: results}
 }
 
-// readLockKey answers one key of a read-lock request: the kernel's read
-// step below upper, repeated while newer frozen versions appear. The
-// lock-wait budget is armed only where it can be spent: up front for a
-// waiting request, which may park inside the acquisition, and on the
-// first retry for a no-wait one — which never parks, so the common
-// single pass arms no timer at all.
+// readLockKey answers one key of a read-lock request: the lock table's
+// read step, picking below upper and locking up to it. The lock-wait
+// budget is armed only for a waiting request, which may park inside the
+// step; a no-wait one never parks, so it arms no timer at all.
 func (s *Server) readLockKey(key string, owner lock.Owner, upper timestamp.Timestamp, wait bool) wire.ReadLockResult {
-	ks := s.keys.Key(key)
-	ctx, cancel := context.Background(), context.CancelFunc(nil)
-	defer func() {
-		if cancel != nil {
-			cancel()
-		}
-	}()
-	for try := 0; ; try++ {
-		if cancel == nil && (wait || try > 0) {
-			ctx, cancel = s.timers.WithTimeout(context.Background(), s.cfg.LockWaitTimeout)
-		}
-		if ctx.Err() != nil {
-			return wire.ReadLockResult{Status: wire.StatusConflict, Err: "lock wait timeout"}
-		}
-		v, got, again, err := ks.ReadStep(ctx, owner, upper, wait)
-		switch {
-		case again:
-			// re-pick, while the budget lasts
-		case err == nil:
-			return wire.ReadLockResult{Status: wire.StatusOK, VersionTS: v.TS, Value: v.Value, Got: got}
-		case errors.Is(err, version.ErrPurged):
-			return wire.ReadLockResult{Status: wire.StatusPurged, Err: err.Error()}
-		case errors.Is(err, lock.ErrDeadlock):
-			// A deadlock victim gets its own status so coordinators
-			// retry it immediately instead of backing off.
-			return wire.ReadLockResult{Status: wire.StatusDeadlock, Err: err.Error()}
-		default:
-			return wire.ReadLockResult{Status: wire.StatusConflict, Err: err.Error()}
-		}
+	ctx := context.Background()
+	if wait {
+		var cancel context.CancelFunc
+		ctx, cancel = s.timers.WithTimeout(ctx, s.cfg.LockWaitTimeout)
+		defer cancel()
+	}
+	v, got, err := s.keys.Key(key).Locks.Read(ctx, owner, upper, upper, wait)
+	switch {
+	case err == nil:
+		return wire.ReadLockResult{Status: wire.StatusOK, VersionTS: v.TS, Value: v.Value, Got: got}
+	case errors.Is(err, version.ErrPurged):
+		return wire.ReadLockResult{Status: wire.StatusPurged, Err: err.Error()}
+	case errors.Is(err, lock.ErrDeadlock):
+		// A deadlock victim gets its own status so coordinators
+		// retry it immediately instead of backing off.
+		return wire.ReadLockResult{Status: wire.StatusDeadlock, Err: err.Error()}
+	default:
+		return wire.ReadLockResult{Status: wire.StatusConflict, Err: err.Error()}
 	}
 }
 
@@ -1051,12 +1038,12 @@ func decided(txn uint64, d commitment.Decision) *wire.ReleaseBatchReq {
 // locks only.
 //
 // In order: the record is marked finished, so a write-lock batch racing
-// this finds it decided; every write pending here is installed and its
-// lock frozen at the commit timestamp (install-before-freeze keeps the
-// frozen-implies-present invariant readers rely on) and the rest of that
-// lock dropped, or all of it dropped on abort; a commit freezes the read
-// ranges (garbage collection, Alg. 11 line 33); the keys are released;
-// the record is let go. Every pending write here is the transaction's
+// this finds it decided; every write pending here is committed at the
+// commit timestamp — installed and its lock frozen in one step of the
+// key's lock table (Server.commit) — and the rest of that lock dropped,
+// or all of it dropped on abort; a commit freezes the read ranges
+// (garbage collection, Alg. 11 line 33); the keys are released; the
+// record is let go. Every pending write here is the transaction's
 // own, so none has to be named, and a commit's writes are frozen before
 // anything is released — so no door arriving first, and no lost sibling
 // frame, can discard a committed write. Ending a transaction twice
@@ -1089,16 +1076,8 @@ func (s *Server) endTxn(e *wire.ReleaseBatchReq) {
 	}
 	for _, w := range writes {
 		ks := s.keys.Key(w.key)
-		if !e.Committed {
-			ks.Locks.ReleaseWrites(owner)
-			continue
-		}
-		if err := s.install(ks, e.TS, w.value); err != nil {
-			s.logf("server %s: install %q at %v: %v", s.cfg.Addr, w.key, e.TS, err)
-			continue
-		}
-		if !ks.Locks.FreezeWriteAt(owner, e.TS) {
-			s.logf("server %s: freeze %q at %v: write lock not held", s.cfg.Addr, w.key, e.TS)
+		if e.Committed {
+			s.commit(ks, owner, e.TS, w.value)
 		}
 		// The rest of the write lock guards nothing now. Drop it here,
 		// whether or not e.Keys names the key: a decision the suspicion
@@ -1253,19 +1232,19 @@ func (s *Server) stats() wire.StatsResp {
 
 // --- replication ---------------------------------------------------------------
 
-// install exposes a committed value at ts and, on a replicated head,
-// appends the install to the partition log. Two doors into endTxn can
-// race to install the same version; whoever loses sees
-// ErrExists, which means the winner already logged it — so every install
-// is logged exactly once, and install-then-append ordering holds: any
-// record with an LSN at or below the log's watermark is already visible
-// to version reads (the snapshot/tail inclusion property).
-func (s *Server) install(ks *keyspace.Key, ts timestamp.Timestamp, value []byte) error {
-	if err := ks.Versions.Install(ts, value); err != nil {
-		if errors.Is(err, version.ErrExists) {
-			return nil
-		}
-		return err
+// commit installs owner's committed value at ts and freezes its write
+// lock there, in one step of the key's lock table (lock.Table.Commit),
+// and, on a replicated head, appends the install to the partition log.
+// Servers do not trim on commit. Two doors into endTxn can race to
+// commit the same version; the table reports a fresh install to one of
+// them only — so every install is logged exactly once, and
+// install-then-append ordering holds: any record with an LSN at or below
+// the log's watermark is already visible to version reads (the
+// snapshot/tail inclusion property).
+func (s *Server) commit(ks *keyspace.Key, owner lock.Owner, ts timestamp.Timestamp, value []byte) {
+	fresh, err := ks.Locks.Commit(owner, ts, value, timestamp.Zero)
+	if err != nil {
+		s.logf("server %s: commit %q at %v: %v", s.cfg.Addr, ks.Name, ts, err)
 	}
 	// Log every fresh install, head or not: installs only happen on the
 	// commit path (endTxn), so each one is durably acked state. A
@@ -1274,19 +1253,19 @@ func (s *Server) install(ks *keyspace.Key, ts timestamp.Timestamp, value []byte)
 	// serving, so no acked commit is lost to the epoch change. (Standby
 	// catch-up does not come through here; it replays pulled records via
 	// applyReplRecord at the upstream's LSNs.)
-	if s.replLog != nil {
+	if fresh && s.replLog != nil {
 		s.replLog.Append(ks.Name, ts, value)
 	}
-	return nil
 }
 
 // handleSnapshotChunk serves one chunk of a full-state transfer to a
 // joining replica: every committed version of up to MaxKeys keys from
 // the cursor onward. The first chunk's LSN is the log watermark, taken
-// *before* any version is read: installs append to the log only after
-// they are visible, so everything logged at or below the watermark is in
-// some chunk, and the puller resumes the tail at watermark+1 (overlap
-// re-applies idempotently).
+// *before* any version is read: a commit appends its install to the log
+// only after the key's lock table has installed it (Server.commit), so
+// everything logged at or below the watermark is in some chunk, and the
+// puller resumes the tail at watermark+1 (overlap re-applies
+// idempotently).
 func (s *Server) handleSnapshotChunk(req wire.SnapshotChunkReq) wire.SnapshotChunkResp {
 	if s.replLog == nil {
 		return wire.SnapshotChunkResp{Status: wire.StatusError, Err: "server is not replicated"}
@@ -1313,9 +1292,9 @@ func (s *Server) handleSnapshotChunk(req wire.SnapshotChunkReq) wire.SnapshotChu
 	resp := wire.SnapshotChunkResp{Status: wire.StatusOK, Epoch: e, LSN: watermark}
 	payload := 0
 	for _, k := range keys[start:end] {
-		for _, v := range s.keys.Key(k).Versions.Snapshot() {
+		for _, v := range s.keys.Key(k).Locks.VersionSnapshot() {
 			if v.TS == timestamp.Zero {
-				continue // the initial ⊥ every fresh version list already holds
+				continue // the initial ⊥ every fresh key already holds
 			}
 			resp.Records = append(resp.Records, wire.ReplRecord{Key: []byte(k), TS: v.TS, Value: v.Value})
 			payload += len(k) + len(v.Value)
@@ -1365,7 +1344,7 @@ func (s *Server) applyReplRecord(r *wire.ReplRecord) error {
 	key := string(r.Key)
 	val := bytes.Clone(r.Value)
 	ks := s.keys.Key(key)
-	if err := ks.Versions.Install(r.TS, val); err != nil && !errors.Is(err, version.ErrExists) {
+	if err := ks.Locks.Install(r.TS, val); err != nil && !errors.Is(err, version.ErrExists) {
 		s.logf("server %s: repl install %q at %v: %v", s.cfg.Addr, key, r.TS, err)
 	}
 	if r.LSN != 0 {

@@ -5,7 +5,7 @@
 // to at least T so that slow clocks do not start transactions that
 // would need purged versions.
 //
-// A trim (keyspace.Key.Trim) drops the versions below T but the newest
+// A trim (lock.Table.Trim) drops the versions below T but the newest
 // one and the frozen lock records below T, and leaves the past one
 // frozen read range, so no write can land below it. It never passes a
 // lock a running transaction holds, so any T is safe: a transaction

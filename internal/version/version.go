@@ -13,9 +13,14 @@
 // is still Zero, and the first purge that drops it raises the floor.
 // A read at "now" finds its version at the head of the chain, one step.
 // Nodes come from an Arena shared by many lists (the keyspace gives each
-// of its stripes one; the lists NewList returns share one), which carves
-// them in chunks and takes back the nodes a purge drops on a free list,
-// zeroed, so a recycled node never keeps a value alive.
+// of its stripes one; lists without one of their own share one), which
+// carves them in chunks and takes back the nodes a purge drops on a free
+// list, zeroed, so a recycled node never keeps a value alive.
+//
+// A List does not synchronize itself: its caller does. A key's history
+// lives in its lock table (lock.Table), under the table's mutex, so that
+// a read picks its version and locks above it, and a commit installs its
+// version and freezes its write lock, in one critical section.
 package version
 
 import (
@@ -44,9 +49,6 @@ type Version struct {
 	Value []byte
 }
 
-// IsBottom reports whether the version carries no data.
-func (v Version) IsBottom() bool { return v.Value == nil }
-
 // node is one committed version in a list's chain.
 type node struct {
 	Version
@@ -57,8 +59,9 @@ type node struct {
 const arenaChunk = 128
 
 // Arena hands out the nodes of the lists built on it and takes back the
-// nodes their purges drop. The zero value is ready for use. Its lock is
-// taken under a list's, never the other way round.
+// nodes their purges drop. The zero value is ready for use. Lists of
+// several keys share one, so it has a lock of its own, taken under the
+// lock of a list's caller.
 type Arena struct {
 	mu    sync.Mutex
 	chunk []node // the uncarved rest of the newest chunk
@@ -94,11 +97,11 @@ func (a *Arena) put(n *node) {
 	}
 }
 
-// List is the version history of a single key. A new List, from
-// NewList or NewListIn, holds the initial version ⊥ at timestamp Zero.
+// List is the version history of a single key. The zero value, like a
+// new List from NewList or ListIn, holds the initial version ⊥ at
+// timestamp Zero.
 type List struct {
-	mu     sync.RWMutex
-	arena  *Arena // where the chain's nodes come from and go back to
+	arena  *Arena // where the chain's nodes come from and go back to; nil means shared
 	newest *node  // the committed versions, newest first; ⊥ is implicit
 	nodes  int    // length of the chain
 	// floor is the timestamp of the oldest version whose predecessors
@@ -108,29 +111,36 @@ type List struct {
 	floor timestamp.Timestamp
 }
 
-// shared is the arena of the lists NewList returns.
+// shared is the arena of the lists that have none of their own.
 var shared Arena
 
 // NewList returns a history containing only the initial version ⊥,
-// whose nodes come from an arena shared by every list NewList returns.
-func NewList() *List { return &List{arena: &shared} }
+// whose nodes come from an arena shared by every list without one of
+// its own.
+func NewList() *List { return new(List) }
 
-// NewListIn returns a history containing only the initial version ⊥,
-// whose nodes come from a and go back to it when purged.
-func NewListIn(a *Arena) *List { return &List{arena: a} }
+// ListIn returns a history containing only the initial version ⊥, whose
+// nodes come from a and go back to it when purged.
+func ListIn(a *Arena) List { return List{arena: a} }
+
+// nodeArena returns the arena the list's nodes come from.
+func (l *List) nodeArena() *Arena {
+	if l.arena == nil {
+		return &shared
+	}
+	return l.arena
+}
 
 // bottom is the initial version ⊥.
 var bottom = Version{TS: timestamp.Zero}
 
-// hasBottom reports whether ⊥ is still held. The caller holds l.mu.
+// hasBottom reports whether ⊥ is still held.
 func (l *List) hasBottom() bool { return l.floor == timestamp.Zero }
 
 // LatestBefore returns the version with the largest timestamp strictly
 // below t. It returns ErrPurged if that version may have been discarded,
 // and ErrPurged also when t is Zero (nothing precedes Zero).
 func (l *List) LatestBefore(t timestamp.Timestamp) (Version, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if t.AtOrBefore(l.floor) {
 		return Version{}, fmt.Errorf("latest before %v: %w", t, ErrPurged)
 	}
@@ -146,28 +156,11 @@ func (l *List) LatestBefore(t timestamp.Timestamp) (Version, error) {
 	return Version{}, fmt.Errorf("latest before %v: %w", t, ErrPurged)
 }
 
-// At returns the version committed exactly at t, if any.
-func (l *List) At(t timestamp.Timestamp) (Version, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for n := l.newest; n != nil && n.TS.AtOrAfter(t); n = n.older {
-		if n.TS == t {
-			return n.Version, true
-		}
-	}
-	if t == timestamp.Zero && l.hasBottom() {
-		return bottom, true
-	}
-	return Version{}, false
-}
-
 // Install exposes a committed value at timestamp t (Alg. 1 line 19).
 // Cells are write-once: installing twice at the same timestamp fails with
 // ErrExists, and installing at or below the purge floor fails with
 // ErrPurged.
 func (l *List) Install(t timestamp.Timestamp, value []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if t.AtOrBefore(l.floor) {
 		return fmt.Errorf("install at %v: %w", t, ErrPurged)
 	}
@@ -178,7 +171,7 @@ func (l *List) Install(t timestamp.Timestamp, value []byte) error {
 	if *at != nil && (*at).TS == t {
 		return fmt.Errorf("install at %v: %w", t, ErrExists)
 	}
-	n := l.arena.get()
+	n := l.nodeArena().get()
 	n.Version = Version{TS: t, Value: value}
 	n.older = *at
 	*at = n
@@ -186,29 +179,18 @@ func (l *List) Install(t timestamp.Timestamp, value []byte) error {
 	return nil
 }
 
-// PurgeBelow discards versions with timestamps below t, keeping the
-// newest version below t (so that readers above t still find their
-// snapshot), and returns the number of versions discarded. The purge
-// floor rises to the kept boundary version's timestamp.
-func (l *List) PurgeBelow(t timestamp.Timestamp) int {
-	_, removed := l.Trim(t)
-	return removed
-}
-
-// Trim is PurgeBelow that also returns the purge floor it leaves: the
-// timestamp of the oldest version the list still holds, Zero while ⊥
-// is held. A key's lock table trims its versions through it
-// (lock.Versions).
-func (l *List) Trim(t timestamp.Timestamp) (floor timestamp.Timestamp, removed int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// Trim discards versions with timestamps below t, keeping the newest
+// version below t (so that readers above t still find their snapshot),
+// and returns the number of versions discarded. The purge floor rises to
+// the kept boundary version's timestamp.
+func (l *List) Trim(t timestamp.Timestamp) (removed int) {
 	keep := l.newest
 	for keep != nil && keep.TS.AtOrAfter(t) {
 		keep = keep.older
 	}
 	if keep == nil {
 		// At most ⊥ is below t, and it is the boundary.
-		return l.floor, 0
+		return 0
 	}
 	dropped := 0
 	for n := keep.older; n != nil; n = n.older {
@@ -219,25 +201,18 @@ func (l *List) Trim(t timestamp.Timestamp) (floor timestamp.Timestamp, removed i
 		removed++
 	}
 	if removed == 0 {
-		return l.floor, 0
+		return 0
 	}
-	l.arena.put(keep.older)
+	l.nodeArena().put(keep.older)
 	keep.older = nil
 	l.nodes -= dropped
 	l.floor = keep.TS
-	return l.floor, removed
+	return removed
 }
 
 // Count returns the number of stored versions (including the boundary
 // and initial versions).
 func (l *List) Count() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.count()
-}
-
-// count is Count for a caller holding l.mu.
-func (l *List) count() int {
 	if l.hasBottom() {
 		return l.nodes + 1
 	}
@@ -246,9 +221,7 @@ func (l *List) count() int {
 
 // Snapshot returns a copy of the history, oldest first.
 func (l *List) Snapshot() []Version {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	i := l.count()
+	i := l.Count()
 	out := make([]Version, i) // out[0] stays ⊥ while it is held
 	for n := l.newest; n != nil; n = n.older {
 		i--

@@ -22,7 +22,7 @@ func TestNewListHasBottom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.IsBottom() || v.TS != timestamp.Zero {
+	if v.Value != nil || v.TS != timestamp.Zero {
 		t.Fatalf("initial version = %+v", v)
 	}
 	if l.Count() != 1 {
@@ -55,7 +55,7 @@ func TestInstallAndLookup(t *testing.T) {
 			t.Errorf("LatestBefore(%d) = %q want %q", c.at, v.Value, c.want)
 		}
 	}
-	if v, err := l.LatestBefore(ts(1)); err != nil || !v.IsBottom() {
+	if v, err := l.LatestBefore(ts(1)); err != nil || v.Value != nil {
 		t.Fatalf("LatestBefore(1) = %+v, %v", v, err)
 	}
 }
@@ -77,16 +77,17 @@ func TestInstallWriteOnce(t *testing.T) {
 	}
 }
 
+// The version at exactly t, if any, is LatestBefore(t.Next()).
 func TestAt(t *testing.T) {
 	l := NewList()
 	if err := l.Install(ts(5), []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := l.At(ts(5)); !ok || string(v.Value) != "a" {
-		t.Fatalf("At(5) = %+v %v", v, ok)
+	if v, err := l.LatestBefore(ts(5).Next()); err != nil || v.TS != ts(5) || string(v.Value) != "a" {
+		t.Fatalf("LatestBefore(5⁺) = %+v %v", v, err)
 	}
-	if _, ok := l.At(ts(6)); ok {
-		t.Fatal("At(6) should miss")
+	if v, err := l.LatestBefore(ts(6).Next()); err != nil || v.TS == ts(6) {
+		t.Fatalf("LatestBefore(6⁺) = %+v %v, want no version at 6", v, err)
 	}
 }
 
@@ -94,7 +95,7 @@ func TestAt(t *testing.T) {
 // the newest installed whatever the install order.
 func TestLatest(t *testing.T) {
 	l := NewList()
-	if v, err := l.LatestBefore(timestamp.Infinity); err != nil || !v.IsBottom() {
+	if v, err := l.LatestBefore(timestamp.Infinity); err != nil || v.Value != nil {
 		t.Fatalf("latest of fresh list = %+v, %v; want bottom", v, err)
 	}
 	_ = l.Install(ts(3), []byte("x"))
@@ -111,7 +112,7 @@ func TestPurgeBelowKeepsBoundary(t *testing.T) {
 		_ = l.Install(ts(p), []byte(fmt.Sprintf("v%d", p)))
 	}
 	// history: ⊥@0, 2, 4, 6, 8
-	removed := l.PurgeBelow(ts(7))
+	removed := l.Trim(ts(7))
 	if removed != 3 { // ⊥@0, 2, 4 removed; 6 kept as boundary
 		t.Fatalf("removed %d, want 3", removed)
 	}
@@ -134,10 +135,10 @@ func TestPurgeBelowKeepsBoundary(t *testing.T) {
 func TestPurgeBelowNoop(t *testing.T) {
 	l := NewList()
 	_ = l.Install(ts(5), []byte("a"))
-	if removed := l.PurgeBelow(ts(2)); removed != 0 {
+	if removed := l.Trim(ts(2)); removed != 0 {
 		t.Fatalf("removed %d", removed)
 	}
-	if removed := l.PurgeBelow(timestamp.Zero); removed != 0 {
+	if removed := l.Trim(timestamp.Zero); removed != 0 {
 		t.Fatalf("removed %d", removed)
 	}
 }
@@ -146,7 +147,7 @@ func TestInstallBelowFloorFails(t *testing.T) {
 	l := NewList()
 	_ = l.Install(ts(4), []byte("a"))
 	_ = l.Install(ts(8), []byte("b"))
-	l.PurgeBelow(ts(8)) // floor becomes 4
+	l.Trim(ts(8)) // floor becomes 4
 	if err := l.Install(ts(3), []byte("late")); !errors.Is(err, ErrPurged) {
 		t.Fatalf("want ErrPurged, got %v", err)
 	}
@@ -165,35 +166,6 @@ func TestSnapshotIsCopy(t *testing.T) {
 	}
 }
 
-func TestConcurrentInstallAndRead(t *testing.T) {
-	l := NewList()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 1; i <= 200; i++ {
-				t := timestamp.New(int64(i), int32(g))
-				_ = l.Install(t, []byte{byte(g)})
-				if _, err := l.LatestBefore(timestamp.New(int64(i), int32(g+1))); err != nil {
-					panic(err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if l.Count() != 8*200+1 {
-		t.Fatalf("Count = %d", l.Count())
-	}
-	// snapshot sorted
-	snap := l.Snapshot()
-	for i := 1; i < len(snap); i++ {
-		if !snap[i-1].TS.Before(snap[i].TS) {
-			t.Fatalf("snapshot not sorted at %d", i)
-		}
-	}
-}
-
 // Lists that share an arena take and return its nodes from several
 // goroutines at once; each must keep reading its own values.
 func TestConcurrentListsShareArena(t *testing.T) {
@@ -204,14 +176,14 @@ func TestConcurrentListsShareArena(t *testing.T) {
 		wg.Add(1)
 		go func(g byte) {
 			defer wg.Done()
-			l := NewListIn(&arena)
+			l := ListIn(&arena)
 			for i := int64(1); i <= 500; i++ {
 				if err := l.Install(ts(i), []byte{g, byte(i)}); err != nil {
 					errs <- err
 					return
 				}
 				if i%16 == 0 {
-					l.PurgeBelow(ts(i - 4))
+					l.Trim(ts(i - 4))
 				}
 				v, err := l.LatestBefore(ts(i + 1))
 				if err != nil || !reflect.DeepEqual(v.Value, []byte{g, byte(i)}) {
@@ -262,14 +234,6 @@ func (l *sliceList) LatestBefore(t timestamp.Timestamp) (Version, error) {
 	return l.versions[i-1], nil
 }
 
-func (l *sliceList) At(t timestamp.Timestamp) (Version, bool) {
-	i := l.search(t)
-	if i < len(l.versions) && l.versions[i].TS == t {
-		return l.versions[i], true
-	}
-	return Version{}, false
-}
-
 func (l *sliceList) Install(t timestamp.Timestamp, value []byte) error {
 	if t.AtOrBefore(l.floor) {
 		return ErrPurged
@@ -284,7 +248,7 @@ func (l *sliceList) Install(t timestamp.Timestamp, value []byte) error {
 	return nil
 }
 
-func (l *sliceList) PurgeBelow(t timestamp.Timestamp) int {
+func (l *sliceList) Trim(t timestamp.Timestamp) int {
 	i := l.search(t)
 	if i <= 1 {
 		return 0
@@ -311,7 +275,6 @@ const (
 	opInstall = iota
 	opPurge
 	opLatestBefore
-	opAt
 	opCount
 	opSnapshot
 	opKinds
@@ -338,20 +301,14 @@ func replay(l *List, ops []op) error {
 				return fmt.Errorf("step %d Install(%v) = %v, want %v", i, o.At, got, want)
 			}
 		case opPurge:
-			if got, want := l.PurgeBelow(o.At), ref.PurgeBelow(o.At); got != want {
-				return fmt.Errorf("step %d PurgeBelow(%v) = %d, want %d", i, o.At, got, want)
+			if got, want := l.Trim(o.At), ref.Trim(o.At); got != want {
+				return fmt.Errorf("step %d Trim(%v) = %d, want %d", i, o.At, got, want)
 			}
 		case opLatestBefore:
 			got, gerr := l.LatestBefore(o.At)
 			want, werr := ref.LatestBefore(o.At)
 			if !sameErr(gerr, werr) || !reflect.DeepEqual(got, want) {
 				return fmt.Errorf("step %d LatestBefore(%v) = %+v, %v, want %+v, %v", i, o.At, got, gerr, want, werr)
-			}
-		case opAt:
-			got, gok := l.At(o.At)
-			want, wok := ref.At(o.At)
-			if gok != wok || !reflect.DeepEqual(got, want) {
-				return fmt.Errorf("step %d At(%v) = %+v, %v, want %+v, %v", i, o.At, got, gok, want, wok)
 			}
 		case opCount:
 			if got, want := l.Count(), ref.Count(); got != want {
@@ -387,7 +344,8 @@ func TestQuickLatestBeforeMatchesModel(t *testing.T) {
 	}
 	var arena Arena
 	f := func(ops []op) bool {
-		for _, l := range []*List{NewList(), NewListIn(&arena)} {
+		inArena := ListIn(&arena)
+		for _, l := range []*List{NewList(), &inArena} {
 			if err := replay(l, ops); err != nil {
 				t.Log(err)
 				return false
