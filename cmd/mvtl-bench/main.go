@@ -39,7 +39,8 @@ import (
 )
 
 // runFaults executes fault-injection scenarios and reports violations:
-// every scenario is serializability-checked, and with verify the
+// every scenario is serializability-checked and must end with every key
+// it touched usable (Result.LiveErr), and with verify the
 // transcript-asserted ones run twice so a determinism regression (H13)
 // fails the command, not just a test. Every scenario runs on a virtual
 // timeline: modeled delays cost no wall clock, and the outcome does not
@@ -67,7 +68,7 @@ func runFaults(name string, seed int64, verify bool) error {
 		}
 		fmt.Printf("[%8.3fs] ", time.Since(start).Seconds())
 		fmt.Println(res.Summary())
-		if res.CheckErr != nil || res.CertErr != nil {
+		if res.CheckErr != nil || res.CertErr != nil || res.LiveErr != nil {
 			failed = true
 		}
 		if verify && s.AssertTranscript {

@@ -34,9 +34,8 @@ const firedWindow = 500 * time.Millisecond
 //     poll is the only way edges reach the detector. A head that does not
 //     answer in time contributes nothing to that scan.
 //   - Per-server snapshots are taken at different moments, so a cycle
-//     seen once may be stale. Mirroring lock.WaitGraph's confirmation
-//     under all stripe locks, a scan that finds cycles is followed at once
-//     by a second, and only victims found by both are shot.
+//     seen once may be stale, so a scan that finds cycles is followed at
+//     once by a second, and only victims found by both are shot.
 //   - The victim of a cycle is its lowest transaction id, so coordinators
 //     that see one cycle agree on whom to abort. The abort goes to the
 //     server owning the key the victim is parked on, which checks that it

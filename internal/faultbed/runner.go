@@ -36,6 +36,10 @@ const (
 	settlePoll       = 10 * time.Millisecond
 )
 
+// controlRetry is the control client's retry policy for recovery writes
+// and the end-of-run liveness check.
+var controlRetry = kv.Retry{Attempts: 5, Base: 20 * time.Millisecond, Max: 20 * time.Millisecond}
+
 // Result is one scenario run's full observable output.
 type Result struct {
 	// Scenario is the (defaulted) scenario that ran.
@@ -64,6 +68,11 @@ type Result struct {
 	// (history.CheckCertificate): nil, or the first read whose lock
 	// interval another commit wrote into.
 	CertErr error
+	// LiveErr is the end-of-run liveness verdict (runner.checkLive): nil,
+	// or the first key the run touched that the control client could not
+	// read and rewrite once the faults were healed and every timeout had
+	// run out.
+	LiveErr error
 }
 
 // Digest is eight hex digits of a hash over the three H13-compared
@@ -82,6 +91,9 @@ func (r Result) Summary() string {
 		verdict = "VIOLATION: " + r.CheckErr.Error()
 	case r.CertErr != nil:
 		verdict = "serializable, CERTIFICATE VIOLATION: " + r.CertErr.Error()
+	}
+	if r.LiveErr != nil {
+		verdict += ", LIVENESS FAILURE: " + r.LiveErr.Error()
 	}
 	return fmt.Sprintf("%s: %d commits, %d aborts, %d uncertain (checked %d, dropped %d unobserved maybes) — %s, digest %s",
 		r.Scenario.Name, r.Commits, r.Aborts, r.Uncertains, r.CheckedCommits, r.DroppedMaybes, verdict, r.Digest())
@@ -204,6 +216,7 @@ func run(s Scenario, timers clock.Timers) (Result, error) {
 	}
 	pace := time.Duration(delta)*time.Microsecond + time.Millisecond
 	next := 0
+	touched := make(map[string]struct{})
 	for i := 0; i < s.Txns; i++ {
 		for next < len(events) && events[next].BeforeTxn <= i {
 			if err := r.apply(events[next]); err != nil {
@@ -213,6 +226,9 @@ func run(s Scenario, timers clock.Timers) (Result, error) {
 		}
 		r.timers.Sleep(pace)
 		ops := gen.txn(i)
+		for _, o := range ops {
+			touched[o.Key] = struct{}{}
+		}
 		// Retries replay the same operations.
 		attempts, err := s.Retry.Run(context.Background(), timers, func() error { return r.attempt(ops, gen.value) })
 		outcome := classify(err)
@@ -241,7 +257,50 @@ func run(s Scenario, timers clock.Timers) (Result, error) {
 	res.DroppedMaybes = len(dropped)
 	res.CheckErr = history.CheckCommits(commits)
 	res.CertErr = history.CheckCertificate(commits)
+	// Everything above is taken before the liveness check runs, so the
+	// check moves no digest.
+	res.LiveErr = r.checkLive(touched, gen.value)
 	return res, nil
+}
+
+// checkLive is the end-of-run liveness check: every key the run touched
+// must still be usable. It heals every partition, settles, and sleeps out
+// one WriteLockTimeout plus two suspicion scans, so every lock a fault
+// orphaned has had its timeout; then the control client reads and
+// rewrites each key, in sorted order, in a transaction of its own under
+// controlRetry. A key it cannot use holds a lock no timeout reclaims.
+func (r *runner) checkLive(touched map[string]struct{}, value []byte) error {
+	r.net.HealAll()
+	if err := r.settle(); err != nil {
+		return err
+	}
+	r.timers.Sleep(writeLockTimeout + 2*scanInterval)
+	keys := make([]string, 0, len(touched))
+	for k := range touched {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	ctx := context.Background()
+	for _, k := range keys {
+		n, err := controlRetry.Run(ctx, r.timers, func() error {
+			tx, err := r.ctrl.Begin(ctx)
+			if err != nil {
+				return err
+			}
+			if _, err = tx.Read(ctx, k); err == nil {
+				err = tx.Write(ctx, k, value)
+			}
+			if err != nil {
+				_ = tx.Abort(ctx)
+				return err
+			}
+			return tx.Commit(ctx)
+		})
+		if err != nil {
+			return fmt.Errorf("faultbed: key %s unusable after the run, %d attempts: %w", k, n, err)
+		}
+	}
+	return nil
 }
 
 // apply executes one scheduled fault action.
@@ -398,8 +457,7 @@ func (r *runner) recoverServer(i int) (int, error) {
 		return 0, nil
 	}
 	ctx := context.Background()
-	retry := kv.Retry{Attempts: 5, Base: 20 * time.Millisecond, Max: 20 * time.Millisecond}
-	n, err := retry.Run(ctx, r.timers, func() error {
+	n, err := controlRetry.Run(ctx, r.timers, func() error {
 		tx, err := r.ctrl.Begin(ctx)
 		if err != nil {
 			return err

@@ -32,6 +32,9 @@ func TestScenarioMatrix(t *testing.T) {
 				t.Fatalf("certificate violation: %v\nevents:\n%s\ntranscript:\n%s",
 					res.CertErr, res.Events, res.Transcript)
 			}
+			if res.LiveErr != nil {
+				t.Fatalf("liveness: %v\nevents:\n%s\ntranscript:\n%s", res.LiveErr, res.Events, res.Transcript)
+			}
 			if res.Commits == 0 {
 				t.Fatalf("nothing committed:\n%s", res.Transcript)
 			}
@@ -75,6 +78,9 @@ func TestBigTopologyVirtual(t *testing.T) {
 		}
 		if res.CertErr != nil {
 			t.Fatalf("certificate violation: %v\ntranscript:\n%s", res.CertErr, res.Transcript)
+		}
+		if res.LiveErr != nil {
+			t.Fatalf("seed %d liveness: %v", seed, res.LiveErr)
 		}
 		if res.Commits == 0 {
 			t.Fatalf("nothing committed:\n%s", res.Transcript)
@@ -200,6 +206,9 @@ func TestSeedSweepVirtual(t *testing.T) {
 				}
 				if first.CertErr != nil {
 					t.Fatalf("%s: certificate violation: %v\n%s", s.Name, first.CertErr, first.Transcript)
+				}
+				if first.LiveErr != nil {
+					t.Fatalf("%s: liveness: %v\n%s", s.Name, first.LiveErr, first.Transcript)
 				}
 				if !s.AssertTranscript {
 					continue

@@ -29,46 +29,13 @@ type WaitEdge struct {
 	Key            string
 }
 
-// waitStripes is the number of edge-map stripes; a power of two so
-// stripe selection is a mask.
-const waitStripes = 16
-
-// waitStripe is one shard of the wait-for edge map, holding the outgoing
-// edges of the waiters it owns plus the waiters' external-abort state.
-type waitStripe struct {
-	mu sync.Mutex
-	// edges[w][h] is the key label of the table where w waits for h.
-	edges map[Owner]map[Owner]string
-	// parked[w] is the wake slot of w's currently parked acquisition,
-	// registered by Table.blockLocked so Abort can wake it.
-	parked map[Owner]clock.Waiter
-	// aborted marks waiters chosen as deadlock victims from outside;
-	// the mark is consumed by the victim's own pre-park or post-wake
-	// check in blockLocked.
-	aborted map[Owner]struct{}
-}
-
 // WaitGraph is a wait-for graph over lock owners, shared by all lock
-// tables of one store. Edges are sharded by waiter id so that
-// registering and clearing waits touches only one stripe, and blocked
-// acquisitions on different tables stop serializing on a single
-// graph-wide mutex. The zero value is not ready; use NewWaitGraph.
-//
-// Cycle detection publishes before it checks: Wait first inserts the
-// waiter's edges under the waiter's stripe lock, then runs an
-// optimistic traversal that hops stripe locks one node at a time.
-// Publish-before-check keeps detection deterministic under races: each
-// stripe's mutex totally orders accesses to it, so of two (or k) waits
-// racing to close a cycle, the last to publish must observe every
-// earlier edge when its traversal runs — some participant always sees
-// the cycle. A cycle seen optimistically may still be assembled from
-// per-stripe snapshots of different moments, so before aborting anyone
-// it is confirmed on a consistent view under all stripe locks, acquired
-// in ascending stripe order (deterministic, so concurrent confirmations
-// cannot deadlock with each other); on confirmation the just-published
-// edges are retracted and ErrDeadlock returned. Racing participants can
-// at worst both abort (the pre-sharding global-mutex graph aborted
-// exactly one); they can never both park on an undetected cycle.
+// tables of one store. One mutex guards all of it: the edges, the wake
+// slots of parked acquisitions and the victim marks. A wait searches for
+// a cycle through its new edges and publishes them in one critical
+// section, so of several waits racing to close a cycle exactly one
+// fails with ErrDeadlock — the last to take the mutex — and the others
+// stay registered. The zero value is not ready; use NewWaitGraph.
 //
 // Local detection cannot see cycles spanning several servers, so the
 // graph additionally supports an external detector: Edges snapshots the
@@ -77,136 +44,116 @@ type waitStripe struct {
 // deadlock victim from outside, waking its parked acquisition so it
 // returns ErrDeadlock instead of sleeping out the lock-wait timeout.
 type WaitGraph struct {
-	stripes [waitStripes]waitStripe
+	mu sync.Mutex
+	// edges[w][h] is the key label of the table where w waits for h.
+	edges map[Owner]map[Owner]string
+	// parked[w] is the wake slot of w's currently parked acquisition,
+	// registered by block so Abort can wake it.
+	parked map[Owner]clock.Waiter
+	// aborted marks waiters chosen as deadlock victims from outside;
+	// block and unblock consume the mark.
+	aborted map[Owner]struct{}
 }
 
 // NewWaitGraph returns an empty graph.
 func NewWaitGraph() *WaitGraph {
-	g := &WaitGraph{}
-	for i := range g.stripes {
-		g.stripes[i].edges = make(map[Owner]map[Owner]string)
-		g.stripes[i].parked = make(map[Owner]clock.Waiter)
-		g.stripes[i].aborted = make(map[Owner]struct{})
+	return &WaitGraph{
+		edges:   make(map[Owner]map[Owner]string),
+		parked:  make(map[Owner]clock.Waiter),
+		aborted: make(map[Owner]struct{}),
 	}
-	return g
-}
-
-// stripeOf returns the stripe owning o's outgoing edges.
-func (g *WaitGraph) stripeOf(o Owner) *waitStripe {
-	return &g.stripes[uint64(o)&(waitStripes-1)]
 }
 
 // Wait registers that waiter blocks on holders (on the table labelled
 // key) and reports ErrDeadlock if doing so closes a cycle; in that case
-// nothing is registered and the waiter should abort. Successful
-// registrations must be cleared with Done after the wait (the caller
-// re-registers on each wait round, since the blocking set changes).
-// External victim marks are not consulted here — Wait also runs on
-// behalf of third parties (the extend-parked path), which must not
-// consume a mark destined for the waiter itself; blockLocked checks the
-// mark before and after its park instead.
+// nothing is registered and the waiter should abort. Done clears the
+// registration. Tables call Wait only on behalf of a parked waiter
+// (Table.extendWaiterEdgesLocked), whose unblock clears it, so Wait
+// leaves victim marks alone: they belong to the waiter's own block and
+// unblock.
 func (g *WaitGraph) Wait(waiter Owner, holders []Owner, key string) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.waitLocked(waiter, holders, key)
+}
+
+// waitLocked is Wait for a caller holding g.mu.
+func (g *WaitGraph) waitLocked(waiter Owner, holders []Owner, key string) error {
 	if len(holders) == 0 {
 		return nil
 	}
-	for _, h := range holders {
-		if h == waiter {
-			// Waiting for yourself is trivially a cycle.
-			return ErrDeadlock
-		}
-	}
-	// Publish first (see the type comment: this is what makes racing
-	// cycle formation always observable to at least one participant).
-	st := g.stripeOf(waiter)
-	st.mu.Lock()
-	insertEdges(st, waiter, holders, key)
-	st.mu.Unlock()
-	if !g.reaches(holders, waiter) {
-		return nil
-	}
-	// The optimistic traversal saw a cycle assembled from per-stripe
-	// snapshots taken at different moments; confirm it on a consistent
-	// view before aborting anyone.
-	g.lockAll()
-	defer g.unlockAll()
-	if g.reachesLocked(holders, waiter) {
-		// Retract the edges just published: on ErrDeadlock nothing
-		// stays registered. Removing all waiter→holder edges is safe
-		// even for a waiter that had earlier edges (the extend-parked
-		// case): its waker observes the error, wakes it, and the
-		// waiter's own Done clears the rest.
-		removeEdges(st, waiter, holders)
+	if g.reaches(holders, waiter) {
 		return ErrDeadlock
 	}
-	return nil
-}
-
-// removeEdges deletes the waiter→holder edges from waiter's stripe.
-// Callers hold st.mu (directly or via lockAll).
-func removeEdges(st *waitStripe, waiter Owner, holders []Owner) {
-	set, ok := st.edges[waiter]
-	if !ok {
-		return
-	}
-	for _, h := range holders {
-		delete(set, h)
-	}
-	if len(set) == 0 {
-		delete(st.edges, waiter)
-	}
-}
-
-// insertEdges adds waiter→holder edges labelled with key to waiter's
-// stripe. Callers hold st.mu (at least); holders does not contain
-// waiter.
-func insertEdges(st *waitStripe, waiter Owner, holders []Owner, key string) {
-	set, ok := st.edges[waiter]
+	set, ok := g.edges[waiter]
 	if !ok {
 		set = make(map[Owner]string, len(holders))
-		st.edges[waiter] = set
+		g.edges[waiter] = set
 	}
 	for _, h := range holders {
 		set[h] = key
 	}
+	return nil
 }
 
-// Done clears every edge out of waiter. Only the waiter's stripe is
-// touched.
+// block is the parking acquisition's half of Wait: it fails with
+// ErrDeadlock on a victim mark (consuming it) or on a cycle, and
+// otherwise registers the edges and the wake slot w together, so an
+// Abort from then on wakes the waiter. Tables call it with the table
+// mutex held; g.mu nests inside it. Every successful block is paired
+// with an unblock.
+func (g *WaitGraph) block(waiter Owner, holders []Owner, key string, w clock.Waiter) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if _, ok := g.aborted[waiter]; ok {
+		delete(g.aborted, waiter)
+		return ErrDeadlock
+	}
+	if err := g.waitLocked(waiter, holders, key); err != nil {
+		return err
+	}
+	g.parked[waiter] = w
+	return nil
+}
+
+// unblock clears the waiter's edges and wake slot and reports, consuming
+// it, a victim mark that arrived while the waiter was parked. Once it
+// returns, Abort no longer touches the wake slot, so the table may
+// recycle it.
+func (g *WaitGraph) unblock(waiter Owner) (victim bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	delete(g.edges, waiter)
+	delete(g.parked, waiter)
+	_, victim = g.aborted[waiter]
+	delete(g.aborted, waiter)
+	return victim
+}
+
+// Done clears every edge out of waiter.
 func (g *WaitGraph) Done(waiter Owner) {
-	st := g.stripeOf(waiter)
-	st.mu.Lock()
-	delete(st.edges, waiter)
-	st.mu.Unlock()
+	g.mu.Lock()
+	delete(g.edges, waiter)
+	g.mu.Unlock()
 }
 
 // Waiters returns the number of owners currently blocked, for
 // monitoring.
 func (g *WaitGraph) Waiters() int {
-	n := 0
-	for i := range g.stripes {
-		st := &g.stripes[i]
-		st.mu.Lock()
-		n += len(st.edges)
-		st.mu.Unlock()
-	}
-	return n
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.edges)
 }
 
 // Edges appends a snapshot of the current wait-for edges to dst and
-// returns it. Stripes are snapshotted one at a time, so the result may
-// mix moments — external detectors must confirm a cycle (e.g. by
-// re-polling) before acting, exactly as the local traversal confirms
-// under lockAll.
+// returns it.
 func (g *WaitGraph) Edges(dst []WaitEdge) []WaitEdge {
-	for i := range g.stripes {
-		st := &g.stripes[i]
-		st.mu.Lock()
-		for w, hs := range st.edges {
-			for h, key := range hs {
-				dst = append(dst, WaitEdge{Waiter: w, Holder: h, Key: key})
-			}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for w, hs := range g.edges {
+		for h, key := range hs {
+			dst = append(dst, WaitEdge{Waiter: w, Holder: h, Key: key})
 		}
-		st.mu.Unlock()
 	}
 	return dst
 }
@@ -215,109 +162,49 @@ func (g *WaitGraph) Edges(dst []WaitEdge) []WaitEdge {
 // parked acquisition, used to validate external victim aborts against a
 // possibly stale remote snapshot.
 func (g *WaitGraph) IsWaiting(o Owner) bool {
-	st := g.stripeOf(o)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	_, parked := st.parked[o]
-	_, waiting := st.edges[o]
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	_, parked := g.parked[o]
+	_, waiting := g.edges[o]
 	return parked || waiting
 }
 
 // Abort marks o as an externally chosen deadlock victim and wakes its
-// parked acquisition, if any: the waiter's pre-park or post-wake check
-// in blockLocked consumes the mark and returns ErrDeadlock. The
-// signal send never blocks — if the table waker raced us the waiter is
-// waking anyway and observes the mark. A mark for an owner that never
-// waits again lingers until ClearAbort (the server's transaction-state
-// GC clears it when the victim's record is purged).
+// parked acquisition, if any: the waiter's unblock, or its next block,
+// consumes the mark and returns ErrDeadlock. The wake never blocks — if
+// the table waker raced us the waiter is waking anyway and observes the
+// mark. A mark for an owner that never waits again lingers until
+// ClearAbort (the server's transaction-state GC clears it when the
+// victim's record is purged).
 func (g *WaitGraph) Abort(o Owner) {
-	st := g.stripeOf(o)
-	st.mu.Lock()
-	st.aborted[o] = struct{}{}
-	if w, ok := st.parked[o]; ok {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.aborted[o] = struct{}{}
+	if w, ok := g.parked[o]; ok {
 		w.Wake()
 	}
-	st.mu.Unlock()
 }
 
 // ClearAbort drops any unconsumed victim mark for o.
 func (g *WaitGraph) ClearAbort(o Owner) {
-	st := g.stripeOf(o)
-	st.mu.Lock()
-	delete(st.aborted, o)
-	st.mu.Unlock()
+	g.mu.Lock()
+	delete(g.aborted, o)
+	g.mu.Unlock()
 }
 
-// consumeAbort reports and clears o's victim mark.
-func (g *WaitGraph) consumeAbort(o Owner) bool {
-	st := g.stripeOf(o)
-	st.mu.Lock()
-	_, ok := st.aborted[o]
-	if ok {
-		delete(st.aborted, o)
-	}
-	st.mu.Unlock()
-	return ok
-}
-
-// park registers o's parked signal channel so Abort can wake it;
-// unpark removes the registration. Tables call these with the table
-// mutex held; the stripe mutex nests inside it, same as Wait. If a
-// victim mark arrived between the caller's pre-park check and the
-// registration, park self-signals so the waiter wakes immediately and
-// consumes the mark instead of sleeping out the timeout.
-func (g *WaitGraph) park(o Owner, w clock.Waiter) {
-	st := g.stripeOf(o)
-	st.mu.Lock()
-	st.parked[o] = w
-	if _, ok := st.aborted[o]; ok {
-		w.Wake()
-	}
-	st.mu.Unlock()
-}
-
-func (g *WaitGraph) unpark(o Owner) {
-	st := g.stripeOf(o)
-	st.mu.Lock()
-	delete(st.parked, o)
-	st.mu.Unlock()
-}
-
-// lockAll acquires every stripe in ascending index order; unlockAll
-// releases them. The fixed order keeps concurrent full acquisitions
-// deadlock-free.
-func (g *WaitGraph) lockAll() {
-	for i := range g.stripes {
-		g.stripes[i].mu.Lock()
-	}
-}
-
-func (g *WaitGraph) unlockAll() {
-	for i := range g.stripes {
-		g.stripes[i].mu.Unlock()
-	}
-}
-
-// outEdges appends the owners cur currently waits for to dst, locking
-// only cur's stripe.
-func (g *WaitGraph) outEdges(cur Owner, dst []Owner) []Owner {
-	st := g.stripeOf(cur)
-	st.mu.Lock()
-	for next := range st.edges[cur] {
-		dst = append(dst, next)
-	}
-	st.mu.Unlock()
-	return dst
-}
-
-// reaches reports whether target is reachable from any of from,
-// traversing stripe by stripe without a global lock. The common case —
-// every holder is running, not waiting, so it has no outgoing edges —
-// terminates without allocating.
+// reaches reports whether target is reachable from any of from via the
+// wait-for edges; a target among from is reached at once (waiting for
+// yourself is trivially a cycle). Callers hold g.mu. The common case —
+// no holder is itself waiting — returns without allocating.
 func (g *WaitGraph) reaches(from []Owner, target Owner) bool {
 	var stack []Owner
 	for _, h := range from {
-		stack = g.outEdges(h, stack)
+		if h == target {
+			return true
+		}
+		for next := range g.edges[h] {
+			stack = append(stack, next)
+		}
 	}
 	var seen map[Owner]bool
 	for len(stack) > 0 {
@@ -333,27 +220,7 @@ func (g *WaitGraph) reaches(from []Owner, target Owner) bool {
 			continue
 		}
 		seen[cur] = true
-		stack = g.outEdges(cur, stack)
-	}
-	return false
-}
-
-// reachesLocked reports whether target is reachable from any of from via
-// the wait-for edges. Callers hold every stripe lock.
-func (g *WaitGraph) reachesLocked(from []Owner, target Owner) bool {
-	seen := make(map[Owner]bool)
-	stack := append([]Owner(nil), from...)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur == target {
-			return true
-		}
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		for next := range g.stripeOf(cur).edges[cur] {
+		for next := range g.edges[cur] {
 			stack = append(stack, next)
 		}
 	}

@@ -263,10 +263,9 @@ func TestAbortBeforeParkStillFires(t *testing.T) {
 	}
 }
 
-// TestWaitGraphRacingCycleAlwaysDetected closes over the sharded
-// graph's publish-before-check guarantee: two waits racing to close a
-// 2-cycle must never both park — at least one of them observes the
-// cycle, however the stripe accesses interleave.
+// TestWaitGraphRacingCycleAlwaysDetected: two waits racing to close a
+// 2-cycle never both park and never both abort — the one that takes the
+// graph's mutex last sees the other's edge and is the only victim.
 func TestWaitGraphRacingCycleAlwaysDetected(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		g := NewWaitGraph()
@@ -276,8 +275,16 @@ func TestWaitGraphRacingCycleAlwaysDetected(t *testing.T) {
 		go func() { defer wg.Done(); errs[0] = g.Wait(1, []Owner{2}, "k") }()
 		go func() { defer wg.Done(); errs[1] = g.Wait(2, []Owner{1}, "k") }()
 		wg.Wait()
-		if errs[0] == nil && errs[1] == nil {
-			t.Fatalf("iteration %d: racing cycle went undetected", i)
+		victims := 0
+		for _, err := range errs {
+			if errors.Is(err, ErrDeadlock) {
+				victims++
+			} else if err != nil {
+				t.Fatalf("iteration %d: %v", i, err)
+			}
+		}
+		if victims != 1 {
+			t.Fatalf("iteration %d: %d of two racing waits aborted, want exactly 1", i, victims)
 		}
 		g.Done(1)
 		g.Done(2)

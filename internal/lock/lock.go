@@ -17,8 +17,7 @@
 // Locks held by the same owner never conflict with each other, which
 // permits read→write upgrades. A frozen conflicting lock is permanent:
 // waiting for it is useless, and the acquisition APIs report it
-// distinctly so policies can react (for example by re-picking the version
-// to read, as MVTO-style policies do).
+// distinctly (ErrFrozen).
 //
 // # Performance model
 //
@@ -168,13 +167,6 @@ type ReadResult struct {
 	// Got is the contiguous interval of read locks acquired, starting
 	// at the requested lower bound. It may be empty.
 	Got timestamp.Interval
-	// Frozen reports that the scan upward met a conflicting frozen write
-	// interval, and FrozenAt is the first one met: a committed version
-	// exists inside the requested range, so MVTO-style policies should
-	// re-pick the version to read. FrozenAt means nothing unless Frozen
-	// is set.
-	Frozen   bool
-	FrozenAt timestamp.Interval
 }
 
 // WriteResult reports the outcome of a write acquisition. A caller that
@@ -437,9 +429,8 @@ func (t *Table) acquireReadLocked(ctx context.Context, owner Owner, iv timestamp
 		t.insertLiveLocked(entry{iv: iv, owner: owner, mode: ModeRead})
 		return ReadResult{Got: iv}, false, nil
 	case frozen:
-		res = ReadResult{Frozen: true, FrozenAt: conf}
 		if !opts.Partial {
-			return res, false, fmt.Errorf("read %v blocked at %v: %w", iv, conf, ErrFrozen)
+			return ReadResult{}, false, fmt.Errorf("read %v blocked at %v: %w", iv, conf, ErrFrozen)
 		}
 	case opts.Wait:
 		spans := [1]timestamp.Interval{iv}
@@ -631,27 +622,6 @@ func (t *Table) ReleaseWrites(owner Owner) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.releaseWhereLocked(owner, true)
-}
-
-// ReleaseReadIn releases the portions of the owner's unfrozen read locks
-// inside iv, used when a read retries after meeting a frozen write lock
-// ("release read-locks acquired above", Alg. 3/4/8).
-func (t *Table) ReleaseReadIn(owner Owner, iv timestamp.Interval) {
-	if iv.IsEmpty() {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		held, ok := t.live.takeLastReadIn(owner, iv)
-		if !ok {
-			return
-		}
-		below, above := held.Subtract(iv)
-		t.insertLiveLocked(entry{iv: below, owner: owner, mode: ModeRead})
-		t.insertLiveLocked(entry{iv: above, owner: owner, mode: ModeRead})
-		t.wakeOverlappingLocked(held.Intersect(iv))
-	}
 }
 
 // Owned returns the timestamps the owner currently holds: all locked
@@ -1018,22 +988,21 @@ func (t *Table) removeWaiterLocked(w *waiter) {
 	}
 }
 
-// blockLocked registers the wait in the shared wait-for graph (failing
-// fast on a cycle), parks the caller on a pooled waiter tagged with a
-// copy of spans, and blocks until overlapping lock state changes, an
-// external detector marks the waiter a deadlock victim, or the context
-// expires. Callers hold t.mu; it is held again on return.
+// blockLocked parks the caller on a pooled waiter tagged with a copy of
+// spans until overlapping lock state changes, an external detector marks
+// the waiter a deadlock victim, or the context expires. Two graph calls
+// bracket the park: block fails fast on a victim mark or a cycle and
+// otherwise registers the wait-for edges and the wake slot together;
+// unblock clears both and reports a mark that arrived while parked.
+// Callers hold t.mu; it is held again on return.
 func (t *Table) blockLocked(ctx context.Context, owner Owner, mode Mode, holders []Owner, spans []timestamp.Interval) error {
+	w := t.getWaiterLocked(owner, mode)
 	if t.graph != nil {
-		if t.graph.consumeAbort(owner) {
-			return ErrDeadlock
-		}
-		if err := t.graph.Wait(owner, holders, t.key); err != nil {
+		if err := t.graph.block(owner, holders, t.key, w.done); err != nil {
+			t.putWaiterLocked(w)
 			return err
 		}
-		defer t.graph.Done(owner)
 	}
-	w := t.getWaiterLocked(owner, mode)
 	w.spans = append(w.spans[:0], spans...)
 	if len(t.waiters) == 0 {
 		t.waitLo, t.waitHi = w.spans[0].Lo, w.spans[0].Hi
@@ -1044,15 +1013,10 @@ func (t *Table) blockLocked(ctx context.Context, owner Owner, mode Mode, holders
 	}
 	w.linked = true
 	t.waiters = append(t.waiters, w)
-	if t.graph != nil {
-		t.graph.park(owner, w.done)
-	}
 	t.mu.Unlock()
 	err := w.done.ParkCtx(ctx)
 	t.mu.Lock()
-	if t.graph != nil {
-		t.graph.unpark(owner)
-	}
+	victim := t.graph != nil && t.graph.unblock(owner)
 	// A wake from WaitGraph.Abort does not unlink (the graph cannot
 	// reach the table's waiter list); remove ourselves then. The
 	// common table-waker wake already unlinked, so the O(waiters)
@@ -1064,7 +1028,7 @@ func (t *Table) blockLocked(ctx context.Context, owner Owner, mode Mode, holders
 	if err != nil {
 		return err
 	}
-	if t.graph != nil && t.graph.consumeAbort(owner) {
+	if victim {
 		return ErrDeadlock
 	}
 	return nil

@@ -119,9 +119,6 @@ func TestReadPartialPrefix(t *testing.T) {
 	if res.Got != timestamp.Span(ts(1), ts(6).Prev()) {
 		t.Fatalf("prefix = %v, want [1,5]", res.Got)
 	}
-	if res.Frozen {
-		t.Fatalf("conflict was unfrozen, FrozenAt = %v", res.FrozenAt)
-	}
 }
 
 func TestReadPartialEmptyPrefix(t *testing.T) {
@@ -148,9 +145,6 @@ func TestReadReportsFrozenConflict(t *testing.T) {
 	res, err := tbl.AcquireRead(ctx, 1, iv(1, 10), Options{Partial: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Frozen || !res.FrozenAt.Contains(ts(6)) {
-		t.Fatalf("FrozenAt = %v", res.FrozenAt)
 	}
 	if res.Got != timestamp.Span(ts(1), ts(6).Prev()) {
 		t.Fatalf("prefix = %v", res.Got)
@@ -239,9 +233,6 @@ func TestWaitUnblocksOnFreeze(t *testing.T) {
 	tbl.FreezeWriteAt(1, ts(5))
 	select {
 	case res := <-done:
-		if !res.Frozen {
-			t.Fatalf("reader should report frozen conflict, got %+v", res)
-		}
 		if res.Got != timestamp.Span(ts(3), ts(5).Prev()) {
 			t.Fatalf("reader prefix = %v", res.Got)
 		}
@@ -478,27 +469,6 @@ func TestPurgeKeepsRangeAbovePurgedPoint(t *testing.T) {
 	}
 	if s := tbl.Stats(); s.Frozen != 1 {
 		t.Fatalf("after a later reader the table stores %d frozen records, want 1", s.Frozen)
-	}
-}
-
-func TestReleaseReadIn(t *testing.T) {
-	tbl := NewTable()
-	ctx := context.Background()
-	if _, err := tbl.AcquireRead(ctx, 1, iv(1, 10), Options{}); err != nil {
-		t.Fatal(err)
-	}
-	tbl.ReleaseReadIn(1, iv(4, 6))
-	ro, _ := tbl.Owned(1)
-	want := timestamp.NewSet(
-		timestamp.Span(ts(1), ts(4).Prev()),
-		timestamp.Span(ts(6).Next(), ts(10)),
-	)
-	if !ro.Equal(want) {
-		t.Fatalf("owned = %v want %v", ro, want)
-	}
-	// released middle is writable by others now
-	if _, err := tbl.AcquireWrite(ctx, 2, set(iv(5, 5)), Options{}); err != nil {
-		t.Fatal(err)
 	}
 }
 

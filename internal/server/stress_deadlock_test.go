@@ -274,16 +274,22 @@ func TestCrossServerDeadlockStress(t *testing.T) {
 // aborted and the survivor committed. The detector sub-benchmark is the
 // global-detection path; timeout is the pre-detector baseline, where a
 // poll period far beyond the 1s lock-wait timeout leaves the timeout to
-// break the cycle (both recorded in BENCH_deadlock.json). Not part of
-// the CI bench smoke — the timeout arm costs a full second per
-// iteration.
+// break the cycle (both recorded in BENCH_deadlock.json). In the timeout
+// arm the second closing write starts a tenth of the lock-wait timeout
+// after the first: started together, both waits expire within
+// microseconds of each other and both transactions abort, leaving no
+// survivor. Staggered, the first wait expires alone and its abort frees
+// the key the second is parked on, so the arm ends as the detector arm
+// does, with one victim and one commit. The timeout arm costs a full
+// second per iteration; CI runs each arm once.
 func BenchmarkCycleResolution(b *testing.B) {
 	for _, cfg := range []struct {
-		name string
-		poll time.Duration
+		name    string
+		poll    time.Duration
+		stagger time.Duration
 	}{
-		{"detector", 5 * time.Millisecond},
-		{"timeout", time.Hour},
+		{"detector", 5 * time.Millisecond, 0},
+		{"timeout", time.Hour, 100 * time.Millisecond},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			_, cls := startDeadlockBed(b, time.Second, cfg.poll, nil)
@@ -304,6 +310,7 @@ func BenchmarkCycleResolution(b *testing.B) {
 				var race sync.WaitGroup
 				race.Add(2)
 				go func() { defer race.Done(); err1 = tx1.Write(ctx, kB, []byte("t1")) }()
+				time.Sleep(cfg.stagger)
 				go func() { defer race.Done(); err2 = tx2.Write(ctx, kA, []byte("t2")) }()
 				race.Wait()
 				if err1 == nil && err2 == nil {
